@@ -333,6 +333,10 @@ def frobenius_family_sweep() -> list[tuple[str, str, Callable[[], GroupHandle]]]
     ]
 
 
+# order of the smallest group in _corpus_pool (cyclic(2))
+_CORPUS_MIN_ORDER = 2
+
+
 def _corpus_pool() -> list[Callable[[], GroupHandle]]:
     pool: list[Callable[[], GroupHandle]] = []
     pool += [lambda n=n: cyclic(n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
@@ -350,6 +354,9 @@ def corpus(seed: int, count: int, max_order: int) -> list[GroupHandle]:
     """Deterministic stream of small groups for invariant fuzzing."""
     if count < 1:
         raise OutOfRange("count must be >= 1")
+    if max_order < _CORPUS_MIN_ORDER:
+        # no pool group fits, so the draw loop below would never finish
+        raise OutOfRange(f"max_order must be >= {_CORPUS_MIN_ORDER}")
     rng = random.Random(seed)
     builders = _corpus_pool()
     base_cache: dict[int, GroupHandle] = {}

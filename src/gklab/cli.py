@@ -1,8 +1,9 @@
 """Command line surface: analyze, graph, verify, classify.
 
 Exit codes: 0 success / all pass, 1 suite failure, 2 input error,
-3 enumeration cap exceeded.  Diagnostics go to stderr; machine output
-(JSON, DOT) goes to stdout or the requested file.
+3 enumeration cap exceeded, 4 Frobenius complement search exhausted.
+Diagnostics go to stderr; machine output (JSON, DOT) goes to stdout or the
+requested file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from sympy import factorint
 from . import __version__
 from . import catalog as cat
 from . import elements as el
-from .frobenius import frobenius_kind
+from .frobenius import SearchExhausted, frobenius_kind
 from .groups import (CapExceeded, GroupHandle, direct_product,
                      element_orders_multiset, enumerate_group,
                      semidirect_product)
@@ -281,6 +282,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SearchExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

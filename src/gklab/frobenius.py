@@ -15,8 +15,8 @@ from typing import Optional
 
 from sympy import factorint
 
-from .groups import (GroupHandle, closure_in, element_order,
-                     element_orders_multiset, subgroup_as_group)
+from .groups import (GroupHandle, closure_in, element_orders_multiset,
+                     order_map, subgroup_as_group)
 from .structure import (SubgroupHandle, conjugacy_classes, derived_subgroup,
                         exponent, fitting, fitting_series, is_abelian,
                         is_cyclic, quotient)
@@ -116,9 +116,10 @@ def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
     complement equals C_G(t) for any involution t outside the kernel.  Odd m:
     bounded search over at most 3 generators of order dividing m.
     """
+    orders = order_map(G)
     if m % 2 == 0:
         for t in G.sorted_elements():
-            if t in kernel or element_order(G, t) != 2:
+            if t in kernel or orders[t] != 2:
                 continue
             cent = frozenset(x for x in G.elements
                              if G.mult(x, t) == G.mult(t, x))
@@ -126,7 +127,7 @@ def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
                 return cent
         raise SearchExhausted(f"no even-order complement found in {G.label}")
     candidates = [g for g in G.sorted_elements()
-                  if g not in kernel and m % element_order(G, g) == 0]
+                  if g not in kernel and m % orders[g] == 0]
 
     def extend(current: frozenset, gens: list, depth: int):
         if len(current) == m:
@@ -154,8 +155,9 @@ def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
     """Decompose G as Frobenius kernel x| complement, or raise NotFrobenius."""
     if "frobenius" in G._memo:
         memo = G._memo["frobenius"]
-        if isinstance(memo, Exception):
-            raise memo
+        if isinstance(memo, str):
+            # a fresh instance per call, so no traceback piles up on one object
+            raise NotFrobenius(memo)
         return memo
     try:
         F = fitting(G)
@@ -167,7 +169,7 @@ def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
             raise NotFrobenius(f"{G.label}: centralizer condition fails")
         comp = _find_complement(G, F.elements, G.order // F.order)
     except NotFrobenius as exc:
-        G._memo["frobenius"] = exc
+        G._memo["frobenius"] = str(exc)
         raise
     dec = FrobeniusDecomposition(G.label, F,
                                  SubgroupHandle(G, comp, normal=False))

@@ -1,15 +1,17 @@
 """Enumerated finite groups: closure from generators, products, element orders.
 
 A :class:`GroupHandle` owns a fully enumerated element set together with
-multiplication and inversion callables.  Handles are immutable after
-construction and safe for concurrent reads; enumeration itself runs
-single-threaded.
+multiplication and inversion callables.  Its fields are fixed at
+construction, but derived data (sorted elements, the order map, conjugacy
+classes, ...) is written lazily into ``_memo`` on first read, so a handle
+must not be shared between threads without a lock.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable, Optional
 
 from . import elements as el
@@ -35,7 +37,18 @@ class ActionNotWellDefined(ValueError):
 
 
 def default_cap() -> int:
-    return int(os.environ.get("GKLAB_MAX_ORDER", DEFAULT_CAP))
+    """Element cap from ``GKLAB_MAX_ORDER``, or DEFAULT_CAP when unset."""
+    raw = os.environ.get("GKLAB_MAX_ORDER")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"GKLAB_MAX_ORDER must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +61,6 @@ class GroupHandle:
     inv: Callable[[Element], Element]
     # word over generator indices reaching each element (BFS order)
     words: dict[Element, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    # for semidirect products: acting element -> {kernel element -> image}
-    action_table: Optional[dict] = field(default=None, repr=False)
     # single-writer caches (conjugacy data etc.) keyed by computation name
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -84,7 +95,7 @@ class GroupHandle:
 
     def relabel(self, label: str) -> "GroupHandle":
         return GroupHandle(label, self.generators, self.elements, self.identity,
-                           self.mult, self.inv, self.words, self.action_table)
+                           self.mult, self.inv, self.words)
 
 
 def _closure(gens, identity, mult, cap):
@@ -138,6 +149,35 @@ def element_order(G: GroupHandle, g: Element) -> int:
         h = G.mult(h, g)
         k += 1
     return k
+
+
+def order_map(G: GroupHandle) -> dict[Element, int]:
+    """Element -> order for all of G, computed once per group and memoised.
+
+    Each element not yet seen starts a walk over its cyclic subgroup
+    g, g^2, ..., g^n = 1, and every power g^k gets order n / gcd(k, n).
+    The map is keyed by G's own element objects: it is created with all of
+    G.elements as keys, and assigning through an equal tuple from G.mult
+    keeps the existing key, so the fresh products are not retained.
+    """
+    orders = G._memo.get("orders")
+    if orders is not None:
+        return orders
+    orders = dict.fromkeys(G.elements, 0)
+    orders[G.identity] = 1
+    for g in G.sorted_elements():
+        if orders[g]:
+            continue
+        powers = [g]
+        h = G.mult(g, g)
+        while h != G.identity:
+            powers.append(h)
+            h = G.mult(h, g)
+        n = len(powers) + 1
+        for k, x in enumerate(powers, 1):
+            orders[x] = n // gcd(k, n)
+    G._memo["orders"] = orders
+    return orders
 
 
 def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
@@ -264,8 +304,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         sep = " x " if trivial else " x| "
         label = f"{N.label}{sep}{H.label}"
     words = _rebuild_words(gens, identity, mult, len(elems))
-    return GroupHandle(label, gens, elems, identity, mult, inv, words,
-                       action_table=act)
+    return GroupHandle(label, gens, elems, identity, mult, inv, words)
 
 
 def _word_element(H: GroupHandle, word) -> Element:
@@ -313,5 +352,4 @@ def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
     _, words = _closure(gens, G.identity, G.mult, len(elems) + 1)
     assert frozenset(words) == elems
     return GroupHandle(label or f"{G.label}-sub{len(elems)}", tuple(gens),
-                       elems, G.identity, G.mult, G.inv, words,
-                       action_table=G.action_table)
+                       elems, G.identity, G.mult, G.inv, words)

@@ -2,8 +2,10 @@
 
 Everything here works on fully enumerated groups.  Deliberate choices:
 
-* Sylow subgroups grow deterministically inside their normalizer (value-least
-  eligible p-element first), never by random search.
+* Sylow subgroups grow deterministically inside their normalizer, never by
+  random search: each step adds the value-least p-element outside P that
+  normalizes P.  The p-elements are read from the group's memoised order
+  map (``groups.order_map``), so no element's order is recomputed per step.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.
 * Coset representatives are the value-least element of each coset, so
@@ -18,7 +20,7 @@ from sympy import factorint, isprime
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, closure_in, element_order,
-                     small_generating_set, subgroup_as_group)
+                     order_map, small_generating_set, subgroup_as_group)
 
 
 class NotNormal(ValueError):
@@ -144,28 +146,30 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     while n % p == 0:
         n //= p
         p_part *= p
+    orders = order_map(G)
+    # element orders divide |G|, so order | p_part iff it is a power of p
+    candidates = [g for g in G.sorted_elements()
+                  if orders[g] > 1 and p_part % orders[g] == 0]
     P = {G.identity}
     gens: list[Element] = []
     while len(P) < p_part:
-        N = _normalizer_set(G, P, gens)
-        x = min(y for y in N if y not in P and
-                is_p_element(G, y, p, p_part) and y != G.identity)
+        # P is generated by gens, so x normalizes P iff it conjugates gens into P
+        for x in candidates:
+            if x in P:
+                continue
+            xi = G.inv(x)
+            if all(G.mult(xi, G.mult(s, x)) in P for s in gens):
+                break
+        else:
+            raise RuntimeError(
+                f"no p-element of {G.label} normalizes a p-subgroup of order "
+                f"{len(P)} < {p_part}")
         gens.append(x)
         P = closure_in(G, gens)
-    sub = SubgroupHandle(G, frozenset(P), _is_normal(G, P))
+    normal = all(G.conjugate(s, g) in P for g in G.generators for s in gens)
+    sub = SubgroupHandle(G, frozenset(P), normal)
     G._memo[key] = sub
     return sub
-
-
-def _normalizer_set(G: GroupHandle, subset, gens) -> set:
-    if not gens:
-        return set(G.elements)
-    out = set()
-    for x in G.elements:
-        xi = G.inv(x)
-        if all(G.mult(xi, G.mult(s, x)) in subset for s in gens):
-            out.add(x)
-    return out
 
 
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:

@@ -104,6 +104,10 @@ class TestCorpus:
     def test_count(self):
         assert len(catalog.corpus(2, 17, 1000)) == 17
 
+    def test_max_order_below_every_pool_group(self):
+        with pytest.raises(catalog.OutOfRange, match="max_order"):
+            catalog.corpus(1, 3, 1)
+
     def test_pinned_solvable_cut_count(self):
         # regression constant measured once for the standard corpus call
         groups = catalog.corpus(1, 200, 2000)

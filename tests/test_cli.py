@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gklab import cli
 from gklab.cli import main
+from gklab.frobenius import SearchExhausted
 
 SPEC = {
     "groups": {
@@ -63,6 +65,19 @@ class TestAnalyze:
                    "gens": [[[1, 2]], [[1, 2, 3, 4]]]}}}))
         assert main(["analyze", str(path)]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_max_order_env(self, spec_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("GKLAB_MAX_ORDER", value)
+        assert main(["analyze", spec_path]) == 2
+        assert "GKLAB_MAX_ORDER" in capsys.readouterr().err
+
+    def test_search_exhausted(self, spec_path, monkeypatch, capsys):
+        def exhausted(G):
+            raise SearchExhausted(f"no complement found in {G.label}")
+        monkeypatch.setattr(cli, "frobenius_kind", exhausted)
+        assert main(["analyze", spec_path]) == 4
+        assert "no complement found" in capsys.readouterr().err
+
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"
         path.write_text(json.dumps({"groups": {
@@ -94,6 +109,11 @@ class TestVerifyAndClassify:
     def test_verify_classifier(self, capsys):
         assert main(["verify", "classifier"]) == 0
         assert "39/39 pass" in capsys.readouterr().out
+
+    def test_invariants_max_order_below_corpus(self, capsys):
+        argv = ["verify", "invariants", "--count", "3", "--max-order", "1"]
+        assert main(argv) == 2
+        assert "max_order" in capsys.readouterr().err
 
     def test_classify_realized(self, capsys):
         assert main(["classify", "2-3", "--class", "cut"]) == 0

@@ -21,6 +21,15 @@ class TestFrobenius:
             frobenius_decomposition(q8)
         assert frobenius_kind(q8) == NONE_KIND
 
+    def test_not_frobenius_fresh_per_call(self, q8):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotFrobenius) as info:
+                frobenius_decomposition(q8)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+
     def test_c5sq_q8(self):
         G = catalog.catalog_entry("fig3.e").build()
         dec = frobenius_decomposition(G)

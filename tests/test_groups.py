@@ -3,8 +3,9 @@ import pytest
 from gklab import catalog
 from gklab import elements as el
 from gklab.frobenius import fingerprint
-from gklab.groups import (ActionNotWellDefined, CapExceeded, NotAnAutomorphism,
-                          NotMember, direct_product, element_order,
+from gklab.groups import (DEFAULT_CAP, ActionNotWellDefined, CapExceeded,
+                          NotAnAutomorphism, NotMember, default_cap,
+                          direct_product, element_order,
                           element_orders_multiset, enumerate_group,
                           semidirect_product, subgroup_as_group)
 
@@ -24,6 +25,16 @@ class TestEnumerate:
         G = enumerate_group([A, B], "mat42")
         assert G.order == 42
         assert fingerprint(G) == fingerprint(c7c6)
+
+    def test_default_cap_from_env(self, monkeypatch):
+        monkeypatch.delenv("GKLAB_MAX_ORDER", raising=False)
+        assert default_cap() == DEFAULT_CAP
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "50")
+        assert default_cap() == 50
+        for bad in ("abc", "0", "-5", ""):
+            monkeypatch.setenv("GKLAB_MAX_ORDER", bad)
+            with pytest.raises(ValueError, match="GKLAB_MAX_ORDER"):
+                default_cap()
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import factorint
 
 from gklab import catalog
 from gklab import elements as el
-from gklab.groups import element_order
+from gklab.groups import (closure_in, direct_product, element_order,
+                          order_map, small_generating_set)
 from gklab.structure import (NotSolvable, SubgroupHandle, centralizer,
                              class_predicates, conjugacy_classes, core_p,
                              derived_subgroup, exponent, fitting,
                              fitting_series, is_abelian, is_cyclic,
-                             is_nilpotent, is_solvable, minimal_normal_subgroups,
-                             normalizer_of_cyclic, quotient, sylow)
+                             is_nilpotent, is_p_element, is_solvable,
+                             minimal_normal_subgroups, normalizer_of_cyclic,
+                             quotient, sylow)
 
 
 class TestConjugacy:
@@ -73,6 +77,98 @@ class TestSylowAndCores:
         assert S.order == 8
         assert exponent(S) == 4
         assert sum(1 for g in S.elements if element_order(S, g) == 2) == 1
+
+
+def _p_part(n: int, p: int) -> int:
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
+
+
+def _reference_sylow(G, p):
+    """Sylow growth as it was before the order map: scan all of G for the
+    normalizer of P, then take the value-least p-element of it outside P."""
+    p_part = _p_part(G.order, p)
+    P = {G.identity}
+    gens = []
+    while len(P) < p_part:
+        N = [x for x in G.elements
+             if all(G.conjugate(s, x) in P for s in gens)]
+        x = min(y for y in N if y not in P and y != G.identity and
+                is_p_element(G, y, p, p_part))
+        gens.append(x)
+        P = closure_in(G, gens)
+    P_gens = small_generating_set(G, P) or [G.identity]
+    normal = all(G.conjugate(s, g) in P for g in G.generators for s in P_gens)
+    return frozenset(P), normal
+
+
+def _small_catalog_groups():
+    return [catalog.cyclic(12), catalog.elem_abelian(2, 3),
+            catalog.elem_abelian(3, 2), catalog.dihedral(8),
+            catalog.dihedral(12), catalog.sym(3), catalog.sym(4),
+            catalog.alt(4), catalog.alt(5), catalog.quaternion8(),
+            catalog.sl2_3(), catalog.dicyclic12(),
+            catalog.quaternion8_times_c3(), catalog.c7_c3(), catalog.c7_c6()]
+
+
+class TestSylowDifferential:
+    def test_matches_normalizer_scan(self):
+        groups = {G.label: G for G in catalog.corpus(1, 60, 700)}
+        for G in _small_catalog_groups():
+            groups.setdefault(G.label, G)
+        checked = 0
+        for label in sorted(groups):
+            G = groups[label]
+            for p in sorted(factorint(G.order)):
+                elems, normal = _reference_sylow(G, p)
+                got = sylow(G, p)
+                assert got.elements == elems, (label, p)
+                assert got.normal == normal, (label, p)
+                checked += 1
+        assert checked > 90
+
+
+@pytest.fixture(scope="module")
+def order_map_groups():
+    s4 = catalog.sym(4)
+    dic12 = catalog.dicyclic12()
+    return [
+        s4,                                               # permutations
+        catalog.sl2_3(),                                  # 2x2 matrices mod 3
+        direct_product(catalog.quaternion8(), catalog.sym(3)),  # pairs
+        catalog.c7_c6(),                                  # semidirect pairs
+        quotient(s4, core_p(s4, 2)),                      # quotients
+        quotient(dic12, core_p(dic12, 3)),
+    ]
+
+
+class TestOrderMap:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_element_order(self, order_map_groups, data):
+        G = data.draw(st.sampled_from(order_map_groups))
+        g = data.draw(st.sampled_from(G.sorted_elements()))
+        assert order_map(G)[g] == element_order(G, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_sylow_order_and_p_elements(self, order_map_groups, data):
+        G = data.draw(st.sampled_from(order_map_groups))
+        p = data.draw(st.sampled_from(sorted(factorint(G.order))))
+        S = sylow(G, p)
+        assert S.order == _p_part(G.order, p)
+        orders = order_map(G)
+        assert all(_p_part(orders[x], p) == orders[x] for x in S.elements)
+
+    def test_memoised_on_own_elements(self, s4):
+        orders = order_map(s4)
+        assert order_map(s4) is orders
+        assert set(orders) == set(s4.elements)
+        own = {id(g) for g in s4.elements}
+        assert all(id(g) in own for g in orders)
 
 
 class TestFitting:
