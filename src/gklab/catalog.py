@@ -379,3 +379,12 @@ def corpus(seed: int, count: int, max_order: int) -> list[GroupHandle]:
         if G.order <= max_order:
             out.append(G)
     return out
+
+
+def distinct_corpus(seed: int, count: int,
+                    max_order: int) -> dict[str, GroupHandle]:
+    """Label -> group over ``corpus(seed, count, max_order)``, first kept."""
+    distinct: dict[str, GroupHandle] = {}
+    for G in corpus(seed, count, max_order):
+        distinct.setdefault(G.label, G)
+    return distinct

@@ -53,6 +53,8 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec file: {exc}")
+    if not isinstance(doc, dict):
+        raise SpecError("spec file must hold a JSON object")
     recipes = doc.get("groups")
     if not isinstance(recipes, dict) or not recipes:
         raise SpecError('spec file needs a non-empty "groups" map')

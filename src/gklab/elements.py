@@ -14,6 +14,8 @@ handles the context-free kinds.
 
 from __future__ import annotations
 
+from sympy import isprime
+
 Element = tuple
 
 PERM = 'P'
@@ -66,6 +68,8 @@ def perm_to_cycles(g: Element) -> list[list[int]]:
 
 def mat(p: int, rows) -> Element:
     """Matrix element over F_p from nested rows; entries reduced mod p."""
+    if not isprime(p):
+        raise ValueError(f"matrix modulus p={p} is not a prime")
     d = len(rows)
     entries = []
     for row in rows:

@@ -5,6 +5,12 @@ multiplication and inversion callables.  Its fields are fixed at
 construction, but derived data (sorted elements, the order map, conjugacy
 classes, ...) is written lazily into ``_memo`` on first read, so a handle
 must not be shared between threads without a lock.
+
+Handles store no generator words: a map given on generators (a kernel
+automorphism, a group action) is extended along a BFS tree of the Cayley
+graph and then checked on every Cayley edge (Holt, Eick & O'Brien, *Handbook
+of Computational Group Theory*, ch. 4).  Products list their elements
+directly, without a closure.
 """
 
 from __future__ import annotations
@@ -59,8 +65,6 @@ class GroupHandle:
     identity: Element
     mult: Callable[[Element, Element], Element]
     inv: Callable[[Element], Element]
-    # word over generator indices reaching each element (BFS order)
-    words: dict[Element, tuple[int, ...]] = field(default_factory=dict, repr=False)
     # single-writer caches (conjugacy data etc.) keyed by computation name
     _memo: dict = field(default_factory=dict, repr=False)
 
@@ -95,27 +99,47 @@ class GroupHandle:
 
     def relabel(self, label: str) -> "GroupHandle":
         return GroupHandle(label, self.generators, self.elements, self.identity,
-                           self.mult, self.inv, self.words)
+                           self.mult, self.inv)
 
 
-def _closure(gens, identity, mult, cap):
-    """Breadth-first closure; returns (elements, words)."""
-    words = {identity: ()}
+def _closure(gens, identity, mult, cap) -> set[Element]:
+    """Breadth-first closure of gens from identity; CapExceeded past cap."""
+    elems = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for g in frontier:
-            w = words[g]
-            for i, s in enumerate(gens):
+            for s in gens:
                 h = mult(g, s)
-                if h not in words:
-                    words[h] = w + (i,)
+                if h not in elems:
+                    elems.add(h)
                     new.append(h)
-                    if len(words) > cap:
+                    if len(elems) > cap:
                         raise CapExceeded(
                             f"closure exceeded cap of {cap} elements")
         frontier = new
-    return frozenset(words), words
+    return elems
+
+
+def _along_bfs_tree(G: GroupHandle, start, step) -> dict:
+    """Map on G built along a BFS spanning tree of its Cayley graph.
+
+    The identity gets ``start`` and each tree edge n -> n * g_i gets
+    ``step(value at n, i)``.  Callers check the non-tree edges themselves.
+    """
+    out = {G.identity: start}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for n in frontier:
+            v = out[n]
+            for i, g in enumerate(G.generators):
+                h = G.mult(n, g)
+                if h not in out:
+                    out[h] = step(v, i)
+                    new.append(h)
+        frontier = new
+    return out
 
 
 def enumerate_group(generators, label: str = "G",
@@ -135,8 +159,8 @@ def enumerate_group(generators, label: str = "G",
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    elems, words = _closure(generators, identity, el.mul, cap)
-    return GroupHandle(label, generators, elems, identity, el.mul, el.inv, words)
+    elems = frozenset(_closure(generators, identity, el.mul, cap))
+    return GroupHandle(label, generators, elems, identity, el.mul, el.inv)
 
 
 def element_order(G: GroupHandle, g: Element) -> int:
@@ -210,34 +234,24 @@ def direct_product(G: GroupHandle, H: GroupHandle,
     identity = (el.PAIR, G.identity, H.identity)
     gens = tuple((el.PAIR, g, H.identity) for g in G.generators) + \
         tuple((el.PAIR, G.identity, h) for h in H.generators)
-    words = _rebuild_words(gens, identity, mult, len(elems))
     return GroupHandle(f"{G.label} x {H.label}", gens, elems, identity,
-                       mult, inv, words)
-
-
-def _rebuild_words(gens, identity, mult, expected):
-    elems, words = _closure(gens, identity, mult, expected + 1)
-    assert len(elems) == expected, "generators do not generate the product"
-    return words
+                       mult, inv)
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
     """Extend generator images to an automorphism of N, or raise.
 
-    The extension follows N's BFS words; multiplicativity is then verified on
-    every (element, generator) pair, which covers all products by induction.
+    The extension follows a BFS tree of N's Cayley graph; multiplicativity is
+    then verified on every (element, generator) pair, which covers all
+    products by induction.
     """
     if len(images) != len(N.generators):
         raise NotAnAutomorphism("one image per generator required")
     for im in images:
         if im not in N.elements:
             raise NotAnAutomorphism("image lies outside the kernel group")
-    amap = {}
-    for n in N.elements:
-        acc = N.identity
-        for i in N.words[n]:
-            acc = N.mult(acc, images[i])
-        amap[n] = acc
+    amap = _along_bfs_tree(N, N.identity,
+                           lambda acc, i: N.mult(acc, images[i]))
     if len(set(amap.values())) != len(amap):
         raise NotAnAutomorphism("generator images do not induce a bijection")
     for n in N.elements:
@@ -266,16 +280,10 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         raise ActionNotWellDefined("one automorphism per acting generator required")
     gen_maps = [extend_to_automorphism(N, images) for images in action]
 
-    # Propagate along H's BFS words, then verify every Cayley edge agrees.
-    act: dict[Element, dict[Element, Element]] = {H.identity: {n: n for n in N.elements}}
-    order_h = sorted(H.words, key=lambda h: len(H.words[h]))
-    for h in order_h:
-        if h == H.identity:
-            continue
-        w = H.words[h]
-        prev = act[_word_element(H, w[:-1])]
-        gmap = gen_maps[w[-1]]
-        act[h] = {n: prev[gmap[n]] for n in N.elements}
+    # Propagate along a BFS tree of H, then verify every Cayley edge agrees.
+    act = _along_bfs_tree(
+        H, {n: n for n in N.elements},
+        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.elements})
     for h in H.elements:
         for i, g in enumerate(H.generators):
             hg = H.mult(h, g)
@@ -303,15 +311,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     if label is None:
         sep = " x " if trivial else " x| "
         label = f"{N.label}{sep}{H.label}"
-    words = _rebuild_words(gens, identity, mult, len(elems))
-    return GroupHandle(label, gens, elems, identity, mult, inv, words)
-
-
-def _word_element(H: GroupHandle, word) -> Element:
-    acc = H.identity
-    for i in word:
-        acc = H.mult(acc, H.generators[i])
-    return acc
+    return GroupHandle(label, gens, elems, identity, mult, inv)
 
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
@@ -331,25 +331,13 @@ def small_generating_set(G: GroupHandle, subset) -> list[Element]:
 
 def closure_in(G: GroupHandle, gens) -> set[Element]:
     """Closure of gens under G's multiplication (subset of G)."""
-    elems = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s in gens:
-                h = G.mult(g, s)
-                if h not in elems:
-                    elems.add(h)
-                    new.append(h)
-        frontier = new
-    return elems
+    return _closure(gens, G.identity, G.mult, G.order)
 
 
 def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
     """View a subgroup element set as a standalone GroupHandle."""
     gens = small_generating_set(G, subset) or [G.identity]
     elems = frozenset(subset)
-    _, words = _closure(gens, G.identity, G.mult, len(elems) + 1)
-    assert frozenset(words) == elems
+    assert closure_in(G, gens) == elems
     return GroupHandle(label or f"{G.label}-sub{len(elems)}", tuple(gens),
-                       elems, G.identity, G.mult, G.inv, words)
+                       elems, G.identity, G.mult, G.inv)

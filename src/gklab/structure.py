@@ -129,8 +129,8 @@ def _is_normal(G: GroupHandle, elems) -> bool:
     return all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
 
 
-def is_p_element(G: GroupHandle, g: Element, p: int, p_part: int) -> bool:
-    """True iff the order of g is a power of p (g^(p^k) = 1 for the full p-part)."""
+def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
+    """True iff g^p_part = 1: g is a p-element when p_part is |G|'s p-part."""
     return G.power(g, p_part) == G.identity
 
 
@@ -264,12 +264,8 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
             gens.append(r)
     if not gens:
         gens = [project[G.identity]]
-    elems = frozenset(reps)
-    from .groups import _closure
-    _, words = _closure(gens, project[G.identity], mult, len(elems) + 1)
-    assert frozenset(words) == elems
-    Q = GroupHandle(f"{G.label}/N{len(nset)}", tuple(gens), elems,
-                    project[G.identity], mult, inv, words)
+    Q = GroupHandle(f"{G.label}/N{len(nset)}", tuple(gens), frozenset(reps),
+                    project[G.identity], mult, inv)
     Q._memo["project"] = project
     return Q
 

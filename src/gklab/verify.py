@@ -215,10 +215,7 @@ def _predicate_chain(G: GroupHandle) -> list[str]:
 
 def suite_invariants(seed: int = 1, count: int = 200,
                      max_order: int = 2000) -> list[Row]:
-    groups = cat.corpus(seed, count, max_order)
-    distinct: dict[str, GroupHandle] = {}
-    for g in groups:
-        distinct.setdefault(g.label, g)
+    distinct = cat.distinct_corpus(seed, count, max_order)
     rows: list[Row] = []
     violations = 0
     for label in sorted(distinct):

@@ -28,11 +28,7 @@ def _report(criterion: str, rows):
 
 @pytest.fixture(scope="module")
 def corpus_groups() -> dict[str, GroupHandle]:
-    groups = catalog.corpus(1, 200, 2000)
-    distinct: dict[str, GroupHandle] = {}
-    for g in groups:
-        distinct.setdefault(g.label, g)
-    return distinct
+    return catalog.distinct_corpus(1, 200, 2000)
 
 
 def test_criterion_1_figure_catalog():

@@ -111,9 +111,7 @@ class TestCorpus:
     def test_pinned_solvable_cut_count(self):
         # regression constant measured once for the standard corpus call
         groups = catalog.corpus(1, 200, 2000)
-        distinct = {}
-        for g in groups:
-            distinct.setdefault(g.label, g)
+        distinct = catalog.distinct_corpus(1, 200, 2000)
         per_label = {lbl: is_solvable(g) and is_cut_group(g)
                      for lbl, g in distinct.items()}
         count = sum(1 for g in groups if per_label[g.label])

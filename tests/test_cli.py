@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,32 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "frobenius_kind", exhausted)
         assert main(["analyze", spec_path]) == 4
         assert "no complement found" in capsys.readouterr().err
+
+    def test_pinned_report_sha256(self, tmp_path, monkeypatch):
+        # the analyze bytes of SPEC, pinned before generator words were dropped
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+        report = cli.analysis_report(cli.load_spec("spec.json"),
+                                     {"spec": "spec.json"})
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
+
+    @pytest.mark.parametrize("p", [0, 4])
+    def test_non_prime_modulus(self, tmp_path, capsys, p):
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"groups": {
+            "m": {"type": "matgrp", "p": p, "gens": [[[1, 2], [0, 1]]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert f"p={p}" in capsys.readouterr().err
+
+    def test_top_level_not_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(cli.SpecError, match="JSON object"):
+            cli.load_spec(str(path))
+        assert main(["analyze", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"

@@ -51,6 +51,12 @@ class TestMat:
         with pytest.raises(ValueError):
             el.mat(3, [[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("p", [0, 1, 4, -3])
+    def test_non_prime_modulus_rejected(self, p):
+        # p = 0 used to divide by zero; p = 4 built a matrix over Z/4
+        with pytest.raises(ValueError, match=f"p={p}"):
+            el.mat(p, [[1, 2], [0, 1]])
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             el.mat(3, [[1, 2, 0], [0, 1, 0]])

@@ -1,13 +1,19 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import factorint
 
 from gklab import catalog
 from gklab import elements as el
 from gklab.frobenius import fingerprint
 from gklab.groups import (DEFAULT_CAP, ActionNotWellDefined, CapExceeded,
-                          NotAnAutomorphism, NotMember, default_cap,
-                          direct_product, element_order,
+                          NotAnAutomorphism, NotMember, closure_in,
+                          default_cap, direct_product, element_order,
                           element_orders_multiset, enumerate_group,
-                          semidirect_product, subgroup_as_group)
+                          extend_to_automorphism, semidirect_product,
+                          subgroup_as_group)
+from gklab.structure import core_p, derived_subgroup, quotient
 
 
 class TestEnumerate:
@@ -135,3 +141,144 @@ class TestSubgroupView:
                  all(len(c) == 2 for c in el.perm_to_cycles(g))} | {s4.identity}
         V = subgroup_as_group(s4, klein, "V4")
         assert V.order == 4
+
+
+SMALL_FACTORS = [catalog.cyclic(1), catalog.cyclic(2), catalog.cyclic(4),
+                 catalog.elem_abelian(2, 2), catalog.sym(3),
+                 catalog.quaternion8(), catalog.alt(4), catalog.dihedral(10),
+                 catalog.c7_c3()]
+QUOTIENT_SOURCES = [catalog.sym(4), catalog.sl2_3(), catalog.c7_c6(),
+                    catalog.alt(4), catalog.dihedral(10), catalog.quaternion8(),
+                    direct_product(catalog.sym(3), catalog.cyclic(4)),
+                    catalog.vector_semidirect(3, 2, [[[0, 2], [1, 0]]])]
+
+
+def _invertible(p: int, rows) -> bool:
+    try:
+        el.mat(p, rows)
+    except ValueError:
+        return False
+    return True
+
+
+def _invertible_matrices(p: int, d: int):
+    return st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d).map(
+        lambda xs: [xs[i:i + d] for i in range(0, d * d, d)]).filter(
+        lambda rows: _invertible(p, rows))
+
+
+@st.composite
+def _built_groups(draw):
+    """A direct product, semidirect product or quotient of small groups."""
+    kind = draw(st.sampled_from(["direct", "semidirect", "quotient"]))
+    if kind == "direct":
+        return direct_product(draw(st.sampled_from(SMALL_FACTORS)),
+                              draw(st.sampled_from(SMALL_FACTORS)))
+    if kind == "semidirect":
+        p, rank = draw(st.sampled_from([(2, 2), (3, 1), (3, 2), (5, 1)]))
+        mats = draw(st.lists(_invertible_matrices(p, rank),
+                             min_size=1, max_size=2))
+        return catalog.vector_semidirect(p, rank, mats)
+    G = draw(st.sampled_from(QUOTIENT_SOURCES))
+    p = draw(st.sampled_from(sorted(factorint(G.order))))
+    N = draw(st.sampled_from([core_p(G, p), derived_subgroup(G)]))
+    return quotient(G, N)
+
+
+class TestGeneratorsGenerate:
+    """Products and quotients no longer check this when they are built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=_built_groups())
+    def test_closure_of_generators_is_the_group(self, X):
+        assert closure_in(X, X.generators) == X.elements
+
+
+NOT_BIJECTIVE = "generator images do not induce a bijection"
+NOT_MULTIPLICATIVE = "generator images are not multiplicative"
+
+
+def _reference_extension(N, images):
+    """Generator images multiplied along BFS words over N's generators, as
+    before words were dropped: the automorphism, or the rejection message."""
+    words = {N.identity: ()}
+    frontier = [N.identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for i, s in enumerate(N.generators):
+                h = N.mult(g, s)
+                if h not in words:
+                    words[h] = words[g] + (i,)
+                    new.append(h)
+        frontier = new
+    amap = {}
+    for n, word in words.items():
+        acc = N.identity
+        for i in word:
+            acc = N.mult(acc, images[i])
+        amap[n] = acc
+    if len(set(amap.values())) != len(amap):
+        return NOT_BIJECTIVE
+    if any(amap[N.mult(n, g)] != N.mult(amap[n], images[i])
+           for n in N.elements for i, g in enumerate(N.generators)):
+        return NOT_MULTIPLICATIVE
+    return amap
+
+
+def _extension_or_message(N, images):
+    try:
+        return extend_to_automorphism(N, images)
+    except NotAnAutomorphism as exc:
+        return str(exc)
+
+
+ELEMENTARY_KERNELS = {(p, rank): catalog.elem_abelian(p, rank)
+                      for p, rank in [(2, 2), (3, 2), (2, 3), (5, 1)]}
+# C4 x C2 on 6 points and C6 generated by g^2, g^3: generators of unequal
+# orders, so some image pairs extend to bijections that are not multiplicative
+OTHER_KERNELS = [catalog.sym(3), catalog.quaternion8(),
+                 enumerate_group([el.perm_from_cycles(6, [[1, 2, 3, 4]]),
+                                  el.perm_from_cycles(6, [[5, 6]])], "C4xC2"),
+                 enumerate_group([el.perm_from_cycles(6, [[1, 3, 5], [2, 4, 6]]),
+                                  el.perm_from_cycles(6, [[1, 4], [2, 5], [3, 6]])],
+                                 "C6")]
+
+
+@st.composite
+def _kernel_images(draw):
+    """A kernel with generator images: invertible linear maps of elementary
+    abelian kernels, conjugations, or arbitrary (mostly invalid) images."""
+    if draw(st.booleans()):
+        (p, rank), N = draw(st.sampled_from(sorted(ELEMENTARY_KERNELS.items())))
+        if draw(st.booleans()):
+            rows = draw(_invertible_matrices(p, rank))
+            return N, catalog.matrix_action(N, [el.mat(p, rows)])[0]
+    else:
+        N = draw(st.sampled_from(OTHER_KERNELS))
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(N.sorted_elements()))
+            return N, [N.conjugate(g, x) for g in N.generators]
+    rank = len(N.generators)
+    return N, draw(st.lists(st.sampled_from(N.sorted_elements()),
+                            min_size=rank, max_size=rank))
+
+
+class TestExtendToAutomorphism:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_kernel_images())
+    def test_matches_word_reference(self, case):
+        N, images = case
+        assert _extension_or_message(N, images) == _reference_extension(N, images)
+
+    @pytest.mark.parametrize("N, outcomes", [
+        (ELEMENTARY_KERNELS[2, 2], {"automorphism", NOT_BIJECTIVE}),
+        (OTHER_KERNELS[2], {"automorphism", NOT_BIJECTIVE, NOT_MULTIPLICATIVE}),
+    ], ids=["C2^2", "C4xC2"])
+    def test_every_image_pair(self, N, outcomes):
+        seen = set()
+        for images in itertools.product(N.sorted_elements(), repeat=2):
+            got = _extension_or_message(N, list(images))
+            assert got == _reference_extension(N, list(images))
+            seen.add(got if isinstance(got, str) else "automorphism")
+        assert seen == outcomes

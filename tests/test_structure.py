@@ -97,7 +97,7 @@ def _reference_sylow(G, p):
         N = [x for x in G.elements
              if all(G.conjugate(s, x) in P for s in gens)]
         x = min(y for y in N if y not in P and y != G.identity and
-                is_p_element(G, y, p, p_part))
+                is_p_element(G, y, p_part))
         gens.append(x)
         P = closure_in(G, gens)
     P_gens = small_generating_set(G, P) or [G.identity]
