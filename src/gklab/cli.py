@@ -1,7 +1,8 @@
 """Command line surface: analyze, graph, verify, classify.
 
-Exit codes: 0 success / all pass, 1 suite failure, 2 input error,
-3 enumeration cap exceeded, 4 Frobenius complement search exhausted.
+Exit codes: 0 success / all pass, 1 suite failure, 2 input error or an
+output file that cannot be written, 3 enumeration cap exceeded, 4 Frobenius
+complement search exhausted.
 Diagnostics go to stderr; machine output (JSON, DOT) goes to stdout or the
 requested file.
 """
@@ -184,19 +185,25 @@ def _group_report(G: GroupHandle) -> dict:
     return out
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
+def _emit(text: str, out_path) -> int:
+    """Write text to out_path, or stdout when unset; the exit code."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_analyze(args) -> int:
     groups = load_spec(args.spec)
     report = analysis_report(groups, {"spec": args.spec})
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _resolve_group(name_or_path: str, member) -> GroupHandle:
@@ -216,8 +223,7 @@ def _resolve_group(name_or_path: str, member) -> GroupHandle:
 
 def cmd_graph(args) -> int:
     G = _resolve_group(args.group, args.name)
-    _emit(to_dot(gk_graph(G), G.label), args.dot)
-    return 0
+    return _emit(to_dot(gk_graph(G), G.label), args.dot)
 
 
 def cmd_verify(args) -> int:

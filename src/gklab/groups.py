@@ -11,6 +11,18 @@ automorphism, a group action) is extended along a BFS tree of the Cayley
 graph and then checked on every Cayley edge (Holt, Eick & O'Brien, *Handbook
 of Computational Group Theory*, ch. 4).  Products list their elements
 directly, without a closure.
+
+Element ids: an element's id is its position in ``sorted_elements()``, so
+ids follow the value order.  ``conjugation_tables(G)`` holds one memoised
+table per generator g, whose entry i is the id of g^-1 x_i g; conjugacy
+classes, O_p(G) and normality tests (:mod:`gklab.structure`) run on these
+int tables.  Enumerated groups, semidirect products and subgroup views build
+their tables by multiplying every element by every generator.  A direct
+product G x H derives its tables from its factors' tables and multiplies no
+element: the pair (x_i, y_j) has id i*|H| + j, as its sorted order is the
+nested loop over the factors' sorted orders.  A quotient derives its tables
+from its parent's in the same way (see ``structure.quotient``).
+``relabel`` keeps this structural record.
 """
 
 from __future__ import annotations
@@ -98,8 +110,17 @@ class GroupHandle:
         return acc
 
     def relabel(self, label: str) -> "GroupHandle":
-        return GroupHandle(label, self.generators, self.elements, self.identity,
-                           self.mult, self.inv)
+        """The same group under a new label.
+
+        The structural record (the sorted order and where the conjugation
+        tables come from) carries over; nothing that depends on the label does.
+        """
+        G = GroupHandle(label, self.generators, self.elements, self.identity,
+                        self.mult, self.inv)
+        for key in ("sorted", "tables_from"):
+            if key in self._memo:
+                G._memo[key] = self._memo[key]
+        return G
 
 
 def _closure(gens, identity, mult, cap) -> set[Element]:
@@ -204,6 +225,49 @@ def order_map(G: GroupHandle) -> dict[Element, int]:
     return orders
 
 
+def element_ids(G: GroupHandle) -> dict[Element, int]:
+    """Element -> id, its position in ``G.sorted_elements()``; memoised."""
+    ids = G._memo.get("ids")
+    if ids is None:
+        ids = {x: i for i, x in enumerate(G.sorted_elements())}
+        G._memo["ids"] = ids
+    return ids
+
+
+def conjugation_tables(G: GroupHandle) -> list[list[int]]:
+    """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
+
+    Direct products and quotients derive theirs from their factors' or
+    parent's tables (``_memo["tables_from"]``); every other group conjugates
+    each element by each generator once.
+    """
+    tables = G._memo.get("conj_tables")
+    if tables is not None:
+        return tables
+    derive = G._memo.get("tables_from")
+    if derive is not None:
+        tables = derive()
+    else:
+        ids = element_ids(G)
+        srt = G.sorted_elements()
+        tables = []
+        for g in G.generators:
+            gi = G.inv(g)
+            tables.append([ids[G.mult(gi, G.mult(x, g))] for x in srt])
+    G._memo["conj_tables"] = tables
+    return tables
+
+
+def _product_tables(G: GroupHandle, H: GroupHandle) -> list[list[int]]:
+    """Tables of G x H, whose id i*|H| + j is the pair (x_i, y_j)."""
+    m = H.order
+    hs = range(m)
+    tables = [[a * m + j for a in t for j in hs] for t in conjugation_tables(G)]
+    for t in conjugation_tables(H):
+        tables.append([i + b for i in range(0, G.order * m, m) for b in t])
+    return tables
+
+
 def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
     """order -> number of elements of that order (via conjugacy class reps)."""
     from .structure import conjugacy_classes  # cycle-free at call time
@@ -230,12 +294,21 @@ def direct_product(G: GroupHandle, H: GroupHandle,
     def inv(a):
         return (el.PAIR, gi(a[1]), hi(a[2]))
 
-    elems = frozenset((el.PAIR, a, b) for a in G.elements for b in H.elements)
+    ordered = _pairs_in_order(G, H)
     identity = (el.PAIR, G.identity, H.identity)
     gens = tuple((el.PAIR, g, H.identity) for g in G.generators) + \
         tuple((el.PAIR, G.identity, h) for h in H.generators)
-    return GroupHandle(f"{G.label} x {H.label}", gens, elems, identity,
-                       mult, inv)
+    P = GroupHandle(f"{G.label} x {H.label}", gens, frozenset(ordered),
+                    identity, mult, inv)
+    P._memo["sorted"] = ordered
+    P._memo["tables_from"] = lambda: _product_tables(G, H)
+    return P
+
+
+def _pairs_in_order(G: GroupHandle, H: GroupHandle) -> list[Element]:
+    """All pairs (x, y), sorted: the nested loop over both sorted orders."""
+    hs = H.sorted_elements()
+    return [(el.PAIR, a, b) for a in G.sorted_elements() for b in hs]
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
@@ -304,14 +377,16 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         h_inv = hi(a[2])
         return (el.PAIR, act[h_inv][ni(a[1])], h_inv)
 
-    elems = frozenset((el.PAIR, n, h) for n in N.elements for h in H.elements)
+    ordered = _pairs_in_order(N, H)
     identity = (el.PAIR, N.identity, H.identity)
     gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
         tuple((el.PAIR, N.identity, h) for h in H.generators)
     if label is None:
         sep = " x " if trivial else " x| "
         label = f"{N.label}{sep}{H.label}"
-    return GroupHandle(label, gens, elems, identity, mult, inv)
+    G = GroupHandle(label, gens, frozenset(ordered), identity, mult, inv)
+    G._memo["sorted"] = ordered
+    return G
 
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
@@ -338,6 +413,7 @@ def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
     """View a subgroup element set as a standalone GroupHandle."""
     gens = small_generating_set(G, subset) or [G.identity]
     elems = frozenset(subset)
-    assert closure_in(G, gens) == elems
+    if closure_in(G, gens) != elems:
+        raise ValueError(f"subset of {G.label} is not a subgroup")
     return GroupHandle(label or f"{G.label}-sub{len(elems)}", tuple(gens),
                        elems, G.identity, G.mult, G.inv)

@@ -9,7 +9,17 @@ Everything here works on fully enumerated groups.  Deliberate choices:
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.
 * Coset representatives are the value-least element of each coset, so
-  quotients are reproducible bit for bit.
+  quotients are reproducible bit for bit.  A quotient's sorted order is its
+  list of representatives, and its conjugation tables come from its parent's
+  through the coset projection, conjugating by the parent generator behind
+  each quotient generator; no element is multiplied.
+* Conjugacy classes, O_p(G) and the normality test of ``quotient`` and the
+  predicates run on integer ids and per-generator conjugation tables
+  (``groups.conjugation_tables``).  Each class is the orbit of its smallest
+  id, so its representative is its value-least element, as before.
+  ``centralizer`` and ``normalizer_of_cyclic`` never read the tables: they
+  serve the normalizer-scan cut oracle, which stays independent of the
+  class partition.
 """
 
 from __future__ import annotations
@@ -19,8 +29,9 @@ from dataclasses import dataclass
 from sympy import factorint, isprime
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, closure_in, element_order,
-                     order_map, small_generating_set, subgroup_as_group)
+from .groups import (GroupHandle, NotMember, closure_in, conjugation_tables,
+                     element_ids, element_order, order_map,
+                     small_generating_set, subgroup_as_group)
 
 
 class NotNormal(ValueError):
@@ -64,33 +75,29 @@ class FittingData:
 
 
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
-    """Exact class partition by orbit closure under generator conjugation."""
+    """Exact class partition by orbit closure on the conjugation tables."""
     if "conjugacy" in G._memo:
         return G._memo["conjugacy"]
-    gen_invs = [(g, G.inv(g)) for g in G.generators]
-    index: dict = {}
+    srt = G.sorted_elements()
+    tables = conjugation_tables(G)
+    cids = [-1] * len(srt)
     classes = []
     reps = []
-    for start in G.sorted_elements():
-        if start in index:
+    for start in range(len(srt)):
+        if cids[start] >= 0:
             continue
         cid = len(classes)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, gi in gen_invs:
-                    y = G.mult(gi, G.mult(x, g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        for x in orbit:
-            index[x] = cid
-        classes.append(frozenset(orbit))
-        reps.append(start)
-    data = ConjugacyData(tuple(classes), index, tuple(reps))
+        cids[start] = cid
+        orbit = [start]
+        for i in orbit:  # grows while it is read: a breadth-first search
+            for t in tables:
+                j = t[i]
+                if cids[j] < 0:
+                    cids[j] = cid
+                    orbit.append(j)
+        classes.append(frozenset([srt[i] for i in orbit]))
+        reps.append(srt[start])
+    data = ConjugacyData(tuple(classes), dict(zip(srt, cids)), tuple(reps))
     G._memo["conjugacy"] = data
     return data
 
@@ -121,12 +128,18 @@ def cyclic_subgroup_set(G: GroupHandle, g: Element) -> frozenset:
 
 
 def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
-    return SubgroupHandle(G, elems, _is_normal(G, elems))
+    """Subgroup handle whose normality is tested by element products, so the
+    normalizer-scan oracle never reads the conjugation tables."""
+    gens = small_generating_set(G, elems) or [G.identity]
+    normal = all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
+    return SubgroupHandle(G, elems, normal)
 
 
 def _is_normal(G: GroupHandle, elems) -> bool:
-    gens = small_generating_set(G, elems) or [G.identity]
-    return all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
+    """Is the subgroup elems carried into itself by every generator's table?"""
+    ids = element_ids(G)
+    members = {ids[x] for x in elems}
+    return all(t[i] in members for t in conjugation_tables(G) for i in members)
 
 
 def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
@@ -177,17 +190,18 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     key = ("core", p)
     if key in G._memo:
         return G._memo[key]
-    P = sylow(G, p).elements
-    K = set(P)
+    ids = element_ids(G)
+    K = {ids[x] for x in sylow(G, p).elements}
     changed = True
     while changed:
         changed = False
-        for g in G.generators:
-            Kg = {G.conjugate(x, g) for x in K}
+        for t in conjugation_tables(G):
+            Kg = {t[i] for i in K}
             if Kg != K:
                 K &= Kg
                 changed = True
-    sub = SubgroupHandle(G, frozenset(K), True)
+    srt = G.sorted_elements()
+    sub = SubgroupHandle(G, frozenset(srt[i] for i in K), True)
     G._memo[key] = sub
     return sub
 
@@ -241,11 +255,10 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     for g in G.sorted_elements():
         if g in project:
             continue
-        coset = sorted(G.mult(g, x) for x in nset)
-        rep = coset[0]
-        reps.append(rep)
-        for x in coset:
-            project[x] = rep
+        # every smaller element lies in an earlier coset, so g is gN's least
+        reps.append(g)
+        for x in nset:
+            project[G.mult(g, x)] = g
 
     gm, gi = G.mult, G.inv
 
@@ -256,18 +269,36 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         return project[gi(a)]
 
     gens = []
+    sources = []  # the G generator behind each quotient generator
     seen = {project[G.identity]}
-    for g in G.generators:
+    for k, g in enumerate(G.generators):
         r = project[g]
         if r not in seen:
             seen.add(r)
             gens.append(r)
+            sources.append(k)
     if not gens:
         gens = [project[G.identity]]
     Q = GroupHandle(f"{G.label}/N{len(nset)}", tuple(gens), frozenset(reps),
                     project[G.identity], mult, inv)
     Q._memo["project"] = project
+    Q._memo["sorted"] = reps
+    Q._memo["tables_from"] = lambda: _quotient_tables(G, project, reps, sources)
     return Q
+
+
+def _quotient_tables(G: GroupHandle, project: dict, reps: list,
+                     sources: list[int]) -> list[list[int]]:
+    """Tables of G/N through the coset projection: conjugating a coset by
+    the coset of g is conjugating its representative by g."""
+    if not sources:
+        return [[0]]
+    ids = element_ids(G)
+    qid = {r: i for i, r in enumerate(reps)}
+    to_q = [qid[project[x]] for x in G.sorted_elements()]
+    rep_ids = [ids[r] for r in reps]
+    tables = conjugation_tables(G)
+    return [[to_q[tables[k][i]] for i in rep_ids] for k in sources]
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> frozenset:

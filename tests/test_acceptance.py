@@ -17,10 +17,11 @@ from gklab.verify import (_check_group_invariants, _pair_sampling_row,
                           suite_frobenius_families, suite_twofrobenius)
 
 
-def _report(criterion: str, rows):
+def _report(criterion: str, rows, elapsed: float):
     fails = [r for r in rows if not r[1]]
     status = "PASS" if not fails else "FAIL"
-    print(f"\n[{status}] {criterion}: {len(rows) - len(fails)}/{len(rows)}")
+    print(f"\n[{status}] {criterion}: {len(rows) - len(fails)}/{len(rows)}"
+          f" in {elapsed:.1f}s")
     for name, _, detail in fails:
         print(f"    fail {name}: {detail}")
     assert not fails, f"{criterion}: {len(fails)} failures"
@@ -36,7 +37,7 @@ def test_criterion_1_figure_catalog():
     rows = suite_figure3()
     elapsed = time.time() - t0
     assert elapsed < 60, f"figure suite took {elapsed:.1f}s"
-    _report("criterion 1 (figure catalog)", rows)
+    _report("criterion 1 (figure catalog)", rows, elapsed)
 
 
 def test_criterion_2_two_frobenius_witnesses():
@@ -44,14 +45,17 @@ def test_criterion_2_two_frobenius_witnesses():
     rows = suite_twofrobenius()
     elapsed = time.time() - t0
     assert elapsed < 120, f"two-Frobenius suite took {elapsed:.1f}s"
-    _report("criterion 2 (two-Frobenius witnesses)", rows)
+    _report("criterion 2 (two-Frobenius witnesses)", rows, elapsed)
 
 
 def test_criterion_3_family_sweep():
-    _report("criterion 3 (Frobenius family sweep)", suite_frobenius_families())
+    t0 = time.time()
+    rows = suite_frobenius_families()
+    _report("criterion 3 (Frobenius family sweep)", rows, time.time() - t0)
 
 
 def test_criterion_4_dual_oracles(corpus_groups):
+    t0 = time.time()
     rows = []
     for label in sorted(corpus_groups):
         G = corpus_groups[label]
@@ -60,19 +64,23 @@ def test_criterion_4_dual_oracles(corpus_groups):
     pair_row = _pair_sampling_row(1, corpus_groups)
     rows.append(pair_row)
     assert int(pair_row[2].split()[0]) >= 50
-    _report("criterion 4 (dual oracles + product pairs)", rows)
+    _report("criterion 4 (dual oracles + product pairs)", rows,
+            time.time() - t0)
 
 
 def test_criterion_5_lemma_invariants(corpus_groups):
+    t0 = time.time()
     rows = []
     for label in sorted(corpus_groups):
         bad = _check_group_invariants(corpus_groups[label])
         rows.append((label, not bad, "; ".join(bad)))
-    _report("criterion 5 (lemma invariant scan)", rows)
+    _report("criterion 5 (lemma invariant scan)", rows, time.time() - t0)
 
 
 def test_criterion_6_classifier_table():
-    _report("criterion 6 (classifier table)", suite_classifier())
+    t0 = time.time()
+    rows = suite_classifier()
+    _report("criterion 6 (classifier table)", rows, time.time() - t0)
 
 
 def test_criterion_7_documented_exclusions():

@@ -89,6 +89,11 @@ class TestAnalyze:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
 
+    def test_unwritable_output(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["analyze", spec_path, "-o", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", [0, 4])
     def test_non_prime_modulus(self, tmp_path, capsys, p):
         path = tmp_path / "mat.json"
@@ -130,6 +135,11 @@ class TestGraph:
 
     def test_unknown(self, capsys):
         assert main(["graph", "fig3.zz"]) == 2
+
+    def test_unwritable_dot(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.dot"
+        assert main(["graph", "fig3.a", "--dot", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 class TestVerifyAndClassify:

@@ -142,6 +142,11 @@ class TestSubgroupView:
         V = subgroup_as_group(s4, klein, "V4")
         assert V.order == 4
 
+    def test_non_subgroup_rejected(self, s4):
+        # a ValueError, not an assert, so that python -O rejects it too
+        with pytest.raises(ValueError, match=f"of {s4.label} is not a subgroup"):
+            subgroup_as_group(s4, s4.sorted_elements()[:5])
+
 
 SMALL_FACTORS = [catalog.cyclic(1), catalog.cyclic(2), catalog.cyclic(4),
                  catalog.elem_abelian(2, 2), catalog.sym(3),

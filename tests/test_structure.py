@@ -6,6 +6,7 @@ from gklab import catalog
 from gklab import elements as el
 from gklab.groups import (closure_in, direct_product, element_order,
                           order_map, small_generating_set)
+from gklab.primegraph import gk_graph, product_graph
 from gklab.structure import (NotSolvable, SubgroupHandle, centralizer,
                              class_predicates, conjugacy_classes, core_p,
                              derived_subgroup, exponent, fitting,
@@ -169,6 +170,41 @@ class TestOrderMap:
         assert set(orders) == set(s4.elements)
         own = {id(g) for g in s4.elements}
         assert all(id(g) in own for g in orders)
+
+
+@pytest.fixture(scope="module")
+def law_groups():
+    """Corpus groups of every kind, a quotient and a subgroup view."""
+    groups = list(catalog.distinct_corpus(1, 60, 400).values())
+    s4 = catalog.sym(4)
+    return groups + [quotient(s4, core_p(s4, 2)), sylow(s4, 2).as_group()]
+
+
+class TestStructureLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_class_equation(self, law_groups, data):
+        G = data.draw(st.sampled_from(law_groups))
+        sizes = [len(c) for c in conjugacy_classes(G).classes]
+        assert sum(sizes) == G.order
+        assert all(G.order % n == 0 for n in sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_quotient_order(self, law_groups, data):
+        G = data.draw(st.sampled_from(law_groups))
+        p = data.draw(st.sampled_from(sorted(factorint(G.order)) or [2]))
+        N = data.draw(st.sampled_from([core_p(G, p), derived_subgroup(G)]))
+        assert quotient(G, N).order * N.order == G.order
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_product_graph(self, law_groups, data):
+        A = data.draw(st.sampled_from(law_groups))
+        B = data.draw(st.sampled_from(
+            [B for B in law_groups if A.order * B.order <= 2400]))
+        assert gk_graph(direct_product(A, B)) == \
+            product_graph(gk_graph(A), gk_graph(B))
 
 
 class TestFitting:
