@@ -23,6 +23,12 @@ element: the pair (x_i, y_j) has id i*|H| + j, as its sorted order is the
 nested loop over the factors' sorted orders.  A quotient derives its tables
 from its parent's in the same way (see ``structure.quotient``).
 ``relabel`` keeps this structural record.
+
+Two element maps are computed once per group and memoised, both keyed by
+G's own element objects: ``order_map`` (element -> order) and
+``inverse_map`` (element -> inverse, whose values are G's own objects too).
+The normalizer-scan cut oracle conjugates through ``inverse_map`` instead of
+inverting each conjugator.
 """
 
 from __future__ import annotations
@@ -223,6 +229,23 @@ def order_map(G: GroupHandle) -> dict[Element, int]:
             orders[x] = n // gcd(k, n)
     G._memo["orders"] = orders
     return orders
+
+
+def inverse_map(G: GroupHandle) -> dict[Element, Element]:
+    """Element -> inverse for all of G, computed once per group and memoised.
+
+    Keys and values are G's own element objects, as in ``order_map``: the
+    map starts with all of G.elements as keys, and ``d[G.inv(x)] = x``
+    assigns through an equal key, so the fresh inverse is not retained.
+    """
+    inverses = G._memo.get("inverses")
+    if inverses is not None:
+        return inverses
+    inverses = dict.fromkeys(G.elements)
+    for x in G.elements:
+        inverses[G.inv(x)] = x
+    G._memo["inverses"] = inverses
+    return inverses
 
 
 def element_ids(G: GroupHandle) -> dict[Element, int]:

@@ -8,18 +8,36 @@ verdict:
 * :func:`cut_oracle_via_bg` scans N_G(<g>) element by element and inspects
   the realized exponent subgroup of the unit group mod |g|.
 
-Both must agree on every group; the test corpus enforces this.
+Both must agree on every group; the test corpus enforces this.  The scan
+oracle takes the class representatives only as a list of elements that meets
+every conjugacy class.  It never reads class membership or the conjugation
+tables, and it conjugates with element products (``G.mult`` and the group's
+``inverse_map``), so a fault in the class partition or the tables cannot make
+the two oracles agree by accident.  Two lemmas let it scan less:
+
+* if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, the scanned exponent set
+  contains 1 and is a subgroup of U(|g|), a group of order <= 2; it is
+  either all of U(|g|) or {1}, which is half of U(|g|) without |g| - 1, so g
+  always passes and is not scanned;
+* if h = g^k with k a unit mod |g|, then x^-1 h x = h^m exactly when
+  x^-1 g x = g^m, so g and h have the same exponent set; the oracle scans
+  each cyclic subgroup <g> once.
+
+:func:`product_cut_predicate` decides whether G x H is cut from the factors'
+per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
+mod lcm(|g|, |h|) lies in both images (each read mod its own order), or -k
+does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from sympy import isprime, totient
 
 from .elements import Element
-from .groups import GroupHandle, NotMember, element_order
+from .groups import GroupHandle, NotMember, element_order, inverse_map
 from .structure import (ConjugacyData, centralizer, conjugacy_classes,
                         cyclic_subgroup_set, normalizer_of_cyclic)
 
@@ -150,29 +168,42 @@ def bg_order(G: GroupHandle, g: Element) -> int:
 
 
 def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
-    """Image of iota_g computed from N_G(<g>) alone (no class partition)."""
-    n = element_order(G, g)
-    powers = _powers(G, g, n)
-    power_index = {h: m for m, h in enumerate(powers)}
-    cyc = cyclic_subgroup_set(G, g)
+    """Image of iota_g computed from N_G(<g>) alone (no class partition).
+
+    Every x in G conjugates g as x^-1 (g x), with x^-1 read from the
+    group's inverse map.
+    """
+    power_index = {G.identity: 0}
+    h = g
+    while h != G.identity:
+        power_index[h] = len(power_index)
+        h = G.mult(h, g)
+    n = len(power_index)
+    mult = G.mult
     exps = set()
-    for x in G.elements:
-        h = G.conjugate(g, x)
-        if h in cyc:
-            exps.add(power_index[h] % n or n)
+    for x, xi in inverse_map(G).items():
+        m = power_index.get(mult(xi, mult(g, x)))
+        if m is not None:
+            exps.add(m or n)
     return frozenset(exps)
 
 
 def cut_oracle_via_bg(G: GroupHandle) -> bool:
-    """Independent cut verdict via normalizer scans and exponent subgroups."""
-    data = conjugacy_classes(G)
-    for rep in data.representatives:
-        n = element_order(G, rep)
-        if n <= 2:
+    """Independent cut verdict via normalizer scans and exponent subgroups.
+
+    Scans one generator of each cyclic subgroup <rep> with phi(|rep|) > 2
+    (see the module docstring for why the others need no scan).
+    """
+    seen = set()
+    for rep in conjugacy_classes(G).representatives:
+        cyc = cyclic_subgroup_set(G, rep)
+        n = len(cyc)
+        if n in (1, 2, 3, 4, 6) or cyc in seen:
             continue
+        seen.add(cyc)
         exps = scanned_iota_exponents(G, rep)
         full = set(_units(n))
-        if exps == set(full):
+        if exps == full:
             continue
         if 2 * len(exps) == len(full) and (n - 1) not in exps:
             continue
@@ -181,13 +212,36 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
 
 
 def product_cut_predicate(G: GroupHandle, H: GroupHandle) -> bool:
-    """Is G x H cut, predicted purely from the factors' non-rational orders."""
+    """Is G x H cut, predicted from the factors' rationality reports alone.
+
+    A rational class of a cut factor pairs with any class of the other into
+    an inverse semi-rational element, so only pairs of non-rational classes
+    are checked, each by :func:`_pair_inverse_semirational`.
+    """
     rg, rh = rationality_report(G), rationality_report(H)
     if not (rg.is_cut and rh.is_cut):
         raise PreconditionNotCut("both factors must already be cut")
-    return all(gcd(m, n) in (3, 4, 6)
-               for n in rg.non_rational_orders
-               for m in rh.non_rational_orders)
+    gs = {(v.order, v.iota_exponents) for v in rg.per_class
+          if v.verdict != RATIONAL}
+    hs = {(v.order, v.iota_exponents) for v in rh.per_class
+          if v.verdict != RATIONAL}
+    return all(_pair_inverse_semirational(a, b) for a in gs for b in hs)
+
+
+def _pair_inverse_semirational(a: tuple[int, frozenset[int]],
+                               b: tuple[int, frozenset[int]]) -> bool:
+    """Is (g, h) inverse semi-rational, given (|g|, iota image) of each?
+
+    (g, h)^k is conjugate to (g, h) iff g^k ~ g and h^k ~ h, so k must lie
+    in both images, read mod |g| and mod |h|; or -k must, for (g, h)^-1.
+    """
+    (m, ig), (n, ih) = a, b
+    L = lcm(m, n)
+
+    def both(k: int) -> bool:
+        return k % m in ig and k % n in ih
+
+    return all(both(k) or both(L - k) for k in _units(L))
 
 
 def prime_power_criterion_check(G: GroupHandle, g: Element) -> bool:

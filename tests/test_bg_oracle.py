@@ -1,0 +1,139 @@
+"""The normalizer-scan cut oracle against its old full scan.
+
+The oracle skips class representatives whose order n has phi(n) <= 2 and
+scans each cyclic subgroup once, conjugating through ``inverse_map``.  The
+reference below is the old oracle: every representative with n > 2 scanned,
+each conjugation with a fresh ``G.inv``.
+"""
+
+from math import gcd
+
+import pytest
+
+from gklab import catalog
+from gklab.groups import direct_product, element_order
+from gklab.rationality import (NEITHER, cut_oracle_via_bg, element_verdict,
+                               is_cut_group, scanned_iota_exponents)
+from gklab.structure import conjugacy_classes, cyclic_subgroup_set
+
+
+def _units(n):
+    return [m for m in range(1, n + 1) if gcd(m, n) == 1]
+
+
+def _reference_scan(G, g):
+    n = element_order(G, g)
+    powers = [G.identity]
+    for _ in range(n - 1):
+        powers.append(G.mult(powers[-1], g))
+    power_index = {h: m for m, h in enumerate(powers)}
+    cyc = cyclic_subgroup_set(G, g)
+    exps = set()
+    for x in G.elements:
+        h = G.conjugate(g, x)
+        if h in cyc:
+            exps.add(power_index[h] % n or n)
+    return frozenset(exps)
+
+
+def _scan_passes(n, exps):
+    full = set(_units(n))
+    return exps == full or (2 * len(exps) == len(full) and n - 1 not in exps)
+
+
+def _reference_oracle(G):
+    for rep in conjugacy_classes(G).representatives:
+        n = element_order(G, rep)
+        if n > 2 and not _scan_passes(n, _reference_scan(G, rep)):
+            return False
+    return True
+
+
+def _c5_c4():
+    return catalog.vector_semidirect(5, 1, [[[2]]], "C5 x| C4")
+
+
+SMALL_BUILDERS = {
+    "C12": lambda: catalog.cyclic(12), "C3^2": lambda: catalog.elem_abelian(3, 2),
+    "D4": lambda: catalog.dihedral(8), "D5": lambda: catalog.dihedral(10),
+    "D6": lambda: catalog.dihedral(12), "Q8": catalog.quaternion8,
+    "SL(2,3)": catalog.sl2_3, "Dic12": catalog.dicyclic12,
+    "Q8 x C3": catalog.quaternion8_times_c3, "C7 x| C3": catalog.c7_c3,
+    "C7 x| C6": catalog.c7_c6, "S4": lambda: catalog.sym(4),
+    "A4": lambda: catalog.alt(4), "A5": lambda: catalog.alt(5),
+    "C5 x| C4": _c5_c4,
+}
+
+# Not cut, with a failing element of order n where phi(n) > 2.  In the
+# C5^2 x| C4 and C7^2 x| C3 groups (diagonal actions) the basis lines pass
+# and the mixed lines of the same order fail, and no other order fails, so
+# an oracle that scanned one subgroup per order would call them cut.  In
+# C5 x D5 and D5 x C5 every order-5 and order-10 subgroup fails.
+NON_CUT_BUILDERS = {
+    "C5": lambda: catalog.cyclic(5),
+    "C8": lambda: catalog.cyclic(8),
+    "C5 x| C4 x C7 x| C3": lambda: direct_product(_c5_c4(), catalog.c7_c3()),
+    "C5 x D5": lambda: direct_product(catalog.cyclic(5), catalog.dihedral(10)),
+    "D5 x C5": lambda: direct_product(catalog.dihedral(10), catalog.cyclic(5)),
+    "C5^2 x| C4 (2, 3)": lambda: catalog.vector_semidirect(
+        5, 2, [[[2, 0], [0, 3]]]),
+    "C5^2 x| C4 (3, 2)": lambda: catalog.vector_semidirect(
+        5, 2, [[[3, 0], [0, 2]]]),
+    "C7^2 x| C3 (2, 4)": lambda: catalog.vector_semidirect(
+        7, 2, [[[2, 0], [0, 4]]]),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_groups():
+    return list(catalog.distinct_corpus(1, 60, 700).values())
+
+
+class TestAgainstFullScan:
+    @pytest.mark.parametrize("name", sorted(SMALL_BUILDERS))
+    def test_small_catalog(self, name):
+        G = SMALL_BUILDERS[name]()
+        assert cut_oracle_via_bg(G) == _reference_oracle(G)
+
+    def test_corpus(self, corpus_groups):
+        assert len(corpus_groups) >= 20
+        for G in corpus_groups:
+            assert cut_oracle_via_bg(G) == _reference_oracle(G), G.label
+
+    @pytest.mark.parametrize("name", sorted(NON_CUT_BUILDERS))
+    def test_non_cut_with_large_phi(self, name):
+        G = NON_CUT_BUILDERS[name]()
+        assert not _reference_oracle(G)
+        assert not cut_oracle_via_bg(G)
+        assert not is_cut_group(G)
+
+    def test_scanned_exponents_match(self):
+        for G in (catalog.c7_c6(), catalog.sl2_3(), _c5_c4(),
+                  NON_CUT_BUILDERS["C5^2 x| C4 (2, 3)"]()):
+            for rep in conjugacy_classes(G).representatives:
+                assert scanned_iota_exponents(G, rep) == _reference_scan(G, rep)
+
+
+class TestPruningLemmas:
+    @pytest.mark.parametrize("name", ["C7 x| C6", "Dic12", "C5 x| C4", "C8",
+                                      "C5^2 x| C4 (2, 3)"])
+    def test_generators_of_one_cyclic_subgroup_share_exponents(self, name):
+        G = {**SMALL_BUILDERS, **NON_CUT_BUILDERS}[name]()
+        for rep in conjugacy_classes(G).representatives:
+            n = element_order(G, rep)
+            exps = scanned_iota_exponents(G, rep)
+            for k in _units(n):
+                assert scanned_iota_exponents(G, G.power(rep, k)) == exps
+
+    def test_orders_3_4_6_pass_both_oracles(self, corpus_groups):
+        groups = corpus_groups + [b() for b in SMALL_BUILDERS.values()] + \
+            [b() for b in NON_CUT_BUILDERS.values()]
+        seen = 0
+        for G in groups:
+            for rep in conjugacy_classes(G).representatives:
+                n = element_order(G, rep)
+                if n in (3, 4, 6):
+                    seen += 1
+                    assert element_verdict(G, rep).verdict != NEITHER
+                    assert _scan_passes(n, _reference_scan(G, rep))
+        assert seen > 50

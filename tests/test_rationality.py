@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gklab import catalog
 from gklab.groups import NotMember, direct_product, element_order
@@ -114,6 +115,40 @@ class TestProductPredicate:
     def test_precondition(self, c5, s3):
         with pytest.raises(PreconditionNotCut):
             product_cut_predicate(c5, s3)
+
+    def test_c6_q8_squared(self):
+        # order-12 classes with iota image {1, 7} on both sides: a gcd of 12
+        # does not make the product non-cut
+        A = direct_product(catalog.cyclic(6), catalog.quaternion8())
+        assert product_cut_predicate(A, A)
+        assert is_cut_group(direct_product(A, A))
+
+    @pytest.mark.parametrize("a, b, cut", [
+        ("Q8 x C3", "Q8 x C3", True),
+        ("S3 x C4", "S3 x C4", True),
+        ("D4 x C6", "Q8 x C3", True),
+        ("C4 x C3 x| C4", "S3 x C4", True),
+        ("C4 x C3 x| C4", "Q8 x C3", False),
+    ])
+    def test_order_12_pairs(self, cut_corpus, a, b, cut):
+        A, B = cut_corpus[a], cut_corpus[b]
+        assert product_cut_predicate(A, B) == cut
+        assert is_cut_group(direct_product(A, B)) == cut
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_check(self, cut_corpus, data):
+        labels = sorted(cut_corpus)
+        a = cut_corpus[data.draw(st.sampled_from(labels))]
+        small = [x for x in labels if a.order * cut_corpus[x].order <= 1500]
+        b = cut_corpus[data.draw(st.sampled_from(small))]
+        assert product_cut_predicate(a, b) == is_cut_group(direct_product(a, b))
+
+
+@pytest.fixture(scope="module")
+def cut_corpus():
+    groups = catalog.distinct_corpus(1, 60, 200)
+    return {label: G for label, G in groups.items() if is_cut_group(G)}
 
 
 class TestPrimePowerCriterion:
