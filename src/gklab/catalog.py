@@ -185,6 +185,13 @@ def c7_c6() -> GroupHandle:
     return enumerate_group([a, b], "C7 x| C6")
 
 
+# the builders a spec recipe {"type": "builtin", "name": ...} may name
+BUILTINS: dict[str, Callable[..., GroupHandle]] = {
+    build.__name__: build for build in (
+        cyclic, elem_abelian, dihedral, quaternion8, sl2_3, dicyclic12, sym,
+        alt, c7_c3, c7_c6)}
+
+
 def _q8_action_f5() -> GroupHandle:
     # printed action: i -> diag(2, -2), j -> [[0, 1], [-1, 0]] over F5
     return vector_semidirect(5, 2, [[[2, 0], [0, 3]], [[0, 1], [4, 0]]],

@@ -33,20 +33,6 @@ class SpecError(ValueError):
     pass
 
 
-BUILTINS = {
-    "cyclic": cat.cyclic,
-    "elem_abelian": cat.elem_abelian,
-    "dihedral": cat.dihedral,
-    "quaternion8": cat.quaternion8,
-    "sl2_3": cat.sl2_3,
-    "dicyclic12": cat.dicyclic12,
-    "sym": cat.sym,
-    "alt": cat.alt,
-    "c7_c3": cat.c7_c3,
-    "c7_c6": cat.c7_c6,
-}
-
-
 def load_spec(path: str) -> dict[str, GroupHandle]:
     """Build every group of a JSON group-specification file."""
     try:
@@ -92,7 +78,7 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             gens = [el.mat(p, rows) for rows in recipe["gens"]]
             return enumerate_group(gens, name)
         if kind == "builtin":
-            fn = BUILTINS.get(recipe["name"])
+            fn = cat.BUILTINS.get(recipe["name"])
             if fn is None:
                 raise SpecError(f"unknown builtin {recipe['name']!r}")
             return fn(*recipe.get("args", [])).relabel(name)

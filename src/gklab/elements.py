@@ -127,7 +127,8 @@ def inv(a: Element) -> Element:
         return (PERM, tuple(out))
     if a[0] == MAT:
         m = _mat_inverse(a)
-        assert m is not None
+        if m is None:
+            raise ValueError(f"matrix is singular over F_{a[1]}")
         return m
     raise IncompatibleKinds("pair elements need their group's inversion")
 

@@ -13,35 +13,60 @@ of Computational Group Theory*, ch. 4).  Products list their elements
 directly, without a closure.
 
 Element ids: an element's id is its position in ``sorted_elements()``, so
-ids follow the value order.  ``conjugation_tables(G)`` holds one memoised
-table per generator g, whose entry i is the id of g^-1 x_i g; conjugacy
-classes, O_p(G) and normality tests (:mod:`gklab.structure`) run on these
-int tables.  Enumerated groups, semidirect products and subgroup views build
-their tables by multiplying every element by every generator.  A direct
-product G x H derives its tables from its factors' tables and multiplies no
-element: the pair (x_i, y_j) has id i*|H| + j, as its sorted order is the
-nested loop over the factors' sorted orders.  A quotient derives its tables
-from its parent's in the same way (see ``structure.quotient``).
-``relabel`` keeps this structural record.
+ids follow the value order.  Every group multiplies ids (``id_mul``), built
+lazily and memoised, the way the group was built:
 
-Two element maps are computed once per group and memoised, both keyed by
-G's own element objects: ``order_map`` (element -> order) and
-``inverse_map`` (element -> inverse, whose values are G's own objects too).
-The normalizer-scan cut oracle conjugates through ``inverse_map`` instead of
-inverting each conjugator.
+* a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
+  sorted order is the nested loop over the factors' sorted orders) and
+  multiplies componentwise on the factors' ids;
+* a semidirect product N x| H uses the same ids and computes
+  (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
+  array of the action;
+* a quotient multiplies its representatives' ids in the parent and maps the
+  product back through the id-level coset projection;
+* an enumerated group multiplies elements, and a subgroup view multiplies
+  in its parent's ids.  At order TABLE_BOUND or less either one is then
+  tabulated: a Cayley table of 2-byte ``array`` rows, filled along a BFS tree
+  from the generators' right-multiplication rows.
+
+TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
+3% of the benchmark workloads' ``peak_rss_mb`` (63-70 MB), whose bound is
+15%; a corpus pass keeps the tables of all its groups alive at once.  No
+|G|^2 structure exists above the bound.  ``id_powers`` walks each cyclic
+subgroup once on ids and gives every id's order and inverse; ``Span`` grows a
+subgroup on ids one generator at a time (Dimino's algorithm), which closures,
+generating sets, Sylow growth, Fitting and normal closures run on.
+
+``conjugation_tables(G)`` holds one memoised table per generator g, whose
+entry i is the id of g^-1 x_i g; conjugacy classes, O_p(G) and normality
+tests (:mod:`gklab.structure`) run on these int tables.  A direct product
+derives its tables from its factors' tables and a quotient from its
+parent's (see ``structure.quotient``), with no multiplication; every other
+group conjugates on ``id_mul``.  ``relabel`` keeps this structural record.
+
+``order_map`` (element -> order) is read from ``id_powers``, keyed by G's
+own element objects.  ``inverse_map`` (element -> inverse, keys and values
+G's own objects) inverts elements with ``G.inv``: it serves the
+normalizer-scan cut oracle, which multiplies elements and reads nothing of
+the id core, so that it stays independent of the class partition.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from . import elements as el
 from .elements import Element, IncompatibleKinds
 
 DEFAULT_CAP = 1 << 20
+# Enumerated groups and subgroup views of at most this order tabulate their
+# id multiplication: 2-byte ids, 2 MB at the bound (module docstring).
+TABLE_BOUND = 1024
 
 
 class CapExceeded(RuntimeError):
@@ -123,7 +148,7 @@ class GroupHandle:
         """
         G = GroupHandle(label, self.generators, self.elements, self.identity,
                         self.mult, self.inv)
-        for key in ("sorted", "tables_from"):
+        for key in ("sorted", "tables_from", "id_mul_from", "id_base_from"):
             if key in self._memo:
                 G._memo[key] = self._memo[key]
         return G
@@ -203,31 +228,14 @@ def element_order(G: GroupHandle, g: Element) -> int:
 
 
 def order_map(G: GroupHandle) -> dict[Element, int]:
-    """Element -> order for all of G, computed once per group and memoised.
+    """Element -> order for all of G, read from ``id_powers``; memoised.
 
-    Each element not yet seen starts a walk over its cyclic subgroup
-    g, g^2, ..., g^n = 1, and every power g^k gets order n / gcd(k, n).
-    The map is keyed by G's own element objects: it is created with all of
-    G.elements as keys, and assigning through an equal tuple from G.mult
-    keeps the existing key, so the fresh products are not retained.
+    The map is keyed by G's own element objects (its sorted elements).
     """
     orders = G._memo.get("orders")
-    if orders is not None:
-        return orders
-    orders = dict.fromkeys(G.elements, 0)
-    orders[G.identity] = 1
-    for g in G.sorted_elements():
-        if orders[g]:
-            continue
-        powers = [g]
-        h = G.mult(g, g)
-        while h != G.identity:
-            powers.append(h)
-            h = G.mult(h, g)
-        n = len(powers) + 1
-        for k, x in enumerate(powers, 1):
-            orders[x] = n // gcd(k, n)
-    G._memo["orders"] = orders
+    if orders is None:
+        orders = dict(zip(G.sorted_elements(), id_powers(G)[0]))
+        G._memo["orders"] = orders
     return orders
 
 
@@ -257,12 +265,145 @@ def element_ids(G: GroupHandle) -> dict[Element, int]:
     return ids
 
 
-def conjugation_tables(G: GroupHandle) -> list[list[int]]:
+def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
+    """(i, j) -> id of x_i x_j, built on first use and memoised.
+
+    A product or a quotient composes the ids of its factors or parent
+    (``_memo["id_mul_from"]``).  Any other group multiplies its elements, or,
+    for a subgroup view, its parent's ids (``_memo["id_base_from"]``); at
+    order TABLE_BOUND or less it tabulates that once (``_cayley_mul``).
+    """
+    mul = G._memo.get("id_mul")
+    if mul is not None:
+        return mul
+    derive = G._memo.get("id_mul_from")
+    if derive is not None:
+        mul = derive()
+    else:
+        base = G._memo.get("id_base_from")
+        mul = base() if base is not None else _element_mul(G)
+        if G.order <= TABLE_BOUND:
+            mul = _cayley_mul(G, mul)
+    G._memo["id_mul"] = mul
+    return mul
+
+
+def _element_mul(G: GroupHandle) -> Callable[[int, int], int]:
+    ids, srt, mult = element_ids(G), G.sorted_elements(), G.mult
+    return lambda a, b: ids[mult(srt[a], srt[b])]
+
+
+def _cayley_mul(G: GroupHandle, mul) -> Callable[[int, int], int]:
+    """Cayley table of mul, one array row per right factor: rows[j][i] is the
+    id of x_i x_j.  Only the generators' rows are multiplied out; the other
+    rows follow a BFS tree, as x_j = x_p g gives rows[j] = rows[g] o rows[p].
+    """
+    ids = element_ids(G)
+    n = G.order
+    gen_rows = [array("H", [mul(i, ids[g]) for i in range(n)])
+                for g in G.generators]
+    start = ids[G.identity]
+    rows: list = [None] * n
+    rows[start] = array("H", range(n))
+    frontier = [start]
+    while frontier:
+        new = []
+        for p in frontier:
+            prev = rows[p]
+            for r in gen_rows:
+                j = r[p]
+                if rows[j] is None:
+                    rows[j] = array("H", itemgetter(*prev)(r))
+                    new.append(j)
+        frontier = new
+    return lambda a, b: rows[b][a]
+
+
+def induced_mul(mul, out, into) -> Callable[[int, int], int]:
+    """Multiplication carried over from another group's ids: out maps this
+    group's ids there, into maps the product back."""
+    return lambda a, b: into[mul(out[a], out[b])]
+
+
+def id_powers(G: GroupHandle) -> tuple[array, array]:
+    """(orders, inverses), both indexed by id; memoised.
+
+    Each id not yet seen starts a walk over its cyclic subgroup g, g^2, ...,
+    g^n = 1 on ``id_mul``: g^k gets order n / gcd(k, n) and inverse g^(n-k).
+    """
+    got = G._memo.get("id_powers")
+    if got is not None:
+        return got
+    mul = id_mul(G)
+    e = element_ids(G)[G.identity]
+    orders = array("I", [0]) * G.order
+    inverses = orders[:]
+    orders[e], inverses[e] = 1, e
+    for g in range(G.order):
+        if orders[g]:
+            continue
+        powers = [g]
+        h = mul(g, g)
+        while h != e:
+            powers.append(h)
+            h = mul(h, g)
+        n = len(powers) + 1
+        for k, x in enumerate(powers, 1):
+            orders[x] = n // gcd(k, n)
+            inverses[x] = powers[n - k - 1]
+    got = G._memo["id_powers"] = (orders, inverses)
+    return got
+
+
+class Span:
+    """A subgroup of G on ids, grown one generator at a time.
+
+    ``add`` runs one step of Dimino's algorithm (Handbook ch. 4): the old
+    subgroup H is kept, and the new one is listed as right cosets H y, each
+    added whole, for y = (coset representative) * (generator) outside it.
+    """
+
+    def __init__(self, G: GroupHandle):
+        self.mul = id_mul(G)
+        self.elements = {element_ids(G)[G.identity]}
+        self.gens: list[int] = []
+        self._srt = G.sorted_elements()
+
+    def as_elements(self) -> frozenset[Element]:
+        return frozenset(map(self._srt.__getitem__, self.elements))
+
+    def add(self, s: int) -> None:
+        members = self.elements
+        if s in members:
+            return
+        mul = self.mul
+        old = list(members)
+        self.gens.append(s)
+        reps = [s]
+        members.update([mul(h, s) for h in old])
+        for r in reps:  # grows while it is read
+            for t in self.gens:
+                y = mul(r, t)
+                if y not in members:
+                    members.update([mul(h, y) for h in old])
+                    reps.append(y)
+
+
+def id_set(G: GroupHandle, elems) -> set[int]:
+    """Ids of the given elements of G; NotMember for any other element."""
+    ids = element_ids(G)
+    try:
+        return {ids[x] for x in elems}
+    except KeyError:
+        raise NotMember(f"element not in {G.label}") from None
+
+
+def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
     Direct products and quotients derive theirs from their factors' or
     parent's tables (``_memo["tables_from"]``); every other group conjugates
-    each element by each generator once.
+    each id by each generator on ``id_mul``.
     """
     tables = G._memo.get("conj_tables")
     if tables is not None:
@@ -272,11 +413,12 @@ def conjugation_tables(G: GroupHandle) -> list[list[int]]:
         tables = derive()
     else:
         ids = element_ids(G)
-        srt = G.sorted_elements()
+        mul = id_mul(G)
         tables = []
         for g in G.generators:
-            gi = G.inv(g)
-            tables.append([ids[G.mult(gi, G.mult(x, g))] for x in srt])
+            k, ki = ids[g], ids[G.inv(g)]
+            tables.append(array("I", [mul(ki, mul(i, k))
+                                      for i in range(G.order)]))
     G._memo["conj_tables"] = tables
     return tables
 
@@ -325,6 +467,7 @@ def direct_product(G: GroupHandle, H: GroupHandle,
                     identity, mult, inv)
     P._memo["sorted"] = ordered
     P._memo["tables_from"] = lambda: _product_tables(G, H)
+    P._memo["id_mul_from"] = lambda: _pair_mul(G, H, None)
     return P
 
 
@@ -409,34 +552,74 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         label = f"{N.label}{sep}{H.label}"
     G = GroupHandle(label, gens, frozenset(ordered), identity, mult, inv)
     G._memo["sorted"] = ordered
+    G._memo["id_mul_from"] = lambda: _pair_mul(N, H, act)
     return G
+
+
+def _pair_mul(N: GroupHandle, H: GroupHandle, act) -> Callable[[int, int], int]:
+    """Id multiplication of N x H, or of N x| H when act is given: ids
+    i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2) with a[j] the
+    action of h_j on N's ids (the identity for a direct product)."""
+    nm, hm, m = id_mul(N), id_mul(H), H.order
+    if act is None:
+        def mul(x, y):
+            i1, j1 = divmod(x, m)
+            i2, j2 = divmod(y, m)
+            return nm(i1, i2) * m + hm(j1, j2)
+        return mul
+    nid = element_ids(N)
+    ns = N.sorted_elements()
+    a = [array("I", [nid[image[x]] for x in ns])
+         for image in map(act.__getitem__, H.sorted_elements())]
+
+    def twisted(x, y):
+        i1, j1 = divmod(x, m)
+        i2, j2 = divmod(y, m)
+        return nm(i1, a[j1][i2]) * m + hm(j1, j2)
+    return twisted
+
+
+def _span_of(G: GroupHandle, members: set[int]) -> Span:
+    """Greedy span of a subgroup given by ids: each id, in order, that the
+    span does not yet hold is added, until the span is as large as members."""
+    span = Span(G)
+    for x in sorted(members):
+        if len(span.elements) == len(members):
+            break
+        span.add(x)
+    return span
 
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
     """Greedy generating set for a subgroup given as an element set."""
-    subset = set(subset)
-    gens: list[Element] = []
-    have = {G.identity}
-    for g in sorted(subset):
-        if g in have:
-            continue
-        gens.append(g)
-        have = closure_in(G, gens)
-        if len(have) == len(subset):
-            break
-    return gens
+    srt = G.sorted_elements()
+    return [srt[i] for i in _span_of(G, id_set(G, subset)).gens]
 
 
 def closure_in(G: GroupHandle, gens) -> set[Element]:
     """Closure of gens under G's multiplication (subset of G)."""
-    return _closure(gens, G.identity, G.mult, G.order)
+    span = Span(G)
+    for x in id_set(G, gens):
+        span.add(x)
+    return set(span.as_elements())
 
 
 def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
-    """View a subgroup element set as a standalone GroupHandle."""
-    gens = small_generating_set(G, subset) or [G.identity]
-    elems = frozenset(subset)
-    if closure_in(G, gens) != elems:
+    """View a subgroup element set as a standalone GroupHandle.
+
+    The view's ids multiply in G's (``induced_mul``).
+    """
+    members = id_set(G, subset)
+    span = _span_of(G, members)
+    if span.elements != members:
         raise ValueError(f"subset of {G.label} is not a subgroup")
-    return GroupHandle(label or f"{G.label}-sub{len(elems)}", tuple(gens),
-                       elems, G.identity, G.mult, G.inv)
+    srt = G.sorted_elements()
+    out = sorted(members)
+    gens = tuple(srt[i] for i in span.gens) or (G.identity,)
+    ordered = [srt[i] for i in out]
+    V = GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
+                    frozenset(ordered), G.identity, G.mult, G.inv)
+    V._memo["sorted"] = ordered
+    V._memo["id_base_from"] = lambda: induced_mul(
+        id_mul(G), out, {x: k for k, x in enumerate(out)})
+    return V

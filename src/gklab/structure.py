@@ -1,25 +1,34 @@
 """Exhaustive structure analysis: conjugacy, Sylow, Fitting series, predicates.
 
-Everything here works on fully enumerated groups.  Deliberate choices:
+Everything here works on fully enumerated groups, and on element ids
+(``groups.element_ids``) wherever elements would be multiplied.  Subgroups
+are returned as element sets; inside, they are built on ids with
+``groups.Span`` (closures grown one generator at a time) and
+``groups.id_mul``.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
-  random search: each step adds the value-least p-element outside P that
-  normalizes P.  The p-elements are read from the group's memoised order
-  map (``groups.order_map``), so no element's order is recomputed per step.
+  random search: each step adds the least p-element outside P that
+  normalizes P.  Orders and inverses are read from ``groups.id_powers``, so
+  no element's order is recomputed per step.
 * Normal subgroup discovery goes through normal closures of single elements;
-  the full subgroup lattice is never enumerated.
+  the full subgroup lattice is never enumerated.  A normal closure grows a
+  span by the conjugates of its generators, read from the conjugation
+  tables.
 * Coset representatives are the value-least element of each coset, so
-  quotients are reproducible bit for bit.  A quotient's sorted order is its
-  list of representatives, and its conjugation tables come from its parent's
-  through the coset projection, conjugating by the parent generator behind
-  each quotient generator; no element is multiplied.
+  quotients are reproducible bit for bit.  The coset projection is built on
+  ids: |G| id products, one per element and element of N.  A quotient's
+  sorted order is its list of representatives, its ids multiply in the
+  parent's, and its conjugation tables come from its parent's through the
+  projection, conjugating by the parent generator behind each quotient
+  generator; no element is multiplied.
 * Conjugacy classes, O_p(G) and the normality test of ``quotient`` and the
   predicates run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
-  ``centralizer`` and ``normalizer_of_cyclic`` never read the tables: they
-  serve the normalizer-scan cut oracle, which stays independent of the
-  class partition.
+* ``centralizer`` and ``normalizer_of_cyclic`` scan elements and test
+  normality by element products.  Nothing in the library calls them; they
+  are kept as references for the tests, and because the benchmark's tracer
+  wraps them by name.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from dataclasses import dataclass
 from sympy import factorint, isprime
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, closure_in, conjugation_tables,
-                     element_ids, element_order, order_map,
-                     small_generating_set, subgroup_as_group)
+from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
+                     element_ids, element_order, id_mul, id_powers, id_set,
+                     induced_mul, small_generating_set, subgroup_as_group)
 
 
 class NotNormal(ValueError):
@@ -128,8 +137,7 @@ def cyclic_subgroup_set(G: GroupHandle, g: Element) -> frozenset:
 
 
 def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
-    """Subgroup handle whose normality is tested by element products, so the
-    normalizer-scan oracle never reads the conjugation tables."""
+    """Subgroup handle whose normality is tested by element products."""
     gens = small_generating_set(G, elems) or [G.identity]
     normal = all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
     return SubgroupHandle(G, elems, normal)
@@ -137,8 +145,7 @@ def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
 
 def _is_normal(G: GroupHandle, elems) -> bool:
     """Is the subgroup elems carried into itself by every generator's table?"""
-    ids = element_ids(G)
-    members = {ids[x] for x in elems}
+    members = id_set(G, elems)
     return all(t[i] in members for t in conjugation_tables(G) for i in members)
 
 
@@ -159,28 +166,30 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     while n % p == 0:
         n //= p
         p_part *= p
-    orders = order_map(G)
+    orders, inverses = id_powers(G)
+    mul = id_mul(G)
     # element orders divide |G|, so order | p_part iff it is a power of p
-    candidates = [g for g in G.sorted_elements()
-                  if orders[g] > 1 and p_part % orders[g] == 0]
-    P = {G.identity}
-    gens: list[Element] = []
-    while len(P) < p_part:
+    candidates = [x for x in range(G.order)
+                  if orders[x] > 1 and p_part % orders[x] == 0]
+    P = Span(G)
+    members, gens = P.elements, P.gens
+    while len(members) < p_part:
         # P is generated by gens, so x normalizes P iff it conjugates gens into P
         for x in candidates:
-            if x in P:
+            if x in members:
                 continue
-            xi = G.inv(x)
-            if all(G.mult(xi, G.mult(s, x)) in P for s in gens):
+            xi = inverses[x]
+            if all(mul(xi, mul(s, x)) in members for s in gens):
                 break
         else:
             raise RuntimeError(
                 f"no p-element of {G.label} normalizes a p-subgroup of order "
-                f"{len(P)} < {p_part}")
-        gens.append(x)
-        P = closure_in(G, gens)
-    normal = all(G.conjugate(s, g) in P for g in G.generators for s in gens)
-    sub = SubgroupHandle(G, frozenset(P), normal)
+                f"{len(members)} < {p_part}")
+        P.add(x)
+    ids = element_ids(G)
+    normal = all(mul(inverses[g], mul(s, g)) in members
+                 for g in map(ids.__getitem__, G.generators) for s in gens)
+    sub = SubgroupHandle(G, P.as_elements(), normal)
     G._memo[key] = sub
     return sub
 
@@ -208,13 +217,11 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
 
 def fitting(G: GroupHandle) -> SubgroupHandle:
     """F(G): product of the O_p(G) over primes p dividing |G|."""
-    elems = {G.identity}
+    F = Span(G)
     for p in sorted(factorint(G.order)):
-        part = core_p(G, p).elements
-        if len(part) > 1:
-            elems = closure_in(G, small_generating_set(G, elems) +
-                               small_generating_set(G, part))
-    return SubgroupHandle(G, frozenset(elems), True)
+        for x in id_set(G, core_p(G, p).elements):
+            F.add(x)
+    return SubgroupHandle(G, F.as_elements(), True)
 
 
 def fitting_series(G: GroupHandle) -> FittingData:
@@ -249,16 +256,21 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         raise NotNormal("subgroup does not live in this group")
     if not _is_normal(G, N.elements):
         raise NotNormal("subgroup is not normal")
-    nset = N.elements
-    project: dict = {}
-    reps = []
-    for g in G.sorted_elements():
-        if g in project:
+    ids = element_ids(G)
+    mul = id_mul(G)
+    n_ids = id_set(G, N.elements)
+    to_q = [-1] * G.order  # G id -> coset number
+    rep_ids = []
+    for g in range(G.order):
+        if to_q[g] >= 0:
             continue
-        # every smaller element lies in an earlier coset, so g is gN's least
-        reps.append(g)
-        for x in nset:
-            project[G.mult(g, x)] = g
+        # every smaller id lies in an earlier coset, so g is gN's least
+        for x in n_ids:
+            to_q[mul(g, x)] = len(rep_ids)
+        rep_ids.append(g)
+    srt = G.sorted_elements()
+    reps = [srt[i] for i in rep_ids]
+    project = dict(zip(srt, map(reps.__getitem__, to_q)))
 
     gm, gi = G.mult, G.inv
 
@@ -270,47 +282,44 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
 
     gens = []
     sources = []  # the G generator behind each quotient generator
-    seen = {project[G.identity]}
+    seen = {to_q[ids[G.identity]]}
     for k, g in enumerate(G.generators):
-        r = project[g]
-        if r not in seen:
-            seen.add(r)
-            gens.append(r)
+        q = to_q[ids[g]]
+        if q not in seen:
+            seen.add(q)
+            gens.append(reps[q])
             sources.append(k)
     if not gens:
         gens = [project[G.identity]]
-    Q = GroupHandle(f"{G.label}/N{len(nset)}", tuple(gens), frozenset(reps),
+    Q = GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens), frozenset(reps),
                     project[G.identity], mult, inv)
     Q._memo["project"] = project
     Q._memo["sorted"] = reps
-    Q._memo["tables_from"] = lambda: _quotient_tables(G, project, reps, sources)
+    Q._memo["tables_from"] = lambda: _quotient_tables(G, to_q, rep_ids, sources)
+    Q._memo["id_mul_from"] = lambda: induced_mul(id_mul(G), rep_ids, to_q)
     return Q
 
 
-def _quotient_tables(G: GroupHandle, project: dict, reps: list,
+def _quotient_tables(G: GroupHandle, to_q: list[int], rep_ids: list[int],
                      sources: list[int]) -> list[list[int]]:
     """Tables of G/N through the coset projection: conjugating a coset by
     the coset of g is conjugating its representative by g."""
     if not sources:
         return [[0]]
-    ids = element_ids(G)
-    qid = {r: i for i, r in enumerate(reps)}
-    to_q = [qid[project[x]] for x in G.sorted_elements()]
-    rep_ids = [ids[r] for r in reps]
     tables = conjugation_tables(G)
     return [[to_q[tables[k][i]] for i in rep_ids] for k in sources]
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> frozenset:
     """Smallest normal subgroup containing the seed elements."""
-    elems = closure_in(G, list(seed_elems))
-    while True:
-        gens = small_generating_set(G, elems)
-        extra = [G.conjugate(s, g) for s in gens for g in G.generators]
-        extra = [x for x in extra if x not in elems]
-        if not extra:
-            return frozenset(elems)
-        elems = closure_in(G, gens + extra)
+    K = Span(G)
+    for x in id_set(G, seed_elems):
+        K.add(x)
+    tables = conjugation_tables(G)
+    for s in K.gens:  # grows while it is read
+        for t in tables:
+            K.add(t[s])
+    return K.as_elements()
 
 
 def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gklab import cli
+from gklab import catalog, cli
 from gklab.cli import main
 from gklab.frobenius import SearchExhausted
 
@@ -109,6 +109,26 @@ class TestAnalyze:
             cli.load_spec(str(path))
         assert main(["analyze", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nosuch", "quaternion8_times_c3",
+                                      "corpus"])
+    def test_unknown_builtin(self, tmp_path, capsys, name):
+        # only the catalog's registered builders are builtins
+        path = tmp_path / "builtin.json"
+        path.write_text(json.dumps({"groups": {
+            "g": {"type": "builtin", "name": name, "args": []}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert f"unknown builtin {name!r}" in capsys.readouterr().err
+
+    def test_every_builtin_builds(self):
+        args = {"cyclic": [4], "elem_abelian": [2, 2], "dihedral": [6],
+                "sym": [3], "alt": [4]}
+        assert sorted(catalog.BUILTINS) == sorted(
+            ["cyclic", "elem_abelian", "dihedral", "quaternion8", "sl2_3",
+             "dicyclic12", "sym", "alt", "c7_c3", "c7_c6"])
+        for name, build in catalog.BUILTINS.items():
+            assert build is getattr(catalog, name)
+            assert build(*args.get(name, [])).order > 1
 
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"

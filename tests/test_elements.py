@@ -69,6 +69,11 @@ class TestMat:
         m = el.mat(7, rows)
         assert el.mul(m, el.inv(m)) == el.mat_identity(7, 2)
 
+    def test_inverse_of_raw_singular_tuple(self):
+        # a ValueError, not an assert, so that python -O rejects it too
+        with pytest.raises(ValueError, match="matrix is singular over F_3"):
+            el.inv((el.MAT, 3, 2, (1, 2, 2, 1)))
+
     def test_field_mismatch(self):
         with pytest.raises(el.IncompatibleKinds):
             el.mul(el.mat_identity(3, 2), el.mat_identity(5, 2))
