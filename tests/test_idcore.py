@@ -22,7 +22,7 @@ from gklab.groups import (closure_in, direct_product, element_ids,
                           semidirect_product, small_generating_set)
 from gklab.rationality import cut_oracle_via_bg, is_cut_group
 from gklab.structure import (conjugacy_classes, core_p, derived_subgroup,
-                             fitting, quotient, sylow)
+                             fitting, normal_closure, quotient, sylow)
 
 BOUNDS = {"table": groups.TABLE_BOUND, "no-table": 0}
 
@@ -56,6 +56,18 @@ def _reference_generating_set(G, subset):
         if len(have) == len(subset):
             break
     return gens
+
+
+def _reference_normal_closure(G, seeds):
+    """Re-close from scratch until the generators' conjugates stay inside."""
+    elems = _reference_closure(G, list(seeds))
+    while True:
+        gens = _reference_generating_set(G, elems)
+        extra = [G.conjugate(s, g) for s in gens for g in G.generators]
+        extra = [x for x in extra if x not in elems]
+        if not extra:
+            return frozenset(elems)
+        elems = _reference_closure(G, gens + extra)
 
 
 def _reference_projection(G, nset):
@@ -239,6 +251,7 @@ class TestClosures:
             assert all(G.mult(x, s) in C for x in C for s in gens)
             assert C == _reference_closure(G, gens)
             assert small_generating_set(G, C) == _reference_generating_set(G, C)
+            assert normal_closure(G, gens) == _reference_normal_closure(G, gens)
 
     @by_bound
     @settings(max_examples=30, deadline=None)
