@@ -4,7 +4,7 @@ A Frobenius group here is detected through its Fitting subgroup: the kernel
 of a Frobenius group is nilpotent and equals F(G), so the search never
 enumerates point stabilizers.  Complements are located via the unique
 involution when they have even order, and by a bounded generator search
-otherwise.
+otherwise.  Commutation tests multiply element ids (``groups.id_mul``).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import Optional
 
 from sympy import factorint
 
-from .groups import (GroupHandle, closure_in, element_orders_multiset,
-                     order_map, subgroup_as_group)
+from .groups import (GroupHandle, closure_in, element_ids,
+                     element_orders_multiset, id_mul, id_powers, id_set,
+                     subgroup_as_group)
 from .structure import (SubgroupHandle, conjugacy_classes, derived_subgroup,
                         exponent, fitting, fitting_series, is_abelian,
                         is_cyclic, quotient)
@@ -99,14 +100,13 @@ def _kernel_condition(G: GroupHandle, kernel: frozenset) -> bool:
     The kernel is normal, so conjugacy classes lie inside or outside it and
     class representatives suffice.
     """
-    data = conjugacy_classes(G)
-    for rep in data.representatives:
-        if rep in kernel:
-            continue
-        for n in kernel:
-            if n != G.identity and G.mult(rep, n) == G.mult(n, rep):
-                return False
-    return True
+    ids, mul = element_ids(G), id_mul(G)
+    ks = id_set(G, kernel)
+    nontrivial = ks - {ids[G.identity]}
+    outside = [r for r in map(ids.__getitem__,
+                              conjugacy_classes(G).representatives)
+               if r not in ks]
+    return all(mul(r, n) != mul(n, r) for r in outside for n in nontrivial)
 
 
 def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
@@ -116,18 +116,19 @@ def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
     complement equals C_G(t) for any involution t outside the kernel.  Odd m:
     bounded search over at most 3 generators of order dividing m.
     """
-    orders = order_map(G)
+    srt, ks = G.sorted_elements(), id_set(G, kernel)
+    orders = id_powers(G)[0]
     if m % 2 == 0:
-        for t in G.sorted_elements():
-            if t in kernel or orders[t] != 2:
+        mul = id_mul(G)
+        for t in range(G.order):
+            if t in ks or orders[t] != 2:
                 continue
-            cent = frozenset(x for x in G.elements
-                             if G.mult(x, t) == G.mult(t, x))
-            if len(cent) == m and len(cent & kernel) == 1:
-                return cent
+            cent = [x for x in range(G.order) if mul(x, t) == mul(t, x)]
+            if len(cent) == m and len(ks.intersection(cent)) == 1:
+                return frozenset(map(srt.__getitem__, cent))
         raise SearchExhausted(f"no even-order complement found in {G.label}")
-    candidates = [g for g in G.sorted_elements()
-                  if g not in kernel and m % orders[g] == 0]
+    candidates = [srt[i] for i in range(G.order)
+                  if i not in ks and m % orders[i] == 0]
 
     def extend(current: frozenset, gens: list, depth: int):
         if len(current) == m:

@@ -434,13 +434,12 @@ def _product_tables(G: GroupHandle, H: GroupHandle) -> list[list[int]]:
 
 
 def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
-    """order -> number of elements of that order (via conjugacy class reps)."""
+    """order -> number of elements of that order (via the class power map)."""
     from .structure import conjugacy_classes  # cycle-free at call time
     data = conjugacy_classes(G)
     out: dict[int, int] = {}
-    for rep, cls in zip(data.representatives, data.classes):
-        n = element_order(G, rep)
-        out[n] = out.get(n, 0) + len(cls)
+    for row, cls in zip(data.powers, data.classes):
+        out[len(row)] = out.get(len(row), 0) + len(cls)
     return out
 
 

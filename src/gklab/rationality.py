@@ -4,16 +4,17 @@ Two genuinely independent computation paths exist for the group-level cut
 verdict:
 
 * :func:`is_cut_group` works entirely from the conjugacy class partition
-  (g^m conjugate to g or g^-1 for every m coprime to |g|);
+  (g^m conjugate to g or g^-1 for every m coprime to |g|), read from its
+  class power map rows (``ConjugacyData.powers``), not from element products;
 * :func:`cut_oracle_via_bg` scans N_G(<g>) element by element and inspects
   the realized exponent subgroup of the unit group mod |g|.
 
 Both must agree on every group; the test corpus enforces this.  The scan
 oracle takes the class representatives only as a list of elements that meets
-every conjugacy class.  It never reads class membership or the conjugation
-tables, and it conjugates with element products (``G.mult`` and the group's
-``inverse_map``), so a fault in the class partition or the tables cannot make
-the two oracles agree by accident.  Two lemmas let it scan less:
+every conjugacy class.  It never reads class membership, the power map or
+the conjugation tables, and it conjugates with element products (``G.mult``
+and the group's ``inverse_map``), so a fault in the class partition or the
+tables cannot make the two oracles agree by accident.  Two lemmas let it scan less:
 
 * if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, the scanned exponent set
   contains 1 and is a subgroup of U(|g|), a group of order <= 2; it is
@@ -34,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from sympy import isprime, totient
+from sympy import isprime
 
 from .elements import Element
-from .groups import GroupHandle, NotMember, element_order, inverse_map
+from .groups import GroupHandle, NotMember, inverse_map
 from .structure import (ConjugacyData, centralizer, conjugacy_classes,
                         cyclic_subgroup_set, normalizer_of_cyclic)
 
@@ -76,14 +77,6 @@ def _units(n: int) -> list[int]:
     return [m for m in range(1, n + 1) if gcd(m, n) == 1]
 
 
-def _powers(G: GroupHandle, g: Element, n: int) -> list[Element]:
-    """[g^0, g^1, ..., g^(n-1)]."""
-    out = [G.identity]
-    for _ in range(n - 1):
-        out.append(G.mult(out[-1], g))
-    return out
-
-
 def class_iota_exponents(G: GroupHandle, g: Element,
                          data: ConjugacyData | None = None) -> frozenset[int]:
     """{m coprime to |g| : g^m conjugate to g}; the image of iota_g.
@@ -91,47 +84,32 @@ def class_iota_exponents(G: GroupHandle, g: Element,
     g^x = g^m forces x to normalize <g>, so conjugacy of g and g^m already
     certifies membership of m in the image of iota_g.
     """
-    data = data or conjugacy_classes(G)
-    n = element_order(G, g)
-    powers = _powers(G, g, n)
-    cid = data.class_index[g]
-    return frozenset(m for m in _units(n) if data.class_index[powers[m % n]] == cid)
+    return element_verdict(G, g, data).iota_exponents
 
 
 def element_verdict(G: GroupHandle, g: Element,
                     data: ConjugacyData | None = None) -> ElementVerdict:
+    """Verdict for g read from the power map row of its class c.
+
+    n = len(row) is |g|, and g^m lies in class row[m % n]: g is rational when
+    that is c for every unit m, inverse semi-rational when it is c or
+    row[n - 1], the class of g^-1.
+    """
     data = data or conjugacy_classes(G)
-    n = element_order(G, g)
-    exps = class_iota_exponents(G, g, data)
-    phi = int(totient(n))
-    if len(exps) == phi:
+    cid = data.class_index.get(g)
+    if cid is None:
+        raise NotMember(f"element not in {G.label}")
+    row = data.powers[cid]
+    n = len(row)
+    units = _units(n)
+    exps = frozenset(m for m in units if row[m % n] == cid)
+    if len(exps) == len(units):
         verdict = RATIONAL
-    elif _all_pm(G, g, n, data):
+    elif all(row[m % n] in (cid, row[n - 1]) for m in units):
         verdict = INVERSE_SEMIRATIONAL
     else:
         verdict = NEITHER
     return ElementVerdict(g, n, len(exps), exps, verdict)
-
-
-def _all_pm(G: GroupHandle, g: Element, n: int, data: ConjugacyData) -> bool:
-    """Every generator of <g> conjugate to g or g^-1."""
-    powers = _powers(G, g, n)
-    cid = data.class_index[g]
-    cid_inv = data.class_index[powers[(n - 1) % n]]
-    return all(data.class_index[powers[m % n]] in (cid, cid_inv)
-               for m in _units(n))
-
-
-def is_rational_element(G: GroupHandle, g: Element) -> bool:
-    if g not in G.elements:
-        raise NotMember(f"element not in {G.label}")
-    return element_verdict(G, g).verdict == RATIONAL
-
-
-def is_inverse_semirational_element(G: GroupHandle, g: Element) -> bool:
-    if g not in G.elements:
-        raise NotMember(f"element not in {G.label}")
-    return element_verdict(G, g).verdict != NEITHER
 
 
 def rationality_report(G: GroupHandle) -> RationalityReport:
@@ -250,11 +228,11 @@ def prime_power_criterion_check(G: GroupHandle, g: Element) -> bool:
     Applicable when |g| is p^n or 2p^n for an odd prime p; Aut(<g>) is then
     cyclic of order p^(n-1)(p-1).
     """
-    n = element_order(G, g)
+    v = element_verdict(G, g)
+    n = v.order
     p = _odd_prime_shape(n)
     if p is None:
         raise NotApplicable(f"|g| = {n} is not p^n or 2p^n for an odd prime p")
-    v = element_verdict(G, g)
     rational = v.verdict == RATIONAL
     isr = v.verdict != NEITHER
     pn1 = n // p if n % 2 else n // (2 * p)  # p^(n-1)

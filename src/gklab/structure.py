@@ -25,6 +25,10 @@ are returned as element sets; inside, they are built on ids with
   predicates run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
+* The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
+  one class-level primitive: row c lists the classes of rep_c^k for
+  0 <= k < |rep_c|, from one walk of <rep_c> on ids.  Class orders are row
+  lengths, and the rationality verdicts read the rows.
 * ``centralizer`` and ``normalizer_of_cyclic`` scan elements and test
   normality by element products.  Nothing in the library calls them; they
   are kept as references for the tests, and because the benchmark's tracer
@@ -34,13 +38,14 @@ are returned as element sets; inside, they are built on ids with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from sympy import factorint, isprime
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
-                     element_ids, element_order, id_mul, id_powers, id_set,
-                     induced_mul, small_generating_set, subgroup_as_group)
+                     element_ids, id_mul, id_powers, id_set, induced_mul,
+                     small_generating_set, subgroup_as_group)
 
 
 class NotNormal(ValueError):
@@ -56,6 +61,8 @@ class ConjugacyData:
     classes: tuple[frozenset, ...]
     class_index: dict
     representatives: tuple[Element, ...]
+    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|
+    powers: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,8 @@ class FittingData:
 
 
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
-    """Exact class partition by orbit closure on the conjugation tables."""
+    """Class partition by orbit closure on the conjugation tables, and the
+    class power map."""
     if "conjugacy" in G._memo:
         return G._memo["conjugacy"]
     srt = G.sorted_elements()
@@ -105,8 +113,19 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                     cids[j] = cid
                     orbit.append(j)
         classes.append(frozenset([srt[i] for i in orbit]))
-        reps.append(srt[start])
-    data = ConjugacyData(tuple(classes), dict(zip(srt, cids)), tuple(reps))
+        reps.append(start)
+    mul = id_mul(G)
+    e = element_ids(G)[G.identity]
+    powers = []
+    for g in reps:
+        row = [cids[e]]
+        h = g
+        while h != e:
+            row.append(cids[h])
+            h = mul(h, g)
+        powers.append(tuple(row))
+    data = ConjugacyData(tuple(classes), dict(zip(srt, cids)),
+                         tuple(map(srt.__getitem__, reps)), tuple(powers))
     G._memo["conjugacy"] = data
     return data
 
@@ -330,8 +349,8 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
         return []
     data = conjugacy_classes(G)
     closures = {}
-    for rep in data.representatives:
-        if rep == G.identity or not isprime(element_order(G, rep)):
+    for rep, row in zip(data.representatives, data.powers):
+        if not isprime(len(row)):
             continue
         cl = normal_closure(G, [rep])
         closures.setdefault(cl, None)
@@ -365,24 +384,20 @@ def is_abelian(G: GroupHandle) -> bool:
 
 
 def is_cyclic(G: GroupHandle) -> bool:
-    data = conjugacy_classes(G)
-    return any(element_order(G, rep) == G.order for rep in data.representatives)
+    return any(len(row) == G.order for row in conjugacy_classes(G).powers)
 
 
 def exponent(G: GroupHandle) -> int:
-    from math import lcm
-    data = conjugacy_classes(G)
-    return lcm(*(element_order(G, rep) for rep in data.representatives))
+    return lcm(*map(len, conjugacy_classes(G).powers))
 
 
 def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
     """Normal subgroups <g> (one per generated subgroup), via class reps."""
     data = conjugacy_classes(G)
     seen = set()
-    for rep in data.representatives:
-        if rep == G.identity:
-            continue
-        if prime_order_only and not isprime(element_order(G, rep)):
+    for rep, row in zip(data.representatives, data.powers):
+        n = len(row)
+        if n == 1 or prime_order_only and not isprime(n):
             continue
         cyc = cyclic_subgroup_set(G, rep)
         if cyc in seen:

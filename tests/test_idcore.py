@@ -1,15 +1,17 @@
 """Integer multiplication on element ids, and what runs on it.
 
 ``groups.id_mul`` multiplies ids for every group kind; closures, quotient
-projections, Sylow growth and the conjugation tables of non-derived groups
-run on it.  The references here are the element-product versions they
+projections, Sylow growth, the conjugation tables of non-derived groups and
+the class power map run on it.  The references here are the element-product versions they
 replaced, on ``G.mult`` (whose components are ``elements.mul``).  Every
 property runs twice: at the module's TABLE_BOUND, and with the bound at 0,
 where no group may build a Cayley table.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,9 @@ from gklab import elements as el
 from gklab.groups import (closure_in, direct_product, element_ids,
                           element_order, enumerate_group, id_mul, id_powers,
                           semidirect_product, small_generating_set)
-from gklab.rationality import cut_oracle_via_bg, is_cut_group
+from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
+                               ElementVerdict, cut_oracle_via_bg,
+                               element_verdict, is_cut_group)
 from gklab.structure import (conjugacy_classes, core_p, derived_subgroup,
                              fitting, normal_closure, quotient, sylow)
 
@@ -79,6 +83,40 @@ def _reference_projection(G, nset):
         for x in nset:
             project[G.mult(g, x)] = g
     return project
+
+
+def _powers(G, g, n):
+    """[g^0, g^1, ..., g^(n-1)]."""
+    out = [G.identity]
+    for _ in range(n - 1):
+        out.append(G.mult(out[-1], g))
+    return out
+
+
+def _all_pm(G, g, n, data):
+    """Every generator of <g> conjugate to g or g^-1."""
+    powers = _powers(G, g, n)
+    cid = data.class_index[g]
+    cid_inv = data.class_index[powers[(n - 1) % n]]
+    return all(data.class_index[powers[m % n]] in (cid, cid_inv)
+               for m in range(1, n + 1) if gcd(m, n) == 1)
+
+
+def _reference_verdict(G, g, data):
+    """element_verdict as it was: three walks of <g> on G.mult."""
+    n = element_order(G, g)
+    powers = _powers(G, g, n)
+    units = [m for m in range(1, n + 1) if gcd(m, n) == 1]
+    cid = data.class_index[g]
+    exps = frozenset(m for m in units
+                     if data.class_index[powers[m % n]] == cid)
+    if len(exps) == len(units):
+        verdict = RATIONAL
+    elif _all_pm(G, g, n, data):
+        verdict = INVERSE_SEMIRATIONAL
+    else:
+        verdict = NEITHER
+    return ElementVerdict(g, n, len(exps), exps, verdict)
 
 
 def _invertible(p, rows):
@@ -278,6 +316,29 @@ class TestClosures:
             assert G.order % len(F) == 0
 
 
+class TestClassPowerMap:
+    @by_bound
+    @settings(max_examples=40, deadline=None)
+    @given(recipe=_recipes())
+    def test_rows_and_verdicts(self, bound, recipe):
+        """Each row is the classes of rep^k walked on G.mult, and each
+        verdict read from it is the three-walk verdict."""
+        with _bound(bound):
+            G = recipe[1]()
+            data = conjugacy_classes(G)
+            assert len(data.powers) == len(data.representatives)
+            for rep, row in zip(data.representatives, data.powers):
+                walked = [data.class_index[G.identity]]
+                h = rep
+                while h != G.identity:
+                    walked.append(data.class_index[h])
+                    h = G.mult(h, rep)
+                assert row == tuple(walked)
+                assert len(row) == element_order(G, rep)
+                assert (element_verdict(G, rep, data)
+                        == _reference_verdict(G, rep, data))
+
+
 def test_only_small_groups_without_structure_are_tabulated():
     def tabulated(G):
         return id_mul(G).__qualname__.startswith("_cayley_mul")
@@ -294,7 +355,8 @@ class _Poison:
     """Stands in for an id-core memo: any use of it fails the test."""
 
     def _fail(self, *args, **kwargs):
-        raise AssertionError("the normalizer-scan oracle read the id core")
+        raise AssertionError(
+            "the normalizer-scan oracle read the id core or the classes")
 
     __call__ = __getitem__ = __iter__ = __len__ = __contains__ = _fail
 
@@ -316,14 +378,18 @@ def _c5sq_c4():
       for label in sorted(catalog.distinct_corpus(1, 20, 300))[:6]],
 ], ids=lambda b: getattr(b, "__name__", "group"))
 def test_oracle_reads_no_id_core(build):
-    """With every id memo poisoned, the oracle still gives its verdict.
+    """With every id memo poisoned, and every field of the class data but
+    the representatives, the oracle still gives its verdict.
 
     Each call of build makes fresh groups, factors included, so no poison
     reaches another case.
     """
     expected = is_cut_group(build())
     G = build()
-    conjugacy_classes(G)  # the representatives are the oracle's one input
+    # the representatives are the oracle's one input
+    G._memo["conjugacy"] = dataclasses.replace(
+        conjugacy_classes(G), classes=_Poison(), class_index=_Poison(),
+        powers=_Poison())
     for key in ID_CORE_KEYS:
         G._memo[key] = _Poison()
     assert cut_oracle_via_bg(G) == expected
