@@ -4,7 +4,9 @@ A Frobenius group here is detected through its Fitting subgroup: the kernel
 of a Frobenius group is nilpotent and equals F(G), so the search never
 enumerates point stabilizers.  Complements are located via the unique
 involution when they have even order, and by a bounded generator search
-otherwise.  Commutation tests multiply element ids (``groups.id_mul``).
+otherwise.  Kernels and complements are id sets (``SubgroupHandle.ids``),
+and commutation tests multiply element ids (``groups.id_mul``).  The
+2-Frobenius test reads F_1, F_2, G/F_1 and G/F_2 from ``fitting_series``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from typing import Optional
 
 from sympy import factorint
 
-from .groups import (GroupHandle, closure_in, element_ids,
-                     element_orders_multiset, id_mul, id_powers, id_set,
-                     subgroup_as_group)
+from .groups import (GroupHandle, Span, element_ids, element_orders_multiset,
+                     id_mul, id_powers)
 from .structure import (SubgroupHandle, conjugacy_classes, derived_subgroup,
                         exponent, fitting, fitting_series, is_abelian,
-                        is_cyclic, quotient)
+                        is_cyclic)
 
 FROBENIUS = "frobenius"
 TWO_FROBENIUS = "2-frobenius"
@@ -94,14 +95,14 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
     return fp
 
 
-def _kernel_condition(G: GroupHandle, kernel: frozenset) -> bool:
-    """No element outside the kernel commutes with a nontrivial kernel element.
+def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
+    """No element outside the kernel (ids ks) commutes with a nontrivial
+    kernel element.
 
     The kernel is normal, so conjugacy classes lie inside or outside it and
     class representatives suffice.
     """
     ids, mul = element_ids(G), id_mul(G)
-    ks = id_set(G, kernel)
     nontrivial = ks - {ids[G.identity]}
     outside = [r for r in map(ids.__getitem__,
                               conjugacy_classes(G).representatives)
@@ -109,14 +110,13 @@ def _kernel_condition(G: GroupHandle, kernel: frozenset) -> bool:
     return all(mul(r, n) != mul(n, r) for r in outside for n in nontrivial)
 
 
-def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
-    """Subgroup of order m meeting the kernel trivially.
+def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
+    """Ids of a subgroup of order m meeting the kernel (ids ks) trivially.
 
     Even m: a Frobenius complement has a unique, central involution t, so the
     complement equals C_G(t) for any involution t outside the kernel.  Odd m:
     bounded search over at most 3 generators of order dividing m.
     """
-    srt, ks = G.sorted_elements(), id_set(G, kernel)
     orders = id_powers(G)[0]
     if m % 2 == 0:
         mul = id_mul(G)
@@ -125,9 +125,9 @@ def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
                 continue
             cent = [x for x in range(G.order) if mul(x, t) == mul(t, x)]
             if len(cent) == m and len(ks.intersection(cent)) == 1:
-                return frozenset(map(srt.__getitem__, cent))
+                return frozenset(cent)
         raise SearchExhausted(f"no even-order complement found in {G.label}")
-    candidates = [srt[i] for i in range(G.order)
+    candidates = [i for i in range(G.order)
                   if i not in ks and m % orders[i] == 0]
 
     def extend(current: frozenset, gens: list, depth: int):
@@ -138,15 +138,18 @@ def _find_complement(G: GroupHandle, kernel: frozenset, m: int) -> frozenset:
         for g in candidates:
             if g in current:
                 continue
-            grown = frozenset(closure_in(G, gens + [g]))
-            if m % len(grown) or len(grown & kernel) != 1:
+            span = Span(G)
+            for x in gens + [g]:
+                span.add(x)
+            grown = frozenset(span.elements)
+            if m % len(grown) or len(grown & ks) != 1:
                 continue
             got = extend(grown, gens + [g], depth - 1)
             if got is not None:
                 return got
         return None
 
-    got = extend(frozenset([G.identity]), [], 3)
+    got = extend(frozenset([element_ids(G)[G.identity]]), [], 3)
     if got is None:
         raise SearchExhausted(f"no complement of order {m} found in {G.label}")
     return got
@@ -166,9 +169,9 @@ def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
             raise NotFrobenius(f"{G.label}: Fitting subgroup is trivial or all of G")
         if gcd(F.order, G.order // F.order) != 1:
             raise NotFrobenius(f"{G.label}: kernel order not coprime to index")
-        if not _kernel_condition(G, F.elements):
+        if not _kernel_condition(G, F.ids):
             raise NotFrobenius(f"{G.label}: centralizer condition fails")
-        comp = _find_complement(G, F.elements, G.order // F.order)
+        comp = _find_complement(G, F.ids, G.order // F.order)
     except NotFrobenius as exc:
         G._memo["frobenius"] = str(exc)
         raise
@@ -191,21 +194,16 @@ def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
         raise NotFrobenius(f"{G.label}: Fitting length is not 3")
-    F1 = fitting(G)
-    Q1 = quotient(G, F1)
+    _, F1, F2, _ = fs.series
+    Q1, top = fs.quotients  # G/F_1 and G/F_2, that is Q1/F(Q1)
     qdec = frobenius_decomposition(Q1)
-    project = Q1._memo["project"]
-    f2_elems = frozenset(g for g in G.elements
-                         if project[g] in qdec.kernel.elements)
-    F2 = subgroup_as_group(G, f2_elems, f"{G.label}-F2")
-    frobenius_decomposition(F2)
+    frobenius_decomposition(F2.as_group(f"{G.label}-F2"))
     f1_group = F1.as_group(f"{G.label}-F1")
-    top = quotient(Q1, qdec.kernel)
     middle = qdec.kernel.as_group()
     return TwoFrobeniusDecomposition(
         group_label=G.label,
         f1=F1,
-        f2=SubgroupHandle(G, f2_elems, normal=True),
+        f2=F2,
         top_cyclic=is_cyclic(top),
         middle_cyclic_odd=is_cyclic(middle) and middle.order % 2 == 1,
         f1_not_cyclic=not is_cyclic(f1_group),
@@ -256,7 +254,7 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     except NotFrobenius:
         return None
     kernel = dec.kernel.as_group(f"{G.label}-kernel")
-    comp = subgroup_as_group(G, dec.complement.elements, f"{G.label}-comp")
+    comp = dec.complement.as_group(f"{G.label}-comp")
     kfact = factorint(kernel.order)
     if len(kfact) != 1:
         return None

@@ -2,7 +2,7 @@
 
 A :class:`GroupHandle` owns a fully enumerated element set together with
 multiplication and inversion callables.  Its fields are fixed at
-construction, but derived data (sorted elements, the order map, conjugacy
+construction, but derived data (sorted elements, orders by id, conjugacy
 classes, ...) is written lazily into ``_memo`` on first read, so a handle
 must not be shared between threads without a lock.
 
@@ -44,11 +44,10 @@ derives its tables from its factors' tables and a quotient from its
 parent's (see ``structure.quotient``), with no multiplication; every other
 group conjugates on ``id_mul``.  ``relabel`` keeps this structural record.
 
-``order_map`` (element -> order) is read from ``id_powers``, keyed by G's
-own element objects.  ``inverse_map`` (element -> inverse, keys and values
-G's own objects) inverts elements with ``G.inv``: it serves the
-normalizer-scan cut oracle, which multiplies elements and reads nothing of
-the id core, so that it stays independent of the class partition.
+``inverse_map`` (element -> inverse, keys and values G's own objects)
+inverts elements with ``G.inv``: it serves the normalizer-scan cut oracle,
+which multiplies elements and reads nothing of the id core, so that it stays
+independent of the class partition.
 """
 
 from __future__ import annotations
@@ -227,24 +226,12 @@ def element_order(G: GroupHandle, g: Element) -> int:
     return k
 
 
-def order_map(G: GroupHandle) -> dict[Element, int]:
-    """Element -> order for all of G, read from ``id_powers``; memoised.
-
-    The map is keyed by G's own element objects (its sorted elements).
-    """
-    orders = G._memo.get("orders")
-    if orders is None:
-        orders = dict(zip(G.sorted_elements(), id_powers(G)[0]))
-        G._memo["orders"] = orders
-    return orders
-
-
 def inverse_map(G: GroupHandle) -> dict[Element, Element]:
     """Element -> inverse for all of G, computed once per group and memoised.
 
-    Keys and values are G's own element objects, as in ``order_map``: the
-    map starts with all of G.elements as keys, and ``d[G.inv(x)] = x``
-    assigns through an equal key, so the fresh inverse is not retained.
+    Keys and values are G's own element objects: the map starts with all of
+    G.elements as keys, and ``d[G.inv(x)] = x`` assigns through an equal
+    key, so the fresh inverse is not retained.
     """
     inverses = G._memo.get("inverses")
     if inverses is not None:
@@ -367,10 +354,6 @@ class Span:
         self.mul = id_mul(G)
         self.elements = {element_ids(G)[G.identity]}
         self.gens: list[int] = []
-        self._srt = G.sorted_elements()
-
-    def as_elements(self) -> frozenset[Element]:
-        return frozenset(map(self._srt.__getitem__, self.elements))
 
     def add(self, s: int) -> None:
         members = self.elements
@@ -600,15 +583,20 @@ def closure_in(G: GroupHandle, gens) -> set[Element]:
     span = Span(G)
     for x in id_set(G, gens):
         span.add(x)
-    return set(span.as_elements())
+    srt = G.sorted_elements()
+    return {srt[i] for i in span.elements}
 
 
 def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
-    """View a subgroup element set as a standalone GroupHandle.
+    """View a subgroup element set as a standalone GroupHandle."""
+    return subgroup_view(G, id_set(G, subset), label)
+
+
+def subgroup_view(G: GroupHandle, members, label: str = "") -> GroupHandle:
+    """View a subgroup, given by its ids in G, as a standalone GroupHandle.
 
     The view's ids multiply in G's (``induced_mul``).
     """
-    members = id_set(G, subset)
     span = _span_of(G, members)
     if span.elements != members:
         raise ValueError(f"subset of {G.label} is not a subgroup")

@@ -2,9 +2,9 @@
 
 Everything here works on fully enumerated groups, and on element ids
 (``groups.element_ids``) wherever elements would be multiplied.  Subgroups
-are returned as element sets; inside, they are built on ids with
-``groups.Span`` (closures grown one generator at a time) and
-``groups.id_mul``.  Deliberate choices:
+are returned as id sets (``SubgroupHandle.ids``), built with ``groups.Span``
+(closures grown one generator at a time) and ``groups.id_mul``; a handle's
+element set is derived on first read.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
@@ -16,7 +16,9 @@ are returned as element sets; inside, they are built on ids with
   tables.
 * Coset representatives are the value-least element of each coset, so
   quotients are reproducible bit for bit.  The coset projection is built on
-  ids: |G| id products, one per element and element of N.  A quotient's
+  ids (``_memo["to_q"]``): |G| id products, one per element and element of
+  N.  ``fitting_series`` composes these projections and keeps the quotient
+  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  A quotient's
   sorted order is its list of representatives, its ids multiply in the
   parent's, and its conjugation tables come from its parent's through the
   projection, conjugating by the parent generator behind each quotient
@@ -38,6 +40,7 @@ are returned as element sets; inside, they are built on ids with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from sympy import factorint, isprime
@@ -45,7 +48,7 @@ from sympy import factorint, isprime
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
                      element_ids, id_mul, id_powers, id_set, induced_mul,
-                     small_generating_set, subgroup_as_group)
+                     small_generating_set, subgroup_view)
 
 
 class NotNormal(ValueError):
@@ -68,22 +71,27 @@ class ConjugacyData:
 @dataclass(frozen=True)
 class SubgroupHandle:
     parent: GroupHandle
-    elements: frozenset
+    ids: frozenset[int]  # the members' ids in parent
     normal: bool
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
+
+    @cached_property
+    def elements(self) -> frozenset[Element]:
+        srt = self.parent.sorted_elements()
+        return frozenset(map(srt.__getitem__, self.ids))
 
     def as_group(self, label: str = "") -> GroupHandle:
-        return subgroup_as_group(self.parent, self.elements, label)
+        return subgroup_view(self.parent, self.ids, label)
 
 
 @dataclass(frozen=True)
 class FittingData:
     series: tuple[SubgroupHandle, ...]  # F_0 <= F_1 <= ...
     length: int | None                  # None when the series stalls below G
-    op_parts: dict[int, SubgroupHandle]
+    quotients: tuple[GroupHandle, ...]  # G/F_1, G/F_2, ... below G/G
 
     @property
     def solvable(self) -> bool:
@@ -116,18 +124,22 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
         reps.append(start)
     mul = id_mul(G)
     e = element_ids(G)[G.identity]
-    powers = []
-    for g in reps:
-        row = [cids[e]]
-        h = g
-        while h != e:
-            row.append(cids[h])
-            h = mul(h, g)
-        powers.append(tuple(row))
+    powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
+              for g in reps]
     data = ConjugacyData(tuple(classes), dict(zip(srt, cids)),
                          tuple(map(srt.__getitem__, reps)), tuple(powers))
     G._memo["conjugacy"] = data
     return data
+
+
+def _power_walk(mul, e: int, g: int) -> list[int]:
+    """Ids of g^0, g^1, ..., g^(n-1), where n is the order of g."""
+    out = [e]
+    h = g
+    while h != e:
+        out.append(h)
+        h = mul(h, g)
+    return out
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -159,12 +171,12 @@ def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
     """Subgroup handle whose normality is tested by element products."""
     gens = small_generating_set(G, elems) or [G.identity]
     normal = all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
-    return SubgroupHandle(G, elems, normal)
+    return SubgroupHandle(G, frozenset(id_set(G, elems)), normal)
 
 
-def _is_normal(G: GroupHandle, elems) -> bool:
-    """Is the subgroup elems carried into itself by every generator's table?"""
-    members = id_set(G, elems)
+def _is_normal(G: GroupHandle, members) -> bool:
+    """Is the subgroup with these ids carried into itself by every
+    generator's table?"""
     return all(t[i] in members for t in conjugation_tables(G) for i in members)
 
 
@@ -208,7 +220,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     ids = element_ids(G)
     normal = all(mul(inverses[g], mul(s, g)) in members
                  for g in map(ids.__getitem__, G.generators) for s in gens)
-    sub = SubgroupHandle(G, P.as_elements(), normal)
+    sub = SubgroupHandle(G, frozenset(members), normal)
     G._memo[key] = sub
     return sub
 
@@ -218,8 +230,7 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     key = ("core", p)
     if key in G._memo:
         return G._memo[key]
-    ids = element_ids(G)
-    K = {ids[x] for x in sylow(G, p).elements}
+    K = set(sylow(G, p).ids)
     changed = True
     while changed:
         changed = False
@@ -228,8 +239,7 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
             if Kg != K:
                 K &= Kg
                 changed = True
-    srt = G.sorted_elements()
-    sub = SubgroupHandle(G, frozenset(srt[i] for i in K), True)
+    sub = SubgroupHandle(G, frozenset(K), True)
     G._memo[key] = sub
     return sub
 
@@ -238,33 +248,32 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
     """F(G): product of the O_p(G) over primes p dividing |G|."""
     F = Span(G)
     for p in sorted(factorint(G.order)):
-        for x in id_set(G, core_p(G, p).elements):
+        for x in core_p(G, p).ids:
             F.add(x)
-    return SubgroupHandle(G, F.as_elements(), True)
+    return SubgroupHandle(G, frozenset(F.elements), True)
 
 
 def fitting_series(G: GroupHandle) -> FittingData:
     if "fitting_series" in G._memo:
         return G._memo["fitting_series"]
-    op_parts = {p: core_p(G, p) for p in sorted(factorint(G.order))}
-    series = [SubgroupHandle(G, frozenset({G.identity}), True)]
+    series = [SubgroupHandle(G, frozenset({element_ids(G)[G.identity]}), True)]
+    quotients = []
     length: int | None = 0 if G.order == 1 else None
     current = G
-    proj = {g: g for g in G.elements}  # composed projection G -> current
+    proj = range(G.order)  # composed id projection G -> current
     while G.order > 1:
         F = fitting(current)
-        if len(F.elements) == 1:
+        if F.order == 1:
             break  # stalled below G: not solvable
-        preimage = frozenset(g for g in G.elements if proj[g] in F.elements)
+        preimage = frozenset(g for g in range(G.order) if proj[g] in F.ids)
         series.append(SubgroupHandle(G, preimage, True))
         if len(preimage) == G.order:
             length = len(series) - 1
             break
-        nxt = quotient(current, F)
-        step = nxt._memo["project"]
-        proj = {g: step[proj[g]] for g in G.elements}
-        current = nxt
-    data = FittingData(tuple(series), length, op_parts)
+        current = quotient(current, F)
+        quotients.append(current)
+        proj = list(map(current._memo["to_q"].__getitem__, proj))
+    data = FittingData(tuple(series), length, tuple(quotients))
     G._memo["fitting_series"] = data
     return data
 
@@ -273,11 +282,11 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N on value-least coset representatives with induced multiplication."""
     if N.parent is not G and N.parent.elements != G.elements:
         raise NotNormal("subgroup does not live in this group")
-    if not _is_normal(G, N.elements):
+    n_ids = N.ids if N.parent is G else id_set(G, N.elements)
+    if not _is_normal(G, n_ids):
         raise NotNormal("subgroup is not normal")
     ids = element_ids(G)
     mul = id_mul(G)
-    n_ids = id_set(G, N.elements)
     to_q = [-1] * G.order  # G id -> coset number
     rep_ids = []
     for g in range(G.order):
@@ -289,19 +298,18 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         rep_ids.append(g)
     srt = G.sorted_elements()
     reps = [srt[i] for i in rep_ids]
-    project = dict(zip(srt, map(reps.__getitem__, to_q)))
-
     gm, gi = G.mult, G.inv
 
     def mult(a, b):
-        return project[gm(a, b)]
+        return reps[to_q[ids[gm(a, b)]]]
 
     def inv(a):
-        return project[gi(a)]
+        return reps[to_q[ids[gi(a)]]]
 
     gens = []
     sources = []  # the G generator behind each quotient generator
-    seen = {to_q[ids[G.identity]]}
+    e = to_q[ids[G.identity]]
+    seen = {e}
     for k, g in enumerate(G.generators):
         q = to_q[ids[g]]
         if q not in seen:
@@ -309,10 +317,10 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
             gens.append(reps[q])
             sources.append(k)
     if not gens:
-        gens = [project[G.identity]]
+        gens = [reps[e]]
     Q = GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens), frozenset(reps),
-                    project[G.identity], mult, inv)
-    Q._memo["project"] = project
+                    reps[e], mult, inv)
+    Q._memo["to_q"] = to_q
     Q._memo["sorted"] = reps
     Q._memo["tables_from"] = lambda: _quotient_tables(G, to_q, rep_ids, sources)
     Q._memo["id_mul_from"] = lambda: induced_mul(id_mul(G), rep_ids, to_q)
@@ -329,7 +337,7 @@ def _quotient_tables(G: GroupHandle, to_q: list[int], rep_ids: list[int],
     return [[to_q[tables[k][i]] for i in rep_ids] for k in sources]
 
 
-def normal_closure(G: GroupHandle, seed_elems) -> frozenset:
+def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:
     """Smallest normal subgroup containing the seed elements."""
     K = Span(G)
     for x in id_set(G, seed_elems):
@@ -338,7 +346,7 @@ def normal_closure(G: GroupHandle, seed_elems) -> frozenset:
     for s in K.gens:  # grows while it is read
         for t in tables:
             K.add(t[s])
-    return K.as_elements()
+    return SubgroupHandle(G, frozenset(K.elements), True)
 
 
 def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
@@ -353,21 +361,18 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
         if not isprime(len(row)):
             continue
         cl = normal_closure(G, [rep])
-        closures.setdefault(cl, None)
-    candidates = sorted(closures, key=len)
-    minimal: list[frozenset] = []
-    for cl in candidates:
-        if not any(m <= cl for m in minimal):
+        closures.setdefault(cl.ids, cl)
+    minimal: list[SubgroupHandle] = []
+    for cl in sorted(closures.values(), key=lambda N: N.order):
+        if not any(m.ids <= cl.ids for m in minimal):
             minimal.append(cl)
-    return [SubgroupHandle(G, m, True) for m in minimal]
+    return minimal
 
 
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
     comms = {G.mult(G.inv(a), G.conjugate(a, b))
              for a in G.generators for b in G.generators}
-    comms.discard(G.identity)
-    elems = normal_closure(G, sorted(comms)) if comms else frozenset({G.identity})
-    return SubgroupHandle(G, elems, True)
+    return normal_closure(G, sorted(comms))
 
 
 def is_solvable(G: GroupHandle) -> bool:
@@ -394,25 +399,26 @@ def exponent(G: GroupHandle) -> int:
 def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
     """Normal subgroups <g> (one per generated subgroup), via class reps."""
     data = conjugacy_classes(G)
+    ids, mul = element_ids(G), id_mul(G)
+    e = ids[G.identity]
     seen = set()
     for rep, row in zip(data.representatives, data.powers):
         n = len(row)
         if n == 1 or prime_order_only and not isprime(n):
             continue
-        cyc = cyclic_subgroup_set(G, rep)
+        cyc = frozenset(_power_walk(mul, e, ids[rep]))
         if cyc in seen:
             continue
         seen.add(cyc)
         if _is_normal(G, cyc):
-            yield cyc
+            yield SubgroupHandle(G, cyc, True)
 
 
 def is_metacyclic(G: GroupHandle) -> bool:
     if is_cyclic(G):
         return True
-    for cyc in _cyclic_normal_subgroups(G):
-        Q = quotient(G, SubgroupHandle(G, cyc, True))
-        if is_cyclic(Q):
+    for N in _cyclic_normal_subgroups(G):
+        if is_cyclic(quotient(G, N)):
             return True
     return False
 
@@ -426,11 +432,10 @@ def is_supersolvable(G: GroupHandle) -> bool:
     """Backtracking search for a G-invariant series with cyclic prime factors."""
     if G.order == 1:
         return True
-    for cyc in _cyclic_normal_subgroups(G, prime_order_only=True):
-        if len(cyc) == G.order:
+    for N in _cyclic_normal_subgroups(G, prime_order_only=True):
+        if N.order == G.order:
             return True
-        Q = quotient(G, SubgroupHandle(G, cyc, True))
-        if is_supersolvable(Q):
+        if is_supersolvable(quotient(G, N)):
             return True
     return False
 

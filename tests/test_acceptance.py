@@ -5,6 +5,7 @@ almost-simple analysis need external databases and are replaced by the
 property-based criteria 4-6 below.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -27,6 +28,27 @@ def _report(criterion: str, rows, elapsed: float):
     assert not fails, f"{criterion}: {len(fails)} failures"
 
 
+def _verify_sha256(rows) -> str:
+    """sha256 of the rows as ``gklab verify <suite>`` prints them."""
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n"
+             for name, ok, detail in rows]
+    lines.append(f"{sum(ok for _, ok, _ in rows)}/{len(rows)} pass\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# ``gklab verify <suite>`` output, pinned: every suite prints the same bytes
+VERIFY_SHA256 = {
+    "figure3":
+        "0d4344f87ef63ec84330d533824da79208f38ff85024976613e19e0add963098",
+    "twofrobenius":
+        "4e9d6e74f4640940a2e5b7807e66617f3d4d5baa2df9dcf346d5945de4fba16e",
+    "frobenius-families":
+        "6b0f2369a719266d479a6ff450608b39dffbc77885ecf7a1e28e677faf486a71",
+    "classifier":
+        "d97db74b5fe87257902d639c63ffb836304ba0d65ff5cf6ae24ac90ba128bb95",
+}
+
+
 @pytest.fixture(scope="module")
 def corpus_groups() -> dict[str, GroupHandle]:
     return catalog.distinct_corpus(1, 200, 2000)
@@ -38,6 +60,7 @@ def test_criterion_1_figure_catalog():
     elapsed = time.time() - t0
     assert elapsed < 60, f"figure suite took {elapsed:.1f}s"
     _report("criterion 1 (figure catalog)", rows, elapsed)
+    assert _verify_sha256(rows) == VERIFY_SHA256["figure3"]
 
 
 def test_criterion_2_two_frobenius_witnesses():
@@ -46,12 +69,14 @@ def test_criterion_2_two_frobenius_witnesses():
     elapsed = time.time() - t0
     assert elapsed < 120, f"two-Frobenius suite took {elapsed:.1f}s"
     _report("criterion 2 (two-Frobenius witnesses)", rows, elapsed)
+    assert _verify_sha256(rows) == VERIFY_SHA256["twofrobenius"]
 
 
 def test_criterion_3_family_sweep():
     t0 = time.time()
     rows = suite_frobenius_families()
     _report("criterion 3 (Frobenius family sweep)", rows, time.time() - t0)
+    assert _verify_sha256(rows) == VERIFY_SHA256["frobenius-families"]
 
 
 def test_criterion_4_dual_oracles(corpus_groups):
@@ -81,6 +106,7 @@ def test_criterion_6_classifier_table():
     t0 = time.time()
     rows = suite_classifier()
     _report("criterion 6 (classifier table)", rows, time.time() - t0)
+    assert _verify_sha256(rows) == VERIFY_SHA256["classifier"]
 
 
 def test_criterion_7_documented_exclusions():

@@ -9,6 +9,23 @@ from gklab.frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, NotFrobenius,
                              match_frobenius_cut_family,
                              two_frobenius_decomposition)
 from gklab.groups import element_order
+from gklab.structure import fitting, fitting_series, is_cyclic, quotient
+
+
+def _reference_two_frobenius(G):
+    """The 2-Frobenius construction before it read the Fitting series:
+    F_1 = F(G), Q1 = G/F_1, F_2 the element preimage of Q1's Frobenius
+    kernel, top = Q1 / kernel.  Returns (F_1, F_2, top, kernel)."""
+    F1 = fitting(G)
+    Q1 = quotient(G, F1)
+    kernel = frobenius_decomposition(Q1).kernel
+    project = {}  # G -> value-least element of its coset of F_1
+    for g in G.sorted_elements():
+        if g not in project:
+            for x in F1.elements:
+                project[G.mult(g, x)] = g
+    f2 = frozenset(g for g in G.elements if project[g] in kernel.elements)
+    return F1.elements, f2, quotient(Q1, kernel), kernel
 
 
 class TestFrobenius:
@@ -65,6 +82,21 @@ class TestTwoFrobenius:
         assert dec.consistent
         assert gcd(dec.f2.order // dec.f1.order, G.order // dec.f2.order) == 1
         assert gcd(dec.f2.order // dec.f1.order, dec.f1.order) == 1
+
+    @pytest.mark.parametrize("name", ["twofrob.c", "twofrob.e", "twofrob.l",
+                                      "S4"])
+    def test_matches_reference_construction(self, name):
+        G = (catalog.sym(4) if name == "S4"
+             else catalog.catalog_entry(name).build())
+        dec = two_frobenius_decomposition(G)
+        f1, f2, top, kernel = _reference_two_frobenius(G)
+        assert dec.f1.elements == f1 and dec.f2.elements == f2
+        Q1, Q2 = fitting_series(G).quotients
+        assert Q2.order == top.order
+        assert frobenius_decomposition(Q1).kernel.order == kernel.order
+        assert dec.top_cyclic == is_cyclic(top)
+        assert dec.middle_cyclic_odd == (is_cyclic(kernel.as_group())
+                                         and kernel.order % 2 == 1)
 
     def test_s3_is_not(self, s3):
         assert is_frobenius(s3)

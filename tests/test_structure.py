@@ -4,8 +4,8 @@ from sympy import factorint
 
 from gklab import catalog
 from gklab import elements as el
-from gklab.groups import (closure_in, direct_product, element_order,
-                          order_map, small_generating_set)
+from gklab.groups import (closure_in, direct_product, element_ids,
+                          element_order, id_powers, small_generating_set)
 from gklab.primegraph import gk_graph, product_graph
 from gklab.structure import (NotSolvable, SubgroupHandle, centralizer,
                              class_predicates, conjugacy_classes, core_p,
@@ -133,7 +133,7 @@ class TestSylowDifferential:
 
 
 @pytest.fixture(scope="module")
-def order_map_groups():
+def order_groups():
     s4 = catalog.sym(4)
     dic12 = catalog.dicyclic12()
     return [
@@ -147,29 +147,31 @@ def order_map_groups():
 
 
 class TestOrderMap:
+    """Orders by id (``id_powers(G)[0]``) against ``element_order``."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_agrees_with_element_order(self, order_map_groups, data):
-        G = data.draw(st.sampled_from(order_map_groups))
-        g = data.draw(st.sampled_from(G.sorted_elements()))
-        assert order_map(G)[g] == element_order(G, g)
+    def test_agrees_with_element_order(self, order_groups, data):
+        G = data.draw(st.sampled_from(order_groups))
+        i = data.draw(st.integers(0, G.order - 1))
+        assert id_powers(G)[0][i] == element_order(G, G.sorted_elements()[i])
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_sylow_order_and_p_elements(self, order_map_groups, data):
-        G = data.draw(st.sampled_from(order_map_groups))
+    def test_sylow_order_and_p_elements(self, order_groups, data):
+        G = data.draw(st.sampled_from(order_groups))
         p = data.draw(st.sampled_from(sorted(factorint(G.order))))
         S = sylow(G, p)
         assert S.order == _p_part(G.order, p)
-        orders = order_map(G)
-        assert all(_p_part(orders[x], p) == orders[x] for x in S.elements)
+        orders = id_powers(G)[0]
+        assert all(_p_part(orders[i], p) == orders[i] for i in S.ids)
 
     def test_memoised_on_own_elements(self, s4):
-        orders = order_map(s4)
-        assert order_map(s4) is orders
-        assert set(orders) == set(s4.elements)
-        own = {id(g) for g in s4.elements}
-        assert all(id(g) in own for g in orders)
+        got = id_powers(s4)
+        assert id_powers(s4) is got
+        ids = element_ids(s4)
+        assert set(ids) == set(s4.elements) and len(got[0]) == s4.order
+        assert all(got[0][i] == element_order(s4, g) for g, i in ids.items())
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +241,10 @@ class TestQuotient:
         assert not is_abelian(Q)
 
     def test_trivial_quotients(self, s3):
-        whole = SubgroupHandle(s3, s3.elements, True)
+        whole = SubgroupHandle(s3, frozenset(range(s3.order)), True)
         assert quotient(s3, whole).order == 1
-        triv = SubgroupHandle(s3, frozenset({s3.identity}), True)
+        triv = SubgroupHandle(s3, frozenset({element_ids(s3)[s3.identity]}),
+                              True)
         assert quotient(s3, triv).order == 6
 
     def test_c7c6_mod_c7(self, c7c6):
