@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / all pass, 1 suite failure, 2 input error or an
 output file that cannot be written, 3 enumeration cap exceeded, 4 Frobenius
-complement search exhausted.
+complement search exhausted, 5 internal invariant failed
+(``structure.InvariantFailed``: a computation reached a state the theory
+rules out, such as a Sylow growth that stalls).
 Diagnostics go to stderr; machine output (JSON, DOT) goes to stdout or the
 requested file.
 """
@@ -25,7 +27,8 @@ from .groups import (CapExceeded, GroupHandle, direct_product,
 from .primegraph import (SOLVABLE_CUT, SOLVABLE_RATIONAL, classify, gk_graph,
                          parse_graph_literal, to_dot)
 from .rationality import rationality_report
-from .structure import class_predicates, fitting_series, sylow
+from .structure import (InvariantFailed, class_predicates, fitting_series,
+                        sylow)
 from .verify import SUITES
 
 
@@ -279,6 +282,9 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InvariantFailed as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 5
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,11 +43,6 @@ tests (:mod:`gklab.structure`) run on these int tables.  A direct product
 derives its tables from its factors' tables and a quotient from its
 parent's (see ``structure.quotient``), with no multiplication; every other
 group conjugates on ``id_mul``.  ``relabel`` keeps this structural record.
-
-``inverse_map`` (element -> inverse, keys and values G's own objects)
-inverts elements with ``G.inv``: it serves the normalizer-scan cut oracle,
-which multiplies elements and reads nothing of the id core, so that it stays
-independent of the class partition.
 """
 
 from __future__ import annotations
@@ -224,23 +219,6 @@ def element_order(G: GroupHandle, g: Element) -> int:
         h = G.mult(h, g)
         k += 1
     return k
-
-
-def inverse_map(G: GroupHandle) -> dict[Element, Element]:
-    """Element -> inverse for all of G, computed once per group and memoised.
-
-    Keys and values are G's own element objects: the map starts with all of
-    G.elements as keys, and ``d[G.inv(x)] = x`` assigns through an equal
-    key, so the fresh inverse is not retained.
-    """
-    inverses = G._memo.get("inverses")
-    if inverses is not None:
-        return inverses
-    inverses = dict.fromkeys(G.elements)
-    for x in G.elements:
-        inverses[G.inv(x)] = x
-    G._memo["inverses"] = inverses
-    return inverses
 
 
 def element_ids(G: GroupHandle) -> dict[Element, int]:

@@ -6,15 +6,19 @@ verdict:
 * :func:`is_cut_group` works entirely from the conjugacy class partition
   (g^m conjugate to g or g^-1 for every m coprime to |g|), read from its
   class power map rows (``ConjugacyData.powers``), not from element products;
-* :func:`cut_oracle_via_bg` scans N_G(<g>) element by element and inspects
-  the realized exponent subgroup of the unit group mod |g|.
+* :func:`cut_oracle_via_bg` computes B_G(g), the image of N_G(<g>) in
+  Aut(<g>) = U(|g|), and inspects that exponent subgroup.  It reads the
+  image by orbit-stabiliser (:func:`scanned_iota_exponents`): a BFS orbit of
+  <g> under conjugation by the generators, the exponents of its Schreier
+  generators, and their closure under multiplication mod |g|.
 
 Both must agree on every group; the test corpus enforces this.  The scan
 oracle takes the class representatives only as a list of elements that meets
-every conjugacy class.  It never reads class membership, the power map or
-the conjugation tables, and it conjugates with element products (``G.mult``
-and the group's ``inverse_map``), so a fault in the class partition or the
-tables cannot make the two oracles agree by accident.  Two lemmas let it scan less:
+every conjugacy class.  It never reads class membership, the power map, the
+id core or the conjugation tables; it conjugates with element products
+(``G.mult``, ``G.identity`` and ``G.inv`` of each generator), so a fault in
+the class partition or the tables cannot make the two oracles agree by
+accident.  Two lemmas let it scan less:
 
 * if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, the scanned exponent set
   contains 1 and is a subgroup of U(|g|), a group of order <= 2; it is
@@ -38,7 +42,7 @@ from math import gcd, lcm
 from sympy import isprime
 
 from .elements import Element
-from .groups import GroupHandle, NotMember, inverse_map
+from .groups import GroupHandle, NotMember
 from .structure import (ConjugacyData, centralizer, conjugacy_classes,
                         cyclic_subgroup_set, normalizer_of_cyclic)
 
@@ -148,29 +152,82 @@ def bg_order(G: GroupHandle, g: Element) -> int:
 def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
     """Image of iota_g computed from N_G(<g>) alone (no class partition).
 
-    Every x in G conjugates g as x^-1 (g x), with x^-1 read from the
-    group's inverse map.
+    Orbit-stabiliser in the conjugation action on cyclic subgroups (Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, ch. 4).  A BFS
+    over ``G.generators`` visits the orbit of <g>, one point per conjugate
+    subgroup.  Point P is held as h_P = t_P^-1 g t_P, where t_P is the
+    product of generators along the BFS tree, and each generator h_P^k of P
+    (k a unit mod n = |g|) is indexed under k, from one walk of <h_P>.  When
+    s^-1 h_P s is an indexed h_Q^k, the Schreier generator t_P s t_Q^-1
+    conjugates g to g^k.  By Schreier's lemma these generate N_G(<g>), so
+    the closure of their exponents under multiplication mod n, 1 included,
+    is the image.  h_P = h_P^1 is always indexed, so even g = 1 (a one-point
+    orbit) is found again and the BFS stops.
+
+    Cost: |G : N_G(<g>)| (n + 2 |gens|) element products.  Only
+    ``G.mult``, ``G.identity`` and the generators' ``G.inv`` are used,
+    never the class partition, the power map, the id core or the
+    conjugation tables, so the result stays independent of the
+    class-partition oracle.
     """
-    power_index = {G.identity: 0}
-    h = g
-    while h != G.identity:
-        power_index[h] = len(power_index)
-        h = G.mult(h, g)
-    n = len(power_index)
-    mult = G.mult
+    mult, identity = G.mult, G.identity
+
+    def powers(h: Element) -> list[Element]:
+        """[h, h^2, ..., h^|h| = 1]."""
+        out = [h]
+        while out[-1] != identity:
+            out.append(mult(out[-1], h))
+        return out
+
+    first = powers(g)
+    n = len(first)
+    units = _units(n)
+    index: dict[Element, int] = {}  # h_P^k -> k, over every point P
+
+    def add_point(hs: list[Element]) -> None:
+        for k in units:
+            index[hs[k - 1]] = k
+
+    add_point(first)
+    gens = [(s, G.inv(s)) for s in G.generators]
     exps = set()
-    for x, xi in inverse_map(G).items():
-        m = power_index.get(mult(xi, mult(g, x)))
-        if m is not None:
-            exps.add(m or n)
-    return frozenset(exps)
+    frontier = [g]
+    while frontier:
+        new = []
+        for h in frontier:
+            for s, si in gens:
+                x = mult(si, mult(h, s))
+                k = index.get(x)
+                if k is None:
+                    add_point(powers(x))
+                    new.append(x)
+                elif k != 1:  # 1 starts the closure (and 1 * 1 % 1 is 0)
+                    exps.add(k)
+        frontier = new
+    return frozenset(_closure_mod(exps, n))
+
+
+def _closure_mod(gens: set[int], n: int) -> set[int]:
+    """Subgroup of U(n) generated by gens: their products mod n, and 1."""
+    closed, frontier = {1}, [1]
+    while frontier:
+        new = []
+        for m in frontier:
+            for k in gens:
+                mk = m * k % n
+                if mk not in closed:
+                    closed.add(mk)
+                    new.append(mk)
+        frontier = new
+    return closed
 
 
 def cut_oracle_via_bg(G: GroupHandle) -> bool:
-    """Independent cut verdict via normalizer scans and exponent subgroups.
+    """Independent cut verdict via normalizer images and exponent subgroups.
 
-    Scans one generator of each cyclic subgroup <rep> with phi(|rep|) > 2
-    (see the module docstring for why the others need no scan).
+    Reads B_G(rep) for one generator of each cyclic subgroup <rep> with
+    phi(|rep|) > 2 (see the module docstring for why the others need no
+    scan).
     """
     seen = set()
     for rep in conjugacy_classes(G).representatives:

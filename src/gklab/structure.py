@@ -59,6 +59,10 @@ class NotSolvable(ValueError):
     pass
 
 
+class InvariantFailed(RuntimeError):
+    """A computation reached a state the theory rules out (a library bug)."""
+
+
 @dataclass(frozen=True)
 class ConjugacyData:
     classes: tuple[frozenset, ...]
@@ -213,7 +217,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
             if all(mul(xi, mul(s, x)) in members for s in gens):
                 break
         else:
-            raise RuntimeError(
+            raise InvariantFailed(
                 f"no p-element of {G.label} normalizes a p-subgroup of order "
                 f"{len(members)} < {p_part}")
         P.add(x)
@@ -245,12 +249,15 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
 
 
 def fitting(G: GroupHandle) -> SubgroupHandle:
-    """F(G): product of the O_p(G) over primes p dividing |G|."""
+    """F(G): product of the O_p(G) over primes p dividing |G|; memoised."""
+    if "fitting" in G._memo:
+        return G._memo["fitting"]
     F = Span(G)
     for p in sorted(factorint(G.order)):
         for x in core_p(G, p).ids:
             F.add(x)
-    return SubgroupHandle(G, frozenset(F.elements), True)
+    sub = G._memo["fitting"] = SubgroupHandle(G, frozenset(F.elements), True)
+    return sub
 
 
 def fitting_series(G: GroupHandle) -> FittingData:

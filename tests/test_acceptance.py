@@ -15,7 +15,8 @@ from gklab.groups import GroupHandle
 from gklab.rationality import cut_oracle_via_bg, is_cut_group
 from gklab.verify import (_check_group_invariants, _pair_sampling_row,
                           suite_classifier, suite_figure3,
-                          suite_frobenius_families, suite_twofrobenius)
+                          suite_frobenius_families, suite_invariants,
+                          suite_twofrobenius)
 
 
 def _report(criterion: str, rows, elapsed: float):
@@ -46,6 +47,10 @@ VERIFY_SHA256 = {
         "6b0f2369a719266d479a6ff450608b39dffbc77885ecf7a1e28e677faf486a71",
     "classifier":
         "d97db74b5fe87257902d639c63ffb836304ba0d65ff5cf6ae24ac90ba128bb95",
+    # ``gklab verify invariants --count 60``: every row rests on the
+    # normalizer-scan cut oracle
+    "invariants":
+        "a5d57471f22de27bde76745f00f3c1e599fd38ae4e6aa53437cfe4fecd863924",
 }
 
 
@@ -100,6 +105,11 @@ def test_criterion_5_lemma_invariants(corpus_groups):
         bad = _check_group_invariants(corpus_groups[label])
         rows.append((label, not bad, "; ".join(bad)))
     _report("criterion 5 (lemma invariant scan)", rows, time.time() - t0)
+
+
+def test_verify_invariants_pinned():
+    assert _verify_sha256(suite_invariants(1, 60, 2000)) == \
+        VERIFY_SHA256["invariants"]
 
 
 def test_criterion_6_classifier_table():

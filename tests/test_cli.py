@@ -6,6 +6,7 @@ import pytest
 from gklab import catalog, cli
 from gklab.cli import main
 from gklab.frobenius import SearchExhausted
+from gklab.structure import InvariantFailed
 
 SPEC = {
     "groups": {
@@ -78,6 +79,16 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "frobenius_kind", exhausted)
         assert main(["analyze", spec_path]) == 4
         assert "no complement found" in capsys.readouterr().err
+
+    def test_internal_invariant_failed(self, spec_path, monkeypatch, capsys):
+        def stalled(G, p):
+            raise InvariantFailed(f"no p-element of {G.label} normalizes")
+        monkeypatch.setattr(cli, "sylow", stalled)
+        assert main(["analyze", spec_path]) == 5
+        err = capsys.readouterr().err
+        assert "internal invariant failed" in err
+        assert "no p-element" in err
+        assert "Traceback" not in err
 
     def test_pinned_report_sha256(self, tmp_path, monkeypatch):
         # the analyze bytes of SPEC, pinned before generator words were dropped

@@ -11,8 +11,8 @@ from gklab.groups import (DEFAULT_CAP, ActionNotWellDefined, CapExceeded,
                           NotAnAutomorphism, NotMember, closure_in,
                           default_cap, direct_product, element_order,
                           element_orders_multiset, enumerate_group,
-                          extend_to_automorphism, inverse_map,
-                          semidirect_product, subgroup_as_group)
+                          extend_to_automorphism, semidirect_product,
+                          subgroup_as_group)
 from gklab.structure import core_p, derived_subgroup, quotient
 
 
@@ -197,28 +197,6 @@ class TestGeneratorsGenerate:
     @given(X=_built_groups())
     def test_closure_of_generators_is_the_group(self, X):
         assert closure_in(X, X.generators) == X.elements
-
-
-ENUMERATED = [catalog.sym(4), catalog.alt(4), catalog.dihedral(10),
-              catalog.sl2_3(), catalog.quaternion8(),
-              enumerate_group([el.mat(5, [[2, 0], [0, 3]]),
-                               el.mat(5, [[0, 1], [1, 0]])], "M")]
-
-
-class TestInverseMap:
-    @settings(max_examples=60, deadline=None)
-    @given(X=st.one_of(st.sampled_from(ENUMERATED), _built_groups()))
-    def test_inverses_on_own_elements(self, X):
-        inv = inverse_map(X)
-        assert len(inv) == X.order
-        own = {x: x for x in X.sorted_elements()}
-        for x, xi in inv.items():
-            assert X.mult(x, xi) == X.identity
-            assert inv[xi] == x
-            assert own[x] is x and own[xi] is xi
-
-    def test_memoised(self, s4):
-        assert inverse_map(s4) is inverse_map(s4)
 
 
 NOT_BIJECTIVE = "generator images do not induce a bijection"

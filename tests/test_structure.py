@@ -233,6 +233,20 @@ class TestFitting:
         assert F.normal
         assert is_nilpotent(F.as_group())
 
+    @pytest.mark.parametrize("build", [
+        lambda: catalog.sym(4), catalog.c7_c6, catalog.sl2_3,
+        catalog.quaternion8_times_c3, lambda: catalog.dihedral(12),
+        lambda: catalog.catalog_entry("twofrob.c").build(),
+    ])
+    def test_fitting_memoised_and_first_of_series(self, build):
+        G = build()
+        F = fitting(G)
+        assert fitting(G) is F
+        fs = fitting_series(G)
+        assert fs.solvable
+        assert fitting(G) is F
+        assert F == fs.series[1]
+
 
 class TestQuotient:
     def test_s4_mod_klein(self, s4):
