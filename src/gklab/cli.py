@@ -1,10 +1,11 @@
 """Command line surface: analyze, graph, verify, classify.
 
 Exit codes: 0 success / all pass, 1 suite failure, 2 input error or an
-output file that cannot be written, 3 enumeration cap exceeded, 4 Frobenius
-complement search exhausted, 5 internal invariant failed
-(``structure.InvariantFailed``: a computation reached a state the theory
-rules out, such as a Sylow growth that stalls).
+output file that cannot be written, 3 enumeration cap exceeded, 5 internal
+invariant failed (``structure.InvariantFailed``: a computation reached a
+state the theory rules out, such as a Sylow growth that stalls or a
+Frobenius kernel without a complement).  Code 4 (Frobenius complement search
+exhausted) is retired with that search and is not reused.
 Diagnostics go to stderr; machine output (JSON, DOT) goes to stdout or the
 requested file.
 """
@@ -20,7 +21,7 @@ from sympy import factorint
 from . import __version__
 from . import catalog as cat
 from . import elements as el
-from .frobenius import SearchExhausted, frobenius_kind
+from .frobenius import frobenius_kind
 from .groups import (CapExceeded, GroupHandle, direct_product,
                      element_orders_multiset, enumerate_group,
                      semidirect_product)
@@ -117,8 +118,12 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
 
 def _word(N: GroupHandle, indices) -> tuple:
     acc = N.identity
-    for i in indices:
-        acc = N.mult(acc, N.generators[int(i)])
+    last = len(N.generators) - 1
+    for i in map(int, indices):
+        if not 0 <= i <= last:
+            raise SpecError(f"generator index {i} is outside the valid range "
+                            f"0..{last}")
+        acc = N.mult(acc, N.generators[i])
     return acc
 
 
@@ -279,9 +284,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except InvariantFailed as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 5

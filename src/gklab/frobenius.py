@@ -1,11 +1,22 @@
 """Frobenius and 2-Frobenius structure of small solvable groups.
 
 A Frobenius group here is detected through its Fitting subgroup: the kernel
-of a Frobenius group is nilpotent and equals F(G), so the search never
-enumerates point stabilizers.  Complements are located via the unique
-involution when they have even order, and by a bounded generator search
-otherwise.  Kernels and complements are id sets (``SubgroupHandle.ids``),
-and commutation tests multiply element ids (``groups.id_mul``).  The
+of a Frobenius group is nilpotent and equals F(G), so no point stabilizer is
+enumerated.  Kernel and complement are read off the class data
+(``conjugacy_classes``) by two textbook facts (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, CRC 2005):
+
+* K = F(G) of index m prime to |K| is a normal Hall subgroup, so a subgroup
+  lies in K iff its order is prime to m.  K is a Frobenius kernel iff
+  C_G(k) <= K for every k != 1 in K, that is iff m divides the size of
+  every nontrivial class inside K.  No element is multiplied.
+* A Frobenius complement H has a nontrivial centre, and C_G(h) <= H for
+  h != 1 in H.  Every element outside K lies in a complement, so a class
+  outside K has exactly |K| elements iff its members are central in their
+  complement, and the centralizer of its representative, one pass over the
+  ids, is a complement.
+
+Kernels and complements are id sets (``SubgroupHandle.ids``).  The
 2-Frobenius test reads F_1, F_2, G/F_1 and G/F_2 from ``fitting_series``.
 """
 
@@ -17,11 +28,10 @@ from typing import Optional
 
 from sympy import factorint
 
-from .groups import (GroupHandle, Span, element_ids, element_orders_multiset,
-                     id_mul, id_powers)
-from .structure import (SubgroupHandle, conjugacy_classes, derived_subgroup,
-                        exponent, fitting, fitting_series, is_abelian,
-                        is_cyclic)
+from .groups import GroupHandle, element_ids, element_orders_multiset, id_mul
+from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
+                        derived_subgroup, exponent, fitting, fitting_series,
+                        is_abelian, is_cyclic)
 
 FROBENIUS = "frobenius"
 TWO_FROBENIUS = "2-frobenius"
@@ -30,10 +40,6 @@ NONE_KIND = "none"
 
 class NotFrobenius(ValueError):
     pass
-
-
-class SearchExhausted(RuntimeError):
-    """Kernel and partition checks passed but no complement was located."""
 
 
 @dataclass(frozen=True)
@@ -96,63 +102,31 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
 
 
 def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
-    """No element outside the kernel (ids ks) commutes with a nontrivial
-    kernel element.
-
-    The kernel is normal, so conjugacy classes lie inside or outside it and
-    class representatives suffice.
-    """
-    ids, mul = element_ids(G), id_mul(G)
+    """C_G(k) <= K for every k != 1 in the kernel K (ids ks): the index of K
+    divides every nontrivial class size inside K."""
+    ids = element_ids(G)
+    data = conjugacy_classes(G)
+    m = G.order // len(ks)
     nontrivial = ks - {ids[G.identity]}
-    outside = [r for r in map(ids.__getitem__,
-                              conjugacy_classes(G).representatives)
-               if r not in ks]
-    return all(mul(r, n) != mul(n, r) for r in outside for n in nontrivial)
+    return all(len(cls) % m == 0
+               for rep, cls in zip(data.representatives, data.classes)
+               if ids[rep] in nontrivial)
 
 
 def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
-    """Ids of a subgroup of order m meeting the kernel (ids ks) trivially.
-
-    Even m: a Frobenius complement has a unique, central involution t, so the
-    complement equals C_G(t) for any involution t outside the kernel.  Odd m:
-    bounded search over at most 3 generators of order dividing m.
-    """
-    orders = id_powers(G)[0]
-    if m % 2 == 0:
-        mul = id_mul(G)
-        for t in range(G.order):
-            if t in ks or orders[t] != 2:
-                continue
-            cent = [x for x in range(G.order) if mul(x, t) == mul(t, x)]
-            if len(cent) == m and len(ks.intersection(cent)) == 1:
-                return frozenset(cent)
-        raise SearchExhausted(f"no even-order complement found in {G.label}")
-    candidates = [i for i in range(G.order)
-                  if i not in ks and m % orders[i] == 0]
-
-    def extend(current: frozenset, gens: list, depth: int):
-        if len(current) == m:
-            return current
-        if depth == 0:
-            return None
-        for g in candidates:
-            if g in current:
-                continue
-            span = Span(G)
-            for x in gens + [g]:
-                span.add(x)
-            grown = frozenset(span.elements)
-            if m % len(grown) or len(grown & ks) != 1:
-                continue
-            got = extend(grown, gens + [g], depth - 1)
-            if got is not None:
-                return got
-        return None
-
-    got = extend(frozenset([element_ids(G)[G.identity]]), [], 3)
-    if got is None:
-        raise SearchExhausted(f"no complement of order {m} found in {G.label}")
-    return got
+    """Ids of a complement of order m: C_G(t) for the first class
+    representative t outside the kernel K (ids ks) whose class has |K|
+    elements.  InvariantFailed when there is none."""
+    ids, mul = element_ids(G), id_mul(G)
+    data = conjugacy_classes(G)
+    t = next((ids[rep] for rep, cls in zip(data.representatives, data.classes)
+              if len(cls) == len(ks) and ids[rep] not in ks), None)
+    if t is None:
+        raise InvariantFailed(f"no class of size {len(ks)} in {G.label}")
+    cent = frozenset(x for x in range(G.order) if mul(x, t) == mul(t, x))
+    if len(cent) != m or len(cent & ks) != 1:
+        raise InvariantFailed(f"no complement of order {m} in {G.label}")
+    return cent
 
 
 def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:

@@ -39,12 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from sympy import isprime
-
 from .elements import Element
 from .groups import GroupHandle, NotMember
-from .structure import (ConjugacyData, centralizer, conjugacy_classes,
-                        cyclic_subgroup_set, normalizer_of_cyclic)
+from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -52,10 +49,6 @@ NEITHER = "neither"
 
 
 class PreconditionNotCut(ValueError):
-    pass
-
-
-class NotApplicable(ValueError):
     pass
 
 
@@ -140,13 +133,6 @@ def is_rational_group(G: GroupHandle) -> bool:
 
 def is_cut_group(G: GroupHandle) -> bool:
     return rationality_report(G).is_cut
-
-
-def bg_order(G: GroupHandle, g: Element) -> int:
-    """|N_G(<g>)| / |C_G(g)| by exhaustive scans."""
-    if g not in G.elements:
-        raise NotMember(f"element not in {G.label}")
-    return normalizer_of_cyclic(G, g).order // centralizer(G, g).order
 
 
 def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
@@ -277,48 +263,3 @@ def _pair_inverse_semirational(a: tuple[int, frozenset[int]],
         return k % m in ig and k % n in ih
 
     return all(both(k) or both(L - k) for k in _units(L))
-
-
-def prime_power_criterion_check(G: GroupHandle, g: Element) -> bool:
-    """Consistency of the p^n / 2p^n criteria with the direct verdicts.
-
-    Applicable when |g| is p^n or 2p^n for an odd prime p; Aut(<g>) is then
-    cyclic of order p^(n-1)(p-1).
-    """
-    v = element_verdict(G, g)
-    n = v.order
-    p = _odd_prime_shape(n)
-    if p is None:
-        raise NotApplicable(f"|g| = {n} is not p^n or 2p^n for an odd prime p")
-    rational = v.verdict == RATIONAL
-    isr = v.verdict != NEITHER
-    pn1 = n // p if n % 2 else n // (2 * p)  # p^(n-1)
-    aut_order = pn1 * (p - 1)
-    orders = {_mult_order(m, n) for m in v.iota_exponents}
-    if p % 4 == 1:
-        ok = (rational == isr == (aut_order in orders))
-    else:
-        half = aut_order // 2
-        ok_isr = isr == (half <= v.bg_order) == (half in orders or aut_order in orders)
-        ok_rat = rational == (v.bg_order == aut_order) == (aut_order in orders)
-        ok = ok_isr and ok_rat
-    return ok
-
-
-def _odd_prime_shape(n: int):
-    """Odd prime p with n = p^k or 2 p^k, else None."""
-    m = n if n % 2 else n // 2
-    if m <= 1 or m % 2 == 0:
-        return None
-    p = min(f for f in range(3, m + 1) if m % f == 0 and isprime(f))
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
-
-
-def _mult_order(m: int, n: int) -> int:
-    k, x = 1, m % n
-    while x != 1:
-        x = x * m % n
-        k += 1
-    return k

@@ -23,14 +23,23 @@ element set is derived on first read.  Deliberate choices:
   parent's, and its conjugation tables come from its parent's through the
   projection, conjugating by the parent generator behind each quotient
   generator; no element is multiplied.
-* Conjugacy classes, O_p(G) and the normality test of ``quotient`` and the
-  predicates run on integer ids and per-generator conjugation tables
+* Conjugacy classes, O_p(G) and the normality test of ``quotient`` run on
+  integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids.  Class orders are row
   lengths, and the rationality verdicts read the rows.
+* The predicates read the rows and the class sizes (Holt, Eick & O'Brien,
+  *Handbook of Computational Group Theory*, CRC 2005).  A normal subgroup
+  is a union of classes, so <g> is normal iff the classes its row meets
+  hold |g| elements in all; the set of those classes then names <g>.  For
+  a cyclic normal N, the order of gN in G/N is the least k >= 1 with g^k
+  in N, a class function, so whether G/N is cyclic is read from the rows.
+  Supersolvability passes to quotients and to extensions by a normal
+  subgroup of prime order, so any normal subgroup of prime order decides
+  it: the test descends through the first one, never backtracking.
 * ``centralizer`` and ``normalizer_of_cyclic`` scan elements and test
   normality by element products.  Nothing in the library calls them; they
   are kept as references for the tests, and because the benchmark's tracer
@@ -403,30 +412,43 @@ def exponent(G: GroupHandle) -> int:
     return lcm(*map(len, conjugacy_classes(G).powers))
 
 
-def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
-    """Normal subgroups <g> (one per generated subgroup), via class reps."""
+def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
+    """(rep, power-map row) for one generator of each nontrivial normal
+    cyclic subgroup <rep>, named by the set of classes its row meets."""
     data = conjugacy_classes(G)
-    ids, mul = element_ids(G), id_mul(G)
-    e = ids[G.identity]
+    sizes = list(map(len, data.classes))
     seen = set()
     for rep, row in zip(data.representatives, data.powers):
         n = len(row)
-        if n == 1 or prime_order_only and not isprime(n):
+        cs = frozenset(row)
+        if n == 1 or prime_order_only and not isprime(n) or cs in seen:
             continue
-        cyc = frozenset(_power_walk(mul, e, ids[rep]))
-        if cyc in seen:
-            continue
-        seen.add(cyc)
-        if _is_normal(G, cyc):
-            yield SubgroupHandle(G, cyc, True)
+        seen.add(cs)
+        if sum(map(sizes.__getitem__, cs)) == n:
+            yield rep, row
+
+
+def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
+    """Normal subgroups <g> (one per generated subgroup), walked on ids."""
+    ids, mul = element_ids(G), id_mul(G)
+    e = ids[G.identity]
+    for rep, _ in _normal_cyclic_rows(G, prime_order_only):
+        yield SubgroupHandle(G, frozenset(_power_walk(mul, e, ids[rep])), True)
 
 
 def is_metacyclic(G: GroupHandle) -> bool:
+    """Some cyclic normal N, the union of the classes in cs, has an element
+    gN of order |G : N| in G/N; no quotient is built."""
     if is_cyclic(G):
         return True
-    for N in _cyclic_normal_subgroups(G):
-        if is_cyclic(quotient(G, N)):
-            return True
+    rows = conjugacy_classes(G).powers
+    for _, nrow in _normal_cyclic_rows(G):
+        cs = set(nrow)
+        index = G.order // len(nrow)
+        for row in rows:
+            n = len(row)
+            if next(k for k in range(1, n + 1) if row[k % n] in cs) == index:
+                return True
     return False
 
 
@@ -436,15 +458,14 @@ def is_metabelian(G: GroupHandle) -> bool:
 
 
 def is_supersolvable(G: GroupHandle) -> bool:
-    """Backtracking search for a G-invariant series with cyclic prime factors."""
+    """Descent through the first normal subgroup of prime order, with no
+    backtracking."""
     if G.order == 1:
         return True
-    for N in _cyclic_normal_subgroups(G, prime_order_only=True):
-        if N.order == G.order:
-            return True
-        if is_supersolvable(quotient(G, N)):
-            return True
-    return False
+    N = next(_cyclic_normal_subgroups(G, prime_order_only=True), None)
+    if N is None:
+        return False
+    return N.order == G.order or is_supersolvable(quotient(G, N))
 
 
 def class_predicates(G: GroupHandle) -> dict[str, bool]:

@@ -5,7 +5,6 @@ import pytest
 
 from gklab import catalog, cli
 from gklab.cli import main
-from gklab.frobenius import SearchExhausted
 from gklab.structure import InvariantFailed
 
 SPEC = {
@@ -73,13 +72,6 @@ class TestAnalyze:
         assert main(["analyze", spec_path]) == 2
         assert "GKLAB_MAX_ORDER" in capsys.readouterr().err
 
-    def test_search_exhausted(self, spec_path, monkeypatch, capsys):
-        def exhausted(G):
-            raise SearchExhausted(f"no complement found in {G.label}")
-        monkeypatch.setattr(cli, "frobenius_kind", exhausted)
-        assert main(["analyze", spec_path]) == 4
-        assert "no complement found" in capsys.readouterr().err
-
     def test_internal_invariant_failed(self, spec_path, monkeypatch, capsys):
         def stalled(G, p):
             raise InvariantFailed(f"no p-element of {G.label} normalizes")
@@ -140,6 +132,19 @@ class TestAnalyze:
         for name, build in catalog.BUILTINS.items():
             assert build is getattr(catalog, name)
             assert build(*args.get(name, [])).order > 1
+
+    @pytest.mark.parametrize("word", [[0, -1], [0, 1]])
+    def test_generator_index_out_of_range(self, tmp_path, capsys, word):
+        # C3 has one generator, so 0 is the only valid index
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps({"groups": {
+            "k": {"type": "builtin", "name": "cyclic", "args": [3]},
+            "c2": {"type": "builtin", "name": "cyclic", "args": [2]},
+            "sd": {"type": "semidirect", "kernel": "k", "acting": "c2",
+                   "action_images": [[word]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"generator index {word[1]} is outside the valid range 0..0" in err
 
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"

@@ -1,23 +1,32 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import isprime
 
 from gklab import catalog
 from gklab.groups import NotMember, direct_product, element_order
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
-                               NotApplicable, PreconditionNotCut, bg_order,
-                               class_iota_exponents, cut_oracle_via_bg,
-                               element_verdict, is_cut_group,
-                               is_rational_group,
-                               prime_power_criterion_check, product_cut_predicate,
-                               rationality_report, scanned_iota_exponents)
+                               PreconditionNotCut, class_iota_exponents,
+                               cut_oracle_via_bg, element_verdict,
+                               is_cut_group, is_rational_group,
+                               product_cut_predicate, rationality_report,
+                               scanned_iota_exponents)
+from gklab.structure import (centralizer, conjugacy_classes,
+                             normalizer_of_cyclic)
 
 
 def order_rep(G, n):
-    from gklab.structure import conjugacy_classes
     for rep in conjugacy_classes(G).representatives:
         if element_order(G, rep) == n:
             return rep
     raise AssertionError(f"no element of order {n}")
+
+
+def bg_order(G, g):
+    """|B_G(g)| from the verdict, checked against the element scans
+    |N_G(<g>)| / |C_G(g)|."""
+    got = element_verdict(G, g).bg_order
+    assert got == normalizer_of_cyclic(G, g).order // centralizer(G, g).order
+    return got
 
 
 class TestBgOrder:
@@ -32,7 +41,7 @@ class TestBgOrder:
         assert bg_order(s3, s3.identity) == 1
 
     def test_not_member(self, s3, seven_cycle):
-        for f in (bg_order, element_verdict, class_iota_exponents):
+        for f in (element_verdict, class_iota_exponents):
             with pytest.raises(NotMember):
                 f(s3, seven_cycle)
 
@@ -52,7 +61,6 @@ class TestElementVerdicts:
         assert element_verdict(c5, g).verdict == NEITHER
 
     def test_verdict_constant_on_class(self, s4):
-        from gklab.structure import conjugacy_classes
         data = conjugacy_classes(s4)
         for rep, cls in zip(data.representatives, data.classes):
             v = element_verdict(s4, rep).verdict
@@ -148,6 +156,54 @@ def cut_corpus():
     return {label: G for label, G in groups.items() if is_cut_group(G)}
 
 
+class NotApplicable(ValueError):
+    pass
+
+
+def prime_power_criterion_check(G, g) -> bool:
+    """Consistency of the paper's p^n / 2p^n criteria with the direct
+    verdicts.
+
+    Applicable when |g| is p^n or 2p^n for an odd prime p; Aut(<g>) is then
+    cyclic of order p^(n-1)(p-1).
+    """
+    v = element_verdict(G, g)
+    n = v.order
+    p = _odd_prime_shape(n)
+    if p is None:
+        raise NotApplicable(f"|g| = {n} is not p^n or 2p^n for an odd prime p")
+    rational = v.verdict == RATIONAL
+    isr = v.verdict != NEITHER
+    pn1 = n // p if n % 2 else n // (2 * p)  # p^(n-1)
+    aut_order = pn1 * (p - 1)
+    orders = {_mult_order(m, n) for m in v.iota_exponents}
+    if p % 4 == 1:
+        return rational == isr == (aut_order in orders)
+    half = aut_order // 2
+    ok_isr = isr == (half <= v.bg_order) == (half in orders or aut_order in orders)
+    ok_rat = rational == (v.bg_order == aut_order) == (aut_order in orders)
+    return ok_isr and ok_rat
+
+
+def _odd_prime_shape(n: int):
+    """Odd prime p with n = p^k or 2 p^k, else None."""
+    m = n if n % 2 else n // 2
+    if m <= 1 or m % 2 == 0:
+        return None
+    p = min(f for f in range(3, m + 1) if m % f == 0 and isprime(f))
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else None
+
+
+def _mult_order(m: int, n: int) -> int:
+    k, x = 1, m % n
+    while x != 1:
+        x = x * m % n
+        k += 1
+    return k
+
+
 class TestPrimePowerCriterion:
     def test_order_5_branch(self):
         G = catalog.catalog_entry("fig3.e").build()
@@ -165,3 +221,13 @@ class TestPrimePowerCriterion:
 
     def test_neither_case_consistent(self, c5):
         assert prime_power_criterion_check(c5, c5.generators[0])
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog.catalog()
+                                      if e.name.startswith("fig3.")
+                                      and e.order <= 1200])
+    def test_every_class_of_figure_3(self, name):
+        G = catalog.catalog_entry(name).build()
+        reps = [rep for rep in conjugacy_classes(G).representatives
+                if _odd_prime_shape(element_order(G, rep))]
+        for rep in reps:
+            assert prime_power_criterion_check(G, rep)
