@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 
-from sympy import factorint
-
 from . import __version__
 from . import catalog as cat
 from . import elements as el
@@ -25,6 +23,7 @@ from .frobenius import frobenius_kind
 from .groups import (CapExceeded, GroupHandle, direct_product,
                      element_orders_multiset, enumerate_group,
                      semidirect_product)
+from .numtheory import factorint
 from .primegraph import (SOLVABLE_CUT, SOLVABLE_RATIONAL, classify, gk_graph,
                          parse_graph_literal, to_dot)
 from .rationality import rationality_report
@@ -73,19 +72,21 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
     kind = recipe["type"]
     try:
         if kind == "perm":
-            degree = int(recipe["degree"])
+            degree = _ints(name, "degree", recipe["degree"])
             gens = [el.perm_from_cycles(degree, cycles)
-                    for cycles in recipe["gens"]]
+                    for cycles in _ints(name, "gens", recipe["gens"], depth=3)]
             return enumerate_group(gens, name)
         if kind == "matgrp":
-            p = int(recipe["p"])
-            gens = [el.mat(p, rows) for rows in recipe["gens"]]
+            p = _ints(name, "p", recipe["p"])
+            gens = [el.mat(p, rows)
+                    for rows in _ints(name, "gens", recipe["gens"], depth=3)]
             return enumerate_group(gens, name)
         if kind == "builtin":
             fn = cat.BUILTINS.get(recipe["name"])
             if fn is None:
                 raise SpecError(f"unknown builtin {recipe['name']!r}")
-            return fn(*recipe.get("args", [])).relabel(name)
+            args = _ints(name, "args", recipe.get("args", []), depth=1)
+            return fn(*args).relabel(name)
         if kind == "catalog":
             return cat.catalog_entry(recipe["name"]).build().relabel(name)
         if kind == "direct":
@@ -100,12 +101,14 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             N = resolve(recipe["kernel"])
             H = resolve(recipe["acting"])
             if "action_matrices" in recipe:
-                p = int(recipe["p"])
-                mats = [el.mat(p, rows) for rows in recipe["action_matrices"]]
-                action = cat.matrix_action(N, mats)
+                p = _ints(name, "p", recipe["p"])
+                rows = _ints(name, "action_matrices",
+                             recipe["action_matrices"], depth=3)
+                action = cat.matrix_action(N, [el.mat(p, r) for r in rows])
             else:
-                action = [[_word(N, w) for w in images]
-                          for images in recipe["action_images"]]
+                words = _ints(name, "action_images", recipe["action_images"],
+                              depth=3)
+                action = [[_word(N, w) for w in images] for images in words]
             return semidirect_product(N, H, action, name)
     except SpecError:
         raise
@@ -116,10 +119,26 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
     raise SpecError(f"unknown recipe type {kind!r}")
 
 
+def _ints(name: str, field: str, value, depth: int = 0):
+    """A recipe field's value as JSON integers nested ``depth`` lists deep.
+
+    Bools, floats and strings are refused rather than read as integers.
+    """
+    if depth:
+        if not isinstance(value, list):
+            raise SpecError(f"bad recipe {name!r}: {field} needs a list, "
+                            f"got {json.dumps(value)}")
+        return [_ints(name, field, v, depth - 1) for v in value]
+    if type(value) is not int:
+        raise SpecError(f"bad recipe {name!r}: {field} needs a JSON integer, "
+                        f"got {json.dumps(value)}")
+    return value
+
+
 def _word(N: GroupHandle, indices) -> tuple:
     acc = N.identity
     last = len(N.generators) - 1
-    for i in map(int, indices):
+    for i in indices:
         if not 0 <= i <= last:
             raise SpecError(f"generator index {i} is outside the valid range "
                             f"0..{last}")

@@ -14,7 +14,7 @@ handles the context-free kinds.
 
 from __future__ import annotations
 
-from sympy import isprime
+from .numtheory import isprime
 
 Element = tuple
 
@@ -42,6 +42,8 @@ def perm_from_cycles(n: int, cycles) -> Element:
         pts = [c - 1 for c in cyc]
         if any(not 0 <= p < n for p in pts):
             raise ValueError(f"cycle point out of range 1..{n}: {cyc}")
+        if len(set(pts)) != len(pts):
+            raise ValueError(f"cycle repeats a point: {cyc}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
     return perm(images)

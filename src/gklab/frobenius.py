@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from sympy import factorint
-
 from .groups import GroupHandle, element_ids, element_orders_multiset, id_mul
+from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
                         is_abelian, is_cyclic)

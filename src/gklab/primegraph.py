@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from sympy import isprime
-
 from .groups import GroupHandle, element_orders_multiset
+from .numtheory import isprime
 
 SOLVABLE_CUT = "solvable-cut"
 SOLVABLE_RATIONAL = "solvable-rational"

@@ -52,12 +52,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from sympy import factorint, isprime
-
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
                      element_ids, id_mul, id_powers, id_set, induced_mul,
                      small_generating_set, subgroup_view)
+from .numtheory import factorint, isprime
 
 
 class NotNormal(ValueError):

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import random
 
-from sympy import factorint
-
 from . import catalog as cat
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, fingerprint,
                         frobenius_kind)
 from .groups import GroupHandle, direct_product, element_orders_multiset
+from .numtheory import factorint
 from .primegraph import (CUT_OPEN, CUT_REALIZED, FORBIDDEN, OPEN,
                          RATIONAL_OPEN, RATIONAL_REALIZED, REALIZED,
                          SOLVABLE_CUT, SOLVABLE_RATIONAL, classify,

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gklab
 from gklab import catalog, cli
 from gklab.cli import main
 from gklab.structure import InvariantFailed
@@ -20,6 +24,9 @@ SPEC = {
         "k": {"type": "builtin", "name": "cyclic", "args": [3]},
     }
 }
+# the analyze bytes of SPEC, pinned before generator words were dropped
+SPEC_REPORT_SHA256 = \
+    "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
 
 
 @pytest.fixture
@@ -83,14 +90,12 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     def test_pinned_report_sha256(self, tmp_path, monkeypatch):
-        # the analyze bytes of SPEC, pinned before generator words were dropped
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text(json.dumps(SPEC))
         report = cli.analysis_report(cli.load_spec("spec.json"),
                                      {"spec": "spec.json"})
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
+        assert hashlib.sha256(text.encode()).hexdigest() == SPEC_REPORT_SHA256
 
     def test_unwritable_output(self, spec_path, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"
@@ -146,6 +151,51 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"generator index {word[1]} is outside the valid range 0..0" in err
 
+    @pytest.mark.parametrize("recipe, field, shown", [
+        ({"type": "perm", "degree": 3.5, "gens": [[[1, 2]]]}, "degree", "3.5"),
+        ({"type": "perm", "degree": "3", "gens": [[[1, 2]]]}, "degree",
+         '"3"'),
+        ({"type": "perm", "degree": 3, "gens": [[[True, 2]]]}, "gens", "true"),
+        ({"type": "perm", "degree": 3, "gens": [[1, 2]]}, "gens", "1"),
+        ({"type": "matgrp", "p": 3.0, "gens": [[[1, 1], [0, 1]]]}, "p",
+         "3.0"),
+        ({"type": "matgrp", "p": 3, "gens": [[[1, 0.5], [0, 1]]]}, "gens",
+         "0.5"),
+        ({"type": "builtin", "name": "cyclic", "args": [2.0]}, "args", "2.0"),
+        ({"type": "semidirect", "kernel": "k", "acting": "k",
+          "action_images": [[[0, 0.9]]]}, "action_images", "0.9"),
+        ({"type": "semidirect", "kernel": "k", "acting": "k", "p": False,
+          "action_matrices": [[[1]]]}, "p", "false"),
+    ])
+    def test_integer_fields_take_json_integers_only(self, tmp_path, capsys,
+                                                    recipe, field, shown):
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"groups": {
+            "g": recipe, "k": {"type": "builtin", "name": "cyclic",
+                               "args": [3]}}}))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad recipe 'g': {field} needs a")
+        assert err.rstrip().endswith(f"got {shown}")
+
+    def test_cycle_repeating_a_point(self, tmp_path, capsys):
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"groups": {
+            "g": {"type": "perm", "degree": 3, "gens": [[[1, 1]]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: bad recipe 'g': cycle repeats a point: [1, 1]\n"
+
+    @pytest.mark.parametrize("p", [10**24 + 7, 10**40])
+    def test_modulus_beyond_primality_bound(self, tmp_path, capsys, p):
+        path = tmp_path / "bigp.json"
+        path.write_text(json.dumps({"groups": {
+            "m": {"type": "matgrp", "p": p, "gens": [[[1, 1], [0, 1]]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad recipe 'm': cannot decide whether "
+                              f"{p} is prime")
+
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"
         path.write_text(json.dumps({"groups": {
@@ -198,3 +248,49 @@ class TestVerifyAndClassify:
 
     def test_classify_parse_error(self):
         assert main(["classify", "4-6", "--class", "cut"]) == 2
+
+    @pytest.mark.parametrize("literal", ["2-1000000000000000000000007",
+                                         "2,3," + "9" * 30])
+    def test_classify_vertex_beyond_primality_bound(self, capsys, literal):
+        assert main(["classify", literal, "--class", "cut"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot decide")
+
+
+BLOCK_SYMPY = 'raise ImportError("sympy is blocked for this test")\n'
+
+
+def _gklab(argv, pythonpath, cwd):
+    code = "import sys; from gklab.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env={"PYTHONPATH": pythonpath,
+                               "PYTHONHASHSEED": "0"},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNoSympyAtRunTime:
+    def test_cli_runs_with_sympy_blocked(self, tmp_path, capsys):
+        (tmp_path / "block" / "sympy").mkdir(parents=True)
+        (tmp_path / "block" / "sympy" / "__init__.py").write_text(BLOCK_SYMPY)
+        src = str(Path(gklab.__file__).resolve().parents[1])
+        blocked = f"{tmp_path / 'block'}:{src}"
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+        runs = [["analyze", "spec.json"], ["verify", "figure3"],
+                ["classify", "2-3,2-5", "--class", "cut"]]
+        outputs = []
+        for argv in runs:
+            proc = _gklab(argv, blocked, tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            outputs.append(proc.stdout)
+        assert hashlib.sha256(outputs[0].encode()).hexdigest() == \
+            SPEC_REPORT_SHA256
+        for argv, out in zip(runs[1:], outputs[1:]):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+
+    def test_import_loads_no_sympy(self):
+        src = str(Path(gklab.__file__).resolve().parents[1])
+        code = "import sys, gklab; print('sympy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

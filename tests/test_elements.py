@@ -21,6 +21,11 @@ class TestPerm:
         with pytest.raises(ValueError):
             el.perm_from_cycles(3, [[3, 4]])
 
+    @pytest.mark.parametrize("cycles", [[[1, 1]], [[1, 2, 1]], [[2, 3, 3]]])
+    def test_cycle_repeating_a_point(self, cycles):
+        with pytest.raises(ValueError, match="repeats a point"):
+            el.perm_from_cycles(3, cycles)
+
     @given(random_perm(6))
     def test_cycle_roundtrip(self, g):
         assert el.perm_from_cycles(6, el.perm_to_cycles(g)) == g
