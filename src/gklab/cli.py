@@ -13,6 +13,7 @@ requested file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -86,6 +87,16 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             if fn is None:
                 raise SpecError(f"unknown builtin {recipe['name']!r}")
             args = _ints(name, "args", recipe.get("args", []), depth=1)
+            sig = inspect.signature(fn)
+            try:
+                sig.bind(*args)
+            except TypeError:
+                n = len(sig.parameters)
+                names = f" ({', '.join(sig.parameters)})" if n else ""
+                raise SpecError(
+                    f"bad recipe {name!r}: builtin {recipe['name']!r} takes "
+                    f"{n} argument{'s' * (n != 1)}{names}, "
+                    f"got {len(args)}") from None
             return fn(*args).relabel(name)
         if kind == "catalog":
             return cat.catalog_entry(recipe["name"]).build().relabel(name)

@@ -18,7 +18,10 @@ lazily and memoised, the way the group was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   sorted order is the nested loop over the factors' sorted orders) and
-  multiplies componentwise on the factors' ids;
+  multiplies componentwise on the factors' ids.  It records its factors
+  (``_memo["factors"]``) and reads its orders and inverses (``id_powers``)
+  and its conjugacy classes (``structure.conjugacy_classes``) off theirs,
+  with no multiplication;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action;
@@ -30,7 +33,7 @@ lazily and memoised, the way the group was built:
   from the generators' right-multiplication rows.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
-3% of the benchmark workloads' ``peak_rss_mb`` (63-70 MB), whose bound is
+5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
 15%; a corpus pass keeps the tables of all its groups alive at once.  No
 |G|^2 structure exists above the bound.  ``id_powers`` walks each cyclic
 subgroup once on ids and gives every id's order and inverse; ``Span`` grows a
@@ -50,7 +53,7 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -59,7 +62,8 @@ from .elements import Element, IncompatibleKinds
 
 DEFAULT_CAP = 1 << 20
 # Enumerated groups and subgroup views of at most this order tabulate their
-# id multiplication: 2-byte ids, 2 MB at the bound (module docstring).
+# id multiplication: 2-byte ids, 2 MB at the bound, 5-7% of a benchmark
+# workload's peak RSS (module docstring).
 TABLE_BOUND = 1024
 
 
@@ -137,12 +141,14 @@ class GroupHandle:
     def relabel(self, label: str) -> "GroupHandle":
         """The same group under a new label.
 
-        The structural record (the sorted order and where the conjugation
-        tables come from) carries over; nothing that depends on the label does.
+        The structural record (the sorted order, the factors of a direct
+        product, and where the ids and conjugation tables come from) carries
+        over; nothing that depends on the label does.
         """
         G = GroupHandle(label, self.generators, self.elements, self.identity,
                         self.mult, self.inv)
-        for key in ("sorted", "tables_from", "id_mul_from", "id_base_from"):
+        for key in ("sorted", "factors", "tables_from", "id_mul_from",
+                    "id_base_from"):
             if key in self._memo:
                 G._memo[key] = self._memo[key]
         return G
@@ -293,11 +299,17 @@ def induced_mul(mul, out, into) -> Callable[[int, int], int]:
 def id_powers(G: GroupHandle) -> tuple[array, array]:
     """(orders, inverses), both indexed by id; memoised.
 
-    Each id not yet seen starts a walk over its cyclic subgroup g, g^2, ...,
-    g^n = 1 on ``id_mul``: g^k gets order n / gcd(k, n) and inverse g^(n-k).
+    A direct product reads them off its factors' (``_product_powers``).  In
+    any other group each id not yet seen starts a walk over its cyclic
+    subgroup g, g^2, ..., g^n = 1 on ``id_mul``: g^k gets order n / gcd(k, n)
+    and inverse g^(n-k).
     """
     got = G._memo.get("id_powers")
     if got is not None:
+        return got
+    factors = G._memo.get("factors")
+    if factors is not None:
+        got = G._memo["id_powers"] = _product_powers(*factors)
         return got
     mul = id_mul(G)
     e = element_ids(G)[G.identity]
@@ -318,6 +330,15 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
             inverses[x] = powers[n - k - 1]
     got = G._memo["id_powers"] = (orders, inverses)
     return got
+
+
+def _product_powers(G: GroupHandle, H: GroupHandle) -> tuple[array, array]:
+    """id_powers of G x H: (x_i, y_j) has order lcm(|x_i|, |y_j|) and
+    inverse (x_i^-1, y_j^-1)."""
+    (og, ig), (oh, ih) = id_powers(G), id_powers(H)
+    m = H.order
+    return (array("I", [lcm(a, b) for a in og for b in oh]),
+            array("I", [a * m + b for a in ig for b in ih]))
 
 
 class Span:
@@ -426,6 +447,7 @@ def direct_product(G: GroupHandle, H: GroupHandle,
     P = GroupHandle(f"{G.label} x {H.label}", gens, frozenset(ordered),
                     identity, mult, inv)
     P._memo["sorted"] = ordered
+    P._memo["factors"] = (G, H)
     P._memo["tables_from"] = lambda: _product_tables(G, H)
     P._memo["id_mul_from"] = lambda: _pair_mul(G, H, None)
     return P

@@ -31,6 +31,12 @@ element set is derived on first read.  Deliberate choices:
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids.  Class orders are row
   lengths, and the rationality verdicts read the rows.
+* A direct product G x H multiplies nothing for its classes or its rows.
+  Its classes are the products C x D of the factors' classes, and the class
+  of (g, h)^k is the pair of the classes of g^k and h^k, so both are read
+  off the factors' memoised class data (``_product_classes``), recursing
+  through nested products.  ``groups.id_powers`` does the same for orders
+  and inverses.
 * The predicates read the rows and the class sizes (Holt, Eick & O'Brien,
   *Handbook of Computational Group Theory*, CRC 2005).  A normal subgroup
   is a union of classes, so <g> is normal iff the classes its row meets
@@ -111,10 +117,18 @@ class FittingData:
 
 
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
-    """Class partition by orbit closure on the conjugation tables, and the
-    class power map."""
+    """Class partition and class power map; memoised.
+
+    A direct product reads them off its factors' (``_product_classes``);
+    any other group closes orbits on its conjugation tables and walks each
+    representative's powers on ids.
+    """
     if "conjugacy" in G._memo:
         return G._memo["conjugacy"]
+    factors = G._memo.get("factors")
+    if factors is not None:
+        data = G._memo["conjugacy"] = _product_classes(G, *factors)
+        return data
     srt = G.sorted_elements()
     tables = conjugation_tables(G)
     cids = [-1] * len(srt)
@@ -142,6 +156,34 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                          tuple(map(srt.__getitem__, reps)), tuple(powers))
     G._memo["conjugacy"] = data
     return data
+
+
+def _product_classes(P: GroupHandle, G: GroupHandle,
+                     H: GroupHandle) -> ConjugacyData:
+    """Classes of P = G x H: C_a x D_b for classes C_a of G and D_b of H,
+    numbered a*k(H) + b.  That keeps them ordered by least id, i*|H| + j for
+    the least ids i of C_a and j of D_b.  The class of (g, h)^k is that of
+    (g^k, h^k), so row (a, b) pairs the factor rows for lcm(|g|, |h|) steps.
+    """
+    dg, dh = conjugacy_classes(G), conjugacy_classes(H)
+    kh = len(dh.classes)
+    cg = [dg.class_index[x] * kh for x in G.sorted_elements()]
+    ch = list(map(dh.class_index.__getitem__, H.sorted_elements()))
+    cids = [a + b for a in cg for b in ch]
+    srt = P.sorted_elements()
+    members = [[] for _ in range(len(dg.classes) * kh)]
+    for x, c in zip(srt, cids):
+        members[c].append(x)
+    powers = []
+    for ra in dg.powers:
+        ra = [a * kh for a in ra]
+        na = len(ra)
+        for rb in dh.powers:
+            nb = len(rb)
+            powers.append(tuple(ra[k % na] + rb[k % nb]
+                                for k in range(lcm(na, nb))))
+    return ConjugacyData(tuple(map(frozenset, members)), dict(zip(srt, cids)),
+                         tuple(m[0] for m in members), tuple(powers))
 
 
 def _power_walk(mul, e: int, g: int) -> list[int]:

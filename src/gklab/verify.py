@@ -228,15 +228,20 @@ def suite_invariants(seed: int = 1, count: int = 200,
     return rows
 
 
-def _pair_sampling_row(seed: int, distinct: dict[str, GroupHandle],
-                       want: int = 50, product_cap: int = 50000) -> Row:
-    """product_cut_predicate vs the direct check, and the product-graph law."""
+def _sampled_pairs(seed: int, distinct: dict[str, GroupHandle],
+                   want: int = 50, product_cap: int = 50000) -> list:
+    """Up to want pairs (a, b) of cut groups, a at or before b in label order,
+    with |a||b| <= product_cap, drawn by seed."""
     cut_groups = [distinct[label] for label in sorted(distinct)
                   if is_cut_group(distinct[label])]
     pairs = [(a, b) for i, a in enumerate(cut_groups)
              for b in cut_groups[i:] if a.order * b.order <= product_cap]
-    rng = random.Random(seed)
-    sample = rng.sample(pairs, min(want, len(pairs)))
+    return random.Random(seed).sample(pairs, min(want, len(pairs)))
+
+
+def _pair_sampling_row(seed: int, distinct: dict[str, GroupHandle]) -> Row:
+    """product_cut_predicate vs the direct check, and the product-graph law."""
+    sample = _sampled_pairs(seed, distinct)
     bad = 0
     for a, b in sample:
         prod = direct_product(a, b)

@@ -128,6 +128,20 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert f"unknown builtin {name!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("builtin, args, expected", [
+        ("cyclic", [2, 3], "takes 1 argument (n), got 2"),
+        ("cyclic", [], "takes 1 argument (n), got 0"),
+        ("elem_abelian", [2], "takes 2 arguments (p, rank), got 1"),
+        ("quaternion8", [1], "takes 0 arguments, got 1"),
+    ])
+    def test_builtin_arity(self, tmp_path, capsys, builtin, args, expected):
+        path = tmp_path / "arity.json"
+        path.write_text(json.dumps({"groups": {
+            "x": {"type": "builtin", "name": builtin, "args": args}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad recipe 'x': builtin {builtin!r} {expected}\n"
+
     def test_every_builtin_builds(self):
         args = {"cyclic": [4], "elem_abelian": [2, 2], "dihedral": [6],
                 "sym": [3], "alt": [4]}

@@ -1,0 +1,138 @@
+"""Direct products read their class data and id powers off their factors.
+
+``structure.conjugacy_classes`` and ``groups.id_powers`` derive a direct
+product's classes, power map, element orders and inverses from its factors'
+memoised data, with no multiplication.  The reference is the orbit and walk
+path every other group runs, taken on a copy of the product without its
+factor record.  The pairs are the ones the `verify invariants` product pair
+row samples, so that row's cut verdicts and prime graphs, now read off the
+factors, stay checked against an independent computation of each product.
+"""
+
+import functools
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gklab import catalog
+from gklab.groups import (GroupHandle, direct_product, id_powers,
+                          subgroup_as_group)
+from gklab.primegraph import gk_graph
+from gklab.rationality import rationality_report
+from gklab.structure import conjugacy_classes, core_p, quotient
+from gklab.verify import _sampled_pairs
+
+
+def _without_factors(P: GroupHandle) -> GroupHandle:
+    """P with its ids and tables but no factor record: the orbit and walk
+    path."""
+    R = P.relabel(P.label)
+    del R._memo["factors"]
+    return R
+
+
+def _check_against_reference(P: GroupHandle) -> None:
+    data, powers = conjugacy_classes(P), id_powers(P)
+    R = _without_factors(P)
+    ref = conjugacy_classes(R)
+    assert data.classes == ref.classes
+    assert data.class_index == ref.class_index
+    assert data.representatives == ref.representatives
+    assert data.powers == ref.powers
+    assert powers == id_powers(R)
+
+
+@functools.cache
+def _sampled():
+    return _sampled_pairs(1, catalog.distinct_corpus(1, 200, 2000))
+
+
+def test_sample_is_the_verify_rows():
+    assert len(_sampled()) == 50
+
+
+@pytest.mark.parametrize("k", range(50))
+def test_sampled_pair_matches_the_orbit_path(k):
+    a, b = _sampled()[k]
+    _check_against_reference(direct_product(a, b))
+
+
+@pytest.mark.parametrize("k", range(0, 50, 7))
+def test_derived_path_multiplies_nothing(k):
+    a, b = _sampled()[k]
+    P = direct_product(a, b)
+    conjugacy_classes(P)
+    rationality_report(P)
+    gk_graph(P)
+    assert "id_mul" not in P._memo
+
+
+def _s4_mod_v4():
+    S4 = catalog.sym(4)
+    return quotient(S4, core_p(S4, 2))
+
+
+def _s3_in_s4():
+    S4 = catalog.sym(4)
+    return subgroup_as_group(
+        S4, [x for x in S4.elements if x[1][3] == 3], "S3")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(direct_product(catalog.cyclic(6),
+                                          catalog.quaternion8()),
+                           catalog.sym(3)),
+    lambda: direct_product(catalog.cyclic(2),
+                           direct_product(catalog.sym(3),
+                                          catalog.quaternion8())),
+    lambda: direct_product(direct_product(catalog.sym(3), catalog.cyclic(2)),
+                           direct_product(catalog.cyclic(3), catalog.alt(4))),
+    lambda: direct_product(catalog.catalog_entry("fig3.e").build(),
+                           catalog.cyclic(2)),
+    lambda: direct_product(catalog.cyclic(4), catalog.c7_c3()),
+    lambda: direct_product(_s4_mod_v4(), catalog.dicyclic12()),
+    lambda: direct_product(_s3_in_s4(), catalog.cyclic(3)),
+    lambda: direct_product(catalog.cyclic(1), catalog.cyclic(1)),
+], ids=["(C6xQ8)xS3", "C2x(S3xQ8)", "(S3xC2)x(C3xA4)", "(C5^2:Q8)xC2",
+        "C4x(C7:C3)", "(S4/V4)xDic12", "view-x-C3", "C1xC1"])
+def test_nested_and_mixed_factors(build):
+    P = build()
+    _check_against_reference(P)
+    # nested products derive at every level
+    for F in P._memo["factors"]:
+        if "factors" in F._memo:
+            _check_against_reference(F)
+
+
+@functools.cache
+def _pool():
+    return [build() for build in catalog._corpus_pool()]
+
+
+@st.composite
+def _pool_pairs(draw):
+    pool = _pool()
+    a = draw(st.sampled_from(pool))
+    b = draw(st.sampled_from([G for G in pool if a.order * G.order <= 20000]))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pool_pairs())
+def test_product_class_laws(pair):
+    a, b = pair
+    P = direct_product(a, b)
+    data = conjugacy_classes(P)
+    da, db = conjugacy_classes(a), conjugacy_classes(b)
+    # the class equation and k(A x B) = k(A) k(B)
+    assert sum(map(len, data.classes)) == P.order
+    assert len(data.classes) == len(da.classes) * len(db.classes)
+    # row (x, y) runs for lcm(|x|, |y|) steps
+    assert [len(row) for row in data.powers] == [
+        lcm(len(ra), len(rb)) for ra in da.powers for rb in db.powers]
+    # element orders by id agree with the row of each element's class
+    orders = id_powers(P)[0]
+    assert all(orders[i] == len(data.powers[data.class_index[x]])
+               for i, x in enumerate(P.sorted_elements()))
+    assert "id_mul" not in P._memo

@@ -207,5 +207,9 @@ def test_relabel_keeps_the_structure_not_the_label():
     R = G.relabel("renamed")
     assert R._memo["sorted"] is G._memo["sorted"]
     assert R._memo["tables_from"] is G._memo["tables_from"]
+    assert R._memo["factors"] is G._memo["factors"]
     assert "conjugacy" not in R._memo
     assert conjugation_tables(R) == conjugation_tables(G)
+    # the factor record is what reads R's classes off its factors
+    assert conjugacy_classes(R) == conjugacy_classes(G)
+    assert "id_mul" not in R._memo
