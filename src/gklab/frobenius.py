@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .groups import GroupHandle, element_ids, element_orders_multiset, id_mul
+from .groups import GroupHandle, element_orders_multiset, id_mul
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
@@ -86,13 +86,12 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
     if "fingerprint" in G._memo:
         return G._memo["fingerprint"]
     data = conjugacy_classes(G)
-    center = sum(len(c) == 1 for c in data.classes)
     fp = GroupFingerprint(
         order=G.order,
         abelian=is_abelian(G),
         exponent=exponent(G),
-        num_classes=len(data.classes),
-        center_order=center,
+        num_classes=len(data.rep_ids),
+        center_order=data.sizes.count(1),
         derived_order=derived_subgroup(G).order,
         order_multiset=tuple(sorted(element_orders_multiset(G).items())),
     )
@@ -102,24 +101,23 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
 
 def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
     """C_G(k) <= K for every k != 1 in the kernel K (ids ks): the index of K
-    divides every nontrivial class size inside K."""
-    ids = element_ids(G)
+    divides every nontrivial class size inside K.  The trivial class is the
+    one whose row has length 1."""
     data = conjugacy_classes(G)
     m = G.order // len(ks)
-    nontrivial = ks - {ids[G.identity]}
-    return all(len(cls) % m == 0
-               for rep, cls in zip(data.representatives, data.classes)
-               if ids[rep] in nontrivial)
+    return all(size % m == 0
+               for rep, size, row in zip(data.rep_ids, data.sizes, data.powers)
+               if len(row) > 1 and rep in ks)
 
 
 def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
     """Ids of a complement of order m: C_G(t) for the first class
     representative t outside the kernel K (ids ks) whose class has |K|
     elements.  InvariantFailed when there is none."""
-    ids, mul = element_ids(G), id_mul(G)
+    mul = id_mul(G)
     data = conjugacy_classes(G)
-    t = next((ids[rep] for rep, cls in zip(data.representatives, data.classes)
-              if len(cls) == len(ks) and ids[rep] not in ks), None)
+    t = next((rep for rep, size in zip(data.rep_ids, data.sizes)
+              if size == len(ks) and rep not in ks), None)
     if t is None:
         raise InvariantFailed(f"no class of size {len(ks)} in {G.label}")
     cent = frozenset(x for x in range(G.order) if mul(x, t) == mul(t, x))

@@ -420,8 +420,8 @@ def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
     from .structure import conjugacy_classes  # cycle-free at call time
     data = conjugacy_classes(G)
     out: dict[int, int] = {}
-    for row, cls in zip(data.powers, data.classes):
-        out[len(row)] = out.get(len(row), 0) + len(cls)
+    for row, size in zip(data.powers, data.sizes):
+        out[len(row)] = out.get(len(row), 0) + size
     return out
 
 

@@ -5,7 +5,10 @@ verdict:
 
 * :func:`is_cut_group` works entirely from the conjugacy class partition
   (g^m conjugate to g or g^-1 for every m coprime to |g|), read from its
-  class power map rows (``ConjugacyData.powers``), not from element products;
+  class power map rows (``ConjugacyData.powers``), not from element products.
+  Each class's verdict is read by its class number, so no element is looked
+  up; :func:`element_verdict` finds an arbitrary element's class through its
+  id;
 * :func:`cut_oracle_via_bg` computes B_G(g), the image of N_G(<g>) in
   Aut(<g>) = U(|g|), and inspects that exponent subgroup.  It reads the
   image by orbit-stabiliser (:func:`scanned_iota_exponents`): a BFS orbit of
@@ -28,6 +31,9 @@ accident.  Two lemmas let it scan less:
   x^-1 g x = g^m, so g and h have the same exponent set; the oracle scans
   each cyclic subgroup <g> once.
 
+The units mod n (``_units``) are plain arithmetic, memoised per n and shared
+by both oracles and the product predicate; they hold no group data.
+
 :func:`product_cut_predicate` decides whether G x H is cut from the factors'
 per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
 mod lcm(|g|, |h|) lies in both images (each read mod its own order), or -k
@@ -37,10 +43,11 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import GroupHandle, NotMember
+from .groups import GroupHandle, NotMember, element_ids
 from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
 
 RATIONAL = "rational"
@@ -70,8 +77,10 @@ class RationalityReport:
     non_rational_orders: frozenset[int]
 
 
-def _units(n: int) -> list[int]:
-    return [m for m in range(1, n + 1) if gcd(m, n) == 1]
+@cache
+def _units(n: int) -> tuple[int, ...]:
+    """The units mod n in 1..n; memoised, as both oracles ask per class."""
+    return tuple(m for m in range(1, n + 1) if gcd(m, n) == 1)
 
 
 def class_iota_exponents(G: GroupHandle, g: Element,
@@ -86,17 +95,22 @@ def class_iota_exponents(G: GroupHandle, g: Element,
 
 def element_verdict(G: GroupHandle, g: Element,
                     data: ConjugacyData | None = None) -> ElementVerdict:
-    """Verdict for g read from the power map row of its class c.
+    """Verdict for g, read by the class of its id (``_class_verdict``)."""
+    data = data or conjugacy_classes(G)
+    i = element_ids(G).get(g)
+    if i is None:
+        raise NotMember(f"element not in {G.label}")
+    cid = data.class_ids[i]
+    return _class_verdict(g, cid, data.powers[cid])
+
+
+def _class_verdict(g: Element, cid: int, row: tuple[int, ...]) -> ElementVerdict:
+    """Verdict for g in class cid, read from the class's power map row.
 
     n = len(row) is |g|, and g^m lies in class row[m % n]: g is rational when
-    that is c for every unit m, inverse semi-rational when it is c or
+    that is cid for every unit m, inverse semi-rational when it is cid or
     row[n - 1], the class of g^-1.
     """
-    data = data or conjugacy_classes(G)
-    cid = data.class_index.get(g)
-    if cid is None:
-        raise NotMember(f"element not in {G.label}")
-    row = data.powers[cid]
     n = len(row)
     units = _units(n)
     exps = frozenset(m for m in units if row[m % n] == cid)
@@ -113,8 +127,8 @@ def rationality_report(G: GroupHandle) -> RationalityReport:
     if "rationality" in G._memo:
         return G._memo["rationality"]
     data = conjugacy_classes(G)
-    verdicts = tuple(element_verdict(G, rep, data)
-                     for rep in data.representatives)
+    verdicts = tuple(map(_class_verdict, data.representatives,
+                         range(len(data.rep_ids)), data.powers))
     report = RationalityReport(
         group_label=G.label,
         per_class=verdicts,

@@ -27,16 +27,24 @@ element set is derived on first read.  Deliberate choices:
   integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
+* Class data lives on ids (``ConjugacyData``): the least id and the size of
+  each class, the power map, and the class of each id.  The element views
+  (the classes as element sets, the element -> class dict and the
+  representatives) are derived on first read; no library path builds the
+  first two.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids.  Class orders are row
   lengths, and the rationality verdicts read the rows.
-* A direct product G x H multiplies nothing for its classes or its rows.
-  Its classes are the products C x D of the factors' classes, and the class
-  of (g, h)^k is the pair of the classes of g^k and h^k, so both are read
-  off the factors' memoised class data (``_product_classes``), recursing
-  through nested products.  ``groups.id_powers`` does the same for orders
-  and inverses.
+* A direct product G x H visits no element for its class data.  Its classes
+  are the products C x D of the factors' classes, with least id and size
+  read off theirs, and the class of (g, h)^k is the pair of the classes of
+  g^k and h^k (``_product_classes``, recursing through nested products).
+  The class of each id is composed from the factors' only when it is read.
+  ``groups.id_powers`` does the same for orders and inverses.
+* Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
+  the conjugation tables, and G is metabelian iff the generators of that
+  closure commute.
 * The predicates read the rows and the class sizes (Holt, Eick & O'Brien,
   *Handbook of Computational Group Theory*, CRC 2005).  A normal subgroup
   is a union of classes, so <g> is normal iff the classes its row meets
@@ -54,9 +62,11 @@ element set is derived on first read.  Deliberate choices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
+from operator import add
+from typing import Callable, Sequence
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
@@ -79,11 +89,40 @@ class InvariantFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class ConjugacyData:
-    classes: tuple[frozenset, ...]
-    class_index: dict
-    representatives: tuple[Element, ...]
+    """Class data on element ids; class c is numbered by its least id.
+
+    ``class_ids`` and the element views ``classes``, ``class_index`` and
+    ``representatives`` are derived from the stored fields on first read.
+    Equality compares the id fields.
+    """
+    rep_ids: tuple[int, ...]  # rep_ids[c] is the least id in class c
+    sizes: tuple[int, ...]    # sizes[c] is |class c|
     # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|
     powers: tuple[tuple[int, ...], ...]
+    # () -> class id of each element id; read once, by ``class_ids``
+    class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
+                                                        repr=False)
+    # the group's sorted elements: elements[i] has id i
+    elements: Sequence[Element] = field(compare=False, repr=False)
+
+    @cached_property
+    def class_ids(self) -> Sequence[int]:
+        return self.class_ids_from()
+
+    @cached_property
+    def representatives(self) -> tuple[Element, ...]:
+        return tuple(map(self.elements.__getitem__, self.rep_ids))
+
+    @cached_property
+    def classes(self) -> tuple[frozenset, ...]:
+        members = [[] for _ in self.rep_ids]
+        for x, c in zip(self.elements, self.class_ids):
+            members[c].append(x)
+        return tuple(map(frozenset, members))
+
+    @cached_property
+    def class_index(self) -> dict:
+        return dict(zip(self.elements, self.class_ids))
 
 
 @dataclass(frozen=True)
@@ -117,7 +156,7 @@ class FittingData:
 
 
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
-    """Class partition and class power map; memoised.
+    """Class partition and class power map on ids; memoised.
 
     A direct product reads them off its factors' (``_product_classes``);
     any other group closes orbits on its conjugation tables and walks each
@@ -129,15 +168,14 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     if factors is not None:
         data = G._memo["conjugacy"] = _product_classes(G, *factors)
         return data
-    srt = G.sorted_elements()
     tables = conjugation_tables(G)
-    cids = [-1] * len(srt)
-    classes = []
+    cids = [-1] * G.order
     reps = []
-    for start in range(len(srt)):
+    sizes = []
+    for start in range(G.order):
         if cids[start] >= 0:
             continue
-        cid = len(classes)
+        cid = len(reps)
         cids[start] = cid
         orbit = [start]
         for i in orbit:  # grows while it is read: a breadth-first search
@@ -146,14 +184,14 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                 if cids[j] < 0:
                     cids[j] = cid
                     orbit.append(j)
-        classes.append(frozenset([srt[i] for i in orbit]))
         reps.append(start)
+        sizes.append(len(orbit))
     mul = id_mul(G)
     e = element_ids(G)[G.identity]
     powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
               for g in reps]
-    data = ConjugacyData(tuple(classes), dict(zip(srt, cids)),
-                         tuple(map(srt.__getitem__, reps)), tuple(powers))
+    data = ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
+                         lambda: cids, G.sorted_elements())
     G._memo["conjugacy"] = data
     return data
 
@@ -161,29 +199,30 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
 def _product_classes(P: GroupHandle, G: GroupHandle,
                      H: GroupHandle) -> ConjugacyData:
     """Classes of P = G x H: C_a x D_b for classes C_a of G and D_b of H,
-    numbered a*k(H) + b.  That keeps them ordered by least id, i*|H| + j for
-    the least ids i of C_a and j of D_b.  The class of (g, h)^k is that of
-    (g^k, h^k), so row (a, b) pairs the factor rows for lcm(|g|, |h|) steps.
+    numbered a*k(H) + b.  Its least id is i*|H| + j for the least ids i of
+    C_a and j of D_b, so the classes stay ordered by least id.  The class of
+    (g, h)^k is that of (g^k, h^k), so row (a, b) pairs the factor rows for
+    lcm(|g|, |h|) steps.  Nothing here visits an element; the class of each
+    id is composed from the factors' only when it is read.
     """
     dg, dh = conjugacy_classes(G), conjugacy_classes(H)
-    kh = len(dh.classes)
-    cg = [dg.class_index[x] * kh for x in G.sorted_elements()]
-    ch = list(map(dh.class_index.__getitem__, H.sorted_elements()))
-    cids = [a + b for a in cg for b in ch]
-    srt = P.sorted_elements()
-    members = [[] for _ in range(len(dg.classes) * kh)]
-    for x, c in zip(srt, cids):
-        members[c].append(x)
+    m, kh = H.order, len(dh.rep_ids)
+    rep_ids = tuple(i * m + j for i in dg.rep_ids for j in dh.rep_ids)
+    sizes = tuple(x * y for x in dg.sizes for y in dh.sizes)
     powers = []
     for ra in dg.powers:
-        ra = [a * kh for a in ra]
         na = len(ra)
+        ra = tuple(a * kh for a in ra)
         for rb in dh.powers:
             nb = len(rb)
-            powers.append(tuple(ra[k % na] + rb[k % nb]
-                                for k in range(lcm(na, nb))))
-    return ConjugacyData(tuple(map(frozenset, members)), dict(zip(srt, cids)),
-                         tuple(m[0] for m in members), tuple(powers))
+            n = lcm(na, nb)
+            powers.append(tuple(map(add, ra * (n // na), rb * (n // nb))))
+
+    def class_ids() -> list[int]:
+        ch = dh.class_ids
+        return [a * kh + b for a in dg.class_ids for b in ch]
+    return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
+                         P.sorted_elements())
 
 
 def _power_walk(mul, e: int, g: int) -> list[int]:
@@ -396,14 +435,20 @@ def _quotient_tables(G: GroupHandle, to_q: list[int], rep_ids: list[int],
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:
     """Smallest normal subgroup containing the seed elements."""
+    K = _normal_span(G, id_set(G, seed_elems))
+    return SubgroupHandle(G, frozenset(K.elements), True)
+
+
+def _normal_span(G: GroupHandle, seeds) -> Span:
+    """Normal closure of the seed ids, as a span: its gens generate it."""
     K = Span(G)
-    for x in id_set(G, seed_elems):
+    for x in seeds:
         K.add(x)
     tables = conjugation_tables(G)
     for s in K.gens:  # grows while it is read
         for t in tables:
             K.add(t[s])
-    return SubgroupHandle(G, frozenset(K.elements), True)
+    return K
 
 
 def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
@@ -414,11 +459,11 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
         return []
     data = conjugacy_classes(G)
     closures = {}
-    for rep, row in zip(data.representatives, data.powers):
+    for rep, row in zip(data.rep_ids, data.powers):
         if not isprime(len(row)):
             continue
-        cl = normal_closure(G, [rep])
-        closures.setdefault(cl.ids, cl)
+        ids = frozenset(_normal_span(G, [rep]).elements)
+        closures.setdefault(ids, SubgroupHandle(G, ids, True))
     minimal: list[SubgroupHandle] = []
     for cl in sorted(closures.values(), key=lambda N: N.order):
         if not any(m.ids <= cl.ids for m in minimal):
@@ -427,9 +472,17 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
 
 
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
-    comms = {G.mult(G.inv(a), G.conjugate(a, b))
-             for a in G.generators for b in G.generators}
-    return normal_closure(G, sorted(comms))
+    return SubgroupHandle(G, frozenset(_derived_span(G).elements), True)
+
+
+def _derived_span(G: GroupHandle) -> Span:
+    """G' as the normal closure of the generators' commutators
+    [a, b] = a^-1 a^b, read from the conjugation tables."""
+    ids, mul = element_ids(G), id_mul(G)
+    tables = conjugation_tables(G)
+    comms = {mul(ids[G.inv(a)], t[ids[a]])
+             for a in G.generators for t in tables}
+    return _normal_span(G, sorted(comms))
 
 
 def is_solvable(G: GroupHandle) -> bool:
@@ -454,12 +507,12 @@ def exponent(G: GroupHandle) -> int:
 
 
 def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
-    """(rep, power-map row) for one generator of each nontrivial normal
+    """(rep id, power-map row) for one generator of each nontrivial normal
     cyclic subgroup <rep>, named by the set of classes its row meets."""
     data = conjugacy_classes(G)
-    sizes = list(map(len, data.classes))
+    sizes = data.sizes
     seen = set()
-    for rep, row in zip(data.representatives, data.powers):
+    for rep, row in zip(data.rep_ids, data.powers):
         n = len(row)
         cs = frozenset(row)
         if n == 1 or prime_order_only and not isprime(n) or cs in seen:
@@ -471,10 +524,10 @@ def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
 
 def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
     """Normal subgroups <g> (one per generated subgroup), walked on ids."""
-    ids, mul = element_ids(G), id_mul(G)
-    e = ids[G.identity]
+    mul = id_mul(G)
+    e = element_ids(G)[G.identity]
     for rep, _ in _normal_cyclic_rows(G, prime_order_only):
-        yield SubgroupHandle(G, frozenset(_power_walk(mul, e, ids[rep])), True)
+        yield SubgroupHandle(G, frozenset(_power_walk(mul, e, rep)), True)
 
 
 def is_metacyclic(G: GroupHandle) -> bool:
@@ -494,8 +547,10 @@ def is_metacyclic(G: GroupHandle) -> bool:
 
 
 def is_metabelian(G: GroupHandle) -> bool:
-    D = derived_subgroup(G)
-    return is_abelian(D.as_group())
+    """G' is abelian: its generators commute pairwise, on G's ids."""
+    mul = id_mul(G)
+    gens = _derived_span(G).gens
+    return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
 
 
 def is_supersolvable(G: GroupHandle) -> bool:

@@ -1,14 +1,14 @@
 """Integer multiplication on element ids, and what runs on it.
 
 ``groups.id_mul`` multiplies ids for every group kind; closures, quotient
-projections, Sylow growth, the conjugation tables of non-derived groups and
-the class power map run on it.  The references here are the element-product versions they
-replaced, on ``G.mult`` (whose components are ``elements.mul``).  Every
-property runs twice: at the module's TABLE_BOUND, and with the bound at 0,
-where no group may build a Cayley table.
+projections, Sylow growth, the conjugation tables of non-derived groups, the
+class power map and the commutators of ``derived_subgroup`` and
+``is_metabelian`` run on it.  The references here are the element-product
+versions they replaced, on ``G.mult`` (whose components are
+``elements.mul``).  Every property runs twice: at the module's TABLE_BOUND,
+and with the bound at 0, where no group may build a Cayley table.
 """
 
-import dataclasses
 import random
 from contextlib import contextmanager
 from math import gcd
@@ -25,8 +25,9 @@ from gklab.groups import (closure_in, direct_product, element_ids,
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
                                element_verdict, is_cut_group)
-from gklab.structure import (conjugacy_classes, core_p, derived_subgroup,
-                             fitting, normal_closure, quotient, sylow)
+from gklab.structure import (ConjugacyData, conjugacy_classes, core_p,
+                             derived_subgroup, fitting, is_metabelian,
+                             normal_closure, quotient, sylow)
 
 BOUNDS = {"table": groups.TABLE_BOUND, "no-table": 0}
 
@@ -319,6 +320,15 @@ class TestClosures:
             assert _reference_closure(G, F) == F
             assert G.order % len(F) == 0
 
+    @by_bound
+    @settings(max_examples=30, deadline=None)
+    @given(recipe=_recipes())
+    def test_commutators(self, bound, recipe):
+        with _bound(bound):
+            G = recipe[1]()
+            assert derived_subgroup(G).ids == _reference_derived(G).ids
+            assert is_metabelian(G) == _reference_metabelian(G)
+
 
 class TestClassPowerMap:
     @by_bound
@@ -382,18 +392,51 @@ def _c5sq_c4():
       for label in sorted(catalog.distinct_corpus(1, 20, 300))[:6]],
 ], ids=lambda b: getattr(b, "__name__", "group"))
 def test_oracle_reads_no_id_core(build):
-    """With every id memo poisoned, and every field of the class data but
-    the representatives, the oracle still gives its verdict.
+    """With every id memo poisoned, and every field and view of the class
+    data but the representatives, the oracle still gives its verdict.
 
     Each call of build makes fresh groups, factors included, so no poison
     reaches another case.
     """
     expected = is_cut_group(build())
     G = build()
-    # the representatives are the oracle's one input
-    G._memo["conjugacy"] = dataclasses.replace(
-        conjugacy_classes(G), classes=_Poison(), class_index=_Poison(),
-        powers=_Poison())
+    # the representatives, read here beforehand, are the oracle's one input
+    data = ConjugacyData(rep_ids=_Poison(), sizes=_Poison(), powers=_Poison(),
+                         class_ids_from=_Poison(), elements=_Poison())
+    vars(data).update(representatives=conjugacy_classes(G).representatives,
+                      classes=_Poison(), class_index=_Poison(),
+                      class_ids=_Poison())
+    G._memo["conjugacy"] = data
     for key in ID_CORE_KEYS:
         G._memo[key] = _Poison()
     assert cut_oracle_via_bg(G) == expected
+
+
+def _reference_derived(G):
+    """derived_subgroup as it was: the generators' commutators by element
+    products."""
+    comms = {G.mult(G.inv(a), G.conjugate(a, b))
+             for a in G.generators for b in G.generators}
+    return normal_closure(G, sorted(comms))
+
+
+def _reference_metabelian(G):
+    """is_metabelian as it was: G' as a group of its own, its generators
+    multiplied as elements."""
+    D = _reference_derived(G).as_group()
+    return all(D.mult(a, b) == D.mult(b, a)
+               for a in D.generators for b in D.generators)
+
+
+def test_commutators_on_ids_match_element_products():
+    """G' from the commutator ids and the metabelian test on G's ids agree
+    with the element-product versions on the corpus and the catalog."""
+    gs = list(catalog.distinct_corpus(1, 200, 2000).values())
+    gs += [entry.build() for entry in catalog.catalog()]
+    verdicts = set()
+    for G in gs:
+        assert derived_subgroup(G).ids == _reference_derived(G).ids, G.label
+        verdict = is_metabelian(G)
+        assert verdict == _reference_metabelian(G), G.label
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

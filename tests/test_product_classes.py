@@ -10,12 +10,14 @@ factors, stay checked against an independent computation of each product.
 """
 
 import functools
+from collections import Counter
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gklab import catalog
+from gklab.frobenius import fingerprint
 from gklab.groups import (GroupHandle, direct_product, id_powers,
                           subgroup_as_group)
 from gklab.primegraph import gk_graph
@@ -36,10 +38,14 @@ def _check_against_reference(P: GroupHandle) -> None:
     data, powers = conjugacy_classes(P), id_powers(P)
     R = _without_factors(P)
     ref = conjugacy_classes(R)
+    assert data.rep_ids == ref.rep_ids
+    assert data.sizes == ref.sizes
+    assert data.powers == ref.powers
+    assert list(data.class_ids) == list(ref.class_ids)
+    # the element views, derived from the id fields
     assert data.classes == ref.classes
     assert data.class_index == ref.class_index
     assert data.representatives == ref.representatives
-    assert data.powers == ref.powers
     assert powers == id_powers(R)
 
 
@@ -56,6 +62,34 @@ def test_sample_is_the_verify_rows():
 def test_sampled_pair_matches_the_orbit_path(k):
     a, b = _sampled()[k]
     _check_against_reference(direct_product(a, b))
+
+
+def _built_views(P: GroupHandle) -> list[str]:
+    """The element views built on P's class data or on an inner product's."""
+    out = []
+    for F in P._memo["factors"]:
+        if "factors" in F._memo:
+            out += _built_views(F)
+    built = vars(P._memo["conjugacy"])
+    return out + [f"{P.label}.{v}" for v in ("classes", "class_index")
+                  if v in built]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(*_sampled()[3]),
+    lambda: catalog.catalog_entry("fig3.q").build(),
+], ids=["sampled", "fig3.q"])
+def test_reads_build_no_element_view(build):
+    """Classes, verdicts, the prime graph and the fingerprint of a product
+    never bucket its elements into classes, at any level of nesting."""
+    P = build()
+    conjugacy_classes(P)
+    rationality_report(P)
+    gk_graph(P)
+    fingerprint(P)
+    assert _built_views(P) == []
+    # the views are still there for a reader that asks
+    assert len(conjugacy_classes(P).classes) == len(conjugacy_classes(P).rep_ids)
 
 
 @pytest.mark.parametrize("k", range(0, 50, 7))
@@ -126,13 +160,19 @@ def test_product_class_laws(pair):
     data = conjugacy_classes(P)
     da, db = conjugacy_classes(a), conjugacy_classes(b)
     # the class equation and k(A x B) = k(A) k(B)
-    assert sum(map(len, data.classes)) == P.order
-    assert len(data.classes) == len(da.classes) * len(db.classes)
+    assert sum(data.sizes) == P.order
+    assert len(data.rep_ids) == len(da.rep_ids) * len(db.rep_ids)
+    # sizes[c] is the number of ids in class c, whose least id is rep_ids[c]
+    assert list(data.sizes) == [
+        n for _, n in sorted(Counter(data.class_ids).items())]
+    first = {c: i for i, c in reversed(list(enumerate(data.class_ids)))}
+    assert first == dict(enumerate(data.rep_ids))
     # row (x, y) runs for lcm(|x|, |y|) steps
     assert [len(row) for row in data.powers] == [
         lcm(len(ra), len(rb)) for ra in da.powers for rb in db.powers]
     # element orders by id agree with the row of each element's class
     orders = id_powers(P)[0]
-    assert all(orders[i] == len(data.powers[data.class_index[x]])
-               for i, x in enumerate(P.sorted_elements()))
+    assert all(orders[i] == len(data.powers[c])
+               for i, c in enumerate(data.class_ids))
     assert "id_mul" not in P._memo
+
