@@ -37,6 +37,9 @@ class SpecError(ValueError):
     pass
 
 
+MAX_PRODUCT_DEPTH = 64  # only products of trivial groups get near it
+
+
 def load_spec(path: str) -> dict[str, GroupHandle]:
     """Build every group of a JSON group-specification file."""
     try:
@@ -50,6 +53,7 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
     if not isinstance(recipes, dict) or not recipes:
         raise SpecError('spec file needs a non-empty "groups" map')
     built: dict[str, GroupHandle] = {}
+    depth: dict[str, int] = {}  # product depth of each built recipe
 
     def build(name: str, stack=()) -> GroupHandle:
         if name in built:
@@ -58,8 +62,20 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
             raise SpecError(f"cyclic recipe reference through {name!r}")
         if name not in recipes:
             raise SpecError(f"undefined group name {name!r}")
-        built[name] = _build_recipe(name, recipes[name],
-                                    lambda n: build(n, stack + (name,)))
+
+        def resolve(names, own_depth: int) -> list[GroupHandle]:
+            # every recipe on the stack is a product, one level deep or more
+            if len(stack) >= MAX_PRODUCT_DEPTH:
+                raise SpecError(f"bad recipe {stack[0]!r}: products nest "
+                                f"more than {MAX_PRODUCT_DEPTH} deep")
+            groups = [build(n, stack + (name,)) for n in names]
+            depth[name] = own_depth + max(map(depth.__getitem__, names))
+            if depth[name] > MAX_PRODUCT_DEPTH:
+                raise SpecError(f"bad recipe {name!r}: products nest more "
+                                f"than {MAX_PRODUCT_DEPTH} deep")
+            return groups
+        built[name] = _build_recipe(name, recipes[name], resolve)
+        depth.setdefault(name, 0)
         return built[name]
 
     for name in recipes:
@@ -68,12 +84,16 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
 
 
 def _build_recipe(name, recipe, resolve) -> GroupHandle:
+    """Build one recipe; resolve(names, own_depth) builds those it names."""
     if not isinstance(recipe, dict) or "type" not in recipe:
         raise SpecError(f"recipe {name!r} needs a type")
     kind = recipe["type"]
     try:
         if kind == "perm":
             degree = _ints(name, "degree", recipe["degree"])
+            if degree < 1:
+                raise SpecError(f"bad recipe {name!r}: degree needs an "
+                                f"integer of at least 1, got {degree}")
             gens = [el.perm_from_cycles(degree, cycles)
                     for cycles in _ints(name, "gens", recipe["gens"], depth=3)]
             return enumerate_group(gens, name)
@@ -101,16 +121,16 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
         if kind == "catalog":
             return cat.catalog_entry(recipe["name"]).build().relabel(name)
         if kind == "direct":
-            factors = [resolve(f) for f in recipe["factors"]]
-            if len(factors) < 2:
-                raise SpecError("direct product needs at least 2 factors")
+            names = recipe["factors"]
+            if len(names) < 2:
+                raise SpecError(f"bad recipe {name!r}: needs 2 factors or more")
+            factors = resolve(names, len(names) - 1)
             G = factors[0]
             for H in factors[1:]:
                 G = direct_product(G, H)
             return G.relabel(name)
         if kind == "semidirect":
-            N = resolve(recipe["kernel"])
-            H = resolve(recipe["acting"])
+            N, H = resolve([recipe["kernel"], recipe["acting"]], 1)
             if "action_matrices" in recipe:
                 p = _ints(name, "p", recipe["p"])
                 rows = _ints(name, "action_matrices",

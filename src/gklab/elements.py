@@ -73,6 +73,8 @@ def mat(p: int, rows) -> Element:
     if not isprime(p):
         raise ValueError(f"matrix modulus p={p} is not a prime")
     d = len(rows)
+    if not d:
+        raise ValueError("empty matrix: a matrix needs at least one row")
     entries = []
     for row in rows:
         if len(row) != d:

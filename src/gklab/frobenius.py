@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .groups import GroupHandle, element_orders_multiset, id_mul
+from .groups import GroupHandle, element_orders_multiset, id_mul, memoised
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
@@ -82,11 +82,10 @@ class GroupFingerprint:
     order_multiset: tuple[tuple[int, int], ...]
 
 
+@memoised("fingerprint")
 def fingerprint(G: GroupHandle) -> GroupFingerprint:
-    if "fingerprint" in G._memo:
-        return G._memo["fingerprint"]
     data = conjugacy_classes(G)
-    fp = GroupFingerprint(
+    return GroupFingerprint(
         order=G.order,
         abelian=is_abelian(G),
         exponent=exponent(G),
@@ -95,8 +94,6 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
         derived_order=derived_subgroup(G).order,
         order_multiset=tuple(sorted(element_orders_multiset(G).items())),
     )
-    G._memo["fingerprint"] = fp
-    return fp
 
 
 def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
@@ -128,28 +125,26 @@ def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[in
 
 def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
     """Decompose G as Frobenius kernel x| complement, or raise NotFrobenius."""
-    if "frobenius" in G._memo:
-        memo = G._memo["frobenius"]
-        if isinstance(memo, str):
-            # a fresh instance per call, so no traceback piles up on one object
-            raise NotFrobenius(memo)
-        return memo
-    try:
-        F = fitting(G)
-        if F.order in (1, G.order):
-            raise NotFrobenius(f"{G.label}: Fitting subgroup is trivial or all of G")
-        if gcd(F.order, G.order // F.order) != 1:
-            raise NotFrobenius(f"{G.label}: kernel order not coprime to index")
-        if not _kernel_condition(G, F.ids):
-            raise NotFrobenius(f"{G.label}: centralizer condition fails")
-        comp = _find_complement(G, F.ids, G.order // F.order)
-    except NotFrobenius as exc:
-        G._memo["frobenius"] = str(exc)
-        raise
-    dec = FrobeniusDecomposition(G.label, F,
-                                 SubgroupHandle(G, comp, normal=False))
-    G._memo["frobenius"] = dec
+    dec = _decompose(G)
+    if isinstance(dec, str):
+        # a fresh instance per call, so no traceback piles up on one object
+        raise NotFrobenius(dec)
     return dec
+
+
+@memoised("frobenius")
+def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
+    """The decomposition, or the reason G is not Frobenius."""
+    F = fitting(G)
+    if F.order in (1, G.order):
+        return f"{G.label}: Fitting subgroup is trivial or all of G"
+    if gcd(F.order, G.order // F.order) != 1:
+        return f"{G.label}: kernel order not coprime to index"
+    if not _kernel_condition(G, F.ids):
+        return f"{G.label}: centralizer condition fails"
+    comp = _find_complement(G, F.ids, G.order // F.order)
+    return FrobeniusDecomposition(G.label, F,
+                                  SubgroupHandle(G, comp, normal=False))
 
 
 def is_frobenius(G: GroupHandle) -> bool:

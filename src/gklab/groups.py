@@ -1,10 +1,10 @@
 """Enumerated finite groups: closure from generators, products, element orders.
 
 A :class:`GroupHandle` owns a fully enumerated element set together with
-multiplication and inversion callables.  Its fields are fixed at
-construction, but derived data (sorted elements, orders by id, conjugacy
-classes, ...) is written lazily into ``_memo`` on first read, so a handle
-must not be shared between threads without a lock.
+multiplication and inversion callables, and a frozen ``origin`` recording how
+it was built: ``None`` for an enumerated group, else a :class:`Product`,
+:class:`Quotient` or :class:`View`.  ``relabel`` keeps the origin.  Derived
+data (ids, tables, conjugacy classes, ...) is cached by :func:`memoised`.
 
 Handles store no generator words: a map given on generators (a kernel
 automorphism, a group action) is extended along a BFS tree of the Cayley
@@ -13,20 +13,22 @@ of Computational Group Theory*, ch. 4).  Products list their elements
 directly, without a closure.
 
 Element ids: an element's id is its position in ``sorted_elements()``, so
-ids follow the value order.  Every group multiplies ids (``id_mul``), built
-lazily and memoised, the way the group was built:
+ids follow the value order; a constructed group's sorted order is the
+``ordered`` list of its origin.  Every group multiplies ids (``id_mul``) the
+way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   sorted order is the nested loop over the factors' sorted orders) and
-  multiplies componentwise on the factors' ids.  It records its factors
-  (``_memo["factors"]``) and reads its orders and inverses (``id_powers``)
-  and its conjugacy classes (``structure.conjugacy_classes``) off theirs,
+  multiplies componentwise on the factors' ids.  It reads its orders and
+  inverses (``id_powers``), its conjugation tables and its conjugacy classes
+  (``structure.conjugacy_classes``) off its factors' (``direct_factors``),
   with no multiplication;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action;
 * a quotient multiplies its representatives' ids in the parent and maps the
-  product back through the id-level coset projection;
+  product back through the id-level coset projection ``to_q``; its
+  conjugation tables come from its parent's the same way;
 * an enumerated group multiplies elements, and a subgroup view multiplies
   in its parent's ids.  At order TABLE_BOUND or less either one is then
   tabulated: a Cayley table of 2-byte ``array`` rows, filled along a BFS tree
@@ -39,20 +41,14 @@ TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 subgroup once on ids and gives every id's order and inverse; ``Span`` grows a
 subgroup on ids one generator at a time (Dimino's algorithm), which closures,
 generating sets, Sylow growth, Fitting and normal closures run on.
-
-``conjugation_tables(G)`` holds one memoised table per generator g, whose
-entry i is the id of g^-1 x_i g; conjugacy classes, O_p(G) and normality
-tests (:mod:`gklab.structure`) run on these int tables.  A direct product
-derives its tables from its factors' tables and a quotient from its
-parent's (see ``structure.quotient``), with no multiplication; every other
-group conjugates on ``id_mul``.  ``relabel`` keeps this structural record.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -98,6 +94,23 @@ def default_cap() -> int:
     return cap
 
 
+def memoised(key):
+    """Cache f(G, *args) in ``G._memo`` under key, or (key, *args).
+
+    The one writer of ``_memo``: a handle fills its caches on first read, so
+    it must not be shared between threads without a lock.
+    """
+    def wrap(f):
+        @functools.wraps(f)
+        def cached(G, *args):
+            k = (key, *args) if args else key
+            if k not in G._memo:
+                G._memo[k] = f(G, *args)
+            return G._memo[k]
+        return cached
+    return wrap
+
+
 @dataclass(frozen=True, eq=False)
 class GroupHandle:
     label: str
@@ -106,8 +119,8 @@ class GroupHandle:
     identity: Element
     mult: Callable[[Element, Element], Element]
     inv: Callable[[Element], Element]
-    # single-writer caches (conjugacy data etc.) keyed by computation name
-    _memo: dict = field(default_factory=dict, repr=False)
+    origin: Product | Quotient | View | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -117,10 +130,7 @@ class GroupHandle:
         return g in self.elements
 
     def sorted_elements(self) -> list[Element]:
-        key = "sorted"
-        if key not in self._memo:
-            self._memo[key] = sorted(self.elements)
-        return self._memo[key]
+        return _sorted(self) if self.origin is None else self.origin.ordered
 
     def conjugate(self, g: Element, x: Element) -> Element:
         """g^x = x^-1 g x."""
@@ -138,20 +148,47 @@ class GroupHandle:
             n >>= 1
         return acc
 
-    def relabel(self, label: str) -> "GroupHandle":
-        """The same group under a new label.
+    def relabel(self, label: str) -> GroupHandle:
+        """The same group under a new label: its origin, and no cache."""
+        return replace(self, label=label)
 
-        The structural record (the sorted order, the factors of a direct
-        product, and where the ids and conjugation tables come from) carries
-        over; nothing that depends on the label does.
-        """
-        G = GroupHandle(label, self.generators, self.elements, self.identity,
-                        self.mult, self.inv)
-        for key in ("sorted", "factors", "tables_from", "id_mul_from",
-                    "id_base_from"):
-            if key in self._memo:
-                G._memo[key] = self._memo[key]
-        return G
+
+@memoised("sorted")
+def _sorted(G: GroupHandle) -> list[Element]:
+    return sorted(G.elements)
+
+
+@dataclass(frozen=True, eq=False)
+class Product:
+    """left x right, or left x| right with act[h] the automorphism h induces."""
+    left: GroupHandle
+    right: GroupHandle
+    act: Optional[dict]
+    ordered: list[Element]
+
+
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """parent/N: to_q maps parent ids to cosets, whose least ids are rep_ids."""
+    parent: GroupHandle
+    to_q: list[int]
+    rep_ids: list[int]
+    sources: list[int]  # the parent generator behind each generator
+    ordered: list[Element]
+
+
+@dataclass(frozen=True, eq=False)
+class View:
+    """The subgroup of parent whose ids, in ascending order, are ids."""
+    parent: GroupHandle
+    ids: list[int]
+    ordered: list[Element]
+
+
+def direct_factors(G: GroupHandle) -> Optional[tuple[GroupHandle, GroupHandle]]:
+    """(A, B) when G was built as the direct product A x B, else None."""
+    o = G.origin
+    return (o.left, o.right) if isinstance(o, Product) and o.act is None else None
 
 
 def _closure(gens, identity, mult, cap) -> set[Element]:
@@ -227,41 +264,32 @@ def element_order(G: GroupHandle, g: Element) -> int:
     return k
 
 
+@memoised("ids")
 def element_ids(G: GroupHandle) -> dict[Element, int]:
     """Element -> id, its position in ``G.sorted_elements()``; memoised."""
-    ids = G._memo.get("ids")
-    if ids is None:
-        ids = {x: i for i, x in enumerate(G.sorted_elements())}
-        G._memo["ids"] = ids
-    return ids
+    return {x: i for i, x in enumerate(G.sorted_elements())}
 
 
+@memoised("id_mul")
 def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """(i, j) -> id of x_i x_j, built on first use and memoised.
 
-    A product or a quotient composes the ids of its factors or parent
-    (``_memo["id_mul_from"]``).  Any other group multiplies its elements, or,
-    for a subgroup view, its parent's ids (``_memo["id_base_from"]``); at
-    order TABLE_BOUND or less it tabulates that once (``_cayley_mul``).
+    A product composes its factors' ids and a quotient its parent's.  An
+    enumerated group multiplies its elements, and a subgroup view its
+    parent's ids; at order TABLE_BOUND or less either one tabulates that
+    once (``_cayley_mul``).
     """
-    mul = G._memo.get("id_mul")
-    if mul is not None:
-        return mul
-    derive = G._memo.get("id_mul_from")
-    if derive is not None:
-        mul = derive()
+    o = G.origin
+    if isinstance(o, Product):
+        return _pair_mul(o.left, o.right, o.act)
+    if isinstance(o, Quotient):
+        return induced_mul(id_mul(o.parent), o.rep_ids, o.to_q)
+    if isinstance(o, View):
+        mul = induced_mul(id_mul(o.parent), o.ids,
+                          {x: k for k, x in enumerate(o.ids)})
     else:
-        base = G._memo.get("id_base_from")
-        mul = base() if base is not None else _element_mul(G)
-        if G.order <= TABLE_BOUND:
-            mul = _cayley_mul(G, mul)
-    G._memo["id_mul"] = mul
-    return mul
-
-
-def _element_mul(G: GroupHandle) -> Callable[[int, int], int]:
-    ids, srt, mult = element_ids(G), G.sorted_elements(), G.mult
-    return lambda a, b: ids[mult(srt[a], srt[b])]
+        mul = induced_mul(G.mult, G.sorted_elements(), element_ids(G))
+    return _cayley_mul(G, mul) if G.order <= TABLE_BOUND else mul
 
 
 def _cayley_mul(G: GroupHandle, mul) -> Callable[[int, int], int]:
@@ -291,11 +319,12 @@ def _cayley_mul(G: GroupHandle, mul) -> Callable[[int, int], int]:
 
 
 def induced_mul(mul, out, into) -> Callable[[int, int], int]:
-    """Multiplication carried over from another group's ids: out maps this
-    group's ids there, into maps the product back."""
+    """Multiplication carried over from elsewhere: out maps this group's ids
+    there, into maps the product back."""
     return lambda a, b: into[mul(out[a], out[b])]
 
 
+@memoised("id_powers")
 def id_powers(G: GroupHandle) -> tuple[array, array]:
     """(orders, inverses), both indexed by id; memoised.
 
@@ -304,13 +333,8 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
     subgroup g, g^2, ..., g^n = 1 on ``id_mul``: g^k gets order n / gcd(k, n)
     and inverse g^(n-k).
     """
-    got = G._memo.get("id_powers")
-    if got is not None:
-        return got
-    factors = G._memo.get("factors")
-    if factors is not None:
-        got = G._memo["id_powers"] = _product_powers(*factors)
-        return got
+    if factors := direct_factors(G):
+        return _product_powers(*factors)
     mul = id_mul(G)
     e = element_ids(G)[G.identity]
     orders = array("I", [0]) * G.order
@@ -328,8 +352,7 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
         for k, x in enumerate(powers, 1):
             orders[x] = n // gcd(k, n)
             inverses[x] = powers[n - k - 1]
-    got = G._memo["id_powers"] = (orders, inverses)
-    return got
+    return orders, inverses
 
 
 def _product_powers(G: GroupHandle, H: GroupHandle) -> tuple[array, array]:
@@ -380,28 +403,23 @@ def id_set(G: GroupHandle, elems) -> set[int]:
         raise NotMember(f"element not in {G.label}") from None
 
 
+@memoised("conj_tables")
 def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
     Direct products and quotients derive theirs from their factors' or
-    parent's tables (``_memo["tables_from"]``); every other group conjugates
-    each id by each generator on ``id_mul``.
+    parent's tables; every other group conjugates each id by each generator
+    on ``id_mul``.
     """
-    tables = G._memo.get("conj_tables")
-    if tables is not None:
-        return tables
-    derive = G._memo.get("tables_from")
-    if derive is not None:
-        tables = derive()
-    else:
-        ids = element_ids(G)
-        mul = id_mul(G)
-        tables = []
-        for g in G.generators:
-            k, ki = ids[g], ids[G.inv(g)]
-            tables.append(array("I", [mul(ki, mul(i, k))
-                                      for i in range(G.order)]))
-    G._memo["conj_tables"] = tables
+    if factors := direct_factors(G):
+        return _product_tables(*factors)
+    if isinstance(G.origin, Quotient):
+        return _quotient_tables(G.origin)
+    ids, mul = element_ids(G), id_mul(G)
+    tables = []
+    for g in G.generators:
+        k, ki = ids[g], ids[G.inv(g)]
+        tables.append(array("I", [mul(ki, mul(i, k)) for i in range(G.order)]))
     return tables
 
 
@@ -413,6 +431,15 @@ def _product_tables(G: GroupHandle, H: GroupHandle) -> list[list[int]]:
     for t in conjugation_tables(H):
         tables.append([i + b for i in range(0, G.order * m, m) for b in t])
     return tables
+
+
+def _quotient_tables(q: Quotient) -> list[list[int]]:
+    """Tables of G/N through the coset projection: conjugating a coset by
+    the coset of g is conjugating its representative by g."""
+    if not q.sources:
+        return [[0]]
+    tables = conjugation_tables(q.parent)
+    return [[q.to_q[tables[k][i]] for i in q.rep_ids] for k in q.sources]
 
 
 def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
@@ -444,13 +471,8 @@ def direct_product(G: GroupHandle, H: GroupHandle,
     identity = (el.PAIR, G.identity, H.identity)
     gens = tuple((el.PAIR, g, H.identity) for g in G.generators) + \
         tuple((el.PAIR, G.identity, h) for h in H.generators)
-    P = GroupHandle(f"{G.label} x {H.label}", gens, frozenset(ordered),
-                    identity, mult, inv)
-    P._memo["sorted"] = ordered
-    P._memo["factors"] = (G, H)
-    P._memo["tables_from"] = lambda: _product_tables(G, H)
-    P._memo["id_mul_from"] = lambda: _pair_mul(G, H, None)
-    return P
+    return GroupHandle(f"{G.label} x {H.label}", gens, frozenset(ordered),
+                       identity, mult, inv, Product(G, H, None, ordered))
 
 
 def _pairs_in_order(G: GroupHandle, H: GroupHandle) -> list[Element]:
@@ -532,10 +554,8 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     if label is None:
         sep = " x " if trivial else " x| "
         label = f"{N.label}{sep}{H.label}"
-    G = GroupHandle(label, gens, frozenset(ordered), identity, mult, inv)
-    G._memo["sorted"] = ordered
-    G._memo["id_mul_from"] = lambda: _pair_mul(N, H, act)
-    return G
+    return GroupHandle(label, gens, frozenset(ordered), identity, mult, inv,
+                       Product(N, H, act, ordered))
 
 
 def _pair_mul(N: GroupHandle, H: GroupHandle, act) -> Callable[[int, int], int]:
@@ -604,9 +624,6 @@ def subgroup_view(G: GroupHandle, members, label: str = "") -> GroupHandle:
     out = sorted(members)
     gens = tuple(srt[i] for i in span.gens) or (G.identity,)
     ordered = [srt[i] for i in out]
-    V = GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
-                    frozenset(ordered), G.identity, G.mult, G.inv)
-    V._memo["sorted"] = ordered
-    V._memo["id_base_from"] = lambda: induced_mul(
-        id_mul(G), out, {x: k for k, x in enumerate(out)})
-    return V
+    return GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
+                       frozenset(ordered), G.identity, G.mult, G.inv,
+                       View(G, out, ordered))

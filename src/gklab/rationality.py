@@ -47,7 +47,7 @@ from functools import cache
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import GroupHandle, NotMember, element_ids
+from .groups import GroupHandle, NotMember, element_ids, memoised
 from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
 
 RATIONAL = "rational"
@@ -123,13 +123,12 @@ def _class_verdict(g: Element, cid: int, row: tuple[int, ...]) -> ElementVerdict
     return ElementVerdict(g, n, len(exps), exps, verdict)
 
 
+@memoised("rationality")
 def rationality_report(G: GroupHandle) -> RationalityReport:
-    if "rationality" in G._memo:
-        return G._memo["rationality"]
     data = conjugacy_classes(G)
     verdicts = tuple(map(_class_verdict, data.representatives,
                          range(len(data.rep_ids)), data.powers))
-    report = RationalityReport(
+    return RationalityReport(
         group_label=G.label,
         per_class=verdicts,
         is_rational=all(v.verdict == RATIONAL for v in verdicts),
@@ -137,8 +136,6 @@ def rationality_report(G: GroupHandle) -> RationalityReport:
         non_rational_orders=frozenset(v.order for v in verdicts
                                       if v.verdict != RATIONAL),
     )
-    G._memo["rationality"] = report
-    return report
 
 
 def is_rational_group(G: GroupHandle) -> bool:

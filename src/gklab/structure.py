@@ -16,13 +16,11 @@ element set is derived on first read.  Deliberate choices:
   tables.
 * Coset representatives are the value-least element of each coset, so
   quotients are reproducible bit for bit.  The coset projection is built on
-  ids (``_memo["to_q"]``): |G| id products, one per element and element of
-  N.  ``fitting_series`` composes these projections and keeps the quotient
-  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  A quotient's
-  sorted order is its list of representatives, its ids multiply in the
-  parent's, and its conjugation tables come from its parent's through the
-  projection, conjugating by the parent generator behind each quotient
-  generator; no element is multiplied.
+  ids (the quotient's ``origin.to_q``): |G| id products, one per element
+  and element of N.  ``fitting_series`` composes these projections and
+  keeps the quotient chain G/F_1, G/F_2, ..., which the 2-Frobenius test
+  reads.  A quotient multiplies no element: its ids and conjugation tables
+  come from its parent's through the projection (``groups.Quotient``).
 * Conjugacy classes, O_p(G) and the normality test of ``quotient`` run on
   integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
@@ -69,9 +67,10 @@ from operator import add
 from typing import Callable, Sequence
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, Span, conjugation_tables,
-                     element_ids, id_mul, id_powers, id_set, induced_mul,
-                     small_generating_set, subgroup_view)
+from .groups import (GroupHandle, NotMember, Quotient, Span,
+                     conjugation_tables, direct_factors, element_ids, id_mul,
+                     id_powers, id_set, memoised, small_generating_set,
+                     subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -155,6 +154,7 @@ class FittingData:
         return self.length is not None
 
 
+@memoised("conjugacy")
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     """Class partition and class power map on ids; memoised.
 
@@ -162,12 +162,8 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     any other group closes orbits on its conjugation tables and walks each
     representative's powers on ids.
     """
-    if "conjugacy" in G._memo:
-        return G._memo["conjugacy"]
-    factors = G._memo.get("factors")
-    if factors is not None:
-        data = G._memo["conjugacy"] = _product_classes(G, *factors)
-        return data
+    if factors := direct_factors(G):
+        return _product_classes(G, *factors)
     tables = conjugation_tables(G)
     cids = [-1] * G.order
     reps = []
@@ -190,10 +186,8 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     e = element_ids(G)[G.identity]
     powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
               for g in reps]
-    data = ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
+    return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
                          lambda: cids, G.sorted_elements())
-    G._memo["conjugacy"] = data
-    return data
 
 
 def _product_classes(P: GroupHandle, G: GroupHandle,
@@ -278,13 +272,11 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
     return G.power(g, p_part) == G.identity
 
 
+@memoised("sylow")
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     """Sylow p-subgroup by deterministic normalizer growth."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    key = ("sylow", p)
-    if key in G._memo:
-        return G._memo[key]
     p_part = 1
     n = G.order
     while n % p == 0:
@@ -313,16 +305,12 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     ids = element_ids(G)
     normal = all(mul(inverses[g], mul(s, g)) in members
                  for g in map(ids.__getitem__, G.generators) for s in gens)
-    sub = SubgroupHandle(G, frozenset(members), normal)
-    G._memo[key] = sub
-    return sub
+    return SubgroupHandle(G, frozenset(members), normal)
 
 
+@memoised("core")
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     """O_p(G): intersection of all conjugates of a Sylow p-subgroup."""
-    key = ("core", p)
-    if key in G._memo:
-        return G._memo[key]
     K = set(sylow(G, p).ids)
     changed = True
     while changed:
@@ -332,26 +320,21 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
             if Kg != K:
                 K &= Kg
                 changed = True
-    sub = SubgroupHandle(G, frozenset(K), True)
-    G._memo[key] = sub
-    return sub
+    return SubgroupHandle(G, frozenset(K), True)
 
 
+@memoised("fitting")
 def fitting(G: GroupHandle) -> SubgroupHandle:
     """F(G): product of the O_p(G) over primes p dividing |G|; memoised."""
-    if "fitting" in G._memo:
-        return G._memo["fitting"]
     F = Span(G)
     for p in sorted(factorint(G.order)):
         for x in core_p(G, p).ids:
             F.add(x)
-    sub = G._memo["fitting"] = SubgroupHandle(G, frozenset(F.elements), True)
-    return sub
+    return SubgroupHandle(G, frozenset(F.elements), True)
 
 
+@memoised("fitting_series")
 def fitting_series(G: GroupHandle) -> FittingData:
-    if "fitting_series" in G._memo:
-        return G._memo["fitting_series"]
     series = [SubgroupHandle(G, frozenset({element_ids(G)[G.identity]}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
@@ -368,10 +351,8 @@ def fitting_series(G: GroupHandle) -> FittingData:
             break
         current = quotient(current, F)
         quotients.append(current)
-        proj = list(map(current._memo["to_q"].__getitem__, proj))
-    data = FittingData(tuple(series), length, tuple(quotients))
-    G._memo["fitting_series"] = data
-    return data
+        proj = list(map(current.origin.to_q.__getitem__, proj))
+    return FittingData(tuple(series), length, tuple(quotients))
 
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
@@ -414,23 +395,9 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
             sources.append(k)
     if not gens:
         gens = [reps[e]]
-    Q = GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens), frozenset(reps),
-                    reps[e], mult, inv)
-    Q._memo["to_q"] = to_q
-    Q._memo["sorted"] = reps
-    Q._memo["tables_from"] = lambda: _quotient_tables(G, to_q, rep_ids, sources)
-    Q._memo["id_mul_from"] = lambda: induced_mul(id_mul(G), rep_ids, to_q)
-    return Q
-
-
-def _quotient_tables(G: GroupHandle, to_q: list[int], rep_ids: list[int],
-                     sources: list[int]) -> list[list[int]]:
-    """Tables of G/N through the coset projection: conjugating a coset by
-    the coset of g is conjugating its representative by g."""
-    if not sources:
-        return [[0]]
-    tables = conjugation_tables(G)
-    return [[to_q[tables[k][i]] for i in rep_ids] for k in sources]
+    return GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens),
+                       frozenset(reps), reps[e], mult, inv,
+                       Quotient(G, to_q, rep_ids, sources, reps))
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:

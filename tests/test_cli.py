@@ -28,6 +28,29 @@ SPEC = {
 SPEC_REPORT_SHA256 = \
     "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
 
+C1 = {"type": "builtin", "name": "cyclic", "args": [1]}
+
+
+def wide_spec(k: int) -> dict:
+    """One direct product of k trivial factors: product depth k - 1."""
+    return {"groups": {"c1": C1, "w": {"type": "direct",
+                                       "factors": ["c1"] * k}}}
+
+
+def chain_spec(n: int, top_first: bool, kind: str = "direct") -> dict:
+    """r0 built on r1, r1 on r2, ..., r(n-1) on the trivial rn, each a
+    product with c1: r0 has product depth n.  top_first lists r0 first, so
+    building it descends the whole chain."""
+    def link(i):
+        if kind == "direct":
+            return {"type": "direct", "factors": [f"r{i + 1}", "c1"]}
+        return {"type": "semidirect", "kernel": f"r{i + 1}", "acting": "c1",
+                "action_images": [[[]]]}
+    groups = {f"r{i}": link(i) for i in range(n)}
+    groups[f"r{n}"] = groups["c1"] = C1
+    order = list(groups) if top_first else list(reversed(groups))
+    return {"groups": {name: groups[name] for name in order}}
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -209,6 +232,50 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad recipe 'm': cannot decide whether "
                               f"{p} is prime")
+
+    @pytest.mark.parametrize("spec, recipe", [
+        (wide_spec(600), "w"), (wide_spec(128), "w"), (wide_spec(66), "w"),
+        (chain_spec(700, top_first=True), "r0"),
+        (chain_spec(700, top_first=False), "r635"),
+        (chain_spec(65, top_first=False), "r0"),
+        (chain_spec(65, top_first=True, kind="semidirect"), "r0"),
+    ], ids=["wide-600", "wide-128", "wide-66", "chain-700-top-first",
+            "chain-700-bottom-first", "chain-65", "semidirect-chain-65"])
+    def test_products_nest_at_most_64_deep(self, tmp_path, capsys, spec,
+                                           recipe):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(spec))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad recipe {recipe!r}: products nest more than 64 deep\n")
+
+    @pytest.mark.parametrize("spec", [
+        wide_spec(65), chain_spec(64, top_first=True),
+        chain_spec(64, top_first=False)], ids=["wide-65", "chain-64-top-first",
+                                               "chain-64-bottom-first"])
+    def test_product_depth_64_builds(self, tmp_path, spec):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(spec))
+        groups = cli.load_spec(str(path))
+        assert {G.order for G in groups.values()} == {1}
+
+    @pytest.mark.parametrize("degree", [-3, 0])
+    def test_perm_degree_below_one(self, tmp_path, capsys, degree):
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps({"groups": {
+            "g": {"type": "perm", "degree": degree, "gens": [[]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad recipe 'g': degree needs an integer of at least 1, "
+            f"got {degree}\n")
+
+    def test_empty_matrix(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"groups": {
+            "m": {"type": "matgrp", "p": 2, "gens": [[]]}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad recipe 'm': empty matrix")
 
     def test_cyclic_reference(self, tmp_path):
         path = tmp_path / "cyc.json"

@@ -79,6 +79,10 @@ class TestMat:
         with pytest.raises(ValueError, match="matrix is singular over F_3"):
             el.inv((el.MAT, 3, 2, (1, 2, 2, 1)))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            el.mat(2, [])
+
     def test_field_mismatch(self):
         with pytest.raises(el.IncompatibleKinds):
             el.mul(el.mat_identity(3, 2), el.mat_identity(5, 2))

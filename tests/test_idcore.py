@@ -304,7 +304,7 @@ class TestClosures:
                 Q = quotient(G, N)
                 srt, reps = G.sorted_elements(), Q.sorted_elements()
                 project = {srt[i]: reps[q]
-                           for i, q in enumerate(Q._memo["to_q"])}
+                           for i, q in enumerate(Q.origin.to_q)}
                 assert project == _reference_projection(G, N.elements)
 
     @by_bound
@@ -366,17 +366,18 @@ def test_only_small_groups_without_structure_are_tabulated():
 
 
 class _Poison:
-    """Stands in for an id-core memo: any use of it fails the test."""
+    """Stands in for an id-core memo or an origin: any use of it fails the
+    test."""
 
     def _fail(self, *args, **kwargs):
         raise AssertionError(
             "the normalizer-scan oracle read the id core or the classes")
 
     __call__ = __getitem__ = __iter__ = __len__ = __contains__ = _fail
+    __getattr__ = _fail
 
 
-ID_CORE_KEYS = ("ids", "id_mul", "id_mul_from", "id_base_from", "id_powers",
-                "conj_tables", "tables_from")
+ID_CORE_KEYS = ("ids", "id_mul", "id_powers", "conj_tables")
 
 
 def _c5sq_c4():
@@ -392,8 +393,9 @@ def _c5sq_c4():
       for label in sorted(catalog.distinct_corpus(1, 20, 300))[:6]],
 ], ids=lambda b: getattr(b, "__name__", "group"))
 def test_oracle_reads_no_id_core(build):
-    """With every id memo poisoned, and every field and view of the class
-    data but the representatives, the oracle still gives its verdict.
+    """With every id memo and the construction record poisoned, and every
+    field and view of the class data but the representatives, the oracle
+    still gives its verdict.
 
     Each call of build makes fresh groups, factors included, so no poison
     reaches another case.
@@ -409,6 +411,7 @@ def test_oracle_reads_no_id_core(build):
     G._memo["conjugacy"] = data
     for key in ID_CORE_KEYS:
         G._memo[key] = _Poison()
+    object.__setattr__(G, "origin", _Poison())
     assert cut_oracle_via_bg(G) == expected
 
 

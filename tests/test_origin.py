@@ -1,0 +1,73 @@
+"""How a group was built lives in its ``origin``; ``_memo`` holds only caches.
+
+Every handle records its construction in the frozen ``origin`` field (None,
+``Product``, ``Quotient`` or ``View``), and the ``memoised`` helper fills
+``_memo`` with data derived from it.  The tests record every handle built
+while the whole catalog and one group of each construction are analysed, and
+check their caches.
+"""
+
+import pytest
+
+from gklab import catalog
+from gklab.cli import analysis_report
+from gklab.groups import (GroupHandle, Product, Quotient, View,
+                          direct_factors, direct_product, subgroup_as_group)
+from gklab.structure import conjugacy_classes, core_p, quotient
+
+DERIVED = {"ids", "id_mul", "id_powers", "conj_tables", "conjugacy", "sylow",
+           "core", "fitting", "fitting_series", "fingerprint", "frobenius",
+           "rationality", "sorted"}
+# construction data, which an origin holds instead
+RETIRED = {"sorted", "factors", "tables_from", "id_mul_from", "id_base_from",
+           "to_q"}
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[GroupHandle]:
+    """Every GroupHandle constructed while the test runs."""
+    handles = []
+    init = GroupHandle.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        handles.append(self)
+    monkeypatch.setattr(GroupHandle, "__init__", recording)
+    return handles
+
+
+def test_memo_holds_only_derived_caches(built):
+    S4 = catalog.sym(4)
+    groups = {entry.name: entry.build() for entry in catalog.catalog()}
+    groups.update({
+        "product": direct_product(catalog.sym(3), catalog.quaternion8()),
+        "semidirect": catalog.vector_semidirect(5, 2, [[[2, 0], [0, 3]]]),
+        "quotient": quotient(S4, core_p(S4, 2)),
+        "view": subgroup_as_group(
+            S4, [x for x in S4.elements if x[1][3] == 3], "S3"),
+    })
+    analysis_report(groups, {})
+    assert {type(G.origin) for G in built} == {
+        type(None), Product, Quotient, View}
+    assert any(G.origin.act is not None for G in built
+               if isinstance(G.origin, Product))
+    for G in built:
+        for key in G._memo:
+            assert (key[0] if isinstance(key, tuple) else key) in DERIVED
+            if G.origin is not None:
+                assert key not in RETIRED, (G.label, key)
+
+
+def test_relabel_shares_origin_and_no_cache():
+    P = direct_product(catalog.sym(3), catalog.cyclic(2))
+    Q = quotient(P, core_p(P, 3))
+    for G in (P, Q, catalog.sym(3)):
+        conjugacy_classes(G)
+        R = G.relabel("renamed")
+        assert R.label == "renamed"
+        assert R.origin is G.origin
+        assert R._memo == {}
+        assert R.sorted_elements() == G.sorted_elements()
+        assert conjugacy_classes(R) == conjugacy_classes(G)
+    assert direct_factors(P.relabel("renamed")) == direct_factors(P)
+    assert direct_factors(Q) is None

@@ -3,14 +3,16 @@
 ``structure.conjugacy_classes`` and ``groups.id_powers`` derive a direct
 product's classes, power map, element orders and inverses from its factors'
 memoised data, with no multiplication.  The reference is the orbit and walk
-path every other group runs, taken on a copy of the product without its
-factor record.  The pairs are the ones the `verify invariants` product pair
-row samples, so that row's cut verdicts and prime graphs, now read off the
-factors, stay checked against an independent computation of each product.
+path every other group runs, taken on a copy of the product recorded as a
+semidirect product under the trivial action.  The pairs are the ones the
+`verify invariants` product pair row samples, so that row's cut verdicts and
+prime graphs, now read off the factors, stay checked against an independent
+computation of each product.
 """
 
 import functools
 from collections import Counter
+from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from gklab import catalog
 from gklab.frobenius import fingerprint
-from gklab.groups import (GroupHandle, direct_product, id_powers,
+from gklab.groups import (GroupHandle, Product, conjugation_tables,
+                          direct_factors, direct_product, id_powers,
                           subgroup_as_group)
 from gklab.primegraph import gk_graph
 from gklab.rationality import rationality_report
@@ -27,10 +30,12 @@ from gklab.verify import _sampled_pairs
 
 
 def _without_factors(P: GroupHandle) -> GroupHandle:
-    """P with its ids and tables but no factor record: the orbit and walk
-    path."""
-    R = P.relabel(P.label)
-    del R._memo["factors"]
+    """P with its ids and tables, built as A x| B under the trivial action:
+    the orbit and walk path."""
+    A, B = direct_factors(P)
+    trivial = dict.fromkeys(B.elements, {x: x for x in A.elements})
+    R = replace(P, origin=Product(A, B, trivial, P.origin.ordered))
+    R._memo["conj_tables"] = conjugation_tables(P)
     return R
 
 
@@ -67,8 +72,8 @@ def test_sampled_pair_matches_the_orbit_path(k):
 def _built_views(P: GroupHandle) -> list[str]:
     """The element views built on P's class data or on an inner product's."""
     out = []
-    for F in P._memo["factors"]:
-        if "factors" in F._memo:
+    for F in direct_factors(P):
+        if direct_factors(F):
             out += _built_views(F)
     built = vars(P._memo["conjugacy"])
     return out + [f"{P.label}.{v}" for v in ("classes", "class_index")
@@ -134,8 +139,8 @@ def test_nested_and_mixed_factors(build):
     P = build()
     _check_against_reference(P)
     # nested products derive at every level
-    for F in P._memo["factors"]:
-        if "factors" in F._memo:
+    for F in direct_factors(P):
+        if direct_factors(F):
             _check_against_reference(F)
 
 

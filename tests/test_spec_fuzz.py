@@ -1,0 +1,105 @@
+"""Mutated copies of the CLI test spec never crash ``gklab analyze``.
+
+Each example mutates ``SPEC`` from ``test_cli.py``: values swapped for
+other JSON types, floats, bools, small negative or out-of-range integers,
+keys deleted, and deep ``direct`` nesting.  It runs through ``cli.main``
+under a small element cap.  Every outcome is a documented exit code (0, 2
+input error, 3 cap exceeded) with no traceback on stderr, and the unmutated
+spec still gives the pinned report bytes.
+
+Integers stay within 10^3 in absolute value: a larger ``degree`` makes the
+permutation builder list every point before any check applies.
+"""
+
+import copy
+import hashlib
+import json
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from gklab.cli import main
+from test_cli import SPEC, SPEC_REPORT_SHA256, chain_spec, wide_spec
+
+# Every group of SPEC has order at most 200 (fig3.e), so the unmutated spec
+# analyses in full; a mutation that grows a group hits the cap instead.
+CAP = "200"
+
+JUNK = st.one_of(
+    st.integers(-10, -1),
+    st.integers(4, 1000),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from(["s3", "c2", "k", "perm", "direct", "cyclic", "fig3.e"]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.builds(dict),
+)
+
+
+def _paths(node, path=()):
+    """Every path to a value below node, as key and index tuples."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = copy.deepcopy(SPEC)
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JUNK)
+    # deep nesting past the bound: products of trivial groups reach it
+    # without growing, and anything shallower would take seconds to analyse
+    deep = draw(st.sampled_from([None, "wide", "top-first", "bottom-first"]))
+    if deep is not None and isinstance(doc.get("groups"), dict):
+        n = draw(st.integers(65, 300))
+        extra = (wide_spec(n + 1) if deep == "wide"
+                 else chain_spec(n, top_first=deep == "top-first"))["groups"]
+        doc["groups"].update({name: extra[name] for name in extra
+                              if name not in doc["groups"]})
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=mutated_specs())
+@example(spec=SPEC)
+@example(spec={"groups": {"g": {"type": "perm", "degree": -3, "gens": [[]]}}})
+@example(spec={"groups": {"m": {"type": "matgrp", "p": 2, "gens": [[]]}}})
+@example(spec=wide_spec(600))
+@example(spec=wide_spec(128))
+@example(spec=chain_spec(700, top_first=True))
+def test_mutated_spec_exits_cleanly(tmp_path, monkeypatch, capsys, spec):
+    monkeypatch.setenv("GKLAB_MAX_ORDER", CAP)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code = main(["analyze", "spec.json", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+    # compared as JSON text: True == 1 and 1.0 == 1 in Python, not in JSON
+    if json.dumps(spec) == json.dumps(SPEC):
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            SPEC_REPORT_SHA256
