@@ -14,6 +14,7 @@ from typing import Callable, Optional
 from . import elements as el
 from .groups import (GroupHandle, direct_product, enumerate_group,
                      semidirect_product)
+from .numtheory import isprime
 
 
 class OutOfRange(ValueError):
@@ -36,14 +37,14 @@ class CatalogEntry:
 def cyclic(n: int) -> GroupHandle:
     if n < 1:
         raise OutOfRange("cyclic order must be >= 1")
-    if n == 1:
-        return enumerate_group([el.perm_identity(1)], "C1")
     g = el.perm_from_cycles(n, [list(range(1, n + 1))])
     return enumerate_group([g], f"C{n}")
 
 
 def elem_abelian(p: int, rank: int) -> GroupHandle:
     """C_p^rank as disjoint p-cycles: fast multiplication, one block per rank."""
+    if not isprime(p):
+        raise OutOfRange(f"elem_abelian needs a prime p, got {p}")
     if rank < 1:
         raise OutOfRange("rank must be >= 1")
     pts = rank * p
@@ -146,7 +147,8 @@ def matrix_action(N: GroupHandle, mats) -> list[list]:
     """Per-acting-generator kernel images from matrices acting on C_p^rank.
 
     Kernel generator j corresponds to the j-th standard basis vector; matrix
-    column j gives its image as a word in the kernel generators.
+    column j gives its image as a word in the kernel generators, each entry
+    read modulo |N| (a generator's |N|-th power is the identity).
     """
     rank = len(N.generators)
     out = []
@@ -158,7 +160,8 @@ def matrix_action(N: GroupHandle, mats) -> list[list]:
         for col in range(d):
             img = N.identity
             for row in range(d):
-                img = N.mult(img, N.power(N.generators[row], xs[row * d + col]))
+                for _ in range(xs[row * d + col] % N.order):
+                    img = N.mult(img, N.generators[row])
             images.append(img)
         out.append(images)
     return out

@@ -143,8 +143,6 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             return semidirect_product(N, H, action, name)
     except SpecError:
         raise
-    except CapExceeded:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SpecError(f"bad recipe {name!r}: {exc}")
     raise SpecError(f"unknown recipe type {kind!r}")
@@ -337,7 +335,7 @@ def main(argv=None) -> int:
     except InvariantFailed as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 5
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

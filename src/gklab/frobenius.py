@@ -23,6 +23,7 @@ Kernels and complements are id sets (``SubgroupHandle.ids``).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Optional
 
@@ -46,14 +47,6 @@ class FrobeniusDecomposition:
     group_label: str
     kernel: SubgroupHandle
     complement: SubgroupHandle
-
-    @property
-    def kernel_order(self) -> int:
-        return self.kernel.order
-
-    @property
-    def complement_order(self) -> int:
-        return self.complement.order
 
 
 @dataclass(frozen=True)
@@ -192,8 +185,10 @@ def frobenius_kind(G: GroupHandle) -> str:
     return NONE_KIND
 
 
-def _reference_complements() -> dict[str, GroupFingerprint]:
-    """Fingerprints of the complement groups appearing in the cut families."""
+@cache
+def _reference_complements() -> tuple[tuple[str, GroupFingerprint], ...]:
+    """Fingerprints of the complement groups appearing in the cut families;
+    built once per process."""
     from . import catalog
     refs = {
         "C2": catalog.cyclic(2),
@@ -205,7 +200,7 @@ def _reference_complements() -> dict[str, GroupFingerprint]:
         "SL(2,3)": catalog.sl2_3(),
         "Q8xC3": catalog.quaternion8_times_c3(),
     }
-    return {name: fingerprint(g) for name, g in refs.items()}
+    return tuple((name, fingerprint(g)) for name, g in refs.items())
 
 
 def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
@@ -229,8 +224,7 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     if not elementary:
         return None
     cf = fingerprint(comp)
-    refs = _reference_complements()
-    name = next((nm for nm, fp in refs.items() if fp == cf), None)
+    name = next((nm for nm, fp in _reference_complements() if fp == cf), None)
     if name is None:
         return None
     table = {

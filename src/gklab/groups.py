@@ -10,7 +10,8 @@ Handles store no generator words: a map given on generators (a kernel
 automorphism, a group action) is extended along a BFS tree of the Cayley
 graph and then checked on every Cayley edge (Holt, Eick & O'Brien, *Handbook
 of Computational Group Theory*, ch. 4).  Products list their elements
-directly, without a closure.
+directly, without a closure (``_product_handle``).  Enumeration and both
+products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``sorted_elements()``, so
 ids follow the value order; a constructed group's sorted order is the
@@ -38,7 +39,8 @@ TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
 15%; a corpus pass keeps the tables of all its groups alive at once.  No
 |G|^2 structure exists above the bound.  ``id_powers`` walks each cyclic
-subgroup once on ids and gives every id's order and inverse; ``Span`` grows a
+subgroup once on ids (``_power_walk``, which the class power map walks too)
+and gives every id's order and inverse; ``Span`` grows a
 subgroup on ids one generator at a time (Dimino's algorithm), which closures,
 generating sets, Sylow growth, Fitting and normal closures run on.
 """
@@ -136,18 +138,6 @@ class GroupHandle:
         """g^x = x^-1 g x."""
         return self.mult(self.inv(x), self.mult(g, x))
 
-    def power(self, g: Element, n: int) -> Element:
-        if n < 0:
-            return self.power(self.inv(g), -n)
-        acc = self.identity
-        base = g
-        while n:
-            if n & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
-            n >>= 1
-        return acc
-
     def relabel(self, label: str) -> GroupHandle:
         """The same group under a new label: its origin, and no cache."""
         return replace(self, label=label)
@@ -231,8 +221,7 @@ def _along_bfs_tree(G: GroupHandle, start, step) -> dict:
     return out
 
 
-def enumerate_group(generators, label: str = "G",
-                    cap: Optional[int] = None) -> GroupHandle:
+def enumerate_group(generators, label: str = "G") -> GroupHandle:
     """Subgroup generated by compatible permutation or matrix elements."""
     generators = tuple(generators)
     if not generators:
@@ -242,13 +231,10 @@ def enumerate_group(generators, label: str = "G",
     if generators[0][0] == el.PAIR:
         raise IncompatibleKinds(
             "pair elements can only be enumerated inside their product group")
-    cap = default_cap() if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    elems = frozenset(_closure(generators, identity, el.mul, cap))
+    elems = frozenset(_closure(generators, identity, el.mul, default_cap()))
     return GroupHandle(label, generators, elems, identity, el.mul, el.inv)
 
 
@@ -330,8 +316,8 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
 
     A direct product reads them off its factors' (``_product_powers``).  In
     any other group each id not yet seen starts a walk over its cyclic
-    subgroup g, g^2, ..., g^n = 1 on ``id_mul``: g^k gets order n / gcd(k, n)
-    and inverse g^(n-k).
+    subgroup 1, g, ..., g^(n-1) on ``id_mul`` (``_power_walk``): g^k gets
+    order n / gcd(k, n) and inverse g^(n-k).
     """
     if factors := direct_factors(G):
         return _product_powers(*factors)
@@ -339,20 +325,25 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
     e = element_ids(G)[G.identity]
     orders = array("I", [0]) * G.order
     inverses = orders[:]
-    orders[e], inverses[e] = 1, e
     for g in range(G.order):
         if orders[g]:
             continue
-        powers = [g]
-        h = mul(g, g)
-        while h != e:
-            powers.append(h)
-            h = mul(h, g)
-        n = len(powers) + 1
-        for k, x in enumerate(powers, 1):
+        powers = _power_walk(mul, e, g)
+        n = len(powers)
+        for k, x in enumerate(powers):
             orders[x] = n // gcd(k, n)
-            inverses[x] = powers[n - k - 1]
+            inverses[x] = powers[-k]
     return orders, inverses
+
+
+def _power_walk(mul, e: int, g: int) -> list[int]:
+    """Ids of g^0, g^1, ..., g^(n-1), where n is the order of g."""
+    out = [e]
+    h = g
+    while h != e:
+        out.append(h)
+        h = mul(h, g)
+    return out
 
 
 def _product_powers(G: GroupHandle, H: GroupHandle) -> tuple[array, array]:
@@ -452,13 +443,9 @@ def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
     return out
 
 
-def direct_product(G: GroupHandle, H: GroupHandle,
-                   cap: Optional[int] = None) -> GroupHandle:
+def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
     """Cartesian product with componentwise multiplication."""
-    cap = default_cap() if cap is None else cap
-    if G.order * H.order > cap:
-        raise CapExceeded(
-            f"product order {G.order * H.order} exceeds cap {cap}")
+    _check_cap(G, H)
     gm, hm, gi, hi = G.mult, H.mult, G.inv, H.inv
 
     def mult(a, b):
@@ -467,18 +454,25 @@ def direct_product(G: GroupHandle, H: GroupHandle,
     def inv(a):
         return (el.PAIR, gi(a[1]), hi(a[2]))
 
-    ordered = _pairs_in_order(G, H)
-    identity = (el.PAIR, G.identity, H.identity)
-    gens = tuple((el.PAIR, g, H.identity) for g in G.generators) + \
-        tuple((el.PAIR, G.identity, h) for h in H.generators)
-    return GroupHandle(f"{G.label} x {H.label}", gens, frozenset(ordered),
-                       identity, mult, inv, Product(G, H, None, ordered))
+    return _product_handle(G, H, None, mult, inv, f"{G.label} x {H.label}")
 
 
-def _pairs_in_order(G: GroupHandle, H: GroupHandle) -> list[Element]:
-    """All pairs (x, y), sorted: the nested loop over both sorted orders."""
+def _check_cap(N: GroupHandle, H: GroupHandle) -> None:
+    if N.order * H.order > (cap := default_cap()):
+        raise CapExceeded(f"product order {N.order * H.order} exceeds cap {cap}")
+
+
+def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
+                    label: str) -> GroupHandle:
+    """The handle of N x H (act None) or N x| H: its pairs, sorted as the
+    nested loop over both sorted orders, and N's then H's generators."""
     hs = H.sorted_elements()
-    return [(el.PAIR, a, b) for a in G.sorted_elements() for b in hs]
+    ordered = [(el.PAIR, a, b) for a in N.sorted_elements() for b in hs]
+    gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
+        tuple((el.PAIR, N.identity, h) for h in H.generators)
+    return GroupHandle(label, gens, frozenset(ordered),
+                       (el.PAIR, N.identity, H.identity), mult, inv,
+                       Product(N, H, act, ordered))
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
@@ -506,8 +500,7 @@ def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
 
 
 def semidirect_product(N: GroupHandle, H: GroupHandle, action,
-                       label: Optional[str] = None,
-                       cap: Optional[int] = None) -> GroupHandle:
+                       label: Optional[str] = None) -> GroupHandle:
     """N x| H with multiplication (n1,h1)(n2,h2) = (n1 * (h1 |> n2), h1 h2).
 
     ``action`` gives, per H generator, the images of N's generators under the
@@ -515,10 +508,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     to be automorphisms and the induced action of all of H is checked to be
     well defined over H's enumerated multiplication.
     """
-    cap = default_cap() if cap is None else cap
-    if N.order * H.order > cap:
-        raise CapExceeded(
-            f"product order {N.order * H.order} exceeds cap {cap}")
+    _check_cap(N, H)
     if len(action) != len(H.generators):
         raise ActionNotWellDefined("one automorphism per acting generator required")
     gen_maps = [extend_to_automorphism(N, images) for images in action]
@@ -547,15 +537,10 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         h_inv = hi(a[2])
         return (el.PAIR, act[h_inv][ni(a[1])], h_inv)
 
-    ordered = _pairs_in_order(N, H)
-    identity = (el.PAIR, N.identity, H.identity)
-    gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
-        tuple((el.PAIR, N.identity, h) for h in H.generators)
     if label is None:
         sep = " x " if trivial else " x| "
         label = f"{N.label}{sep}{H.label}"
-    return GroupHandle(label, gens, frozenset(ordered), identity, mult, inv,
-                       Product(N, H, act, ordered))
+    return _product_handle(N, H, act, mult, inv, label)
 
 
 def _pair_mul(N: GroupHandle, H: GroupHandle, act) -> Callable[[int, int], int]:

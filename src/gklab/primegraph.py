@@ -7,6 +7,7 @@ abstract graph shapes, and reports the genuinely open cases as ``open``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,6 +20,8 @@ SOLVABLE_RATIONAL = "solvable-rational"
 REALIZED = "realized"
 FORBIDDEN = "forbidden"
 OPEN = "open"
+
+_TOKEN = re.compile(r"([0-9]+)(?:-([0-9]+))?")  # a graph literal's p or p-q
 
 
 class NonPrimeVertex(ValueError):
@@ -108,42 +111,31 @@ def _adjacency(graph: PrimeGraph) -> dict[int, set[int]]:
     return adj
 
 
+def _distances(adj: dict[int, set[int]], src: int) -> dict[int, int]:
+    """Breadth-first distance from src to every vertex of its component."""
+    dist = {src: 0}
+    queue = [src]
+    for x in queue:  # grows while it is read: a breadth-first search
+        for w in adj[x]:
+            if w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
 def components(graph: PrimeGraph) -> list[frozenset[int]]:
     adj = _adjacency(graph)
-    seen: set[int] = set()
-    comps = []
+    comps: list[frozenset[int]] = []
     for v in graph.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            comp.update(w for x in frontier for w in adj[x])
-            frontier = [w for w in comp - seen - {v} if w not in seen]
-            seen.update(comp)
-        comps.append(frozenset(comp))
+        if not any(v in c for c in comps):
+            comps.append(frozenset(_distances(adj, v)))
     return comps
 
 
 def component_diameters(graph: PrimeGraph) -> list[int]:
     adj = _adjacency(graph)
-    out = []
-    for comp in components(graph):
-        diam = 0
-        for src in comp:
-            dist = {src: 0}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for w in adj[x]:
-                        if w not in dist:
-                            dist[w] = dist[x] + 1
-                            nxt.append(w)
-                frontier = nxt
-            diam = max(diam, max(dist.values()))
-        out.append(diam)
-    return out
+    return [max(max(_distances(adj, src).values()) for src in comp)
+            for comp in components(graph)]
 
 
 def lemma_edge_implications(graph: PrimeGraph) -> bool:
@@ -163,8 +155,15 @@ def higman_check(graph: PrimeGraph) -> bool:
 
 
 def classify(graph: PrimeGraph, class_queried: str) -> TheoremVerdict:
+    """Where the classification puts graph; the empty graph is the trivial
+    group's, realized for both classes."""
     if any(not isprime(v) for v in graph.vertices):
         raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")
+    if class_queried not in (SOLVABLE_CUT, SOLVABLE_RATIONAL):
+        raise ValueError(f"unknown class {class_queried!r}")
+    if not graph.vertices:
+        return TheoremVerdict(class_queried, REALIZED,
+                              "the trivial group (empty graph)")
     match = next((name for name, g in FIGURE_GRAPHS.items() if g == graph), None)
     if class_queried == SOLVABLE_CUT:
         if match in set(CUT_REALIZED):
@@ -174,15 +173,13 @@ def classify(graph: PrimeGraph, class_queried: str) -> TheoremVerdict:
                                   f"open question on four-vertex graphs ({match})")
         return TheoremVerdict(class_queried, FORBIDDEN,
                               _forbidden_citation(graph))
-    if class_queried == SOLVABLE_RATIONAL:
-        if match in set(RATIONAL_REALIZED):
-            return TheoremVerdict(class_queried, REALIZED, f"figure entry ({match})")
-        if match in set(RATIONAL_OPEN):
-            return TheoremVerdict(class_queried, OPEN,
-                                  "open question: 3-2-5 for rational groups")
-        return TheoremVerdict(class_queried, FORBIDDEN,
-                              _forbidden_citation(graph, rational=True))
-    raise ValueError(f"unknown class {class_queried!r}")
+    if match in set(RATIONAL_REALIZED):
+        return TheoremVerdict(class_queried, REALIZED, f"figure entry ({match})")
+    if match in set(RATIONAL_OPEN):
+        return TheoremVerdict(class_queried, OPEN,
+                              "open question: 3-2-5 for rational groups")
+    return TheoremVerdict(class_queried, FORBIDDEN,
+                          _forbidden_citation(graph, rational=True))
 
 
 def _forbidden_citation(graph: PrimeGraph, rational: bool = False) -> str:
@@ -206,17 +203,23 @@ def product_graph(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
 
 
 def parse_graph_literal(text: str) -> PrimeGraph:
-    """Parse literals like "2-3,2-5,7": edges and isolated vertices."""
+    """Parse literals like "2-3,2-5,7": comma-separated tokens, each ``p``
+    (a vertex) or ``p-q`` (an edge) in decimal digits.  Spaces are ignored,
+    empty tokens skipped, and any other token is a ValueError naming it."""
     vertices: set[int] = set()
     edges = []
     for part in text.replace(" ", "").split(","):
         if not part:
             continue
-        if "-" in part:
-            a, b = part.split("-", 1)
-            edges.append((int(a), int(b)))
+        m = _TOKEN.fullmatch(part)
+        if m is None:
+            raise ValueError(f"bad graph literal token {part!r}: expected "
+                             "p or p-q, in decimal digits")
+        a, b = m.groups()
+        if b is None:
+            vertices.add(int(a))
         else:
-            vertices.add(int(part))
+            edges.append((int(a), int(b)))
     graph = PrimeGraph.make(vertices, edges)
     if any(not isprime(v) for v in graph.vertices):
         raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")

@@ -48,7 +48,7 @@ from math import gcd, lcm
 
 from .elements import Element
 from .groups import GroupHandle, NotMember, element_ids, memoised
-from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
+from .structure import conjugacy_classes, cyclic_subgroup_set
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -83,20 +83,18 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, n + 1) if gcd(m, n) == 1)
 
 
-def class_iota_exponents(G: GroupHandle, g: Element,
-                         data: ConjugacyData | None = None) -> frozenset[int]:
+def class_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
     """{m coprime to |g| : g^m conjugate to g}; the image of iota_g.
 
     g^x = g^m forces x to normalize <g>, so conjugacy of g and g^m already
     certifies membership of m in the image of iota_g.
     """
-    return element_verdict(G, g, data).iota_exponents
+    return element_verdict(G, g).iota_exponents
 
 
-def element_verdict(G: GroupHandle, g: Element,
-                    data: ConjugacyData | None = None) -> ElementVerdict:
+def element_verdict(G: GroupHandle, g: Element) -> ElementVerdict:
     """Verdict for g, read by the class of its id (``_class_verdict``)."""
-    data = data or conjugacy_classes(G)
+    data = conjugacy_classes(G)
     i = element_ids(G).get(g)
     if i is None:
         raise NotMember(f"element not in {G.label}")

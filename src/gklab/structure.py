@@ -21,8 +21,8 @@ element set is derived on first read.  Deliberate choices:
   keeps the quotient chain G/F_1, G/F_2, ..., which the 2-Frobenius test
   reads.  A quotient multiplies no element: its ids and conjugation tables
   come from its parent's through the projection (``groups.Quotient``).
-* Conjugacy classes, O_p(G) and the normality test of ``quotient`` run on
-  integer ids and per-generator conjugation tables
+* Conjugacy classes, O_p(G) and the normality tests of ``quotient`` and
+  ``sylow`` run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
@@ -32,7 +32,8 @@ element set is derived on first read.  Deliberate choices:
   first two.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
-  0 <= k < |rep_c|, from one walk of <rep_c> on ids.  Class orders are row
+  0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
+  the walk ``groups.id_powers`` takes).  Class orders are row
   lengths, and the rationality verdicts read the rows.
 * A direct product G x H visits no element for its class data.  Its classes
   are the products C x D of the factors' classes, with least id and size
@@ -67,10 +68,10 @@ from operator import add
 from typing import Callable, Sequence
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, Quotient, Span,
-                     conjugation_tables, direct_factors, element_ids, id_mul,
-                     id_powers, id_set, memoised, small_generating_set,
-                     subgroup_view)
+from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
+                     conjugation_tables, direct_factors, element_ids,
+                     element_order, id_mul, id_powers, id_set, memoised,
+                     small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -219,16 +220,6 @@ def _product_classes(P: GroupHandle, G: GroupHandle,
                          P.sorted_elements())
 
 
-def _power_walk(mul, e: int, g: int) -> list[int]:
-    """Ids of g^0, g^1, ..., g^(n-1), where n is the order of g."""
-    out = [e]
-    h = g
-    while h != e:
-        out.append(h)
-        h = mul(h, g)
-    return out
-
-
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
     if g not in G.elements:
         raise NotMember(f"element not in {G.label}")
@@ -269,7 +260,7 @@ def _is_normal(G: GroupHandle, members) -> bool:
 
 def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
     """True iff g^p_part = 1: g is a p-element when p_part is |G|'s p-part."""
-    return G.power(g, p_part) == G.identity
+    return p_part % element_order(G, g) == 0
 
 
 @memoised("sylow")
@@ -277,11 +268,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     """Sylow p-subgroup by deterministic normalizer growth."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    p_part = 1
-    n = G.order
-    while n % p == 0:
-        n //= p
-        p_part *= p
+    p_part = p ** factorint(G.order).get(p, 0)
     orders, inverses = id_powers(G)
     mul = id_mul(G)
     # element orders divide |G|, so order | p_part iff it is a power of p
@@ -302,10 +289,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
                 f"no p-element of {G.label} normalizes a p-subgroup of order "
                 f"{len(members)} < {p_part}")
         P.add(x)
-    ids = element_ids(G)
-    normal = all(mul(inverses[g], mul(s, g)) in members
-                 for g in map(ids.__getitem__, G.generators) for s in gens)
-    return SubgroupHandle(G, frozenset(members), normal)
+    return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
 
 
 @memoised("core")

@@ -6,6 +6,7 @@ table.  Each suite returns (name, passed, detail) rows; the CLI renders them.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from . import catalog as cat
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, fingerprint,
@@ -110,13 +111,8 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
     solvable = is_solvable(G)
     if cut_oracle_via_bg(G) != cut:
         bad.append("dual cut oracles disagree")
-    for p in factorint(G.order):
-        expected = 1
-        n = G.order
-        while n % p == 0:
-            expected *= p
-            n //= p
-        if sylow(G, p).order != expected:
+    for p, k in factorint(G.order).items():
+        if sylow(G, p).order != p ** k:
             bad.append(f"sylow {p} order wrong")
     if solvable:
         comps = components(graph)
@@ -172,7 +168,7 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if q == p or not syl[p].normal or p * q in orders:
                 continue
             Sq = groups[q]
-            q8 = fingerprint(Sq) == fingerprint(cat.quaternion8())
+            q8 = fingerprint(Sq) == _q8_fingerprint()
             small_cyclic = is_cyclic(Sq) and (4 % Sq.order == 0 or Sq.order == q)
             if not (q8 or small_cyclic):
                 bad.append(f"Sylow {q} not Q8 or small cyclic (p={p})")
@@ -182,13 +178,19 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if any(n % 4 == 0 and (n // 4) in primes and (n // 4) % 2 == 1
                    for n in orders):
                 bad.append("cyclic Sylow 2 with an element of order 4p")
-        elif fingerprint(S2) == fingerprint(cat.quaternion8()):
+        elif fingerprint(S2) == _q8_fingerprint():
             for n in orders:
                 if n % 2 == 0 and (n // 2) in primes and (n // 2) % 4 == 1:
                     bad.append(f"Q8 Sylow 2 with element of order {n}")
     if 3 in primes and is_cyclic(groups[3]) and 21 in orders:
         bad.append("cyclic Sylow 3 with an element of order 21")
     return bad
+
+
+@cache
+def _q8_fingerprint():
+    """Q8's fingerprint, built once per process."""
+    return fingerprint(cat.quaternion8())
 
 
 def _quotient_closure(G: GroupHandle, cut: bool, rational: bool) -> list[str]:
@@ -228,15 +230,14 @@ def suite_invariants(seed: int = 1, count: int = 200,
     return rows
 
 
-def _sampled_pairs(seed: int, distinct: dict[str, GroupHandle],
-                   want: int = 50, product_cap: int = 50000) -> list:
-    """Up to want pairs (a, b) of cut groups, a at or before b in label order,
-    with |a||b| <= product_cap, drawn by seed."""
+def _sampled_pairs(seed: int, distinct: dict[str, GroupHandle]) -> list:
+    """Up to 50 pairs (a, b) of cut groups, a at or before b in label order,
+    with |a||b| <= 50000, drawn by seed."""
     cut_groups = [distinct[label] for label in sorted(distinct)
                   if is_cut_group(distinct[label])]
     pairs = [(a, b) for i, a in enumerate(cut_groups)
-             for b in cut_groups[i:] if a.order * b.order <= product_cap]
-    return random.Random(seed).sample(pairs, min(want, len(pairs)))
+             for b in cut_groups[i:] if a.order * b.order <= 50000]
+    return random.Random(seed).sample(pairs, min(50, len(pairs)))
 
 
 def _pair_sampling_row(seed: int, distinct: dict[str, GroupHandle]) -> Row:

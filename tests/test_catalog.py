@@ -10,6 +10,7 @@ from gklab.structure import is_solvable
 class TestBuilders:
     def test_cyclic(self):
         assert catalog.cyclic(1).order == 1
+        assert catalog.cyclic(1).label == "C1"
         assert catalog.cyclic(6).order == 6
         with pytest.raises(catalog.OutOfRange):
             catalog.cyclic(0)
@@ -19,6 +20,11 @@ class TestBuilders:
         assert G.order == 9
         from gklab.structure import exponent
         assert exponent(G) == 3
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -5, 9])
+    def test_elem_abelian_needs_a_prime(self, p):
+        with pytest.raises(catalog.OutOfRange, match="prime p"):
+            catalog.elem_abelian(p, 2)
 
     def test_dihedral(self):
         assert catalog.dihedral(8).order == 8

@@ -96,6 +96,42 @@ class TestAnalyze:
                    "gens": [[[1, 2]], [[1, 2, 3, 4]]]}}}))
         assert main(["analyze", str(path)]) == 3
 
+    @pytest.mark.parametrize("recipe", [
+        {"type": "direct", "factors": ["c3", "c3"]},
+        {"type": "semidirect", "kernel": "c3", "acting": "c3",
+         "action_images": [[[0]]]}])
+    def test_product_cap_exceeded(self, tmp_path, monkeypatch, capsys, recipe):
+        # each factor fits under the cap, their product does not
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "8")
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps({"groups": {
+            "c3": {"type": "builtin", "name": "cyclic", "args": [3]},
+            "p": recipe}}))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: product order 9 exceeds cap 8\n"
+
+    @pytest.mark.parametrize("p", [4, -5, 0])
+    def test_elem_abelian_needs_a_prime(self, tmp_path, capsys, p):
+        path = tmp_path / "elem.json"
+        path.write_text(json.dumps({"groups": {
+            "v": {"type": "builtin", "name": "elem_abelian", "args": [p, 2]}}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad recipe 'v': elem_abelian needs a prime p, got {p}\n"
+
+    def test_trivial_groups_are_classified_realized(self, tmp_path, capsys):
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({"groups": {
+            "c1": C1, "w": {"type": "direct", "factors": ["c1", "c1"]}}}))
+        assert main(["analyze", str(path)]) == 0
+        for report in json.loads(capsys.readouterr().out)["groups"].values():
+            assert report["gk_graph"]["literal"] == ""
+            assert {v["status"] for v in report["classification"].values()} \
+                == {"realized"}
+            assert set(report["classification"]) == {"solvable-cut",
+                                                      "solvable-rational"}
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_max_order_env(self, spec_path, monkeypatch, capsys, value):
         monkeypatch.setenv("GKLAB_MAX_ORDER", value)
@@ -329,6 +365,20 @@ class TestVerifyAndClassify:
 
     def test_classify_parse_error(self):
         assert main(["classify", "4-6", "--class", "cut"]) == 2
+
+    @pytest.mark.parametrize("cls", ["cut", "rational"])
+    def test_classify_empty_graph(self, capsys, cls):
+        assert main(["classify", "", "--class", cls]) == 0
+        assert capsys.readouterr().out == (
+            f"(empty) [solvable-{cls}]: realized "
+            "(the trivial group (empty graph))\n")
+
+    @pytest.mark.parametrize("literal, token", [("2-3-5", "2-3-5"),
+                                                ("-3", "-3"), ("2,3x", "3x")])
+    def test_classify_bad_token(self, capsys, literal, token):
+        assert main(["classify", literal, "--class", "cut"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: bad graph literal token {token!r}")
 
     @pytest.mark.parametrize("literal", ["2-1000000000000000000000007",
                                          "2,3," + "9" * 30])

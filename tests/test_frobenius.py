@@ -31,7 +31,7 @@ def _reference_two_frobenius(G):
 class TestFrobenius:
     def test_s3(self, s3):
         dec = frobenius_decomposition(s3)
-        assert dec.kernel_order == 3 and dec.complement_order == 2
+        assert dec.kernel.order == 3 and dec.complement.order == 2
 
     def test_q8_is_not(self, q8):
         with pytest.raises(NotFrobenius):
@@ -50,7 +50,7 @@ class TestFrobenius:
     def test_c5sq_q8(self):
         G = catalog.catalog_entry("fig3.e").build()
         dec = frobenius_decomposition(G)
-        assert dec.kernel_order == 25
+        assert dec.kernel.order == 25
         comp = dec.complement.as_group()
         assert fingerprint(comp) == fingerprint(catalog.quaternion8())
 
@@ -58,15 +58,15 @@ class TestFrobenius:
         dec = frobenius_decomposition(c7c6)
         assert dec.kernel.normal
         assert len(dec.kernel.elements & dec.complement.elements) == 1
-        assert dec.kernel_order * dec.complement_order == c7c6.order
-        assert gcd(dec.kernel_order, dec.complement_order) == 1
+        assert dec.kernel.order * dec.complement.order == c7c6.order
+        assert gcd(dec.kernel.order, dec.complement.order) == 1
         for g in c7c6.elements:
             n = element_order(c7c6, g)
-            assert dec.kernel_order % n == 0 or dec.complement_order % n == 0
+            assert dec.kernel.order % n == 0 or dec.complement.order % n == 0
 
     def test_odd_order_complement_search(self, c7c3):
         dec = frobenius_decomposition(c7c3)
-        assert dec.kernel_order == 7 and dec.complement_order == 3
+        assert dec.kernel.order == 7 and dec.complement.order == 3
 
 
 class TestTwoFrobenius:

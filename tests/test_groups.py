@@ -42,10 +42,11 @@ class TestEnumerate:
             with pytest.raises(ValueError, match="GKLAB_MAX_ORDER"):
                 default_cap()
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "100")
         with pytest.raises(CapExceeded):
             enumerate_group([el.perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]),
-                             el.perm_from_cycles(7, [[1, 2]])], cap=100)
+                             el.perm_from_cycles(7, [[1, 2]])])
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(el.IncompatibleKinds):
@@ -95,6 +96,14 @@ class TestDirectProduct:
         e = catalog.catalog_entry("fig3.e").build()
         assert direct_product(e, c7c3).order == 4200
 
+    def test_cap_from_env(self, s3, monkeypatch):
+        c2 = catalog.cyclic(2)
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "11")
+        with pytest.raises(CapExceeded, match="product order 12 exceeds cap 11"):
+            direct_product(s3, c2)
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "12")
+        assert direct_product(s3, c2).order == 12
+
 
 class TestSemidirect:
     def test_s3_as_c3_by_c2(self, s3):
@@ -128,6 +137,15 @@ class TestSemidirect:
         doubling = N.mult(N.generators[0], N.generators[0])  # order 4 in Aut(C5)
         with pytest.raises(ActionNotWellDefined):
             semidirect_product(N, H, [[doubling]])
+
+    def test_cap_from_env(self, monkeypatch):
+        N, H = catalog.cyclic(3), catalog.cyclic(2)
+        action = [[N.inv(N.generators[0])]]
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "5")
+        with pytest.raises(CapExceeded, match="product order 6 exceeds cap 5"):
+            semidirect_product(N, H, action)
+        monkeypatch.setenv("GKLAB_MAX_ORDER", "6")
+        assert semidirect_product(N, H, action).order == 6
 
     def test_q8_on_f5_squared(self):
         G = catalog.catalog_entry("fig3.e").build()

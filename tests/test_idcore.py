@@ -349,7 +349,7 @@ class TestClassPowerMap:
                     h = G.mult(h, rep)
                 assert row == tuple(walked)
                 assert len(row) == element_order(G, rep)
-                assert (element_verdict(G, rep, data)
+                assert (element_verdict(G, rep)
                         == _reference_verdict(G, rep, data))
 
 

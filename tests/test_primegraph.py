@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -69,6 +71,13 @@ class TestClassify:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             classify(FIGURE_GRAPHS["a"], "nilpotent")
+        with pytest.raises(ValueError, match="unknown class"):
+            classify(PrimeGraph.make([], []), "nilpotent")
+
+    @pytest.mark.parametrize("cls", [SOLVABLE_CUT, SOLVABLE_RATIONAL])
+    def test_empty_graph_is_the_trivial_groups(self, cls):
+        v = classify(parse_graph_literal(""), cls)
+        assert v.status == REALIZED and "trivial group" in v.citation
 
 
 class TestProductGraph:
@@ -104,6 +113,21 @@ class TestLiteralsAndDot:
     @given(prime_graphs())
     def test_literal_roundtrip(self, g):
         assert parse_graph_literal(g.literal()) == g
+
+    @pytest.mark.parametrize("text, literal", [
+        ("", ""), (" , ", ""), ("2-3,,5", "2-3,5"), (" 5 ,3 - 2,", "2-3,5"),
+        ("7,7,2-7", "2-7")])
+    def test_literal_grammar(self, text, literal):
+        assert parse_graph_literal(text).literal() == literal
+
+    @pytest.mark.parametrize("text, token", [
+        ("2-3-5", "2-3-5"), ("-3", "-3"), ("3-", "3-"), ("2,x", "x"),
+        ("2--3", "2--3"), ("+3", "+3"), ("1_1", "1_1"), ("\u0663", "\u0663"),
+        ("3.0", "3.0")])
+    def test_literal_bad_token_is_named(self, text, token):
+        with pytest.raises(ValueError, match=f"bad graph literal token "
+                                             f"{re.escape(repr(token))}"):
+            parse_graph_literal(text)
 
     def test_parse_rejects_non_prime(self):
         with pytest.raises(NonPrimeVertex):

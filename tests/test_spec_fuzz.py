@@ -9,6 +9,9 @@ spec still gives the pinned report bytes.
 
 Integers stay within 10^3 in absolute value: a larger ``degree`` makes the
 permutation builder list every point before any check applies.
+
+``gklab classify`` literals are fuzzed the same way: any string of digits,
+separators and a few other characters exits 0 or 2, with no traceback.
 """
 
 import copy
@@ -103,3 +106,26 @@ def test_mutated_spec_exits_cleanly(tmp_path, monkeypatch, capsys, spec):
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             SPEC_REPORT_SHA256
+
+
+# digits and separators, plus characters int() accepts in a number ("+",
+# "_", a tab, an Arabic-Indic digit) and two it rejects
+LITERAL_CHARS = list("0123456789-, ") + ["x", "+", "_", ".", "\t", "٣"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(literal=st.text(st.sampled_from(LITERAL_CHARS), max_size=12),
+       cls=st.sampled_from(["cut", "rational"]))
+@example(literal="2-3-5", cls="cut")
+@example(literal="-3", cls="cut")
+@example(literal="", cls="cut")
+@example(literal="1_1", cls="rational")
+def test_classify_literal_exits_cleanly(capsys, literal, cls):
+    # "--" ends the options, so a literal starting with "-" reaches classify
+    code = main(["classify", "--class", cls, "--", literal])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
