@@ -44,14 +44,12 @@ class NotFrobenius(ValueError):
 
 @dataclass(frozen=True)
 class FrobeniusDecomposition:
-    group_label: str
     kernel: SubgroupHandle
     complement: SubgroupHandle
 
 
 @dataclass(frozen=True)
 class TwoFrobeniusDecomposition:
-    group_label: str
     f1: SubgroupHandle
     f2: SubgroupHandle
     # structural consequences for 2-Frobenius groups
@@ -136,8 +134,7 @@ def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
     if not _kernel_condition(G, F.ids):
         return f"{G.label}: centralizer condition fails"
     comp = _find_complement(G, F.ids, G.order // F.order)
-    return FrobeniusDecomposition(G.label, F,
-                                  SubgroupHandle(G, comp, normal=False))
+    return FrobeniusDecomposition(F, SubgroupHandle(G, comp, normal=False))
 
 
 def is_frobenius(G: GroupHandle) -> bool:
@@ -160,7 +157,6 @@ def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
     f1_group = F1.as_group(f"{G.label}-F1")
     middle = qdec.kernel.as_group()
     return TwoFrobeniusDecomposition(
-        group_label=G.label,
         f1=F1,
         f2=F2,
         top_cyclic=is_cyclic(top),

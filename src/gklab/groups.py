@@ -1,10 +1,12 @@
 """Enumerated finite groups: closure from generators, products, element orders.
 
-A :class:`GroupHandle` owns a fully enumerated element set together with
-multiplication and inversion callables, and a frozen ``origin`` recording how
-it was built: ``None`` for an enumerated group, else a :class:`Product`,
-:class:`Quotient` or :class:`View`.  ``relabel`` keeps the origin.  Derived
-data (ids, tables, conjugacy classes, ...) is cached by :func:`memoised`.
+A :class:`GroupHandle` owns its fully enumerated elements, listed once in
+ascending value order (``ordered``), together with multiplication and
+inversion callables, and a frozen ``origin`` recording how it was built:
+``None`` for an enumerated group, else a :class:`Product`, :class:`Quotient`
+or :class:`View`.  ``relabel`` keeps the origin and shares the list.
+Derived data (ids, tables, conjugacy classes, ...) is cached by
+:func:`memoised`.
 
 Handles store no generator words: a map given on generators (a kernel
 automorphism, a group action) is extended along a BFS tree of the Cayley
@@ -13,13 +15,13 @@ of Computational Group Theory*, ch. 4).  Products list their elements
 directly, without a closure (``_product_handle``).  Enumeration and both
 products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
-Element ids: an element's id is its position in ``sorted_elements()``, so
-ids follow the value order; a constructed group's sorted order is the
-``ordered`` list of its origin.  Every group multiplies ids (``id_mul``) the
-way it was built:
+Element ids: an element's id is its position in ``G.ordered``, so ids
+follow the value order; the one hash structure of a group is the memoised
+id dict (``element_ids``), which membership and ``G.elements`` read.  Every
+group multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
-  sorted order is the nested loop over the factors' sorted orders) and
+  ``ordered`` list is the nested loop over the factors' lists) and
   multiplies componentwise on the factors' ids.  It reads its orders and
   inverses (``id_powers``), its conjugation tables and its conjugacy classes
   (``structure.conjugacy_classes``) off its factors' (``direct_factors``),
@@ -53,7 +55,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, KeysView, Optional, Sequence
 
 from . import elements as el
 from .elements import Element, IncompatibleKinds
@@ -115,9 +117,16 @@ def memoised(key):
 
 @dataclass(frozen=True, eq=False)
 class GroupHandle:
+    """A fully enumerated group.
+
+    ``ordered`` lists every element once, in strictly ascending value order,
+    so ``ordered[i]`` is the element with id i; every constructor must pass
+    a list that keeps this invariant.  The handle holds no other copy of its
+    elements: membership and ``elements`` read the memoised id dict.
+    """
     label: str
     generators: tuple[Element, ...]
-    elements: frozenset[Element]
+    ordered: list[Element]
     identity: Element
     mult: Callable[[Element, Element], Element]
     inv: Callable[[Element], Element]
@@ -126,26 +135,24 @@ class GroupHandle:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.ordered)
+
+    @property
+    def elements(self) -> KeysView[Element]:
+        """The elements as a read-only set view."""
+        return element_ids(self).keys()
 
     def __contains__(self, g: Element) -> bool:
-        return g in self.elements
-
-    def sorted_elements(self) -> list[Element]:
-        return _sorted(self) if self.origin is None else self.origin.ordered
+        return g in element_ids(self)
 
     def conjugate(self, g: Element, x: Element) -> Element:
         """g^x = x^-1 g x."""
         return self.mult(self.inv(x), self.mult(g, x))
 
     def relabel(self, label: str) -> GroupHandle:
-        """The same group under a new label: its origin, and no cache."""
+        """The same group under a new label: its elements and origin, and
+        no cache."""
         return replace(self, label=label)
-
-
-@memoised("sorted")
-def _sorted(G: GroupHandle) -> list[Element]:
-    return sorted(G.elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +161,6 @@ class Product:
     left: GroupHandle
     right: GroupHandle
     act: Optional[dict]
-    ordered: list[Element]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +170,6 @@ class Quotient:
     to_q: list[int]
     rep_ids: list[int]
     sources: list[int]  # the parent generator behind each generator
-    ordered: list[Element]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +177,6 @@ class View:
     """The subgroup of parent whose ids, in ascending order, are ids."""
     parent: GroupHandle
     ids: list[int]
-    ordered: list[Element]
 
 
 def direct_factors(G: GroupHandle) -> Optional[tuple[GroupHandle, GroupHandle]]:
@@ -234,13 +238,13 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    elems = frozenset(_closure(generators, identity, el.mul, default_cap()))
+    elems = sorted(_closure(generators, identity, el.mul, default_cap()))
     return GroupHandle(label, generators, elems, identity, el.mul, el.inv)
 
 
 def element_order(G: GroupHandle, g: Element) -> int:
     """Least k >= 1 with g^k = identity."""
-    if g not in G.elements:
+    if g not in G:
         raise NotMember(f"element not in {G.label}")
     k = 1
     h = g
@@ -252,8 +256,8 @@ def element_order(G: GroupHandle, g: Element) -> int:
 
 @memoised("ids")
 def element_ids(G: GroupHandle) -> dict[Element, int]:
-    """Element -> id, its position in ``G.sorted_elements()``; memoised."""
-    return {x: i for i, x in enumerate(G.sorted_elements())}
+    """Element -> id, its position in ``G.ordered``; memoised."""
+    return {x: i for i, x in enumerate(G.ordered)}
 
 
 @memoised("id_mul")
@@ -274,7 +278,7 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
         mul = induced_mul(id_mul(o.parent), o.ids,
                           {x: k for k, x in enumerate(o.ids)})
     else:
-        mul = induced_mul(G.mult, G.sorted_elements(), element_ids(G))
+        mul = induced_mul(G.mult, G.ordered, element_ids(G))
     return _cayley_mul(G, mul) if G.order <= TABLE_BOUND else mul
 
 
@@ -464,15 +468,16 @@ def _check_cap(N: GroupHandle, H: GroupHandle) -> None:
 
 def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
                     label: str) -> GroupHandle:
-    """The handle of N x H (act None) or N x| H: its pairs, sorted as the
-    nested loop over both sorted orders, and N's then H's generators."""
-    hs = H.sorted_elements()
-    ordered = [(el.PAIR, a, b) for a in N.sorted_elements() for b in hs]
+    """The handle of N x H (act None) or N x| H: its pairs, in value order
+    as the nested loop over both factors' lists, and N's then H's
+    generators."""
+    hs = H.ordered
+    ordered = [(el.PAIR, a, b) for a in N.ordered for b in hs]
     gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
         tuple((el.PAIR, N.identity, h) for h in H.generators)
-    return GroupHandle(label, gens, frozenset(ordered),
+    return GroupHandle(label, gens, ordered,
                        (el.PAIR, N.identity, H.identity), mult, inv,
-                       Product(N, H, act, ordered))
+                       Product(N, H, act))
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
@@ -485,13 +490,13 @@ def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
     if len(images) != len(N.generators):
         raise NotAnAutomorphism("one image per generator required")
     for im in images:
-        if im not in N.elements:
+        if im not in N:
             raise NotAnAutomorphism("image lies outside the kernel group")
     amap = _along_bfs_tree(N, N.identity,
                            lambda acc, i: N.mult(acc, images[i]))
     if len(set(amap.values())) != len(amap):
         raise NotAnAutomorphism("generator images do not induce a bijection")
-    for n in N.elements:
+    for n in N.ordered:
         fn = amap[n]
         for i, g in enumerate(N.generators):
             if amap[N.mult(n, g)] != N.mult(fn, images[i]):
@@ -515,9 +520,9 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
 
     # Propagate along a BFS tree of H, then verify every Cayley edge agrees.
     act = _along_bfs_tree(
-        H, {n: n for n in N.elements},
-        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.elements})
-    for h in H.elements:
+        H, {n: n for n in N.ordered},
+        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.ordered})
+    for h in H.ordered:
         for i, g in enumerate(H.generators):
             hg = H.mult(h, g)
             gmap = gen_maps[i]
@@ -526,7 +531,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
                 raise ActionNotWellDefined(
                     "generator automorphisms violate the acting group's relations")
 
-    trivial = all(gmap[n] == n for gmap in gen_maps for n in N.elements)
+    trivial = all(gmap[n] == n for gmap in gen_maps for n in N.ordered)
 
     nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
 
@@ -555,9 +560,8 @@ def _pair_mul(N: GroupHandle, H: GroupHandle, act) -> Callable[[int, int], int]:
             return nm(i1, i2) * m + hm(j1, j2)
         return mul
     nid = element_ids(N)
-    ns = N.sorted_elements()
-    a = [array("I", [nid[image[x]] for x in ns])
-         for image in map(act.__getitem__, H.sorted_elements())]
+    a = [array("I", [nid[image[x]] for x in N.ordered])
+         for image in map(act.__getitem__, H.ordered)]
 
     def twisted(x, y):
         i1, j1 = divmod(x, m)
@@ -579,7 +583,7 @@ def _span_of(G: GroupHandle, members: set[int]) -> Span:
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
     """Greedy generating set for a subgroup given as an element set."""
-    srt = G.sorted_elements()
+    srt = G.ordered
     return [srt[i] for i in _span_of(G, id_set(G, subset)).gens]
 
 
@@ -588,7 +592,7 @@ def closure_in(G: GroupHandle, gens) -> set[Element]:
     span = Span(G)
     for x in id_set(G, gens):
         span.add(x)
-    srt = G.sorted_elements()
+    srt = G.ordered
     return {srt[i] for i in span.elements}
 
 
@@ -605,10 +609,9 @@ def subgroup_view(G: GroupHandle, members, label: str = "") -> GroupHandle:
     span = _span_of(G, members)
     if span.elements != members:
         raise ValueError(f"subset of {G.label} is not a subgroup")
-    srt = G.sorted_elements()
+    srt = G.ordered
     out = sorted(members)
     gens = tuple(srt[i] for i in span.gens) or (G.identity,)
-    ordered = [srt[i] for i in out]
     return GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
-                       frozenset(ordered), G.identity, G.mult, G.inv,
-                       View(G, out, ordered))
+                       [srt[i] for i in out], G.identity, G.mult, G.inv,
+                       View(G, out))

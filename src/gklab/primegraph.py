@@ -205,7 +205,8 @@ def product_graph(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
 def parse_graph_literal(text: str) -> PrimeGraph:
     """Parse literals like "2-3,2-5,7": comma-separated tokens, each ``p``
     (a vertex) or ``p-q`` (an edge) in decimal digits.  Spaces are ignored,
-    empty tokens skipped, and any other token is a ValueError naming it."""
+    empty tokens skipped, and any other token, or one with more digits than
+    ``int()`` converts, is a ValueError naming it."""
     vertices: set[int] = set()
     edges = []
     for part in text.replace(" ", "").split(","):
@@ -215,11 +216,15 @@ def parse_graph_literal(text: str) -> PrimeGraph:
         if m is None:
             raise ValueError(f"bad graph literal token {part!r}: expected "
                              "p or p-q, in decimal digits")
-        a, b = m.groups()
-        if b is None:
-            vertices.add(int(a))
+        try:
+            ends = [int(x) for x in m.groups() if x is not None]
+        except ValueError:  # int()'s digit limit, far above PRIMALITY_BOUND
+            raise ValueError(f"bad graph literal token {part!r}: too many "
+                             "digits") from None
+        if len(ends) == 1:
+            vertices.add(ends[0])
         else:
-            edges.append((int(a), int(b)))
+            edges.append(tuple(ends))
     graph = PrimeGraph.make(vertices, edges)
     if any(not isprime(v) for v in graph.vertices):
         raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")

@@ -61,7 +61,6 @@ class PreconditionNotCut(ValueError):
 
 @dataclass(frozen=True)
 class ElementVerdict:
-    representative: Element
     order: int
     bg_order: int
     iota_exponents: frozenset[int]
@@ -70,7 +69,6 @@ class ElementVerdict:
 
 @dataclass(frozen=True)
 class RationalityReport:
-    group_label: str
     per_class: tuple[ElementVerdict, ...]
     is_rational: bool
     is_cut: bool
@@ -99,11 +97,12 @@ def element_verdict(G: GroupHandle, g: Element) -> ElementVerdict:
     if i is None:
         raise NotMember(f"element not in {G.label}")
     cid = data.class_ids[i]
-    return _class_verdict(g, cid, data.powers[cid])
+    return _class_verdict(cid, data.powers[cid])
 
 
-def _class_verdict(g: Element, cid: int, row: tuple[int, ...]) -> ElementVerdict:
-    """Verdict for g in class cid, read from the class's power map row.
+def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
+    """Verdict for an element g of class cid, read from the class's power
+    map row.
 
     n = len(row) is |g|, and g^m lies in class row[m % n]: g is rational when
     that is cid for every unit m, inverse semi-rational when it is cid or
@@ -118,16 +117,15 @@ def _class_verdict(g: Element, cid: int, row: tuple[int, ...]) -> ElementVerdict
         verdict = INVERSE_SEMIRATIONAL
     else:
         verdict = NEITHER
-    return ElementVerdict(g, n, len(exps), exps, verdict)
+    return ElementVerdict(n, len(exps), exps, verdict)
 
 
 @memoised("rationality")
 def rationality_report(G: GroupHandle) -> RationalityReport:
     data = conjugacy_classes(G)
-    verdicts = tuple(map(_class_verdict, data.representatives,
-                         range(len(data.rep_ids)), data.powers))
+    verdicts = tuple(map(_class_verdict, range(len(data.powers)),
+                         data.powers))
     return RationalityReport(
-        group_label=G.label,
         per_class=verdicts,
         is_rational=all(v.verdict == RATIONAL for v in verdicts),
         is_cut=all(v.verdict != NEITHER for v in verdicts),

@@ -26,10 +26,9 @@ element set is derived on first read.  Deliberate choices:
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
-  each class, the power map, and the class of each id.  The element views
-  (the classes as element sets, the element -> class dict and the
-  representatives) are derived on first read; no library path builds the
-  first two.
+  each class, the power map, and the class of each id.  The one element
+  view, the representatives, is derived on first read; only the
+  normalizer-scan cut oracle reads it.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
@@ -91,9 +90,8 @@ class InvariantFailed(RuntimeError):
 class ConjugacyData:
     """Class data on element ids; class c is numbered by its least id.
 
-    ``class_ids`` and the element views ``classes``, ``class_index`` and
-    ``representatives`` are derived from the stored fields on first read.
-    Equality compares the id fields.
+    ``class_ids`` and the element view ``representatives`` are derived
+    from the stored fields on first read.  Equality compares the id fields.
     """
     rep_ids: tuple[int, ...]  # rep_ids[c] is the least id in class c
     sizes: tuple[int, ...]    # sizes[c] is |class c|
@@ -113,17 +111,6 @@ class ConjugacyData:
     def representatives(self) -> tuple[Element, ...]:
         return tuple(map(self.elements.__getitem__, self.rep_ids))
 
-    @cached_property
-    def classes(self) -> tuple[frozenset, ...]:
-        members = [[] for _ in self.rep_ids]
-        for x, c in zip(self.elements, self.class_ids):
-            members[c].append(x)
-        return tuple(map(frozenset, members))
-
-    @cached_property
-    def class_index(self) -> dict:
-        return dict(zip(self.elements, self.class_ids))
-
 
 @dataclass(frozen=True)
 class SubgroupHandle:
@@ -137,8 +124,7 @@ class SubgroupHandle:
 
     @cached_property
     def elements(self) -> frozenset[Element]:
-        srt = self.parent.sorted_elements()
-        return frozenset(map(srt.__getitem__, self.ids))
+        return frozenset(map(self.parent.ordered.__getitem__, self.ids))
 
     def as_group(self, label: str = "") -> GroupHandle:
         return subgroup_view(self.parent, self.ids, label)
@@ -188,7 +174,7 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
               for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
-                         lambda: cids, G.sorted_elements())
+                         lambda: cids, G.ordered)
 
 
 def _product_classes(P: GroupHandle, G: GroupHandle,
@@ -217,22 +203,22 @@ def _product_classes(P: GroupHandle, G: GroupHandle,
         ch = dh.class_ids
         return [a * kh + b for a in dg.class_ids for b in ch]
     return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
-                         P.sorted_elements())
+                         P.ordered)
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
-    if g not in G.elements:
+    if g not in G:
         raise NotMember(f"element not in {G.label}")
-    elems = frozenset(x for x in G.elements if G.mult(x, g) == G.mult(g, x))
+    elems = frozenset(x for x in G.ordered if G.mult(x, g) == G.mult(g, x))
     return _subgroup(G, elems)
 
 
 def normalizer_of_cyclic(G: GroupHandle, g: Element) -> SubgroupHandle:
     """N_G(<g>): all x with <g>^x = <g>."""
-    if g not in G.elements:
+    if g not in G:
         raise NotMember(f"element not in {G.label}")
     cyc = cyclic_subgroup_set(G, g)
-    elems = frozenset(x for x in G.elements if G.conjugate(g, x) in cyc)
+    elems = frozenset(x for x in G.ordered if G.conjugate(g, x) in cyc)
     return _subgroup(G, elems)
 
 
@@ -341,7 +327,7 @@ def fitting_series(G: GroupHandle) -> FittingData:
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N on value-least coset representatives with induced multiplication."""
-    if N.parent is not G and N.parent.elements != G.elements:
+    if N.parent is not G and N.parent.ordered != G.ordered:
         raise NotNormal("subgroup does not live in this group")
     n_ids = N.ids if N.parent is G else id_set(G, N.elements)
     if not _is_normal(G, n_ids):
@@ -357,8 +343,7 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         for x in n_ids:
             to_q[mul(g, x)] = len(rep_ids)
         rep_ids.append(g)
-    srt = G.sorted_elements()
-    reps = [srt[i] for i in rep_ids]
+    reps = list(map(G.ordered.__getitem__, rep_ids))
     gm, gi = G.mult, G.inv
 
     def mult(a, b):
@@ -379,9 +364,8 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
             sources.append(k)
     if not gens:
         gens = [reps[e]]
-    return GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens),
-                       frozenset(reps), reps[e], mult, inv,
-                       Quotient(G, to_q, rep_ids, sources, reps))
+    return GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens), reps,
+                       reps[e], mult, inv, Quotient(G, to_q, rep_ids, sources))
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:

@@ -160,7 +160,7 @@ def _inner_semidirect():
     """C7 x| C6 extended by C6 acting as conjugation by an element of
     order 6: a non-abelian kernel."""
     N = catalog.c7_c6()
-    x = next(x for x in N.sorted_elements() if element_order(N, x) == 6)
+    x = next(x for x in N.ordered if element_order(N, x) == 6)
     return semidirect_product(N, catalog.cyclic(6),
                               [[N.conjugate(g, x) for g in N.generators]])
 

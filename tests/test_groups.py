@@ -163,7 +163,7 @@ class TestSubgroupView:
     def test_non_subgroup_rejected(self, s4):
         # a ValueError, not an assert, so that python -O rejects it too
         with pytest.raises(ValueError, match=f"of {s4.label} is not a subgroup"):
-            subgroup_as_group(s4, s4.sorted_elements()[:5])
+            subgroup_as_group(s4, s4.ordered[:5])
 
 
 SMALL_FACTORS = [catalog.cyclic(1), catalog.cyclic(2), catalog.cyclic(4),
@@ -280,10 +280,10 @@ def _kernel_images(draw):
     else:
         N = draw(st.sampled_from(OTHER_KERNELS))
         if draw(st.booleans()):
-            x = draw(st.sampled_from(N.sorted_elements()))
+            x = draw(st.sampled_from(N.ordered))
             return N, [N.conjugate(g, x) for g in N.generators]
     rank = len(N.generators)
-    return N, draw(st.lists(st.sampled_from(N.sorted_elements()),
+    return N, draw(st.lists(st.sampled_from(N.ordered),
                             min_size=rank, max_size=rank))
 
 
@@ -300,7 +300,7 @@ class TestExtendToAutomorphism:
     ], ids=["C2^2", "C4xC2"])
     def test_every_image_pair(self, N, outcomes):
         seen = set()
-        for images in itertools.product(N.sorted_elements(), repeat=2):
+        for images in itertools.product(N.ordered, repeat=2):
             got = _extension_or_message(N, list(images))
             assert got == _reference_extension(N, list(images))
             seen.add(got if isinstance(got, str) else "automorphism")

@@ -78,7 +78,7 @@ def _reference_normal_closure(G, seeds):
 def _reference_projection(G, nset):
     """Coset projection of G/N by |G| element products, as quotient was."""
     project = {}
-    for g in G.sorted_elements():
+    for g in G.ordered:
         if g in project:
             continue
         for x in nset:
@@ -94,30 +94,30 @@ def _powers(G, g, n):
     return out
 
 
-def _all_pm(G, g, n, data):
+def _all_pm(G, g, n, index):
     """Every generator of <g> conjugate to g or g^-1."""
     powers = _powers(G, g, n)
-    cid = data.class_index[g]
-    cid_inv = data.class_index[powers[(n - 1) % n]]
-    return all(data.class_index[powers[m % n]] in (cid, cid_inv)
+    cid = index[g]
+    cid_inv = index[powers[(n - 1) % n]]
+    return all(index[powers[m % n]] in (cid, cid_inv)
                for m in range(1, n + 1) if gcd(m, n) == 1)
 
 
-def _reference_verdict(G, g, data):
-    """element_verdict as it was: three walks of <g> on G.mult."""
+def _reference_verdict(G, g, index):
+    """element_verdict as it was: three walks of <g> on G.mult, with the
+    element -> class dict index."""
     n = element_order(G, g)
     powers = _powers(G, g, n)
     units = [m for m in range(1, n + 1) if gcd(m, n) == 1]
-    cid = data.class_index[g]
-    exps = frozenset(m for m in units
-                     if data.class_index[powers[m % n]] == cid)
+    cid = index[g]
+    exps = frozenset(m for m in units if index[powers[m % n]] == cid)
     if len(exps) == len(units):
         verdict = RATIONAL
-    elif _all_pm(G, g, n, data):
+    elif _all_pm(G, g, n, index):
         verdict = INVERSE_SEMIRATIONAL
     else:
         verdict = NEITHER
-    return ElementVerdict(g, n, len(exps), exps, verdict)
+    return ElementVerdict(n, len(exps), exps, verdict)
 
 
 def _invertible(p, rows):
@@ -187,7 +187,7 @@ def _recipes(draw):
 
         def build():
             N = SMALL[name]()
-            x = N.sorted_elements()[pick % N.order]
+            x = N.ordered[pick % N.order]
             H = catalog.cyclic(element_order(N, x))
             return semidirect_product(
                 N, H, [[N.conjugate(g, x) for g in N.generators]])
@@ -246,7 +246,7 @@ class TestIdMultiplication:
     def test_product_inverse_and_order(self, bound, recipe, seed):
         with _bound(bound):
             G = recipe[1]()
-            srt, ids = G.sorted_elements(), element_ids(G)
+            srt, ids = G.ordered, element_ids(G)
             mul = id_mul(G)
             orders, inverses = id_powers(G)
             rng = random.Random(seed)
@@ -283,7 +283,7 @@ class TestClosures:
         with _bound(bound):
             G = recipe[1]()
             rng = random.Random(seed)
-            srt = G.sorted_elements()
+            srt = G.ordered
             gens = [srt[i] for i in _sample_ids(G, rng, rng.randint(1, 3))]
             C = closure_in(G, gens)
             assert G.order % len(C) == 0
@@ -302,7 +302,7 @@ class TestClosures:
             for N in [derived_subgroup(G)] + [core_p(G, p)
                                               for p in sorted(factorint(G.order))]:
                 Q = quotient(G, N)
-                srt, reps = G.sorted_elements(), Q.sorted_elements()
+                srt, reps = G.ordered, Q.ordered
                 project = {srt[i]: reps[q]
                            for i, q in enumerate(Q.origin.to_q)}
                 assert project == _reference_projection(G, N.elements)
@@ -340,17 +340,18 @@ class TestClassPowerMap:
         with _bound(bound):
             G = recipe[1]()
             data = conjugacy_classes(G)
+            index = dict(zip(G.ordered, data.class_ids))  # element -> class
             assert len(data.powers) == len(data.representatives)
             for rep, row in zip(data.representatives, data.powers):
-                walked = [data.class_index[G.identity]]
+                walked = [index[G.identity]]
                 h = rep
                 while h != G.identity:
-                    walked.append(data.class_index[h])
+                    walked.append(index[h])
                     h = G.mult(h, rep)
                 assert row == tuple(walked)
                 assert len(row) == element_order(G, rep)
                 assert (element_verdict(G, rep)
-                        == _reference_verdict(G, rep, data))
+                        == _reference_verdict(G, rep, index))
 
 
 def test_only_small_groups_without_structure_are_tabulated():
@@ -406,7 +407,6 @@ def test_oracle_reads_no_id_core(build):
     data = ConjugacyData(rep_ids=_Poison(), sizes=_Poison(), powers=_Poison(),
                          class_ids_from=_Poison(), elements=_Poison())
     vars(data).update(representatives=conjugacy_classes(G).representatives,
-                      classes=_Poison(), class_index=_Poison(),
                       class_ids=_Poison())
     G._memo["conjugacy"] = data
     for key in ID_CORE_KEYS:

@@ -1,10 +1,11 @@
 """How a group was built lives in its ``origin``; ``_memo`` holds only caches.
 
 Every handle records its construction in the frozen ``origin`` field (None,
-``Product``, ``Quotient`` or ``View``), and the ``memoised`` helper fills
-``_memo`` with data derived from it.  The tests record every handle built
-while the whole catalog and one group of each construction are analysed, and
-check their caches.
+``Product``, ``Quotient`` or ``View``), lists its elements once in
+``ordered``, and the ``memoised`` helper fills ``_memo`` with data derived
+from them.  The tests record every handle built while the whole catalog and
+one group of each construction are analysed, and check their element lists
+and caches.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from gklab.structure import conjugacy_classes, core_p, quotient
 
 DERIVED = {"ids", "id_mul", "id_powers", "conj_tables", "conjugacy", "sylow",
            "core", "fitting", "fitting_series", "fingerprint", "frobenius",
-           "rationality", "sorted"}
+           "rationality"}
 # construction data, which an origin holds instead
 RETIRED = {"sorted", "factors", "tables_from", "id_mul_from", "id_base_from",
            "to_q"}
@@ -46,12 +47,18 @@ def test_memo_holds_only_derived_caches(built):
         "view": subgroup_as_group(
             S4, [x for x in S4.elements if x[1][3] == 3], "S3"),
     })
+    groups["relabel"] = groups["product"].relabel("renamed")
     analysis_report(groups, {})
     assert {type(G.origin) for G in built} == {
         type(None), Product, Quotient, View}
     assert any(G.origin.act is not None for G in built
                if isinstance(G.origin, Product))
+    assert any(G.label == "renamed" for G in built)  # a relabel
     for G in built:
+        srt = G.ordered
+        assert all(a < b for a, b in zip(srt, srt[1:])), G.label
+        assert len(srt) == G.order
+        assert set(srt) == set(G.elements)
         for key in G._memo:
             assert (key[0] if isinstance(key, tuple) else key) in DERIVED
             if G.origin is not None:
@@ -67,7 +74,7 @@ def test_relabel_shares_origin_and_no_cache():
         assert R.label == "renamed"
         assert R.origin is G.origin
         assert R._memo == {}
-        assert R.sorted_elements() == G.sorted_elements()
+        assert R.ordered is G.ordered
         assert conjugacy_classes(R) == conjugacy_classes(G)
     assert direct_factors(P.relabel("renamed")) == direct_factors(P)
     assert direct_factors(Q) is None

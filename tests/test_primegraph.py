@@ -123,7 +123,9 @@ class TestLiteralsAndDot:
     @pytest.mark.parametrize("text, token", [
         ("2-3-5", "2-3-5"), ("-3", "-3"), ("3-", "3-"), ("2,x", "x"),
         ("2--3", "2--3"), ("+3", "+3"), ("1_1", "1_1"), ("\u0663", "\u0663"),
-        ("3.0", "3.0")])
+        ("3.0", "3.0"),
+        # past int()'s digit limit (4,300 by default)
+        pytest.param("2-" + "7" * 5000, "2-" + "7" * 5000, id="5000-digits")])
     def test_literal_bad_token_is_named(self, text, token):
         with pytest.raises(ValueError, match=f"bad graph literal token "
                                              f"{re.escape(repr(token))}"):

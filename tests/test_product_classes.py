@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gklab import catalog
+from gklab.cli import analysis_report
 from gklab.frobenius import fingerprint
 from gklab.groups import (GroupHandle, Product, conjugation_tables,
                           direct_factors, direct_product, id_powers,
@@ -33,8 +34,8 @@ def _without_factors(P: GroupHandle) -> GroupHandle:
     """P with its ids and tables, built as A x| B under the trivial action:
     the orbit and walk path."""
     A, B = direct_factors(P)
-    trivial = dict.fromkeys(B.elements, {x: x for x in A.elements})
-    R = replace(P, origin=Product(A, B, trivial, P.origin.ordered))
+    trivial = dict.fromkeys(B.ordered, {x: x for x in A.ordered})
+    R = replace(P, origin=Product(A, B, trivial))
     R._memo["conj_tables"] = conjugation_tables(P)
     return R
 
@@ -47,9 +48,7 @@ def _check_against_reference(P: GroupHandle) -> None:
     assert data.sizes == ref.sizes
     assert data.powers == ref.powers
     assert list(data.class_ids) == list(ref.class_ids)
-    # the element views, derived from the id fields
-    assert data.classes == ref.classes
-    assert data.class_index == ref.class_index
+    # the element view, derived from the id fields
     assert data.representatives == ref.representatives
     assert powers == id_powers(R)
 
@@ -70,14 +69,14 @@ def test_sampled_pair_matches_the_orbit_path(k):
 
 
 def _built_views(P: GroupHandle) -> list[str]:
-    """The element views built on P's class data or on an inner product's."""
+    """The element view built on P's class data or on an inner product's."""
     out = []
     for F in direct_factors(P):
         if direct_factors(F):
             out += _built_views(F)
-    built = vars(P._memo["conjugacy"])
-    return out + [f"{P.label}.{v}" for v in ("classes", "class_index")
-                  if v in built]
+    if "representatives" in vars(P._memo["conjugacy"]):
+        out.append(f"{P.label}.representatives")
+    return out
 
 
 @pytest.mark.parametrize("build", [
@@ -85,16 +84,20 @@ def _built_views(P: GroupHandle) -> list[str]:
     lambda: catalog.catalog_entry("fig3.q").build(),
 ], ids=["sampled", "fig3.q"])
 def test_reads_build_no_element_view(build):
-    """Classes, verdicts, the prime graph and the fingerprint of a product
-    never bucket its elements into classes, at any level of nesting."""
+    """Classes, verdicts, the prime graph, the fingerprint and the whole
+    analysis report of a product never list its class representatives as
+    elements, at any level of nesting."""
     P = build()
     conjugacy_classes(P)
     rationality_report(P)
     gk_graph(P)
     fingerprint(P)
+    analysis_report({"P": P}, {})
     assert _built_views(P) == []
-    # the views are still there for a reader that asks
-    assert len(conjugacy_classes(P).classes) == len(conjugacy_classes(P).rep_ids)
+    # the view is still there for a reader that asks
+    data = conjugacy_classes(P)
+    assert data.representatives == tuple(map(P.ordered.__getitem__,
+                                             data.rep_ids))
 
 
 @pytest.mark.parametrize("k", range(0, 50, 7))

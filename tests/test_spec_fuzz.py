@@ -11,7 +11,10 @@ Integers stay within 10^3 in absolute value: a larger ``degree`` makes the
 permutation builder list every point before any check applies.
 
 ``gklab classify`` literals are fuzzed the same way: any string of digits,
-separators and a few other characters exits 0 or 2, with no traceback.
+separators and a few other characters exits 0 or 2, with no traceback.  So
+are ``gklab graph``'s arguments: catalog names, mutated specs, missing paths
+and directories as the group, and ``--name`` and ``--dot`` present, absent,
+unknown or a directory.
 """
 
 import copy
@@ -20,6 +23,7 @@ import json
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from gklab import catalog
 from gklab.cli import main
 from test_cli import SPEC, SPEC_REPORT_SHA256, chain_spec, wide_spec
 
@@ -121,6 +125,7 @@ LITERAL_CHARS = list("0123456789-, ") + ["x", "+", "_", ".", "\t", "٣"]
 @example(literal="-3", cls="cut")
 @example(literal="", cls="cut")
 @example(literal="1_1", cls="rational")
+@example(literal="2-" + "7" * 5000, cls="cut")  # past int()'s digit limit
 def test_classify_literal_exits_cleanly(capsys, literal, cls):
     # "--" ends the options, so a literal starting with "-" reaches classify
     code = main(["classify", "--class", cls, "--", literal])
@@ -129,3 +134,63 @@ def test_classify_literal_exits_cleanly(capsys, literal, cls):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error:")
+
+
+CATALOG_NAMES = [entry.name for entry in catalog.catalog()]
+
+
+@st.composite
+def graph_args(draw):
+    """(argv for ``gklab graph``, spec to write or None).
+
+    The group is a catalog name, an unknown name, a mutated SPEC in a file,
+    a missing path or a directory; ``--name`` is absent, one of SPEC's
+    groups or unknown; ``--dot`` is absent, a file or a directory.
+    """
+    kind = draw(st.sampled_from(["catalog", "spec", "missing", "directory"]))
+    spec = None
+    if kind == "catalog":
+        group = draw(st.sampled_from(CATALOG_NAMES + ["fig3.zz", ""]))
+    elif kind == "spec":
+        spec, group = draw(mutated_specs()), "spec.json"
+    else:
+        group = "missing.json" if kind == "missing" else "adir"
+    argv = ["graph", group]
+    name = draw(st.sampled_from([None, "", "nope", *sorted(SPEC["groups"])]))
+    if name is not None:
+        argv += ["--name", name]
+    dot = draw(st.sampled_from([None, "out.dot", "adir", ".",
+                                "missing/out.dot"]))
+    if dot is not None:
+        argv += ["--dot", dot]
+    return argv, spec
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=graph_args())
+@example(case=(["graph", "fig3.e"], None))
+@example(case=(["graph", "spec.json", "--name", "s3", "--dot", "adir"], SPEC))
+@example(case=(["graph", "adir"], None))
+@example(case=(["graph", "missing.json", "--name", "nope"], None))
+@example(case=(["graph", "spec.json"], SPEC))
+def test_graph_args_exit_cleanly(tmp_path, monkeypatch, capsys, case):
+    argv, spec = case
+    monkeypatch.setenv("GKLAB_MAX_ORDER", CAP)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir(exist_ok=True)
+    (tmp_path / "out.dot").unlink(missing_ok=True)
+    spec_file = tmp_path / "spec.json"
+    spec_file.unlink(missing_ok=True)
+    if spec is not None:
+        spec_file.write_text(json.dumps(spec))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+    elif "--dot" in argv:
+        assert (tmp_path / "out.dot").read_text().startswith("graph ")
+    else:
+        assert out.startswith("graph ")

@@ -22,12 +22,13 @@ from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
 
 
 def _reference_classes(G):
-    """Orbit BFS with two G.mult per element and generator."""
+    """Orbit BFS with two G.mult per element and generator: the classes as
+    element sets, the element -> class dict and the representatives."""
     gen_invs = [(g, G.inv(g)) for g in G.generators]
     index = {}
     classes = []
     reps = []
-    for start in G.sorted_elements():
+    for start in G.ordered:
         if start in index:
             continue
         cid = len(classes)
@@ -138,9 +139,12 @@ def test_classes_match_reference(name):
     G = _group(name)
     data = conjugacy_classes(G)
     classes, index, reps = _reference_classes(G)
-    assert data.classes == classes
+    ids = element_ids(G)
+    # the reference partition, written as ids
+    assert list(data.class_ids) == [index[x] for x in G.ordered]
+    assert data.rep_ids == tuple(ids[x] for x in reps)
+    assert data.sizes == tuple(map(len, classes))
     assert data.representatives == reps
-    assert data.class_index == index
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -160,7 +164,7 @@ def test_core_and_normality_match_reference(name):
 @given(data=st.data())
 def test_table_entry_is_the_conjugate(data):
     G = _group(data.draw(st.sampled_from(sorted(BUILDERS))))
-    srt = G.sorted_elements()
+    srt = G.ordered
     k = data.draw(st.integers(0, len(G.generators) - 1))
     i = data.draw(st.integers(0, G.order - 1))
     x = G.conjugate(srt[i], G.generators[k])
@@ -169,8 +173,10 @@ def test_table_entry_is_the_conjugate(data):
 
 def test_ids_follow_the_value_order():
     for G in map(_group, BUILDERS):
-        srt = G.sorted_elements()
-        assert srt == sorted(G.elements)
+        srt = G.ordered
+        assert all(a < b for a, b in zip(srt, srt[1:]))
+        assert len(srt) == G.order
+        assert set(srt) == set(G.elements)
         assert all(element_ids(G)[x] == i for i, x in enumerate(srt))
 
 
@@ -183,7 +189,7 @@ def _counting(G, calls):
     def inv(a):
         calls.append("inv")
         return G.inv(a)
-    return GroupHandle(G.label, G.generators, G.elements, G.identity, mult, inv)
+    return GroupHandle(G.label, G.generators, G.ordered, G.identity, mult, inv)
 
 
 def test_products_and_quotients_multiply_no_element():
@@ -198,7 +204,7 @@ def test_products_and_quotients_multiply_no_element():
     conjugacy_classes(P)
     conjugacy_classes(Q)
     assert calls == []
-    assert len(conjugacy_classes(Q).classes) == len(_reference_classes(Q)[0])
+    assert len(conjugacy_classes(Q).rep_ids) == len(_reference_classes(Q)[0])
 
 
 def test_relabel_keeps_the_structure_not_the_label():
