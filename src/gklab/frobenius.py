@@ -17,7 +17,10 @@ enumerated.  Kernel and complement are read off the class data
   ids, is a complement.
 
 Kernels and complements are id sets (``SubgroupHandle.ids``).  The
-2-Frobenius test reads F_1, F_2, G/F_1 and G/F_2 from ``fitting_series``.
+2-Frobenius test reads F_1, F_2 and G/F_1 from ``fitting_series``: G is
+2-Frobenius when G/F_1 and F_2 are Frobenius groups.  Each test returns its
+decomposition or the reason it fails; only the public ``*_decomposition``
+functions raise ``NotFrobenius``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .groups import GroupHandle, element_orders_multiset, id_mul, memoised
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
-                        is_abelian, is_cyclic)
+                        is_abelian)
 
 FROBENIUS = "frobenius"
 TWO_FROBENIUS = "2-frobenius"
@@ -52,14 +55,6 @@ class FrobeniusDecomposition:
 class TwoFrobeniusDecomposition:
     f1: SubgroupHandle
     f2: SubgroupHandle
-    # structural consequences for 2-Frobenius groups
-    top_cyclic: bool
-    middle_cyclic_odd: bool
-    f1_not_cyclic: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.top_cyclic and self.middle_cyclic_odd and self.f1_not_cyclic
 
 
 @dataclass(frozen=True, order=True)
@@ -138,39 +133,33 @@ def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
 
 
 def is_frobenius(G: GroupHandle) -> bool:
-    try:
-        frobenius_decomposition(G)
-        return True
-    except NotFrobenius:
-        return False
+    return not isinstance(_decompose(G), str)
 
 
 def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
-    """G is 2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups."""
+    """F_1 and F_2 of a 2-Frobenius G, or raise NotFrobenius."""
+    dec = _two_frobenius(G)
+    if isinstance(dec, str):
+        raise NotFrobenius(dec)
+    return dec
+
+
+def _two_frobenius(G: GroupHandle) -> TwoFrobeniusDecomposition | str:
+    """The decomposition, or the reason G is not 2-Frobenius: G is
+    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups."""
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
-        raise NotFrobenius(f"{G.label}: Fitting length is not 3")
+        return f"{G.label}: Fitting length is not 3"
     _, F1, F2, _ = fs.series
-    Q1, top = fs.quotients  # G/F_1 and G/F_2, that is Q1/F(Q1)
-    qdec = frobenius_decomposition(Q1)
-    frobenius_decomposition(F2.as_group(f"{G.label}-F2"))
-    f1_group = F1.as_group(f"{G.label}-F1")
-    middle = qdec.kernel.as_group()
-    return TwoFrobeniusDecomposition(
-        f1=F1,
-        f2=F2,
-        top_cyclic=is_cyclic(top),
-        middle_cyclic_odd=is_cyclic(middle) and middle.order % 2 == 1,
-        f1_not_cyclic=not is_cyclic(f1_group),
-    )
+    if isinstance(reason := _decompose(fs.quotients[0]), str):
+        return reason
+    if isinstance(reason := _decompose(F2.as_group(f"{G.label}-F2")), str):
+        return reason
+    return TwoFrobeniusDecomposition(F1, F2)
 
 
 def is_two_frobenius(G: GroupHandle) -> bool:
-    try:
-        two_frobenius_decomposition(G)
-        return True
-    except NotFrobenius:
-        return False
+    return not isinstance(_two_frobenius(G), str)
 
 
 def frobenius_kind(G: GroupHandle) -> str:
@@ -206,9 +195,8 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     Frobenius cut group with complement C3 (allowed but not pinned to a listed
     family), or None when G matches nothing.
     """
-    try:
-        dec = frobenius_decomposition(G)
-    except NotFrobenius:
+    dec = _decompose(G)
+    if isinstance(dec, str):
         return None
     kernel = dec.kernel.as_group(f"{G.label}-kernel")
     comp = dec.complement.as_group(f"{G.label}-comp")

@@ -10,10 +10,11 @@ Derived data (ids, tables, conjugacy classes, ...) is cached by
 
 Handles store no generator words: a map given on generators (a kernel
 automorphism, a group action) is extended along a BFS tree of the Cayley
-graph and then checked on every Cayley edge (Holt, Eick & O'Brien, *Handbook
-of Computational Group Theory*, ch. 4).  Products list their elements
-directly, without a closure (``_product_handle``).  Enumeration and both
-products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
+graph and checked on each non-tree edge as the search meets it (Holt, Eick &
+O'Brien, *Handbook of Computational Group Theory*, ch. 4); enumeration and
+Cayley tables run the same search (``_along_bfs_tree``).  Products list their
+elements directly, without a closure (``_product_handle``).  Enumeration and
+both products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
 follow the value order; the one hash structure of a group is the memoised
@@ -185,44 +186,34 @@ def direct_factors(G: GroupHandle) -> Optional[tuple[GroupHandle, GroupHandle]]:
     return (o.left, o.right) if isinstance(o, Product) and o.act is None else None
 
 
-def _closure(gens, identity, mult, cap) -> set[Element]:
-    """Breadth-first closure of gens from identity; CapExceeded past cap."""
-    elems = {identity}
-    frontier = [identity]
+def _along_bfs_tree(gens, root, mult, start, step, agrees=None, cap=None):
+    """Map on the Cayley graph of gens from root, built along a BFS tree.
+
+    The root gets ``start`` and each tree edge x -> x * g_i gets
+    ``step(value at x, i)``.  Every other edge x -> y is tested with
+    ``agrees(value at y, value at x, i)`` while the earlier tests have held.
+    Returns (map, ok), ok saying whether every test held; CapExceeded once
+    the map holds more than cap vertices.
+    """
+    out = {root: start}
+    ok = True
+    frontier = [root]
     while frontier:
         new = []
-        for g in frontier:
-            for s in gens:
-                h = mult(g, s)
-                if h not in elems:
-                    elems.add(h)
-                    new.append(h)
-                    if len(elems) > cap:
+        for x in frontier:
+            v = out[x]
+            for i, g in enumerate(gens):
+                y = mult(x, g)
+                if y not in out:
+                    out[y] = step(v, i)
+                    new.append(y)
+                    if cap is not None and len(out) > cap:
                         raise CapExceeded(
                             f"closure exceeded cap of {cap} elements")
+                elif ok and agrees is not None:
+                    ok = agrees(out[y], v, i)
         frontier = new
-    return elems
-
-
-def _along_bfs_tree(G: GroupHandle, start, step) -> dict:
-    """Map on G built along a BFS spanning tree of its Cayley graph.
-
-    The identity gets ``start`` and each tree edge n -> n * g_i gets
-    ``step(value at n, i)``.  Callers check the non-tree edges themselves.
-    """
-    out = {G.identity: start}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for n in frontier:
-            v = out[n]
-            for i, g in enumerate(G.generators):
-                h = G.mult(n, g)
-                if h not in out:
-                    out[h] = step(v, i)
-                    new.append(h)
-        frontier = new
-    return out
+    return out, ok
 
 
 def enumerate_group(generators, label: str = "G") -> GroupHandle:
@@ -238,8 +229,10 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    elems = sorted(_closure(generators, identity, el.mul, default_cap()))
-    return GroupHandle(label, generators, elems, identity, el.mul, el.inv)
+    tree, _ = _along_bfs_tree(generators, identity, el.mul, None,
+                              lambda v, i: None, cap=default_cap())
+    return GroupHandle(label, generators, sorted(tree), identity, el.mul,
+                       el.inv)
 
 
 def element_order(G: GroupHandle, g: Element) -> int:
@@ -291,20 +284,10 @@ def _cayley_mul(G: GroupHandle, mul) -> Callable[[int, int], int]:
     n = G.order
     gen_rows = [array("H", [mul(i, ids[g]) for i in range(n)])
                 for g in G.generators]
-    start = ids[G.identity]
-    rows: list = [None] * n
-    rows[start] = array("H", range(n))
-    frontier = [start]
-    while frontier:
-        new = []
-        for p in frontier:
-            prev = rows[p]
-            for r in gen_rows:
-                j = r[p]
-                if rows[j] is None:
-                    rows[j] = array("H", itemgetter(*prev)(r))
-                    new.append(j)
-        frontier = new
+    table, _ = _along_bfs_tree(
+        gen_rows, ids[G.identity], lambda p, r: r[p], array("H", range(n)),
+        lambda prev, i: array("H", itemgetter(*prev)(gen_rows[i])))
+    rows = [table[j] for j in range(n)]
     return lambda a, b: rows[b][a]
 
 
@@ -483,24 +466,25 @@ def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
     """Extend generator images to an automorphism of N, or raise.
 
-    The extension follows a BFS tree of N's Cayley graph; multiplicativity is
-    then verified on every (element, generator) pair, which covers all
-    products by induction.
+    The extension follows a BFS tree of N's Cayley graph, and each non-tree
+    edge n -> n g_i is checked to give f(n g_i) = f(n) images[i] as the
+    search meets it; with the tree edges that covers all products by
+    induction.
     """
     if len(images) != len(N.generators):
         raise NotAnAutomorphism("one image per generator required")
     for im in images:
         if im not in N:
             raise NotAnAutomorphism("image lies outside the kernel group")
-    amap = _along_bfs_tree(N, N.identity,
-                           lambda acc, i: N.mult(acc, images[i]))
+    mult = N.mult
+    amap, multiplicative = _along_bfs_tree(
+        N.generators, N.identity, mult, N.identity,
+        lambda fx, i: mult(fx, images[i]),
+        lambda fy, fx, i: fy == mult(fx, images[i]))
     if len(set(amap.values())) != len(amap):
         raise NotAnAutomorphism("generator images do not induce a bijection")
-    for n in N.ordered:
-        fn = amap[n]
-        for i, g in enumerate(N.generators):
-            if amap[N.mult(n, g)] != N.mult(fn, images[i]):
-                raise NotAnAutomorphism("generator images are not multiplicative")
+    if not multiplicative:
+        raise NotAnAutomorphism("generator images are not multiplicative")
     return amap
 
 
@@ -518,18 +502,16 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         raise ActionNotWellDefined("one automorphism per acting generator required")
     gen_maps = [extend_to_automorphism(N, images) for images in action]
 
-    # Propagate along a BFS tree of H, then verify every Cayley edge agrees.
-    act = _along_bfs_tree(
-        H, {n: n for n in N.ordered},
-        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.ordered})
-    for h in H.ordered:
-        for i, g in enumerate(H.generators):
-            hg = H.mult(h, g)
-            gmap = gen_maps[i]
-            ah = act[h]
-            if any(act[hg][n] != ah[gmap[n]] for n in N.generators):
-                raise ActionNotWellDefined(
-                    "generator automorphisms violate the acting group's relations")
+    # Propagate along a BFS tree of H; each other Cayley edge h -> h g_i
+    # must agree on N's generators.
+    act, well_defined = _along_bfs_tree(
+        H.generators, H.identity, H.mult, {n: n for n in N.ordered},
+        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.ordered},
+        lambda ay, ax, i: all(ay[n] == ax[gen_maps[i][n]]
+                              for n in N.generators))
+    if not well_defined:
+        raise ActionNotWellDefined(
+            "generator automorphisms violate the acting group's relations")
 
     trivial = all(gmap[n] == n for gmap in gen_maps for n in N.ordered)
 

@@ -1,6 +1,10 @@
 """Named verification suites: the figure catalog, the 2-Frobenius witnesses,
 the Frobenius family sweep, the corpus invariant scan, and the classifier
 table.  Each suite returns (name, passed, detail) rows; the CLI renders them.
+
+The figure and 2-Frobenius suites share one catalog check (``_catalog_rows``):
+every fact a catalog entry records, and for a 2-Frobenius group the three
+consequences of that structure, which the detection itself does not compute.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from functools import cache
 
 from . import catalog as cat
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, fingerprint,
-                        frobenius_kind)
+                        frobenius_decomposition, frobenius_kind)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
 from .primegraph import (CUT_OPEN, CUT_REALIZED, FORBIDDEN, OPEN,
@@ -21,8 +25,9 @@ from .primegraph import (CUT_OPEN, CUT_REALIZED, FORBIDDEN, OPEN,
                          parse_graph_literal, product_graph, FIGURE_GRAPHS)
 from .rationality import (cut_oracle_via_bg, is_cut_group, is_rational_group,
                           product_cut_predicate)
-from .structure import (class_predicates, exponent, is_abelian, is_cyclic,
-                        is_solvable, minimal_normal_subgroups, quotient, sylow)
+from .structure import (class_predicates, exponent, fitting_series,
+                        is_abelian, is_cyclic, is_solvable,
+                        minimal_normal_subgroups, quotient, sylow)
 
 Row = tuple[str, bool, str]
 
@@ -44,45 +49,53 @@ FORBIDDEN_CASES = [
 
 
 def suite_figure3() -> list[Row]:
+    return _catalog_rows("fig3.")
+
+
+def suite_twofrobenius() -> list[Row]:
+    return _catalog_rows("twofrob.")
+
+
+def _catalog_rows(prefix: str) -> list[Row]:
+    """One row per catalog entry named prefix*: its recorded order, graph,
+    cut and rational verdicts and Frobenius kind against the built group,
+    and for a 2-Frobenius group the consequences of that structure."""
     rows = []
     for entry in cat.catalog():
-        if not entry.name.startswith("fig3."):
+        if not entry.name.startswith(prefix):
             continue
         G = entry.build()
         problems = []
         if G.order != entry.order:
             problems.append(f"order {G.order} != {entry.order}")
-        if gk_graph(G) != parse_graph_literal(entry.graph_literal):
-            problems.append(f"graph {gk_graph(G).literal()} != {entry.graph_literal}")
+        if (graph := gk_graph(G)) != parse_graph_literal(entry.graph_literal):
+            problems.append(f"graph {graph.literal()} != {entry.graph_literal}")
         if is_cut_group(G) != entry.is_cut:
             problems.append("cut verdict differs")
         if is_rational_group(G) != entry.is_rational:
             problems.append("rational verdict differs")
-        rows.append((entry.name, not problems,
-                     "; ".join(problems) or f"order {G.order}"))
-    return rows
-
-
-def suite_twofrobenius() -> list[Row]:
-    rows = []
-    for entry in cat.catalog():
-        if not entry.name.startswith("twofrob."):
-            continue
-        G = entry.build()
-        problems = []
-        if G.order != entry.order:
-            problems.append(f"order {G.order} != {entry.order}")
-        if gk_graph(G) != parse_graph_literal(entry.graph_literal):
-            problems.append("graph differs")
-        if not is_cut_group(G):
-            problems.append("not cut")
-        if frobenius_kind(G) != TWO_FROBENIUS:
-            problems.append(f"kind {frobenius_kind(G)}")
+        if (kind := frobenius_kind(G)) != entry.frobenius_kind:
+            problems.append(f"kind {kind} != {entry.frobenius_kind}")
+        if kind == TWO_FROBENIUS:
+            problems += [f"not {fact}" for fact, holds
+                         in _two_frobenius_consequences(G).items() if not holds]
         if entry.name == "twofrob.c" and fingerprint(G) != fingerprint(cat.sym(4)):
             problems.append("fingerprint differs from S4")
         rows.append((entry.name, not problems,
                      "; ".join(problems) or f"order {G.order}"))
     return rows
+
+
+def _two_frobenius_consequences(G: GroupHandle) -> dict[str, bool]:
+    """What the structure of a 2-Frobenius group G forces, fact -> holds:
+    G/F_2 is cyclic, F_2/F_1 (the Frobenius kernel of G/F_1) is cyclic of odd
+    order, and F_1 is not cyclic."""
+    fs = fitting_series(G)
+    Q1, top = fs.quotients
+    middle = frobenius_decomposition(Q1).kernel.as_group()
+    return {"G/F2 cyclic": is_cyclic(top),
+            "F2/F1 cyclic of odd order": is_cyclic(middle) and middle.order % 2 == 1,
+            "F1 non-cyclic": not is_cyclic(fs.series[1].as_group())}
 
 
 def suite_frobenius_families() -> list[Row]:

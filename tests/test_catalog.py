@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gklab import catalog
@@ -96,6 +98,22 @@ class TestCatalog:
         for name in ("fig3.a", "fig3.c", "fig3.g", "fig3.l", "twofrob.c"):
             e = catalog.catalog_entry(name)
             assert e.build().order == e.order
+
+    def test_verify_rows_check_every_recorded_fact(self, monkeypatch):
+        from gklab import verify
+        entries = catalog.catalog
+        wrong = {"fig3.c": {"frobenius_kind": "none"},  # S3 is Frobenius
+                 "twofrob.c": {"is_rational": False}}  # S4 is rational
+
+        def tampered():
+            return [replace(e, **wrong.get(e.name, {})) for e in entries()]
+
+        monkeypatch.setattr(catalog, "catalog", tampered)
+        rows = verify.suite_figure3() + verify.suite_twofrobenius()
+        failed = {name: detail for name, ok, detail in rows if not ok}
+        assert set(failed) == set(wrong)
+        assert "kind" in failed["fig3.c"]
+        assert "rational" in failed["twofrob.c"]
 
 
 class TestCorpus:

@@ -2,14 +2,15 @@ from math import gcd
 
 import pytest
 
-from gklab import catalog
+from gklab import catalog, structure
 from gklab.frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, NotFrobenius,
                              fingerprint, frobenius_decomposition,
                              frobenius_kind, is_frobenius, is_two_frobenius,
                              match_frobenius_cut_family,
                              two_frobenius_decomposition)
-from gklab.groups import element_order
+from gklab.groups import element_order, subgroup_as_group
 from gklab.structure import fitting, fitting_series, is_cyclic, quotient
+from gklab.verify import _two_frobenius_consequences
 
 
 def _reference_two_frobenius(G):
@@ -73,13 +74,13 @@ class TestTwoFrobenius:
     def test_s4(self, s4):
         dec = two_frobenius_decomposition(s4)
         assert dec.f1.order == 4 and dec.f2.order == 12
-        assert dec.consistent
+        assert all(_two_frobenius_consequences(s4).values())
 
     def test_twofrob_l_middle(self):
         G = catalog.catalog_entry("twofrob.l").build()
         dec = two_frobenius_decomposition(G)
         assert dec.f2.order == 448
-        assert dec.consistent
+        assert all(_two_frobenius_consequences(G).values())
         assert gcd(dec.f2.order // dec.f1.order, G.order // dec.f2.order) == 1
         assert gcd(dec.f2.order // dec.f1.order, dec.f1.order) == 1
 
@@ -94,9 +95,12 @@ class TestTwoFrobenius:
         Q1, Q2 = fitting_series(G).quotients
         assert Q2.order == top.order
         assert frobenius_decomposition(Q1).kernel.order == kernel.order
-        assert dec.top_cyclic == is_cyclic(top)
-        assert dec.middle_cyclic_odd == (is_cyclic(kernel.as_group())
-                                         and kernel.order % 2 == 1)
+        assert _two_frobenius_consequences(G) == {
+            "G/F2 cyclic": is_cyclic(top),
+            "F2/F1 cyclic of odd order": (is_cyclic(kernel.as_group())
+                                          and kernel.order % 2 == 1),
+            "F1 non-cyclic": not is_cyclic(subgroup_as_group(G, f1)),
+        }
 
     def test_s3_is_not(self, s3):
         assert is_frobenius(s3)
@@ -106,6 +110,22 @@ class TestTwoFrobenius:
     def test_kinds_exclusive(self, s4):
         assert frobenius_kind(s4) == TWO_FROBENIUS
         assert not is_frobenius(s4)
+
+    def test_detection_builds_one_subgroup_view(self, monkeypatch):
+        # F_2 is the one subgroup the test views as a group; F_1, the
+        # kernel of G/F_1 and the classes of G/F_2 belong to the catalog
+        # check of the consequences, not to the verdict
+        G = catalog.catalog_entry("twofrob.c").build()
+        views = []
+        view = structure.subgroup_view
+
+        def counting_view(parent, members, label=""):
+            views.append(label)
+            return view(parent, members, label)
+
+        monkeypatch.setattr(structure, "subgroup_view", counting_view)
+        assert is_two_frobenius(G)
+        assert views == [f"{G.label}-F2"]
 
 
 class TestFamilyMatch:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,3 +306,42 @@ class TestExtendToAutomorphism:
             assert got == _reference_extension(N, list(images))
             seen.add(got if isinstance(got, str) else "automorphism")
         assert seen == outcomes
+
+
+def _counting_mult(G):
+    """G with a multiplication that counts its calls, and the count."""
+    calls = [0]
+
+    def mult(a, b):
+        calls[0] += 1
+        return G.mult(a, b)
+    return replace(G, mult=mult), calls
+
+
+class TestOneSearch:
+    """The BFS that builds a map from generator images also checks it: each
+    Cayley edge is multiplied once for the map and at most once for its
+    check."""
+
+    @pytest.mark.parametrize("N", [*ELEMENTARY_KERNELS.values(), *OTHER_KERNELS],
+                             ids=lambda N: N.label)
+    def test_extension_multiplies_each_edge_twice(self, N):
+        x = N.ordered[-1]
+        images = [N.conjugate(g, x) for g in N.generators]
+        counted, calls = _counting_mult(N)
+        assert extend_to_automorphism(counted, images) == \
+            extend_to_automorphism(N, images)
+        assert calls[0] == 2 * N.order * len(N.generators)
+
+    def test_action_multiplies_each_acting_edge_once(self):
+        N = catalog.cyclic(7)
+        g = N.generators[0]
+        cube = N.mult(g, N.mult(g, g))  # x -> x^3 has order 6 in Aut(C7)
+        S3 = catalog.sym(3)
+        # S3 acts on C7 through its sign: odd generators invert
+        by_sign = [[N.inv(g)] if sum(len(c) - 1 for c in el.perm_to_cycles(h)) % 2
+                   else [g] for h in S3.generators]
+        for H, action in [(catalog.cyclic(6), [[cube]]), (S3, by_sign)]:
+            counted, calls = _counting_mult(H)
+            assert semidirect_product(N, counted, action).order == 7 * H.order
+            assert calls[0] == H.order * len(H.generators)
