@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import elements as el
-from .groups import (GroupHandle, direct_product, enumerate_group,
-                     semidirect_product)
+from .groups import (CapExceeded, GroupHandle, default_cap, direct_product,
+                     enumerate_group, semidirect_product)
 from .numtheory import isprime
 
 
@@ -34,9 +34,17 @@ class CatalogEntry:
     citation: str
 
 
+def _check_order(name: str, order: int) -> None:
+    """CapExceeded when a group of more elements than the cap is asked for,
+    before a single point is listed."""
+    if order > (cap := default_cap()):
+        raise CapExceeded(f"{name} order {order} exceeds cap {cap}")
+
+
 def cyclic(n: int) -> GroupHandle:
     if n < 1:
         raise OutOfRange("cyclic order must be >= 1")
+    _check_order("cyclic", n)
     g = el.perm_from_cycles(n, [list(range(1, n + 1))])
     return enumerate_group([g], f"C{n}")
 
@@ -47,6 +55,12 @@ def elem_abelian(p: int, rank: int) -> GroupHandle:
         raise OutOfRange(f"elem_abelian needs a prime p, got {p}")
     if rank < 1:
         raise OutOfRange("rank must be >= 1")
+    cap, order = default_cap(), 1
+    for _ in range(rank):  # stops once past the cap, however large rank is
+        order *= p
+        if order > cap:
+            raise CapExceeded(
+                f"elem_abelian order {p}^{rank} exceeds cap {cap}")
     pts = rank * p
     gens = [el.perm_from_cycles(pts, [list(range(i * p + 1, (i + 1) * p + 1))])
             for i in range(rank)]
@@ -57,6 +71,7 @@ def dihedral(order: int) -> GroupHandle:
     """Dihedral group of the given (even, >= 6) order, on order/2 points."""
     if order % 2 or order < 6:
         raise OutOfRange("dihedral order must be even and >= 6")
+    _check_order("dihedral", order)
     n = order // 2
     rot = el.perm_from_cycles(n, [list(range(1, n + 1))])
     flip = el.perm([n - 1 - i for i in range(n)])

@@ -21,7 +21,7 @@ from . import __version__
 from . import catalog as cat
 from . import elements as el
 from .frobenius import frobenius_kind
-from .groups import (CapExceeded, GroupHandle, direct_product,
+from .groups import (CapExceeded, GroupHandle, default_cap, direct_product,
                      element_orders_multiset, enumerate_group,
                      semidirect_product)
 from .numtheory import factorint
@@ -94,6 +94,9 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             if degree < 1:
                 raise SpecError(f"bad recipe {name!r}: degree needs an "
                                 f"integer of at least 1, got {degree}")
+            if degree > (cap := default_cap()):
+                raise CapExceeded(f"recipe {name!r}: degree {degree} exceeds "
+                                  f"cap {cap}")
             gens = [el.perm_from_cycles(degree, cycles)
                     for cycles in _ints(name, "gens", recipe["gens"], depth=3)]
             return enumerate_group(gens, name)

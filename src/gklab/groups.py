@@ -29,7 +29,10 @@ group multiplies ids (``id_mul``) the way it was built:
   with no multiplication;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
-  array of the action;
+  array of the action (``action_ids``, built once).  Its conjugation tables
+  are composed from N's ids, H's tables and a (``_pair_tables``): an H
+  generator's with no multiplication, an N generator's with one product per
+  id and image of the generator;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``; its
   conjugation tables come from its parent's the same way;
@@ -264,7 +267,7 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """
     o = G.origin
     if isinstance(o, Product):
-        return _pair_mul(o.left, o.right, o.act)
+        return _pair_mul(o.left, o.right, action_ids(G))
     if isinstance(o, Quotient):
         return induced_mul(id_mul(o.parent), o.rep_ids, o.to_q)
     if isinstance(o, View):
@@ -385,14 +388,15 @@ def id_set(G: GroupHandle, elems) -> set[int]:
 def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
-    Direct products and quotients derive theirs from their factors' or
-    parent's tables; every other group conjugates each id by each generator
-    on ``id_mul``.
+    Products and quotients derive theirs from their factors' or parent's
+    tables; an enumerated group or a subgroup view conjugates each id by each
+    generator on ``id_mul``.
     """
-    if factors := direct_factors(G):
-        return _product_tables(*factors)
-    if isinstance(G.origin, Quotient):
-        return _quotient_tables(G.origin)
+    o = G.origin
+    if isinstance(o, Product):
+        return _pair_tables(o.left, o.right, action_ids(G))
+    if isinstance(o, Quotient):
+        return _quotient_tables(o)
     ids, mul = element_ids(G), id_mul(G)
     tables = []
     for g in G.generators:
@@ -401,13 +405,41 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     return tables
 
 
-def _product_tables(G: GroupHandle, H: GroupHandle) -> list[list[int]]:
-    """Tables of G x H, whose id i*|H| + j is the pair (x_i, y_j)."""
-    m = H.order
+def _pair_tables(N: GroupHandle, H: GroupHandle,
+                 a: Optional[list[array]]) -> list[array]:
+    """Tables of N x H, or of N x| H when the action ids a are given, whose
+    id i*|H| + j is the pair (n_i, h_j), composed from the factors'.
+
+    An N generator k sends (i, j) to (k^-1 n_i k, j) in N x H, read off N's
+    table, and to (k^-1 n_i a[j][k], j) in N x| H: one list of the k^-1 n_i,
+    right-multiplied by each image of k.  An H generator l sends (i, j) to
+    (a[l^-1][i], l^-1 h_j l), i itself in N x H, read off H's table for l
+    with no multiplication at all.
+    """
+    n, m = N.order, H.order
     hs = range(m)
-    tables = [[a * m + j for a in t for j in hs] for t in conjugation_tables(G)]
-    for t in conjugation_tables(H):
-        tables.append([i + b for i in range(0, G.order * m, m) for b in t])
+    if a is None:
+        tables = [array("I", [x * m + j for x in t for j in hs])
+                  for t in conjugation_tables(N)]
+        rows = [range(0, n * m, m)] * len(H.generators)
+    else:
+        nm, ninv = id_mul(N), id_powers(N)[1]
+        tables = []
+        for k in map(element_ids(N).__getitem__, N.generators):
+            left = [nm(ninv[k], i) for i in range(n)]
+            cols = {}  # image c of k -> the ids of k^-1 n_i c, times m
+            t = array("I", [0]) * (n * m)
+            for j in hs:
+                c = a[j][k]
+                if c not in cols:
+                    cols[c] = [nm(x, c) * m for x in left]
+                t[j::m] = array("I", [x + j for x in cols[c]])
+            tables.append(t)
+        hinv = id_powers(H)[1]
+        rows = [[x * m for x in a[hinv[l]]]
+                for l in map(element_ids(H).__getitem__, H.generators)]
+    for row, th in zip(rows, conjugation_tables(H)):
+        tables.append(array("I", [x + y for x in row for y in th]))
     return tables
 
 
@@ -530,20 +562,30 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     return _product_handle(N, H, act, mult, inv, label)
 
 
-def _pair_mul(N: GroupHandle, H: GroupHandle, act) -> Callable[[int, int], int]:
-    """Id multiplication of N x H, or of N x| H when act is given: ids
-    i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2) with a[j] the
-    action of h_j on N's ids (the identity for a direct product)."""
-    nm, hm, m = id_mul(N), id_mul(H), H.order
+@memoised("action")
+def action_ids(G: GroupHandle) -> Optional[list[array]]:
+    """For G = N x| H, a[j][i] = id of h_j |> n_i in N; None for a direct
+    product; memoised."""
+    N, H, act = G.origin.left, G.origin.right, G.origin.act
     if act is None:
+        return None
+    nid = element_ids(N)
+    return [array("I", [nid[image[x]] for x in N.ordered])
+            for image in map(act.__getitem__, H.ordered)]
+
+
+def _pair_mul(N: GroupHandle, H: GroupHandle, a) -> Callable[[int, int], int]:
+    """Id multiplication of N x H, or of N x| H when the action ids a are
+    given: ids i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2)
+    with a[j] the action of h_j on N's ids (the identity for a direct
+    product)."""
+    nm, hm, m = id_mul(N), id_mul(H), H.order
+    if a is None:
         def mul(x, y):
             i1, j1 = divmod(x, m)
             i2, j2 = divmod(y, m)
             return nm(i1, i2) * m + hm(j1, j2)
         return mul
-    nid = element_ids(N)
-    a = [array("I", [nid[image[x]] for x in N.ordered])
-         for image in map(act.__getitem__, H.ordered)]
 
     def twisted(x, y):
         i1, j1 = divmod(x, m)

@@ -40,6 +40,15 @@ element set is derived on first read.  Deliberate choices:
   g^k and h^k (``_product_classes``, recursing through nested products).
   The class of each id is composed from the factors' only when it is read.
   ``groups.id_powers`` does the same for orders and inverses.
+* A direct product reads its canonical subgroups off its factors' too, as
+  id sets {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup
+  are O_p(G) x O_p(H), F(G) x F(H) and G' x H'.  Its Fitting series is
+  F_k(G) x F_k(H), and its quotient k the direct product of the factors'
+  quotients k (``_product_series``); it is supersolvable, or metabelian,
+  iff both factors are.  Sylow subgroups stay generic: a Sylow subgroup is
+  not canonical, and the one the deterministic growth picks in G x H is
+  pinned element for element; it has matched the product of the factors'
+  picks on every product tried, but no argument here shows it must.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -68,9 +77,9 @@ from typing import Callable, Sequence
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
-                     conjugation_tables, direct_factors, element_ids,
-                     element_order, id_mul, id_powers, id_set, memoised,
-                     small_generating_set, subgroup_view)
+                     conjugation_tables, direct_factors, direct_product,
+                     element_ids, element_order, id_mul, id_powers, id_set,
+                     memoised, small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -278,9 +287,20 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
 
 
+def _pair_ids(G: GroupHandle, left, right) -> frozenset[int]:
+    """Ids in G = A x B of the pairs of A ids in left and B ids in right."""
+    m = direct_factors(G)[1].order
+    return frozenset([i * m + j for i in left for j in right])
+
+
 @memoised("core")
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
-    """O_p(G): intersection of all conjugates of a Sylow p-subgroup."""
+    """O_p(G): intersection of all conjugates of a Sylow p-subgroup;
+    O_p(A) x O_p(B) for a direct product A x B."""
+    if factors := direct_factors(G):
+        A, B = factors
+        return SubgroupHandle(
+            G, _pair_ids(G, core_p(A, p).ids, core_p(B, p).ids), True)
     K = set(sylow(G, p).ids)
     changed = True
     while changed:
@@ -295,7 +315,12 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
 
 @memoised("fitting")
 def fitting(G: GroupHandle) -> SubgroupHandle:
-    """F(G): product of the O_p(G) over primes p dividing |G|; memoised."""
+    """F(G): product of the O_p(G) over primes p dividing |G|; F(A) x F(B)
+    for a direct product A x B; memoised."""
+    if factors := direct_factors(G):
+        A, B = factors
+        return SubgroupHandle(
+            G, _pair_ids(G, fitting(A).ids, fitting(B).ids), True)
     F = Span(G)
     for p in sorted(factorint(G.order)):
         for x in core_p(G, p).ids:
@@ -305,6 +330,11 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
 
 @memoised("fitting_series")
 def fitting_series(G: GroupHandle) -> FittingData:
+    """F_0 = 1 < F_1 < ..., F_k/F_(k-1) = F(G/F_(k-1)), and the quotients
+    G/F_k; memoised.  A direct product reads them off its factors'
+    (``_product_series``)."""
+    if factors := direct_factors(G):
+        return _product_series(G, *factors)
     series = [SubgroupHandle(G, frozenset({element_ids(G)[G.identity]}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
@@ -323,6 +353,38 @@ def fitting_series(G: GroupHandle) -> FittingData:
         quotients.append(current)
         proj = list(map(current.origin.to_q.__getitem__, proj))
     return FittingData(tuple(series), length, tuple(quotients))
+
+
+def _product_series(P: GroupHandle, A: GroupHandle,
+                    B: GroupHandle) -> FittingData:
+    """Fitting series of P = A x B: F_k(P) = F_k(A) x F_k(B), so P grows
+    while either factor does, and is solvable iff both are.  P/F_k(P) is
+    the direct product of the factors' quotients k, whose pairs of value-least
+    coset representatives are, in the same order, P's."""
+    fa, fb = fitting_series(A), fitting_series(B)
+    sa, sb = len(fa.series) - 1, len(fb.series) - 1
+    steps = max(sa, sb)
+    series = tuple(
+        SubgroupHandle(P, _pair_ids(P, fa.series[min(k, sa)].ids,
+                                    fb.series[min(k, sb)].ids), True)
+        for k in range(steps + 1))
+    solvable = fa.solvable and fb.solvable
+    quotients = []
+    label = P.label
+    for k in range(1, steps if solvable else steps + 1):
+        label += f"/N{series[k].order // series[k - 1].order}"
+        quotients.append(direct_product(_quotient_at(A, fa, k),
+                                        _quotient_at(B, fb, k)).relabel(label))
+    return FittingData(series, steps if solvable else None, tuple(quotients))
+
+
+def _quotient_at(G: GroupHandle, fs: FittingData, k: int) -> GroupHandle:
+    """G/F_k(G) for k >= 1: the one-element G/G once a solvable G's series
+    has ended, and G/F_s(G) (G itself when s = 0) past the step s where a
+    non-solvable G's series stalls."""
+    if fs.solvable and k >= fs.length:
+        return quotient(G, fs.series[-1])
+    return fs.quotients[min(k, len(fs.quotients)) - 1] if fs.quotients else G
 
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
@@ -407,6 +469,11 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
 
 
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
+    """G'; A' x B' for a direct product A x B."""
+    if factors := direct_factors(G):
+        A, B = factors
+        return SubgroupHandle(G, _pair_ids(G, derived_subgroup(A).ids,
+                                           derived_subgroup(B).ids), True)
     return SubgroupHandle(G, frozenset(_derived_span(G).elements), True)
 
 
@@ -482,7 +549,10 @@ def is_metacyclic(G: GroupHandle) -> bool:
 
 
 def is_metabelian(G: GroupHandle) -> bool:
-    """G' is abelian: its generators commute pairwise, on G's ids."""
+    """G' is abelian: its generators commute pairwise, on G's ids.  A direct
+    product is metabelian iff both factors are."""
+    if factors := direct_factors(G):
+        return all(map(is_metabelian, factors))
     mul = id_mul(G)
     gens = _derived_span(G).gens
     return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
@@ -490,7 +560,9 @@ def is_metabelian(G: GroupHandle) -> bool:
 
 def is_supersolvable(G: GroupHandle) -> bool:
     """Descent through the first normal subgroup of prime order, with no
-    backtracking."""
+    backtracking.  A direct product is supersolvable iff both factors are."""
+    if factors := direct_factors(G):
+        return all(map(is_supersolvable, factors))
     if G.order == 1:
         return True
     N = next(_cyclic_normal_subgroups(G, prime_order_only=True), None)

@@ -9,6 +9,7 @@ import pytest
 import gklab
 from gklab import catalog, cli
 from gklab.cli import main
+from gklab.groups import DEFAULT_CAP
 from gklab.structure import InvariantFailed
 
 SPEC = {
@@ -304,6 +305,28 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: bad recipe 'g': degree needs an integer of at least 1, "
             f"got {degree}\n")
+
+    @pytest.mark.parametrize("recipe, message", [
+        ({"type": "perm", "degree": 10**9, "gens": [[[1, 2]]]},
+         "recipe 'g': degree 1000000000 exceeds cap"),
+        ({"type": "builtin", "name": "elem_abelian", "args": [997, 1000]},
+         "elem_abelian order 997^1000 exceeds cap"),
+        ({"type": "builtin", "name": "cyclic", "args": [2**20 + 1]},
+         "cyclic order 1048577 exceeds cap"),
+        ({"type": "builtin", "name": "dihedral", "args": [10**12]},
+         "dihedral order 1000000000000 exceeds cap")],
+        ids=["perm", "elem_abelian", "cyclic", "dihedral"])
+    def test_oversized_request_is_refused_before_building(
+            self, tmp_path, monkeypatch, capsys, recipe, message):
+        """A size past the element cap exits 3 before any point is listed:
+        listing 10^9 points, or 1000 permutations on 997,000 points, would
+        take gigabytes."""
+        monkeypatch.delenv("GKLAB_MAX_ORDER", raising=False)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"groups": {"g": recipe}}))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {message} {DEFAULT_CAP}\n"
 
     def test_empty_matrix(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

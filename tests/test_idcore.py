@@ -11,10 +11,11 @@ and with the bound at 0, where no group may build a Cayley table.
 
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from sympy import factorint
 
 from gklab import catalog, groups
@@ -26,8 +27,8 @@ from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
                                element_verdict, is_cut_group)
 from gklab.structure import (ConjugacyData, conjugacy_classes, core_p,
-                             derived_subgroup, fitting, is_metabelian,
-                             normal_closure, quotient, sylow)
+                             derived_subgroup, fitting, fitting_series,
+                             is_metabelian, normal_closure, quotient, sylow)
 
 BOUNDS = {"table": groups.TABLE_BOUND, "no-table": 0}
 
@@ -319,6 +320,24 @@ class TestClosures:
             F = fitting(G).elements
             assert _reference_closure(G, F) == F
             assert G.order % len(F) == 0
+
+    @by_bound
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(recipes=st.tuples(_recipes(), _recipes()))
+    def test_direct_product_fitting_series(self, bound, recipes):
+        """The series read off the factors is the one the element-multiplying
+        path grows on the product: its terms, length and quotients."""
+        with _bound(bound):
+            A, B = (recipe[1]() for recipe in recipes)
+            assume(A.order * B.order <= 2000)
+            P = direct_product(A, B)
+            got, want = (fitting_series(P),
+                         fitting_series(replace(P, origin=None)))
+            assert [F.ids for F in got.series] == [F.ids for F in want.series]
+            assert got.length == want.length
+            assert [Q.ordered for Q in got.quotients] == \
+                [Q.ordered for Q in want.quotients]
 
     @by_bound
     @settings(max_examples=30, deadline=None)

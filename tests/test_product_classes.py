@@ -121,23 +121,28 @@ def _s3_in_s4():
         S4, [x for x in S4.elements if x[1][3] == 3], "S3")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: direct_product(direct_product(catalog.cyclic(6),
-                                          catalog.quaternion8()),
-                           catalog.sym(3)),
-    lambda: direct_product(catalog.cyclic(2),
-                           direct_product(catalog.sym(3),
-                                          catalog.quaternion8())),
-    lambda: direct_product(direct_product(catalog.sym(3), catalog.cyclic(2)),
-                           direct_product(catalog.cyclic(3), catalog.alt(4))),
-    lambda: direct_product(catalog.catalog_entry("fig3.e").build(),
-                           catalog.cyclic(2)),
-    lambda: direct_product(catalog.cyclic(4), catalog.c7_c3()),
-    lambda: direct_product(_s4_mod_v4(), catalog.dicyclic12()),
-    lambda: direct_product(_s3_in_s4(), catalog.cyclic(3)),
-    lambda: direct_product(catalog.cyclic(1), catalog.cyclic(1)),
-], ids=["(C6xQ8)xS3", "C2x(S3xQ8)", "(S3xC2)x(C3xA4)", "(C5^2:Q8)xC2",
-        "C4x(C7:C3)", "(S4/V4)xDic12", "view-x-C3", "C1xC1"])
+# nested products, and products of quotients, views and trivial groups
+NESTED = {
+    "(C6xQ8)xS3": lambda: direct_product(
+        direct_product(catalog.cyclic(6), catalog.quaternion8()),
+        catalog.sym(3)),
+    "C2x(S3xQ8)": lambda: direct_product(
+        catalog.cyclic(2),
+        direct_product(catalog.sym(3), catalog.quaternion8())),
+    "(S3xC2)x(C3xA4)": lambda: direct_product(
+        direct_product(catalog.sym(3), catalog.cyclic(2)),
+        direct_product(catalog.cyclic(3), catalog.alt(4))),
+    "(C5^2:Q8)xC2": lambda: direct_product(
+        catalog.catalog_entry("fig3.e").build(), catalog.cyclic(2)),
+    "C4x(C7:C3)": lambda: direct_product(catalog.cyclic(4), catalog.c7_c3()),
+    "(S4/V4)xDic12": lambda: direct_product(_s4_mod_v4(),
+                                            catalog.dicyclic12()),
+    "view-x-C3": lambda: direct_product(_s3_in_s4(), catalog.cyclic(3)),
+    "C1xC1": lambda: direct_product(catalog.cyclic(1), catalog.cyclic(1)),
+}
+
+
+@pytest.mark.parametrize("build", NESTED.values(), ids=NESTED)
 def test_nested_and_mixed_factors(build):
     P = build()
     _check_against_reference(P)

@@ -1,14 +1,13 @@
 """Mutated copies of the CLI test spec never crash ``gklab analyze``.
 
 Each example mutates ``SPEC`` from ``test_cli.py``: values swapped for
-other JSON types, floats, bools, small negative or out-of-range integers,
-keys deleted, and deep ``direct`` nesting.  It runs through ``cli.main``
-under a small element cap.  Every outcome is a documented exit code (0, 2
-input error, 3 cap exceeded) with no traceback on stderr, and the unmutated
-spec still gives the pinned report bytes.
-
-Integers stay within 10^3 in absolute value: a larger ``degree`` makes the
-permutation builder list every point before any check applies.
+other JSON types, floats, bools, small negative, out-of-range or large
+integers, keys deleted, and deep ``direct`` nesting.  It runs through
+``cli.main`` under a small element cap.  Every outcome is a documented exit
+code (0, 2 input error, 3 cap exceeded) with no traceback on stderr, and the
+unmutated spec still gives the pinned report bytes.  A degree or a builtin
+order past the cap is refused before anything is built, so large integers
+cost nothing.
 
 ``gklab classify`` literals are fuzzed the same way: any string of digits,
 separators and a few other characters exits 0 or 2, with no traceback.  So
@@ -34,6 +33,7 @@ CAP = "200"
 JUNK = st.one_of(
     st.integers(-10, -1),
     st.integers(4, 1000),
+    st.integers(10**6, 10**18),
     st.floats(),
     st.booleans(),
     st.none(),

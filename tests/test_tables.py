@@ -7,6 +7,7 @@ here are the element-product algorithms they replaced.
 import functools
 import json
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from sympy import factorint
 
 from gklab import catalog, cli
 from gklab.groups import (GroupHandle, conjugation_tables, direct_product,
-                          element_ids, id_set, small_generating_set,
+                          element_ids, element_order, id_set,
+                          semidirect_product, small_generating_set,
                           subgroup_as_group)
 from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
                              core_p, cyclic_subgroup_set, derived_subgroup,
@@ -196,15 +198,25 @@ def test_products_and_quotients_multiply_no_element():
     calls = []
     A = _counting(catalog.catalog_entry("fig3.e").build(), calls)
     B = _counting(catalog.sym(3), calls)
+    C = _counting(catalog.cyclic(2), calls)
     conjugation_tables(A)
     conjugation_tables(B)
+    conjugation_tables(C)
     P = direct_product(A, B).relabel("P")
     Q = quotient(P, core_p(P, 5))
+    # S3 x| C2, C2 acting by conjugation with a transposition
+    x = next(g for g in B.ordered if element_order(B, g) == 2)
+    S = semidirect_product(B, C, [[B.conjugate(g, x) for g in B.generators]])
     calls.clear()
     conjugacy_classes(P)
     conjugacy_classes(Q)
+    tables = conjugation_tables(S)
     assert calls == []
     assert len(conjugacy_classes(Q).rep_ids) == len(_reference_classes(Q)[0])
+    # composed from the factors', not multiplied out on S's own ids
+    assert "id_mul" not in S._memo
+    reference = conjugation_tables(replace(S, origin=None))
+    assert list(map(list, tables)) == list(map(list, reference))
 
 
 def test_relabel_keeps_the_structure_not_the_label():
