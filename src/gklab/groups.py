@@ -1,10 +1,11 @@
 """Enumerated finite groups: closure from generators, products, element orders.
 
 A :class:`GroupHandle` owns its fully enumerated elements, listed once in
-ascending value order (``ordered``), together with multiplication and
-inversion callables, and a frozen ``origin`` recording how it was built:
-``None`` for an enumerated group, else a :class:`Product`, :class:`Quotient`
-or :class:`View`.  ``relabel`` keeps the origin and shares the list.
+ascending value order (``ordered``; a product's origin lists them on first
+read), together with multiplication and inversion callables, and a frozen
+``origin`` recording how it was built: ``None`` for an enumerated group,
+else a :class:`Product`, :class:`Quotient` or :class:`View`.  ``relabel``
+keeps the origin and shares the list.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
@@ -12,9 +13,13 @@ Handles store no generator words: a map given on generators (a kernel
 automorphism, a group action) is extended along a BFS tree of the Cayley
 graph and checked on each non-tree edge as the search meets it (Holt, Eick &
 O'Brien, *Handbook of Computational Group Theory*, ch. 4); enumeration and
-Cayley tables run the same search (``_along_bfs_tree``).  Products list their
-elements directly, without a closure (``_product_handle``).  Enumeration and
-both products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
+Cayley tables run the same search (``_along_bfs_tree``).  A product runs no
+closure and lists no element when built (``_product_handle``): its order,
+the ids of its identity and generators (``identity_id``,
+``generator_ids``) and everything on ids come from its factors, and its
+pairs are listed on the first element-level read (``Product.ordered``),
+which the class data of a product never makes.  Enumeration and both
+products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
 follow the value order; the one hash structure of a group is the memoised
@@ -125,12 +130,15 @@ class GroupHandle:
 
     ``ordered`` lists every element once, in strictly ascending value order,
     so ``ordered[i]`` is the element with id i; every constructor must pass
-    a list that keeps this invariant.  The handle holds no other copy of its
-    elements: membership and ``elements`` read the memoised id dict.
+    a list that keeps this invariant, as ``listed``, except a product, which
+    passes None: its origin lists its pairs on the first read of
+    ``ordered`` (``Product.ordered``), and its order is its factors'.  The
+    handle holds no other copy of its elements: membership and ``elements``
+    read the memoised id dict.
     """
     label: str
     generators: tuple[Element, ...]
-    ordered: list[Element]
+    listed: Optional[list[Element]]
     identity: Element
     mult: Callable[[Element, Element], Element]
     inv: Callable[[Element], Element]
@@ -138,8 +146,14 @@ class GroupHandle:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
+    def ordered(self) -> list[Element]:
+        listed = self.listed
+        return self.origin.ordered if listed is None else listed
+
+    @property
     def order(self) -> int:
-        return len(self.ordered)
+        listed = self.listed
+        return self.origin.order if listed is None else len(listed)
 
     @property
     def elements(self) -> KeysView[Element]:
@@ -161,10 +175,23 @@ class GroupHandle:
 
 @dataclass(frozen=True, eq=False)
 class Product:
-    """left x right, or left x| right with act[h] the automorphism h induces."""
+    """left x right, or left x| right with act[h] the automorphism h induces.
+
+    The pairs are listed on first read, once for every handle sharing this
+    origin: the pair (x_i, y_j) is at i*|right| + j, the nested loop over
+    both factors' lists, which is value order."""
     left: GroupHandle
     right: GroupHandle
     act: Optional[dict]
+
+    @functools.cached_property
+    def order(self) -> int:
+        return self.left.order * self.right.order
+
+    @functools.cached_property
+    def ordered(self) -> list[Element]:
+        hs = self.right.ordered
+        return [(el.PAIR, a, b) for a in self.left.ordered for b in hs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +283,27 @@ def element_ids(G: GroupHandle) -> dict[Element, int]:
     return {x: i for i, x in enumerate(G.ordered)}
 
 
+@memoised("identity")
+def identity_id(G: GroupHandle) -> int:
+    """Id of the identity; memoised.  A product composes its factors' (the
+    pair (x_i, y_j) has id i*|H| + j), so no pair is listed."""
+    o = G.origin
+    if isinstance(o, Product):
+        return identity_id(o.left) * o.right.order + identity_id(o.right)
+    return element_ids(G)[G.identity]
+
+
+def generator_ids(G: GroupHandle) -> list[int]:
+    """Ids of G's generators.  A product's are (n, 1) for N's generators n,
+    then (1, h) for H's, composed from its factors' ids."""
+    o = G.origin
+    if isinstance(o, Product):
+        m, e_n, e_h = o.right.order, identity_id(o.left), identity_id(o.right)
+        return ([i * m + e_h for i in generator_ids(o.left)]
+                + [e_n * m + j for j in generator_ids(o.right)])
+    return list(map(element_ids(G).__getitem__, G.generators))
+
+
 @memoised("id_mul")
 def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """(i, j) -> id of x_i x_j, built on first use and memoised.
@@ -312,7 +360,7 @@ def id_powers(G: GroupHandle) -> tuple[array, array]:
     if factors := direct_factors(G):
         return _product_powers(*factors)
     mul = id_mul(G)
-    e = element_ids(G)[G.identity]
+    e = identity_id(G)
     orders = array("I", [0]) * G.order
     inverses = orders[:]
     for g in range(G.order):
@@ -355,7 +403,7 @@ class Span:
 
     def __init__(self, G: GroupHandle):
         self.mul = id_mul(G)
-        self.elements = {element_ids(G)[G.identity]}
+        self.elements = {identity_id(G)}
         self.gens: list[int] = []
 
     def add(self, s: int) -> None:
@@ -425,7 +473,7 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
     else:
         nm, ninv = id_mul(N), id_powers(N)[1]
         tables = []
-        for k in map(element_ids(N).__getitem__, N.generators):
+        for k in generator_ids(N):
             left = [nm(ninv[k], i) for i in range(n)]
             cols = {}  # image c of k -> the ids of k^-1 n_i c, times m
             t = array("I", [0]) * (n * m)
@@ -437,7 +485,7 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
             tables.append(t)
         hinv = id_powers(H)[1]
         rows = [[x * m for x in a[hinv[l]]]
-                for l in map(element_ids(H).__getitem__, H.generators)]
+                for l in generator_ids(H)]
     for row, th in zip(rows, conjugation_tables(H)):
         tables.append(array("I", [x + y for x in row for y in th]))
     return tables
@@ -483,16 +531,13 @@ def _check_cap(N: GroupHandle, H: GroupHandle) -> None:
 
 def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
                     label: str) -> GroupHandle:
-    """The handle of N x H (act None) or N x| H: its pairs, in value order
-    as the nested loop over both factors' lists, and N's then H's
-    generators."""
-    hs = H.ordered
-    ordered = [(el.PAIR, a, b) for a in N.ordered for b in hs]
+    """The handle of N x H (act None) or N x| H, with N's then H's
+    generators.  No pair is listed here: its origin lists them on the first
+    element-level read (``Product.ordered``)."""
     gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
         tuple((el.PAIR, N.identity, h) for h in H.generators)
-    return GroupHandle(label, gens, ordered,
-                       (el.PAIR, N.identity, H.identity), mult, inv,
-                       Product(N, H, act))
+    return GroupHandle(label, gens, None, (el.PAIR, N.identity, H.identity),
+                       mult, inv, Product(N, H, act))
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:

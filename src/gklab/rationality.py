@@ -34,21 +34,29 @@ accident.  Two lemmas let it scan less:
 The units mod n (``_units``) are plain arithmetic, memoised per n and shared
 by both oracles and the product predicate; they hold no group data.
 
+A direct product's report computes one verdict per pair of factor-class
+keys, a key being a class's order and iota image (``_product_verdicts``);
+each verdict is still read by ``_class_verdict`` from the product's own power
+map row.
+
 :func:`product_cut_predicate` decides whether G x H is cut from the factors'
 per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
 mod lcm(|g|, |h|) lies in both images (each read mod its own order), or -k
-does.
+does.  It never reads the product's rows, so it stays a check on the report
+that is independent of the memo above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import GroupHandle, NotMember, element_ids, memoised
-from .structure import conjugacy_classes, cyclic_subgroup_set
+from .groups import (GroupHandle, NotMember, direct_factors, element_ids,
+                     memoised)
+from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -122,9 +130,15 @@ def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
 
 @memoised("rationality")
 def rationality_report(G: GroupHandle) -> RationalityReport:
+    """Every class's verdict, and the group's; memoised.  A direct product
+    computes one verdict per pair of factor-class keys
+    (``_product_verdicts``)."""
     data = conjugacy_classes(G)
-    verdicts = tuple(map(_class_verdict, range(len(data.powers)),
-                         data.powers))
+    if factors := direct_factors(G):
+        verdicts = _product_verdicts(data, *factors)
+    else:
+        verdicts = tuple(map(_class_verdict, range(len(data.powers)),
+                             data.powers))
     return RationalityReport(
         per_class=verdicts,
         is_rational=all(v.verdict == RATIONAL for v in verdicts),
@@ -132,6 +146,29 @@ def rationality_report(G: GroupHandle) -> RationalityReport:
         non_rational_orders=frozenset(v.order for v in verdicts
                                       if v.verdict != RATIONAL),
     )
+
+
+def _product_verdicts(data: ConjugacyData, A: GroupHandle,
+                      B: GroupHandle) -> tuple[ElementVerdict, ...]:
+    """Verdicts of the classes of A x B, class (a, b) numbered a*k(B) + b.
+
+    The key of a factor class is (|g|, iota image of g), read off the
+    factor's own report.  (g, h)^m lies in the class of (g, h) iff m mod |g|
+    and m mod |h| lie in the two images, and in the class of (g, h)^-1 iff
+    -m does, so the pair of keys fixes the product class's verdict: it is
+    computed by ``_class_verdict`` on the product's row for the first class
+    with that pair, and shared by the others.
+    """
+    keys = [[(v.order, v.iota_exponents)
+             for v in rationality_report(F).per_class] for F in (A, B)]
+    seen: dict = {}
+    out = []
+    for cid, key in enumerate(product(*keys)):
+        v = seen.get(key)
+        if v is None:
+            v = seen[key] = _class_verdict(cid, data.powers[cid])
+        out.append(v)
+    return tuple(out)
 
 
 def is_rational_group(G: GroupHandle) -> bool:

@@ -28,7 +28,8 @@ element set is derived on first read.  Deliberate choices:
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
   each class, the power map, and the class of each id.  The one element
   view, the representatives, is derived on first read; only the
-  normalizer-scan cut oracle reads it.
+  normalizer-scan cut oracle reads it, and only that read asks for the
+  group's element list, which a product builds then.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
@@ -44,11 +45,12 @@ element set is derived on first read.  Deliberate choices:
   id sets {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup
   are O_p(G) x O_p(H), F(G) x F(H) and G' x H'.  Its Fitting series is
   F_k(G) x F_k(H), and its quotient k the direct product of the factors'
-  quotients k (``_product_series``); it is supersolvable, or metabelian,
-  iff both factors are.  Sylow subgroups stay generic: a Sylow subgroup is
-  not canonical, and the one the deterministic growth picks in G x H is
-  pinned element for element; it has matched the product of the factors'
-  picks on every product tried, but no argument here shows it must.
+  quotients k (``_product_series``); it is supersolvable, metabelian or
+  abelian iff both factors are.  Sylow subgroups stay generic: a Sylow
+  subgroup is not canonical, and the one the deterministic growth picks in
+  G x H is pinned element for element; it has matched the product of the
+  factors' picks on every product tried, but no argument here shows it
+  must.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -78,8 +80,9 @@ from typing import Callable, Sequence
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
                      conjugation_tables, direct_factors, direct_product,
-                     element_ids, element_order, id_mul, id_powers, id_set,
-                     memoised, small_generating_set, subgroup_view)
+                     element_ids, element_order, generator_ids, id_mul,
+                     id_powers, id_set, identity_id, memoised,
+                     small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -109,8 +112,10 @@ class ConjugacyData:
     # () -> class id of each element id; read once, by ``class_ids``
     class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
                                                         repr=False)
-    # the group's sorted elements: elements[i] has id i
-    elements: Sequence[Element] = field(compare=False, repr=False)
+    # () -> the group's sorted elements (elements()[i] has id i); called
+    # once, by ``representatives``, so no other read lists a product's pairs
+    elements: Callable[[], Sequence[Element]] = field(compare=False,
+                                                      repr=False)
 
     @cached_property
     def class_ids(self) -> Sequence[int]:
@@ -118,7 +123,7 @@ class ConjugacyData:
 
     @cached_property
     def representatives(self) -> tuple[Element, ...]:
-        return tuple(map(self.elements.__getitem__, self.rep_ids))
+        return tuple(map(self.elements().__getitem__, self.rep_ids))
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,11 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
         reps.append(start)
         sizes.append(len(orbit))
     mul = id_mul(G)
-    e = element_ids(G)[G.identity]
+    e = identity_id(G)
     powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
               for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
-                         lambda: cids, G.ordered)
+                         lambda: cids, lambda: G.ordered)
 
 
 def _product_classes(P: GroupHandle, G: GroupHandle,
@@ -212,7 +217,7 @@ def _product_classes(P: GroupHandle, G: GroupHandle,
         ch = dh.class_ids
         return [a * kh + b for a in dg.class_ids for b in ch]
     return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
-                         P.ordered)
+                         lambda: P.ordered)
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -335,7 +340,7 @@ def fitting_series(G: GroupHandle) -> FittingData:
     (``_product_series``)."""
     if factors := direct_factors(G):
         return _product_series(G, *factors)
-    series = [SubgroupHandle(G, frozenset({element_ids(G)[G.identity]}), True)]
+    series = [SubgroupHandle(G, frozenset({identity_id(G)}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
     current = G
@@ -416,7 +421,7 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
 
     gens = []
     sources = []  # the G generator behind each quotient generator
-    e = to_q[ids[G.identity]]
+    e = to_q[identity_id(G)]
     seen = {e}
     for k, g in enumerate(G.generators):
         q = to_q[ids[g]]
@@ -479,11 +484,12 @@ def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
 
 def _derived_span(G: GroupHandle) -> Span:
     """G' as the normal closure of the generators' commutators
-    [a, b] = a^-1 a^b, read from the conjugation tables."""
-    ids, mul = element_ids(G), id_mul(G)
+    [a, b] = a^-1 a^b, read from the conjugation tables; a^-1 is the last
+    id of the walk of <a>."""
+    mul, e = id_mul(G), identity_id(G)
     tables = conjugation_tables(G)
-    comms = {mul(ids[G.inv(a)], t[ids[a]])
-             for a in G.generators for t in tables}
+    comms = {mul(_power_walk(mul, e, a)[-1], t[a])
+             for a in generator_ids(G) for t in tables}
     return _normal_span(G, sorted(comms))
 
 
@@ -496,6 +502,10 @@ def is_nilpotent(G: GroupHandle) -> bool:
 
 
 def is_abelian(G: GroupHandle) -> bool:
+    """The generators commute pairwise.  A direct product is abelian iff
+    both factors are."""
+    if factors := direct_factors(G):
+        return all(map(is_abelian, factors))
     return all(G.mult(a, b) == G.mult(b, a)
                for a in G.generators for b in G.generators)
 
@@ -527,7 +537,7 @@ def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
 def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
     """Normal subgroups <g> (one per generated subgroup), walked on ids."""
     mul = id_mul(G)
-    e = element_ids(G)[G.identity]
+    e = identity_id(G)
     for rep, _ in _normal_cyclic_rows(G, prime_order_only):
         yield SubgroupHandle(G, frozenset(_power_walk(mul, e, rep)), True)
 

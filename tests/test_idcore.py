@@ -333,7 +333,8 @@ class TestClosures:
             assume(A.order * B.order <= 2000)
             P = direct_product(A, B)
             got, want = (fitting_series(P),
-                         fitting_series(replace(P, origin=None)))
+                         fitting_series(replace(P, listed=P.ordered,
+                                              origin=None)))
             assert [F.ids for F in got.series] == [F.ids for F in want.series]
             assert got.length == want.length
             assert [Q.ordered for Q in got.quotients] == \

@@ -16,7 +16,7 @@ from gklab.groups import (GroupHandle, Product, Quotient, View,
                           direct_factors, direct_product, subgroup_as_group)
 from gklab.structure import conjugacy_classes, core_p, quotient
 
-DERIVED = {"ids", "id_mul", "id_powers", "conj_tables", "action",
+DERIVED = {"ids", "identity", "id_mul", "id_powers", "conj_tables", "action",
            "conjugacy", "sylow", "core", "fitting", "fitting_series",
            "fingerprint", "frobenius", "rationality"}
 # construction data, which an origin holds instead

@@ -4,10 +4,13 @@
 product's classes, power map, element orders and inverses from its factors'
 memoised data, with no multiplication.  The reference is the orbit and walk
 path every other group runs, taken on a copy of the product recorded as a
-semidirect product under the trivial action.  The pairs are the ones the
-`verify invariants` product pair row samples, so that row's cut verdicts and
-prime graphs, now read off the factors, stay checked against an independent
-computation of each product.
+semidirect product under the trivial action.  ``rationality_report`` shares
+one verdict among the classes with the same pair of factor-class keys; its
+reference is ``_class_verdict`` on every row of the product.  The pairs are
+the ones the `verify invariants` product pair row samples, so that row's cut
+verdicts and prime graphs, now read off the factors, stay checked against an
+independent computation of each product.  Classes, verdicts, prime graphs
+and fingerprints list no product's pairs, at any level of nesting.
 """
 
 import functools
@@ -25,7 +28,7 @@ from gklab.groups import (GroupHandle, Product, conjugation_tables,
                           direct_factors, direct_product, id_powers,
                           subgroup_as_group)
 from gklab.primegraph import gk_graph
-from gklab.rationality import rationality_report
+from gklab.rationality import _class_verdict, rationality_report
 from gklab.structure import conjugacy_classes, core_p, quotient
 from gklab.verify import _sampled_pairs
 
@@ -40,7 +43,16 @@ def _without_factors(P: GroupHandle) -> GroupHandle:
     return R
 
 
+def _check_verdicts(P: GroupHandle) -> None:
+    """The verdicts shared by factor-class keys are the ones read off every
+    row of P."""
+    data = conjugacy_classes(P)
+    assert rationality_report(P).per_class == tuple(
+        map(_class_verdict, range(len(data.powers)), data.powers))
+
+
 def _check_against_reference(P: GroupHandle) -> None:
+    _check_verdicts(P)
     data, powers = conjugacy_classes(P), id_powers(P)
     R = _without_factors(P)
     ref = conjugacy_classes(R)
@@ -66,48 +78,6 @@ def test_sample_is_the_verify_rows():
 def test_sampled_pair_matches_the_orbit_path(k):
     a, b = _sampled()[k]
     _check_against_reference(direct_product(a, b))
-
-
-def _built_views(P: GroupHandle) -> list[str]:
-    """The element view built on P's class data or on an inner product's."""
-    out = []
-    for F in direct_factors(P):
-        if direct_factors(F):
-            out += _built_views(F)
-    if "representatives" in vars(P._memo["conjugacy"]):
-        out.append(f"{P.label}.representatives")
-    return out
-
-
-@pytest.mark.parametrize("build", [
-    lambda: direct_product(*_sampled()[3]),
-    lambda: catalog.catalog_entry("fig3.q").build(),
-], ids=["sampled", "fig3.q"])
-def test_reads_build_no_element_view(build):
-    """Classes, verdicts, the prime graph, the fingerprint and the whole
-    analysis report of a product never list its class representatives as
-    elements, at any level of nesting."""
-    P = build()
-    conjugacy_classes(P)
-    rationality_report(P)
-    gk_graph(P)
-    fingerprint(P)
-    analysis_report({"P": P}, {})
-    assert _built_views(P) == []
-    # the view is still there for a reader that asks
-    data = conjugacy_classes(P)
-    assert data.representatives == tuple(map(P.ordered.__getitem__,
-                                             data.rep_ids))
-
-
-@pytest.mark.parametrize("k", range(0, 50, 7))
-def test_derived_path_multiplies_nothing(k):
-    a, b = _sampled()[k]
-    P = direct_product(a, b)
-    conjugacy_classes(P)
-    rationality_report(P)
-    gk_graph(P)
-    assert "id_mul" not in P._memo
 
 
 def _s4_mod_v4():
@@ -139,7 +109,71 @@ NESTED = {
                                             catalog.dicyclic12()),
     "view-x-C3": lambda: direct_product(_s3_in_s4(), catalog.cyclic(3)),
     "C1xC1": lambda: direct_product(catalog.cyclic(1), catalog.cyclic(1)),
+    # a non-cut factor (C5), and factors with two classes of one order and
+    # different iota images, which a verdict keyed on orders alone confuses
+    "(C3xS3)xC5": lambda: direct_product(
+        direct_product(catalog.cyclic(3), catalog.sym(3)), catalog.cyclic(5)),
+    "C2x(C5xD5)": lambda: direct_product(
+        catalog.cyclic(2),
+        direct_product(catalog.cyclic(5), catalog.dihedral(10))),
 }
+
+
+def _built_views(P: GroupHandle) -> list[str]:
+    """The element view built on P's class data or on an inner product's."""
+    out = []
+    for F in direct_factors(P):
+        if direct_factors(F):
+            out += _built_views(F)
+    if "representatives" in vars(P._memo["conjugacy"]):
+        out.append(f"{P.label}.representatives")
+    return out
+
+
+def _listed_products(G: GroupHandle) -> list[str]:
+    """G and the products nested in it, direct or semidirect, that hold
+    their pair list or their element id dict."""
+    if not isinstance(G.origin, Product):
+        return []
+    out = _listed_products(G.origin.left) + _listed_products(G.origin.right)
+    if "ordered" in vars(G.origin) or "ids" in G._memo:
+        out.append(G.label)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    # fresh factors: the cached sample's are read element by element elsewhere
+    lambda: direct_product(
+        *_sampled_pairs(1, catalog.distinct_corpus(1, 200, 2000))[3]),
+    lambda: catalog.catalog_entry("fig3.q").build(),
+    *NESTED.values(),
+], ids=["sampled", "fig3.q", *NESTED])
+def test_reads_build_no_element_view(build):
+    """Classes, verdicts, the prime graph and the fingerprint of a product
+    list no pair, at any level of nesting; with the whole analysis report
+    they never list its class representatives as elements."""
+    P = build()
+    conjugacy_classes(P)
+    rationality_report(P)
+    gk_graph(P)
+    fingerprint(P)
+    assert _listed_products(P) == []
+    analysis_report({"P": P}, {})
+    assert _built_views(P) == []
+    # the view is still there for a reader that asks
+    data = conjugacy_classes(P)
+    assert data.representatives == tuple(map(P.ordered.__getitem__,
+                                             data.rep_ids))
+
+
+@pytest.mark.parametrize("k", range(0, 50, 7))
+def test_derived_path_multiplies_nothing(k):
+    a, b = _sampled()[k]
+    P = direct_product(a, b)
+    conjugacy_classes(P)
+    rationality_report(P)
+    gk_graph(P)
+    assert "id_mul" not in P._memo
 
 
 @pytest.mark.parametrize("build", NESTED.values(), ids=NESTED)
@@ -187,5 +221,6 @@ def test_product_class_laws(pair):
     orders = id_powers(P)[0]
     assert all(orders[i] == len(data.powers[c])
                for i, c in enumerate(data.class_ids))
+    _check_verdicts(P)
     assert "id_mul" not in P._memo
 

@@ -3,31 +3,37 @@
 ``groups.conjugation_tables`` composes a semidirect product's tables from
 its kernel's ids, its acting group's tables and the action ids, and
 ``structure`` reads a direct product's O_p, Fitting subgroup, derived
-subgroup, Fitting series (terms, length and quotients), supersolvability and
-metabelianness off its factors'.  The reference is the element-multiplying
+subgroup, Fitting series (terms, length and quotients), supersolvability,
+metabelianness and commutativity off its factors', as ``rationality`` does
+its class verdicts.  The reference is the element-multiplying
 generic path, run on a copy of each product with no construction record
-(``dataclasses.replace(G, origin=None)``): the same elements in the same
-order, so the same ids, with everything computed from ``G.mult``.
+(``dataclasses.replace(G, listed=G.ordered, origin=None)``): the same
+elements in the same order, so the same ids, with everything computed from
+``G.mult``.
 
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
-products with a non-solvable factor, whose Fitting series stalls.  fig3.r
-(25200) and twofrob.g (15309) are left out: their reference multiplies
-elements for 7 and 21 s on a 2-CPU Xeon (Python 3.11).
+products with a non-solvable factor, whose Fitting series stalls; the
+commutativity test also runs on the deep products of ``test_cli.py``'s
+depth specs.  fig3.r (25200) and twofrob.g (15309) are left out: their
+reference multiplies elements for 7 and 21 s on a 2-CPU Xeon (Python 3.11).
 """
 
 import functools
+import json
 from dataclasses import replace
 
 import pytest
 from sympy import factorint
 
-from gklab import catalog
+from gklab import catalog, cli
 from gklab.groups import (conjugation_tables, direct_product,
                           semidirect_product)
+from gklab.rationality import rationality_report
 from gklab.structure import (conjugacy_classes, core_p, derived_subgroup,
-                             fitting, fitting_series, is_metabelian,
-                             is_supersolvable)
+                             fitting, fitting_series, is_abelian,
+                             is_metabelian, is_supersolvable)
+from test_cli import chain_spec, wide_spec
 from test_product_classes import NESTED
 
 
@@ -46,12 +52,15 @@ def _summary(G) -> dict:
                       for Q in fs.quotients],
         "supersolvable": is_supersolvable(G),
         "metabelian": is_metabelian(G),
+        "abelian": is_abelian(G),
+        "verdicts": rationality_report(G).per_class,
     }
 
 
 def _check_against_reference(G) -> None:
     assert G.origin is not None
-    got, want = _summary(G), _summary(replace(G, origin=None))
+    got = _summary(G)
+    want = _summary(replace(G, listed=G.ordered, origin=None))
     for key, value in want.items():
         assert got[key] == value, (G.label, key)
 
@@ -127,3 +136,26 @@ def test_stalled_series_keeps_its_quotients():
     fs = fitting_series(NON_SOLVABLE["A5xS4"]())
     assert [F.order for F in fs.series] == [1, 4, 12, 24]
     assert [Q.order for Q in fs.quotients] == [360, 120, 60]
+
+
+def _s3_chain() -> dict:
+    """chain_spec(64) on S3 instead of the trivial r64: r0 is S3 x C1 x ...
+    x C1, non-abelian at every level."""
+    spec = chain_spec(64, top_first=True)
+    spec["groups"]["r64"] = {"type": "builtin", "name": "sym", "args": [3]}
+    return spec
+
+
+@pytest.mark.parametrize("spec, top", [
+    (chain_spec(64, top_first=True), "r0"), (wide_spec(65), "w"),
+    (_s3_chain(), "r0"),
+], ids=["chain-64", "wide-65", "S3-chain-64"])
+def test_deep_product_is_abelian_as_its_generators_commute(tmp_path, spec,
+                                                           top):
+    """Read off the factors at every level, is_abelian agrees with the
+    generator products, which recurse through all 64 levels."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    G = cli.load_spec(str(path))[top]
+    assert is_abelian(G) == all(G.mult(a, b) == G.mult(b, a)
+                                for a in G.generators for b in G.generators)

@@ -215,7 +215,7 @@ def test_products_and_quotients_multiply_no_element():
     assert len(conjugacy_classes(Q).rep_ids) == len(_reference_classes(Q)[0])
     # composed from the factors', not multiplied out on S's own ids
     assert "id_mul" not in S._memo
-    reference = conjugation_tables(replace(S, origin=None))
+    reference = conjugation_tables(replace(S, listed=S.ordered, origin=None))
     assert list(map(list, tables)) == list(map(list, reference))
 
 
