@@ -7,6 +7,7 @@ required fingerprint, then pinned here as literals.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -384,12 +385,14 @@ def corpus(seed: int, count: int, max_order: int) -> list[GroupHandle]:
         raise OutOfRange(f"max_order must be >= {_CORPUS_MIN_ORDER}")
     rng = random.Random(seed)
     builders = _corpus_pool()
-    base_cache: dict[int, GroupHandle] = {}
+    by_label: dict[str, GroupHandle] = {}
 
+    @functools.cache
     def base(i: int) -> GroupHandle:
-        if i not in base_cache:
-            base_cache[i] = builders[i]()
-        return base_cache[i]
+        # pool entries that share a label (cyclic(p), elem_abelian(p, 1))
+        # share the first group built under it
+        G = builders[i]()
+        return by_label.setdefault(G.label, G)
 
     out: list[GroupHandle] = []
     while len(out) < count:

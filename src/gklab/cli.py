@@ -39,6 +39,12 @@ class SpecError(ValueError):
 
 MAX_PRODUCT_DEPTH = 64  # only products of trivial groups get near it
 
+# the keys each recipe type reads, besides "type"
+RECIPE_KEYS = {"perm": {"degree", "gens"}, "matgrp": {"p", "gens"},
+               "builtin": {"name", "args"}, "catalog": {"name"},
+               "direct": {"factors"}, "semidirect": {
+                   "kernel", "acting", "action_matrices", "p", "action_images"}}
+
 
 def load_spec(path: str) -> dict[str, GroupHandle]:
     """Build every group of a JSON group-specification file."""
@@ -88,6 +94,11 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
     if not isinstance(recipe, dict) or "type" not in recipe:
         raise SpecError(f"recipe {name!r} needs a type")
     kind = recipe["type"]
+    if not isinstance(kind, str) or kind not in RECIPE_KEYS:
+        raise SpecError(f"unknown recipe type {kind!r}")
+    if extra := sorted(recipe.keys() - RECIPE_KEYS[kind] - {"type"}):
+        raise SpecError(f"bad recipe {name!r}: a {kind} recipe takes no key "
+                        f"{', '.join(map(repr, extra))}")
     try:
         if kind == "perm":
             degree = _ints(name, "degree", recipe["degree"])
@@ -132,23 +143,22 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             for H in factors[1:]:
                 G = direct_product(G, H)
             return G.relabel(name)
-        if kind == "semidirect":
-            N, H = resolve([recipe["kernel"], recipe["acting"]], 1)
-            if "action_matrices" in recipe:
-                p = _ints(name, "p", recipe["p"])
-                rows = _ints(name, "action_matrices",
-                             recipe["action_matrices"], depth=3)
-                action = cat.matrix_action(N, [el.mat(p, r) for r in rows])
-            else:
-                words = _ints(name, "action_images", recipe["action_images"],
-                              depth=3)
-                action = [[_word(N, w) for w in images] for images in words]
-            return semidirect_product(N, H, action, name)
+        # the one type left: semidirect
+        N, H = resolve([recipe["kernel"], recipe["acting"]], 1)
+        if "action_matrices" in recipe:
+            p = _ints(name, "p", recipe["p"])
+            rows = _ints(name, "action_matrices",
+                         recipe["action_matrices"], depth=3)
+            action = cat.matrix_action(N, [el.mat(p, r) for r in rows])
+        else:
+            words = _ints(name, "action_images", recipe["action_images"],
+                          depth=3)
+            action = [[_word(N, w) for w in images] for images in words]
+        return semidirect_product(N, H, action, name)
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SpecError(f"bad recipe {name!r}: {exc}")
-    raise SpecError(f"unknown recipe type {kind!r}")
 
 
 def _ints(name: str, field: str, value, depth: int = 0):

@@ -28,10 +28,9 @@ group multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   ``ordered`` list is the nested loop over the factors' lists) and
-  multiplies componentwise on the factors' ids.  It reads its orders and
-  inverses (``id_powers``), its conjugation tables and its conjugacy classes
-  (``structure.conjugacy_classes``) off its factors' (``direct_factors``),
-  with no multiplication;
+  multiplies componentwise on the factors' ids.  It reads its conjugation
+  tables and its conjugacy classes (``structure.conjugacy_classes``) off its
+  factors' (``direct_factors``), with no multiplication;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action (``action_ids``, built once).  Its conjugation tables
@@ -50,10 +49,10 @@ TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
 15%; a corpus pass keeps the tables of all its groups alive at once.  No
 |G|^2 structure exists above the bound.  ``id_powers`` walks each cyclic
-subgroup once on ids (``_power_walk``, which the class power map walks too)
-and gives every id's order and inverse; ``Span`` grows a
-subgroup on ids one generator at a time (Dimino's algorithm), which closures,
-generating sets, Sylow growth, Fitting and normal closures run on.
+subgroup once on ids in every kind of group (``_power_walk``, which the
+class power map walks too) and gives every id's order and inverse; ``Span``
+grows a subgroup on ids one generator at a time (Dimino's algorithm), which
+closures, generating sets, Sylow growth, Fitting and normal closures run on.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, field, replace
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Callable, KeysView, Optional, Sequence
 
@@ -352,13 +351,10 @@ def induced_mul(mul, out, into) -> Callable[[int, int], int]:
 def id_powers(G: GroupHandle) -> tuple[array, array]:
     """(orders, inverses), both indexed by id; memoised.
 
-    A direct product reads them off its factors' (``_product_powers``).  In
-    any other group each id not yet seen starts a walk over its cyclic
-    subgroup 1, g, ..., g^(n-1) on ``id_mul`` (``_power_walk``): g^k gets
-    order n / gcd(k, n) and inverse g^(n-k).
+    Each id not yet seen starts a walk over its cyclic subgroup 1, g, ...,
+    g^(n-1) on ``id_mul`` (``_power_walk``): g^k gets order n / gcd(k, n)
+    and inverse g^(n-k).
     """
-    if factors := direct_factors(G):
-        return _product_powers(*factors)
     mul = id_mul(G)
     e = identity_id(G)
     orders = array("I", [0]) * G.order
@@ -382,15 +378,6 @@ def _power_walk(mul, e: int, g: int) -> list[int]:
         out.append(h)
         h = mul(h, g)
     return out
-
-
-def _product_powers(G: GroupHandle, H: GroupHandle) -> tuple[array, array]:
-    """id_powers of G x H: (x_i, y_j) has order lcm(|x_i|, |y_j|) and
-    inverse (x_i^-1, y_j^-1)."""
-    (og, ig), (oh, ih) = id_powers(G), id_powers(H)
-    m = H.order
-    return (array("I", [lcm(a, b) for a in og for b in oh]),
-            array("I", [a * m + b for a in ig for b in ih]))
 
 
 class Span:

@@ -8,8 +8,9 @@ element set is derived on first read.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
-  normalizes P.  Orders and inverses are read from ``groups.id_powers``, so
-  no element's order is recomputed per step.
+  normalizes P (a direct product takes its factors', below).  Orders and
+  inverses are read from ``groups.id_powers``, so no element's order is
+  recomputed per step.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -40,17 +41,13 @@ element set is derived on first read.  Deliberate choices:
   read off theirs, and the class of (g, h)^k is the pair of the classes of
   g^k and h^k (``_product_classes``, recursing through nested products).
   The class of each id is composed from the factors' only when it is read.
-  ``groups.id_powers`` does the same for orders and inverses.
-* A direct product reads its canonical subgroups off its factors' too, as
-  id sets {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup
-  are O_p(G) x O_p(H), F(G) x F(H) and G' x H'.  Its Fitting series is
-  F_k(G) x F_k(H), and its quotient k the direct product of the factors'
-  quotients k (``_product_series``); it is supersolvable, metabelian or
-  abelian iff both factors are.  Sylow subgroups stay generic: a Sylow
-  subgroup is not canonical, and the one the deterministic growth picks in
-  G x H is pinned element for element; it has matched the product of the
-  factors' picks on every product tried, but no argument here shows it
-  must.
+* A direct product reads its subgroups off its factors' too, as id sets
+  {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup are
+  O_p(G) x O_p(H), F(G) x F(H) and G' x H', and its Sylow p-subgroup is
+  P_G x P_H, normal iff both are, so it is nilpotent iff both factors are.
+  Its Fitting series is F_k(G) x F_k(H), and its quotient k the direct
+  product of the factors' quotients k (``_product_series``); it is
+  supersolvable, metabelian or abelian iff both factors are.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -265,9 +262,12 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
 
 @memoised("sylow")
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
-    """Sylow p-subgroup by deterministic normalizer growth."""
+    """Sylow p-subgroup by deterministic normalizer growth; P_A x P_B for a
+    direct product A x B, normal iff both are."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
+    if factors := direct_factors(G):
+        return _product_subgroup(G, *(sylow(F, p) for F in factors))
     p_part = p ** factorint(G.order).get(p, 0)
     orders, inverses = id_powers(G)
     mul = id_mul(G)
@@ -292,10 +292,13 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
 
 
-def _pair_ids(G: GroupHandle, left, right) -> frozenset[int]:
-    """Ids in G = A x B of the pairs of A ids in left and B ids in right."""
+def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
+                      b: SubgroupHandle) -> SubgroupHandle:
+    """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
+    pairs, normal iff both are."""
     m = direct_factors(G)[1].order
-    return frozenset([i * m + j for i in left for j in right])
+    ids = frozenset([i * m + j for i in a.ids for j in b.ids])
+    return SubgroupHandle(G, ids, a.normal and b.normal)
 
 
 @memoised("core")
@@ -303,9 +306,7 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     """O_p(G): intersection of all conjugates of a Sylow p-subgroup;
     O_p(A) x O_p(B) for a direct product A x B."""
     if factors := direct_factors(G):
-        A, B = factors
-        return SubgroupHandle(
-            G, _pair_ids(G, core_p(A, p).ids, core_p(B, p).ids), True)
+        return _product_subgroup(G, *(core_p(F, p) for F in factors))
     K = set(sylow(G, p).ids)
     changed = True
     while changed:
@@ -323,9 +324,7 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
     """F(G): product of the O_p(G) over primes p dividing |G|; F(A) x F(B)
     for a direct product A x B; memoised."""
     if factors := direct_factors(G):
-        A, B = factors
-        return SubgroupHandle(
-            G, _pair_ids(G, fitting(A).ids, fitting(B).ids), True)
+        return _product_subgroup(G, *map(fitting, factors))
     F = Span(G)
     for p in sorted(factorint(G.order)):
         for x in core_p(G, p).ids:
@@ -369,10 +368,9 @@ def _product_series(P: GroupHandle, A: GroupHandle,
     fa, fb = fitting_series(A), fitting_series(B)
     sa, sb = len(fa.series) - 1, len(fb.series) - 1
     steps = max(sa, sb)
-    series = tuple(
-        SubgroupHandle(P, _pair_ids(P, fa.series[min(k, sa)].ids,
-                                    fb.series[min(k, sb)].ids), True)
-        for k in range(steps + 1))
+    series = tuple(_product_subgroup(P, fa.series[min(k, sa)],
+                                     fb.series[min(k, sb)])
+                   for k in range(steps + 1))
     solvable = fa.solvable and fb.solvable
     quotients = []
     label = P.label
@@ -476,9 +474,7 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
     """G'; A' x B' for a direct product A x B."""
     if factors := direct_factors(G):
-        A, B = factors
-        return SubgroupHandle(G, _pair_ids(G, derived_subgroup(A).ids,
-                                           derived_subgroup(B).ids), True)
+        return _product_subgroup(G, *map(derived_subgroup, factors))
     return SubgroupHandle(G, frozenset(_derived_span(G).elements), True)
 
 

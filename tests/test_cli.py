@@ -202,6 +202,22 @@ class TestAnalyze:
         assert capsys.readouterr().err == \
             f"error: bad recipe 'x': builtin {builtin!r} {expected}\n"
 
+    @pytest.mark.parametrize("recipe, message", [
+        ({"type": "builtin", "name": "cyclic", "args": [2], "bogus": 1},
+         "a builtin recipe takes no key 'bogus'"),
+        # a key another type reads
+        ({"type": "catalog", "name": "fig3.a", "args": []},
+         "a catalog recipe takes no key 'args'"),
+        ({"type": "direct", "factors": ["c2", "c2"], "z": 0, "kernel": "c2"},
+         "a direct recipe takes no key 'kernel', 'z'"),
+    ])
+    def test_unknown_recipe_key(self, tmp_path, capsys, recipe, message):
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps({"groups": {
+            "x": recipe, "c2": SPEC["groups"]["c2"]}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad recipe 'x': {message}\n"
+
     def test_every_builtin_builds(self):
         args = {"cyclic": [4], "elem_abelian": [2, 2], "dihedral": [6],
                 "sym": [3], "alt": [4]}

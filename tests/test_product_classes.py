@@ -1,16 +1,17 @@
-"""Direct products read their class data and id powers off their factors.
+"""Direct products read their class data off their factors.
 
-``structure.conjugacy_classes`` and ``groups.id_powers`` derive a direct
-product's classes, power map, element orders and inverses from its factors'
-memoised data, with no multiplication.  The reference is the orbit and walk
-path every other group runs, taken on a copy of the product recorded as a
-semidirect product under the trivial action.  ``rationality_report`` shares
-one verdict among the classes with the same pair of factor-class keys; its
-reference is ``_class_verdict`` on every row of the product.  The pairs are
-the ones the `verify invariants` product pair row samples, so that row's cut
-verdicts and prime graphs, now read off the factors, stay checked against an
-independent computation of each product.  Classes, verdicts, prime graphs
-and fingerprints list no product's pairs, at any level of nesting.
+``structure.conjugacy_classes`` derives a direct product's classes and power
+map from its factors' memoised data, with no multiplication.  The reference
+is the orbit and walk path every other group runs, taken on a copy of the
+product recorded as a semidirect product under the trivial action.
+``rationality_report`` shares one verdict among the classes with the same
+pair of factor-class keys; its reference is ``_class_verdict`` on every row
+of the product.  The pairs are the ones the `verify invariants` product pair
+row samples, so that row's cut verdicts and prime graphs, now read off the
+factors, stay checked against an independent computation of each product.
+Classes, verdicts, prime graphs and fingerprints list no product's pairs, at
+any level of nesting, and Sylow subgroups and nilpotency build no direct
+product's orders, inverses, multiplication or conjugation tables.
 """
 
 import functools
@@ -29,7 +30,9 @@ from gklab.groups import (GroupHandle, Product, conjugation_tables,
                           subgroup_as_group)
 from gklab.primegraph import gk_graph
 from gklab.rationality import _class_verdict, rationality_report
-from gklab.structure import conjugacy_classes, core_p, quotient
+from gklab.numtheory import factorint
+from gklab.structure import (conjugacy_classes, core_p, is_nilpotent,
+                             quotient, sylow)
 from gklab.verify import _sampled_pairs
 
 
@@ -141,6 +144,15 @@ def _listed_products(G: GroupHandle) -> list[str]:
     return out
 
 
+def _id_cores(G: GroupHandle) -> list[str]:
+    """The id data built on G and on the direct products nested in it."""
+    if not (factors := direct_factors(G)):
+        return []
+    return [*_id_cores(factors[0]), *_id_cores(factors[1]),
+            *(f"{G.label}.{key}" for key in ("id_powers", "id_mul",
+                                             "conj_tables") if key in G._memo)]
+
+
 @pytest.mark.parametrize("build", [
     # fresh factors: the cached sample's are read element by element elsewhere
     lambda: direct_product(
@@ -151,8 +163,14 @@ def _listed_products(G: GroupHandle) -> list[str]:
 def test_reads_build_no_element_view(build):
     """Classes, verdicts, the prime graph and the fingerprint of a product
     list no pair, at any level of nesting; with the whole analysis report
-    they never list its class representatives as elements."""
+    they never list its class representatives as elements.  Sylow
+    subgroups and nilpotency, read first, build no direct product's id
+    data."""
     P = build()
+    for p in factorint(P.order):
+        sylow(P, p)
+    is_nilpotent(P)
+    assert _id_cores(P) == []
     conjugacy_classes(P)
     rationality_report(P)
     gk_graph(P)
@@ -217,8 +235,9 @@ def test_product_class_laws(pair):
     # row (x, y) runs for lcm(|x|, |y|) steps
     assert [len(row) for row in data.powers] == [
         lcm(len(ra), len(rb)) for ra in da.powers for rb in db.powers]
-    # element orders by id agree with the row of each element's class
-    orders = id_powers(P)[0]
+    # element orders by id agree with the row of each element's class;
+    # (x_i, y_j) has order lcm(|x_i|, |y_j|), read off the factors' orders
+    orders = [lcm(x, y) for x in id_powers(a)[0] for y in id_powers(b)[0]]
     assert all(orders[i] == len(data.powers[c])
                for i, c in enumerate(data.class_ids))
     _check_verdicts(P)

@@ -9,7 +9,10 @@ its class verdicts.  The reference is the element-multiplying
 generic path, run on a copy of each product with no construction record
 (``dataclasses.replace(G, listed=G.ordered, origin=None)``): the same
 elements in the same order, so the same ids, with everything computed from
-``G.mult``.
+``G.mult``.  A direct product's Sylow subgroups, the products of its
+factors', are not canonical, so they are checked against the reference's
+tables rather than its picks: the same order and normality, closed under
+the reference's multiplication, and nilpotent exactly when it is.
 
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
@@ -27,12 +30,13 @@ import pytest
 from sympy import factorint
 
 from gklab import catalog, cli
-from gklab.groups import (conjugation_tables, direct_product,
+from gklab.groups import (conjugation_tables, direct_product, id_mul,
                           semidirect_product)
 from gklab.rationality import rationality_report
-from gklab.structure import (conjugacy_classes, core_p, derived_subgroup,
-                             fitting, fitting_series, is_abelian,
-                             is_metabelian, is_supersolvable)
+from gklab.structure import (_is_normal, conjugacy_classes, core_p,
+                             derived_subgroup, fitting, fitting_series,
+                             is_abelian, is_metabelian, is_nilpotent,
+                             is_supersolvable, sylow)
 from test_cli import chain_spec, wide_spec
 from test_product_classes import NESTED
 
@@ -57,12 +61,27 @@ def _summary(G) -> dict:
     }
 
 
+def _check_sylow(G, R) -> None:
+    """G's Sylow subgroups against the reference R's multiplication and
+    tables; their ids are not compared, as a Sylow subgroup is not
+    canonical."""
+    mul = id_mul(R)
+    for p in sorted(factorint(G.order)):
+        got, want = sylow(G, p), sylow(R, p)
+        assert (got.order, got.normal) == (want.order, want.normal), p
+        assert all(mul(a, b) in got.ids for a in got.ids for b in got.ids), p
+        assert got.normal == _is_normal(R, got.ids), p
+    assert is_nilpotent(G) == is_nilpotent(R)
+
+
 def _check_against_reference(G) -> None:
     assert G.origin is not None
+    R = replace(G, listed=G.ordered, origin=None)
     got = _summary(G)
-    want = _summary(replace(G, listed=G.ordered, origin=None))
+    want = _summary(R)
     for key, value in want.items():
         assert got[key] == value, (G.label, key)
+    _check_sylow(G, R)
 
 
 @functools.cache

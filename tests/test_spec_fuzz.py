@@ -2,12 +2,13 @@
 
 Each example mutates ``SPEC`` from ``test_cli.py``: values swapped for
 other JSON types, floats, bools, small negative, out-of-range or large
-integers, keys deleted, and deep ``direct`` nesting.  It runs through
-``cli.main`` under a small element cap.  Every outcome is a documented exit
-code (0, 2 input error, 3 cap exceeded) with no traceback on stderr, and the
-unmutated spec still gives the pinned report bytes.  A degree or a builtin
-order past the cap is refused before anything is built, so large integers
-cost nothing.
+integers, keys deleted or added, and deep ``direct`` nesting.  It runs
+through ``cli.main`` under a small element cap.  Every outcome is a
+documented exit code (0, 2 input error, 3 cap exceeded) with no traceback on
+stderr, a recipe with a key that no recipe type reads never exits 0, and
+the unmutated spec still gives the pinned report bytes.  A degree or a
+builtin order past the cap is refused before anything is built, so large
+integers cost nothing.
 
 ``gklab classify`` literals are fuzzed the same way: any string of digits,
 separators and a few other characters exits 0 or 2, with no traceback.  So
@@ -17,6 +18,7 @@ unknown or a directory.
 """
 
 import copy
+import functools
 import hashlib
 import json
 
@@ -42,6 +44,10 @@ JUNK = st.one_of(
     st.lists(st.integers(-3, 3), max_size=3),
     st.builds(dict),
 )
+
+
+EXTRA_KEYS = st.sampled_from(["bogus", "args", "p", "factors", "kernel",
+                              "action_matrices", "Type"])
 
 
 def _paths(node, path=()):
@@ -72,6 +78,11 @@ def mutated_specs(draw):
             del parent[key]
         else:
             parent[key] = draw(JUNK)
+    # an extra key, unknown to every recipe type or read by another one
+    dicts = [node for node in map(functools.partial(_at, doc), _paths(doc))
+             if isinstance(node, dict)]
+    if dicts and draw(st.booleans()):
+        draw(st.sampled_from(dicts))[draw(EXTRA_KEYS)] = draw(JUNK)
     # deep nesting past the bound: products of trivial groups reach it
     # without growing, and anything shallower would take seconds to analyse
     deep = draw(st.sampled_from([None, "wide", "top-first", "bottom-first"]))
@@ -90,6 +101,8 @@ def mutated_specs(draw):
 @example(spec=SPEC)
 @example(spec={"groups": {"g": {"type": "perm", "degree": -3, "gens": [[]]}}})
 @example(spec={"groups": {"m": {"type": "matgrp", "p": 2, "gens": [[]]}}})
+@example(spec={"groups": {"c": {"type": "builtin", "name": "cyclic",
+                                "args": [2], "bogus": 1}}})
 @example(spec=wide_spec(600))
 @example(spec=wide_spec(128))
 @example(spec=chain_spec(700, top_first=True))
@@ -105,6 +118,12 @@ def test_mutated_spec_exits_cleanly(tmp_path, monkeypatch, capsys, spec):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error:")
+    # every recipe is built, so one with a key no type reads fails the run
+    groups = spec.get("groups")
+    if isinstance(groups, dict) and any(
+            isinstance(recipe, dict) and "bogus" in recipe
+            for recipe in groups.values()):
+        assert code, spec
     # compared as JSON text: True == 1 and 1.0 == 1 in Python, not in JSON
     if json.dumps(spec) == json.dumps(SPEC):
         assert code == 0
