@@ -183,12 +183,12 @@ def matrix_action(N: GroupHandle, mats) -> list[list]:
     return out
 
 
-def vector_semidirect(p: int, rank: int, mats, label: Optional[str] = None,
-                      acting_label: Optional[str] = None) -> GroupHandle:
+def vector_semidirect(p: int, rank: int, mats,
+                      label: Optional[str] = None) -> GroupHandle:
     """C_p^rank x| <mats> with the natural linear action."""
     N = elem_abelian(p, rank)
     mats = [m if isinstance(m, tuple) else el.mat(p, m) for m in mats]
-    H = enumerate_group(mats, acting_label or "H")
+    H = enumerate_group(mats, "H")
     return semidirect_product(N, H, matrix_action(N, mats), label)
 
 
@@ -214,13 +214,13 @@ BUILTINS: dict[str, Callable[..., GroupHandle]] = {
 def _q8_action_f5() -> GroupHandle:
     # printed action: i -> diag(2, -2), j -> [[0, 1], [-1, 0]] over F5
     return vector_semidirect(5, 2, [[[2, 0], [0, 3]], [[0, 1], [4, 0]]],
-                             "C5^2 x| Q8", "Q8")
+                             "C5^2 x| Q8")
 
 
 def _dic3_action_f5() -> GroupHandle:
     # fixed-point-free C3 x| C4 found by search in GL(2,5)
     return vector_semidirect(5, 2, [[[0, 1], [4, 1]], [[0, 2], [2, 0]]],
-                             "C5^2 x| (C3 x| C4)", "C3 x| C4")
+                             "C5^2 x| (C3 x| C4)")
 
 
 # SL(2,3) as a fixed-point-free linear group: quaternion pair plus an order-3
@@ -234,22 +234,21 @@ def _twofrob_builders() -> dict[str, Callable[[], GroupHandle]]:
     mats = companion_matrices()
 
     def tf_c():
-        return vector_semidirect(2, 2, [mats["C"], mats["D"]],
-                                 "C2^2 x| S3", "S3")
+        return vector_semidirect(2, 2, [mats["C"], mats["D"]], "C2^2 x| S3")
 
     def tf_e():
         return vector_semidirect(2, 4, [mats["E"], mats["F"]],
-                                 "C2^4 x| (C5 x| C4)", "C5 x| C4")
+                                 "C2^4 x| (C5 x| C4)")
 
     def tf_g():
         A3 = el.mat(3, mats["A"])
         B3 = el.mat(3, mats["B"])
         return vector_semidirect(3, 6, [A3, el.mul(B3, B3)],
-                                 "C3^6 x| (C7 x| C3)", "C7 x| C3")
+                                 "C3^6 x| (C7 x| C3)")
 
     def tf_l():
         return vector_semidirect(2, 6, [mats["A"], mats["B"]],
-                                 "C2^6 x| (C7 x| C6)", "C7 x| C6")
+                                 "C2^6 x| (C7 x| C6)")
 
     return {"c": tf_c, "e": tf_e, "g": tf_g, "l": tf_l}
 

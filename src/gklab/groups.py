@@ -5,7 +5,10 @@ ascending value order (``ordered``; a product's origin lists them on first
 read), together with multiplication and inversion callables, and a frozen
 ``origin`` recording how it was built: ``None`` for an enumerated group,
 else a :class:`Product`, :class:`Quotient` or :class:`View`.  ``relabel``
-keeps the origin and shares the list.
+keeps the origin and shares the list.  ``elements_at`` is the one way from
+ids to elements: a product composes its factors' elements there, so
+subgroup views, quotient representatives, generating sets and class
+representatives list no pair.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
@@ -17,8 +20,9 @@ Cayley tables run the same search (``_along_bfs_tree``).  A product runs no
 closure and lists no element when built (``_product_handle``): its order,
 the ids of its identity and generators (``identity_id``,
 ``generator_ids``) and everything on ids come from its factors, and its
-pairs are listed on the first element-level read (``Product.ordered``),
-which the class data of a product never makes.  Enumeration and both
+pairs are listed only when an element-level read needs them all
+(``Product.ordered``, or the id dict ``element_ids``); nothing in the
+analysis or the verify suites makes that read.  Enumeration and both
 products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
@@ -38,12 +42,14 @@ group multiplies ids (``id_mul``) the way it was built:
   generator's with no multiplication, an N generator's with one product per
   id and image of the generator;
 * a quotient multiplies its representatives' ids in the parent and maps the
-  product back through the id-level coset projection ``to_q``; its
-  conjugation tables come from its parent's the same way;
+  product back through the id-level coset projection ``to_q``.  Its
+  generator k is the coset of its parent's generator k, so its conjugation
+  tables are its parent's, one per generator, read through ``to_q``;
 * an enumerated group multiplies elements, and a subgroup view multiplies
-  in its parent's ids.  At order TABLE_BOUND or less either one is then
-  tabulated: a Cayley table of 2-byte ``array`` rows, filled along a BFS tree
-  from the generators' right-multiplication rows.
+  in its parent's ids; both conjugate by each generator on ids, its inverse
+  read off the walk of its powers.  At order TABLE_BOUND or less either one
+  is then tabulated: a Cayley table of 2-byte ``array`` rows, filled along a
+  BFS tree from the generators' right-multiplication rows.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
@@ -199,7 +205,6 @@ class Quotient:
     parent: GroupHandle
     to_q: list[int]
     rep_ids: list[int]
-    sources: list[int]  # the parent generator behind each generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +295,20 @@ def identity_id(G: GroupHandle) -> int:
     if isinstance(o, Product):
         return identity_id(o.left) * o.right.order + identity_id(o.right)
     return element_ids(G)[G.identity]
+
+
+def elements_at(G: GroupHandle, ids) -> list[Element]:
+    """The elements with the given ids, in the order given.  A product
+    composes its factors' (the pair with id i*|H| + j is (x_i, y_j)), so it
+    lists no pair."""
+    o = G.origin
+    if not isinstance(o, Product):
+        return list(map(G.ordered.__getitem__, ids))
+    m = o.right.order
+    ids = list(ids)
+    return [(el.PAIR, a, b) for a, b in zip(
+        elements_at(o.left, [i // m for i in ids]),
+        elements_at(o.right, [i % m for i in ids]))]
 
 
 def generator_ids(G: GroupHandle) -> list[int]:
@@ -425,17 +444,18 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
 
     Products and quotients derive theirs from their factors' or parent's
     tables; an enumerated group or a subgroup view conjugates each id by each
-    generator on ``id_mul``.
+    generator on ``id_mul``, taking the generator's inverse from the walk of
+    its powers (``_power_walk``).
     """
     o = G.origin
     if isinstance(o, Product):
         return _pair_tables(o.left, o.right, action_ids(G))
     if isinstance(o, Quotient):
         return _quotient_tables(o)
-    ids, mul = element_ids(G), id_mul(G)
+    mul, e = id_mul(G), identity_id(G)
     tables = []
-    for g in G.generators:
-        k, ki = ids[g], ids[G.inv(g)]
+    for k in generator_ids(G):
+        ki = _power_walk(mul, e, k)[-1]
         tables.append(array("I", [mul(ki, mul(i, k)) for i in range(G.order)]))
     return tables
 
@@ -481,10 +501,8 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
 def _quotient_tables(q: Quotient) -> list[list[int]]:
     """Tables of G/N through the coset projection: conjugating a coset by
     the coset of g is conjugating its representative by g."""
-    if not q.sources:
-        return [[0]]
-    tables = conjugation_tables(q.parent)
-    return [[q.to_q[tables[k][i]] for i in q.rep_ids] for k in q.sources]
+    return [[q.to_q[t[i]] for i in q.rep_ids]
+            for t in conjugation_tables(q.parent)]
 
 
 def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
@@ -639,8 +657,7 @@ def _span_of(G: GroupHandle, members: set[int]) -> Span:
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
     """Greedy generating set for a subgroup given as an element set."""
-    srt = G.ordered
-    return [srt[i] for i in _span_of(G, id_set(G, subset)).gens]
+    return elements_at(G, _span_of(G, id_set(G, subset)).gens)
 
 
 def closure_in(G: GroupHandle, gens) -> set[Element]:
@@ -648,8 +665,7 @@ def closure_in(G: GroupHandle, gens) -> set[Element]:
     span = Span(G)
     for x in id_set(G, gens):
         span.add(x)
-    srt = G.ordered
-    return {srt[i] for i in span.elements}
+    return set(elements_at(G, span.elements))
 
 
 def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
@@ -665,9 +681,8 @@ def subgroup_view(G: GroupHandle, members, label: str = "") -> GroupHandle:
     span = _span_of(G, members)
     if span.elements != members:
         raise ValueError(f"subset of {G.label} is not a subgroup")
-    srt = G.ordered
     out = sorted(members)
-    gens = tuple(srt[i] for i in span.gens) or (G.identity,)
+    gens = tuple(elements_at(G, span.gens)) or (G.identity,)
     return GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
-                       [srt[i] for i in out], G.identity, G.mult, G.inv,
+                       elements_at(G, out), G.identity, G.mult, G.inv,
                        View(G, out))

@@ -94,6 +94,18 @@ CUT_OPEN = "stuv"
 RATIONAL_REALIZED = "acdefk"
 RATIONAL_OPEN = "i"
 
+# class -> figure letter -> (status, citation); "{}" takes the letter
+FIGURE_VERDICTS = {
+    SOLVABLE_CUT: {
+        **dict.fromkeys(CUT_REALIZED, (REALIZED, "figure entry ({})")),
+        **dict.fromkeys(CUT_OPEN, (
+            OPEN, "open question on four-vertex graphs ({})"))},
+    SOLVABLE_RATIONAL: {
+        **dict.fromkeys(RATIONAL_REALIZED, (REALIZED, "figure entry ({})")),
+        **dict.fromkeys(RATIONAL_OPEN, (
+            OPEN, "open question: 3-2-5 for rational groups"))},
+}
+
 
 def gk_graph(G: GroupHandle) -> PrimeGraph:
     """Vertices: primes among element orders; edge p-q iff an order-pq element exists."""
@@ -159,27 +171,17 @@ def classify(graph: PrimeGraph, class_queried: str) -> TheoremVerdict:
     group's, realized for both classes."""
     if any(not isprime(v) for v in graph.vertices):
         raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")
-    if class_queried not in (SOLVABLE_CUT, SOLVABLE_RATIONAL):
+    if class_queried not in FIGURE_VERDICTS:
         raise ValueError(f"unknown class {class_queried!r}")
     if not graph.vertices:
         return TheoremVerdict(class_queried, REALIZED,
                               "the trivial group (empty graph)")
     match = next((name for name, g in FIGURE_GRAPHS.items() if g == graph), None)
-    if class_queried == SOLVABLE_CUT:
-        if match in set(CUT_REALIZED):
-            return TheoremVerdict(class_queried, REALIZED, f"figure entry ({match})")
-        if match in set(CUT_OPEN):
-            return TheoremVerdict(class_queried, OPEN,
-                                  f"open question on four-vertex graphs ({match})")
-        return TheoremVerdict(class_queried, FORBIDDEN,
-                              _forbidden_citation(graph))
-    if match in set(RATIONAL_REALIZED):
-        return TheoremVerdict(class_queried, REALIZED, f"figure entry ({match})")
-    if match in set(RATIONAL_OPEN):
-        return TheoremVerdict(class_queried, OPEN,
-                              "open question: 3-2-5 for rational groups")
-    return TheoremVerdict(class_queried, FORBIDDEN,
-                          _forbidden_citation(graph, rational=True))
+    if (entry := FIGURE_VERDICTS[class_queried].get(match)) is not None:
+        status, citation = entry
+        return TheoremVerdict(class_queried, status, citation.format(match))
+    return TheoremVerdict(class_queried, FORBIDDEN, _forbidden_citation(
+        graph, rational=class_queried == SOLVABLE_RATIONAL))
 
 
 def _forbidden_citation(graph: PrimeGraph, rational: bool = False) -> str:

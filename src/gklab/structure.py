@@ -21,16 +21,20 @@ element set is derived on first read.  Deliberate choices:
   and element of N.  ``fitting_series`` composes these projections and
   keeps the quotient chain G/F_1, G/F_2, ..., which the 2-Frobenius test
   reads.  A quotient multiplies no element: its ids and conjugation tables
-  come from its parent's through the projection (``groups.Quotient``).
+  come from its parent's through the projection (``groups.Quotient``), and
+  its generator k is the coset of its parent's generator k.  Only the
+  representatives are read as elements (``groups.elements_at``), so the
+  quotient of a product lists none of the product's pairs.
 * Conjugacy classes, O_p(G) and the normality tests of ``quotient`` and
   ``sylow`` run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
   id, so its representative is its value-least element, as before.
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
   each class, the power map, and the class of each id.  The one element
-  view, the representatives, is derived on first read; only the
-  normalizer-scan cut oracle reads it, and only that read asks for the
-  group's element list, which a product builds then.
+  view, the representatives, is derived on first read through
+  ``groups.elements_at``, which lists no product's pairs; only the
+  normalizer-scan cut oracle reads it.  A subgroup's element set is read
+  the same way.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
@@ -69,7 +73,7 @@ element set is derived on first read.  Deliberate choices:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from operator import add
 from typing import Callable, Sequence
@@ -77,8 +81,8 @@ from typing import Callable, Sequence
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
                      conjugation_tables, direct_factors, direct_product,
-                     element_ids, element_order, generator_ids, id_mul,
-                     id_powers, id_set, identity_id, memoised,
+                     element_ids, element_order, elements_at, generator_ids,
+                     id_mul, id_powers, id_set, identity_id, memoised,
                      small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
@@ -109,10 +113,10 @@ class ConjugacyData:
     # () -> class id of each element id; read once, by ``class_ids``
     class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
                                                         repr=False)
-    # () -> the group's sorted elements (elements()[i] has id i); called
-    # once, by ``representatives``, so no other read lists a product's pairs
-    elements: Callable[[], Sequence[Element]] = field(compare=False,
-                                                      repr=False)
+    # ids -> the elements with those ids (``groups.elements_at``); called
+    # once, by ``representatives``, and lists no product's pairs
+    elements: Callable[[Sequence[int]], list[Element]] = field(
+        compare=False, repr=False)
 
     @cached_property
     def class_ids(self) -> Sequence[int]:
@@ -120,7 +124,7 @@ class ConjugacyData:
 
     @cached_property
     def representatives(self) -> tuple[Element, ...]:
-        return tuple(map(self.elements().__getitem__, self.rep_ids))
+        return tuple(self.elements(self.rep_ids))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ class SubgroupHandle:
 
     @cached_property
     def elements(self) -> frozenset[Element]:
-        return frozenset(map(self.parent.ordered.__getitem__, self.ids))
+        return frozenset(elements_at(self.parent, self.ids))
 
     def as_group(self, label: str = "") -> GroupHandle:
         return subgroup_view(self.parent, self.ids, label)
@@ -185,7 +189,7 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
               for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
-                         lambda: cids, lambda: G.ordered)
+                         lambda: cids, partial(elements_at, G))
 
 
 def _product_classes(P: GroupHandle, G: GroupHandle,
@@ -214,7 +218,7 @@ def _product_classes(P: GroupHandle, G: GroupHandle,
         ch = dh.class_ids
         return [a * kh + b for a in dg.class_ids for b in ch]
     return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
-                         lambda: P.ordered)
+                         partial(elements_at, P))
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -391,13 +395,13 @@ def _quotient_at(G: GroupHandle, fs: FittingData, k: int) -> GroupHandle:
 
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
-    """G/N on value-least coset representatives with induced multiplication."""
+    """G/N on value-least coset representatives with induced multiplication;
+    generator k is the coset of G's generator k."""
     if N.parent is not G and N.parent.ordered != G.ordered:
         raise NotNormal("subgroup does not live in this group")
-    n_ids = N.ids if N.parent is G else id_set(G, N.elements)
-    if not _is_normal(G, n_ids):
+    # equal element lists give equal ids, so N's ids are G's
+    if not _is_normal(G, N.ids):
         raise NotNormal("subgroup is not normal")
-    ids = element_ids(G)
     mul = id_mul(G)
     to_q = [-1] * G.order  # G id -> coset number
     rep_ids = []
@@ -405,32 +409,22 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         if to_q[g] >= 0:
             continue
         # every smaller id lies in an earlier coset, so g is gN's least
-        for x in n_ids:
+        for x in N.ids:
             to_q[mul(g, x)] = len(rep_ids)
         rep_ids.append(g)
-    reps = list(map(G.ordered.__getitem__, rep_ids))
+    reps = elements_at(G, rep_ids)
     gm, gi = G.mult, G.inv
 
     def mult(a, b):
-        return reps[to_q[ids[gm(a, b)]]]
+        return reps[to_q[element_ids(G)[gm(a, b)]]]
 
     def inv(a):
-        return reps[to_q[ids[gi(a)]]]
+        return reps[to_q[element_ids(G)[gi(a)]]]
 
-    gens = []
-    sources = []  # the G generator behind each quotient generator
-    e = to_q[identity_id(G)]
-    seen = {e}
-    for k, g in enumerate(G.generators):
-        q = to_q[ids[g]]
-        if q not in seen:
-            seen.add(q)
-            gens.append(reps[q])
-            sources.append(k)
-    if not gens:
-        gens = [reps[e]]
-    return GroupHandle(f"{G.label}/N{len(n_ids)}", tuple(gens), reps,
-                       reps[e], mult, inv, Quotient(G, to_q, rep_ids, sources))
+    gens = tuple(reps[to_q[i]] for i in generator_ids(G))
+    return GroupHandle(f"{G.label}/N{N.order}", gens, reps,
+                       reps[to_q[identity_id(G)]], mult, inv,
+                       Quotient(G, to_q, rep_ids))
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:

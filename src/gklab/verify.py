@@ -267,20 +267,21 @@ def _pair_sampling_row(seed: int, distinct: dict[str, GroupHandle]) -> Row:
             f"{len(sample)} pairs, {bad} mismatches")
 
 
+# (row name, class, figure letters, the status classify must give them)
+CLASSIFIER_CASES = [
+    ("cut", SOLVABLE_CUT, CUT_REALIZED, REALIZED),
+    ("cut", SOLVABLE_CUT, CUT_OPEN, OPEN),
+    ("rational", SOLVABLE_RATIONAL, RATIONAL_REALIZED, REALIZED),
+    ("rational", SOLVABLE_RATIONAL, RATIONAL_OPEN, OPEN),
+]
+
+
 def suite_classifier() -> list[Row]:
     rows = []
-    for letter in CUT_REALIZED:
-        v = classify(FIGURE_GRAPHS[letter], SOLVABLE_CUT)
-        rows.append((f"cut ({letter})", v.status == REALIZED, v.status))
-    for letter in CUT_OPEN:
-        v = classify(FIGURE_GRAPHS[letter], SOLVABLE_CUT)
-        rows.append((f"cut ({letter})", v.status == OPEN, v.status))
-    for letter in RATIONAL_REALIZED:
-        v = classify(FIGURE_GRAPHS[letter], SOLVABLE_RATIONAL)
-        rows.append((f"rational ({letter})", v.status == REALIZED, v.status))
-    for letter in RATIONAL_OPEN:
-        v = classify(FIGURE_GRAPHS[letter], SOLVABLE_RATIONAL)
-        rows.append((f"rational ({letter})", v.status == OPEN, v.status))
+    for name, cls, letters, want in CLASSIFIER_CASES:
+        for letter in letters:
+            v = classify(FIGURE_GRAPHS[letter], cls)
+            rows.append((f"{name} ({letter})", v.status == want, v.status))
     for literal, cls in FORBIDDEN_CASES:
         v = classify(parse_graph_literal(literal), cls)
         rows.append((f"forbidden {literal!r} [{cls}]",

@@ -9,9 +9,11 @@ pair of factor-class keys; its reference is ``_class_verdict`` on every row
 of the product.  The pairs are the ones the `verify invariants` product pair
 row samples, so that row's cut verdicts and prime graphs, now read off the
 factors, stay checked against an independent computation of each product.
-Classes, verdicts, prime graphs and fingerprints list no product's pairs, at
-any level of nesting, and Sylow subgroups and nilpotency build no direct
-product's orders, inverses, multiplication or conjugation tables.
+Classes, verdicts, prime graphs, fingerprints, the analysis report of every
+catalog product and the per-group checks of `verify invariants` list no
+product's pairs, at any level of nesting, and Sylow subgroups and
+nilpotency build no direct product's orders, inverses, multiplication or
+conjugation tables.
 """
 
 import functools
@@ -33,7 +35,7 @@ from gklab.rationality import _class_verdict, rationality_report
 from gklab.numtheory import factorint
 from gklab.structure import (conjugacy_classes, core_p, is_nilpotent,
                              quotient, sylow)
-from gklab.verify import _sampled_pairs
+from gklab.verify import _check_group_invariants, _sampled_pairs
 
 
 def _without_factors(P: GroupHandle) -> GroupHandle:
@@ -122,10 +124,16 @@ NESTED = {
 }
 
 
+# the catalog entries built as products; fig3.r and twofrob.g are not
+CATALOG_PRODUCTS = ["fig3.d", "fig3.e", "fig3.f", "fig3.h", "fig3.i",
+                    "fig3.j", "fig3.k", "fig3.m", "fig3.n", "fig3.o",
+                    "fig3.p", "fig3.q", "twofrob.c", "twofrob.e", "twofrob.l"]
+
+
 def _built_views(P: GroupHandle) -> list[str]:
     """The element view built on P's class data or on an inner product's."""
     out = []
-    for F in direct_factors(P):
+    for F in direct_factors(P) or ():
         if direct_factors(F):
             out += _built_views(F)
     if "representatives" in vars(P._memo["conjugacy"]):
@@ -157,13 +165,14 @@ def _id_cores(G: GroupHandle) -> list[str]:
     # fresh factors: the cached sample's are read element by element elsewhere
     lambda: direct_product(
         *_sampled_pairs(1, catalog.distinct_corpus(1, 200, 2000))[3]),
-    lambda: catalog.catalog_entry("fig3.q").build(),
+    *[(lambda name=name: catalog.catalog_entry(name).build())
+      for name in CATALOG_PRODUCTS],
     *NESTED.values(),
-], ids=["sampled", "fig3.q", *NESTED])
+], ids=["sampled", *CATALOG_PRODUCTS, *NESTED])
 def test_reads_build_no_element_view(build):
-    """Classes, verdicts, the prime graph and the fingerprint of a product
-    list no pair, at any level of nesting; with the whole analysis report
-    they never list its class representatives as elements.  Sylow
+    """Classes, verdicts, the prime graph, the fingerprint and the whole
+    analysis report of a product list no pair, at any level of nesting, and
+    the report never lists its class representatives as elements.  Sylow
     subgroups and nilpotency, read first, build no direct product's id
     data."""
     P = build()
@@ -177,11 +186,31 @@ def test_reads_build_no_element_view(build):
     fingerprint(P)
     assert _listed_products(P) == []
     analysis_report({"P": P}, {})
+    assert _listed_products(P) == []
     assert _built_views(P) == []
     # the view is still there for a reader that asks
     data = conjugacy_classes(P)
     assert data.representatives == tuple(map(P.ordered.__getitem__,
                                              data.rep_ids))
+
+
+@functools.cache
+def _invariant_products() -> dict[str, GroupHandle]:
+    """The corpus products, built for the test below alone: no other test
+    reads their elements."""
+    return {label: G for label, G in
+            catalog.distinct_corpus(1, 200, 2000).items()
+            if isinstance(G.origin, Product)}
+
+
+@pytest.mark.parametrize("label", sorted(_invariant_products()))
+def test_invariants_list_no_pair(label):
+    """The per-group lemma checks of `verify invariants` (Sylow subgroups as
+    groups, quotients by minimal normal subgroups, both cut oracles) list
+    no product's pairs."""
+    P = _invariant_products()[label]
+    assert _check_group_invariants(P) == []
+    assert _listed_products(P) == []
 
 
 @pytest.mark.parametrize("k", range(0, 50, 7))

@@ -12,7 +12,10 @@ elements in the same order, so the same ids, with everything computed from
 ``G.mult``.  A direct product's Sylow subgroups, the products of its
 factors', are not canonical, so they are checked against the reference's
 tables rather than its picks: the same order and normality, closed under
-the reference's multiplication, and nilpotent exactly when it is.
+the reference's multiplication, and nilpotent exactly when it is.  The
+reference also checks ``groups.elements_at``, which composes a product's
+elements from its factors', and ``structure.quotient`` by F(G), G' and
+every minimal normal subgroup, diagonal ones included.
 
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
@@ -30,15 +33,16 @@ import pytest
 from sympy import factorint
 
 from gklab import catalog, cli
-from gklab.groups import (conjugation_tables, direct_product, id_mul,
-                          semidirect_product)
+from gklab.groups import (conjugation_tables, direct_product, elements_at,
+                          id_mul, semidirect_product)
 from gklab.rationality import rationality_report
-from gklab.structure import (_is_normal, conjugacy_classes, core_p,
-                             derived_subgroup, fitting, fitting_series,
-                             is_abelian, is_metabelian, is_nilpotent,
-                             is_supersolvable, sylow)
+from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
+                             core_p, derived_subgroup, fitting,
+                             fitting_series, is_abelian, is_metabelian,
+                             is_nilpotent, is_solvable, is_supersolvable,
+                             minimal_normal_subgroups, quotient, sylow)
 from test_cli import chain_spec, wide_spec
-from test_product_classes import NESTED
+from test_product_classes import CATALOG_PRODUCTS, NESTED
 
 
 def _summary(G) -> dict:
@@ -74,6 +78,38 @@ def _check_sylow(G, R) -> None:
     assert is_nilpotent(G) == is_nilpotent(R)
 
 
+def _check_elements_at(G, R) -> None:
+    """elements_at, which composes a product's elements from its factors',
+    against the reference's list: all ids, some in descending order, and
+    the frozenset of F(G)'s ids."""
+    assert elements_at(G, range(G.order)) == R.ordered
+    some = list(range(G.order - 1, -1, -7))
+    assert elements_at(G, some) == [R.ordered[i] for i in some]
+    ids = fitting(G).ids
+    assert elements_at(G, ids) == [R.ordered[i] for i in ids]
+
+
+def _check_quotients(G, R) -> None:
+    """G/N against R/N for N = F(G), G' and, for a solvable G, each minimal
+    normal subgroup (which may be diagonal in a product): the same
+    elements, generator cosets, identity, class data and multiplication."""
+    normals = [fitting(G), derived_subgroup(G)]
+    if is_solvable(G):
+        normals += minimal_normal_subgroups(G)
+    for N in normals:
+        got = quotient(G, N)
+        want = quotient(R, SubgroupHandle(R, N.ids, True))
+        assert got.ordered == want.ordered, N.order
+        assert got.generators == want.generators, N.order
+        assert got.identity == want.identity, N.order
+        dg, dw = conjugacy_classes(got), conjugacy_classes(want)
+        assert dg == dw and list(dg.class_ids) == list(dw.class_ids)
+        assert dg.representatives == dw.representatives
+        assert all(got.mult(x, g) == want.mult(x, g)
+                   and got.inv(x) == want.inv(x)
+                   for g in got.generators for x in got.ordered), N.order
+
+
 def _check_against_reference(G) -> None:
     assert G.origin is not None
     R = replace(G, listed=G.ordered, origin=None)
@@ -82,6 +118,8 @@ def _check_against_reference(G) -> None:
     for key, value in want.items():
         assert got[key] == value, (G.label, key)
     _check_sylow(G, R)
+    _check_elements_at(G, R)
+    _check_quotients(G, R)
 
 
 @functools.cache
@@ -99,11 +137,6 @@ def test_corpus_product(label):
 def test_corpus_has_both_kinds_of_product():
     acts = {G.origin.act is None for G in _corpus_products().values()}
     assert acts == {True, False}
-
-
-CATALOG_PRODUCTS = ["fig3.d", "fig3.e", "fig3.f", "fig3.h", "fig3.i",
-                    "fig3.j", "fig3.k", "fig3.m", "fig3.n", "fig3.o",
-                    "fig3.p", "fig3.q", "twofrob.c", "twofrob.e", "twofrob.l"]
 
 
 def test_catalog_products_are_listed():

@@ -7,15 +7,16 @@ from sympy import factorint
 from gklab import catalog
 from gklab import elements as el
 from gklab.groups import (closure_in, direct_product, element_ids,
-                          element_order, id_powers, small_generating_set)
+                          element_order, generator_ids, id_powers,
+                          small_generating_set)
 from gklab.primegraph import gk_graph, product_graph
-from gklab.structure import (NotSolvable, SubgroupHandle, centralizer,
-                             class_predicates, conjugacy_classes, core_p,
-                             derived_subgroup, exponent, fitting,
-                             fitting_series, is_abelian, is_cyclic,
-                             is_nilpotent, is_p_element, is_solvable,
-                             minimal_normal_subgroups, normalizer_of_cyclic,
-                             quotient, sylow)
+from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
+                             centralizer, class_predicates,
+                             conjugacy_classes, core_p, derived_subgroup,
+                             exponent, fitting, fitting_series, is_abelian,
+                             is_cyclic, is_nilpotent, is_p_element,
+                             is_solvable, minimal_normal_subgroups,
+                             normalizer_of_cyclic, quotient, sylow)
 
 
 class TestConjugacy:
@@ -272,6 +273,39 @@ class TestQuotient:
     def test_order_multiplicative(self, s4):
         N = core_p(s4, 2)
         assert quotient(s4, N).order * N.order == s4.order
+
+    def test_generators_are_the_parents_cosets(self, s4):
+        """Generator k of G/N is the coset of G's generator k, the identity
+        coset and repeats included."""
+        Q = quotient(s4, core_p(s4, 2))
+        to_q = Q.origin.to_q
+        assert len(Q.generators) == len(s4.generators)
+        assert generator_ids(Q) == [to_q[i] for i in generator_ids(s4)]
+        # in S3 / A3 the 3-cycle's coset is the identity, and stays
+        S3 = catalog.sym(3)
+        C2 = quotient(S3, core_p(S3, 3))
+        assert C2.generators[1] == C2.identity
+        assert is_cyclic(C2) and C2.order == 2
+
+    def test_subgroup_of_another_group(self, s3, s4):
+        with pytest.raises(NotNormal, match="does not live in this group"):
+            quotient(s4, core_p(s3, 3))
+
+    def test_subgroup_of_an_equal_group(self, s4):
+        """N may come from another handle with the same element list: its
+        ids are this group's."""
+        other = catalog.sym(4)
+        Q = quotient(s4, core_p(other, 2))
+        R = quotient(s4, core_p(s4, 2))
+        assert Q.ordered == R.ordered
+        assert Q.origin.to_q == R.origin.to_q
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_non_normal_subgroup(self, s4, p):
+        N = sylow(s4, p)
+        assert not N.normal
+        with pytest.raises(NotNormal, match="not normal"):
+            quotient(s4, N)
 
 
 class TestMinimalNormal:
