@@ -44,7 +44,9 @@ group multiplies ids (``id_mul``) the way it was built:
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k, so its conjugation
-  tables are its parent's, one per generator, read through ``to_q``;
+  tables are its parent's, one per generator, read through ``to_q``.  The
+  quotient of A x B by N_A x N_B is instead built as the direct product
+  A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
 * an enumerated group multiplies elements, and a subgroup view multiplies
   in its parent's ids; both conjugate by each generator on ids, its inverse
   read off the walk of its powers.  At order TABLE_BOUND or less either one

@@ -21,15 +21,20 @@ every conjugacy class.  It never reads class membership, the power map, the
 id core or the conjugation tables; it conjugates with element products
 (``G.mult``, ``G.identity`` and ``G.inv`` of each generator), so a fault in
 the class partition or the tables cannot make the two oracles agree by
-accident.  Two lemmas let it scan less:
+accident.  Three lemmas let it scan less:
 
 * if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, the scanned exponent set
   contains 1 and is a subgroup of U(|g|), a group of order <= 2; it is
   either all of U(|g|) or {1}, which is half of U(|g|) without |g| - 1, so g
   always passes and is not scanned;
 * if h = g^k with k a unit mod |g|, then x^-1 h x = h^m exactly when
-  x^-1 g x = g^m, so g and h have the same exponent set; the oracle scans
-  each cyclic subgroup <g> once.
+  x^-1 g x = g^m, so g and h have the same exponent set;
+* conjugate cyclic subgroups share the image: y^-1 h y = h^m exactly when
+  (x y x^-1)^-1 g (x y x^-1) = g^m, for h = x^-1 g x.  With the lemma above,
+  every x^-1 g^k x (k a unit) has g's exponent set.  The scan of <g> indexes
+  each of these elements, as the generators of the points of its orbit, so
+  the oracle skips a representative it finds there and scans each conjugacy
+  class of cyclic subgroups once.
 
 The units mod n (``_units``) are plain arithmetic, memoised per n and shared
 by both oracles and the product predicate; they hold no group data.
@@ -56,7 +61,7 @@ from math import gcd, lcm
 from .elements import Element
 from .groups import (GroupHandle, NotMember, direct_factors, element_ids,
                      memoised)
-from .structure import ConjugacyData, conjugacy_classes, cyclic_subgroup_set
+from .structure import ConjugacyData, conjugacy_classes
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -187,54 +192,59 @@ def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
     over ``G.generators`` visits the orbit of <g>, one point per conjugate
     subgroup.  Point P is held as h_P = t_P^-1 g t_P, where t_P is the
     product of generators along the BFS tree, and each generator h_P^k of P
-    (k a unit mod n = |g|) is indexed under k, from one walk of <h_P>.  When
+    (k a unit mod n = |g|) is indexed under k: g^k from one walk of <g>, and
+    for a point Q first met as s^-1 h_P s, h_Q^k = s^-1 h_P^k s.  When
     s^-1 h_P s is an indexed h_Q^k, the Schreier generator t_P s t_Q^-1
     conjugates g to g^k.  By Schreier's lemma these generate N_G(<g>), so
     the closure of their exponents under multiplication mod n, 1 included,
     is the image.  h_P = h_P^1 is always indexed, so even g = 1 (a one-point
     orbit) is found again and the BFS stops.
 
-    Cost: |G : N_G(<g>)| (n + 2 |gens|) element products.  Only
-    ``G.mult``, ``G.identity`` and the generators' ``G.inv`` are used,
-    never the class partition, the power map, the id core or the
+    Cost: at most n + 2 |G : N_G(<g>)| (phi(n) + |gens|) element products.
+    Only ``G.mult``, ``G.identity`` and the generators' ``G.inv`` are
+    used, never the class partition, the power map, the id core or the
     conjugation tables, so the result stays independent of the
     class-partition oracle.
     """
+    return _scan_orbit(G, _powers(G, g))[0]
+
+
+def _powers(G: GroupHandle, h: Element) -> list[Element]:
+    """[h, h^2, ..., h^|h| = 1], on ``G.mult``."""
     mult, identity = G.mult, G.identity
+    out = [h]
+    while out[-1] != identity:
+        out.append(mult(out[-1], h))
+    return out
 
-    def powers(h: Element) -> list[Element]:
-        """[h, h^2, ..., h^|h| = 1]."""
-        out = [h]
-        while out[-1] != identity:
-            out.append(mult(out[-1], h))
-        return out
 
-    first = powers(g)
+def _scan_orbit(G: GroupHandle, first: list[Element]
+                ) -> tuple[frozenset[int], dict[Element, int]]:
+    """(image of iota_g, index) for g = first[0], given first =
+    ``_powers(G, g)``; the scan of :func:`scanned_iota_exponents`.  The index
+    maps each generator h_P^k of each point P of the orbit to k, so its keys
+    are the elements x^-1 g^k x, k a unit mod |g|."""
+    mult = G.mult
     n = len(first)
     units = _units(n)
-    index: dict[Element, int] = {}  # h_P^k -> k, over every point P
-
-    def add_point(hs: list[Element]) -> None:
-        for k in units:
-            index[hs[k - 1]] = k
-
-    add_point(first)
     gens = [(s, G.inv(s)) for s in G.generators]
     exps = set()
-    frontier = [g]
+    frontier = [[first[k - 1] for k in units]]  # each point's h_P^k, by k
+    index = dict(zip(frontier[0], units))  # h_P^k -> k, over every point P
     while frontier:
         new = []
-        for h in frontier:
+        for hs in frontier:
             for s, si in gens:
-                x = mult(si, mult(h, s))
+                x = mult(si, mult(hs[0], s))
                 k = index.get(x)
-                if k is None:
-                    add_point(powers(x))
-                    new.append(x)
+                if k is None:  # a new point, whose x^k is s^-1 h_P^k s
+                    xs = [x, *(mult(si, mult(y, s)) for y in hs[1:])]
+                    index.update(zip(xs, units))
+                    new.append(xs)
                 elif k != 1:  # 1 starts the closure (and 1 * 1 % 1 is 0)
                     exps.add(k)
         frontier = new
-    return frozenset(_closure_mod(exps, n))
+    return frozenset(_closure_mod(exps, n)), index
 
 
 def _closure_mod(gens: set[int], n: int) -> set[int]:
@@ -255,18 +265,22 @@ def _closure_mod(gens: set[int], n: int) -> set[int]:
 def cut_oracle_via_bg(G: GroupHandle) -> bool:
     """Independent cut verdict via normalizer images and exponent subgroups.
 
-    Reads B_G(rep) for one generator of each cyclic subgroup <rep> with
-    phi(|rep|) > 2 (see the module docstring for why the others need no
-    scan).
+    Reads B_G(rep) for one generator of each conjugacy class of cyclic
+    subgroups <rep> with phi(|rep|) > 2 (see the module docstring for why
+    the others need no scan): a representative among the generators of a
+    scanned orbit's points is skipped, and each other one's powers are
+    walked once, for its order and its scan.
     """
-    seen = set()
+    scanned: set[Element] = set()  # the x^-1 g^k x of every scanned g
     for rep in conjugacy_classes(G).representatives:
-        cyc = cyclic_subgroup_set(G, rep)
-        n = len(cyc)
-        if n in (1, 2, 3, 4, 6) or cyc in seen:
+        if rep in scanned:
             continue
-        seen.add(cyc)
-        exps = scanned_iota_exponents(G, rep)
+        first = _powers(G, rep)
+        n = len(first)
+        if n in (1, 2, 3, 4, 6):
+            continue
+        exps, index = _scan_orbit(G, first)
+        scanned.update(index)
         full = set(_units(n))
         if exps == full:
             continue

@@ -25,6 +25,11 @@ element set is derived on first read.  Deliberate choices:
   its generator k is the coset of its parent's generator k.  Only the
   representatives are read as elements (``groups.elements_at``), so the
   quotient of a product lists none of the product's pairs.
+* A direct product's quotient by a normal subgroup N_A x N_B is the direct
+  product A/N_A x B/N_B of its factors' quotients, relabelled, with the
+  same elements in the same order (``_product_quotient``); no coset is
+  walked, and a factor whose N_A is trivial keeps its memos.  A diagonal N
+  takes the generic path.
 * Conjugacy classes, O_p(G) and the normality tests of ``quotient`` and
   ``sylow`` run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
@@ -396,10 +401,14 @@ def _quotient_at(G: GroupHandle, fs: FittingData, k: int) -> GroupHandle:
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N on value-least coset representatives with induced multiplication;
-    generator k is the coset of G's generator k."""
+    generator k is the coset of G's generator k.  A direct product's quotient
+    by N_A x N_B is A/N_A x B/N_B (``_product_quotient``)."""
     if N.parent is not G and N.parent.ordered != G.ordered:
         raise NotNormal("subgroup does not live in this group")
     # equal element lists give equal ids, so N's ids are G's
+    if (factors := direct_factors(G)) and (
+            Q := _product_quotient(G, N, *factors)):
+        return Q
     if not _is_normal(G, N.ids):
         raise NotNormal("subgroup is not normal")
     mul = id_mul(G)
@@ -425,6 +434,26 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     return GroupHandle(f"{G.label}/N{N.order}", gens, reps,
                        reps[to_q[identity_id(G)]], mult, inv,
                        Quotient(G, to_q, rep_ids))
+
+
+def _product_quotient(G: GroupHandle, N: SubgroupHandle, A: GroupHandle,
+                      B: GroupHandle) -> GroupHandle | None:
+    """G/N as A/N_A x B/N_B for G = A x B, when N = N_A x N_B; None for a
+    diagonal N.  N is such a product iff the sizes of its projections, the
+    id sets {i // |B|} and {i % |B|}, multiply to |N|.  The value-least
+    representative of the coset (a, b)N is the pair of the factors' least
+    representatives, in the same order, so the elements, generators and
+    identity are the generic quotient's.  Each factor's ``quotient`` tests
+    its projection's normality; a factor whose projection is trivial is
+    used as it is, with its memos."""
+    m = B.order
+    parts = ({i // m for i in N.ids}, {i % m for i in N.ids})
+    if len(parts[0]) * len(parts[1]) != N.order:
+        return None
+    qa, qb = (F if len(ids) == 1 else
+              quotient(F, SubgroupHandle(F, frozenset(ids), N.normal))
+              for F, ids in zip((A, B), parts))
+    return direct_product(qa, qb).relabel(f"{G.label}/N{N.order}")
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:

@@ -7,7 +7,11 @@ exponents, and their closure mod n.  The reference below is the old oracle:
 every representative with n > 2 scanned by conjugating g with every element
 of G, each conjugation with a fresh ``G.inv``.  ``TestOrbitStabiliser``
 compares the two exponent sets on every class representative of groups of
-each construction kind.
+each construction kind.  ``TestPruningLemmas`` checks the lemmas that let it
+scan less: generators of one cyclic subgroup, and conjugates, share the
+exponent set, so each conjugacy class of cyclic subgroups is scanned once;
+``_parent_oracle``, the oracle that scanned each cyclic subgroup once, gives
+the same verdicts on the corpus.
 """
 
 import functools
@@ -22,7 +26,7 @@ from gklab.groups import (direct_product, element_order, enumerate_group,
 from gklab.rationality import (NEITHER, cut_oracle_via_bg, element_verdict,
                                is_cut_group, scanned_iota_exponents)
 from gklab.structure import (conjugacy_classes, core_p, cyclic_subgroup_set,
-                             quotient)
+                             minimal_normal_subgroups, quotient)
 
 
 def _units(n):
@@ -53,6 +57,21 @@ def _reference_oracle(G):
     for rep in conjugacy_classes(G).representatives:
         n = element_order(G, rep)
         if n > 2 and not _scan_passes(n, _reference_scan(G, rep)):
+            return False
+    return True
+
+
+def _parent_oracle(G):
+    """The oracle as it was before it skipped conjugates: one scan per
+    cyclic subgroup <rep> with phi(|rep|) > 2."""
+    seen = set()
+    for rep in conjugacy_classes(G).representatives:
+        cyc = cyclic_subgroup_set(G, rep)
+        n = len(cyc)
+        if n in (1, 2, 3, 4, 6) or cyc in seen:
+            continue
+        seen.add(cyc)
+        if not _scan_passes(n, scanned_iota_exponents(G, rep)):
             return False
     return True
 
@@ -89,6 +108,56 @@ NON_CUT_BUILDERS = {
         5, 2, [[[3, 0], [0, 2]]]),
     "C7^2 x| C3 (2, 4)": lambda: catalog.vector_semidirect(
         7, 2, [[[2, 0], [0, 4]]]),
+}
+
+
+def _matrix_semidirect_of_direct():
+    """(C5 x C5) x| <diag(2, 3), swap>, acting through ``matrix_action``."""
+    N = direct_product(catalog.cyclic(5), catalog.cyclic(5))
+    ms = [el.mat(5, [[2, 0], [0, 3]]), el.mat(5, [[0, 1], [1, 0]])]
+    return semidirect_product(N, enumerate_group(ms, "H"),
+                              catalog.matrix_action(N, ms))
+
+
+def _inner_semidirect():
+    """C7 x| C6 extended by C6 acting as conjugation by an element of
+    order 6: a non-abelian kernel."""
+    N = catalog.c7_c6()
+    x = next(x for x in N.ordered if element_order(N, x) == 6)
+    return semidirect_product(N, catalog.cyclic(6),
+                              [[N.conjugate(g, x) for g in N.generators]])
+
+
+def _s4_mod_o2():
+    S4 = catalog.sym(4)
+    return quotient(S4, core_p(S4, 2))
+
+
+def _product_mod_o7():
+    """((C7 x| C6) x (C5 x| C4)) / O_7, built as (C7 x| C6)/C7 x C5 x| C4:
+    elements of order 5, 10, 12, 15 and 30."""
+    P = direct_product(catalog.c7_c6(), _c5_c4())
+    return quotient(P, core_p(P, 7))
+
+
+def _dic12_c4_mod_diagonal():
+    """(Dic12 x C4) / <(z, w)>, z and w the factors' involutions: a
+    diagonal N, so a quotient of a product on the generic path, with
+    elements of order 12."""
+    P = direct_product(catalog.dicyclic12(), catalog.cyclic(4))
+    N, = [N for N in minimal_normal_subgroups(P) if N.order == 2
+          and len({i // 4 for i in N.ids}) == len({i % 4 for i in N.ids}) == 2]
+    return quotient(P, N)
+
+
+ORBIT_BUILDERS = {
+    "C1": lambda: catalog.cyclic(1),
+    "S4 / O_2(S4)": _s4_mod_o2,
+    "(C7 x| C6 x C5 x| C4) / O_7": _product_mod_o7,
+    "(Dic12 x C4) / diagonal C2": _dic12_c4_mod_diagonal,
+    "C5 x| C4 x D5": lambda: direct_product(_c5_c4(), catalog.dihedral(10)),
+    "C5^2 x| H (matrix_action)": _matrix_semidirect_of_direct,
+    "(C7 x| C6) x| C6 (inner)": _inner_semidirect,
 }
 
 
@@ -147,44 +216,35 @@ class TestPruningLemmas:
                     assert _scan_passes(n, _reference_scan(G, rep))
         assert seen > 50
 
+    @pytest.mark.parametrize("name", sorted(ORBIT_BUILDERS)
+                             + sorted(NON_CUT_BUILDERS))
+    def test_conjugates_share_exponents(self, name):
+        """x^-1 g^k x has g's exponent set for every unit k; x runs over
+        the generators, their inverses and a few other elements."""
+        G = {**ORBIT_BUILDERS, **NON_CUT_BUILDERS}[name]()
+        xs = list(G.generators) + [G.inv(s) for s in G.generators] + \
+            G.ordered[::max(1, G.order // 4)]
+        for rep in conjugacy_classes(G).representatives:
+            n = element_order(G, rep)
+            exps = scanned_iota_exponents(G, rep)
+            units = _units(n)
+            for k in {units[0], units[len(units) // 2], units[-1]}:
+                power = functools.reduce(G.mult, [rep] * k, G.identity)
+                for x in xs:
+                    assert scanned_iota_exponents(
+                        G, G.conjugate(power, x)) == exps, (rep, k, x)
 
-def _matrix_semidirect_of_direct():
-    """(C5 x C5) x| <diag(2, 3), swap>, acting through ``matrix_action``."""
-    N = direct_product(catalog.cyclic(5), catalog.cyclic(5))
-    ms = [el.mat(5, [[2, 0], [0, 3]]), el.mat(5, [[0, 1], [1, 0]])]
-    return semidirect_product(N, enumerate_group(ms, "H"),
-                              catalog.matrix_action(N, ms))
-
-
-def _inner_semidirect():
-    """C7 x| C6 extended by C6 acting as conjugation by an element of
-    order 6: a non-abelian kernel."""
-    N = catalog.c7_c6()
-    x = next(x for x in N.ordered if element_order(N, x) == 6)
-    return semidirect_product(N, catalog.cyclic(6),
-                              [[N.conjugate(g, x) for g in N.generators]])
-
-
-def _s4_mod_o2():
-    S4 = catalog.sym(4)
-    return quotient(S4, core_p(S4, 2))
-
-
-def _product_mod_o7():
-    """((C7 x| C6) x (C5 x| C4)) / O_7: a quotient with elements of order
-    5, 10, 12, 15 and 30."""
-    P = direct_product(catalog.c7_c6(), _c5_c4())
-    return quotient(P, core_p(P, 7))
-
-
-ORBIT_BUILDERS = {
-    "C1": lambda: catalog.cyclic(1),
-    "S4 / O_2(S4)": _s4_mod_o2,
-    "(C7 x| C6 x C5 x| C4) / O_7": _product_mod_o7,
-    "C5 x| C4 x D5": lambda: direct_product(_c5_c4(), catalog.dihedral(10)),
-    "C5^2 x| H (matrix_action)": _matrix_semidirect_of_direct,
-    "(C7 x| C6) x| C6 (inner)": _inner_semidirect,
-}
+    def test_oracle_matches_parent_oracle(self):
+        """One scan per conjugacy class of cyclic subgroups gives the
+        verdicts of one scan per cyclic subgroup."""
+        groups = catalog.distinct_corpus(1, 200, 2000)
+        assert len(groups) > 100
+        verdicts = set()
+        for label, G in groups.items():
+            verdict = cut_oracle_via_bg(G)
+            assert verdict == _parent_oracle(G), label
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestOrbitStabiliser:

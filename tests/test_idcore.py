@@ -298,15 +298,20 @@ class TestClosures:
     @settings(max_examples=30, deadline=None)
     @given(recipe=_recipes())
     def test_quotient_projection(self, bound, recipe):
+        """The coset projection, read on the origin-free reference (a direct
+        product's quotient by N_A x N_B is a product, with no projection),
+        and G/N with the reference's elements."""
         with _bound(bound):
             G = recipe[1]()
+            R = replace(G, listed=G.ordered, origin=None)
             for N in [derived_subgroup(G)] + [core_p(G, p)
                                               for p in sorted(factorint(G.order))]:
-                Q = quotient(G, N)
-                srt, reps = G.ordered, Q.ordered
+                Q = quotient(R, N)
+                srt, reps = R.ordered, Q.ordered
                 project = {srt[i]: reps[q]
                            for i, q in enumerate(Q.origin.to_q)}
                 assert project == _reference_projection(G, N.elements)
+                assert quotient(G, N).ordered == reps
 
     @by_bound
     @settings(max_examples=30, deadline=None)

@@ -66,9 +66,11 @@ def test_memo_holds_only_derived_caches(built):
 
 
 def test_relabel_shares_origin_and_no_cache():
-    P = direct_product(catalog.sym(3), catalog.cyclic(2))
-    Q = quotient(P, core_p(P, 3))
-    for G in (P, Q, catalog.sym(3)):
+    S3, C2, S4 = catalog.sym(3), catalog.cyclic(2), catalog.sym(4)
+    P = direct_product(S3, C2)
+    Q = quotient(P, core_p(P, 3))  # (S3 / A3) x C2, a product
+    Q4 = quotient(S4, core_p(S4, 2))
+    for G in (P, Q, Q4, catalog.sym(3)):
         conjugacy_classes(G)
         R = G.relabel("renamed")
         assert R.label == "renamed"
@@ -77,4 +79,7 @@ def test_relabel_shares_origin_and_no_cache():
         assert R.ordered is G.ordered
         assert conjugacy_classes(R) == conjugacy_classes(G)
     assert direct_factors(P.relabel("renamed")) == direct_factors(P)
-    assert direct_factors(Q) is None
+    A, B = direct_factors(Q)
+    assert A.ordered == quotient(S3, core_p(S3, 3)).ordered and A.order == 2
+    assert B is C2  # its projection is trivial, so the factor is kept
+    assert isinstance(Q4.origin, Quotient) and direct_factors(Q4) is None

@@ -33,14 +33,16 @@ import pytest
 from sympy import factorint
 
 from gklab import catalog, cli
-from gklab.groups import (conjugation_tables, direct_product, elements_at,
-                          id_mul, semidirect_product)
+from gklab.groups import (Product, Quotient, conjugation_tables,
+                          direct_factors, direct_product, elements_at,
+                          id_mul, identity_id, semidirect_product)
 from gklab.rationality import rationality_report
-from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
-                             core_p, derived_subgroup, fitting,
-                             fitting_series, is_abelian, is_metabelian,
-                             is_nilpotent, is_solvable, is_supersolvable,
-                             minimal_normal_subgroups, quotient, sylow)
+from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
+                             conjugacy_classes, core_p, derived_subgroup,
+                             fitting, fitting_series, is_abelian,
+                             is_metabelian, is_nilpotent, is_solvable,
+                             is_supersolvable, minimal_normal_subgroups,
+                             quotient, sylow)
 from test_cli import chain_spec, wide_spec
 from test_product_classes import CATALOG_PRODUCTS, NESTED
 
@@ -91,23 +93,27 @@ def _check_elements_at(G, R) -> None:
 
 def _check_quotients(G, R) -> None:
     """G/N against R/N for N = F(G), G' and, for a solvable G, each minimal
-    normal subgroup (which may be diagonal in a product): the same
-    elements, generator cosets, identity, class data and multiplication."""
+    normal subgroup (which may be diagonal in a product)."""
     normals = [fitting(G), derived_subgroup(G)]
     if is_solvable(G):
         normals += minimal_normal_subgroups(G)
     for N in normals:
-        got = quotient(G, N)
-        want = quotient(R, SubgroupHandle(R, N.ids, True))
-        assert got.ordered == want.ordered, N.order
-        assert got.generators == want.generators, N.order
-        assert got.identity == want.identity, N.order
-        dg, dw = conjugacy_classes(got), conjugacy_classes(want)
-        assert dg == dw and list(dg.class_ids) == list(dw.class_ids)
-        assert dg.representatives == dw.representatives
-        assert all(got.mult(x, g) == want.mult(x, g)
-                   and got.inv(x) == want.inv(x)
-                   for g in got.generators for x in got.ordered), N.order
+        _check_quotient(quotient(G, N), R, N)
+
+
+def _check_quotient(got, R, N) -> None:
+    """got = G/N against R/N on the reference R: the same elements,
+    generator cosets, identity, class data and multiplication."""
+    want = quotient(R, SubgroupHandle(R, N.ids, True))
+    assert got.ordered == want.ordered, N.order
+    assert got.generators == want.generators, N.order
+    assert got.identity == want.identity, N.order
+    dg, dw = conjugacy_classes(got), conjugacy_classes(want)
+    assert dg == dw and list(dg.class_ids) == list(dw.class_ids)
+    assert dg.representatives == dw.representatives
+    assert all(got.mult(x, g) == want.mult(x, g)
+               and got.inv(x) == want.inv(x)
+               for g in got.generators for x in got.ordered), N.order
 
 
 def _check_against_reference(G) -> None:
@@ -188,6 +194,96 @@ def test_stalled_series_keeps_its_quotients():
     fs = fitting_series(NON_SOLVABLE["A5xS4"]())
     assert [F.order for F in fs.series] == [1, 4, 12, 24]
     assert [Q.order for Q in fs.quotients] == [360, 120, 60]
+
+
+def _dic12_x_c4():
+    return direct_product(catalog.dicyclic12(), catalog.cyclic(4))
+
+
+def test_diagonal_minimal_normal_subgroup():
+    """Dic12 x C4 has one diagonal minimal normal subgroup, <(z, w)> for
+    the factors' involutions z and w: its quotient takes the generic path,
+    and is checked against the reference with the others."""
+    G = _dic12_x_c4()
+    generic = [N for N in minimal_normal_subgroups(G)
+               if isinstance(quotient(G, N).origin, Quotient)]
+    assert [N.order for N in generic] == [2]
+    _check_against_reference(G)
+
+
+def _normals(F) -> list:
+    """Normal subgroups of F, distinct by ids: 1, each O_p, F(F), F' and F."""
+    subs = [SubgroupHandle(F, frozenset({identity_id(F)}), True),
+            *(core_p(F, p) for p in sorted(factorint(F.order))),
+            fitting(F), derived_subgroup(F),
+            SubgroupHandle(F, frozenset(range(F.order)), True)]
+    return list({N.ids: N for N in subs}.values())
+
+
+PRODUCT_QUOTIENTS = {**NESTED, "Dic12xC4": _dic12_x_c4,
+                     "A5xS4": NON_SOLVABLE["A5xS4"],
+                     "S3x(A5xC2)": NON_SOLVABLE["S3x(A5xC2)"]}
+
+
+@pytest.mark.parametrize("build", PRODUCT_QUOTIENTS.values(),
+                         ids=PRODUCT_QUOTIENTS)
+def test_quotient_by_product_of_normal_subgroups(build):
+    """G/(N_A x N_B), for every pair of the factors' ``_normals``, is the
+    direct product of the factors' quotients under G's quotient label, and
+    agrees with the generic quotient on the reference."""
+    G = build()
+    A, B = direct_factors(G)
+    R = replace(G, listed=G.ordered, origin=None)
+    m = B.order
+    for a in _normals(A):
+        for b in _normals(B):
+            N = SubgroupHandle(
+                G, frozenset(i * m + j for i in a.ids for j in b.ids), True)
+            Q = quotient(G, N)
+            assert direct_factors(Q) is not None, (a.order, b.order)
+            assert Q.label == f"{G.label}/N{N.order}"
+            _check_quotient(Q, R, N)
+
+
+def test_product_quotient_lists_no_pair(monkeypatch):
+    """Building G/(N_A x N_B), multiplying and inverting its elements and
+    reading its classes and verdicts list no product's pairs: the generic
+    quotient's multiplication maps back through G's id dict."""
+    listed = []
+    ordered = Product.__dict__["ordered"].func
+
+    def spy(origin):
+        listed.append(origin)
+        return ordered(origin)
+    monkeypatch.setattr(Product, "ordered", property(spy))
+    P = direct_product(catalog.sym(4), catalog.sym(3))
+    nested = NESTED["(S3xC2)x(C3xA4)"]()
+    for G, N in [(P, core_p(P, 2)), (nested, fitting(nested))]:
+        Q = quotient(G, N)
+        xs = elements_at(Q, range(Q.order))
+        for x in xs:
+            Q.inv(x)
+            for g in Q.generators:
+                Q.mult(x, g)
+        conjugacy_classes(Q).representatives
+        rationality_report(Q)
+        is_abelian(Q)
+    assert listed == []
+
+
+def test_product_quotient_checks_normality():
+    """A non-normal C2 of S3 times the trivial subgroup of C2 is refused by
+    S3's own quotient, and a subgroup of a factor by the membership check."""
+    S3, C2 = catalog.sym(3), catalog.cyclic(2)
+    P = direct_product(S3, C2)
+    e = identity_id(S3)
+    t = next(i for i, x in enumerate(S3.ordered)
+             if i != e and S3.mult(x, x) == S3.identity)
+    N = SubgroupHandle(P, frozenset({e * 2, t * 2}), False)
+    with pytest.raises(NotNormal, match="not normal"):
+        quotient(P, N)
+    with pytest.raises(NotNormal, match="does not live in this group"):
+        quotient(P, core_p(S3, 3))
 
 
 def _s3_chain() -> dict:
