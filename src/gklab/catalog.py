@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import elements as el
-from .groups import (CapExceeded, GroupHandle, default_cap, direct_product,
-                     enumerate_group, semidirect_product)
+from .groups import (CapExceeded, GroupHandle, check_cap, default_cap,
+                     direct_product, enumerate_group, semidirect_product)
 from .numtheory import isprime
 
 
@@ -25,27 +25,18 @@ class OutOfRange(ValueError):
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    description: str
     build: Callable[[], GroupHandle]
     order: int
     graph_literal: str
     is_cut: bool
     is_rational: bool
     frobenius_kind: str
-    citation: str
-
-
-def _check_order(name: str, order: int) -> None:
-    """CapExceeded when a group of more elements than the cap is asked for,
-    before a single point is listed."""
-    if order > (cap := default_cap()):
-        raise CapExceeded(f"{name} order {order} exceeds cap {cap}")
 
 
 def cyclic(n: int) -> GroupHandle:
     if n < 1:
         raise OutOfRange("cyclic order must be >= 1")
-    _check_order("cyclic", n)
+    check_cap("cyclic", n)
     g = el.perm_from_cycles(n, [list(range(1, n + 1))])
     return enumerate_group([g], f"C{n}")
 
@@ -72,7 +63,7 @@ def dihedral(order: int) -> GroupHandle:
     """Dihedral group of the given (even, >= 6) order, on order/2 points."""
     if order % 2 or order < 6:
         raise OutOfRange("dihedral order must be even and >= 6")
-    _check_order("dihedral", order)
+    check_cap("dihedral", order)
     n = order // 2
     rot = el.perm_from_cycles(n, [list(range(1, n + 1))])
     flip = el.perm([n - 1 - i for i in range(n)])
@@ -259,59 +250,49 @@ def catalog() -> list[CatalogEntry]:
     g = c7_c3
     l = c7_c6
 
-    def figure(letter, desc, build, order, graph, rational, kind):
-        return CatalogEntry(f"fig3.{letter}", desc, build, order, graph,
-                            True, rational, kind, f"({letter})")
+    def figure(letter, build, order, graph, rational, kind):
+        return CatalogEntry(f"fig3.{letter}", build, order, graph, True,
+                            rational, kind)
 
     tf = _twofrob_builders()
     entries = [
-        figure("a", "C2", lambda: cyclic(2), 2, "2", True, "none"),
-        figure("b", "C3", lambda: cyclic(3), 3, "3", False, "none"),
-        figure("c", "S3", lambda: sym(3), 6, "2,3", True, "frobenius"),
-        figure("d", "S3 x C2", lambda: direct_product(sym(3), cyclic(2)),
-               12, "2-3", True, "none"),
-        figure("e", "C5^2 x| Q8", e, 200, "2,5", True, "frobenius"),
-        figure("f", "(C5^2 x| Q8) x C2",
-               lambda: direct_product(e(), cyclic(2)), 400, "2-5", True, "none"),
-        figure("g", "C7 x| C3", g, 21, "3,7", False, "frobenius"),
-        figure("h", "C5^2 x| (C3 x| C4)", _dic3_action_f5, 300, "2-3,5",
-               False, "frobenius"),
-        figure("i", "(C5^2 x| (C3 x| C4)) x C2",
-               lambda: direct_product(_dic3_action_f5(), cyclic(2)),
-               600, "2-3,2-5", False, "none"),
-        figure("j", "(C5^2 x| Q8) x C3",
-               lambda: direct_product(e(), cyclic(3)), 600, "2-3,3-5",
-               False, "none"),
-        figure("k", "(C5^2 x| Q8) x S3",
-               lambda: direct_product(e(), sym(3)), 1200, "2-3,2-5,3-5",
+        figure("a", lambda: cyclic(2), 2, "2", True, "none"),
+        figure("b", lambda: cyclic(3), 3, "3", False, "none"),
+        figure("c", lambda: sym(3), 6, "2,3", True, "frobenius"),
+        figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, "2-3",
                True, "none"),
-        figure("l", "C7 x| C6", l, 42, "2-3,7", False, "frobenius"),
-        figure("m", "(C7 x| C6) x C2",
-               lambda: direct_product(l(), cyclic(2)), 84, "2-3,2-7",
+        figure("e", e, 200, "2,5", True, "frobenius"),
+        figure("f", lambda: direct_product(e(), cyclic(2)), 400, "2-5",
+               True, "none"),
+        figure("g", g, 21, "3,7", False, "frobenius"),
+        figure("h", _dic3_action_f5, 300, "2-3,5", False, "frobenius"),
+        figure("i", lambda: direct_product(_dic3_action_f5(), cyclic(2)),
+               600, "2-3,2-5", False, "none"),
+        figure("j", lambda: direct_product(e(), cyclic(3)), 600, "2-3,3-5",
                False, "none"),
-        figure("n", "(C7 x| C6) x C3",
-               lambda: direct_product(l(), cyclic(3)), 126, "2-3,3-7",
+        figure("k", lambda: direct_product(e(), sym(3)), 1200, "2-3,2-5,3-5",
+               True, "none"),
+        figure("l", l, 42, "2-3,7", False, "frobenius"),
+        figure("m", lambda: direct_product(l(), cyclic(2)), 84, "2-3,2-7",
                False, "none"),
-        figure("o", "(C7 x| C3) x S3",
-               lambda: direct_product(g(), sym(3)), 126, "2-3,2-7,3-7",
+        figure("n", lambda: direct_product(l(), cyclic(3)), 126, "2-3,3-7",
                False, "none"),
-        figure("p", "(C5^2 x| Q8) x (C7 x| C3)",
-               lambda: direct_product(e(), g()), 4200, "2-3,2-7,3-5,5-7",
+        figure("o", lambda: direct_product(g(), sym(3)), 126, "2-3,2-7,3-7",
                False, "none"),
-        figure("q", "((C5^2 x| Q8) x (C7 x| C3)) x C2",
-               lambda: direct_product(direct_product(e(), g()), cyclic(2)),
+        figure("p", lambda: direct_product(e(), g()), 4200, "2-3,2-7,3-5,5-7",
+               False, "none"),
+        figure("q", lambda: direct_product(direct_product(e(), g()), cyclic(2)),
                8400, "2-3,2-5,2-7,3-5,5-7", False, "none"),
-        figure("r", "(C5^2 x| Q8) x (C7 x| C6) x C3",
-               lambda: direct_product(direct_product(e(), l()), cyclic(3)),
+        figure("r", lambda: direct_product(direct_product(e(), l()), cyclic(3)),
                25200, "2-3,2-5,2-7,3-5,3-7,5-7", False, "none"),
-        CatalogEntry("twofrob.c", "C2^2 x| S3", tf["c"], 24, "2,3",
-                     True, True, "2-frobenius", "(c)"),
-        CatalogEntry("twofrob.e", "C2^4 x| (C5 x| C4)", tf["e"], 320, "2,5",
-                     True, False, "2-frobenius", "(e)"),
-        CatalogEntry("twofrob.g", "C3^6 x| (C7 x| C3)", tf["g"], 15309, "3,7",
-                     True, False, "2-frobenius", "(g)"),
-        CatalogEntry("twofrob.l", "C2^6 x| (C7 x| C6)", tf["l"], 2688, "2-3,7",
-                     True, False, "2-frobenius", "(l)"),
+        CatalogEntry("twofrob.c", tf["c"], 24, "2,3", True, True,
+                     "2-frobenius"),
+        CatalogEntry("twofrob.e", tf["e"], 320, "2,5", True, False,
+                     "2-frobenius"),
+        CatalogEntry("twofrob.g", tf["g"], 15309, "3,7", True, False,
+                     "2-frobenius"),
+        CatalogEntry("twofrob.l", tf["l"], 2688, "2-3,7", True, False,
+                     "2-frobenius"),
     ]
     return entries
 

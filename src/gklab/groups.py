@@ -8,7 +8,10 @@ else a :class:`Product`, :class:`Quotient` or :class:`View`.  ``relabel``
 keeps the origin and shares the list.  ``elements_at`` is the one way from
 ids to elements: a product composes its factors' elements there, so
 subgroup views, quotient representatives, generating sets and class
-representatives list no pair.
+representatives list no pair.  ``ids_of`` is the read back from elements
+to ids, composed from a product's factors' ids the same way: the ids of
+the identity and the generators, ``id_set`` and the element products of a
+quotient go through it, so they list no pair either.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
@@ -18,11 +21,10 @@ graph and checked on each non-tree edge as the search meets it (Holt, Eick &
 O'Brien, *Handbook of Computational Group Theory*, ch. 4); enumeration and
 Cayley tables run the same search (``_along_bfs_tree``).  A product runs no
 closure and lists no element when built (``_product_handle``): its order,
-the ids of its identity and generators (``identity_id``,
-``generator_ids``) and everything on ids come from its factors, and its
-pairs are listed only when an element-level read needs them all
-(``Product.ordered``, or the id dict ``element_ids``); nothing in the
-analysis or the verify suites makes that read.  Enumeration and both
+the ids of its elements (``ids_of``) and everything on ids come from its
+factors, and its pairs are listed only when an element-level read needs
+them all (``Product.ordered``, or the id dict ``element_ids``); nothing in
+the analysis or the verify suites makes that read.  Enumeration and both
 products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
@@ -112,6 +114,13 @@ def default_cap() -> int:
         raise ValueError(
             f"GKLAB_MAX_ORDER must be a positive integer, got {raw!r}")
     return cap
+
+
+def check_cap(name: str, order: int) -> None:
+    """CapExceeded when a group of more elements than the cap is asked for,
+    before a single element is listed."""
+    if order > (cap := default_cap()):
+        raise CapExceeded(f"{name} order {order} exceeds cap {cap}")
 
 
 def memoised(key):
@@ -291,12 +300,8 @@ def element_ids(G: GroupHandle) -> dict[Element, int]:
 
 @memoised("identity")
 def identity_id(G: GroupHandle) -> int:
-    """Id of the identity; memoised.  A product composes its factors' (the
-    pair (x_i, y_j) has id i*|H| + j), so no pair is listed."""
-    o = G.origin
-    if isinstance(o, Product):
-        return identity_id(o.left) * o.right.order + identity_id(o.right)
-    return element_ids(G)[G.identity]
+    """Id of the identity (``ids_of``); memoised."""
+    return ids_of(G, [G.identity])[0]
 
 
 def elements_at(G: GroupHandle, ids) -> list[Element]:
@@ -313,15 +318,35 @@ def elements_at(G: GroupHandle, ids) -> list[Element]:
         elements_at(o.right, [i % m for i in ids]))]
 
 
-def generator_ids(G: GroupHandle) -> list[int]:
-    """Ids of G's generators.  A product's are (n, 1) for N's generators n,
-    then (1, h) for H's, composed from its factors' ids."""
+def ids_of(G: GroupHandle, elems) -> list[int]:
+    """The ids of the given elements of G, in the order given: the inverse
+    of ``elements_at``.  A product composes its factors' ids (the pair
+    (x_i, y_j) has id i*|H| + j), so it lists no pair.  NotMember, naming G,
+    for any other element, a non-pair given to a product included."""
     o = G.origin
-    if isinstance(o, Product):
-        m, e_n, e_h = o.right.order, identity_id(o.left), identity_id(o.right)
-        return ([i * m + e_h for i in generator_ids(o.left)]
-                + [e_n * m + j for j in generator_ids(o.right)])
-    return list(map(element_ids(G).__getitem__, G.generators))
+    if not isinstance(o, Product):
+        ids = element_ids(G)
+        try:
+            return [ids[x] for x in elems]
+        except KeyError:
+            raise NotMember(f"element not in {G.label}") from None
+    elems = list(elems)
+    try:
+        if not all(isinstance(x, tuple) and len(x) == 3 and x[0] == el.PAIR
+                   for x in elems):
+            raise NotMember
+        left = ids_of(o.left, [x[1] for x in elems])
+        right = ids_of(o.right, [x[2] for x in elems])
+    except NotMember:
+        raise NotMember(f"element not in {G.label}") from None
+    m = o.right.order
+    return [i * m + j for i, j in zip(left, right)]
+
+
+def generator_ids(G: GroupHandle) -> list[int]:
+    """Ids of G's generators (``ids_of``): a product's are (n, 1) for N's
+    generators n, then (1, h) for H's."""
+    return ids_of(G, G.generators)
 
 
 @memoised("id_mul")
@@ -432,12 +457,9 @@ class Span:
 
 
 def id_set(G: GroupHandle, elems) -> set[int]:
-    """Ids of the given elements of G; NotMember for any other element."""
-    ids = element_ids(G)
-    try:
-        return {ids[x] for x in elems}
-    except KeyError:
-        raise NotMember(f"element not in {G.label}") from None
+    """Ids of the given elements of G (``ids_of``); NotMember for any other
+    element."""
+    return set(ids_of(G, elems))
 
 
 @memoised("conj_tables")
@@ -519,7 +541,7 @@ def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
 
 def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
     """Cartesian product with componentwise multiplication."""
-    _check_cap(G, H)
+    check_cap("product", G.order * H.order)
     gm, hm, gi, hi = G.mult, H.mult, G.inv, H.inv
 
     def mult(a, b):
@@ -529,11 +551,6 @@ def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
         return (el.PAIR, gi(a[1]), hi(a[2]))
 
     return _product_handle(G, H, None, mult, inv, f"{G.label} x {H.label}")
-
-
-def _check_cap(N: GroupHandle, H: GroupHandle) -> None:
-    if N.order * H.order > (cap := default_cap()):
-        raise CapExceeded(f"product order {N.order * H.order} exceeds cap {cap}")
 
 
 def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
@@ -581,7 +598,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     to be automorphisms and the induced action of all of H is checked to be
     well defined over H's enumerated multiplication.
     """
-    _check_cap(N, H)
+    check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
         raise ActionNotWellDefined("one automorphism per acting generator required")
     gen_maps = [extend_to_automorphism(N, images) for images in action]

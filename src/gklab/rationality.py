@@ -59,8 +59,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, direct_factors, element_ids,
-                     memoised)
+from .groups import GroupHandle, direct_factors, ids_of, memoised
 from .structure import ConjugacyData, conjugacy_classes
 
 RATIONAL = "rational"
@@ -106,10 +105,7 @@ def class_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
 def element_verdict(G: GroupHandle, g: Element) -> ElementVerdict:
     """Verdict for g, read by the class of its id (``_class_verdict``)."""
     data = conjugacy_classes(G)
-    i = element_ids(G).get(g)
-    if i is None:
-        raise NotMember(f"element not in {G.label}")
-    cid = data.class_ids[i]
+    cid = data.class_ids[ids_of(G, [g])[0]]
     return _class_verdict(cid, data.powers[cid])
 
 

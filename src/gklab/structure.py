@@ -18,13 +18,20 @@ element set is derived on first read.  Deliberate choices:
 * Coset representatives are the value-least element of each coset, so
   quotients are reproducible bit for bit.  The coset projection is built on
   ids (the quotient's ``origin.to_q``): |G| id products, one per element
-  and element of N.  ``fitting_series`` composes these projections and
-  keeps the quotient chain G/F_1, G/F_2, ..., which the 2-Frobenius test
-  reads.  A quotient multiplies no element: its ids and conjugation tables
-  come from its parent's through the projection (``groups.Quotient``), and
-  its generator k is the coset of its parent's generator k.  Only the
-  representatives are read as elements (``groups.elements_at``), so the
-  quotient of a product lists none of the product's pairs.
+  and element of N.  A quotient multiplies no element: its ids and
+  conjugation tables come from its parent's through the projection
+  (``groups.Quotient``), and its generator k is the coset of its parent's
+  generator k.  Only the representatives are read as elements
+  (``groups.elements_at``), and its element ``mult`` and ``inv`` read the
+  parent's ids back through ``groups.ids_of``, so the quotient of a product
+  lists none of the product's pairs.
+* ``fitting_series`` runs one loop for every group and keeps the quotient
+  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  The elements
+  of G/F_(k-1) are elements of G, value-least in their cosets, so F_k is
+  the union of the cosets x F_(k-1) for x in F(G/F_(k-1)), their ids read
+  back in G (``groups.ids_of``), and all of G once |F_(k-1)| |F| = |G|.  A
+  direct product takes the loop too: ``fitting`` and ``quotient`` read its
+  factors.
 * A direct product's quotient by a normal subgroup N_A x N_B is the direct
   product A/N_A x B/N_B of its factors' quotients, relabelled, with the
   same elements in the same order (``_product_quotient``); no coset is
@@ -54,9 +61,9 @@ element set is derived on first read.  Deliberate choices:
   {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup are
   O_p(G) x O_p(H), F(G) x F(H) and G' x H', and its Sylow p-subgroup is
   P_G x P_H, normal iff both are, so it is nilpotent iff both factors are.
-  Its Fitting series is F_k(G) x F_k(H), and its quotient k the direct
-  product of the factors' quotients k (``_product_series``); it is
-  supersolvable, metabelian or abelian iff both factors are.
+  Its Fitting series is then F_k(G) x F_k(H), with quotients the direct
+  products of the factors' quotients; it is supersolvable, metabelian or
+  abelian iff both factors are.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -86,8 +93,8 @@ from typing import Callable, Sequence
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
                      conjugation_tables, direct_factors, direct_product,
-                     element_ids, element_order, elements_at, generator_ids,
-                     id_mul, id_powers, id_set, identity_id, memoised,
+                     element_order, elements_at, generator_ids, id_mul,
+                     id_powers, id_set, identity_id, ids_of, memoised,
                      small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
@@ -344,59 +351,28 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
 @memoised("fitting_series")
 def fitting_series(G: GroupHandle) -> FittingData:
     """F_0 = 1 < F_1 < ..., F_k/F_(k-1) = F(G/F_(k-1)), and the quotients
-    G/F_k; memoised.  A direct product reads them off its factors'
-    (``_product_series``)."""
-    if factors := direct_factors(G):
-        return _product_series(G, *factors)
+    G/F_k; memoised.  F_k is the union of the cosets x F_(k-1) for the
+    representatives x in F(G/F_(k-1)), which are elements of G."""
     series = [SubgroupHandle(G, frozenset({identity_id(G)}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
     current = G
-    proj = range(G.order)  # composed id projection G -> current
+    mul = id_mul(G)
     while G.order > 1:
         F = fitting(current)
         if F.order == 1:
             break  # stalled below G: not solvable
-        preimage = frozenset(g for g in range(G.order) if proj[g] in F.ids)
-        series.append(SubgroupHandle(G, preimage, True))
-        if len(preimage) == G.order:
+        below = series[-1].ids
+        if len(below) * F.order == G.order:
+            series.append(SubgroupHandle(G, frozenset(range(G.order)), True))
             length = len(series) - 1
             break
+        reps = ids_of(G, elements_at(current, F.ids))
+        series.append(SubgroupHandle(
+            G, frozenset([mul(x, n) for x in reps for n in below]), True))
         current = quotient(current, F)
         quotients.append(current)
-        proj = list(map(current.origin.to_q.__getitem__, proj))
     return FittingData(tuple(series), length, tuple(quotients))
-
-
-def _product_series(P: GroupHandle, A: GroupHandle,
-                    B: GroupHandle) -> FittingData:
-    """Fitting series of P = A x B: F_k(P) = F_k(A) x F_k(B), so P grows
-    while either factor does, and is solvable iff both are.  P/F_k(P) is
-    the direct product of the factors' quotients k, whose pairs of value-least
-    coset representatives are, in the same order, P's."""
-    fa, fb = fitting_series(A), fitting_series(B)
-    sa, sb = len(fa.series) - 1, len(fb.series) - 1
-    steps = max(sa, sb)
-    series = tuple(_product_subgroup(P, fa.series[min(k, sa)],
-                                     fb.series[min(k, sb)])
-                   for k in range(steps + 1))
-    solvable = fa.solvable and fb.solvable
-    quotients = []
-    label = P.label
-    for k in range(1, steps if solvable else steps + 1):
-        label += f"/N{series[k].order // series[k - 1].order}"
-        quotients.append(direct_product(_quotient_at(A, fa, k),
-                                        _quotient_at(B, fb, k)).relabel(label))
-    return FittingData(series, steps if solvable else None, tuple(quotients))
-
-
-def _quotient_at(G: GroupHandle, fs: FittingData, k: int) -> GroupHandle:
-    """G/F_k(G) for k >= 1: the one-element G/G once a solvable G's series
-    has ended, and G/F_s(G) (G itself when s = 0) past the step s where a
-    non-solvable G's series stalls."""
-    if fs.solvable and k >= fs.length:
-        return quotient(G, fs.series[-1])
-    return fs.quotients[min(k, len(fs.quotients)) - 1] if fs.quotients else G
 
 
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
@@ -425,10 +401,10 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     gm, gi = G.mult, G.inv
 
     def mult(a, b):
-        return reps[to_q[element_ids(G)[gm(a, b)]]]
+        return reps[to_q[ids_of(G, [gm(a, b)])[0]]]
 
     def inv(a):
-        return reps[to_q[element_ids(G)[gi(a)]]]
+        return reps[to_q[ids_of(G, [gi(a)])[0]]]
 
     gens = tuple(reps[to_q[i]] for i in generator_ids(G))
     return GroupHandle(f"{G.label}/N{N.order}", gens, reps,

@@ -13,9 +13,19 @@ elements in the same order, so the same ids, with everything computed from
 factors', are not canonical, so they are checked against the reference's
 tables rather than its picks: the same order and normality, closed under
 the reference's multiplication, and nilpotent exactly when it is.  The
-reference also checks ``groups.elements_at``, which composes a product's
-elements from its factors', and ``structure.quotient`` by F(G), G' and
-every minimal normal subgroup, diagonal ones included.
+reference also checks ``groups.elements_at`` and its inverse
+``groups.ids_of``, which compose a product's elements and ids from its
+factors', and ``structure.quotient`` by F(G), G' and every minimal normal
+subgroup, diagonal ones included.
+
+``fitting_series`` runs one loop for every group, the product and its
+reference alike, so ``_summary``'s series keys compare the product's
+quotients with the generic ones the same loop reaches on the reference.
+The loop is checked on its own against one that composes its
+generic quotients' coset projections and scans G for each preimage
+(``_projection_series``), on every group of the distinct corpus, every
+catalog entry, the nested products and the products with a non-solvable
+factor.
 
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
@@ -27,15 +37,18 @@ reference multiplies elements for 7 and 21 s on a 2-CPU Xeon (Python 3.11).
 
 import functools
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from sympy import factorint
 
 from gklab import catalog, cli
-from gklab.groups import (Product, Quotient, conjugation_tables,
-                          direct_factors, direct_product, elements_at,
-                          id_mul, identity_id, semidirect_product)
+from gklab import elements as el
+from gklab.groups import (GroupHandle, NotMember, Product, Quotient,
+                          conjugation_tables, direct_factors, direct_product,
+                          elements_at, generator_ids, id_mul, identity_id,
+                          ids_of, semidirect_product)
 from gklab.rationality import rationality_report
 from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
                              conjugacy_classes, core_p, derived_subgroup,
@@ -83,12 +96,26 @@ def _check_sylow(G, R) -> None:
 def _check_elements_at(G, R) -> None:
     """elements_at, which composes a product's elements from its factors',
     against the reference's list: all ids, some in descending order, and
-    the frozenset of F(G)'s ids."""
+    the frozenset of F(G)'s ids.  ids_of reads them back, and names G in the
+    NotMember it raises for a non-member of the reference, a non-pair (one
+    of another kind, and the identity's components under another kind's
+    tag), and a pair with a foreign component."""
     assert elements_at(G, range(G.order)) == R.ordered
     some = list(range(G.order - 1, -1, -7))
     assert elements_at(G, some) == [R.ordered[i] for i in some]
     ids = fitting(G).ids
     assert elements_at(G, ids) == [R.ordered[i] for i in ids]
+    assert ids_of(G, R.ordered) == list(range(G.order))
+    assert ids_of(G, elements_at(G, some)) == some
+    alien = el.perm_identity(99)  # no group here acts on 99 points
+    _, a, b = G.identity
+    names_g = f"not in {re.escape(G.label)}$"
+    with pytest.raises(NotMember, match=names_g):
+        ids_of(R, [R.identity, alien])
+    for foreign in [alien, (el.PERM, a, b), (el.PAIR, alien, b),
+                    (el.PAIR, a, alien)]:
+        with pytest.raises(NotMember, match=names_g):
+            ids_of(G, [G.identity, foreign])
 
 
 def _check_quotients(G, R) -> None:
@@ -129,9 +156,13 @@ def _check_against_reference(G) -> None:
 
 
 @functools.cache
+def _corpus() -> dict:
+    return catalog.distinct_corpus(1, 200, 2000)
+
+
+@functools.cache
 def _corpus_products() -> dict:
-    return {label: G for label, G in
-            catalog.distinct_corpus(1, 200, 2000).items()
+    return {label: G for label, G in _corpus().items()
             if G.origin is not None}
 
 
@@ -186,6 +217,80 @@ def test_non_solvable_factor(build):
     G = build()
     assert fitting_series(G).length is None
     _check_against_reference(G)
+
+
+def _generic_quotient(G, N) -> GroupHandle:
+    """G/N for any G, direct products included, on the value-least coset
+    representatives and the coset projection ``origin.to_q``; generator k
+    is the coset of G's generator k.  The loop below multiplies no element
+    of it, so it is given no element multiplication."""
+    mul = id_mul(G)
+    to_q = [-1] * G.order
+    rep_ids = []
+    for g in range(G.order):
+        if to_q[g] < 0:
+            for x in N.ids:
+                to_q[mul(g, x)] = len(rep_ids)
+            rep_ids.append(g)
+    reps = elements_at(G, rep_ids)
+    gens = tuple(reps[to_q[i]] for i in generator_ids(G))
+    return GroupHandle(f"{G.label}/N{N.order}", gens, reps,
+                       reps[to_q[identity_id(G)]], None, None,
+                       Quotient(G, to_q, rep_ids))
+
+
+def _projection_series(G):
+    """The reference Fitting series: the loop that composes its quotients'
+    coset projections and takes F_k as the preimage of F(G/F_(k-1)) by a
+    scan of G's ids.  Returns the terms' ids, the length and the
+    quotients."""
+    series = [frozenset({identity_id(G)})]
+    quotients = []
+    length = 0 if G.order == 1 else None
+    current = G
+    proj = range(G.order)  # composed id projection G -> current
+    while G.order > 1:
+        F = fitting(current)
+        if F.order == 1:
+            break
+        preimage = frozenset(g for g in range(G.order) if proj[g] in F.ids)
+        series.append(preimage)
+        if len(preimage) == G.order:
+            length = len(series) - 1
+            break
+        current = _generic_quotient(current, F)
+        quotients.append(current)
+        proj = list(map(current.origin.to_q.__getitem__, proj))
+    return series, length, quotients
+
+
+def _catalog_builder(name):
+    return lambda: catalog.catalog_entry(name).build()
+
+
+SERIES_CASES = {
+    **{f"corpus:{label}": functools.partial(_corpus().get, label)
+       for label in sorted(_corpus())},
+    **{f"catalog:{e.name}": _catalog_builder(e.name)
+       for e in catalog.catalog()},
+    **{f"nested:{k}": build for k, build in NESTED.items()},
+    **{f"non-solvable:{k}": build for k, build in NON_SOLVABLE.items()},
+}
+
+
+@pytest.mark.parametrize("build", SERIES_CASES.values(), ids=SERIES_CASES)
+def test_fitting_series_matches_projection_loop(build):
+    """fitting_series, which lifts each F(G/F_(k-1)) to G's ids through its
+    coset representatives and quotients a direct product factor by factor,
+    against the reference loop: the terms, the length, and each quotient's
+    label, elements and generators."""
+    G = build()
+    got = fitting_series(G)
+    series, length, quotients = _projection_series(G)
+    assert [F.ids for F in got.series] == series
+    assert got.length == length
+    assert [(Q.label, Q.ordered, Q.generators) for Q in got.quotients] == \
+        [(Q.label, Q.ordered, Q.generators) for Q in quotients]
 
 
 def test_stalled_series_keeps_its_quotients():
@@ -246,9 +351,10 @@ def test_quotient_by_product_of_normal_subgroups(build):
 
 
 def test_product_quotient_lists_no_pair(monkeypatch):
-    """Building G/(N_A x N_B), multiplying and inverting its elements and
-    reading its classes and verdicts list no product's pairs: the generic
-    quotient's multiplication maps back through G's id dict."""
+    """Building G/(N_A x N_B), or the generic quotient by the diagonal C2 of
+    Dic12 x C4, multiplying and inverting its elements and reading its
+    classes and verdicts list no product's pairs: a generic quotient's
+    multiplication reads G's ids through ``ids_of``."""
     listed = []
     ordered = Product.__dict__["ordered"].func
 
@@ -258,7 +364,11 @@ def test_product_quotient_lists_no_pair(monkeypatch):
     monkeypatch.setattr(Product, "ordered", property(spy))
     P = direct_product(catalog.sym(4), catalog.sym(3))
     nested = NESTED["(S3xC2)x(C3xA4)"]()
-    for G, N in [(P, core_p(P, 2)), (nested, fitting(nested))]:
+    dic = _dic12_x_c4()
+    diagonal = next(N for N in minimal_normal_subgroups(dic)
+                    if isinstance(quotient(dic, N).origin, Quotient))
+    for G, N in [(P, core_p(P, 2)), (nested, fitting(nested)),
+                 (dic, diagonal)]:
         Q = quotient(G, N)
         xs = elements_at(Q, range(Q.order))
         for x in xs:
