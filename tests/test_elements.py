@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from gklab import catalog, groups
 from gklab import elements as el
 
 
@@ -107,3 +111,152 @@ class TestPair:
         assert not el.same_kind(el.perm_identity(3), el.mat_identity(3, 2))
         assert el.same_kind(el.pair(el.perm_identity(2), el.mat_identity(3, 2)),
                             el.pair(el.perm_identity(2), el.mat_identity(3, 2)))
+
+
+# The kernels of elements.kernels against the reference mul/inv.
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, type and message, with the reference
+        return type(exc), str(exc)
+
+
+@st.composite
+def raw_matrix(draw, p, d):
+    """A ('M', p, d, entries) tuple with entries in [0, p), singular or not."""
+    return (el.MAT, p, d, tuple(draw(st.lists(st.integers(0, p - 1),
+                                              min_size=d * d, max_size=d * d))))
+
+
+@st.composite
+def shaped(draw):
+    """(maker, element): maker draws more elements of the element's shape."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        maker = random_perm(n)
+    else:
+        maker = raw_matrix(draw(st.sampled_from([2, 3, 5, 7])),
+                           draw(st.sampled_from([1, 2, 3, 6])))
+    return maker, draw(maker)
+
+
+@st.composite
+def any_element(draw):
+    """An element of any kind and a small shape, a pair included."""
+    kind = draw(st.sampled_from(["perm", "mat", "pair"]))
+    if kind == "perm":
+        return draw(random_perm(draw(st.integers(1, 4))))
+    if kind == "mat":
+        return draw(raw_matrix(draw(st.sampled_from([2, 3, 5, 7])),
+                               draw(st.integers(1, 3))))
+    return el.pair(draw(any_element()), draw(any_element()))
+
+
+# one or two elements of each kind and shape, a singular matrix among them
+SHAPES = [el.perm_identity(1), el.perm_identity(2), el.perm((1, 2, 0)),
+          el.perm((1, 0, 3, 2)), el.mat(2, [[1, 1], [0, 1]]),
+          el.mat(3, [[1, 1], [0, 1]]), el.mat(3, [[0, 2], [1, 0]]),
+          el.mat(5, [[1, 2], [3, 4]]), (el.MAT, 5, 2, (1, 2, 2, 4)),
+          el.mat(7, [[0, 1], [6, 3]]), el.mat(3, [[2]]), el.mat(2, [[1]]),
+          el.mat(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), el.mat_identity(5, 3),
+          el.pair(el.perm_identity(2), el.perm_identity(2))]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("g", SHAPES, ids=repr)
+    def test_every_shape_behaves_as_reference(self, g):
+        """g's kernels on every pair of the shapes: the same result, or the
+        same exception type and message, as the reference."""
+        mul, inv = el.kernels(g)
+        for a in SHAPES:
+            assert _outcome(inv, a) == _outcome(el.inv, a)
+            for b in SHAPES:
+                assert _outcome(mul, a, b) == _outcome(el.mul, a, b)
+
+    @given(shaped(), st.data())
+    def test_same_shape_matches_reference(self, drawn, data):
+        maker, g = drawn
+        mul, inv = el.kernels(g)
+        for _ in range(4):
+            a, b = data.draw(maker), data.draw(maker)
+            assert mul(a, b) == el.mul(a, b)
+            assert _outcome(inv, a) == _outcome(el.inv, a)
+
+    @given(shaped(), any_element(), st.data())
+    def test_foreign_operand_behaves_as_reference(self, drawn, foreign, data):
+        maker, g = drawn
+        mul, inv = el.kernels(g)
+        mine = data.draw(maker)
+        for a, b in [(foreign, mine), (mine, foreign), (foreign, foreign)]:
+            assert _outcome(mul, a, b) == _outcome(el.mul, a, b)
+        assert _outcome(inv, foreign) == _outcome(el.inv, foreign)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_2x2_matrix_matches_reference(self, p):
+        """Every 2 x 2 matrix over F_p, singular ones included, inverted and
+        multiplied on both sides by four fixed ones: the draws above favour
+        entries near 0."""
+        mul, inv = el.kernels(el.mat_identity(p, 2))
+        every = [(el.MAT, p, 2, xs)
+                 for xs in itertools.product(range(p), repeat=4)]
+        fixed = random.Random(p).sample(every, 4)
+        for m in every:
+            assert _outcome(inv, m) == _outcome(el.inv, m)
+            for f in fixed:
+                assert mul(m, f) == el.mul(m, f)
+                assert mul(f, m) == el.mul(f, m)
+
+    def test_singular_raw_2x2_raises_as_reference(self):
+        # the adjugate kernel hands a zero determinant to the reference
+        _, inv = el.kernels(el.mat_identity(3, 2))
+        with pytest.raises(ValueError, match="matrix is singular over F_3"):
+            inv((el.MAT, 3, 2, (1, 2, 2, 1)))
+
+    def test_made_once_per_shape(self):
+        a, b = el.mat(5, [[2, 0], [0, 3]]), el.mat(5, [[0, 1], [4, 0]])
+        assert el.kernels(a) == el.kernels(b)
+        assert el.kernels(a) != el.kernels(el.mat_identity(7, 2))
+        assert el.kernels(el.perm_identity(4))[0] is \
+            el.kernels(el.perm((1, 0, 3, 2)))[0]
+
+
+def _reference_closure(gens):
+    """Every product of gens, by a breadth-first search on el.mul."""
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = el.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return sorted(seen)
+
+
+def _enumerated_parts(G, out):
+    """Every enumerated group G is built from, G itself included."""
+    o = G.origin
+    if o is None:
+        out.setdefault(id(G), G)
+    elif isinstance(o, groups.Product):
+        _enumerated_parts(o.left, out)
+        _enumerated_parts(o.right, out)
+    else:
+        _enumerated_parts(o.parent, out)
+    return out
+
+
+def test_enumeration_matches_reference_closure():
+    """Every enumerated group of the catalog and the corpus pool lists the
+    same elements as a search on the reference multiplication."""
+    builders = [e.build for e in catalog.catalog()] + catalog._corpus_pool()
+    parts = {}
+    for build in builders:
+        _enumerated_parts(build(), parts)
+    for G in parts.values():
+        assert G.ordered == _reference_closure(G.generators), G.label
