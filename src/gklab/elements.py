@@ -11,20 +11,15 @@ Pair multiplication depends on the ambient group (a semidirect product twists
 the left component), so it lives in :mod:`gklab.groups`; this module only
 handles the context-free kinds.
 
-``mul`` and ``inv`` are the reference: they dispatch on each operand's kind
-and shape, and every fast path is checked against them.  ``kernels(g)`` gives
-the (mul, inv) pair an enumerated group multiplies with, specialised once to
-g's kind and shape: a permutation product by one ``itemgetter``, the closed
-2 x 2 matrix product and adjugate inverse, and a row-by-column-slice product
-for other matrices.  A kernel hands every operand it was not made for (and a
-singular matrix) to the reference, so errors and results there do not
-change.
+``mul`` composes permutations of two or more points by one ``itemgetter``
+and multiplies 2 x 2 matrices by the closed form; other matrices multiply by
+the per-entry sum.  ``tests/test_elements.py`` keeps the per-entry forms of
+both as the reference these are checked against.
 """
 
 from __future__ import annotations
 
-import functools
-from operator import itemgetter, mul as _times
+from operator import itemgetter
 
 from .numtheory import isprime
 
@@ -118,12 +113,19 @@ def mul(a: Element, b: Element) -> Element:
         pa, pb = a[1], b[1]
         if len(pa) != len(pb):
             raise IncompatibleKinds("permutation degrees differ")
+        if len(pb) > 1:  # itemgetter of one item returns no tuple
+            return (PERM, itemgetter(*pb)(pa))
         return (PERM, tuple(pa[i] for i in pb))
     if a[0] == MAT:
         _, p, d, xs = a
         if (p, d) != (b[1], b[2]):
             raise IncompatibleKinds("matrix fields or dimensions differ")
         ys = b[3]
+        if d == 2:
+            x0, x1, x2, x3 = xs
+            y0, y1, y2, y3 = ys
+            return (MAT, p, 2, ((x0 * y0 + x1 * y2) % p, (x0 * y1 + x1 * y3) % p,
+                                (x2 * y0 + x3 * y2) % p, (x2 * y1 + x3 * y3) % p))
         out = []
         for i in range(0, d * d, d):
             row = xs[i:i + d]
@@ -147,73 +149,6 @@ def inv(a: Element) -> Element:
             raise ValueError(f"matrix is singular over F_{a[1]}")
         return m
     raise IncompatibleKinds("pair elements need their group's inversion")
-
-
-def kernels(g: Element) -> tuple:
-    """(mul, inv) for elements of g's kind and shape; each shape's kernels
-    are made once.
-
-    Permutations compose by one ``itemgetter``; 2 x 2 matrices multiply by
-    the closed form and invert by the adjugate, other matrices multiply rows
-    by column slices.  Every other inversion, and every operand of another
-    kind or shape or a singular matrix, goes to the reference ``mul``/``inv``,
-    so errors and results there are the reference's.  A pair, or a
-    permutation of one point, gets the reference itself.
-    """
-    if g[0] == PERM and len(g[1]) > 1:
-        return _perm_mul(len(g[1])), inv
-    if g[0] == MAT:
-        return _mat2_kernels(g[1]) if g[2] == 2 else (_mat_mul(g[1], g[2]), inv)
-    return mul, inv
-
-
-@functools.cache
-def _perm_mul(n: int):
-    # itemgetter of two or more items returns a tuple, hence n > 1
-    def perm_mul(a, b):
-        if a[0] == PERM == b[0]:
-            pa, pb = a[1], b[1]
-            if len(pa) == n == len(pb):
-                return (PERM, itemgetter(*pb)(pa))
-        return mul(a, b)
-    return perm_mul
-
-
-@functools.cache
-def _mat2_kernels(p: int):
-    def mat2_mul(a, b):
-        if a[0] == MAT == b[0] and a[1] == p == b[1] and a[2] == 2 == b[2]:
-            x0, x1, x2, x3 = a[3]
-            y0, y1, y2, y3 = b[3]
-            return (MAT, p, 2, ((x0 * y0 + x1 * y2) % p, (x0 * y1 + x1 * y3) % p,
-                                (x2 * y0 + x3 * y2) % p, (x2 * y1 + x3 * y3) % p))
-        return mul(a, b)
-
-    def mat2_inv(a):
-        if a[0] == MAT and a[1] == p and a[2] == 2:
-            x0, x1, x2, x3 = a[3]
-            det = (x0 * x3 - x1 * x2) % p
-            if det:
-                s = pow(det, -1, p)
-                return (MAT, p, 2, (x3 * s % p, -x1 * s % p, -x2 * s % p,
-                                    x0 * s % p))
-        return inv(a)
-    return mat2_mul, mat2_inv
-
-
-@functools.cache
-def _mat_mul(p: int, d: int):
-    starts = range(0, d * d, d)
-
-    def mat_mul(a, b):
-        if a[0] == MAT == b[0] and a[1] == p == b[1] and a[2] == d == b[2]:
-            xs, ys = a[3], b[3]
-            rows = [xs[i:i + d] for i in starts]
-            cols = [ys[j::d] for j in range(d)]
-            return (MAT, p, d, tuple([sum(map(_times, r, c)) % p
-                                      for r in rows for c in cols]))
-        return mul(a, b)
-    return mat_mul
 
 
 def _mat_inverse(a: Element):

@@ -49,12 +49,11 @@ group multiplies ids (``id_mul``) the way it was built:
   tables are its parent's, one per generator, read through ``to_q``.  The
   quotient of A x B by N_A x N_B is instead built as the direct product
   A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
-* an enumerated group multiplies elements, through the kernels of its
-  generators' kind and shape (``elements.kernels``), and a subgroup view
-  multiplies in its parent's ids; both conjugate by each generator on ids,
-  its inverse read off the walk of its powers.  At order TABLE_BOUND or less
-  either one is then tabulated: a Cayley table of 2-byte ``array`` rows,
-  filled along a BFS tree from the generators' right-multiplication rows.
+* an enumerated group multiplies elements, and a subgroup view multiplies
+  in its parent's ids; both conjugate by each generator on ids, its inverse
+  read off the walk of its powers.  At order TABLE_BOUND or less either one
+  is then tabulated: a Cayley table of 2-byte ``array`` rows, filled along a
+  BFS tree from the generators' right-multiplication rows.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
@@ -263,12 +262,7 @@ def _along_bfs_tree(gens, root, mult, start, step, agrees=None, cap=None):
 
 
 def enumerate_group(generators, label: str = "G") -> GroupHandle:
-    """Subgroup generated by compatible permutation or matrix elements.
-
-    The group multiplies and inverts through the kernels of its first
-    generator's kind and shape (``elements.kernels``), taken once: the
-    search here runs on them, and so does every element product on the
-    handle, its subgroup views, products and quotients."""
+    """Subgroup generated by compatible permutation or matrix elements."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -280,10 +274,10 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    mult, inv = el.kernels(first)
-    tree, _ = _along_bfs_tree(generators, identity, mult, None,
+    tree, _ = _along_bfs_tree(generators, identity, el.mul, None,
                               lambda v, i: None, cap=default_cap())
-    return GroupHandle(label, generators, sorted(tree), identity, mult, inv)
+    return GroupHandle(label, generators, sorted(tree), identity, el.mul,
+                       el.inv)
 
 
 def element_order(G: GroupHandle, g: Element) -> int:

@@ -113,7 +113,31 @@ class TestPair:
                             el.pair(el.perm_identity(2), el.mat_identity(3, 2)))
 
 
-# The kernels of elements.kernels against the reference mul/inv.
+# el.mul against the per-entry reference it replaced on permutations of two
+# or more points and on 2 x 2 matrices.
+
+def _reference_mul(a, b):
+    """Context-free product by index and per-entry sums, for every shape."""
+    if a[0] != b[0]:
+        raise el.IncompatibleKinds(f"cannot multiply kinds {a[0]!r} and {b[0]!r}")
+    if a[0] == el.PERM:
+        pa, pb = a[1], b[1]
+        if len(pa) != len(pb):
+            raise el.IncompatibleKinds("permutation degrees differ")
+        return (el.PERM, tuple(pa[i] for i in pb))
+    if a[0] == el.MAT:
+        _, p, d, xs = a
+        if (p, d) != (b[1], b[2]):
+            raise el.IncompatibleKinds("matrix fields or dimensions differ")
+        ys = b[3]
+        out = []
+        for i in range(0, d * d, d):
+            row = xs[i:i + d]
+            for j in range(d):
+                out.append(sum(row[k] * ys[k * d + j] for k in range(d)) % p)
+        return (el.MAT, p, d, tuple(out))
+    raise el.IncompatibleKinds("pair elements need their group's multiplication")
+
 
 def _outcome(f, *args):
     """f(*args), or the type and message of what it raised."""
@@ -132,14 +156,11 @@ def raw_matrix(draw, p, d):
 
 @st.composite
 def shaped(draw):
-    """(maker, element): maker draws more elements of the element's shape."""
+    """A strategy for elements of one drawn shape."""
     if draw(st.booleans()):
-        n = draw(st.integers(1, 12))
-        maker = random_perm(n)
-    else:
-        maker = raw_matrix(draw(st.sampled_from([2, 3, 5, 7])),
-                           draw(st.sampled_from([1, 2, 3, 6])))
-    return maker, draw(maker)
+        return random_perm(draw(st.integers(1, 12)))
+    return raw_matrix(draw(st.sampled_from([2, 3, 5, 7])),
+                      draw(st.sampled_from([1, 2, 3, 6])))
 
 
 @st.composite
@@ -155,82 +176,57 @@ def any_element(draw):
 
 
 # one or two elements of each kind and shape, a singular matrix among them
-SHAPES = [el.perm_identity(1), el.perm_identity(2), el.perm((1, 2, 0)),
-          el.perm((1, 0, 3, 2)), el.mat(2, [[1, 1], [0, 1]]),
-          el.mat(3, [[1, 1], [0, 1]]), el.mat(3, [[0, 2], [1, 0]]),
-          el.mat(5, [[1, 2], [3, 4]]), (el.MAT, 5, 2, (1, 2, 2, 4)),
-          el.mat(7, [[0, 1], [6, 3]]), el.mat(3, [[2]]), el.mat(2, [[1]]),
+SHAPES = [el.perm_identity(0), el.perm_identity(1), el.perm_identity(2),
+          el.perm((1, 2, 0)), el.perm((1, 0, 3, 2)),
+          el.mat(2, [[1, 1], [0, 1]]), el.mat(3, [[1, 1], [0, 1]]),
+          el.mat(3, [[0, 2], [1, 0]]), el.mat(5, [[1, 2], [3, 4]]),
+          (el.MAT, 5, 2, (1, 2, 2, 4)), el.mat(7, [[0, 1], [6, 3]]),
+          el.mat(3, [[2]]), el.mat(2, [[1]]),
           el.mat(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), el.mat_identity(5, 3),
           el.pair(el.perm_identity(2), el.perm_identity(2))]
 
 
-class TestKernels:
-    @pytest.mark.parametrize("g", SHAPES, ids=repr)
-    def test_every_shape_behaves_as_reference(self, g):
-        """g's kernels on every pair of the shapes: the same result, or the
-        same exception type and message, as the reference."""
-        mul, inv = el.kernels(g)
+class TestMulMatchesReference:
+    def test_every_pair_of_shapes(self):
+        """The same result, or the same exception type and message."""
         for a in SHAPES:
-            assert _outcome(inv, a) == _outcome(el.inv, a)
             for b in SHAPES:
-                assert _outcome(mul, a, b) == _outcome(el.mul, a, b)
+                assert _outcome(el.mul, a, b) == _outcome(_reference_mul, a, b)
 
     @given(shaped(), st.data())
-    def test_same_shape_matches_reference(self, drawn, data):
-        maker, g = drawn
-        mul, inv = el.kernels(g)
+    def test_same_shape(self, maker, data):
         for _ in range(4):
             a, b = data.draw(maker), data.draw(maker)
-            assert mul(a, b) == el.mul(a, b)
-            assert _outcome(inv, a) == _outcome(el.inv, a)
+            assert el.mul(a, b) == _reference_mul(a, b)
 
     @given(shaped(), any_element(), st.data())
-    def test_foreign_operand_behaves_as_reference(self, drawn, foreign, data):
-        maker, g = drawn
-        mul, inv = el.kernels(g)
+    def test_foreign_operand(self, maker, foreign, data):
         mine = data.draw(maker)
         for a, b in [(foreign, mine), (mine, foreign), (foreign, foreign)]:
-            assert _outcome(mul, a, b) == _outcome(el.mul, a, b)
-        assert _outcome(inv, foreign) == _outcome(el.inv, foreign)
+            assert _outcome(el.mul, a, b) == _outcome(_reference_mul, a, b)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_every_2x2_matrix_matches_reference(self, p):
-        """Every 2 x 2 matrix over F_p, singular ones included, inverted and
-        multiplied on both sides by four fixed ones: the draws above favour
-        entries near 0."""
-        mul, inv = el.kernels(el.mat_identity(p, 2))
+    def test_every_2x2_matrix(self, p):
+        """Every 2 x 2 matrix over F_p, singular ones included, multiplied on
+        both sides by four fixed ones: the draws above favour entries near 0."""
         every = [(el.MAT, p, 2, xs)
                  for xs in itertools.product(range(p), repeat=4)]
         fixed = random.Random(p).sample(every, 4)
         for m in every:
-            assert _outcome(inv, m) == _outcome(el.inv, m)
             for f in fixed:
-                assert mul(m, f) == el.mul(m, f)
-                assert mul(f, m) == el.mul(f, m)
-
-    def test_singular_raw_2x2_raises_as_reference(self):
-        # the adjugate kernel hands a zero determinant to the reference
-        _, inv = el.kernels(el.mat_identity(3, 2))
-        with pytest.raises(ValueError, match="matrix is singular over F_3"):
-            inv((el.MAT, 3, 2, (1, 2, 2, 1)))
-
-    def test_made_once_per_shape(self):
-        a, b = el.mat(5, [[2, 0], [0, 3]]), el.mat(5, [[0, 1], [4, 0]])
-        assert el.kernels(a) == el.kernels(b)
-        assert el.kernels(a) != el.kernels(el.mat_identity(7, 2))
-        assert el.kernels(el.perm_identity(4))[0] is \
-            el.kernels(el.perm((1, 0, 3, 2)))[0]
+                assert el.mul(m, f) == _reference_mul(m, f)
+                assert el.mul(f, m) == _reference_mul(f, m)
 
 
 def _reference_closure(gens):
-    """Every product of gens, by a breadth-first search on el.mul."""
+    """Every product of gens, by a breadth-first search on the reference."""
     seen = set(gens)
     frontier = list(gens)
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = el.mul(x, g)
+                y = _reference_mul(x, g)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)

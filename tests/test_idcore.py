@@ -251,7 +251,7 @@ class TestIdMultiplication:
             mul = id_mul(G)
             orders, inverses = id_powers(G)
             rng = random.Random(seed)
-            context_free = G.origin is None  # an enumerated group
+            context_free = G.mult is el.mul  # an enumerated group
             for i, j in zip(_sample_ids(G, rng, 60), _sample_ids(G, rng, 60)):
                 assert mul(i, j) == ids[G.mult(srt[i], srt[j])]
                 if context_free:
