@@ -123,9 +123,12 @@ def check_cap(name: str, order: int) -> None:
         raise CapExceeded(f"{name} order {order} exceeds cap {cap}")
 
 
-def memoised(key):
+def memoised(key, product=None):
     """Cache f(G, *args) in ``G._memo`` under key, or (key, *args).
 
+    With ``product``, a direct product G = A x B (``direct_factors``) caches
+    product(G, f(A, *args), f(B, *args)) instead of running f; each factor's
+    result is read through this cache, so it lands in that factor's memo.
     The one writer of ``_memo``: a handle fills its caches on first read, so
     it must not be shared between threads without a lock.
     """
@@ -134,7 +137,9 @@ def memoised(key):
         def cached(G, *args):
             k = (key, *args) if args else key
             if k not in G._memo:
-                G._memo[k] = f(G, *args)
+                factors = product and direct_factors(G)
+                G._memo[k] = (product(G, *(cached(F, *args) for F in factors))
+                              if factors else f(G, *args))
             return G._memo[k]
         return cached
     return wrap

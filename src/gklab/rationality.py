@@ -21,7 +21,7 @@ every conjugacy class.  It never reads class membership, the power map, the
 id core or the conjugation tables; it conjugates with element products
 (``G.mult``, ``G.identity`` and ``G.inv`` of each generator), so a fault in
 the class partition or the tables cannot make the two oracles agree by
-accident.  Three lemmas let it scan less:
+accident.  Four lemmas let it scan less:
 
 * if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, the scanned exponent set
   contains 1 and is a subgroup of U(|g|), a group of order <= 2; it is
@@ -34,7 +34,11 @@ accident.  Three lemmas let it scan less:
   every x^-1 g^k x (k a unit) has g's exponent set.  The scan of <g> indexes
   each of these elements, as the generators of the points of its orbit, so
   the oracle skips a representative it finds there and scans each conjugacy
-  class of cyclic subgroups once.
+  class of cyclic subgroups once;
+* if g is inverse semi-rational, so is every g^j: a unit u mod |g^j| lifts
+  to a unit k mod |g| with k = u mod |g^j|, and g^k is conjugate to g or
+  g^-1, so (g^j)^u = (g^k)^j is conjugate to g^j or g^-j.  The oracle also
+  skips a representative among the powers of one that passed.
 
 The units mod n (``_units``) are plain arithmetic, memoised per n and shared
 by both oracles and the product predicate; they hold no group data.
@@ -264,10 +268,11 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
     Reads B_G(rep) for one generator of each conjugacy class of cyclic
     subgroups <rep> with phi(|rep|) > 2 (see the module docstring for why
     the others need no scan): a representative among the generators of a
-    scanned orbit's points is skipped, and each other one's powers are
-    walked once, for its order and its scan.
+    passed orbit's points, or among the powers of a passed representative,
+    is skipped, and each other one's powers are walked once, for its order
+    and its scan.
     """
-    scanned: set[Element] = set()  # the x^-1 g^k x of every scanned g
+    scanned: set[Element] = set()  # x^-1 g^k x and g^j for every passed g
     for rep in conjugacy_classes(G).representatives:
         if rep in scanned:
             continue
@@ -276,13 +281,10 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
         if n in (1, 2, 3, 4, 6):
             continue
         exps, index = _scan_orbit(G, first)
-        scanned.update(index)
         full = set(_units(n))
-        if exps == full:
-            continue
-        if 2 * len(exps) == len(full) and (n - 1) not in exps:
-            continue
-        return False
+        if exps != full and (2 * len(exps) != len(full) or n - 1 in exps):
+            return False
+        scanned.update(index, first)  # g passes, and so does every g^j
     return True
 
 

@@ -8,9 +8,8 @@ element set is derived on first read.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
-  normalizes P (a direct product takes its factors', below).  Orders and
-  inverses are read from ``groups.id_powers``, so no element's order is
-  recomputed per step.
+  normalizes P.  Orders and inverses are read from ``groups.id_powers``, so
+  no element's order is recomputed per step.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -29,14 +28,7 @@ element set is derived on first read.  Deliberate choices:
   chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  The elements
   of G/F_(k-1) are elements of G, value-least in their cosets, so F_k is
   the union of the cosets x F_(k-1) for x in F(G/F_(k-1)), their ids read
-  back in G (``groups.ids_of``), and all of G once |F_(k-1)| |F| = |G|.  A
-  direct product takes the loop too: ``fitting`` and ``quotient`` read its
-  factors.
-* A direct product's quotient by a normal subgroup N_A x N_B is the direct
-  product A/N_A x B/N_B of its factors' quotients, relabelled, with the
-  same elements in the same order (``_product_quotient``); no coset is
-  walked, and a factor whose N_A is trivial keeps its memos.  A diagonal N
-  takes the generic path.
+  back in G (``groups.ids_of``), and all of G once |F_(k-1)| |F| = |G|.
 * Conjugacy classes, O_p(G) and the normality tests of ``quotient`` and
   ``sylow`` run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``).  Each class is the orbit of its smallest
@@ -52,18 +44,22 @@ element set is derived on first read.  Deliberate choices:
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
   the walk ``groups.id_powers`` takes).  Class orders are row
   lengths, and the rationality verdicts read the rows.
-* A direct product G x H visits no element for its class data.  Its classes
-  are the products C x D of the factors' classes, with least id and size
-  read off theirs, and the class of (g, h)^k is the pair of the classes of
-  g^k and h^k (``_product_classes``, recursing through nested products).
-  The class of each id is composed from the factors' only when it is read.
-* A direct product reads its subgroups off its factors' too, as id sets
-  {i*|H| + j}: O_p, the Fitting subgroup and the derived subgroup are
-  O_p(G) x O_p(H), F(G) x F(H) and G' x H', and its Sylow p-subgroup is
-  P_G x P_H, normal iff both are, so it is nilpotent iff both factors are.
-  Its Fitting series is then F_k(G) x F_k(H), with quotients the direct
-  products of the factors' quotients; it is supersolvable, metabelian or
-  abelian iff both factors are.
+* A direct product G x H visits no element: each rule here is stated once,
+  as the ``product`` argument of ``groups.memoised``, and reads the
+  factors' memoised results.  Its classes are the products C x D of the
+  factors' classes, with least id and size read off theirs, and the class
+  of (g, h)^k is the pair of the classes of g^k and h^k
+  (``_product_classes``); the class of each id is composed from the
+  factors' only when it is read.  O_p, the Sylow p-subgroup, the Fitting
+  subgroup and the derived subgroup are the id sets {i*|H| + j} of
+  O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H', normal iff both
+  factors' are (``_product_subgroup``); it is abelian, metabelian or
+  supersolvable iff both factors are (``_both``).  Its quotient by
+  N_G x N_H is G/N_G x H/N_H, relabelled, with the same elements in the
+  same order (``_product_quotient``).  ``quotient`` is memoised under N,
+  so the Fitting chain of G x H is built from its factors' own quotients,
+  and a factor whose N_G is trivial is kept as it is.  A diagonal N takes
+  the generic coset walk.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -168,7 +164,35 @@ class FittingData:
         return self.length is not None
 
 
-@memoised("conjugacy")
+def _product_classes(P: GroupHandle, dg: ConjugacyData,
+                     dh: ConjugacyData) -> ConjugacyData:
+    """Classes of P = G x H from its factors' dg and dh: C_a x D_b, numbered
+    a*k(H) + b.  Its least id is i*|H| + j for the least ids i of C_a and j
+    of D_b, so the classes stay ordered by least id.  The class of (g, h)^k
+    is that of (g^k, h^k), so row (a, b) pairs the factor rows for
+    lcm(|g|, |h|) steps.  Nothing here visits an element; the class of each
+    id is composed from the factors' only when it is read.
+    """
+    m, kh = direct_factors(P)[1].order, len(dh.rep_ids)
+    rep_ids = tuple(i * m + j for i in dg.rep_ids for j in dh.rep_ids)
+    sizes = tuple(x * y for x in dg.sizes for y in dh.sizes)
+    powers = []
+    for ra in dg.powers:
+        na = len(ra)
+        ra = tuple(a * kh for a in ra)
+        for rb in dh.powers:
+            nb = len(rb)
+            n = lcm(na, nb)
+            powers.append(tuple(map(add, ra * (n // na), rb * (n // nb))))
+
+    def class_ids() -> list[int]:
+        ch = dh.class_ids
+        return [a * kh + b for a in dg.class_ids for b in ch]
+    return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
+                         partial(elements_at, P))
+
+
+@memoised("conjugacy", product=_product_classes)
 def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     """Class partition and class power map on ids; memoised.
 
@@ -176,8 +200,6 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     any other group closes orbits on its conjugation tables and walks each
     representative's powers on ids.
     """
-    if factors := direct_factors(G):
-        return _product_classes(G, *factors)
     tables = conjugation_tables(G)
     cids = [-1] * G.order
     reps = []
@@ -202,35 +224,6 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
               for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
                          lambda: cids, partial(elements_at, G))
-
-
-def _product_classes(P: GroupHandle, G: GroupHandle,
-                     H: GroupHandle) -> ConjugacyData:
-    """Classes of P = G x H: C_a x D_b for classes C_a of G and D_b of H,
-    numbered a*k(H) + b.  Its least id is i*|H| + j for the least ids i of
-    C_a and j of D_b, so the classes stay ordered by least id.  The class of
-    (g, h)^k is that of (g^k, h^k), so row (a, b) pairs the factor rows for
-    lcm(|g|, |h|) steps.  Nothing here visits an element; the class of each
-    id is composed from the factors' only when it is read.
-    """
-    dg, dh = conjugacy_classes(G), conjugacy_classes(H)
-    m, kh = H.order, len(dh.rep_ids)
-    rep_ids = tuple(i * m + j for i in dg.rep_ids for j in dh.rep_ids)
-    sizes = tuple(x * y for x in dg.sizes for y in dh.sizes)
-    powers = []
-    for ra in dg.powers:
-        na = len(ra)
-        ra = tuple(a * kh for a in ra)
-        for rb in dh.powers:
-            nb = len(rb)
-            n = lcm(na, nb)
-            powers.append(tuple(map(add, ra * (n // na), rb * (n // nb))))
-
-    def class_ids() -> list[int]:
-        ch = dh.class_ids
-        return [a * kh + b for a in dg.class_ids for b in ch]
-    return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
-                         partial(elements_at, P))
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -276,14 +269,21 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
     return p_part % element_order(G, g) == 0
 
 
-@memoised("sylow")
+def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
+                      b: SubgroupHandle) -> SubgroupHandle:
+    """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
+    pairs, normal iff both are."""
+    m = direct_factors(G)[1].order
+    ids = frozenset([i * m + j for i in a.ids for j in b.ids])
+    return SubgroupHandle(G, ids, a.normal and b.normal)
+
+
+@memoised("sylow", product=_product_subgroup)
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     """Sylow p-subgroup by deterministic normalizer growth; P_A x P_B for a
     direct product A x B, normal iff both are."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    if factors := direct_factors(G):
-        return _product_subgroup(G, *(sylow(F, p) for F in factors))
     p_part = p ** factorint(G.order).get(p, 0)
     orders, inverses = id_powers(G)
     mul = id_mul(G)
@@ -308,21 +308,10 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
 
 
-def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
-                      b: SubgroupHandle) -> SubgroupHandle:
-    """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
-    pairs, normal iff both are."""
-    m = direct_factors(G)[1].order
-    ids = frozenset([i * m + j for i in a.ids for j in b.ids])
-    return SubgroupHandle(G, ids, a.normal and b.normal)
-
-
-@memoised("core")
+@memoised("core", product=_product_subgroup)
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     """O_p(G): intersection of all conjugates of a Sylow p-subgroup;
     O_p(A) x O_p(B) for a direct product A x B."""
-    if factors := direct_factors(G):
-        return _product_subgroup(G, *(core_p(F, p) for F in factors))
     K = set(sylow(G, p).ids)
     changed = True
     while changed:
@@ -335,12 +324,10 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset(K), True)
 
 
-@memoised("fitting")
+@memoised("fitting", product=_product_subgroup)
 def fitting(G: GroupHandle) -> SubgroupHandle:
     """F(G): product of the O_p(G) over primes p dividing |G|; F(A) x F(B)
     for a direct product A x B; memoised."""
-    if factors := direct_factors(G):
-        return _product_subgroup(G, *map(fitting, factors))
     F = Span(G)
     for p in sorted(factorint(G.order)):
         for x in core_p(G, p).ids:
@@ -375,10 +362,13 @@ def fitting_series(G: GroupHandle) -> FittingData:
     return FittingData(tuple(series), length, tuple(quotients))
 
 
+@memoised("quotient")
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N on value-least coset representatives with induced multiplication;
-    generator k is the coset of G's generator k.  A direct product's quotient
-    by N_A x N_B is A/N_A x B/N_B (``_product_quotient``)."""
+    generator k is the coset of G's generator k; memoised under N, so G
+    keeps it alive.  A direct product's quotient by N_A x N_B is
+    A/N_A x B/N_B (``_product_quotient``), from the factors' memoised
+    quotients."""
     if N.parent is not G and N.parent.ordered != G.ordered:
         raise NotNormal("subgroup does not live in this group")
     # equal element lists give equal ids, so N's ids are G's
@@ -470,10 +460,9 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     return minimal
 
 
+@memoised("derived", product=_product_subgroup)
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
-    """G'; A' x B' for a direct product A x B."""
-    if factors := direct_factors(G):
-        return _product_subgroup(G, *map(derived_subgroup, factors))
+    """G'; A' x B' for a direct product A x B; memoised."""
     return SubgroupHandle(G, frozenset(_derived_span(G).elements), True)
 
 
@@ -496,11 +485,15 @@ def is_nilpotent(G: GroupHandle) -> bool:
     return all(sylow(G, p).normal for p in factorint(G.order))
 
 
+def _both(G: GroupHandle, a: bool, b: bool) -> bool:
+    """A direct product has the property iff both factors have it."""
+    return a and b
+
+
+@memoised("abelian", product=_both)
 def is_abelian(G: GroupHandle) -> bool:
     """The generators commute pairwise.  A direct product is abelian iff
-    both factors are."""
-    if factors := direct_factors(G):
-        return all(map(is_abelian, factors))
+    both factors are; memoised."""
     return all(G.mult(a, b) == G.mult(b, a)
                for a in G.generators for b in G.generators)
 
@@ -553,21 +546,20 @@ def is_metacyclic(G: GroupHandle) -> bool:
     return False
 
 
+@memoised("metabelian", product=_both)
 def is_metabelian(G: GroupHandle) -> bool:
     """G' is abelian: its generators commute pairwise, on G's ids.  A direct
-    product is metabelian iff both factors are."""
-    if factors := direct_factors(G):
-        return all(map(is_metabelian, factors))
+    product is metabelian iff both factors are; memoised."""
     mul = id_mul(G)
     gens = _derived_span(G).gens
     return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
 
 
+@memoised("supersolvable", product=_both)
 def is_supersolvable(G: GroupHandle) -> bool:
     """Descent through the first normal subgroup of prime order, with no
-    backtracking.  A direct product is supersolvable iff both factors are."""
-    if factors := direct_factors(G):
-        return all(map(is_supersolvable, factors))
+    backtracking.  A direct product is supersolvable iff both factors are;
+    memoised."""
     if G.order == 1:
         return True
     N = next(_cyclic_normal_subgroups(G, prime_order_only=True), None)

@@ -9,9 +9,10 @@ of G, each conjugation with a fresh ``G.inv``.  ``TestOrbitStabiliser``
 compares the two exponent sets on every class representative of groups of
 each construction kind.  ``TestPruningLemmas`` checks the lemmas that let it
 scan less: generators of one cyclic subgroup, and conjugates, share the
-exponent set, so each conjugacy class of cyclic subgroups is scanned once;
-``_parent_oracle``, the oracle that scanned each cyclic subgroup once, gives
-the same verdicts on the corpus.
+exponent set, so each conjugacy class of cyclic subgroups is scanned once,
+and the powers of a passing representative pass; ``_parent_oracle``, the
+oracle that scanned each cyclic subgroup once, gives the same verdicts on
+the corpus.
 """
 
 import functools
@@ -51,6 +52,11 @@ def _reference_scan(G, g):
 def _scan_passes(n, exps):
     full = set(_units(n))
     return exps == full or (2 * len(exps) == len(full) and n - 1 not in exps)
+
+
+def _reference_passes(G, g):
+    """Is g inverse semi-rational, by the reference scan?"""
+    return _scan_passes(element_order(G, g), _reference_scan(G, g))
 
 
 def _reference_oracle(G):
@@ -233,6 +239,25 @@ class TestPruningLemmas:
                 for x in xs:
                     assert scanned_iota_exponents(
                         G, G.conjugate(power, x)) == exps, (rep, k, x)
+
+    def test_powers_of_a_passing_representative_pass(self, corpus_groups):
+        """If g is inverse semi-rational, so is every g^j, which lets the
+        oracle skip a representative among the powers of one that passed.
+        Generators of one cyclic subgroup share the exponent set, so g^d
+        for each divisor d of |g| stands for every power."""
+        seen = 0
+        for G in corpus_groups:
+            passes = functools.cache(functools.partial(_reference_passes, G))
+            for rep in conjugacy_classes(G).representatives:
+                n = element_order(G, rep)
+                ds = [d for d in range(2, n // 2) if n % d == 0]  # |g^d| > 2
+                if not ds or not passes(rep):
+                    continue
+                for d in ds:
+                    seen += 1
+                    power = functools.reduce(G.mult, [rep] * d)
+                    assert passes(power), (G.label, rep, d)
+        assert seen > 50
 
     def test_oracle_matches_parent_oracle(self):
         """One scan per conjugacy class of cyclic subgroups gives the

@@ -18,6 +18,7 @@ from gklab.structure import conjugacy_classes, core_p, quotient
 
 DERIVED = {"ids", "identity", "id_mul", "id_powers", "conj_tables", "action",
            "conjugacy", "sylow", "core", "fitting", "fitting_series",
+           "quotient", "derived", "abelian", "metabelian", "supersolvable",
            "fingerprint", "frobenius", "rationality"}
 # construction data, which an origin holds instead
 RETIRED = {"sorted", "factors", "tables_from", "id_mul_from", "id_base_from",

@@ -27,6 +27,12 @@ generic quotients' coset projections and scans G for each preimage
 catalog entry, the nested products and the products with a non-solvable
 factor.
 
+Each rule for a direct product is stated once, in ``groups.memoised``, and
+``quotient`` is memoised, so the Fitting chain of A x B is built from its
+factors' own quotients: each factor of its k-th quotient is the k-th
+quotient of that factor's chain, the same handle.  ``sylow`` reaches its
+prime check on a product through the factors.
+
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
 products with a non-solvable factor, whose Fitting series stalls; the
@@ -299,6 +305,50 @@ def test_stalled_series_keeps_its_quotients():
     fs = fitting_series(NON_SOLVABLE["A5xS4"]())
     assert [F.order for F in fs.series] == [1, 4, 12, 24]
     assert [Q.order for Q in fs.quotients] == [360, 120, 60]
+
+
+SERIES_PRODUCTS = {
+    "S4x(C7:C6)": lambda: (catalog.sym(4), catalog.c7_c6()),
+    "(S3xC2)x(C3xA4)": lambda: direct_factors(NESTED["(S3xC2)x(C3xA4)"]()),
+    "A5xS4": lambda: direct_factors(NON_SOLVABLE["A5xS4"]()),
+}
+
+
+@pytest.mark.parametrize("product_first", [True, False])
+@pytest.mark.parametrize("build", SERIES_PRODUCTS.values(),
+                         ids=SERIES_PRODUCTS)
+def test_product_series_reuses_factor_quotients(build, product_first):
+    """Each factor of the k-th quotient of A x B's Fitting chain is the k-th
+    quotient of that factor's own chain, the same handle, for every k the
+    factor's chain has, whichever chain is built first."""
+    A, B = build()
+    G = direct_product(A, B)
+    if product_first:
+        fitting_series(G)
+    own = [fitting_series(F).quotients for F in (A, B)]
+    quotients = fitting_series(G).quotients
+    assert quotients
+    for k, Q in enumerate(quotients):
+        for F_k, chain in zip(direct_factors(Q), own):
+            if k < len(chain):
+                assert F_k is chain[k], (Q.label, k)
+
+
+def _memo_keys(G) -> set:
+    """The memo keys of G and of its direct factors, recursively."""
+    return set(G._memo).union(*map(_memo_keys, direct_factors(G) or ()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 6])
+def test_sylow_refuses_a_non_prime(n):
+    """An enumerated group, a direct product and a nested product refuse a
+    non-prime n (the products through their factors), and no group keeps
+    anything under ("sylow", n)."""
+    for G in (catalog.sym(4), direct_product(catalog.sym(3), catalog.cyclic(2)),
+              NESTED["(S3xC2)x(C3xA4)"]()):
+        with pytest.raises(ValueError, match="is not prime"):
+            sylow(G, n)
+        assert ("sylow", n) not in _memo_keys(G)
 
 
 def _dic12_x_c4():
