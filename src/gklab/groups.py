@@ -39,10 +39,11 @@ group multiplies ids (``id_mul``) the way it was built:
   factors' (``direct_factors``), with no multiplication;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
-  array of the action (``action_ids``, built once).  Its conjugation tables
-  are composed from N's ids, H's tables and a (``_pair_tables``): an H
-  generator's with no multiplication, an N generator's with one product per
-  id and image of the generator;
+  array of the action, ``Product.act``: its one copy, filled along a BFS
+  tree of H from the generators' rows, which its element products read
+  too.  Its conjugation tables are composed from N's ids, H's tables and a
+  (``_pair_tables``): an H generator's with no multiplication, an N
+  generator's with one product per id and image of the generator;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k, so its conjugation
@@ -196,14 +197,15 @@ class GroupHandle:
 
 @dataclass(frozen=True, eq=False)
 class Product:
-    """left x right, or left x| right with act[h] the automorphism h induces.
+    """left x right (act None), or left x| right with act[j][i] the id of
+    y_j |> x_i: one id row per element of right, the one copy of the action.
 
     The pairs are listed on first read, once for every handle sharing this
     origin: the pair (x_i, y_j) is at i*|right| + j, the nested loop over
     both factors' lists, which is value order."""
     left: GroupHandle
     right: GroupHandle
-    act: Optional[dict]
+    act: Optional[list[array]]
 
     @functools.cached_property
     def order(self) -> int:
@@ -365,7 +367,7 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """
     o = G.origin
     if isinstance(o, Product):
-        return _pair_mul(o.left, o.right, action_ids(G))
+        return _pair_mul(o.left, o.right, o.act)
     if isinstance(o, Quotient):
         return induced_mul(id_mul(o.parent), o.rep_ids, o.to_q)
     if isinstance(o, View):
@@ -478,7 +480,7 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """
     o = G.origin
     if isinstance(o, Product):
-        return _pair_tables(o.left, o.right, action_ids(G))
+        return _pair_tables(o.left, o.right, o.act)
     if isinstance(o, Quotient):
         return _quotient_tables(o)
     mul, e = id_mul(G), identity_id(G)
@@ -491,14 +493,16 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
 
 def _pair_tables(N: GroupHandle, H: GroupHandle,
                  a: Optional[list[array]]) -> list[array]:
-    """Tables of N x H, or of N x| H when the action ids a are given, whose
-    id i*|H| + j is the pair (n_i, h_j), composed from the factors'.
+    """Tables of N x H, or of N x| H with a = ``Product.act``, its action
+    rows, whose id i*|H| + j is the pair (n_i, h_j), composed from the
+    factors'.
 
     An N generator k sends (i, j) to (k^-1 n_i k, j) in N x H, read off N's
     table, and to (k^-1 n_i a[j][k], j) in N x| H: one list of the k^-1 n_i,
     right-multiplied by each image of k.  An H generator l sends (i, j) to
     (a[l^-1][i], l^-1 h_j l), i itself in N x H, read off H's table for l
-    with no multiplication at all.
+    with no multiplication at all.  Each generator's inverse is read off the
+    walk of its powers (``_power_walk``).
     """
     n, m = N.order, H.order
     hs = range(m)
@@ -507,10 +511,11 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
                   for t in conjugation_tables(N)]
         rows = [range(0, n * m, m)] * len(H.generators)
     else:
-        nm, ninv = id_mul(N), id_powers(N)[1]
+        nm, e = id_mul(N), identity_id(N)
         tables = []
         for k in generator_ids(N):
-            left = [nm(ninv[k], i) for i in range(n)]
+            ki = _power_walk(nm, e, k)[-1]
+            left = [nm(ki, i) for i in range(n)]
             cols = {}  # image c of k -> the ids of k^-1 n_i c, times m
             t = array("I", [0]) * (n * m)
             for j in hs:
@@ -519,8 +524,8 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
                     cols[c] = [nm(x, c) * m for x in left]
                 t[j::m] = array("I", [x + j for x in cols[c]])
             tables.append(t)
-        hinv = id_powers(H)[1]
-        rows = [[x * m for x in a[hinv[l]]]
+        hm, e = id_mul(H), identity_id(H)
+        rows = [[x * m for x in a[_power_walk(hm, e, l)[-1]]]
                 for l in generator_ids(H)]
     for row, th in zip(rows, conjugation_tables(H)):
         tables.append(array("I", [x + y for x in row for y in th]))
@@ -601,58 +606,49 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     ``action`` gives, per H generator, the images of N's generators under the
     automorphism that H generator induces.  The per-generator maps are checked
     to be automorphisms and the induced action of all of H is checked to be
-    well defined over H's enumerated multiplication.
+    well defined over H's enumerated multiplication.  The action is held once,
+    as ``Product.act``: one id row per element of H, in H's id order, with
+    act[j][i] the id of h_j |> n_i in N.
     """
     check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
         raise ActionNotWellDefined("one automorphism per acting generator required")
     gen_maps = [extend_to_automorphism(N, images) for images in action]
+    nid, ns = element_ids(N), N.ordered
+    rows = [array("I", [nid[gmap[x]] for x in ns]) for gmap in gen_maps]
+    kgens = generator_ids(N)
 
-    # Propagate along a BFS tree of H; each other Cayley edge h -> h g_i
-    # must agree on N's generators.
-    act, well_defined = _along_bfs_tree(
-        H.generators, H.identity, H.mult, {n: n for n in N.ordered},
-        lambda prev, i: {n: prev[gen_maps[i][n]] for n in N.ordered},
-        lambda ay, ax, i: all(ay[n] == ax[gen_maps[i][n]]
-                              for n in N.generators))
+    # Compose along a BFS tree of H, (x g_i) |> n = x |> (g_i |> n); each
+    # other Cayley edge x -> y = x g_i must agree on N's generators.
+    tree, well_defined = _along_bfs_tree(
+        H.generators, H.identity, H.mult, array("I", range(N.order)),
+        lambda prev, i: array("I", map(prev.__getitem__, rows[i])),
+        lambda ay, ax, i: all(ay[k] == ax[rows[i][k]] for k in kgens))
     if not well_defined:
         raise ActionNotWellDefined(
             "generator automorphisms violate the acting group's relations")
-
-    trivial = all(gmap[n] == n for gmap in gen_maps for n in N.ordered)
-
+    act = [tree[h] for h in H.ordered]
+    hid = element_ids(H)
     nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
 
     def mult(a, b):
-        return (el.PAIR, nm(a[1], act[a[2]][b[1]]), hm(a[2], b[2]))
+        return (el.PAIR, nm(a[1], ns[act[hid[a[2]]][nid[b[1]]]]),
+                hm(a[2], b[2]))
 
     def inv(a):
         h_inv = hi(a[2])
-        return (el.PAIR, act[h_inv][ni(a[1])], h_inv)
+        return (el.PAIR, ns[act[hid[h_inv]][nid[ni(a[1])]]], h_inv)
 
     if label is None:
-        sep = " x " if trivial else " x| "
-        label = f"{N.label}{sep}{H.label}"
+        trivial = all(row == tree[H.identity] for row in rows)
+        label = f"{N.label}{' x ' if trivial else ' x| '}{H.label}"
     return _product_handle(N, H, act, mult, inv, label)
 
 
-@memoised("action")
-def action_ids(G: GroupHandle) -> Optional[list[array]]:
-    """For G = N x| H, a[j][i] = id of h_j |> n_i in N; None for a direct
-    product; memoised."""
-    N, H, act = G.origin.left, G.origin.right, G.origin.act
-    if act is None:
-        return None
-    nid = element_ids(N)
-    return [array("I", [nid[image[x]] for x in N.ordered])
-            for image in map(act.__getitem__, H.ordered)]
-
-
 def _pair_mul(N: GroupHandle, H: GroupHandle, a) -> Callable[[int, int], int]:
-    """Id multiplication of N x H, or of N x| H when the action ids a are
-    given: ids i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2)
-    with a[j] the action of h_j on N's ids (the identity for a direct
-    product)."""
+    """Id multiplication of N x H, or of N x| H with a = ``Product.act``:
+    ids i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2) with a[j]
+    the action of h_j on N's ids (the identity for a direct product)."""
     nm, hm, m = id_mul(N), id_mul(H), H.order
     if a is None:
         def mul(x, y):

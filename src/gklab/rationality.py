@@ -43,10 +43,10 @@ accident.  Four lemmas let it scan less:
 The units mod n (``_units``) are plain arithmetic, memoised per n and shared
 by both oracles and the product predicate; they hold no group data.
 
-A direct product's report computes one verdict per pair of factor-class
-keys, a key being a class's order and iota image (``_product_verdicts``);
-each verdict is still read by ``_class_verdict`` from the product's own power
-map row.
+A direct product's report is built from its factors' reports
+(``memoised(product=_product_report)``): one verdict per pair of
+factor-class keys, a key being a class's order and iota image, each still
+read by ``_class_verdict`` from the product's own power map row.
 
 :func:`product_cut_predicate` decides whether G x H is cut from the factors'
 per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
@@ -63,8 +63,8 @@ from itertools import product
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import GroupHandle, direct_factors, ids_of, memoised
-from .structure import ConjugacyData, conjugacy_classes
+from .groups import GroupHandle, ids_of, memoised
+from .structure import conjugacy_classes
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -133,17 +133,8 @@ def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
     return ElementVerdict(n, len(exps), exps, verdict)
 
 
-@memoised("rationality")
-def rationality_report(G: GroupHandle) -> RationalityReport:
-    """Every class's verdict, and the group's; memoised.  A direct product
-    computes one verdict per pair of factor-class keys
-    (``_product_verdicts``)."""
-    data = conjugacy_classes(G)
-    if factors := direct_factors(G):
-        verdicts = _product_verdicts(data, *factors)
-    else:
-        verdicts = tuple(map(_class_verdict, range(len(data.powers)),
-                             data.powers))
+def _report(verdicts: tuple[ElementVerdict, ...]) -> RationalityReport:
+    """The report on the classes with these verdicts, in class order."""
     return RationalityReport(
         per_class=verdicts,
         is_rational=all(v.verdict == RATIONAL for v in verdicts),
@@ -153,27 +144,38 @@ def rationality_report(G: GroupHandle) -> RationalityReport:
     )
 
 
-def _product_verdicts(data: ConjugacyData, A: GroupHandle,
-                      B: GroupHandle) -> tuple[ElementVerdict, ...]:
-    """Verdicts of the classes of A x B, class (a, b) numbered a*k(B) + b.
+def _product_report(G: GroupHandle, ra: RationalityReport,
+                    rb: RationalityReport) -> RationalityReport:
+    """The report of G = A x B from its factors', class (a, b) numbered
+    a*k(B) + b.
 
     The key of a factor class is (|g|, iota image of g), read off the
     factor's own report.  (g, h)^m lies in the class of (g, h) iff m mod |g|
     and m mod |h| lie in the two images, and in the class of (g, h)^-1 iff
     -m does, so the pair of keys fixes the product class's verdict: it is
-    computed by ``_class_verdict`` on the product's row for the first class
-    with that pair, and shared by the others.
+    computed by ``_class_verdict`` on G's row for the first class with that
+    pair, and shared by the others.
     """
-    keys = [[(v.order, v.iota_exponents)
-             for v in rationality_report(F).per_class] for F in (A, B)]
+    powers = conjugacy_classes(G).powers
+    keys = [[(v.order, v.iota_exponents) for v in r.per_class]
+            for r in (ra, rb)]
     seen: dict = {}
     out = []
     for cid, key in enumerate(product(*keys)):
         v = seen.get(key)
         if v is None:
-            v = seen[key] = _class_verdict(cid, data.powers[cid])
+            v = seen[key] = _class_verdict(cid, powers[cid])
         out.append(v)
-    return tuple(out)
+    return _report(tuple(out))
+
+
+@memoised("rationality", product=_product_report)
+def rationality_report(G: GroupHandle) -> RationalityReport:
+    """Every class's verdict, and the group's; memoised.  A direct product
+    computes one verdict per pair of factor-class keys
+    (``_product_report``)."""
+    powers = conjugacy_classes(G).powers
+    return _report(tuple(map(_class_verdict, range(len(powers)), powers)))
 
 
 def is_rational_group(G: GroupHandle) -> bool:

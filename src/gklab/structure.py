@@ -522,14 +522,6 @@ def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
             yield rep, row
 
 
-def _cyclic_normal_subgroups(G: GroupHandle, prime_order_only=False):
-    """Normal subgroups <g> (one per generated subgroup), walked on ids."""
-    mul = id_mul(G)
-    e = identity_id(G)
-    for rep, _ in _normal_cyclic_rows(G, prime_order_only):
-        yield SubgroupHandle(G, frozenset(_power_walk(mul, e, rep)), True)
-
-
 def is_metacyclic(G: GroupHandle) -> bool:
     """Some cyclic normal N, the union of the classes in cs, has an element
     gN of order |G : N| in G/N; no quotient is built."""
@@ -562,9 +554,11 @@ def is_supersolvable(G: GroupHandle) -> bool:
     memoised."""
     if G.order == 1:
         return True
-    N = next(_cyclic_normal_subgroups(G, prime_order_only=True), None)
-    if N is None:
+    first = next(_normal_cyclic_rows(G, prime_order_only=True), None)
+    if first is None:
         return False
+    walk = _power_walk(id_mul(G), identity_id(G), first[0])
+    N = SubgroupHandle(G, frozenset(walk), True)
     return N.order == G.order or is_supersolvable(quotient(G, N))
 
 

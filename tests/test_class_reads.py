@@ -18,7 +18,7 @@ from gklab import catalog
 from gklab.frobenius import _find_complement, _kernel_condition, fingerprint
 from gklab.groups import Span, element_ids, id_mul, id_powers
 from gklab.structure import (InvariantFailed, SubgroupHandle, _is_normal,
-                             _cyclic_normal_subgroups, _power_walk,
+                             _normal_cyclic_rows, _power_walk,
                              conjugacy_classes, fitting, fitting_series,
                              is_cyclic, is_metacyclic, is_supersolvable,
                              quotient)
@@ -170,8 +170,12 @@ def test_no_complement_is_an_invariant_failure(s3):
 
 @pytest.mark.parametrize("prime_order_only", [False, True])
 def test_cyclic_normal_subgroups_match_walk(groups, prime_order_only):
+    """The walk of <rep> for each row read off the class data, as
+    ``is_supersolvable`` takes it for the prime orders."""
     for G in groups:
-        got = [N.ids for N in _cyclic_normal_subgroups(G, prime_order_only)]
+        mul, e = id_mul(G), element_ids(G)[G.identity]
+        got = [frozenset(_power_walk(mul, e, rep))
+               for rep, _ in _normal_cyclic_rows(G, prime_order_only)]
         want = [N.ids for N in
                 _reference_cyclic_normal_subgroups(G, prime_order_only)]
         assert got == want, G.label

@@ -10,6 +10,7 @@ and with the bound at 0, where no group may build a Cayley table.
 """
 
 import random
+from array import array
 from contextlib import contextmanager
 from dataclasses import replace
 from math import gcd
@@ -20,7 +21,7 @@ from sympy import factorint
 
 from gklab import catalog, groups
 from gklab import elements as el
-from gklab.groups import (closure_in, direct_product, element_ids,
+from gklab.groups import (Product, closure_in, direct_product, element_ids,
                           element_order, enumerate_group, id_mul, id_powers,
                           semidirect_product, small_generating_set)
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
@@ -145,14 +146,16 @@ SOLVABLE = {"S4": lambda: catalog.sym(4), "SL(2,3)": catalog.sl2_3,
             "C5^2:Q8": lambda: catalog.catalog_entry("fig3.e").build()}
 
 
+SEMIDIRECT_KINDS = ["semidirect", "semidirect-of-direct", "inner-semidirect"]
+KINDS = ["perm", "matrix", "direct", *SEMIDIRECT_KINDS, "quotient-of-product",
+         "quotient-of-quotient", "view"]
+
+
 @st.composite
-def _recipes(draw):
+def _recipes(draw, kinds=KINDS):
     """(name, builder): a zero-argument builder of a fresh group, so that
     each example builds its ids under the bound the test has set."""
-    kind = draw(st.sampled_from(
-        ["perm", "matrix", "direct", "semidirect", "semidirect-of-direct",
-         "inner-semidirect", "quotient-of-product", "quotient-of-quotient",
-         "view"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "perm":
         n = draw(st.integers(2, 5))
         perms = draw(st.lists(st.permutations(range(n)), min_size=1,
@@ -274,6 +277,97 @@ class TestIdMultiplication:
             for _ in range(60):
                 a, b, c = _sample_ids(G, rng, 3)
                 assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+def _reference_action(N, H, action):
+    """h -> {n: h |> n} for every h in H, as element dicts: each generator's
+    images extended along a breadth-first search of N, then composed along
+    one of H as (x g) |> n = x |> (g |> n)."""
+    gen_maps = []
+    for images in action:
+        amap, frontier = {N.identity: N.identity}, [N.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g, image in zip(N.generators, images):
+                    y = N.mult(x, g)
+                    if y not in amap:
+                        amap[y] = N.mult(amap[x], image)
+                        new.append(y)
+            frontier = new
+        gen_maps.append(amap)
+    act, frontier = {H.identity: {n: n for n in N.ordered}}, [H.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, gmap in zip(H.generators, gen_maps):
+                y = H.mult(x, g)
+                if y not in act:
+                    act[y] = {n: act[x][gmap[n]] for n in N.ordered}
+                    new.append(y)
+        frontier = new
+    return act
+
+
+@contextmanager
+def _recording_semidirect():
+    """Record (G, N, H, action) for every semidirect product built, in the
+    catalog or in a recipe."""
+    made = []
+    build = groups.semidirect_product
+
+    def record(N, H, action, label=None):
+        G = build(N, H, action, label)
+        made.append((G, N, H, action))
+        return G
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "semidirect_product", record)
+        mp.setitem(globals(), "semidirect_product", record)
+        yield made
+
+
+def _check_action(G, N, H, action, rng):
+    """G's action rows are the reference's element maps read as ids, and
+    its element products and inverses are (n1 * (h1 |> n2), h1 h2) and
+    (h^-1 |> n^-1, h^-1) on sampled pairs."""
+    ref = _reference_action(N, H, action)
+    nid = {x: i for i, x in enumerate(N.ordered)}
+    act = G.origin.act
+    assert len(act) == H.order
+    for row, h in zip(act, H.ordered):
+        assert isinstance(row, array) and row.typecode == "I"
+        assert list(row) == [nid[ref[h][n]] for n in N.ordered], G.label
+    for _ in range(40):
+        n1, n2 = rng.choice(N.ordered), rng.choice(N.ordered)
+        h1, h2 = rng.choice(H.ordered), rng.choice(H.ordered)
+        a, b = (el.PAIR, n1, h1), (el.PAIR, n2, h2)
+        assert G.mult(a, b) == (el.PAIR, N.mult(n1, ref[h1][n2]),
+                                H.mult(h1, h2))
+        hi = H.inv(h1)
+        assert G.inv(a) == (el.PAIR, ref[hi][N.inv(n1)], hi)
+
+
+class TestSemidirectAction:
+    @by_bound
+    @settings(max_examples=30, deadline=None)
+    @given(recipe=_recipes(SEMIDIRECT_KINDS), seed=st.integers(0, 2**16))
+    def test_recipes_match_element_maps(self, bound, recipe, seed):
+        with _bound(bound), _recording_semidirect() as made:
+            G = recipe[1]()
+        assert [r[0] for r in made] == [G]
+        _check_action(*made[0], random.Random(seed))
+
+    def test_catalog_and_sweep_match_element_maps(self):
+        with _recording_semidirect() as made:
+            gs = [entry.build() for entry in catalog.catalog()]
+            gs += [build() for _, _, build in catalog.frobenius_family_sweep()]
+        semidirect = [G for G in gs if isinstance(G.origin, Product)
+                      and G.origin.act is not None]
+        assert len(semidirect) == 6 + 13  # fig3.e/h, twofrob.*, the sweep
+        assert {id(G) for G in semidirect} <= {id(r[0]) for r in made}
+        rng = random.Random(0)
+        for r in made:
+            _check_action(*r, rng)
 
 
 class TestClosures:

@@ -42,7 +42,7 @@ def _without_factors(P: GroupHandle) -> GroupHandle:
     """P with its ids and tables, built as A x| B under the trivial action:
     the orbit and walk path."""
     A, B = direct_factors(P)
-    trivial = dict.fromkeys(B.ordered, {x: x for x in A.ordered})
+    trivial = [list(range(A.order))] * B.order
     R = replace(P, origin=Product(A, B, trivial))
     R._memo["conj_tables"] = conjugation_tables(P)
     return R
