@@ -29,7 +29,8 @@ products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
 follow the value order; the one hash structure of a group is the memoised
-id dict (``element_ids``), which membership and ``G.elements`` read.  Every
+id dict (``element_ids``), which ``G.elements`` reads.  Membership reads
+``ids_of``, so a product's reads its factors' dicts and lists no pair.  Every
 group multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
@@ -59,11 +60,12 @@ group multiplies ids (``id_mul``) the way it was built:
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
 5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
 15%; a corpus pass keeps the tables of all its groups alive at once.  No
-|G|^2 structure exists above the bound.  ``id_powers`` walks each cyclic
-subgroup once on ids in every kind of group (``_power_walk``, which the
-class power map walks too) and gives every id's order and inverse; ``Span``
-grows a subgroup on ids one generator at a time (Dimino's algorithm), which
-closures, generating sets, Sylow growth, Fitting and normal closures run on.
+|G|^2 structure exists above the bound, and no group holds an order or an
+inverse for every id: ``_power_walk`` walks <g> on ids only for the few g
+that need it (class representatives, generators, the candidates Sylow
+growth tests).  ``Span`` grows a subgroup on ids one generator at a time
+(Dimino's algorithm), which closures, generating sets, Sylow growth,
+Fitting and normal closures run on.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, field, replace
-from math import gcd
 from operator import itemgetter
 from typing import Callable, KeysView, Optional, Sequence
 
@@ -155,8 +156,8 @@ class GroupHandle:
     a list that keeps this invariant, as ``listed``, except a product, which
     passes None: its origin lists its pairs on the first read of
     ``ordered`` (``Product.ordered``), and its order is its factors'.  The
-    handle holds no other copy of its elements: membership and ``elements``
-    read the memoised id dict.
+    handle holds no other copy of its elements: ``elements`` reads the
+    memoised id dict, and membership ``ids_of``.
     """
     label: str
     generators: tuple[Element, ...]
@@ -183,7 +184,11 @@ class GroupHandle:
         return element_ids(self).keys()
 
     def __contains__(self, g: Element) -> bool:
-        return g in element_ids(self)
+        try:
+            ids_of(self, [g])
+        except NotMember:
+            return False
+        return True
 
     def conjugate(self, g: Element, x: Element) -> Element:
         """g^x = x^-1 g x."""
@@ -398,29 +403,6 @@ def induced_mul(mul, out, into) -> Callable[[int, int], int]:
     """Multiplication carried over from elsewhere: out maps this group's ids
     there, into maps the product back."""
     return lambda a, b: into[mul(out[a], out[b])]
-
-
-@memoised("id_powers")
-def id_powers(G: GroupHandle) -> tuple[array, array]:
-    """(orders, inverses), both indexed by id; memoised.
-
-    Each id not yet seen starts a walk over its cyclic subgroup 1, g, ...,
-    g^(n-1) on ``id_mul`` (``_power_walk``): g^k gets order n / gcd(k, n)
-    and inverse g^(n-k).
-    """
-    mul = id_mul(G)
-    e = identity_id(G)
-    orders = array("I", [0]) * G.order
-    inverses = orders[:]
-    for g in range(G.order):
-        if orders[g]:
-            continue
-        powers = _power_walk(mul, e, g)
-        n = len(powers)
-        for k, x in enumerate(powers):
-            orders[x] = n // gcd(k, n)
-            inverses[x] = powers[-k]
-    return orders, inverses
 
 
 def _power_walk(mul, e: int, g: int) -> list[int]:

@@ -8,8 +8,10 @@ element set is derived on first read.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
-  normalizes P.  Orders and inverses are read from ``groups.id_powers``, so
-  no element's order is recomputed per step.
+  normalizes P.  The candidates are the members of the classes whose
+  power-map row length is a power of p > 1, and an inverse is walked
+  (``groups._power_walk``) only for a candidate that is tested, once per
+  call.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -41,9 +43,9 @@ element set is derived on first read.  Deliberate choices:
   the same way.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
-  0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``,
-  the walk ``groups.id_powers`` takes).  Class orders are row
-  lengths, and the rationality verdicts read the rows.
+  0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``).
+  Element orders are read from it as row lengths; no table of orders by id
+  is kept.  Sylow growth and the rationality verdicts read the rows.
 * A direct product G x H visits no element: each rule here is stated once,
   as the ``product`` argument of ``groups.memoised``, and reads the
   factors' memoised results.  Its classes are the products C x D of the
@@ -90,7 +92,7 @@ from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
                      conjugation_tables, direct_factors, direct_product,
                      element_order, elements_at, generator_ids, id_mul,
-                     id_powers, id_set, identity_id, ids_of, memoised,
+                     id_set, identity_id, ids_of, memoised,
                      small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
@@ -285,11 +287,14 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     p_part = p ** factorint(G.order).get(p, 0)
-    orders, inverses = id_powers(G)
+    data = conjugacy_classes(G)
+    # orders are row lengths and divide |G|: a class of order > 1 holds
+    # p-elements iff its order divides p_part
+    p_class = [1 < len(row) and p_part % len(row) == 0 for row in data.powers]
+    candidates = [x for x, c in enumerate(data.class_ids) if p_class[c]]
     mul = id_mul(G)
-    # element orders divide |G|, so order | p_part iff it is a power of p
-    candidates = [x for x in range(G.order)
-                  if orders[x] > 1 and p_part % orders[x] == 0]
+    e = identity_id(G)
+    inverses = {}  # of the candidates tested, walked once each
     P = Span(G)
     members, gens = P.elements, P.gens
     while len(members) < p_part:
@@ -297,7 +302,9 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
         for x in candidates:
             if x in members:
                 continue
-            xi = inverses[x]
+            xi = inverses.get(x)
+            if xi is None:
+                xi = inverses[x] = _power_walk(mul, e, x)[-1]
             if all(mul(xi, mul(s, x)) in members for s in gens):
                 break
         else:

@@ -16,7 +16,7 @@ from sympy import isprime
 
 from gklab import catalog
 from gklab.frobenius import _find_complement, _kernel_condition, fingerprint
-from gklab.groups import Span, element_ids, id_mul, id_powers
+from gklab.groups import Span, element_ids, id_mul, identity_id
 from gklab.structure import (InvariantFailed, SubgroupHandle, _is_normal,
                              _normal_cyclic_rows, _power_walk,
                              conjugacy_classes, fitting, fitting_series,
@@ -39,8 +39,8 @@ def _reference_complement(G, ks, m):
     """Even m: C_G(t) for the first involution t outside the kernel whose
     centralizer is a complement.  Odd m: bounded search over at most 3
     generators of order dividing m.  None when nothing is found."""
-    orders = id_powers(G)[0]
-    mul = id_mul(G)
+    mul, e = id_mul(G), identity_id(G)
+    orders = [len(_power_walk(mul, e, i)) for i in range(G.order)]
     if m % 2 == 0:
         for t in range(G.order):
             if t in ks or orders[t] != 2:

@@ -28,8 +28,25 @@ SPEC = {
 # the analyze bytes of SPEC, pinned before generator words were dropped
 SPEC_REPORT_SHA256 = \
     "52a6553c1ffab02bedcb11a5bd68678ec98dd6dcc1f753ec9607ef9b221356f5"
+# GL(2,11), 13,200 elements: an enumerated group above TABLE_BOUND, whose
+# ids multiply by element products (its analyze bytes, pinned before the
+# table of orders and inverses by id was deleted)
+GL2_11_SPEC = {"groups": {"gl2_11": {
+    "type": "matgrp", "p": 11, "gens": [[[2, 0], [0, 1]], [[10, 1], [10, 0]]]}}}
+GL2_11_REPORT_SHA256 = \
+    "3fa9bb1c06872b876bbf7290b5155f88279ea89e177ea6dbc5a966572060b496"
 
 C1 = {"type": "builtin", "name": "cyclic", "args": [1]}
+
+
+def _report_sha256(tmp_path, spec: dict) -> str:
+    """sha256 of the analyze JSON of spec, written to spec.json in tmp_path,
+    the working directory."""
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    report = cli.analysis_report(cli.load_spec("spec.json"),
+                                 {"spec": "spec.json"})
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def wide_spec(k: int) -> dict:
@@ -151,11 +168,12 @@ class TestAnalyze:
 
     def test_pinned_report_sha256(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
-        report = cli.analysis_report(cli.load_spec("spec.json"),
-                                     {"spec": "spec.json"})
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == SPEC_REPORT_SHA256
+        assert _report_sha256(tmp_path, SPEC) == SPEC_REPORT_SHA256
+
+    def test_pinned_report_sha256_above_table_bound(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _report_sha256(tmp_path, GL2_11_SPEC) == GL2_11_REPORT_SHA256
 
     def test_unwritable_output(self, spec_path, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"

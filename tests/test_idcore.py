@@ -21,9 +21,10 @@ from sympy import factorint
 
 from gklab import catalog, groups
 from gklab import elements as el
-from gklab.groups import (Product, closure_in, direct_product, element_ids,
-                          element_order, enumerate_group, id_mul, id_powers,
-                          semidirect_product, small_generating_set)
+from gklab.groups import (Product, _power_walk, closure_in, direct_product,
+                          element_ids, element_order, enumerate_group, id_mul,
+                          identity_id, semidirect_product,
+                          small_generating_set)
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
                                element_verdict, is_cut_group)
@@ -251,20 +252,24 @@ class TestIdMultiplication:
         with _bound(bound):
             G = recipe[1]()
             srt, ids = G.ordered, element_ids(G)
-            mul = id_mul(G)
-            orders, inverses = id_powers(G)
+            mul, e = id_mul(G), identity_id(G)
+            data = conjugacy_classes(G)
             rng = random.Random(seed)
             context_free = G.mult is el.mul  # an enumerated group
             for i, j in zip(_sample_ids(G, rng, 60), _sample_ids(G, rng, 60)):
                 assert mul(i, j) == ids[G.mult(srt[i], srt[j])]
                 if context_free:
                     assert mul(i, j) == ids[el.mul(srt[i], srt[j])]
+            # the inverse Sylow growth takes: the last power on the walk
             for i in range(G.order):
-                assert inverses[i] == ids[G.inv(srt[i])]
+                inverse = _power_walk(mul, e, i)[-1]
+                assert inverse == ids[G.inv(srt[i])]
                 if context_free:
-                    assert inverses[i] == ids[el.inv(srt[i])]
+                    assert inverse == ids[el.inv(srt[i])]
+            # the order of each id: the row length of its class
             for i in _sample_ids(G, rng, 20):
-                assert orders[i] == element_order(G, srt[i])
+                assert len(data.powers[data.class_ids[i]]) == \
+                    element_order(G, srt[i])
 
     @by_bound
     @settings(max_examples=40, deadline=None)
@@ -497,7 +502,7 @@ class _Poison:
     __getattr__ = _fail
 
 
-ID_CORE_KEYS = ("ids", "id_mul", "id_powers", "conj_tables")
+ID_CORE_KEYS = ("ids", "id_mul", "conj_tables")
 
 
 def _c5sq_c4():

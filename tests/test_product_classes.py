@@ -12,8 +12,7 @@ factors, stay checked against an independent computation of each product.
 Classes, verdicts, prime graphs, fingerprints, the analysis report of every
 catalog product and the per-group checks of `verify invariants` list no
 product's pairs, at any level of nesting, and Sylow subgroups and
-nilpotency build no direct product's orders, inverses, multiplication or
-conjugation tables.
+nilpotency build no direct product's multiplication or conjugation tables.
 """
 
 import functools
@@ -27,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 from gklab import catalog
 from gklab.cli import analysis_report
 from gklab.frobenius import fingerprint
-from gklab.groups import (GroupHandle, Product, conjugation_tables,
-                          direct_factors, direct_product, id_powers,
-                          subgroup_as_group)
+from gklab.groups import (GroupHandle, Product, _power_walk,
+                          conjugation_tables, direct_factors, direct_product,
+                          id_mul, identity_id, subgroup_as_group)
 from gklab.primegraph import gk_graph
 from gklab.rationality import _class_verdict, rationality_report
 from gklab.numtheory import factorint
@@ -56,9 +55,16 @@ def _check_verdicts(P: GroupHandle) -> None:
         map(_class_verdict, range(len(data.powers)), data.powers))
 
 
+def _walks(G: GroupHandle) -> list[list[int]]:
+    """The walk 1, g, g^2, ... of every id g on ``id_mul``, local to these
+    tests: the library keeps no order or inverse for every id."""
+    mul, e = id_mul(G), identity_id(G)
+    return [_power_walk(mul, e, g) for g in range(G.order)]
+
+
 def _check_against_reference(P: GroupHandle) -> None:
     _check_verdicts(P)
-    data, powers = conjugacy_classes(P), id_powers(P)
+    data = conjugacy_classes(P)
     R = _without_factors(P)
     ref = conjugacy_classes(R)
     assert data.rep_ids == ref.rep_ids
@@ -67,7 +73,7 @@ def _check_against_reference(P: GroupHandle) -> None:
     assert list(data.class_ids) == list(ref.class_ids)
     # the element view, derived from the id fields
     assert data.representatives == ref.representatives
-    assert powers == id_powers(R)
+    assert _walks(P) == _walks(R)
 
 
 @functools.cache
@@ -157,8 +163,8 @@ def _id_cores(G: GroupHandle) -> list[str]:
     if not (factors := direct_factors(G)):
         return []
     return [*_id_cores(factors[0]), *_id_cores(factors[1]),
-            *(f"{G.label}.{key}" for key in ("id_powers", "id_mul",
-                                             "conj_tables") if key in G._memo)]
+            *(f"{G.label}.{key}" for key in ("id_mul", "conj_tables")
+              if key in G._memo)]
 
 
 @pytest.mark.parametrize("build", [
@@ -265,8 +271,8 @@ def test_product_class_laws(pair):
     assert [len(row) for row in data.powers] == [
         lcm(len(ra), len(rb)) for ra in da.powers for rb in db.powers]
     # element orders by id agree with the row of each element's class;
-    # (x_i, y_j) has order lcm(|x_i|, |y_j|), read off the factors' orders
-    orders = [lcm(x, y) for x in id_powers(a)[0] for y in id_powers(b)[0]]
+    # (x_i, y_j) has order lcm(|x_i|, |y_j|), read off the factors' walks
+    orders = [lcm(len(x), len(y)) for x in _walks(a) for y in _walks(b)]
     assert all(orders[i] == len(data.powers[c])
                for i, c in enumerate(data.class_ids))
     _check_verdicts(P)

@@ -431,6 +431,42 @@ def test_product_quotient_lists_no_pair(monkeypatch):
     assert listed == []
 
 
+def test_product_membership_lists_no_pair(monkeypatch):
+    """``g in P`` reads the factors' ids (``ids_of``): for S4 x S5 and a
+    nested product it lists no pair and builds no id dict, and members,
+    pairs with a foreign component and non-pairs get the answers the id
+    dict of all pairs gives."""
+    def queries(P):
+        (a,), (b,) = (elements_at(F, [F.order - 1])
+                      for F in direct_factors(P))
+        return [*elements_at(P, range(0, P.order, 37)),
+                (el.PAIR, b, a), (el.PAIR, a, el.perm_from_cycles(6, [])),
+                (el.PAIR, a, el.mat(3, [[1]])), (el.PAIR, a),
+                ("P", a, b), a, b, 5, (), P.identity]
+
+    builds = [lambda: direct_product(catalog.sym(4), catalog.sym(5)),
+              NESTED["(S3xC2)x(C3xA4)"]]
+    listed = []
+    ordered = Product.__dict__["ordered"].func
+
+    def spy(origin):
+        listed.append(origin)
+        return ordered(origin)
+    with monkeypatch.context() as mp:
+        mp.setattr(Product, "ordered", property(spy))
+        got = []
+        for build in builds:
+            P = build()
+            got.append([x in P for x in queries(P)])
+            assert "ids" not in P._memo
+        assert listed == []
+    for build, answers in zip(builds, got):
+        P = build()
+        ids = {x: i for i, x in enumerate(P.ordered)}
+        assert answers == [x in ids for x in queries(P)]
+        assert answers.count(True) == len(range(0, P.order, 37)) + 1
+
+
 def test_product_quotient_checks_normality():
     """A non-normal C2 of S3 times the trivial subgroup of C2 is refused by
     S3's own quotient, and a subgroup of a factor by the membership check."""

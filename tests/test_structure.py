@@ -7,8 +7,7 @@ from sympy import factorint
 from gklab import catalog
 from gklab import elements as el
 from gklab.groups import (closure_in, direct_product, element_ids,
-                          element_order, generator_ids, id_powers,
-                          small_generating_set)
+                          element_order, generator_ids, small_generating_set)
 from gklab.primegraph import gk_graph, product_graph
 from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
                              centralizer, class_predicates,
@@ -17,6 +16,7 @@ from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
                              is_cyclic, is_nilpotent, is_p_element,
                              is_solvable, minimal_normal_subgroups,
                              normalizer_of_cyclic, quotient, sylow)
+from test_idcore import BOUNDS, _bound
 
 
 class TestConjugacy:
@@ -120,21 +120,46 @@ def _small_catalog_groups():
             catalog.quaternion8_times_c3(), catalog.c7_c3(), catalog.c7_c6()]
 
 
+# three semidirect products of the Frobenius family sweep; the last one's
+# acting group is itself a semidirect product
+SWEEP_SYLOW = ("C3^2 x| Q8", "C7^2 x| C6", "C5^2 x| (C3 x| C4)")
+
+
+def _sylow_inputs():
+    """The corpus and the small catalog groups by label, then quotients,
+    subgroup views and sweep semidirect products, all built fresh."""
+    groups = {G.label: G for G in catalog.corpus(1, 60, 700)}
+    for G in _small_catalog_groups():
+        groups.setdefault(G.label, G)
+    out = [(label, groups[label]) for label in sorted(groups)]
+    s4, dic12 = catalog.sym(4), catalog.dicyclic12()
+    twofrob = catalog.catalog_entry("twofrob.c").build()
+    out += [("S4/O_2", quotient(s4, core_p(s4, 2))),
+            ("Dic12/O_3", quotient(dic12, core_p(dic12, 3))),
+            ("twofrob.c/F_1", quotient(twofrob, fitting(twofrob))),
+            ("Syl_2(S4)", sylow(s4, 2).as_group()),
+            ("F_2(twofrob.c)", fitting_series(twofrob).series[2].as_group())]
+    out += [(name, build()) for name, _, build
+            in catalog.frobenius_family_sweep() if name in SWEEP_SYLOW]
+    return out
+
+
 class TestSylowDifferential:
     def test_matches_normalizer_scan(self):
-        groups = {G.label: G for G in catalog.corpus(1, 60, 700)}
-        for G in _small_catalog_groups():
-            groups.setdefault(G.label, G)
-        checked = 0
-        for label in sorted(groups):
-            G = groups[label]
-            for p in sorted(factorint(G.order)):
-                elems, normal = _reference_sylow(G, p)
-                got = sylow(G, p)
-                assert got.elements == elems, (label, p)
-                assert got.normal == normal, (label, p)
-                checked += 1
-        assert checked > 90
+        """Sylow growth, whose candidates come from the class rows, against
+        the full normalizer scan, with and without Cayley tables."""
+        for bound in sorted(BOUNDS):
+            with _bound(bound):
+                inputs = _sylow_inputs()
+                checked = 0
+                for label, G in inputs:
+                    for p in sorted(factorint(G.order)):
+                        elems, normal = _reference_sylow(G, p)
+                        got = sylow(G, p)
+                        assert got.elements == elems, (bound, label, p)
+                        assert got.normal == normal, (bound, label, p)
+                        checked += 1
+                assert checked > 120, checked
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +176,22 @@ def order_groups():
     ]
 
 
+def _orders(G):
+    """Order of each id: the length of its class's power-map row."""
+    data = conjugacy_classes(G)
+    return [len(data.powers[c]) for c in data.class_ids]
+
+
 class TestOrderMap:
-    """Orders by id (``id_powers(G)[0]``) against ``element_order``."""
+    """Orders by id (the row length of each id's class) against
+    ``element_order``."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_agrees_with_element_order(self, order_groups, data):
         G = data.draw(st.sampled_from(order_groups))
         i = data.draw(st.integers(0, G.order - 1))
-        assert id_powers(G)[0][i] == element_order(G, G.ordered[i])
+        assert _orders(G)[i] == element_order(G, G.ordered[i])
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -168,15 +200,16 @@ class TestOrderMap:
         p = data.draw(st.sampled_from(sorted(factorint(G.order))))
         S = sylow(G, p)
         assert S.order == _p_part(G.order, p)
-        orders = id_powers(G)[0]
+        orders = _orders(G)
         assert all(_p_part(orders[i], p) == orders[i] for i in S.ids)
 
     def test_memoised_on_own_elements(self, s4):
-        got = id_powers(s4)
-        assert id_powers(s4) is got
+        got = conjugacy_classes(s4)
+        assert conjugacy_classes(s4) is got
         ids = element_ids(s4)
-        assert set(ids) == set(s4.elements) and len(got[0]) == s4.order
-        assert all(got[0][i] == element_order(s4, g) for g, i in ids.items())
+        orders = _orders(s4)
+        assert set(ids) == set(s4.elements) and len(orders) == s4.order
+        assert all(orders[i] == element_order(s4, g) for g, i in ids.items())
 
 
 @pytest.fixture(scope="module")
