@@ -16,6 +16,7 @@ from . import elements as el
 from .groups import (CapExceeded, GroupHandle, check_cap, default_cap,
                      direct_product, enumerate_group, semidirect_product)
 from .numtheory import isprime
+from .primegraph import RATIONAL_REALIZED
 
 
 class OutOfRange(ValueError):
@@ -27,8 +28,7 @@ class CatalogEntry:
     name: str
     build: Callable[[], GroupHandle]
     order: int
-    graph_literal: str
-    is_cut: bool
+    figure: str  # the letter of the Figure 3 entry the group realizes
     is_rational: bool
     frobenius_kind: str
 
@@ -245,56 +245,49 @@ def _twofrob_builders() -> dict[str, Callable[[], GroupHandle]]:
 
 
 def catalog() -> list[CatalogEntry]:
-    """The 18 example groups (a)-(r) plus the four 2-Frobenius witnesses."""
+    """The 18 example groups (a)-(r) plus the four 2-Frobenius witnesses.
+
+    Every entry is a solvable cut group and names the letter of the Figure 3
+    entry it realizes; the graph and the rational status of that entry live
+    in ``primegraph``.  A figure group is rational iff its letter is in
+    ``RATIONAL_REALIZED``; a 2-Frobenius witness records its own flag.
+    """
     e = _q8_action_f5
     g = c7_c3
     l = c7_c6
 
-    def figure(letter, build, order, graph, rational, kind):
-        return CatalogEntry(f"fig3.{letter}", build, order, graph, True,
-                            rational, kind)
+    def figure(letter, build, order, kind):
+        return CatalogEntry(f"fig3.{letter}", build, order, letter,
+                            letter in RATIONAL_REALIZED, kind)
 
     tf = _twofrob_builders()
-    entries = [
-        figure("a", lambda: cyclic(2), 2, "2", True, "none"),
-        figure("b", lambda: cyclic(3), 3, "3", False, "none"),
-        figure("c", lambda: sym(3), 6, "2,3", True, "frobenius"),
-        figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, "2-3",
-               True, "none"),
-        figure("e", e, 200, "2,5", True, "frobenius"),
-        figure("f", lambda: direct_product(e(), cyclic(2)), 400, "2-5",
-               True, "none"),
-        figure("g", g, 21, "3,7", False, "frobenius"),
-        figure("h", _dic3_action_f5, 300, "2-3,5", False, "frobenius"),
+    return [
+        figure("a", lambda: cyclic(2), 2, "none"),
+        figure("b", lambda: cyclic(3), 3, "none"),
+        figure("c", lambda: sym(3), 6, "frobenius"),
+        figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, "none"),
+        figure("e", e, 200, "frobenius"),
+        figure("f", lambda: direct_product(e(), cyclic(2)), 400, "none"),
+        figure("g", g, 21, "frobenius"),
+        figure("h", _dic3_action_f5, 300, "frobenius"),
         figure("i", lambda: direct_product(_dic3_action_f5(), cyclic(2)),
-               600, "2-3,2-5", False, "none"),
-        figure("j", lambda: direct_product(e(), cyclic(3)), 600, "2-3,3-5",
-               False, "none"),
-        figure("k", lambda: direct_product(e(), sym(3)), 1200, "2-3,2-5,3-5",
-               True, "none"),
-        figure("l", l, 42, "2-3,7", False, "frobenius"),
-        figure("m", lambda: direct_product(l(), cyclic(2)), 84, "2-3,2-7",
-               False, "none"),
-        figure("n", lambda: direct_product(l(), cyclic(3)), 126, "2-3,3-7",
-               False, "none"),
-        figure("o", lambda: direct_product(g(), sym(3)), 126, "2-3,2-7,3-7",
-               False, "none"),
-        figure("p", lambda: direct_product(e(), g()), 4200, "2-3,2-7,3-5,5-7",
-               False, "none"),
+               600, "none"),
+        figure("j", lambda: direct_product(e(), cyclic(3)), 600, "none"),
+        figure("k", lambda: direct_product(e(), sym(3)), 1200, "none"),
+        figure("l", l, 42, "frobenius"),
+        figure("m", lambda: direct_product(l(), cyclic(2)), 84, "none"),
+        figure("n", lambda: direct_product(l(), cyclic(3)), 126, "none"),
+        figure("o", lambda: direct_product(g(), sym(3)), 126, "none"),
+        figure("p", lambda: direct_product(e(), g()), 4200, "none"),
         figure("q", lambda: direct_product(direct_product(e(), g()), cyclic(2)),
-               8400, "2-3,2-5,2-7,3-5,5-7", False, "none"),
+               8400, "none"),
         figure("r", lambda: direct_product(direct_product(e(), l()), cyclic(3)),
-               25200, "2-3,2-5,2-7,3-5,3-7,5-7", False, "none"),
-        CatalogEntry("twofrob.c", tf["c"], 24, "2,3", True, True,
-                     "2-frobenius"),
-        CatalogEntry("twofrob.e", tf["e"], 320, "2,5", True, False,
-                     "2-frobenius"),
-        CatalogEntry("twofrob.g", tf["g"], 15309, "3,7", True, False,
-                     "2-frobenius"),
-        CatalogEntry("twofrob.l", tf["l"], 2688, "2-3,7", True, False,
-                     "2-frobenius"),
+               25200, "none"),
+        CatalogEntry("twofrob.c", tf["c"], 24, "c", True, "2-frobenius"),
+        CatalogEntry("twofrob.e", tf["e"], 320, "e", False, "2-frobenius"),
+        CatalogEntry("twofrob.g", tf["g"], 15309, "g", False, "2-frobenius"),
+        CatalogEntry("twofrob.l", tf["l"], 2688, "l", False, "2-frobenius"),
     ]
-    return entries
 
 
 def catalog_entry(name: str) -> CatalogEntry:

@@ -136,6 +136,10 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             return cat.catalog_entry(recipe["name"]).build().relabel(name)
         if kind == "direct":
             names = recipe["factors"]
+            if not (isinstance(names, list)
+                    and all(isinstance(n, str) for n in names)):
+                raise SpecError(f"bad recipe {name!r}: factors needs a list "
+                                f"of recipe names, got {json.dumps(names)}")
             if len(names) < 2:
                 raise SpecError(f"bad recipe {name!r}: needs 2 factors or more")
             factors = resolve(names, len(names) - 1)
@@ -143,9 +147,15 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             for H in factors[1:]:
                 G = direct_product(G, H)
             return G.relabel(name)
-        # the one type left: semidirect
+        # the one type left: semidirect, with exactly one form of action
+        matrices = "action_matrices" in recipe
+        if (matrices != ("p" in recipe)
+                or matrices == ("action_images" in recipe)):
+            raise SpecError(f"bad recipe {name!r}: a semidirect recipe takes "
+                            "action_matrices with p, or action_images "
+                            "without p")
         N, H = resolve([recipe["kernel"], recipe["acting"]], 1)
-        if "action_matrices" in recipe:
+        if matrices:
             p = _ints(name, "p", recipe["p"])
             rows = _ints(name, "action_matrices",
                          recipe["action_matrices"], depth=3)

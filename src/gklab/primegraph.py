@@ -59,35 +59,62 @@ class TheoremVerdict:
     citation: str
 
 
-# Figure entries (a)-(v): literal prime-labeled graphs of the classification.
+def parse_graph_literal(text: str) -> PrimeGraph:
+    """Parse literals like "2-3,2-5,7": comma-separated tokens, each ``p``
+    (a vertex) or ``p-q`` (an edge) in decimal digits.  Spaces are ignored,
+    empty tokens skipped, and any other token, or one with more digits than
+    ``int()`` converts, is a ValueError naming it."""
+    vertices: set[int] = set()
+    edges = []
+    for part in text.replace(" ", "").split(","):
+        if not part:
+            continue
+        m = _TOKEN.fullmatch(part)
+        if m is None:
+            raise ValueError(f"bad graph literal token {part!r}: expected "
+                             "p or p-q, in decimal digits")
+        try:
+            ends = [int(x) for x in m.groups() if x is not None]
+        except ValueError:  # int()'s digit limit, far above PRIMALITY_BOUND
+            raise ValueError(f"bad graph literal token {part!r}: too many "
+                             "digits") from None
+        if len(ends) == 1:
+            vertices.add(ends[0])
+        else:
+            edges.append(tuple(ends))
+    graph = PrimeGraph.make(vertices, edges)
+    if any(not isprime(v) for v in graph.vertices):
+        raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")
+    return graph
+
+
+# Figure 3, entries (a)-(v): the literal prime-labeled graphs of the
+# classification, in parse_graph_literal's grammar, parsed once at import.
 FIGURE_GRAPHS: dict[str, PrimeGraph] = {
-    "a": PrimeGraph.make([2], []),
-    "b": PrimeGraph.make([3], []),
-    "c": PrimeGraph.make([2, 3], []),
-    "d": PrimeGraph.make([2, 3], [(2, 3)]),
-    "e": PrimeGraph.make([2, 5], []),
-    "f": PrimeGraph.make([2, 5], [(2, 5)]),
-    "g": PrimeGraph.make([3, 7], []),
-    "h": PrimeGraph.make([2, 3, 5], [(2, 3)]),
-    "i": PrimeGraph.make([2, 3, 5], [(2, 3), (2, 5)]),
-    "j": PrimeGraph.make([2, 3, 5], [(2, 3), (3, 5)]),
-    "k": PrimeGraph.make([2, 3, 5], [(2, 3), (2, 5), (3, 5)]),
-    "l": PrimeGraph.make([2, 3, 7], [(2, 3)]),
-    "m": PrimeGraph.make([2, 3, 7], [(2, 3), (2, 7)]),
-    "n": PrimeGraph.make([2, 3, 7], [(2, 3), (3, 7)]),
-    "o": PrimeGraph.make([2, 3, 7], [(2, 3), (2, 7), (3, 7)]),
-    "p": PrimeGraph.make([2, 3, 5, 7], [(2, 3), (2, 7), (3, 5), (5, 7)]),
-    "q": PrimeGraph.make([2, 3, 5, 7],
-                         [(2, 3), (2, 5), (2, 7), (3, 5), (5, 7)]),
-    "r": PrimeGraph.make([2, 3, 5, 7],
-                         [(2, 3), (2, 5), (2, 7), (3, 5), (3, 7), (5, 7)]),
-    "s": PrimeGraph.make([2, 3, 5, 7], [(2, 3), (2, 7), (3, 5), (3, 7)]),
-    "t": PrimeGraph.make([2, 3, 5, 7], [(2, 3), (2, 5), (2, 7), (3, 5)]),
-    "u": PrimeGraph.make([2, 3, 5, 7],
-                         [(2, 3), (2, 7), (3, 5), (3, 7), (5, 7)]),
-    "v": PrimeGraph.make([2, 3, 5, 7],
-                         [(2, 3), (2, 5), (2, 7), (3, 5), (3, 7)]),
-}
+    letter: parse_graph_literal(text) for letter, text in {
+        "a": "2",
+        "b": "3",
+        "c": "2,3",
+        "d": "2-3",
+        "e": "2,5",
+        "f": "2-5",
+        "g": "3,7",
+        "h": "2-3,5",
+        "i": "2-3,2-5",
+        "j": "2-3,3-5",
+        "k": "2-3,2-5,3-5",
+        "l": "2-3,7",
+        "m": "2-3,2-7",
+        "n": "2-3,3-7",
+        "o": "2-3,2-7,3-7",
+        "p": "2-3,2-7,3-5,5-7",
+        "q": "2-3,2-5,2-7,3-5,5-7",
+        "r": "2-3,2-5,2-7,3-5,3-7,5-7",
+        "s": "2-3,2-7,3-5,3-7",
+        "t": "2-3,2-5,2-7,3-5",
+        "u": "2-3,2-7,3-5,3-7,5-7",
+        "v": "2-3,2-5,2-7,3-5,3-7",
+    }.items()}
 
 CUT_REALIZED = "abcdefghijklmnopqr"
 CUT_OPEN = "stuv"
@@ -204,37 +231,10 @@ def product_graph(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
     return PrimeGraph.make(set(g1.vertices) | set(g2.vertices), edges)
 
 
-def parse_graph_literal(text: str) -> PrimeGraph:
-    """Parse literals like "2-3,2-5,7": comma-separated tokens, each ``p``
-    (a vertex) or ``p-q`` (an edge) in decimal digits.  Spaces are ignored,
-    empty tokens skipped, and any other token, or one with more digits than
-    ``int()`` converts, is a ValueError naming it."""
-    vertices: set[int] = set()
-    edges = []
-    for part in text.replace(" ", "").split(","):
-        if not part:
-            continue
-        m = _TOKEN.fullmatch(part)
-        if m is None:
-            raise ValueError(f"bad graph literal token {part!r}: expected "
-                             "p or p-q, in decimal digits")
-        try:
-            ends = [int(x) for x in m.groups() if x is not None]
-        except ValueError:  # int()'s digit limit, far above PRIMALITY_BOUND
-            raise ValueError(f"bad graph literal token {part!r}: too many "
-                             "digits") from None
-        if len(ends) == 1:
-            vertices.add(ends[0])
-        else:
-            edges.append(tuple(ends))
-    graph = PrimeGraph.make(vertices, edges)
-    if any(not isprime(v) for v in graph.vertices):
-        raise NonPrimeVertex(f"non-prime vertex in {graph.vertices}")
-    return graph
-
-
 def to_dot(graph: PrimeGraph, name: str = "gk") -> str:
-    lines = [f'graph "{name}" {{']
+    """DOT text of graph, named by name with its \\ and " escaped."""
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{']
     for v in graph.vertices:
         lines.append(f'  "{v}";')
     for a, b in graph.edges:

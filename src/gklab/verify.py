@@ -10,10 +10,10 @@ consequences of that structure, which the detection itself does not compute.
 from __future__ import annotations
 
 import random
-from functools import cache
 
 from . import catalog as cat
-from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, fingerprint,
+from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS,
+                        _reference_complements, fingerprint,
                         frobenius_decomposition, frobenius_kind)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
@@ -57,9 +57,11 @@ def suite_twofrobenius() -> list[Row]:
 
 
 def _catalog_rows(prefix: str) -> list[Row]:
-    """One row per catalog entry named prefix*: its recorded order, graph,
-    cut and rational verdicts and Frobenius kind against the built group,
-    and for a 2-Frobenius group the consequences of that structure."""
+    """One row per catalog entry named prefix*: the built group against its
+    recorded order, rational verdict and Frobenius kind, against the
+    classifier's graph of the figure letter it names (``FIGURE_GRAPHS``),
+    and cut, as every entry is; for a 2-Frobenius group, the consequences
+    of that structure too."""
     rows = []
     for entry in cat.catalog():
         if not entry.name.startswith(prefix):
@@ -68,9 +70,9 @@ def _catalog_rows(prefix: str) -> list[Row]:
         problems = []
         if G.order != entry.order:
             problems.append(f"order {G.order} != {entry.order}")
-        if (graph := gk_graph(G)) != parse_graph_literal(entry.graph_literal):
-            problems.append(f"graph {graph.literal()} != {entry.graph_literal}")
-        if is_cut_group(G) != entry.is_cut:
+        if (graph := gk_graph(G)) != (want := FIGURE_GRAPHS[entry.figure]):
+            problems.append(f"graph {graph.literal()} != {want.literal()}")
+        if not is_cut_group(G):
             problems.append("cut verdict differs")
         if is_rational_group(G) != entry.is_rational:
             problems.append("rational verdict differs")
@@ -167,6 +169,7 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
 
 def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
     bad = []
+    q8 = dict(_reference_complements())["Q8"]
     orders = set(element_orders_multiset(G))
     primes = sorted(factorint(G.order))
     syl = {p: sylow(G, p) for p in primes}
@@ -181,9 +184,8 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if q == p or not syl[p].normal or p * q in orders:
                 continue
             Sq = groups[q]
-            q8 = fingerprint(Sq) == _q8_fingerprint()
             small_cyclic = is_cyclic(Sq) and (4 % Sq.order == 0 or Sq.order == q)
-            if not (q8 or small_cyclic):
+            if not (fingerprint(Sq) == q8 or small_cyclic):
                 bad.append(f"Sylow {q} not Q8 or small cyclic (p={p})")
     if 2 in primes:
         S2 = groups[2]
@@ -191,19 +193,13 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if any(n % 4 == 0 and (n // 4) in primes and (n // 4) % 2 == 1
                    for n in orders):
                 bad.append("cyclic Sylow 2 with an element of order 4p")
-        elif fingerprint(S2) == _q8_fingerprint():
+        elif fingerprint(S2) == q8:
             for n in orders:
                 if n % 2 == 0 and (n // 2) in primes and (n // 2) % 4 == 1:
                     bad.append(f"Q8 Sylow 2 with element of order {n}")
     if 3 in primes and is_cyclic(groups[3]) and 21 in orders:
         bad.append("cyclic Sylow 3 with an element of order 21")
     return bad
-
-
-@cache
-def _q8_fingerprint():
-    """Q8's fingerprint, built once per process."""
-    return fingerprint(cat.quaternion8())
 
 
 def _quotient_closure(G: GroupHandle, cut: bool, rational: bool) -> list[str]:

@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from gklab import catalog
 from gklab import elements as el
 from gklab.groups import enumerate_group
+from gklab.primegraph import FIGURE_GRAPHS
 from gklab.rationality import is_cut_group
 from gklab.structure import is_solvable
 
@@ -90,6 +91,14 @@ class TestCatalog:
             if e.name.startswith("fig3."):
                 assert e.is_rational == (e.name in shaded)
 
+    def test_entries_name_the_figure_letter_they_realize(self):
+        for e in catalog.catalog():
+            assert e.figure in FIGURE_GRAPHS, e.name
+            if e.name.startswith("fig3."):
+                assert e.name == f"fig3.{e.figure}"
+        recorded = {f.name for f in fields(catalog.CatalogEntry)}
+        assert not recorded & {"graph_literal", "is_cut"}
+
     def test_unknown_entry(self):
         with pytest.raises(KeyError):
             catalog.catalog_entry("fig3.z")
@@ -114,6 +123,14 @@ class TestCatalog:
         assert set(failed) == set(wrong)
         assert "kind" in failed["fig3.c"]
         assert "rational" in failed["twofrob.c"]
+
+    def test_figure_rows_check_the_classifier_table(self, monkeypatch):
+        from gklab import verify
+        monkeypatch.setitem(FIGURE_GRAPHS, "q", FIGURE_GRAPHS["r"])
+        failed = {name: detail for name, ok, detail in verify.suite_figure3()
+                  if not ok}
+        assert failed == {"fig3.q": "graph 2-3,2-5,2-7,3-5,5-7 != "
+                                    "2-3,2-5,2-7,3-5,3-7,5-7"}
 
 
 class TestCorpus:

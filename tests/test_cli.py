@@ -37,6 +37,8 @@ GL2_11_REPORT_SHA256 = \
     "3fa9bb1c06872b876bbf7290b5155f88279ea89e177ea6dbc5a966572060b496"
 
 C1 = {"type": "builtin", "name": "cyclic", "args": [1]}
+ONE_ACTION_FORM = ("a semidirect recipe takes action_matrices with p, or "
+                   "action_images without p")
 
 
 def _report_sha256(tmp_path, spec: dict) -> str:
@@ -228,6 +230,14 @@ class TestAnalyze:
          "a catalog recipe takes no key 'args'"),
         ({"type": "direct", "factors": ["c2", "c2"], "z": 0, "kernel": "c2"},
          "a direct recipe takes no key 'kernel', 'z'"),
+        # a semidirect recipe reads p only beside action_matrices, and takes
+        # exactly one of the two action forms
+        *[({"type": "semidirect", "kernel": "c2", "acting": "c2", **action},
+           ONE_ACTION_FORM) for action in (
+              {"action_images": [[[0]]], "p": "not a prime"},
+              {"action_images": [[[0]]], "p": 2},
+              {"action_matrices": [[[1]]], "p": 2, "action_images": [[[0]]]},
+              {"action_matrices": [[[1]]]}, {})],
     ])
     def test_unknown_recipe_key(self, tmp_path, capsys, recipe, message):
         path = tmp_path / "keys.json"
@@ -235,6 +245,28 @@ class TestAnalyze:
             "x": recipe, "c2": SPEC["groups"]["c2"]}}))
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err == f"error: bad recipe 'x': {message}\n"
+
+    @pytest.mark.parametrize("factors", ["xy", {"x": 1}, ["x", 2], None])
+    def test_direct_factors_need_a_list_of_names(self, tmp_path, capsys,
+                                                 factors):
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps({"groups": {
+            "d": {"type": "direct", "factors": factors},
+            "x": SPEC["groups"]["c2"], "y": SPEC["groups"]["k"]}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad recipe 'd': factors needs a list of recipe names, "
+            f"got {json.dumps(factors)}\n")
+
+    def test_semidirect_action_matrices_build(self, tmp_path):
+        path = tmp_path / "matrices.json"
+        path.write_text(json.dumps({"groups": {
+            "sd": {"type": "semidirect", "kernel": "k", "acting": "c2",
+                   "action_matrices": [[[2]]], "p": 3},
+            "k": SPEC["groups"]["k"], "c2": SPEC["groups"]["c2"]}}))
+        assert main(["analyze", str(path), "-o", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out").read_text())
+        assert report["groups"]["sd"]["frobenius_kind"] == "frobenius"  # S3
 
     def test_every_builtin_builds(self):
         args = {"cyclic": [4], "elem_abelian": [2, 2], "dihedral": [6],

@@ -146,3 +146,16 @@ class TestLiteralsAndDot:
         literal = ",".join(edges + [v for v in verts
                                     if all(v not in e.split("-") for e in edges)])
         assert parse_graph_literal(literal) == g
+
+    def test_dot_escapes_quotes_and_backslashes_in_the_name(self):
+        dot = to_dot(FIGURE_GRAPHS["a"], 's3 "odd" \\')
+        assert dot == 'graph "s3 \\"odd\\" \\\\" {\n  "2";\n}\n'
+
+    def test_dot_bytes_of_plain_names_unchanged(self):
+        # the bytes `gklab graph fig3.l` printed before names were escaped
+        names = [e.name for e in catalog.catalog()] + [
+            "gk", "C7 x| C6", "C2^6 x| (C7 x| C6)", "SL(2,3)"]
+        for name in names:
+            assert to_dot(FIGURE_GRAPHS["l"], name) == (
+                f'graph "{name}" {{\n  "2";\n  "3";\n  "7";\n'
+                '  "2" -- "3";\n}\n')
