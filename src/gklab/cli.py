@@ -13,9 +13,10 @@ requested file.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
+from functools import reduce
+from inspect import signature
 
 from . import __version__
 from . import catalog as cat
@@ -37,13 +38,21 @@ class SpecError(ValueError):
     pass
 
 
+class RecipeError(SpecError):
+    """A fault in one recipe of a spec file, which the message names."""
+
+    def __init__(self, name: str, message) -> None:
+        super().__init__(f"bad recipe {name!r}: {message}")
+
+
 MAX_PRODUCT_DEPTH = 64  # only products of trivial groups get near it
 
-# the keys each recipe type reads, besides "type"
+# the keys each recipe type needs, besides "type", and those it may also take
 RECIPE_KEYS = {"perm": {"degree", "gens"}, "matgrp": {"p", "gens"},
-               "builtin": {"name", "args"}, "catalog": {"name"},
-               "direct": {"factors"}, "semidirect": {
-                   "kernel", "acting", "action_matrices", "p", "action_images"}}
+               "builtin": {"name"}, "catalog": {"name"},
+               "direct": {"factors"}, "semidirect": {"kernel", "acting"}}
+OPTIONAL_KEYS = {"builtin": {"args"},
+                 "semidirect": {"action_matrices", "p", "action_images"}}
 
 
 def load_spec(path: str) -> dict[str, GroupHandle]:
@@ -64,21 +73,24 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
     def build(name: str, stack=()) -> GroupHandle:
         if name in built:
             return built[name]
+        # a name that is on the stack, or is no recipe, was read by the
+        # recipe on top of the stack
         if name in stack:
-            raise SpecError(f"cyclic recipe reference through {name!r}")
+            raise RecipeError(stack[-1], "cyclic recipe reference through "
+                              f"{name!r}")
         if name not in recipes:
-            raise SpecError(f"undefined group name {name!r}")
+            raise RecipeError(stack[-1], f"undefined group name {name!r}")
 
         def resolve(names, own_depth: int) -> list[GroupHandle]:
             # every recipe on the stack is a product, one level deep or more
             if len(stack) >= MAX_PRODUCT_DEPTH:
-                raise SpecError(f"bad recipe {stack[0]!r}: products nest "
-                                f"more than {MAX_PRODUCT_DEPTH} deep")
+                raise RecipeError(stack[0], "products nest more than "
+                                  f"{MAX_PRODUCT_DEPTH} deep")
             groups = [build(n, stack + (name,)) for n in names]
             depth[name] = own_depth + max(map(depth.__getitem__, names))
             if depth[name] > MAX_PRODUCT_DEPTH:
-                raise SpecError(f"bad recipe {name!r}: products nest more "
-                                f"than {MAX_PRODUCT_DEPTH} deep")
+                raise RecipeError(name, "products nest more than "
+                                  f"{MAX_PRODUCT_DEPTH} deep")
             return groups
         built[name] = _build_recipe(name, recipes[name], resolve)
         depth.setdefault(name, 0)
@@ -92,19 +104,28 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
 def _build_recipe(name, recipe, resolve) -> GroupHandle:
     """Build one recipe; resolve(names, own_depth) builds those it names."""
     if not isinstance(recipe, dict) or "type" not in recipe:
-        raise SpecError(f"recipe {name!r} needs a type")
+        raise RecipeError(name, "needs a type")
     kind = recipe["type"]
     if not isinstance(kind, str) or kind not in RECIPE_KEYS:
-        raise SpecError(f"unknown recipe type {kind!r}")
-    if extra := sorted(recipe.keys() - RECIPE_KEYS[kind] - {"type"}):
-        raise SpecError(f"bad recipe {name!r}: a {kind} recipe takes no key "
-                        f"{', '.join(map(repr, extra))}")
+        raise RecipeError(name, f"unknown recipe type {json.dumps(kind)}")
+    if extra := sorted(recipe.keys() - RECIPE_KEYS[kind] - {"type"}
+                       - OPTIONAL_KEYS.get(kind, set())):
+        raise RecipeError(name, f"a {kind} recipe takes no key "
+                          f"{', '.join(map(repr, extra))}")
+    if missing := sorted(RECIPE_KEYS[kind] - recipe.keys()):
+        raise RecipeError(name, f"a {kind} recipe needs key "
+                          f"{', '.join(map(repr, missing))}")
+    for key in ("name", "kernel", "acting"):  # read as names of other things
+        if key in recipe and not isinstance(recipe[key], str):
+            raise RecipeError(name, f"{key} needs a "
+                              f"{kind if key == 'name' else 'recipe'} name, "
+                              f"got {json.dumps(recipe[key])}")
     try:
         if kind == "perm":
             degree = _ints(name, "degree", recipe["degree"])
             if degree < 1:
-                raise SpecError(f"bad recipe {name!r}: degree needs an "
-                                f"integer of at least 1, got {degree}")
+                raise RecipeError(name, "degree needs an integer of at "
+                                  f"least 1, got {degree}")
             if degree > (cap := default_cap()):
                 raise CapExceeded(f"recipe {name!r}: degree {degree} exceeds "
                                   f"cap {cap}")
@@ -117,20 +138,15 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
                     for rows in _ints(name, "gens", recipe["gens"], depth=3)]
             return enumerate_group(gens, name)
         if kind == "builtin":
-            fn = cat.BUILTINS.get(recipe["name"])
-            if fn is None:
-                raise SpecError(f"unknown builtin {recipe['name']!r}")
+            if (fn := cat.BUILTINS.get(builtin := recipe["name"])) is None:
+                raise RecipeError(name, f"unknown builtin {builtin!r}")
             args = _ints(name, "args", recipe.get("args", []), depth=1)
-            sig = inspect.signature(fn)
-            try:
-                sig.bind(*args)
-            except TypeError:
-                n = len(sig.parameters)
-                names = f" ({', '.join(sig.parameters)})" if n else ""
-                raise SpecError(
-                    f"bad recipe {name!r}: builtin {recipe['name']!r} takes "
-                    f"{n} argument{'s' * (n != 1)}{names}, "
-                    f"got {len(args)}") from None
+            # every builtin takes its arguments by position, none optional
+            if len(args) != (n := len(params := signature(fn).parameters)):
+                names = f" ({', '.join(params)})" if n else ""
+                raise RecipeError(name, f"builtin {builtin!r} takes {n} "
+                                  f"argument{'s' * (n != 1)}{names}, "
+                                  f"got {len(args)}")
             return fn(*args).relabel(name)
         if kind == "catalog":
             return cat.catalog_entry(recipe["name"]).build().relabel(name)
@@ -138,24 +154,20 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             names = recipe["factors"]
             if not (isinstance(names, list)
                     and all(isinstance(n, str) for n in names)):
-                raise SpecError(f"bad recipe {name!r}: factors needs a list "
-                                f"of recipe names, got {json.dumps(names)}")
+                raise RecipeError(name, "factors needs a list of recipe "
+                                  f"names, got {json.dumps(names)}")
             if len(names) < 2:
-                raise SpecError(f"bad recipe {name!r}: needs 2 factors or more")
+                raise RecipeError(name, "needs 2 factors or more")
             factors = resolve(names, len(names) - 1)
-            G = factors[0]
-            for H in factors[1:]:
-                G = direct_product(G, H)
-            return G.relabel(name)
+            return reduce(direct_product, factors).relabel(name)
         # the one type left: semidirect, with exactly one form of action
-        matrices = "action_matrices" in recipe
-        if (matrices != ("p" in recipe)
-                or matrices == ("action_images" in recipe)):
-            raise SpecError(f"bad recipe {name!r}: a semidirect recipe takes "
-                            "action_matrices with p, or action_images "
-                            "without p")
+        form = recipe.keys() & OPTIONAL_KEYS["semidirect"]
+        if form not in ({"action_matrices", "p"}, {"action_images"}):
+            raise RecipeError(name, "a semidirect recipe takes "
+                              "action_matrices with p, or action_images "
+                              "without p")
         N, H = resolve([recipe["kernel"], recipe["acting"]], 1)
-        if matrices:
+        if "p" in form:
             p = _ints(name, "p", recipe["p"])
             rows = _ints(name, "action_matrices",
                          recipe["action_matrices"], depth=3)
@@ -163,12 +175,20 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
         else:
             words = _ints(name, "action_images", recipe["action_images"],
                           depth=3)
-            action = [[_word(N, w) for w in images] for images in words]
+            gens = N.generators
+            if bad := [i for images in words for w in images for i in w
+                       if not 0 <= i < len(gens)]:
+                raise RecipeError(name, f"generator index {bad[0]} is outside "
+                                  f"the valid range 0..{len(gens) - 1}")
+            action = [[reduce(N.mult, map(gens.__getitem__, w), N.identity)
+                       for w in images] for images in words]
         return semidirect_product(N, H, action, name)
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SpecError(f"bad recipe {name!r}: {exc}")
+        # a KeyError's str() is the repr of its message
+        raise RecipeError(name, exc.args[0] if isinstance(exc, KeyError)
+                          else exc)
 
 
 def _ints(name: str, field: str, value, depth: int = 0):
@@ -178,24 +198,13 @@ def _ints(name: str, field: str, value, depth: int = 0):
     """
     if depth:
         if not isinstance(value, list):
-            raise SpecError(f"bad recipe {name!r}: {field} needs a list, "
-                            f"got {json.dumps(value)}")
+            raise RecipeError(name, f"{field} needs a list, got "
+                              f"{json.dumps(value)}")
         return [_ints(name, field, v, depth - 1) for v in value]
     if type(value) is not int:
-        raise SpecError(f"bad recipe {name!r}: {field} needs a JSON integer, "
-                        f"got {json.dumps(value)}")
+        raise RecipeError(name, f"{field} needs a JSON integer, got "
+                          f"{json.dumps(value)}")
     return value
-
-
-def _word(N: GroupHandle, indices) -> tuple:
-    acc = N.identity
-    last = len(N.generators) - 1
-    for i in indices:
-        if not 0 <= i <= last:
-            raise SpecError(f"generator index {i} is outside the valid range "
-                            f"0..{last}")
-        acc = N.mult(acc, N.generators[i])
-    return acc
 
 
 def analysis_report(groups: dict[str, GroupHandle], config: dict) -> dict:

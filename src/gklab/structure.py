@@ -2,9 +2,11 @@
 
 Everything here works on fully enumerated groups, and on element ids
 (``groups.element_ids``) wherever elements would be multiplied.  Subgroups
-are returned as id sets (``SubgroupHandle.ids``), built with ``groups.Span``
-(closures grown one generator at a time) and ``groups.id_mul``; a handle's
-element set is derived on first read.  Deliberate choices:
+are returned as id sets (``SubgroupHandle.ids``); Sylow subgroups, normal
+closures and the derived subgroup are built with ``groups.Span`` (closures
+grown one generator at a time) and ``groups.id_mul``, and O_p(G) and F(G)
+are read off the classes.  A handle's element set is derived on first read.
+Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
@@ -15,7 +17,9 @@ element set is derived on first read.  Deliberate choices:
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
-  tables.
+  tables.  The minimal normal subgroups of a solvable group are p-groups,
+  so they lie in F(G): only the classes of prime order inside F(G) are
+  closed.
 * Coset representatives are the value-least element of each coset, so
   quotients are reproducible bit for bit.  The coset projection is built on
   ids (the quotient's ``origin.to_q``): |G| id products, one per element
@@ -31,10 +35,18 @@ element set is derived on first read.  Deliberate choices:
   of G/F_(k-1) are elements of G, value-least in their cosets, so F_k is
   the union of the cosets x F_(k-1) for x in F(G/F_(k-1)), their ids read
   back in G (``groups.ids_of``), and all of G once |F_(k-1)| |F| = |G|.
-* Conjugacy classes, O_p(G) and the normality tests of ``quotient`` and
-  ``sylow`` run on integer ids and per-generator conjugation tables
-  (``groups.conjugation_tables``).  Each class is the orbit of its smallest
-  id, so its representative is its value-least element, as before.
+* Conjugacy classes and the normality tests of ``quotient`` and ``sylow``
+  run on integer ids and per-generator conjugation tables
+  (``groups.conjugation_tables``); ``quotient(G, N)`` may run before G's
+  classes exist, so its test stays on the tables.  Each class is the orbit
+  of its smallest id, so its representative is its value-least element.
+* O_p(G) and F(G) are read off the class partition, as a normal subgroup is
+  a union of classes.  O_p(G) is the union of the classes that lie inside a
+  Sylow p-subgroup P, since x lies in every conjugate of P exactly when its
+  class lies in P; the members of each class in P are counted over P's
+  ids.  F(G) is the union of the classes whose p-parts all lie in O_p(G):
+  for rep_c of order n and p^a || n, the class row[n // p^a] of its
+  power-map row holds a generator of the p-part's cyclic group.
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
   each class, the power map, and the class of each id.  The one element
   view, the representatives, is derived on first read through
@@ -82,6 +94,7 @@ element set is derived on first read.  Deliberate choices:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import lcm
@@ -317,29 +330,31 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
 
 @memoised("core", product=_product_subgroup)
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
-    """O_p(G): intersection of all conjugates of a Sylow p-subgroup;
-    O_p(A) x O_p(B) for a direct product A x B."""
-    K = set(sylow(G, p).ids)
-    changed = True
-    while changed:
-        changed = False
-        for t in conjugation_tables(G):
-            Kg = {t[i] for i in K}
-            if Kg != K:
-                K &= Kg
-                changed = True
-    return SubgroupHandle(G, frozenset(K), True)
+    """O_p(G): the union of the classes inside a Sylow p-subgroup P, as x
+    lies in every conjugate of P iff its class lies in P.  A class lies in P
+    iff P holds all its members, counted over P's ids.  O_p(A) x O_p(B) for
+    a direct product A x B."""
+    data = conjugacy_classes(G)
+    P, cids = sylow(G, p).ids, data.class_ids
+    held = Counter(map(cids.__getitem__, P))
+    return SubgroupHandle(G, frozenset(
+        [x for x in P if held[cids[x]] == data.sizes[cids[x]]]), True)
 
 
 @memoised("fitting", product=_product_subgroup)
 def fitting(G: GroupHandle) -> SubgroupHandle:
-    """F(G): product of the O_p(G) over primes p dividing |G|; F(A) x F(B)
-    for a direct product A x B; memoised."""
-    F = Span(G)
-    for p in sorted(factorint(G.order)):
-        for x in core_p(G, p).ids:
-            F.add(x)
-    return SubgroupHandle(G, frozenset(F.elements), True)
+    """F(G), the product of the O_p(G): the union of the classes whose
+    elements have each p-part in O_p(G).  For rep_c of order n and
+    p^a || n, rep_c^(n/p^a) generates the p-part's cyclic group, so the class
+    row[n // p^a] names it; a class lies in O_p(G) iff its least id does.
+    F(A) x F(B) for a direct product A x B; memoised."""
+    data = conjugacy_classes(G)
+    cores = {p: core_p(G, p).ids for p in factorint(G.order)}
+    inside = [all(data.rep_ids[row[len(row) // p ** a]] in cores[p]
+                  for p, a in factorint(len(row)).items())
+              for row in data.powers]
+    return SubgroupHandle(G, frozenset(
+        [x for x, c in enumerate(data.class_ids) if inside[c]]), True)
 
 
 @memoised("fitting_series")
@@ -454,16 +469,15 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     if G.order == 1:
         return []
     data = conjugacy_classes(G)
-    closures = {}
-    for rep, row in zip(data.rep_ids, data.powers):
-        if not isprime(len(row)):
-            continue
-        ids = frozenset(_normal_span(G, [rep]).elements)
-        closures.setdefault(ids, SubgroupHandle(G, ids, True))
+    F = fitting(G).ids  # a minimal normal subgroup is a p-group: inside F
+    # the distinct normal closures of the classes of prime order inside F
+    closures = dict.fromkeys(frozenset(_normal_span(G, [rep]).elements)
+                             for rep, row in zip(data.rep_ids, data.powers)
+                             if rep in F and isprime(len(row)))
     minimal: list[SubgroupHandle] = []
-    for cl in sorted(closures.values(), key=lambda N: N.order):
-        if not any(m.ids <= cl.ids for m in minimal):
-            minimal.append(cl)
+    for ids in sorted(closures, key=len):
+        if not any(m.ids <= ids for m in minimal):
+            minimal.append(SubgroupHandle(G, ids, True))
     return minimal
 
 

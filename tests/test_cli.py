@@ -258,6 +258,65 @@ class TestAnalyze:
             "error: bad recipe 'd': factors needs a list of recipe names, "
             f"got {json.dumps(factors)}\n")
 
+    @pytest.mark.parametrize("recipe, field, what", [
+        ({"type": "semidirect", "kernel": ["k"], "acting": "c2",
+          "action_images": [[[0]]]}, "kernel", "a recipe name"),
+        ({"type": "semidirect", "kernel": "k", "acting": {"c2": 1},
+          "action_images": [[[0]]]}, "acting", "a recipe name"),
+        ({"type": "catalog", "name": ["fig3.a"]}, "name", "a catalog name"),
+        ({"type": "builtin", "name": ["cyclic"], "args": [2]}, "name",
+         "a builtin name"),
+        ({"type": "builtin", "name": None}, "name", "a builtin name"),
+    ], ids=["kernel", "acting", "catalog-name", "builtin-name",
+            "builtin-null"])
+    def test_name_fields_take_json_strings(self, tmp_path, capsys, recipe,
+                                           field, what):
+        """A field read as a name (a dict key) is checked to be a string
+        before it is looked up."""
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"groups": {
+            "x": recipe, "k": SPEC["groups"]["k"],
+            "c2": SPEC["groups"]["c2"]}}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad recipe 'x': {field} needs {what}, "
+            f"got {json.dumps(recipe[field])}\n")
+
+    @pytest.mark.parametrize("groups, message", [
+        ({"x": {"type": "perm", "gens": []}},
+         "bad recipe 'x': a perm recipe needs key 'degree'"),
+        ({"x": {"type": "semidirect", "action_images": [[[0]]]}},
+         "bad recipe 'x': a semidirect recipe needs key 'acting', 'kernel'"),
+        ({"x": {"type": "builtin", "name": "nosuch"}},
+         "bad recipe 'x': unknown builtin 'nosuch'"),
+        ({"x": {"type": "wat"}},
+         'bad recipe \'x\': unknown recipe type "wat"'),
+        ({"x": {"type": True}}, "bad recipe 'x': unknown recipe type true"),
+        ({"x": [1]}, "bad recipe 'x': needs a type"),
+        ({"x": {"type": "catalog", "name": "nope"}},
+         "bad recipe 'x': no catalog entry named 'nope'"),
+        ({"sd": {"type": "semidirect", "kernel": "k", "acting": "c2",
+                 "action_images": [[[5]]]},
+          "k": SPEC["groups"]["k"], "c2": SPEC["groups"]["c2"]},
+         "bad recipe 'sd': generator index 5 is outside the valid range 0..0"),
+        ({"d": {"type": "direct", "factors": ["k", "y"]},
+          "k": SPEC["groups"]["k"]},
+         "bad recipe 'd': undefined group name 'y'"),
+        ({"a": {"type": "direct", "factors": ["b", "b"]},
+          "b": {"type": "direct", "factors": ["a", "a"]}},
+         "bad recipe 'b': cyclic recipe reference through 'a'"),
+    ], ids=["missing-key", "missing-keys", "unknown-builtin", "unknown-type",
+            "non-string-type", "no-type", "no-catalog-entry",
+            "generator-index", "undefined", "cyclic"])
+    def test_recipe_errors_name_their_recipe(self, tmp_path, capsys, groups,
+                                             message):
+        """Every recipe error names the recipe at fault, with no Python
+        exception repr in it."""
+        path = tmp_path / "errors.json"
+        path.write_text(json.dumps({"groups": groups}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_semidirect_action_matrices_build(self, tmp_path):
         path = tmp_path / "matrices.json"
         path.write_text(json.dumps({"groups": {

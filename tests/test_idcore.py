@@ -495,8 +495,7 @@ class _Poison:
     test."""
 
     def _fail(self, *args, **kwargs):
-        raise AssertionError(
-            "the normalizer-scan oracle read the id core or the classes")
+        raise AssertionError("a poisoned memo or origin was read")
 
     __call__ = __getitem__ = __iter__ = __len__ = __contains__ = _fail
     __getattr__ = _fail
