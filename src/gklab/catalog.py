@@ -1,5 +1,14 @@
 """Builders for standard small groups, curated example catalog, fuzz corpus.
 
+The builders named in ``BUILTINS`` back the spec file's ``builtin`` recipe.
+The catalog holds the Figure 3 examples (``fig3.*``) and the 2-Frobenius
+witnesses (``twofrob.*``); each entry is a solvable cut group, names the
+letter of the figure entry it realizes (``CatalogEntry.figure``) and records
+no graph, since ``primegraph`` holds the figure.  The fuzz corpus
+(``corpus``) is a deterministic stream of pool groups and their direct
+products, drawn by seed; ``distinct_corpus`` keeps the first group of each
+label.
+
 Action matrices that are not forced by a printed construction were found by
 exhaustive search in GL(rank, p) for a fixed-point-free subgroup with the
 required fingerprint, then pinned here as literals.
@@ -13,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import elements as el
+from .frobenius import FROBENIUS, NONE_KIND, TWO_FROBENIUS
 from .groups import (CapExceeded, GroupHandle, check_cap, default_cap,
                      direct_product, enumerate_group, semidirect_product)
 from .numtheory import isprime
@@ -262,31 +272,31 @@ def catalog() -> list[CatalogEntry]:
 
     tf = _twofrob_builders()
     return [
-        figure("a", lambda: cyclic(2), 2, "none"),
-        figure("b", lambda: cyclic(3), 3, "none"),
-        figure("c", lambda: sym(3), 6, "frobenius"),
-        figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, "none"),
-        figure("e", e, 200, "frobenius"),
-        figure("f", lambda: direct_product(e(), cyclic(2)), 400, "none"),
-        figure("g", g, 21, "frobenius"),
-        figure("h", _dic3_action_f5, 300, "frobenius"),
+        figure("a", lambda: cyclic(2), 2, NONE_KIND),
+        figure("b", lambda: cyclic(3), 3, NONE_KIND),
+        figure("c", lambda: sym(3), 6, FROBENIUS),
+        figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, NONE_KIND),
+        figure("e", e, 200, FROBENIUS),
+        figure("f", lambda: direct_product(e(), cyclic(2)), 400, NONE_KIND),
+        figure("g", g, 21, FROBENIUS),
+        figure("h", _dic3_action_f5, 300, FROBENIUS),
         figure("i", lambda: direct_product(_dic3_action_f5(), cyclic(2)),
-               600, "none"),
-        figure("j", lambda: direct_product(e(), cyclic(3)), 600, "none"),
-        figure("k", lambda: direct_product(e(), sym(3)), 1200, "none"),
-        figure("l", l, 42, "frobenius"),
-        figure("m", lambda: direct_product(l(), cyclic(2)), 84, "none"),
-        figure("n", lambda: direct_product(l(), cyclic(3)), 126, "none"),
-        figure("o", lambda: direct_product(g(), sym(3)), 126, "none"),
-        figure("p", lambda: direct_product(e(), g()), 4200, "none"),
+               600, NONE_KIND),
+        figure("j", lambda: direct_product(e(), cyclic(3)), 600, NONE_KIND),
+        figure("k", lambda: direct_product(e(), sym(3)), 1200, NONE_KIND),
+        figure("l", l, 42, FROBENIUS),
+        figure("m", lambda: direct_product(l(), cyclic(2)), 84, NONE_KIND),
+        figure("n", lambda: direct_product(l(), cyclic(3)), 126, NONE_KIND),
+        figure("o", lambda: direct_product(g(), sym(3)), 126, NONE_KIND),
+        figure("p", lambda: direct_product(e(), g()), 4200, NONE_KIND),
         figure("q", lambda: direct_product(direct_product(e(), g()), cyclic(2)),
-               8400, "none"),
+               8400, NONE_KIND),
         figure("r", lambda: direct_product(direct_product(e(), l()), cyclic(3)),
-               25200, "none"),
-        CatalogEntry("twofrob.c", tf["c"], 24, "c", True, "2-frobenius"),
-        CatalogEntry("twofrob.e", tf["e"], 320, "e", False, "2-frobenius"),
-        CatalogEntry("twofrob.g", tf["g"], 15309, "g", False, "2-frobenius"),
-        CatalogEntry("twofrob.l", tf["l"], 2688, "l", False, "2-frobenius"),
+               25200, NONE_KIND),
+        CatalogEntry("twofrob.c", tf["c"], 24, "c", True, TWO_FROBENIUS),
+        CatalogEntry("twofrob.e", tf["e"], 320, "e", False, TWO_FROBENIUS),
+        CatalogEntry("twofrob.g", tf["g"], 15309, "g", False, TWO_FROBENIUS),
+        CatalogEntry("twofrob.l", tf["l"], 2688, "l", False, TWO_FROBENIUS),
     ]
 
 

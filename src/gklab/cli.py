@@ -26,8 +26,8 @@ from .groups import (CapExceeded, GroupHandle, default_cap, direct_product,
                      element_orders_multiset, enumerate_group,
                      semidirect_product)
 from .numtheory import factorint
-from .primegraph import (SOLVABLE_CUT, SOLVABLE_RATIONAL, classify, gk_graph,
-                         parse_graph_literal, to_dot)
+from .primegraph import (CLASSES, SOLVABLE_CUT, SOLVABLE_RATIONAL, classify,
+                         gk_graph, parse_graph_literal, to_dot)
 from .rationality import rationality_report
 from .structure import (InvariantFailed, class_predicates, fitting_series,
                         sylow)
@@ -248,14 +248,12 @@ def _group_report(G: GroupHandle) -> dict:
         "frobenius_kind": frobenius_kind(G),
         "classification": {},
     }
-    if fs.solvable and rep.is_cut:
-        v = classify(graph, SOLVABLE_CUT)
-        out["classification"][SOLVABLE_CUT] = {"status": v.status,
-                                               "citation": v.citation}
-    if fs.solvable and rep.is_rational:
-        v = classify(graph, SOLVABLE_RATIONAL)
-        out["classification"][SOLVABLE_RATIONAL] = {"status": v.status,
-                                                    "citation": v.citation}
+    for cls, member in ((SOLVABLE_CUT, rep.is_cut),
+                        (SOLVABLE_RATIONAL, rep.is_rational)):
+        if fs.solvable and member:
+            v = classify(graph, cls)
+            out["classification"][cls] = {"status": v.status,
+                                          "citation": v.citation}
     return out
 
 
@@ -314,9 +312,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cls = SOLVABLE_CUT if args.cls == "cut" else SOLVABLE_RATIONAL
     graph = parse_graph_literal(args.literal)
-    v = classify(graph, cls)
+    v = classify(graph, CLASSES[args.cls])
     print(f"{graph.literal() or '(empty)'} [{v.class_queried}]: "
           f"{v.status} ({v.citation})")
     return 0
@@ -351,8 +348,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a prime-graph literal")
     p.add_argument("literal", help='e.g. "2-3,5"')
-    p.add_argument("--class", dest="cls", choices=["cut", "rational"],
-                   required=True)
+    p.add_argument("--class", dest="cls", choices=list(CLASSES), required=True)
     p.set_defaults(fn=cmd_classify)
     return parser
 

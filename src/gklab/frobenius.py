@@ -18,9 +18,11 @@ enumerated.  Kernel and complement are read off the class data
 
 Kernels and complements are id sets (``SubgroupHandle.ids``).  The
 2-Frobenius test reads F_1, F_2 and G/F_1 from ``fitting_series``: G is
-2-Frobenius when G/F_1 and F_2 are Frobenius groups.  Each test returns its
+2-Frobenius when G/F_1 and F_2 are Frobenius groups, and F_2 is the one
+subgroup view it builds.  Each test returns its
 decomposition or the reason it fails; only the public ``*_decomposition``
-functions raise ``NotFrobenius``.
+functions raise ``NotFrobenius``.  ``match_frobenius_cut_family`` names the
+Frobenius cut family a group belongs to.
 """
 
 from __future__ import annotations

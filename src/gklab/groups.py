@@ -25,7 +25,8 @@ the ids of its elements (``ids_of``) and everything on ids come from its
 factors, and its pairs are listed only when an element-level read needs
 them all (``Product.ordered``, or the id dict ``element_ids``); nothing in
 the analysis or the verify suites makes that read.  Enumeration and both
-products stop at ``default_cap()`` elements, set by ``GKLAB_MAX_ORDER``.
+products stop at ``default_cap()`` elements, which only ``GKLAB_MAX_ORDER``
+sets: no public function takes a cap argument.
 
 Element ids: an element's id is its position in ``G.ordered``, so ids
 follow the value order; the one hash structure of a group is the memoised
@@ -57,11 +58,11 @@ group multiplies ids (``id_mul``) the way it was built:
   is then tabulated: a Cayley table of 2-byte ``array`` rows, filled along a
   BFS tree from the generators' right-multiplication rows.
 
-TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB, about
-5-7% of the benchmark workloads' ``peak_rss_mb`` (29-37 MB), whose bound is
-15%; a corpus pass keeps the tables of all its groups alive at once.  No
-|G|^2 structure exists above the bound, and no group holds an order or an
-inverse for every id: ``_power_walk`` walks <g> on ids only for the few g
+TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB
+(1024 rows of 1024 2-byte ids), and a corpus pass keeps the tables of all
+its groups alive at once, which the benchmark's bound on ``peak_rss_mb``
+must absorb.  No |G|^2 structure exists above the bound, and no group holds
+an order or an inverse for every id: ``_power_walk`` walks <g> on ids only for the few g
 that need it (class representatives, generators, the candidates Sylow
 growth tests).  ``Span`` grows a subgroup on ids one generator at a time
 (Dimino's algorithm), which closures, generating sets, Sylow growth,
@@ -82,8 +83,7 @@ from .elements import Element, IncompatibleKinds
 
 DEFAULT_CAP = 1 << 20
 # Enumerated groups and subgroup views of at most this order tabulate their
-# id multiplication: 2-byte ids, 2 MB at the bound, 5-7% of a benchmark
-# workload's peak RSS (module docstring).
+# id multiplication; the module docstring gives the memory this costs.
 TABLE_BOUND = 1024
 
 

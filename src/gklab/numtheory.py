@@ -2,8 +2,11 @@
 
 gklab factors group orders, which enumeration keeps at or below the order
 cap (2^20 by default), and tests element orders, matrix moduli and graph
-vertices for primality.  Trial division and a deterministic Miller-Rabin
-test cover both without a computer-algebra import.
+vertices for primality.  Trial division (``factorint``) and a deterministic
+Miller-Rabin test on the first 12 prime bases (``isprime``) cover both
+without a computer-algebra import.  ``isprime`` is exact below
+``PRIMALITY_BOUND`` (psi_12, about 3.19e23) and raises ``ValueError`` at or
+above it rather than guess.
 """
 
 from __future__ import annotations

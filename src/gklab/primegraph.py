@@ -1,8 +1,29 @@
 """Gruenberg-Kegel graphs: construction, combinatorics, theorem classifier.
 
 Graphs are value types: sorted prime vertices, sorted unordered edges.
-The classifier matches literal prime labels (vertex 5 vs 7 matters), never
-abstract graph shapes, and reports the genuinely open cases as ``open``.
+Components and diameters share one breadth-first search (``_distances``).
+``parse_graph_literal`` reads the ``p``/``p-q`` literal grammar and
+``to_dot`` writes DOT, escaping ``\\`` and ``"`` in the graph name.
+
+This module is the one record of the classification:
+
+* Figure 3, entries (a)-(v): each entry's graph as a literal
+  (``FIGURE_GRAPHS``, parsed at import), and which letters are realized or
+  open for solvable cut and for solvable rational groups (``CUT_REALIZED``,
+  ``CUT_OPEN``, ``RATIONAL_REALIZED``, ``RATIONAL_OPEN``, gathered with
+  their citations in ``FIGURE_VERDICTS``);
+* the prime spectra a solvable group may have: a cut group's is one of the
+  eight sets of ``CUT_SPECTRA``, all inside {2,3,5,7} (``CUT_PRIMES``), and
+  a rational group's lies inside {2,3,5} (``RATIONAL_PRIMES``).
+  ``verify invariants`` checks built groups against these same constants.
+
+``classify`` matches literal prime labels (vertex 5 vs 7 matters), never
+abstract graph shapes.  The empty graph is the trivial group's, realized for
+both classes; a figure entry is realized or ``open`` as its letter says; any
+other graph is forbidden, citing the first rule it breaks: the spectrum
+bounds, the three-primes lemma, the edge implications, then the spectrum
+list (every rational group is cut), and else that it is no figure entry.
+``CLASSES`` names the two classes on the command line.
 """
 
 from __future__ import annotations
@@ -16,6 +37,7 @@ from .numtheory import isprime
 
 SOLVABLE_CUT = "solvable-cut"
 SOLVABLE_RATIONAL = "solvable-rational"
+CLASSES = {"cut": SOLVABLE_CUT, "rational": SOLVABLE_RATIONAL}  # by CLI name
 
 REALIZED = "realized"
 FORBIDDEN = "forbidden"
@@ -133,6 +155,13 @@ FIGURE_VERDICTS = {
             OPEN, "open question: 3-2-5 for rational groups"))},
 }
 
+# the prime spectra of solvable cut groups; a rational group's lies in
+# RATIONAL_PRIMES
+CUT_SPECTRA = [{2}, {3}, {2, 3}, {2, 5}, {3, 7},
+               {2, 3, 5}, {2, 3, 7}, {2, 3, 5, 7}]
+CUT_PRIMES = set().union(*CUT_SPECTRA)
+RATIONAL_PRIMES = {2, 3, 5}
+
 
 def gk_graph(G: GroupHandle) -> PrimeGraph:
     """Vertices: primes among element orders; edge p-q iff an order-pq element exists."""
@@ -212,14 +241,17 @@ def classify(graph: PrimeGraph, class_queried: str) -> TheoremVerdict:
 
 
 def _forbidden_citation(graph: PrimeGraph, rational: bool = False) -> str:
-    if rational and not set(graph.vertices) <= {2, 3, 5}:
+    spectrum = set(graph.vertices)
+    if rational and not spectrum <= RATIONAL_PRIMES:
         return "prime spectrum of a solvable rational group lies in {2,3,5}"
-    if not set(graph.vertices) <= {2, 3, 5, 7}:
+    if not spectrum <= CUT_PRIMES:
         return "prime spectrum of a solvable cut group lies in {2,3,5,7}"
     if not higman_check(graph):
         return "three mutually non-adjacent vertices (three-primes lemma)"
     if not lemma_edge_implications(graph):
         return "edge implication constraints for cut groups"
+    if spectrum not in CUT_SPECTRA:  # a rational group is cut
+        return "prime spectrum not among those of solvable cut groups"
     return "not among the realizable or open classification entries"
 
 

@@ -6,7 +6,9 @@ are returned as id sets (``SubgroupHandle.ids``); Sylow subgroups, normal
 closures and the derived subgroup are built with ``groups.Span`` (closures
 grown one generator at a time) and ``groups.id_mul``, and O_p(G) and F(G)
 are read off the classes.  A handle's element set is derived on first read.
-Deliberate choices:
+Classes, Sylow subgroups, O_p(G), F(G), the Fitting series, quotients, the
+derived subgroup and the abelian, metabelian and supersolvable tests are
+cached through ``groups.memoised``.  Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that

@@ -2,6 +2,12 @@
 the Frobenius family sweep, the corpus invariant scan, and the classifier
 table.  Each suite returns (name, passed, detail) rows; the CLI renders them.
 
+The suites state no classification fact of their own: the figure graphs
+and the statuses the classifier must give them (``FIGURE_GRAPHS``,
+``FIGURE_VERDICTS``) and the allowed prime spectra (``CUT_SPECTRA``,
+``CUT_PRIMES``, ``RATIONAL_PRIMES``) are read from ``primegraph``, the
+spectra through the module on every check.
+
 The figure and 2-Frobenius suites share one catalog check (``_catalog_rows``):
 every fact a catalog entry records, and for a 2-Frobenius group the three
 consequences of that structure, which the detection itself does not compute.
@@ -12,17 +18,17 @@ from __future__ import annotations
 import random
 
 from . import catalog as cat
+from . import primegraph as pg
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS,
                         _reference_complements, fingerprint,
                         frobenius_decomposition, frobenius_kind)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
-from .primegraph import (CUT_OPEN, CUT_REALIZED, FORBIDDEN, OPEN,
-                         RATIONAL_OPEN, RATIONAL_REALIZED, REALIZED,
+from .primegraph import (CLASSES, FIGURE_GRAPHS, FIGURE_VERDICTS, FORBIDDEN,
                          SOLVABLE_CUT, SOLVABLE_RATIONAL, classify,
                          component_diameters, components, gk_graph,
                          higman_check, lemma_edge_implications,
-                         parse_graph_literal, product_graph, FIGURE_GRAPHS)
+                         parse_graph_literal, product_graph)
 from .rationality import (cut_oracle_via_bg, is_cut_group, is_rational_group,
                           product_cut_predicate)
 from .structure import (class_predicates, exponent, fitting_series,
@@ -30,9 +36,6 @@ from .structure import (class_predicates, exponent, fitting_series,
                         minimal_normal_subgroups, quotient, sylow)
 
 Row = tuple[str, bool, str]
-
-ALLOWED_SPECTRA = [{2}, {3}, {2, 3}, {2, 5}, {3, 7},
-                   {2, 3, 5}, {2, 3, 7}, {2, 3, 5, 7}]
 
 FORBIDDEN_CASES = [
     ("2,3,5", SOLVABLE_CUT),
@@ -142,9 +145,9 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
             bad.append("Frobenius/2-Frobenius cut group with |pi| > 3")
     if solvable and cut:
         spectrum = set(factorint(G.order))
-        if not spectrum <= {2, 3, 5, 7}:
+        if not spectrum <= pg.CUT_PRIMES:
             bad.append("cut spectrum outside {2,3,5,7}")
-        if spectrum not in ALLOWED_SPECTRA:
+        if spectrum not in pg.CUT_SPECTRA:
             bad.append(f"spectrum {sorted(spectrum)} not in the allowed list")
         if len(graph.vertices) > 4:
             bad.append("more than 4 graph vertices")
@@ -155,7 +158,7 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
         if classify(graph, SOLVABLE_CUT).status == FORBIDDEN:
             bad.append("realized graph classified forbidden (cut)")
     if solvable and rational:
-        if not set(factorint(G.order)) <= {2, 3, 5}:
+        if not set(factorint(G.order)) <= pg.RATIONAL_PRIMES:
             bad.append("rational spectrum outside {2,3,5}")
         if classify(graph, SOLVABLE_RATIONAL).status == FORBIDDEN:
             bad.append("realized graph classified forbidden (rational)")
@@ -263,19 +266,13 @@ def _pair_sampling_row(seed: int, distinct: dict[str, GroupHandle]) -> Row:
             f"{len(sample)} pairs, {bad} mismatches")
 
 
-# (row name, class, figure letters, the status classify must give them)
-CLASSIFIER_CASES = [
-    ("cut", SOLVABLE_CUT, CUT_REALIZED, REALIZED),
-    ("cut", SOLVABLE_CUT, CUT_OPEN, OPEN),
-    ("rational", SOLVABLE_RATIONAL, RATIONAL_REALIZED, REALIZED),
-    ("rational", SOLVABLE_RATIONAL, RATIONAL_OPEN, OPEN),
-]
-
-
 def suite_classifier() -> list[Row]:
+    """Each figure letter of each class against its ``FIGURE_VERDICTS``
+    status (realized letters first, as that table lists them), then the
+    pinned forbidden graphs."""
     rows = []
-    for name, cls, letters, want in CLASSIFIER_CASES:
-        for letter in letters:
+    for name, cls in CLASSES.items():
+        for letter, (want, _) in FIGURE_VERDICTS[cls].items():
             v = classify(FIGURE_GRAPHS[letter], cls)
             rows.append((f"{name} ({letter})", v.status == want, v.status))
     for literal, cls in FORBIDDEN_CASES:

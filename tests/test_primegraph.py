@@ -1,16 +1,20 @@
+import hashlib
 import re
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gklab import catalog
+from gklab import catalog, primegraph
 from gklab.groups import direct_product
-from gklab.primegraph import (FIGURE_GRAPHS, FORBIDDEN, OPEN, REALIZED,
-                              SOLVABLE_CUT, SOLVABLE_RATIONAL, NonPrimeVertex,
-                              PrimeGraph, classify, component_diameters,
-                              components, gk_graph, higman_check,
-                              lemma_edge_implications, parse_graph_literal,
-                              product_graph, to_dot)
+from gklab.primegraph import (CUT_SPECTRA, FIGURE_GRAPHS, FORBIDDEN, OPEN,
+                              REALIZED, SOLVABLE_CUT, SOLVABLE_RATIONAL,
+                              NonPrimeVertex, PrimeGraph, classify,
+                              component_diameters, components, gk_graph,
+                              higman_check, lemma_edge_implications,
+                              parse_graph_literal, product_graph, to_dot)
+from gklab.verify import _check_group_invariants
 
 
 class TestGkGraph:
@@ -78,6 +82,81 @@ class TestClassify:
     def test_empty_graph_is_the_trivial_groups(self, cls):
         v = classify(parse_graph_literal(""), cls)
         assert v.status == REALIZED and "trivial group" in v.citation
+
+
+FALLBACK = "not among the realizable or open classification entries"
+SPECTRUM = "prime spectrum not among those of solvable cut groups"
+# sha256 of the sorted census lines below, with every SPECTRUM citation read
+# as FALLBACK: the census the classifier gave before it read CUT_SPECTRA
+CENSUS_SHA256 = (
+    "0ed5a3bd6ba8b4b135d78f0fca387a723033cb80a5299ea11375f655bdf03200")
+
+
+def _census() -> dict[tuple[str, str], tuple[str, str]]:
+    """(literal, class) -> (status, citation) for every graph whose vertices
+    lie in {2, 3, 5, 7}, the empty graph included: 113 graphs."""
+    out = {}
+    for n in range(5):
+        for vertices in combinations([2, 3, 5, 7], n):
+            pairs = list(combinations(vertices, 2))
+            for k in range(len(pairs) + 1):
+                for edges in combinations(pairs, k):
+                    g = PrimeGraph.make(vertices, edges)
+                    for cls in (SOLVABLE_CUT, SOLVABLE_RATIONAL):
+                        v = classify(g, cls)
+                        out[g.literal(), cls] = (v.status, v.citation)
+    return out
+
+
+class TestCensus:
+    def test_spectra_outside_the_list_cite_it(self):
+        census = _census()
+        assert len(census) == 2 * 113
+        for (literal, cls), (status, citation) in census.items():
+            if not literal:  # the trivial group's, realized by its own rule
+                continue
+            outside = set(parse_graph_literal(literal).vertices) not in CUT_SPECTRA
+            if status != FORBIDDEN:
+                assert not outside, (literal, cls)
+            elif citation in (FALLBACK, SPECTRUM):
+                assert (citation == SPECTRUM) == outside, (literal, cls)
+
+    def test_citations(self):
+        census = _census()
+        cited = {(cls, c): sorted(lit for (lit, k), (_, cit) in census.items()
+                                  if k == cls and cit == c)
+                 for cls in (SOLVABLE_CUT, SOLVABLE_RATIONAL)
+                 for c in (FALLBACK, SPECTRUM)}
+        assert cited == {
+            (SOLVABLE_CUT, FALLBACK): sorted([
+                "2-5,3", "2-3,2-5,3-5,7", "2-3,2-7,3-5", "2-3,2-5,3-7",
+                "2-3,2-7,3-7,5", "2-3,2-5,2-7,3-7", "2-3,2-5,3-5,3-7"]),
+            (SOLVABLE_CUT, SPECTRUM): sorted([
+                "5", "7", "2,7", "3,5", "5,7", "2-5,7"]),
+            (SOLVABLE_RATIONAL, FALLBACK): sorted([
+                "3", "2-3,5", "2-5,3", "2-3,3-5"]),
+            (SOLVABLE_RATIONAL, SPECTRUM): sorted(["5", "3,5"])}
+        statuses = Counter((cls, status) for (_, cls), (status, _)
+                           in census.items())
+        assert statuses == {(SOLVABLE_CUT, REALIZED): 19,
+                            (SOLVABLE_CUT, OPEN): 4,
+                            (SOLVABLE_CUT, FORBIDDEN): 90,
+                            (SOLVABLE_RATIONAL, REALIZED): 7,
+                            (SOLVABLE_RATIONAL, OPEN): 1,
+                            (SOLVABLE_RATIONAL, FORBIDDEN): 105}
+        lines = sorted(f"{lit}\t{cls}\t{status}\t"
+                       f"{FALLBACK if cit == SPECTRUM else cit}\n"
+                       for (lit, cls), (status, cit) in census.items())
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == CENSUS_SHA256
+
+    def test_verify_reads_the_classifiers_spectrum_list(self, monkeypatch):
+        S3 = catalog.sym(3)
+        assert _check_group_invariants(S3) == []
+        monkeypatch.setattr(primegraph, "CUT_SPECTRA",
+                            [s for s in CUT_SPECTRA if s != {2, 3}])
+        assert _check_group_invariants(S3) == [
+            "spectrum [2, 3] not in the allowed list"]
 
 
 class TestProductGraph:
