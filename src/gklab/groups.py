@@ -52,11 +52,13 @@ group multiplies ids (``id_mul``) the way it was built:
   tables are its parent's, one per generator, read through ``to_q``.  The
   quotient of A x B by N_A x N_B is instead built as the direct product
   A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
-* an enumerated group multiplies elements, and a subgroup view multiplies
-  in its parent's ids; both conjugate by each generator on ids, its inverse
-  read off the walk of its powers.  At order TABLE_BOUND or less either one
-  is then tabulated: a Cayley table of 2-byte ``array`` rows, filled along a
-  BFS tree from the generators' right-multiplication rows.
+* a subgroup view multiplies in its parent's ids, as a quotient does, and
+  is never tabulated;
+* an enumerated group multiplies elements.  Only such a group, at order
+  TABLE_BOUND or less, is tabulated: a Cayley table of 2-byte ``array``
+  rows, filled along a BFS tree from the generators' right-multiplication
+  rows.  An enumerated group and a view both conjugate by each generator on
+  ids, its inverse read off the walk of its powers.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB
 (1024 rows of 1024 2-byte ids), and a corpus pass keeps the tables of all
@@ -82,8 +84,8 @@ from . import elements as el
 from .elements import Element, IncompatibleKinds
 
 DEFAULT_CAP = 1 << 20
-# Enumerated groups and subgroup views of at most this order tabulate their
-# id multiplication; the module docstring gives the memory this costs.
+# Enumerated groups of at most this order tabulate their id multiplication;
+# the module docstring gives the memory this costs.
 TABLE_BOUND = 1024
 
 
@@ -365,10 +367,10 @@ def generator_ids(G: GroupHandle) -> list[int]:
 def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """(i, j) -> id of x_i x_j, built on first use and memoised.
 
-    A product composes its factors' ids and a quotient its parent's.  An
-    enumerated group multiplies its elements, and a subgroup view its
-    parent's ids; at order TABLE_BOUND or less either one tabulates that
-    once (``_cayley_mul``).
+    A product composes its factors' ids, and a quotient or a subgroup view
+    multiplies in its parent's.  Only an enumerated group multiplies its
+    elements, and at order TABLE_BOUND or less it tabulates that once
+    (``_cayley_mul``).
     """
     o = G.origin
     if isinstance(o, Product):
@@ -376,10 +378,9 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     if isinstance(o, Quotient):
         return induced_mul(id_mul(o.parent), o.rep_ids, o.to_q)
     if isinstance(o, View):
-        mul = induced_mul(id_mul(o.parent), o.ids,
-                          {x: k for k, x in enumerate(o.ids)})
-    else:
-        mul = induced_mul(G.mult, G.ordered, element_ids(G))
+        return induced_mul(id_mul(o.parent), o.ids,
+                           {x: k for k, x in enumerate(o.ids)})
+    mul = induced_mul(G.mult, G.ordered, element_ids(G))
     return _cayley_mul(G, mul) if G.order <= TABLE_BOUND else mul
 
 
@@ -457,8 +458,9 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
 
     Products and quotients derive theirs from their factors' or parent's
     tables; an enumerated group or a subgroup view conjugates each id by each
-    generator on ``id_mul``, taking the generator's inverse from the walk of
-    its powers (``_power_walk``).
+    generator on ``id_mul`` (a view's in its parent's ids, an enumerated
+    group's on its Cayley table at order TABLE_BOUND or less), taking the
+    generator's inverse from the walk of its powers (``_power_walk``).
     """
     o = G.origin
     if isinstance(o, Product):

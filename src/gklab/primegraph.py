@@ -13,8 +13,9 @@ This module is the one record of the classification:
   ``CUT_OPEN``, ``RATIONAL_REALIZED``, ``RATIONAL_OPEN``, gathered with
   their citations in ``FIGURE_VERDICTS``);
 * the prime spectra a solvable group may have: a cut group's is one of the
-  eight sets of ``CUT_SPECTRA``, all inside {2,3,5,7} (``CUT_PRIMES``), and
-  a rational group's lies inside {2,3,5} (``RATIONAL_PRIMES``).
+  nine sets of ``CUT_SPECTRA``, the trivial group's empty one included, all
+  inside {2,3,5,7} (``CUT_PRIMES``), and a rational group's lies inside
+  {2,3,5} (``RATIONAL_PRIMES``).
   ``verify invariants`` checks built groups against these same constants.
 
 ``classify`` matches literal prime labels (vertex 5 vs 7 matters), never
@@ -155,9 +156,9 @@ FIGURE_VERDICTS = {
             OPEN, "open question: 3-2-5 for rational groups"))},
 }
 
-# the prime spectra of solvable cut groups; a rational group's lies in
-# RATIONAL_PRIMES
-CUT_SPECTRA = [{2}, {3}, {2, 3}, {2, 5}, {3, 7},
+# the prime spectra of solvable cut groups, the trivial group's included; a
+# rational group's lies in RATIONAL_PRIMES
+CUT_SPECTRA = [set(), {2}, {3}, {2, 3}, {2, 5}, {3, 7},
                {2, 3, 5}, {2, 3, 7}, {2, 3, 5, 7}]
 CUT_PRIMES = set().union(*CUT_SPECTRA)
 RATIONAL_PRIMES = {2, 3, 5}

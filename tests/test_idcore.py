@@ -478,11 +478,16 @@ class TestClassPowerMap:
                         == _reference_verdict(G, rep, index))
 
 
-def test_only_small_groups_without_structure_are_tabulated():
+def test_only_enumerated_groups_are_tabulated():
+    """Enumerated groups within the bound build a Cayley table; a subgroup
+    view multiplies in its parent's ids at any order, as a quotient does."""
     def tabulated(G):
         return id_mul(G).__qualname__.startswith("_cayley_mul")
     S4 = catalog.sym(4)
-    assert tabulated(S4) and tabulated(sylow(S4, 2).as_group())
+    assert tabulated(S4) and not tabulated(sylow(S4, 2).as_group())
+    L = catalog.catalog_entry("twofrob.l").build()
+    F2 = fitting_series(L).series[2].as_group()
+    assert F2.order == 448 <= groups.TABLE_BOUND and not tabulated(F2)
     assert not tabulated(direct_product(catalog.sym(3), catalog.cyclic(2)))
     assert not tabulated(catalog.catalog_entry("fig3.e").build())
     assert not tabulated(quotient(S4, core_p(S4, 2)))

@@ -158,6 +158,10 @@ class TestCensus:
         assert _check_group_invariants(S3) == [
             "spectrum [2, 3] not in the allowed list"]
 
+    @pytest.mark.parametrize("build", [catalog.cyclic, catalog.sym])
+    def test_trivial_group_breaks_no_invariant(self, build):
+        assert _check_group_invariants(build(1)) == []
+
 
 class TestProductGraph:
     def test_s3_times_c2(self, s3):
