@@ -15,16 +15,20 @@ quotient go through it, so they list no pair either.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
-Handles store no generator words: a map given on generators (a kernel
-automorphism, a group action) is extended along a BFS tree of the Cayley
-graph and checked on each non-tree edge as the search meets it (Holt, Eick &
-O'Brien, *Handbook of Computational Group Theory*, ch. 4); enumeration and
-Cayley tables run the same search (``_along_bfs_tree``).  A product runs no
-closure and lists no element when built (``_product_handle``): its order,
-the ids of its elements (``ids_of``) and everything on ids come from its
-factors, and its pairs are listed only when an element-level read needs
-them all (``Product.ordered``, or the id dict ``element_ids``); nothing in
-the analysis or the verify suites makes that read.  Enumeration and both
+Handles store no generator words, only their Cayley edges as id rows
+(``right_rows``: R_k[i] is the id of x_i g_k), which enumeration keeps from
+its own search and any other handle computes once.  A map given on
+generators (a kernel automorphism, a group action, the rows of a Cayley
+table) is extended along a BFS tree of those rows and checked on every edge
+(``_along_bfs_tree``; Holt, Eick & O'Brien, *Handbook of Computational
+Group Theory*, ch. 4), and an enumerated group's conjugation tables follow
+the same tree (``_row_tables``): none of these multiplies an element.  A
+product runs no closure and lists no element when built
+(``_product_handle``): its order, the ids of its elements (``ids_of``) and
+everything on ids come from its factors, and its pairs are listed only
+when an element-level read needs them all (``Product.ordered``, or the id
+dict ``element_ids``); nothing in the analysis or the verify suites makes
+that read.  Enumeration and both
 products stop at ``default_cap()`` elements, which only ``GKLAB_MAX_ORDER``
 sets: no public function takes a cap argument.
 
@@ -42,10 +46,11 @@ group multiplies ids (``id_mul``) the way it was built:
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
-  tree of H from the generators' rows, which its element products read
-  too.  Its conjugation tables are composed from N's ids, H's tables and a
-  (``_pair_tables``): an H generator's with no multiplication, an N
-  generator's with one product per id and image of the generator;
+  tree of H's ``right_rows`` from its generators' automorphism rows, which
+  its element products read too.  Its conjugation tables are composed from
+  N's ids, H's tables and a (``_pair_tables``): an H generator's with no
+  multiplication, an N generator's with one product per id and image of
+  the generator;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k, so its conjugation
@@ -54,11 +59,12 @@ group multiplies ids (``id_mul``) the way it was built:
   A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
 * a subgroup view multiplies in its parent's ids, as a quotient does, and
   is never tabulated;
-* an enumerated group multiplies elements.  Only such a group, at order
-  TABLE_BOUND or less, is tabulated: a Cayley table of 2-byte ``array``
-  rows, filled along a BFS tree from the generators' right-multiplication
-  rows.  An enumerated group and a view both conjugate by each generator on
-  ids, its inverse read off the walk of its powers.
+* only an enumerated group is tabulated, at order TABLE_BOUND or less: a
+  Cayley table of 2-byte ``array`` rows, filled from its ``right_rows``
+  along a BFS tree.  A larger one multiplies elements.  At every order an
+  enumerated group reads its conjugation tables off its rows; a view
+  conjugates by each generator on ids, its inverse read off the walk of its
+  powers.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB
 (1024 rows of 1024 2-byte ids), and a corpus pass keeps the tables of all
@@ -77,7 +83,7 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import islice
 from typing import Callable, KeysView, Optional, Sequence
 
 from . import elements as el
@@ -133,8 +139,9 @@ def memoised(key, product=None):
     With ``product``, a direct product G = A x B (``direct_factors``) caches
     product(G, f(A, *args), f(B, *args)) instead of running f; each factor's
     result is read through this cache, so it lands in that factor's memo.
-    The one writer of ``_memo``: a handle fills its caches on first read, so
-    it must not be shared between threads without a lock.
+    The one writer of ``_memo`` but ``enumerate_group``, which seeds ``ids``
+    and ``right_rows`` from its search: a handle fills its caches on first
+    read, so it must not be shared between threads without a lock.
     """
     def wrap(f):
         @functools.wraps(f)
@@ -245,38 +252,54 @@ def direct_factors(G: GroupHandle) -> Optional[tuple[GroupHandle, GroupHandle]]:
     return (o.left, o.right) if isinstance(o, Product) and o.act is None else None
 
 
-def _along_bfs_tree(gens, root, mult, start, step, agrees=None, cap=None):
-    """Map on the Cayley graph of gens from root, built along a BFS tree.
+def _bfs_tree(rows, root: int) -> tuple[array, array, array]:
+    """A BFS tree of the Cayley graph on id rows (rows[k][i] the id of
+    x_i g_k) from root, as three arrays: the vertices in the order the search
+    reaches them, then, for each vertex past the root, in the same order, the
+    vertex it is reached from and the index of the generator on that edge."""
+    seen = bytearray(len(rows[0]))
+    seen[root] = 1
+    order, parent, gen = array("I", [root]), array("I"), array("I")
+    for x in order:  # grows while it is read
+        for i, row in enumerate(rows):
+            y = row[x]
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+                parent.append(x)
+                gen.append(i)
+    return order, parent, gen
 
-    The root gets ``start`` and each tree edge x -> x * g_i gets
-    ``step(value at x, i)``.  Every other edge x -> y is tested with
-    ``agrees(value at y, value at x, i)`` while the earlier tests have held.
-    Returns (map, ok), ok saying whether every test held; CapExceeded once
-    the map holds more than cap vertices.
+
+def _along_bfs_tree(rows, root: int, start, step, agrees=None):
+    """Map on ids, built along a BFS tree of the Cayley graph on id rows.
+
+    The root gets ``start`` and each tree edge x -> rows[i][x] gets
+    ``step(value at x, i)``.  Every edge x -> y = rows[i][x] is then tested
+    with ``agrees(value at y, value at x, i)`` while the earlier tests have
+    held.  Returns (map, ok), the map as a list indexed by id and ok saying
+    whether every test held.
     """
-    out = {root: start}
-    ok = True
-    frontier = [root]
-    while frontier:
-        new = []
-        for x in frontier:
-            v = out[x]
-            for i, g in enumerate(gens):
-                y = mult(x, g)
-                if y not in out:
-                    out[y] = step(v, i)
-                    new.append(y)
-                    if cap is not None and len(out) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap of {cap} elements")
-                elif ok and agrees is not None:
-                    ok = agrees(out[y], v, i)
-        frontier = new
+    order, parent, gen = _bfs_tree(rows, root)
+    out = [None] * len(order)
+    out[root] = start
+    for y, x, i in zip(islice(order, 1, None), parent, gen):
+        out[y] = step(out[x], i)
+    ok = agrees is None or all(agrees(out[y], out[x], i)
+                               for i, row in enumerate(rows)
+                               for x, y in enumerate(row))
     return out, ok
 
 
 def enumerate_group(generators, label: str = "G") -> GroupHandle:
-    """Subgroup generated by compatible permutation or matrix elements."""
+    """Subgroup generated by compatible permutation or matrix elements.
+
+    The BFS from the identity multiplies each element found by each
+    generator once (``elements.mul``) and keeps the position of each product
+    in one id row per generator; once the elements are sorted, those rows
+    become the group's ``right_rows``, and the element -> id dict that
+    relabels them its ``element_ids``.
+    """
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -288,10 +311,32 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     first = generators[0]
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
-    tree, _ = _along_bfs_tree(generators, identity, el.mul, None,
-                              lambda v, i: None, cap=default_cap())
-    return GroupHandle(label, generators, sorted(tree), identity, el.mul,
-                       el.inv)
+    cap = default_cap()
+    found = [identity]
+    index = {identity: 0}  # element -> its position in found
+    edges = [array("I") for _ in generators]
+    for x in found:  # grows while it is read
+        for g, edge in zip(generators, edges):
+            y = el.mul(x, g)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(found)
+                if j == cap:
+                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
+                found.append(y)
+            edge.append(j)
+    del index  # freed before the id dict is built, which lowers the peak
+    listed = sorted(found)
+    ids = dict(zip(listed, range(len(listed))))
+    to_id = array("I", map(ids.__getitem__, found))  # position -> id
+    position = array("I", [0]) * len(found)  # id -> position
+    for pos, i in enumerate(to_id):
+        position[i] = pos
+    G = GroupHandle(label, generators, listed, identity, el.mul, el.inv)
+    G._memo.update(ids=ids, right_rows=[
+        array("I", map(to_id.__getitem__, map(edge.__getitem__, position)))
+        for edge in edges])
+    return G
 
 
 def element_order(G: GroupHandle, g: Element) -> int:
@@ -368,9 +413,9 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """(i, j) -> id of x_i x_j, built on first use and memoised.
 
     A product composes its factors' ids, and a quotient or a subgroup view
-    multiplies in its parent's.  Only an enumerated group multiplies its
-    elements, and at order TABLE_BOUND or less it tabulates that once
-    (``_cayley_mul``).
+    multiplies in its parent's.  An enumerated group of order TABLE_BOUND
+    or less reads a Cayley table off its ``right_rows`` (``_cayley_mul``);
+    only a larger one multiplies its elements.
     """
     o = G.origin
     if isinstance(o, Product):
@@ -380,23 +425,36 @@ def id_mul(G: GroupHandle) -> Callable[[int, int], int]:
     if isinstance(o, View):
         return induced_mul(id_mul(o.parent), o.ids,
                            {x: k for k, x in enumerate(o.ids)})
-    mul = induced_mul(G.mult, G.ordered, element_ids(G))
-    return _cayley_mul(G, mul) if G.order <= TABLE_BOUND else mul
+    if G.order <= TABLE_BOUND:
+        return _cayley_mul(G)
+    return induced_mul(G.mult, G.ordered, element_ids(G))
 
 
-def _cayley_mul(G: GroupHandle, mul) -> Callable[[int, int], int]:
-    """Cayley table of mul, one array row per right factor: rows[j][i] is the
-    id of x_i x_j.  Only the generators' rows are multiplied out; the other
-    rows follow a BFS tree, as x_j = x_p g gives rows[j] = rows[g] o rows[p].
+@memoised("right_rows")
+def right_rows(G: GroupHandle) -> list[array]:
+    """One id row per generator g_k, R_k[i] = id of x_i g_k; memoised.
+
+    Enumeration keeps the rows its search made; any other handle multiplies
+    them out once, on ``id_mul`` when it has an origin, else as elements.
     """
-    ids = element_ids(G)
-    n = G.order
-    gen_rows = [array("H", [mul(i, ids[g]) for i in range(n)])
-                for g in G.generators]
-    table, _ = _along_bfs_tree(
-        gen_rows, ids[G.identity], lambda p, r: r[p], array("H", range(n)),
-        lambda prev, i: array("H", itemgetter(*prev)(gen_rows[i])))
-    rows = [table[j] for j in range(n)]
+    if G.origin is None:
+        mul = induced_mul(G.mult, G.ordered, element_ids(G))
+    else:
+        mul = id_mul(G)
+    return [array("I", [mul(i, k) for i in range(G.order)])
+            for k in generator_ids(G)]
+
+
+def _cayley_mul(G: GroupHandle) -> Callable[[int, int], int]:
+    """Cayley table, one array row per right factor: rows[j][i] is the id of
+    x_i x_j.  The generators' rows are ``right_rows``; the other rows follow
+    a BFS tree, as x_j = x_p g gives rows[j] = R_g o rows[p], with no
+    multiplication.
+    """
+    gen_rows = right_rows(G)
+    rows, _ = _along_bfs_tree(
+        gen_rows, identity_id(G), array("H", range(G.order)),
+        lambda prev, i: array("H", map(gen_rows[i].__getitem__, prev)))
     return lambda a, b: rows[b][a]
 
 
@@ -457,21 +515,46 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
     Products and quotients derive theirs from their factors' or parent's
-    tables; an enumerated group or a subgroup view conjugates each id by each
-    generator on ``id_mul`` (a view's in its parent's ids, an enumerated
-    group's on its Cayley table at order TABLE_BOUND or less), taking the
-    generator's inverse from the walk of its powers (``_power_walk``).
+    tables.  A subgroup view conjugates each id by each generator in its
+    parent's ids (``id_mul``), taking the generator's inverse from the walk
+    of its powers (``_power_walk``).  An enumerated group reads its tables
+    off its ``right_rows`` R, at every order, with no multiplication
+    (``_row_tables``).
     """
     o = G.origin
     if isinstance(o, Product):
         return _pair_tables(o.left, o.right, o.act)
     if isinstance(o, Quotient):
         return _quotient_tables(o)
+    if o is None:
+        return _row_tables(right_rows(G), identity_id(G), generator_ids(G))
     mul, e = id_mul(G), identity_id(G)
     tables = []
     for k in generator_ids(G):
         ki = _power_walk(mul, e, k)[-1]
         tables.append(array("I", [mul(ki, mul(i, k)) for i in range(G.order)]))
+    return tables
+
+
+def _row_tables(rows, e: int, gens) -> list[array]:
+    """Conjugation tables off right-multiplication rows, along one BFS tree.
+
+    Left multiplication by a fixed h commutes with right multiplication, so
+    its row L (L[i] = id of h x_i) follows the tree: L[e] = h, and
+    L[c] = R_g[L[p]] on each tree edge c = p g.  With h = k^-1, the last id
+    of k's cycle in R_k, the table of k is t[i] = R_k[L[i]].
+    """
+    order, parent, gen = _bfs_tree(rows, e)
+    tables = []
+    for k, rk in zip(gens, rows):
+        ki = k
+        while rk[ki] != e:
+            ki = rk[ki]
+        left = array("I", [0]) * len(order)
+        left[e] = ki
+        for c, p, g in zip(islice(order, 1, None), parent, gen):
+            left[c] = rows[g][left[p]]
+        tables.append(array("I", map(rk.__getitem__, left)))
     return tables
 
 
@@ -561,26 +644,36 @@ def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
     """Extend generator images to an automorphism of N, or raise.
 
-    The extension follows a BFS tree of N's Cayley graph, and each non-tree
-    edge n -> n g_i is checked to give f(n g_i) = f(n) images[i] as the
-    search meets it; with the tree edges that covers all products by
+    The element view of ``_automorphism_row``: n -> f(n) for every n in N.
+    """
+    row = _automorphism_row(N, images)
+    return dict(zip(N.ordered, elements_at(N, row)))
+
+
+def _automorphism_row(N: GroupHandle, images) -> array:
+    """The id row of the automorphism of N with the given generator images,
+    f[i] = id of f(x_i), or NotAnAutomorphism.
+
+    The row follows a BFS tree of N's ``right_rows``, f(x g_i) =
+    f(x) images[i] on ``id_mul``, and each edge x -> x g_i is then checked to
+    give the same; with the tree edges that covers all products by
     induction.
     """
     if len(images) != len(N.generators):
         raise NotAnAutomorphism("one image per generator required")
-    for im in images:
-        if im not in N:
-            raise NotAnAutomorphism("image lies outside the kernel group")
-    mult = N.mult
-    amap, multiplicative = _along_bfs_tree(
-        N.generators, N.identity, mult, N.identity,
-        lambda fx, i: mult(fx, images[i]),
-        lambda fy, fx, i: fy == mult(fx, images[i]))
-    if len(set(amap.values())) != len(amap):
+    try:
+        imgs = ids_of(N, images)
+    except NotMember:
+        raise NotAnAutomorphism("image lies outside the kernel group") from None
+    mul, e = id_mul(N), identity_id(N)
+    row, multiplicative = _along_bfs_tree(
+        right_rows(N), e, e, lambda fx, i: mul(fx, imgs[i]),
+        lambda fy, fx, i: fy == mul(fx, imgs[i]))
+    if len(set(row)) != len(row):
         raise NotAnAutomorphism("generator images do not induce a bijection")
     if not multiplicative:
         raise NotAnAutomorphism("generator images are not multiplicative")
-    return amap
+    return array("I", row)
 
 
 def semidirect_product(N: GroupHandle, H: GroupHandle, action,
@@ -588,31 +681,29 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     """N x| H with multiplication (n1,h1)(n2,h2) = (n1 * (h1 |> n2), h1 h2).
 
     ``action`` gives, per H generator, the images of N's generators under the
-    automorphism that H generator induces.  The per-generator maps are checked
-    to be automorphisms and the induced action of all of H is checked to be
-    well defined over H's enumerated multiplication.  The action is held once,
-    as ``Product.act``: one id row per element of H, in H's id order, with
+    automorphism that H generator induces.  Each generator's map is checked
+    to be an automorphism, as an id row on N (``_automorphism_row``), and the
+    induced action of all of H to be well defined, along H's ``right_rows``:
+    neither multiplies an element.  The action is held once, as
+    ``Product.act``: one id row per element of H, in H's id order, with
     act[j][i] the id of h_j |> n_i in N.
     """
     check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
         raise ActionNotWellDefined("one automorphism per acting generator required")
-    gen_maps = [extend_to_automorphism(N, images) for images in action]
-    nid, ns = element_ids(N), N.ordered
-    rows = [array("I", [nid[gmap[x]] for x in ns]) for gmap in gen_maps]
+    rows = [_automorphism_row(N, images) for images in action]
     kgens = generator_ids(N)
 
-    # Compose along a BFS tree of H, (x g_i) |> n = x |> (g_i |> n); each
-    # other Cayley edge x -> y = x g_i must agree on N's generators.
-    tree, well_defined = _along_bfs_tree(
-        H.generators, H.identity, H.mult, array("I", range(N.order)),
+    # Compose along a BFS tree of H, (x g_i) |> n = x |> (g_i |> n); every
+    # Cayley edge x -> y = x g_i must then agree on N's generators.
+    act, well_defined = _along_bfs_tree(
+        right_rows(H), identity_id(H), array("I", range(N.order)),
         lambda prev, i: array("I", map(prev.__getitem__, rows[i])),
         lambda ay, ax, i: all(ay[k] == ax[rows[i][k]] for k in kgens))
     if not well_defined:
         raise ActionNotWellDefined(
             "generator automorphisms violate the acting group's relations")
-    act = [tree[h] for h in H.ordered]
-    hid = element_ids(H)
+    nid, ns, hid = element_ids(N), N.ordered, element_ids(H)
     nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
 
     def mult(a, b):
@@ -624,7 +715,7 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
         return (el.PAIR, ns[act[hid[h_inv]][nid[ni(a[1])]]], h_inv)
 
     if label is None:
-        trivial = all(row == tree[H.identity] for row in rows)
+        trivial = all(row == act[identity_id(H)] for row in rows)
         label = f"{N.label}{' x ' if trivial else ' x| '}{H.label}"
     return _product_handle(N, H, act, mult, inv, label)
 

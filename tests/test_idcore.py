@@ -21,9 +21,10 @@ from sympy import factorint
 
 from gklab import catalog, groups
 from gklab import elements as el
-from gklab.groups import (Product, _power_walk, closure_in, direct_product,
-                          element_ids, element_order, enumerate_group, id_mul,
-                          identity_id, semidirect_product,
+from gklab.groups import (GroupHandle, Product, _power_walk, closure_in,
+                          conjugation_tables, direct_product, element_ids,
+                          element_order, enumerate_group, id_mul, identity_id,
+                          right_rows, semidirect_product,
                           small_generating_set)
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
@@ -231,7 +232,7 @@ def _bound(name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "TABLE_BOUND", BOUNDS[name])
         if BOUNDS[name] == 0:
-            def no_table(G, mul):
+            def no_table(G):
                 raise AssertionError(f"Cayley table built for {G.label}")
             mp.setattr(groups, "_cayley_mul", no_table)
         yield
@@ -375,6 +376,99 @@ class TestSemidirectAction:
             _check_action(*r, rng)
 
 
+def _rebuilt(G):
+    """Handles of G's group that did not come from enumeration, so compute
+    their rows on first read: relabelled, with the origin dropped, and built
+    by hand.  A product's pairs become the listed elements of the last two."""
+    listed = list(G.ordered)
+    return [G.relabel("relabelled"),
+            replace(G, label="no origin", listed=listed, origin=None),
+            GroupHandle("by hand", G.generators, listed, G.identity, G.mult,
+                        G.inv)]
+
+
+@st.composite
+def _rows_groups(draw):
+    """(name, builder): a permutation group of degree up to 7, a group of
+    3 x 3 matrices over F2, a cyclic one over F3, or any recipe's group."""
+    kind = draw(st.sampled_from(["perm", "matrix", "recipe"]))
+    if kind == "perm":
+        n = draw(st.integers(2, 7))
+        perms = draw(st.lists(st.permutations(range(n)), min_size=1,
+                              max_size=2))
+        return kind, lambda: enumerate_group([el.perm(q) for q in perms])
+    if kind == "matrix":  # two generators of GL(3,3) mostly give all 11232
+        p = draw(st.sampled_from([2, 3]))
+        mats = draw(st.lists(_matrices(p, 3), min_size=1, max_size=4 - p))
+        return kind, lambda: enumerate_group([el.mat(p, m) for m in mats])
+    return draw(_recipes())
+
+
+def _check_against_products(G):
+    """G and its rebuilt handles against element products on G.mult and
+    G.inv (``elements.mul`` for an enumerated group): the rows ids[x g], the
+    tables ids[g^-1 x g] and sampled id products ids[x y]."""
+    xs, mul, inv = G.ordered, G.mult, G.inv
+    if G.origin is None:
+        assert mul is el.mul and inv is el.inv
+    ids = {x: i for i, x in enumerate(xs)}
+    rows = [[ids[mul(x, g)] for x in xs] for g in G.generators]
+    tables = [[ids[mul(inv(g), mul(x, g))] for x in xs] for g in G.generators]
+    rng = random.Random(G.order)
+    pairs = list(zip(_sample_ids(G, rng, 30), _sample_ids(G, rng, 30)))
+    for H in [G, *_rebuilt(G)]:
+        assert [list(r) for r in right_rows(H)] == rows, H.label
+        assert [list(t) for t in conjugation_tables(H)] == tables, H.label
+        mul_ids = id_mul(H)
+        assert all(mul_ids(i, j) == ids[mul(xs[i], xs[j])] for i, j in pairs)
+
+
+class TestRightRows:
+    """Enumeration's id rows, the rows a handle computes on first read, and
+    the conjugation tables and semidirect actions read off them, each against
+    test-local element products."""
+
+    @by_bound
+    @settings(max_examples=25, deadline=None)
+    @given(recipe=_rows_groups())
+    def test_rows_and_tables_match_element_products(self, bound, recipe):
+        with _bound(bound):
+            _check_against_products(recipe[1]())
+
+    @by_bound
+    @settings(max_examples=15, deadline=None)
+    @given(recipe=_recipes(["semidirect", "inner-semidirect"]),
+           seed=st.integers(0, 2**16))
+    def test_actions_on_rebuilt_handles(self, bound, recipe, seed):
+        """The action rows of N x| H, built again from handles of N and H
+        that compute their rows on first read, match the element maps."""
+        with _bound(bound), _recording_semidirect() as made:
+            recipe[1]()
+        G, N, H, action = made[0]
+        rng = random.Random(seed)
+        for N2, H2 in zip(_rebuilt(N), _rebuilt(H)):
+            G2 = groups.semidirect_product(N2, H2, action)
+            _check_action(G2, N2, H2, action, rng)
+            assert [list(r) for r in G2.origin.act] == \
+                [list(r) for r in G.origin.act]
+
+    @pytest.mark.parametrize("build", [
+        lambda: enumerate_group([el.perm_from_cycles(7, [range(1, 8)]),
+                                 el.perm_from_cycles(7, [[1, 2]])]),
+        lambda: enumerate_group([el.mat(2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+                                 el.mat(2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]),
+        lambda: enumerate_group([el.mat(3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                 el.mat(3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                                 el.mat(3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]),
+    ], ids=["S7", "GL(3,2)", "F3 monomial"])
+    def test_named_groups(self, build):
+        """S7 (5040, above TABLE_BOUND), GL(3,2) (168) and the monomial
+        matrices of GL(3,3) (48), at the module's TABLE_BOUND."""
+        G = build()
+        assert G.order in (5040, 168, 48)
+        _check_against_products(G)
+
+
 class TestClosures:
     @by_bound
     @settings(max_examples=40, deadline=None)
@@ -506,7 +600,7 @@ class _Poison:
     __getattr__ = _fail
 
 
-ID_CORE_KEYS = ("ids", "id_mul", "conj_tables")
+ID_CORE_KEYS = ("ids", "right_rows", "id_mul", "conj_tables")
 
 
 def _c5sq_c4():
