@@ -32,7 +32,8 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .groups import GroupHandle, element_orders_multiset, id_mul, memoised
+from .groups import (GroupHandle, element_orders_multiset, id_mul,
+                     identity_id, memoised)
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
@@ -87,12 +88,11 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
 def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
     """C_G(k) <= K for every k != 1 in the kernel K (ids ks): the index of K
     divides every nontrivial class size inside K.  The trivial class is the
-    one whose row has length 1."""
+    one whose least id is the identity's."""
     data = conjugacy_classes(G)
-    m = G.order // len(ks)
-    return all(size % m == 0
-               for rep, size, row in zip(data.rep_ids, data.sizes, data.powers)
-               if len(row) > 1 and rep in ks)
+    m, e = G.order // len(ks), identity_id(G)
+    return all(size % m == 0 for rep, size in zip(data.rep_ids, data.sizes)
+               if rep != e and rep in ks)
 
 
 def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:

@@ -41,8 +41,10 @@ group multiplies ids (``id_mul``) the way it was built:
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   ``ordered`` list is the nested loop over the factors' lists) and
   multiplies componentwise on the factors' ids.  It reads its conjugation
-  tables and its conjugacy classes (``structure.conjugacy_classes``) off its
-  factors' (``direct_factors``), with no multiplication;
+  tables, its conjugacy classes (``structure.conjugacy_classes``) and its
+  element order counts (``element_orders_multiset``) off its factors'
+  (``direct_factors``), with no multiplication; a row of its class power
+  map is composed from the factors' rows only when it is read;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
@@ -84,7 +86,9 @@ import os
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, KeysView, Optional, Sequence
+from math import lcm
+from types import MappingProxyType
+from typing import Callable, KeysView, Mapping, Optional, Sequence
 
 from . import elements as el
 from .elements import Element, IncompatibleKinds
@@ -606,14 +610,29 @@ def _quotient_tables(q: Quotient) -> list[list[int]]:
             for t in conjugation_tables(q.parent)]
 
 
-def element_orders_multiset(G: GroupHandle) -> dict[int, int]:
-    """order -> number of elements of that order (via the class power map)."""
+def _product_orders(G: GroupHandle, ma: Mapping[int, int],
+                    mb: Mapping[int, int]) -> Mapping[int, int]:
+    """(g, h) has order lcm(|g|, |h|), so A x B has c_A(m) c_B(n) such
+    elements for each pair of orders m, n."""
+    out: dict[int, int] = {}
+    for m, ca in ma.items():
+        for n, cb in mb.items():
+            k = lcm(m, n)
+            out[k] = out.get(k, 0) + ca * cb
+    return MappingProxyType(out)
+
+
+@memoised("element_orders", product=_product_orders)
+def element_orders_multiset(G: GroupHandle) -> Mapping[int, int]:
+    """order -> number of elements of that order, read-only; memoised.  Read
+    off the class power map as row lengths; a direct product's counts are
+    composed from its factors' (``_product_orders``), reading no row."""
     from .structure import conjugacy_classes  # cycle-free at call time
     data = conjugacy_classes(G)
     out: dict[int, int] = {}
     for row, size in zip(data.powers, data.sizes):
         out[len(row)] = out.get(len(row), 0) + size
-    return out
+    return MappingProxyType(out)
 
 
 def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from math import gcd, lcm
 
 from .elements import Element
@@ -133,15 +132,31 @@ def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
     return ElementVerdict(n, len(exps), exps, verdict)
 
 
-def _report(verdicts: tuple[ElementVerdict, ...]) -> RationalityReport:
-    """The report on the classes with these verdicts, in class order."""
+def _report(per_class: tuple[ElementVerdict, ...],
+            distinct) -> RationalityReport:
+    """The report on the classes with these verdicts, in class order; the
+    group's verdicts are read off distinct, which holds each verdict of
+    per_class at least once."""
     return RationalityReport(
-        per_class=verdicts,
-        is_rational=all(v.verdict == RATIONAL for v in verdicts),
-        is_cut=all(v.verdict != NEITHER for v in verdicts),
-        non_rational_orders=frozenset(v.order for v in verdicts
+        per_class=per_class,
+        is_rational=all(v.verdict == RATIONAL for v in distinct),
+        is_cut=all(v.verdict != NEITHER for v in distinct),
+        non_rational_orders=frozenset(v.order for v in distinct
                                       if v.verdict != RATIONAL),
     )
+
+
+def _key_indices(r: RationalityReport) -> tuple[list[int], list[int]]:
+    """The key index of each class of r, a key being (|g|, iota image of g)
+    numbered by first appearance, and the first class with each key."""
+    keys: dict = {}
+    index, firsts = [], []
+    for c, v in enumerate(r.per_class):
+        k = keys.setdefault((v.order, v.iota_exponents), len(keys))
+        if k == len(firsts):
+            firsts.append(c)
+        index.append(k)
+    return index, firsts
 
 
 def _product_report(G: GroupHandle, ra: RationalityReport,
@@ -154,19 +169,17 @@ def _product_report(G: GroupHandle, ra: RationalityReport,
     and m mod |h| lie in the two images, and in the class of (g, h)^-1 iff
     -m does, so the pair of keys fixes the product class's verdict: it is
     computed by ``_class_verdict`` on G's row for the first class with that
-    pair, and shared by the others.
+    pair, a*k(B) + b for the first classes a and b with the two keys, and
+    shared by the others.  Every pair of keys occurs, so these verdicts give
+    the group's.
     """
     powers = conjugacy_classes(G).powers
-    keys = [[(v.order, v.iota_exponents) for v in r.per_class]
-            for r in (ra, rb)]
-    seen: dict = {}
-    out = []
-    for cid, key in enumerate(product(*keys)):
-        v = seen.get(key)
-        if v is None:
-            v = seen[key] = _class_verdict(cid, powers[cid])
-        out.append(v)
-    return _report(tuple(out))
+    (ia, fa), (ib, fb) = _key_indices(ra), _key_indices(rb)
+    kb, nb = len(rb.per_class), len(fb)
+    verdicts = [_class_verdict(c, powers[c])
+                for a in fa for c in (a * kb + b for b in fb)]
+    return _report(tuple([verdicts[i * nb + j] for i in ia for j in ib]),
+                   verdicts)
 
 
 @memoised("rationality", product=_product_report)
@@ -175,7 +188,8 @@ def rationality_report(G: GroupHandle) -> RationalityReport:
     computes one verdict per pair of factor-class keys
     (``_product_report``)."""
     powers = conjugacy_classes(G).powers
-    return _report(tuple(map(_class_verdict, range(len(powers)), powers)))
+    verdicts = tuple(map(_class_verdict, range(len(powers)), powers))
+    return _report(verdicts, verdicts)
 
 
 def is_rational_group(G: GroupHandle) -> bool:

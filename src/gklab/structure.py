@@ -59,14 +59,20 @@ cached through ``groups.memoised``.  Deliberate choices:
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``).
   Element orders are read from it as row lengths; no table of orders by id
-  is kept.  Sylow growth and the rationality verdicts read the rows.
+  is kept.  Sylow growth and the rationality verdicts read the rows; code
+  that needs only the orders reads their counts
+  (``groups.element_orders_multiset``), which a direct product composes
+  from its factors' without reading a row: ``is_cyclic`` and ``exponent``.
 * A direct product G x H visits no element: each rule here is stated once,
   as the ``product`` argument of ``groups.memoised``, and reads the
   factors' memoised results.  Its classes are the products C x D of the
   factors' classes, with least id and size read off theirs, and the class
   of (g, h)^k is the pair of the classes of g^k and h^k
-  (``_product_classes``); the class of each id is composed from the
-  factors' only when it is read.  O_p, the Sylow p-subgroup, the Fitting
+  (``_product_classes``).  Its power map is a read-only sequence
+  (``_PowerRows``) that composes a row from the factors' rows on its first
+  read, so the rationality report composes one row per pair of factor-class
+  keys; the class of each id too is composed from the factors' only when
+  it is read.  O_p, the Sylow p-subgroup, the Fitting
   subgroup and the derived subgroup are the id sets {i*|H| + j} of
   O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H', normal iff both
   factors' are (``_product_subgroup``); it is abelian, metabelian or
@@ -97,18 +103,18 @@ cached through ``groups.memoised``.  Deliberate choices:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import lcm
-from operator import add
-from typing import Callable, Sequence
+from operator import add, eq
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
                      conjugation_tables, direct_factors, direct_product,
-                     element_order, elements_at, generator_ids, id_mul,
-                     id_set, identity_id, ids_of, memoised,
-                     small_generating_set, subgroup_view)
+                     element_order, element_orders_multiset, elements_at,
+                     generator_ids, id_mul, id_set, identity_id, ids_of,
+                     memoised, small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -133,8 +139,10 @@ class ConjugacyData:
     """
     rep_ids: tuple[int, ...]  # rep_ids[c] is the least id in class c
     sizes: tuple[int, ...]    # sizes[c] is |class c|
-    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|
-    powers: tuple[tuple[int, ...], ...]
+    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|; a tuple
+    # of rows, or for a direct product a read-only sequence that composes
+    # each row from the factors' on its first read (``_PowerRows``)
+    powers: Sequence[tuple[int, ...]]
     # () -> class id of each element id; read once, by ``class_ids``
     class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
                                                         repr=False)
@@ -181,32 +189,75 @@ class FittingData:
         return self.length is not None
 
 
+class _PowerRows(Sequence):
+    """The power map of P = G x H, read-only: row a*k(H) + b pairs G's row a,
+    each class id times k(H), with H's row b for lcm(|g|, |h|) steps.  A
+    row is composed on its first read and kept; iteration composes the rest
+    once and then walks a list.  A nested product's factors compose their
+    rows the same way, so each level composes only the rows read of it."""
+
+    def __init__(self, left: Sequence, right: Sequence):
+        self._left, self._right = left, right
+        self._rows: list = [None] * (len(left) * len(right))
+        self._scaled: dict[int, tuple[int, ...]] = {}  # left rows, by a
+        self._full = False
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, c: int) -> tuple[int, ...]:
+        row = self._rows[c]
+        return self._compose(c % len(self._rows)) if row is None else row
+
+    def __iter__(self):
+        if not self._full:
+            for c, row in enumerate(self._rows):
+                if row is None:
+                    self._compose(c)
+            self._full = True
+            self._scaled.clear()
+        return iter(self._rows)
+
+    def __eq__(self, other) -> bool:
+        """Equal to a tuple, or another product's rows, holding the same
+        rows."""
+        if not isinstance(other, (tuple, _PowerRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def _compose(self, c: int) -> tuple[int, ...]:
+        kh = len(self._right)
+        a, b = divmod(c, kh)
+        ra, rb = self._left[a], self._right[b]
+        scaled = self._scaled.get(a)
+        if scaled is None:
+            scaled = self._scaled[a] = tuple(x * kh for x in ra)
+        na, nb = len(ra), len(rb)
+        n = lcm(na, nb)
+        row = self._rows[c] = tuple(map(add, scaled * (n // na),
+                                        rb * (n // nb)))
+        return row
+
+
 def _product_classes(P: GroupHandle, dg: ConjugacyData,
                      dh: ConjugacyData) -> ConjugacyData:
     """Classes of P = G x H from its factors' dg and dh: C_a x D_b, numbered
     a*k(H) + b.  Its least id is i*|H| + j for the least ids i of C_a and j
     of D_b, so the classes stay ordered by least id.  The class of (g, h)^k
     is that of (g^k, h^k), so row (a, b) pairs the factor rows for
-    lcm(|g|, |h|) steps.  Nothing here visits an element; the class of each
-    id is composed from the factors' only when it is read.
+    lcm(|g|, |h|) steps, composed only when it is read (``_PowerRows``).
+    Nothing here visits an element; the class of each id is composed from
+    the factors' only when it is read.
     """
     m, kh = direct_factors(P)[1].order, len(dh.rep_ids)
     rep_ids = tuple(i * m + j for i in dg.rep_ids for j in dh.rep_ids)
     sizes = tuple(x * y for x in dg.sizes for y in dh.sizes)
-    powers = []
-    for ra in dg.powers:
-        na = len(ra)
-        ra = tuple(a * kh for a in ra)
-        for rb in dh.powers:
-            nb = len(rb)
-            n = lcm(na, nb)
-            powers.append(tuple(map(add, ra * (n // na), rb * (n // nb))))
 
     def class_ids() -> list[int]:
         ch = dh.class_ids
         return [a * kh + b for a in dg.class_ids for b in ch]
-    return ConjugacyData(rep_ids, sizes, tuple(powers), class_ids,
-                         partial(elements_at, P))
+    return ConjugacyData(rep_ids, sizes, _PowerRows(dg.powers, dh.powers),
+                         class_ids, partial(elements_at, P))
 
 
 @memoised("conjugacy", product=_product_classes)
@@ -522,11 +573,11 @@ def is_abelian(G: GroupHandle) -> bool:
 
 
 def is_cyclic(G: GroupHandle) -> bool:
-    return any(len(row) == G.order for row in conjugacy_classes(G).powers)
+    return G.order in element_orders_multiset(G)
 
 
 def exponent(G: GroupHandle) -> int:
-    return lcm(*map(len, conjugacy_classes(G).powers))
+    return lcm(*element_orders_multiset(G))
 
 
 def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):

@@ -13,27 +13,34 @@ Classes, verdicts, prime graphs, fingerprints, the analysis report of every
 catalog product and the per-group checks of `verify invariants` list no
 product's pairs, at any level of nesting, and Sylow subgroups and
 nilpotency build no direct product's multiplication or conjugation tables.
+A product composes a power-map row only when it is read, each row equal to
+the one the factors' rows give when all are composed at once; its element
+order counts are composed from its factors' and read no row.
 """
 
 import functools
+import random
 from collections import Counter
 from dataclasses import replace
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gklab import catalog
+from gklab import catalog, structure
 from gklab.cli import analysis_report
 from gklab.frobenius import fingerprint
-from gklab.groups import (GroupHandle, Product, _power_walk,
+from gklab.groups import (GroupHandle, Product, Quotient, _power_walk,
                           conjugation_tables, direct_factors, direct_product,
-                          id_mul, identity_id, subgroup_as_group)
+                          element_orders_multiset, id_mul, identity_id,
+                          subgroup_as_group)
 from gklab.primegraph import gk_graph
-from gklab.rationality import _class_verdict, rationality_report
+from gklab.rationality import (_class_verdict, is_cut_group,
+                               rationality_report)
 from gklab.numtheory import factorint
-from gklab.structure import (conjugacy_classes, core_p, is_nilpotent,
-                             quotient, sylow)
+from gklab.structure import (conjugacy_classes, core_p, exponent,
+                             is_cyclic, is_nilpotent, quotient, sylow)
 from gklab.verify import _check_group_invariants, _sampled_pairs
 
 
@@ -278,3 +285,113 @@ def test_product_class_laws(pair):
     _check_verdicts(P)
     assert "id_mul" not in P._memo
 
+
+def _eager_powers(G: GroupHandle) -> tuple:
+    """G's power map with every row built at once, at every level of
+    nesting: row a*k(B) + b of A x B pairs A's row a, scaled by k(B), with
+    B's row b for lcm(|g|, |h|) steps.  Rows of a group that is not a direct
+    product come from its orbit and walk path."""
+    if not (factors := direct_factors(G)):
+        return tuple(conjugacy_classes(G).powers)
+    left, right = map(_eager_powers, factors)
+    kh = len(right)
+    rows = []
+    for ra in left:
+        na = len(ra)
+        ra = tuple(a * kh for a in ra)
+        for rb in right:
+            nb = len(rb)
+            n = lcm(na, nb)
+            rows.append(tuple(map(add, ra * (n // na), rb * (n // nb))))
+    return tuple(rows)
+
+
+def _check_lazy_rows(P: GroupHandle, seed: int) -> None:
+    """P's rows are the rows built at once: half of them read one by one in
+    a shuffled order before any other read, then all of them."""
+    powers = conjugacy_classes(P).powers
+    eager = _eager_powers(P)
+    order = list(range(len(eager)))
+    random.Random(seed).shuffle(order)
+    for c in order[:len(order) // 2]:
+        assert powers[c] == eager[c], c
+    assert powers[-1] == eager[-1]
+    assert len(powers) == len(eager)
+    assert list(powers) == list(eager)
+    assert powers == eager and eager == powers
+
+
+@pytest.mark.parametrize("k", range(50))
+def test_sampled_pair_rows_match_eager_composition(k):
+    _check_lazy_rows(direct_product(*_sampled()[k]), k)
+
+
+def _c6q8():
+    return direct_product(catalog.cyclic(6), catalog.quaternion8())
+
+
+def _quotient_of_product():
+    """(S4/V4) x (S4/V4), built by ``structure._product_quotient``."""
+    P = direct_product(catalog.sym(4), catalog.sym(4))
+    Q = quotient(P, core_p(P, 2))
+    assert all(isinstance(F.origin, Quotient) for F in direct_factors(Q))
+    return Q
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(_c6q8(), _c6q8()), _quotient_of_product,
+], ids=["C6xQ8xC6xQ8", "product-quotient"])
+def test_nested_and_quotient_rows_match_eager_composition(build):
+    P = build()
+    assert direct_factors(P)
+    _check_lazy_rows(P, P.order)
+
+
+def _compositions(monkeypatch) -> list:
+    """A list that gains an entry each time a direct product composes a
+    power-map row: every row takes one lcm of its factor rows' lengths."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lcm(*args)
+    monkeypatch.setattr(structure, "lcm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [k for k in range(50) if not any(
+    map(direct_factors, _sampled()[k]))][:8])
+def test_reads_compose_one_row_per_key_pair(monkeypatch, k):
+    """The cut verdict and the prime graph of a fresh product compose one
+    row per pair of factor-class keys, and its order counts none; reading
+    every row composes the rest, once each."""
+    a, b = _sampled()[k]
+    for F in (a, b):
+        is_cut_group(F)
+        gk_graph(F)
+    keys = [len({(v.order, v.iota_exponents)
+                 for v in rationality_report(F).per_class}) for F in (a, b)]
+    P = direct_product(a, b)
+    composed = _compositions(monkeypatch)
+    element_orders_multiset(P)
+    assert composed == []
+    is_cut_group(P)
+    gk_graph(P)
+    assert 0 < len(composed) <= keys[0] * keys[1]
+    list(conjugacy_classes(P).powers)
+    assert len(composed) == len(conjugacy_classes(P).rep_ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_pool_pairs())
+def test_product_order_laws(pair):
+    """Element order counts of A x B against the orbit and walk path, and
+    the exponent and cyclicity laws of a direct product."""
+    a, b = pair
+    P = direct_product(a, b)
+    counts = element_orders_multiset(P)
+    assert dict(counts) == dict(element_orders_multiset(_without_factors(P)))
+    assert sum(counts.values()) == a.order * b.order
+    assert exponent(P) == lcm(exponent(a), exponent(b))
+    assert is_cyclic(P) == (is_cyclic(a) and is_cyclic(b)
+                            and gcd(a.order, b.order) == 1)
