@@ -21,8 +21,8 @@ its own search and any other handle computes once.  A map given on
 generators (a kernel automorphism, a group action, the rows of a Cayley
 table) is extended along a BFS tree of those rows and checked on every edge
 (``_along_bfs_tree``; Holt, Eick & O'Brien, *Handbook of Computational
-Group Theory*, ch. 4), and an enumerated group's conjugation tables follow
-the same tree (``_row_tables``): none of these multiplies an element.  A
+Group Theory*, ch. 4), which multiplies no element.  Conjugation tables
+have one rule per construction, stated in ``conjugation_tables``.  A
 product runs no closure and lists no element when built
 (``_product_handle``): its order, the ids of its elements (``ids_of``) and
 everything on ids come from its factors, and its pairs are listed only
@@ -40,33 +40,27 @@ group multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   ``ordered`` list is the nested loop over the factors' lists) and
-  multiplies componentwise on the factors' ids.  It reads its conjugation
-  tables, its conjugacy classes (``structure.conjugacy_classes``) and its
-  element order counts (``element_orders_multiset``) off its factors'
-  (``direct_factors``), with no multiplication; a row of its class power
-  map is composed from the factors' rows only when it is read;
+  multiplies componentwise on the factors' ids.  It reads its conjugacy
+  classes (``structure.conjugacy_classes``) and its element order counts
+  (``element_orders_multiset``) off its factors' (``direct_factors``),
+  with no multiplication; a row of its class power map is composed from
+  the factors' rows only when it is read;
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
   tree of H's ``right_rows`` from its generators' automorphism rows, which
-  its element products read too.  Its conjugation tables are composed from
-  N's ids, H's tables and a (``_pair_tables``): an H generator's with no
-  multiplication, an N generator's with one product per id and image of
-  the generator;
+  its element products read too;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
-  generator k is the coset of its parent's generator k, so its conjugation
-  tables are its parent's, one per generator, read through ``to_q``.  The
-  quotient of A x B by N_A x N_B is instead built as the direct product
-  A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
+  generator k is the coset of its parent's generator k.  The quotient of
+  A x B by N_A x N_B is instead built as the direct product A/N_A x B/N_B
+  (``structure.quotient``), and multiplies as one;
 * a subgroup view multiplies in its parent's ids, as a quotient does, and
-  is never tabulated;
+  is never tabulated: its ``right_rows`` are computed once on those
+  products, one per id and generator;
 * only an enumerated group is tabulated, at order TABLE_BOUND or less: a
   Cayley table of 2-byte ``array`` rows, filled from its ``right_rows``
-  along a BFS tree.  A larger one multiplies elements.  At every order an
-  enumerated group reads its conjugation tables off its rows; a view
-  conjugates by each generator on ids, its inverse read off the walk of its
-  powers.
+  along a BFS tree.  A larger one multiplies elements.
 
 TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB
 (1024 rows of 1024 2-byte ids), and a corpus pass keeps the tables of all
@@ -518,39 +512,33 @@ def id_set(G: GroupHandle, elems) -> set[int]:
 def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
-    Products and quotients derive theirs from their factors' or parent's
-    tables.  A subgroup view conjugates each id by each generator in its
-    parent's ids (``id_mul``), taking the generator's inverse from the walk
-    of its powers (``_power_walk``).  An enumerated group reads its tables
-    off its ``right_rows`` R, at every order, with no multiplication
-    (``_row_tables``).
+    Each construction has one rule.  A product composes its tables from its
+    factors' (``_pair_tables``), and a quotient projects its parent's
+    (``_quotient_tables``); every other handle, enumerated, a subgroup view
+    or built by hand, reads its tables off its ``right_rows`` with no
+    multiplication (``_row_tables``).
     """
     o = G.origin
     if isinstance(o, Product):
         return _pair_tables(o.left, o.right, o.act)
     if isinstance(o, Quotient):
         return _quotient_tables(o)
-    if o is None:
-        return _row_tables(right_rows(G), identity_id(G), generator_ids(G))
-    mul, e = id_mul(G), identity_id(G)
-    tables = []
-    for k in generator_ids(G):
-        ki = _power_walk(mul, e, k)[-1]
-        tables.append(array("I", [mul(ki, mul(i, k)) for i in range(G.order)]))
-    return tables
+    return _row_tables(G)
 
 
-def _row_tables(rows, e: int, gens) -> list[array]:
-    """Conjugation tables off right-multiplication rows, along one BFS tree.
+def _row_tables(G: GroupHandle) -> list[array]:
+    """Conjugation tables off G's right-multiplication rows R, along one BFS
+    tree.
 
     Left multiplication by a fixed h commutes with right multiplication, so
     its row L (L[i] = id of h x_i) follows the tree: L[e] = h, and
     L[c] = R_g[L[p]] on each tree edge c = p g.  With h = k^-1, the last id
     of k's cycle in R_k, the table of k is t[i] = R_k[L[i]].
     """
+    rows, e = right_rows(G), identity_id(G)
     order, parent, gen = _bfs_tree(rows, e)
     tables = []
-    for k, rk in zip(gens, rows):
+    for k, rk in zip(generator_ids(G), rows):
         ki = k
         while rk[ki] != e:
             ki = rk[ki]

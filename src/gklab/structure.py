@@ -444,9 +444,11 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     keeps it alive.  A direct product's quotient by N_A x N_B is
     A/N_A x B/N_B (``_product_quotient``), from the factors' memoised
     quotients."""
-    if N.parent is not G and N.parent.ordered != G.ordered:
+    # a shared origin (a relabelled twin) or equal element lists give equal
+    # ids, so N's ids are G's; the origin test lists no product's pairs
+    if not (N.parent is G or G.origin and N.parent.origin is G.origin
+            or N.parent.ordered == G.ordered):
         raise NotNormal("subgroup does not live in this group")
-    # equal element lists give equal ids, so N's ids are G's
     if (factors := direct_factors(G)) and (
             Q := _product_quotient(G, N, *factors)):
         return Q

@@ -23,9 +23,10 @@ from gklab import catalog, groups
 from gklab import elements as el
 from gklab.groups import (GroupHandle, Product, _power_walk, closure_in,
                           conjugation_tables, direct_product, element_ids,
-                          element_order, enumerate_group, id_mul, identity_id,
-                          right_rows, semidirect_product,
-                          small_generating_set)
+                          element_order, enumerate_group, generator_ids,
+                          id_mul, identity_id, right_rows, semidirect_product,
+                          small_generating_set, subgroup_as_group,
+                          subgroup_view)
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
                                element_verdict, is_cut_group)
@@ -467,6 +468,99 @@ class TestRightRows:
         G = build()
         assert G.order in (5040, 168, 48)
         _check_against_products(G)
+
+
+def _sylow_views(G):
+    return [sylow(G, p).as_group() for p in sorted(factorint(G.order))]
+
+
+def _product_views():
+    """S4 x C4's Sylow views, its derived subgroup A4 x 1 and the diagonal
+    <(t, c)> of a transposition t and a generator c of C4, which is no
+    product of subgroups of the factors."""
+    P = direct_product(catalog.sym(4), catalog.cyclic(4))
+    t = next(x for x in P.ordered if x[2] == P.identity[2]
+             and element_order(P, x) == 2)
+    c = (el.PAIR, P.identity[1], P.generators[-1][2])
+    diagonal = subgroup_as_group(P, closure_in(P, [P.mult(t, c)]), "diag")
+    return _sylow_views(P) + [derived_subgroup(P).as_group(), diagonal]
+
+
+def _quotient_views():
+    """Views of S4/V4 (S3): its Sylow subgroups and its derived subgroup."""
+    S4 = catalog.sym(4)
+    Q = quotient(S4, core_p(S4, 2))
+    return _sylow_views(Q) + [derived_subgroup(Q).as_group()]
+
+
+def _trivial_views():
+    return [subgroup_view(G, {identity_id(G)})
+            for G in (catalog.sym(4), catalog.c7_c6())]
+
+
+VIEWS = {
+    "corpus Sylow": lambda: [V for G in catalog.distinct_corpus(
+        1, 20, 300).values() for V in _sylow_views(G)],
+    "twofrob.l F2": lambda: [fitting_series(
+        catalog.catalog_entry("twofrob.l").build()).series[2].as_group()],
+    "semidirect": lambda: _sylow_views(catalog.catalog_entry(
+        "fig3.e").build()) + [derived_subgroup(catalog.c7_c6()).as_group()],
+    "quotient": _quotient_views,
+    "direct": _product_views,
+    "trivial": _trivial_views,
+}
+
+
+def _reference_view_tables(V):
+    """The tables as views once built them: each generator's inverse read
+    off the walk of its powers, then two id products per id."""
+    mul, e = id_mul(V), identity_id(V)
+    tables = []
+    for k in generator_ids(V):
+        ki = _power_walk(mul, e, k)[-1]
+        tables.append([mul(ki, mul(i, k)) for i in range(V.order)])
+    return tables
+
+
+class TestViewTables:
+    """Subgroup views read their conjugation tables off their rows, as
+    enumerated groups do."""
+
+    @by_bound
+    @pytest.mark.parametrize("views", sorted(VIEWS))
+    def test_tables_match_conjugation(self, bound, views):
+        """Each view's tables against g^-1 x g on elements and against the
+        walk-and-multiply tables views used to build."""
+        with _bound(bound):
+            vs = VIEWS[views]()
+            assert vs
+            for V in vs:
+                assert isinstance(V.origin, groups.View)
+                xs, ids = V.ordered, element_ids(V)
+                want = [[ids[V.conjugate(x, g)] for x in xs]
+                        for g in V.generators]
+                got = [list(t) for t in conjugation_tables(V)]
+                assert got == want, V.label
+                assert got == _reference_view_tables(V), V.label
+
+    @by_bound
+    @pytest.mark.parametrize("views", sorted(VIEWS))
+    def test_tables_make_one_product_per_id_and_generator(self, bound,
+                                                          views):
+        """A fresh view's tables cost at most |V| k products of its parent's
+        ids: the rows they are read off, and nothing more."""
+        with _bound(bound):
+            for V in VIEWS[views]():
+                parent = V.origin.parent
+                assert not V._memo
+                mul, calls = id_mul(parent), []
+
+                def counting(a, b, mul=mul, calls=calls):
+                    calls.append(None)
+                    return mul(a, b)
+                parent._memo["id_mul"] = counting
+                conjugation_tables(V)
+                assert len(calls) <= V.order * len(V.generators), V.label
 
 
 class TestClosures:
