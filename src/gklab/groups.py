@@ -49,7 +49,8 @@ group multiplies ids (``id_mul``) the way it was built:
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
   tree of H's ``right_rows`` from its generators' automorphism rows, which
-  its element products read too;
+  its element products read too.  One id multiplication (``_pair_mul``)
+  serves both kinds of product;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k.  The quotient of
@@ -81,6 +82,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, KeysView, Mapping, Optional, Sequence
 
@@ -296,7 +298,10 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     generator once (``elements.mul``) and keeps the position of each product
     in one id row per generator; once the elements are sorted, those rows
     become the group's ``right_rows``, and the element -> id dict that
-    relabels them its ``element_ids``.
+    relabels them its ``element_ids``.  ``same_kind`` gives every element
+    found one kind, degree, p and dimension, so the last field (the image
+    tuple or the entries) alone decides the value order, and the sort reads
+    only that field.
     """
     generators = tuple(generators)
     if not generators:
@@ -324,7 +329,7 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
                 found.append(y)
             edge.append(j)
     del index  # freed before the id dict is built, which lowers the peak
-    listed = sorted(found)
+    listed = sorted(found, key=itemgetter(-1))
     ids = dict(zip(listed, range(len(listed))))
     to_id = array("I", map(ids.__getitem__, found))  # position -> id
     position = array("I", [0]) * len(found)  # id -> position
@@ -730,20 +735,14 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
 def _pair_mul(N: GroupHandle, H: GroupHandle, a) -> Callable[[int, int], int]:
     """Id multiplication of N x H, or of N x| H with a = ``Product.act``:
     ids i*|H| + j, and (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2) with a[j]
-    the action of h_j on N's ids (the identity for a direct product)."""
+    the action of h_j on N's ids, or (i1 i2, j1 j2) when a is None."""
     nm, hm, m = id_mul(N), id_mul(H), H.order
-    if a is None:
-        def mul(x, y):
-            i1, j1 = divmod(x, m)
-            i2, j2 = divmod(y, m)
-            return nm(i1, i2) * m + hm(j1, j2)
-        return mul
 
-    def twisted(x, y):
+    def mul(x, y):
         i1, j1 = divmod(x, m)
         i2, j2 = divmod(y, m)
-        return nm(i1, a[j1][i2]) * m + hm(j1, j2)
-    return twisted
+        return nm(i1, i2 if a is None else a[j1][i2]) * m + hm(j1, j2)
+    return mul
 
 
 def _span_of(G: GroupHandle, members: set[int]) -> Span:

@@ -68,20 +68,20 @@ cached through ``groups.memoised``.  Deliberate choices:
   factors' memoised results.  Its classes are the products C x D of the
   factors' classes, with least id and size read off theirs, and the class
   of (g, h)^k is the pair of the classes of g^k and h^k
-  (``_product_classes``).  Its power map is a read-only sequence
-  (``_PowerRows``) that composes a row from the factors' rows on its first
-  read, so the rationality report composes one row per pair of factor-class
-  keys; the class of each id too is composed from the factors' only when
-  it is read.  O_p, the Sylow p-subgroup, the Fitting
-  subgroup and the derived subgroup are the id sets {i*|H| + j} of
-  O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H', normal iff both
-  factors' are (``_product_subgroup``); it is abelian, metabelian or
-  supersolvable iff both factors are (``_both``).  Its quotient by
-  N_G x N_H is G/N_G x H/N_H, relabelled, with the same elements in the
-  same order (``_product_quotient``).  ``quotient`` is memoised under N,
-  so the Fitting chain of G x H is built from its factors' own quotients,
-  and a factor whose N_G is trivial is kept as it is.  A diagonal N takes
-  the generic coset walk.
+  (``_product_classes``).  Its power map is a read-only lazy list
+  (``_PowerRows``): a row is composed from the factors' rows on its first
+  read, by index, slice or iteration, and kept, so the rationality report
+  composes one row per pair of factor-class keys; the class of each id too
+  is composed from the factors' only when it is read.  O_p, the Sylow
+  p-subgroup, the Fitting subgroup and the derived subgroup are the id
+  sets {i*|H| + j} of O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H',
+  normal iff both factors' are (``_product_subgroup``); it is abelian,
+  metabelian or supersolvable iff both factors are (``_both``).  Its
+  quotient by N_G x N_H is G/N_G x H/N_H, relabelled, with the same
+  elements in the same order (``_product_quotient``).  ``quotient`` is
+  memoised under N, so the Fitting chain of G x H is built from its
+  factors' own quotients, and a factor whose N_G is trivial is kept as it
+  is.  A diagonal N takes the generic coset walk.
 * Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
   the conjugation tables, and G is metabelian iff the generators of that
   closure commute.
@@ -192,31 +192,30 @@ class FittingData:
 class _PowerRows(Sequence):
     """The power map of P = G x H, read-only: row a*k(H) + b pairs G's row a,
     each class id times k(H), with H's row b for lcm(|g|, |h|) steps.  A
-    row is composed on its first read and kept; iteration composes the rest
-    once and then walks a list.  A nested product's factors compose their
-    rows the same way, so each level composes only the rows read of it."""
+    row is composed on its first read and kept; a slice is the tuple of its
+    rows.  A nested product's factors compose their rows the same way, so
+    each level composes only the rows read of it."""
 
     def __init__(self, left: Sequence, right: Sequence):
         self._left, self._right = left, right
         self._rows: list = [None] * (len(left) * len(right))
-        self._scaled: dict[int, tuple[int, ...]] = {}  # left rows, by a
-        self._full = False
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, c: int) -> tuple[int, ...]:
+    def __getitem__(self, c: int | slice) -> tuple:
+        if isinstance(c, slice):
+            return tuple(map(self.__getitem__, range(len(self._rows))[c]))
         row = self._rows[c]
-        return self._compose(c % len(self._rows)) if row is None else row
-
-    def __iter__(self):
-        if not self._full:
-            for c, row in enumerate(self._rows):
-                if row is None:
-                    self._compose(c)
-            self._full = True
-            self._scaled.clear()
-        return iter(self._rows)
+        if row is None:
+            kh = len(self._right)
+            a, b = divmod(c % len(self._rows), kh)
+            ra, rb = self._left[a], self._right[b]
+            na, nb = len(ra), len(rb)
+            n = lcm(na, nb)
+            scaled = tuple(map(kh.__mul__, ra)) * (n // na)
+            row = self._rows[c] = tuple(map(add, scaled, rb * (n // nb)))
+        return row
 
     def __eq__(self, other) -> bool:
         """Equal to a tuple, or another product's rows, holding the same
@@ -224,19 +223,6 @@ class _PowerRows(Sequence):
         if not isinstance(other, (tuple, _PowerRows)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    def _compose(self, c: int) -> tuple[int, ...]:
-        kh = len(self._right)
-        a, b = divmod(c, kh)
-        ra, rb = self._left[a], self._right[b]
-        scaled = self._scaled.get(a)
-        if scaled is None:
-            scaled = self._scaled[a] = tuple(x * kh for x in ra)
-        na, nb = len(ra), len(rb)
-        n = lcm(na, nb)
-        row = self._rows[c] = tuple(map(add, scaled * (n // na),
-                                        rb * (n // nb)))
-        return row
 
 
 def _product_classes(P: GroupHandle, dg: ConjugacyData,
@@ -603,7 +589,7 @@ def is_metacyclic(G: GroupHandle) -> bool:
     gN of order |G : N| in G/N; no quotient is built."""
     if is_cyclic(G):
         return True
-    rows = conjugacy_classes(G).powers
+    rows = tuple(conjugacy_classes(G).powers)  # iterated once per N below
     for _, nrow in _normal_cyclic_rows(G):
         cs = set(nrow)
         index = G.order // len(nrow)
@@ -639,6 +625,9 @@ def is_supersolvable(G: GroupHandle) -> bool:
 
 
 def class_predicates(G: GroupHandle) -> dict[str, bool]:
+    """The class memberships the report lists.  A metacyclic, metabelian or
+    supersolvable group is solvable, so those three tests run only on a
+    solvable G; called on their own, they stay exact."""
     fs = fitting_series(G)
     solvable = fs.solvable
     return {
@@ -646,8 +635,8 @@ def class_predicates(G: GroupHandle) -> dict[str, bool]:
         "nilpotent": is_nilpotent(G),
         "abelian": is_abelian(G),
         "cyclic": is_cyclic(G),
-        "metacyclic": is_metacyclic(G),
-        "metabelian": is_metabelian(G),
-        "supersolvable": is_supersolvable(G),
+        "metacyclic": solvable and is_metacyclic(G),
+        "metabelian": solvable and is_metabelian(G),
+        "supersolvable": solvable and is_supersolvable(G),
         "metanilpotent": solvable and fs.length <= 2,
     }

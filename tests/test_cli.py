@@ -573,3 +573,27 @@ class TestNoSympyAtRunTime:
                               env={"PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_runs_on_the_standard_library(self, tmp_path):
+        """Importing gklab, ``verify classifier`` and ``analyze`` of a small
+        spec load no top-level module but gklab and the standard library's
+        beyond those a bare interpreter has loaded at start-up (such as
+        site's ``_distutils_hack``)."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        src = str(Path(gklab.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "def top(): return {m.partition('.')[0] for m in sys.modules}\n"
+            "base = top()\n"
+            "from gklab.cli import main\n"
+            "assert main(['verify', 'classifier']) == 0\n"
+            "assert main(['analyze', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+            "loaded = top() - base\n"
+            "print('gklab' in loaded, sorted(loaded - {'gklab'}"
+            " - set(sys.stdlib_module_names)), file=sys.stderr)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(spec), str(tmp_path / "out")],
+            env={"PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "True []\n"), proc.stderr

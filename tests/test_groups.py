@@ -1,5 +1,7 @@
 import itertools
+import random
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,22 @@ class TestEnumerate:
     def test_reenumeration_from_full_element_set(self, s3):
         again = enumerate_group(sorted(s3.elements), "S3-again")
         assert again.elements == s3.elements
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog.sym(5),
+        lambda: enumerate_group([el.mat(5, [[2, 0], [0, 1]]),
+                                 el.mat(5, [[4, 1], [4, 0]])]),
+        lambda: enumerate_group([el.mat(3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                                 el.mat(3, [[0, 0, 1], [1, 0, 0], [0, 1, 2]])]),
+    ], ids=["S5", "GL(2,5)", "SL(3,3)"])
+    def test_value_order_is_decided_by_the_last_field(self, build):
+        """Elements of one enumeration share kind, degree, p and dimension,
+        so sorting them by their last field alone gives the value order."""
+        G = build()
+        shuffled = list(G.ordered)
+        random.Random(G.order).shuffle(shuffled)
+        assert sorted(shuffled, key=itemgetter(-1)) == sorted(shuffled)
+        assert sorted(shuffled) == G.ordered and G.order > 100
 
 
 class TestElementOrder:

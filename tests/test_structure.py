@@ -1,10 +1,11 @@
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
-from gklab import catalog
+from gklab import catalog, cli, structure
 from gklab import elements as el
 from gklab.groups import (closure_in, direct_product, element_ids,
                           element_order, generator_ids, small_generating_set)
@@ -13,10 +14,12 @@ from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
                              centralizer, class_predicates,
                              conjugacy_classes, core_p, derived_subgroup,
                              exponent, fitting, fitting_series, is_abelian,
-                             is_cyclic, is_nilpotent, is_p_element,
-                             is_solvable, minimal_normal_subgroups,
+                             is_cyclic, is_metabelian, is_metacyclic,
+                             is_nilpotent, is_p_element, is_solvable,
+                             is_supersolvable, minimal_normal_subgroups,
                              normalizer_of_cyclic, quotient, sylow)
 from test_idcore import BOUNDS, _bound
+from test_product_classes import _eager_powers
 
 
 class TestConjugacy:
@@ -378,3 +381,83 @@ class TestPredicates:
 
     def test_derived_subgroup_s4(self, s4):
         assert derived_subgroup(s4).order == 12
+
+
+def _gl2_5(tmp_path):
+    """GL(2,5), 480 elements, from a ``matgrp`` recipe."""
+    spec = tmp_path / "gl2_5.json"
+    spec.write_text(json.dumps({"groups": {"gl2_5": {
+        "type": "matgrp", "p": 5, "gens": [[[2, 0], [0, 1]],
+                                           [[4, 1], [4, 0]]]}}}))
+    return cli.load_spec(str(spec))["gl2_5"]
+
+
+NON_SOLVABLE = {
+    "S5": lambda tmp_path: catalog.sym(5),
+    "A5 x C3": lambda tmp_path: direct_product(catalog.alt(5),
+                                               catalog.cyclic(3)),
+    "GL(2,5)": _gl2_5,
+}
+
+
+def _ungated(G) -> dict:
+    """``class_predicates`` with each predicate called on its own."""
+    fs = fitting_series(G)
+    return {"solvable": fs.solvable, "nilpotent": is_nilpotent(G),
+            "abelian": is_abelian(G), "cyclic": is_cyclic(G),
+            "metacyclic": is_metacyclic(G), "metabelian": is_metabelian(G),
+            "supersolvable": is_supersolvable(G),
+            "metanilpotent": fs.solvable and fs.length <= 2}
+
+
+class TestSolvableGate:
+    """A metacyclic, metabelian or supersolvable group is solvable, so
+    ``class_predicates`` asks none of the three of a non-solvable group."""
+
+    @pytest.mark.parametrize("name", NON_SOLVABLE)
+    def test_builds_no_quotient_and_no_derived_subgroup(self, monkeypatch,
+                                                        tmp_path, name):
+        G = NON_SOLVABLE[name](tmp_path)
+        assert not fitting_series(G).solvable  # builds quotients of its own
+        calls = []
+        for fn in ("quotient", "_derived_span"):
+            real = getattr(structure, fn)
+            monkeypatch.setattr(structure, fn, lambda *a, real=real, fn=fn:
+                                calls.append(fn) or real(*a))
+        p = class_predicates(G)
+        assert calls == []
+        assert not (p["metacyclic"] or p["metabelian"] or p["supersolvable"])
+
+    def test_matches_the_ungated_calls(self, tmp_path):
+        groups = [*catalog.distinct_corpus(1, 200, 2000).values(),
+                  *(entry.build() for entry in catalog.catalog()),
+                  *(build(tmp_path) for build in NON_SOLVABLE.values())]
+        non_solvable = 0
+        for G in groups:
+            got = class_predicates(G)
+            assert got == _ungated(G), G.label
+            non_solvable += not got["solvable"]
+        assert non_solvable >= len(NON_SOLVABLE), non_solvable
+
+
+class TestProductPowerRows:
+    """A direct product's power map read as a sequence, before any other
+    read, against its rows composed at once."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product(catalog.cyclic(2), catalog.sym(3)),
+        lambda: direct_product(
+            direct_product(catalog.cyclic(2), catalog.sym(3)),
+            catalog.quaternion8()),
+    ], ids=["C2xS3", "C2xS3xQ8"])
+    def test_slices_index_and_iterate(self, build):
+        rows = conjugacy_classes(build()).powers
+        eager = _eager_powers(build())
+        assert rows[0:3] == eager[0:3] and type(rows[0:3]) is tuple
+        assert rows[::-2] == eager[::-2] and rows[len(rows):] == ()
+        assert rows[-1] == eager[-1] and rows[-len(rows)] == eager[0]
+        assert list(rows) == list(eager) and len(rows) == len(eager)
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(IndexError):
+            rows[-len(rows) - 1]
