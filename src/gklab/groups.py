@@ -477,6 +477,38 @@ def _power_walk(mul, e: int, g: int) -> list[int]:
     return out
 
 
+class _LazyTuple(Sequence):
+    """A read-only sequence of n items, built as one tuple by make() on the
+    first read of an item and served from that tuple after; len reads only
+    n.  Equal to, and hashed and printed as, the tuple of its items.  A direct
+    product's least ids, class sizes and verdicts are held in one each."""
+
+    def __init__(self, n: int, make: Callable[[], tuple]):
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    @functools.cached_property
+    def _items(self) -> tuple:
+        return self._make()
+
+    def __getitem__(self, i: int | slice):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other) -> bool:
+        return self._items == other
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
 class Span:
     """A subgroup of G on ids, grown one generator at a time.
 

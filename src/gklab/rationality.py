@@ -46,7 +46,11 @@ by both oracles and the product predicate; they hold no group data.
 A direct product's report is built from its factors' reports
 (``memoised(product=_product_report)``): one verdict per pair of
 factor-class keys, a key being a class's order and iota image, each still
-read by ``_class_verdict`` from the product's own power map row.
+read by ``_class_verdict`` from the product's own power map row.  Its
+``per_class``, one verdict per pair of factor classes, is built on its first
+read, so the group's verdicts cost one verdict per pair of keys.  Each
+factor's key indices are computed once per report, and equal verdicts are
+one shared object, built once.
 
 :func:`product_cut_predicate` decides whether G x H is cut from the factors'
 per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
@@ -57,12 +61,13 @@ that is independent of the memo above.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .elements import Element
-from .groups import GroupHandle, ids_of, memoised
+from .groups import GroupHandle, _LazyTuple, ids_of, memoised
 from .structure import conjugacy_classes
 
 RATIONAL = "rational"
@@ -82,12 +87,32 @@ class ElementVerdict:
     verdict: str
 
 
+# equal verdicts are one object, so a verdict is built once per key
+_shared_verdict = cache(ElementVerdict)
+
+
 @dataclass(frozen=True)
 class RationalityReport:
-    per_class: tuple[ElementVerdict, ...]
+    # a tuple, or for a direct product a ``groups._LazyTuple`` built on
+    # its first read
+    per_class: Sequence[ElementVerdict]
     is_rational: bool
     is_cut: bool
     non_rational_orders: frozenset[int]
+
+    @cached_property
+    def _key_indices(self) -> tuple[list[int], list[int]]:
+        """The key index of each class, a key being (|g|, iota image of g)
+        numbered by first appearance, and the first class with each key;
+        computed once per report."""
+        keys: dict = {}
+        index, firsts = [], []
+        for c, v in enumerate(self.per_class):
+            k = keys.setdefault((v.order, v.iota_exponents), len(keys))
+            if k == len(firsts):
+                firsts.append(c)
+            index.append(k)
+        return index, firsts
 
 
 @cache
@@ -129,10 +154,10 @@ def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
         verdict = INVERSE_SEMIRATIONAL
     else:
         verdict = NEITHER
-    return ElementVerdict(n, len(exps), exps, verdict)
+    return _shared_verdict(n, len(exps), exps, verdict)
 
 
-def _report(per_class: tuple[ElementVerdict, ...],
+def _report(per_class: Sequence[ElementVerdict],
             distinct) -> RationalityReport:
     """The report on the classes with these verdicts, in class order; the
     group's verdicts are read off distinct, which holds each verdict of
@@ -144,19 +169,6 @@ def _report(per_class: tuple[ElementVerdict, ...],
         non_rational_orders=frozenset(v.order for v in distinct
                                       if v.verdict != RATIONAL),
     )
-
-
-def _key_indices(r: RationalityReport) -> tuple[list[int], list[int]]:
-    """The key index of each class of r, a key being (|g|, iota image of g)
-    numbered by first appearance, and the first class with each key."""
-    keys: dict = {}
-    index, firsts = [], []
-    for c, v in enumerate(r.per_class):
-        k = keys.setdefault((v.order, v.iota_exponents), len(keys))
-        if k == len(firsts):
-            firsts.append(c)
-        index.append(k)
-    return index, firsts
 
 
 def _product_report(G: GroupHandle, ra: RationalityReport,
@@ -174,12 +186,12 @@ def _product_report(G: GroupHandle, ra: RationalityReport,
     the group's.
     """
     powers = conjugacy_classes(G).powers
-    (ia, fa), (ib, fb) = _key_indices(ra), _key_indices(rb)
+    (ia, fa), (ib, fb) = ra._key_indices, rb._key_indices
     kb, nb = len(rb.per_class), len(fb)
     verdicts = [_class_verdict(c, powers[c])
                 for a in fa for c in (a * kb + b for b in fb)]
-    return _report(tuple([verdicts[i * nb + j] for i in ia for j in ib]),
-                   verdicts)
+    return _report(_LazyTuple(len(ia) * kb, lambda: tuple(
+        [verdicts[i * nb + j] for i in ia for j in ib])), verdicts)
 
 
 @memoised("rationality", product=_product_report)
@@ -222,7 +234,8 @@ def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
     conjugation tables, so the result stays independent of the
     class-partition oracle.
     """
-    return _scan_orbit(G, _powers(G, g))[0]
+    return _scan_orbit(G, _powers(G, g),
+                       [(s, G.inv(s)) for s in G.generators])[0]
 
 
 def _powers(G: GroupHandle, h: Element) -> list[Element]:
@@ -234,16 +247,17 @@ def _powers(G: GroupHandle, h: Element) -> list[Element]:
     return out
 
 
-def _scan_orbit(G: GroupHandle, first: list[Element]
+def _scan_orbit(G: GroupHandle, first: list[Element],
+                gens: list[tuple[Element, Element]]
                 ) -> tuple[frozenset[int], dict[Element, int]]:
     """(image of iota_g, index) for g = first[0], given first =
-    ``_powers(G, g)``; the scan of :func:`scanned_iota_exponents`.  The index
+    ``_powers(G, g)`` and gens, the pairs (s, s^-1) of G's generators; the
+    scan of :func:`scanned_iota_exponents`.  The index
     maps each generator h_P^k of each point P of the orbit to k, so its keys
     are the elements x^-1 g^k x, k a unit mod |g|."""
     mult = G.mult
     n = len(first)
     units = _units(n)
-    gens = [(s, G.inv(s)) for s in G.generators]
     exps = set()
     frontier = [[first[k - 1] for k in units]]  # each point's h_P^k, by k
     index = dict(zip(frontier[0], units))  # h_P^k -> k, over every point P
@@ -289,6 +303,7 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
     and its scan.
     """
     scanned: set[Element] = set()  # x^-1 g^k x and g^j for every passed g
+    gens = [(s, G.inv(s)) for s in G.generators]
     for rep in conjugacy_classes(G).representatives:
         if rep in scanned:
             continue
@@ -296,7 +311,7 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
         n = len(first)
         if n in (1, 2, 3, 4, 6):
             continue
-        exps, index = _scan_orbit(G, first)
+        exps, index = _scan_orbit(G, first, gens)
         full = set(_units(n))
         if exps != full and (2 * len(exps) != len(full) or n - 1 in exps):
             return False

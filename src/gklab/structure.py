@@ -66,9 +66,11 @@ cached through ``groups.memoised``.  Deliberate choices:
 * A direct product G x H visits no element: each rule here is stated once,
   as the ``product`` argument of ``groups.memoised``, and reads the
   factors' memoised results.  Its classes are the products C x D of the
-  factors' classes, with least id and size read off theirs, and the class
-  of (g, h)^k is the pair of the classes of g^k and h^k
-  (``_product_classes``).  Its power map is a read-only lazy list
+  factors' classes, and the class of (g, h)^k is the pair of the classes
+  of g^k and h^k (``_product_classes``).  Its least ids and sizes are
+  composed from the factors' on their first read, all at once, and kept
+  (``groups._LazyTuple``), so the rationality report and the prime graph build
+  neither.  Its power map is a read-only lazy list
   (``_PowerRows``): a row is composed from the factors' rows on its first
   read, by index, slice or iteration, and kept, so the rationality report
   composes one row per pair of factor-class keys; the class of each id too
@@ -110,11 +112,11 @@ from math import lcm
 from operator import add, eq
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, Quotient, Span, _power_walk,
-                     conjugation_tables, direct_factors, direct_product,
-                     element_order, element_orders_multiset, elements_at,
-                     generator_ids, id_mul, id_set, identity_id, ids_of,
-                     memoised, small_generating_set, subgroup_view)
+from .groups import (GroupHandle, NotMember, Quotient, Span, _LazyTuple,
+                     _power_walk, conjugation_tables, direct_factors,
+                     direct_product, element_order, element_orders_multiset,
+                     elements_at, generator_ids, id_mul, id_set, identity_id,
+                     ids_of, memoised, small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -137,8 +139,11 @@ class ConjugacyData:
     ``class_ids`` and the element view ``representatives`` are derived
     from the stored fields on first read.  Equality compares the id fields.
     """
-    rep_ids: tuple[int, ...]  # rep_ids[c] is the least id in class c
-    sizes: tuple[int, ...]    # sizes[c] is |class c|
+    # rep_ids[c] is the least id in class c, and sizes[c] is |class c|; a
+    # tuple each, or for a direct product a ``groups._LazyTuple`` composed
+    # from the factors' on its first read
+    rep_ids: Sequence[int]
+    sizes: Sequence[int]
     # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|; a tuple
     # of rows, or for a direct product a read-only sequence that composes
     # each row from the factors' on its first read (``_PowerRows``)
@@ -232,12 +237,15 @@ def _product_classes(P: GroupHandle, dg: ConjugacyData,
     of D_b, so the classes stay ordered by least id.  The class of (g, h)^k
     is that of (g^k, h^k), so row (a, b) pairs the factor rows for
     lcm(|g|, |h|) steps, composed only when it is read (``_PowerRows``).
-    Nothing here visits an element; the class of each id is composed from
-    the factors' only when it is read.
+    Nothing here visits an element; the least ids, the sizes and the class
+    of each id are composed from the factors' only when they are read
+    (``groups._LazyTuple``).
     """
     m, kh = direct_factors(P)[1].order, len(dh.rep_ids)
-    rep_ids = tuple(i * m + j for i in dg.rep_ids for j in dh.rep_ids)
-    sizes = tuple(x * y for x in dg.sizes for y in dh.sizes)
+    rep_ids = _LazyTuple(len(dg.rep_ids) * kh, lambda: tuple(
+        i * m + j for i in dg.rep_ids for j in dh.rep_ids))
+    sizes = _LazyTuple(len(rep_ids), lambda: tuple(
+        x * y for x in dg.sizes for y in dh.sizes))
 
     def class_ids() -> list[int]:
         ch = dh.class_ids

@@ -1,0 +1,55 @@
+"""``tools/ab_pairs.py`` summarises parent/change pairs per metric: the
+parent's median and quartiles, the change's median, the ratio and the
+count of pairs the change read lower."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def _run(wall, rss, correct=True, failed=0):
+    return {"correct": correct, "attempted": 24, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+PAIRS = [(_run(1.0, 24.0), _run(0.8, 24.0)),
+         (_run(2.0, 24.0), _run(1.5, 24.1)),
+         (_run(3.0, 24.0), _run(3.5, 24.1)),
+         (_run(4.0, 24.0), _run(2.0, 23.9)),
+         (_run(5.0, 24.0), _run(4.0, 24.1))]
+
+
+def test_summary_per_metric():
+    wall, rss = ab_pairs.summary(PAIRS)
+    assert wall["metric"] == "wall_s"
+    assert (wall["parent_q1"], wall["parent_median"], wall["parent_q3"]) \
+        == (2.0, 3.0, 4.0)
+    assert wall["change_median"] == 2.0
+    assert wall["ratio"] == pytest.approx(2.0 / 3.0)
+    assert (wall["lower"], wall["pairs"]) == (4, 5)
+    # equal values are ties, which count for neither side
+    assert rss["metric"] == "peak_rss_mb"
+    assert (rss["parent_q1"], rss["parent_median"], rss["parent_q3"]) \
+        == (24.0, 24.0, 24.0)
+    assert rss["change_median"] == 24.1
+    assert (rss["lower"], rss["pairs"]) == (1, 5)
+
+
+def test_one_pair_has_its_value_for_quartiles():
+    (wall, _) = ab_pairs.summary(PAIRS[:1])
+    assert (wall["parent_q1"], wall["parent_median"], wall["parent_q3"]) \
+        == (1.0, 1.0, 1.0)
+    assert (wall["lower"], wall["pairs"]) == (1, 1)
+
+
+def test_a_failed_or_incorrect_run_is_flagged():
+    assert not ab_pairs.failed(_run(1.0, 24.0))
+    assert ab_pairs.failed(_run(1.0, 24.0, correct=False))
+    assert ab_pairs.failed(_run(1.0, 24.0, failed=1))

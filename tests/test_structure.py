@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,11 @@ from sympy import factorint
 
 from gklab import catalog, cli, structure
 from gklab import elements as el
-from gklab.groups import (closure_in, direct_product, element_ids,
-                          element_order, generator_ids, small_generating_set)
+from gklab.groups import (_LazyTuple, closure_in, direct_factors,
+                          direct_product, element_ids, element_order,
+                          generator_ids, small_generating_set)
 from gklab.primegraph import gk_graph, product_graph
+from gklab.rationality import _class_verdict, is_cut_group, rationality_report
 from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
                              centralizer, class_predicates,
                              conjugacy_classes, core_p, derived_subgroup,
@@ -461,3 +464,115 @@ class TestProductPowerRows:
             rows[len(rows)]
         with pytest.raises(IndexError):
             rows[-len(rows) - 1]
+
+
+def _eager_fields(P) -> dict:
+    """rep_ids, sizes and per_class of P = A x B composed at once, as the
+    factors' data were composed before they became lazy."""
+    A, B = direct_factors(P)
+    dg, dh = conjugacy_classes(A), conjugacy_classes(B)
+    m = B.order
+    ra, rb = rationality_report(A), rationality_report(B)
+    powers = conjugacy_classes(P).powers
+
+    def key_indices(r):
+        keys, index, firsts = {}, [], []
+        for c, v in enumerate(r.per_class):
+            k = keys.setdefault((v.order, v.iota_exponents), len(keys))
+            if k == len(firsts):
+                firsts.append(c)
+            index.append(k)
+        return index, firsts
+    (ia, fa), (ib, fb) = key_indices(ra), key_indices(rb)
+    kb, nb = len(rb.per_class), len(fb)
+    verdicts = [_class_verdict(c, powers[c])
+                for a in fa for c in (a * kb + b for b in fb)]
+    return {"rep_ids": tuple(i * m + j for i in dg.rep_ids
+                             for j in dh.rep_ids),
+            "sizes": tuple(x * y for x in dg.sizes for y in dh.sizes),
+            "per_class": tuple([verdicts[i * nb + j]
+                                for i in ia for j in ib])}
+
+
+def _lazy_fields(P) -> dict:
+    data = conjugacy_classes(P)
+    return {"rep_ids": data.rep_ids, "sizes": data.sizes,
+            "per_class": rationality_report(P).per_class}
+
+
+def _composed(seq) -> bool:
+    """Has seq built its items?  A tuple always has."""
+    return isinstance(seq, tuple) or "_items" in vars(seq)
+
+
+def _product_quotient():
+    """(S4/V4) x (S4/V4), a relabelled product built by
+    ``structure._product_quotient``."""
+    P = direct_product(catalog.sym(4), catalog.sym(4))
+    return quotient(P, core_p(P, 2))
+
+
+class TestLazyProductData:
+    """A direct product's least ids, sizes and verdicts are composed on
+    their first read, and read as the tuples composed at once and as the
+    generic orbit path's."""
+
+    def test_builds_once_on_the_first_read_of_an_item(self):
+        calls = []
+        seq = _LazyTuple(3, lambda: calls.append(1) or (5, 6, 5))
+        assert len(seq) == 3 and calls == []
+        assert seq[0] == 5 and seq[-1] == 5 and seq[1:] == (6, 5)
+        assert type(seq[:2]) is tuple and list(seq) == [5, 6, 5]
+        assert seq.count(5) == 2 and 6 in seq and seq.index(6) == 1
+        assert seq == (5, 6, 5) and (5, 6, 5) == seq and seq != (5, 6)
+        assert seq == _LazyTuple(3, lambda: (5, 6, 5))
+        assert hash(seq) == hash((5, 6, 5)) and repr(seq) == "(5, 6, 5)"
+        assert calls == [1]
+        with pytest.raises(IndexError):
+            seq[3]
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product(
+            direct_product(catalog.cyclic(2), catalog.sym(3)),
+            catalog.quaternion8()),
+        lambda: direct_product(catalog.c7_c6(), catalog.sym(3)),
+        _product_quotient,
+    ], ids=["C2xS3xQ8", "C7:C6xS3", "product-quotient"])
+    def test_matches_eager_and_generic_paths(self, build):
+        P = build()
+        assert direct_factors(P)
+        lazy, eager = _lazy_fields(P), _eager_fields(build())
+        R = replace(P, listed=P.ordered, origin=None)
+        generic = {"rep_ids": conjugacy_classes(R).rep_ids,
+                   "sizes": conjugacy_classes(R).sizes,
+                   "per_class": rationality_report(R).per_class}
+        for name, seq in lazy.items():
+            want = eager[name]
+            assert type(generic[name]) is tuple
+            assert len(seq) == len(want) and not _composed(seq), name
+            assert seq[0] == want[0] and seq[-1] == want[-1], name
+            assert seq[1:4] == want[1:4] and type(seq[1:4]) is tuple, name
+            assert list(seq) == list(want), name
+            assert seq.count(want[-1]) == want.count(want[-1]), name
+            assert seq == want and want == seq, name
+            assert seq == generic[name] and generic[name] == seq, name
+
+    @pytest.mark.parametrize("build", [
+        lambda: (catalog.sym(3), catalog.quaternion8()),
+        lambda: (catalog.c7_c6(), catalog.dicyclic12()),
+        lambda: (direct_product(catalog.cyclic(2), catalog.sym(3)),
+                 catalog.alt(4)),
+    ], ids=["S3xQ8", "C7:C6xDic12", "(C2xS3)xA4"])
+    def test_cut_verdict_and_graph_compose_no_class_pair(self, build):
+        """is_cut_group and gk_graph of a fresh A x B read the lengths of
+        its per-class-pair data, k(A) k(B), and compose none of it."""
+        A, B = build()
+        P = direct_product(A, B)
+        is_cut_group(P)
+        gk_graph(P)
+        lazy = _lazy_fields(P)
+        k = len(conjugacy_classes(A).rep_ids) * len(
+            conjugacy_classes(B).rep_ids)
+        assert [name for name, seq in lazy.items() if _composed(seq)] == []
+        assert all(len(seq) == k for seq in lazy.values())
+        assert not any(map(_composed, lazy.values()))  # len composes none
