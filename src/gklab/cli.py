@@ -280,10 +280,13 @@ def cmd_analyze(args) -> int:
 
 def _resolve_group(name_or_path: str, member) -> GroupHandle:
     try:
-        return cat.catalog_entry(name_or_path).build()
+        entry = cat.catalog_entry(name_or_path)
     except KeyError:
-        pass
-    groups = load_spec(name_or_path)
+        groups = load_spec(name_or_path)
+    else:
+        if member:
+            raise SpecError("--name applies to a spec file only")
+        return entry.build()
     if member:
         if member not in groups:
             raise SpecError(f"no group named {member!r} in spec")

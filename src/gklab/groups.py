@@ -43,8 +43,9 @@ group multiplies ids (``id_mul``) the way it was built:
   multiplies componentwise on the factors' ids.  It reads its conjugacy
   classes (``structure.conjugacy_classes``) and its element order counts
   (``element_orders_multiset``) off its factors' (``direct_factors``),
-  with no multiplication; a row of its class power map is composed from
-  the factors' rows only when it is read;
+  with no multiplication; each least id, size and power-map row of its
+  classes is composed from the factors' only when it is read
+  (``_LazyTuple``);
 * a semidirect product N x| H uses the same ids and computes
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
@@ -478,35 +479,44 @@ def _power_walk(mul, e: int, g: int) -> list[int]:
 
 
 class _LazyTuple(Sequence):
-    """A read-only sequence of n items, built as one tuple by make() on the
-    first read of an item and served from that tuple after; len reads only
-    n.  Equal to, and hashed and printed as, the tuple of its items.  A direct
-    product's least ids, class sizes and verdicts are held in one each."""
+    """A read-only sequence of n items: item(c) composes item c on its first
+    read, and it is kept in one of n slots (no item is None).  A read by
+    index or by slice (a tuple) composes only the items it touches; len
+    reads only n.  Equal to, and hashed and printed as, the tuple of its
+    items.  A direct product's least ids, class sizes, power-map rows and
+    verdicts are held in one each, so each level of a nested product
+    composes only the items read of it."""
 
-    def __init__(self, n: int, make: Callable[[], tuple]):
-        self._n, self._make = n, make
+    def __init__(self, n: int, item: Callable[[int], object]):
+        self._item, self._items = item, [None] * n
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._items)
 
-    @functools.cached_property
-    def _items(self) -> tuple:
-        return self._make()
-
-    def __getitem__(self, i: int | slice):
-        return self._items[i]
+    def __getitem__(self, c: int | slice):
+        if isinstance(c, slice):
+            return tuple(map(self.__getitem__, range(len(self._items))[c]))
+        x = self._items[c]
+        if x is None:
+            x = self._items[c] = self._item(c % len(self._items))
+        return x
 
     def __iter__(self):
-        return iter(self._items)
+        # Sequence's would call __getitem__ for every item; this calls it
+        # only for an item not yet composed, which makes a read of a
+        # composed one five times cheaper (a product's report iterates its
+        # factors' verdicts)
+        for c, x in enumerate(self._items):
+            yield self[c] if x is None else x
 
     def __eq__(self, other) -> bool:
-        return self._items == other
+        return tuple(self) == other
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(self._items)
+        return repr(tuple(self))
 
 
 class Span:

@@ -47,10 +47,11 @@ A direct product's report is built from its factors' reports
 (``memoised(product=_product_report)``): one verdict per pair of
 factor-class keys, a key being a class's order and iota image, each still
 read by ``_class_verdict`` from the product's own power map row.  Its
-``per_class``, one verdict per pair of factor classes, is built on its first
-read, so the group's verdicts cost one verdict per pair of keys.  Each
-factor's key indices are computed once per report, and equal verdicts are
-one shared object, built once.
+``per_class``, one verdict per pair of factor classes, is composed per item
+on its first read (``groups._LazyTuple``), as the product's class data are,
+so the group's verdicts cost one verdict per pair of keys.  Each factor's
+key indices are computed once per report, and equal verdicts are one shared
+object, built once.
 
 :func:`product_cut_predicate` decides whether G x H is cut from the factors'
 per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
@@ -93,8 +94,8 @@ _shared_verdict = cache(ElementVerdict)
 
 @dataclass(frozen=True)
 class RationalityReport:
-    # a tuple, or for a direct product a ``groups._LazyTuple`` built on
-    # its first read
+    # a tuple, or for a direct product a ``groups._LazyTuple`` that
+    # composes each verdict on its first read
     per_class: Sequence[ElementVerdict]
     is_rational: bool
     is_cut: bool
@@ -190,8 +191,8 @@ def _product_report(G: GroupHandle, ra: RationalityReport,
     kb, nb = len(rb.per_class), len(fb)
     verdicts = [_class_verdict(c, powers[c])
                 for a in fa for c in (a * kb + b for b in fb)]
-    return _report(_LazyTuple(len(ia) * kb, lambda: tuple(
-        [verdicts[i * nb + j] for i in ia for j in ib])), verdicts)
+    return _report(_LazyTuple(len(ia) * kb, lambda c: verdicts[
+        ia[c // kb] * nb + ib[c % kb]]), verdicts)
 
 
 @memoised("rationality", product=_product_report)

@@ -67,14 +67,12 @@ cached through ``groups.memoised``.  Deliberate choices:
   as the ``product`` argument of ``groups.memoised``, and reads the
   factors' memoised results.  Its classes are the products C x D of the
   factors' classes, and the class of (g, h)^k is the pair of the classes
-  of g^k and h^k (``_product_classes``).  Its least ids and sizes are
-  composed from the factors' on their first read, all at once, and kept
-  (``groups._LazyTuple``), so the rationality report and the prime graph build
-  neither.  Its power map is a read-only lazy list
-  (``_PowerRows``): a row is composed from the factors' rows on its first
-  read, by index, slice or iteration, and kept, so the rationality report
-  composes one row per pair of factor-class keys; the class of each id too
-  is composed from the factors' only when it is read.  O_p, the Sylow
+  of g^k and h^k (``_product_classes``).  Each composed field is composed
+  per item (``groups._LazyTuple``): a least id, a size or a power-map row is
+  composed from the factors' on its first read, by index, slice or
+  iteration, and kept.  So the prime graph composes none of them, the
+  rationality report composes one row per pair of factor-class keys, and
+  the class of each id too is composed only when it is read.  O_p, the Sylow
   p-subgroup, the Fitting subgroup and the derived subgroup are the id
   sets {i*|H| + j} of O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H',
   normal iff both factors' are (``_product_subgroup``); it is abelian,
@@ -109,7 +107,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import lcm
-from operator import add, eq
+from operator import add
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Quotient, Span, _LazyTuple,
@@ -139,14 +137,12 @@ class ConjugacyData:
     ``class_ids`` and the element view ``representatives`` are derived
     from the stored fields on first read.  Equality compares the id fields.
     """
-    # rep_ids[c] is the least id in class c, and sizes[c] is |class c|; a
-    # tuple each, or for a direct product a ``groups._LazyTuple`` composed
-    # from the factors' on its first read
+    # rep_ids[c] is the least id in class c, and sizes[c] is |class c|;
+    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|.  A tuple
+    # each, or for a direct product a ``groups._LazyTuple`` that composes
+    # each item from the factors' on its first read
     rep_ids: Sequence[int]
     sizes: Sequence[int]
-    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|; a tuple
-    # of rows, or for a direct product a read-only sequence that composes
-    # each row from the factors' on its first read (``_PowerRows``)
     powers: Sequence[tuple[int, ...]]
     # () -> class id of each element id; read once, by ``class_ids``
     class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
@@ -194,64 +190,33 @@ class FittingData:
         return self.length is not None
 
 
-class _PowerRows(Sequence):
-    """The power map of P = G x H, read-only: row a*k(H) + b pairs G's row a,
-    each class id times k(H), with H's row b for lcm(|g|, |h|) steps.  A
-    row is composed on its first read and kept; a slice is the tuple of its
-    rows.  A nested product's factors compose their rows the same way, so
-    each level composes only the rows read of it."""
-
-    def __init__(self, left: Sequence, right: Sequence):
-        self._left, self._right = left, right
-        self._rows: list = [None] * (len(left) * len(right))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, c: int | slice) -> tuple:
-        if isinstance(c, slice):
-            return tuple(map(self.__getitem__, range(len(self._rows))[c]))
-        row = self._rows[c]
-        if row is None:
-            kh = len(self._right)
-            a, b = divmod(c % len(self._rows), kh)
-            ra, rb = self._left[a], self._right[b]
-            na, nb = len(ra), len(rb)
-            n = lcm(na, nb)
-            scaled = tuple(map(kh.__mul__, ra)) * (n // na)
-            row = self._rows[c] = tuple(map(add, scaled, rb * (n // nb)))
-        return row
-
-    def __eq__(self, other) -> bool:
-        """Equal to a tuple, or another product's rows, holding the same
-        rows."""
-        if not isinstance(other, (tuple, _PowerRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
 def _product_classes(P: GroupHandle, dg: ConjugacyData,
                      dh: ConjugacyData) -> ConjugacyData:
     """Classes of P = G x H from its factors' dg and dh: C_a x D_b, numbered
     a*k(H) + b.  Its least id is i*|H| + j for the least ids i of C_a and j
     of D_b, so the classes stay ordered by least id.  The class of (g, h)^k
-    is that of (g^k, h^k), so row (a, b) pairs the factor rows for
-    lcm(|g|, |h|) steps, composed only when it is read (``_PowerRows``).
-    Nothing here visits an element; the least ids, the sizes and the class
-    of each id are composed from the factors' only when they are read
-    (``groups._LazyTuple``).
+    is that of (g^k, h^k), so row (a, b) pairs G's row a, each class id
+    times k(H), with H's row b for lcm(|g|, |h|) steps.  Nothing here visits
+    an element; each least id, size and row, and the class of each id, is
+    composed from the factors' only when it is read (``groups._LazyTuple``).
     """
     m, kh = direct_factors(P)[1].order, len(dh.rep_ids)
-    rep_ids = _LazyTuple(len(dg.rep_ids) * kh, lambda: tuple(
-        i * m + j for i in dg.rep_ids for j in dh.rep_ids))
-    sizes = _LazyTuple(len(rep_ids), lambda: tuple(
-        x * y for x in dg.sizes for y in dh.sizes))
+    n = len(dg.rep_ids) * kh
+
+    def row(c: int) -> tuple[int, ...]:
+        ra, rb = dg.powers[c // kh], dh.powers[c % kh]
+        na, nb = len(ra), len(rb)
+        k = lcm(na, nb)
+        scaled = tuple(map(kh.__mul__, ra)) * (k // na)
+        return tuple(map(add, scaled, rb * (k // nb)))
 
     def class_ids() -> list[int]:
         ch = dh.class_ids
         return [a * kh + b for a in dg.class_ids for b in ch]
-    return ConjugacyData(rep_ids, sizes, _PowerRows(dg.powers, dh.powers),
-                         class_ids, partial(elements_at, P))
+    return ConjugacyData(
+        _LazyTuple(n, lambda c: dg.rep_ids[c // kh] * m + dh.rep_ids[c % kh]),
+        _LazyTuple(n, lambda c: dg.sizes[c // kh] * dh.sizes[c % kh]),
+        _LazyTuple(n, row), class_ids, partial(elements_at, P))
 
 
 @memoised("conjugacy", product=_product_classes)

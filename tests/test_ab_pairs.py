@@ -1,6 +1,7 @@
 """``tools/ab_pairs.py`` summarises parent/change pairs per metric: the
-parent's median and quartiles, the change's median, the ratio and the
-count of pairs the change read lower."""
+parent's median and quartiles, the change's median, the ratio, the
+count of pairs the change read lower, and whether the medians differ by
+more than the parent's interquartile range."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,13 @@ def test_a_failed_or_incorrect_run_is_flagged():
     assert not ab_pairs.failed(_run(1.0, 24.0))
     assert ab_pairs.failed(_run(1.0, 24.0, correct=False))
     assert ab_pairs.failed(_run(1.0, 24.0, failed=1))
+
+
+def test_summary_line_says_whether_the_medians_differ_beyond_the_iqr():
+    wall, rss = map(ab_pairs.summary_line, ab_pairs.summary(PAIRS))
+    # wall_s: |2.0 - 3.0| is inside the parent's quartiles [2.0, 4.0]
+    assert wall == ("  wall_s       3 [2, 4] -> 2 (0.6667), change lower in "
+                    "4/5, medians differ by more than the parent's IQR: no")
+    # peak_rss_mb: the parent's runs do not spread, so any move is beyond
+    assert rss.endswith("24 [24, 24] -> 24.1 (1.0042), change lower in 1/5, "
+                        "medians differ by more than the parent's IQR: yes")

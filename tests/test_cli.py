@@ -487,6 +487,12 @@ class TestGraph:
     def test_unknown(self, capsys):
         assert main(["graph", "fig3.zz"]) == 2
 
+    def test_name_on_a_catalog_entry(self, capsys):
+        assert main(["graph", "fig3.c", "--name", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --name applies to a spec file only\n"
+
     def test_unwritable_dot(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.dot"
         assert main(["graph", "fig3.a", "--dot", str(out)]) == 2

@@ -444,8 +444,9 @@ class TestSolvableGate:
 
 
 class TestProductPowerRows:
-    """A direct product's power map read as a sequence, before any other
-    read, against its rows composed at once."""
+    """A direct product's power map, least ids, sizes and verdicts, each
+    read as a sequence before any other read of it, against the same field
+    composed at once."""
 
     @pytest.mark.parametrize("build", [
         lambda: direct_product(catalog.cyclic(2), catalog.sym(3)),
@@ -454,16 +455,29 @@ class TestProductPowerRows:
             catalog.quaternion8()),
     ], ids=["C2xS3", "C2xS3xQ8"])
     def test_slices_index_and_iterate(self, build):
-        rows = conjugacy_classes(build()).powers
-        eager = _eager_powers(build())
-        assert rows[0:3] == eager[0:3] and type(rows[0:3]) is tuple
-        assert rows[::-2] == eager[::-2] and rows[len(rows):] == ()
-        assert rows[-1] == eager[-1] and rows[-len(rows)] == eager[0]
-        assert list(rows) == list(eager) and len(rows) == len(eager)
-        with pytest.raises(IndexError):
-            rows[len(rows)]
-        with pytest.raises(IndexError):
-            rows[-len(rows) - 1]
+        for name in ("powers", "rep_ids", "sizes", "per_class"):
+            seq = _fresh_field(build(), name)
+            eager = (_eager_powers(build()) if name == "powers"
+                     else _eager_fields(build())[name])
+            c = len(seq) // 2
+            assert seq[c] == eager[c] and _composed_items(seq) == [c], name
+            assert seq[0:3] == eager[0:3] and type(seq[0:3]) is tuple, name
+            assert seq[::-2] == eager[::-2] and seq[len(seq):] == (), name
+            assert seq[-1] == eager[-1] and seq[-len(seq)] == eager[0], name
+            assert list(seq) == list(eager) and len(seq) == len(eager), name
+            with pytest.raises(IndexError):
+                seq[len(seq)]
+            with pytest.raises(IndexError):
+                seq[-len(seq) - 1]
+
+
+def _fresh_field(P, name: str):
+    """One field of P's class data or report, read with none of its items
+    composed: the report composes power-map rows, but no verdict of
+    per_class."""
+    if name == "per_class":
+        return rationality_report(P).per_class
+    return getattr(conjugacy_classes(P), name)
 
 
 def _eager_fields(P) -> dict:
@@ -500,9 +514,14 @@ def _lazy_fields(P) -> dict:
             "per_class": rationality_report(P).per_class}
 
 
+def _composed_items(seq) -> list[int]:
+    """The indices of the items seq has composed."""
+    return [c for c, x in enumerate(vars(seq)["_items"]) if x is not None]
+
+
 def _composed(seq) -> bool:
-    """Has seq built its items?  A tuple always has."""
-    return isinstance(seq, tuple) or "_items" in vars(seq)
+    """Has seq composed some item?  A tuple always has."""
+    return isinstance(seq, tuple) or bool(_composed_items(seq))
 
 
 def _product_quotient():
@@ -519,15 +538,16 @@ class TestLazyProductData:
 
     def test_builds_once_on_the_first_read_of_an_item(self):
         calls = []
-        seq = _LazyTuple(3, lambda: calls.append(1) or (5, 6, 5))
+        seq = _LazyTuple(3, lambda c: calls.append(c) or (5, 6, 5)[c])
         assert len(seq) == 3 and calls == []
         assert seq[0] == 5 and seq[-1] == 5 and seq[1:] == (6, 5)
+        assert calls == [0, 2, 1]  # each item composed on its first read
         assert type(seq[:2]) is tuple and list(seq) == [5, 6, 5]
         assert seq.count(5) == 2 and 6 in seq and seq.index(6) == 1
         assert seq == (5, 6, 5) and (5, 6, 5) == seq and seq != (5, 6)
-        assert seq == _LazyTuple(3, lambda: (5, 6, 5))
+        assert seq == _LazyTuple(3, lambda c: (5, 6, 5)[c])
         assert hash(seq) == hash((5, 6, 5)) and repr(seq) == "(5, 6, 5)"
-        assert calls == [1]
+        assert calls == [0, 2, 1]  # and never again
         with pytest.raises(IndexError):
             seq[3]
 
@@ -556,6 +576,22 @@ class TestLazyProductData:
             assert seq.count(want[-1]) == want.count(want[-1]), name
             assert seq == want and want == seq, name
             assert seq == generic[name] and generic[name] == seq, name
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product(catalog.cyclic(2), catalog.sym(3)),
+        lambda: direct_product(
+            direct_product(catalog.cyclic(2), catalog.sym(3)),
+            catalog.quaternion8()),
+    ], ids=["C2xS3", "C2xS3xQ8"])
+    def test_hash_and_repr_match_the_generic_path(self, build):
+        """A fresh product's class data hashes and prints as the generic
+        orbit path's, which holds plain tuples."""
+        P = build()
+        lazy = conjugacy_classes(P)
+        generic = conjugacy_classes(replace(P, listed=P.ordered, origin=None))
+        assert type(generic.powers) is tuple
+        assert hash(lazy) == hash(generic) and repr(lazy) == repr(generic)
+        assert lazy == generic
 
     @pytest.mark.parametrize("build", [
         lambda: (catalog.sym(3), catalog.quaternion8()),

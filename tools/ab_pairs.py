@@ -6,8 +6,10 @@ Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds 25
 --trace 0`` in PARENT_DIR, then in CHANGE_DIR, one process at a time, with
 every ``__pycache__`` under both directories removed before each run.  Each
 run's end-to-end metrics are printed as it ends; then, for each metric, the
-parent's median and quartiles, the change's median, their ratio, and the
-number of pairs in which the change read lower (ties count for neither).
+parent's median and quartiles, the change's median, their ratio, the
+number of pairs in which the change read lower (ties count for neither), and
+whether the two medians differ by more than the parent's interquartile
+range, the spread a claimed gain must exceed.
 Exits 1 if any run reads ``correct`` false or ``failed`` > 0, 2 if a run
 does not finish.  Uses only the standard library.
 """
@@ -36,7 +38,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summary(pairs: list[tuple[dict, dict]]) -> list[dict]:
     """One row per metric of the runs' JSON objects, from (parent, change)
     pairs: the parent's median and quartiles, the change's median, the
-    ratio change/parent and the number of pairs with the change lower."""
+    ratio change/parent, the number of pairs with the change lower, and
+    whether the medians differ by more than the parent's quartiles do."""
     rows = []
     for name in pairs[0][0]["metrics"]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -48,8 +51,18 @@ def summary(pairs: list[tuple[dict, dict]]) -> list[dict]:
                      "change_median": cmed,
                      "ratio": cmed / med if med else float("nan"),
                      "lower": sum(c < p for p, c in zip(parent, change)),
-                     "pairs": len(pairs)})
+                     "pairs": len(pairs),
+                     "beyond_iqr": abs(cmed - med) > q3 - q1})
     return rows
+
+
+def summary_line(r: dict) -> str:
+    """One metric's row of the summary, as printed."""
+    return (f"  {r['metric']:12s} {r['parent_median']:.6g} "
+            f"[{r['parent_q1']:.6g}, {r['parent_q3']:.6g}] -> "
+            f"{r['change_median']:.6g} ({r['ratio']:.4f}), change lower "
+            f"in {r['lower']}/{r['pairs']}, medians differ by more than "
+            f"the parent's IQR: {'yes' if r['beyond_iqr'] else 'no'}")
 
 
 def failed(run: dict) -> bool:
@@ -100,10 +113,7 @@ def main(argv: list[str]) -> int:
     print(f"{args.workload}, {len(pairs)} pairs: parent median "
           f"[quartiles] -> change median (ratio), change lower in n/N")
     for r in summary(pairs):
-        print(f"  {r['metric']:12s} {r['parent_median']:.6g} "
-              f"[{r['parent_q1']:.6g}, {r['parent_q3']:.6g}] -> "
-              f"{r['change_median']:.6g} ({r['ratio']:.4f}), change lower "
-              f"in {r['lower']}/{r['pairs']}")
+        print(summary_line(r))
     return 1 if any(failed(run) for pair in pairs for run in pair) else 0
 
 
