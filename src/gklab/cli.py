@@ -302,11 +302,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fn = SUITES[args.suite]
-    if args.suite == "invariants":
-        rows = fn(seed=args.seed, count=args.count, max_order=args.max_order)
-    else:
-        rows = fn()
+    options = {k: getattr(args, k) for k in ("seed", "count", "max_order")
+               if getattr(args, k) is not None}
+    if options and args.suite != "invariants":
+        raise SpecError("--seed, --count and --max-order apply to the "
+                        "invariants suite only")
+    rows = SUITES[args.suite](**options)
     passed = sum(1 for _, ok, _ in rows if ok)
     for name, ok, detail in rows:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -344,9 +345,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-order", type=int, default=2000)
+    p.add_argument("--seed", type=int, help="invariants only (default 1)")
+    p.add_argument("--count", type=int, help="invariants only (default 200)")
+    p.add_argument("--max-order", type=int,
+                   help="invariants only (default 2000)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("classify", help="classify a prime-graph literal")

@@ -501,14 +501,6 @@ class _LazyTuple(Sequence):
             x = self._items[c] = self._item(c % len(self._items))
         return x
 
-    def __iter__(self):
-        # Sequence's would call __getitem__ for every item; this calls it
-        # only for an item not yet composed, which makes a read of a
-        # composed one five times cheaper (a product's report iterates its
-        # factors' verdicts)
-        for c, x in enumerate(self._items):
-            yield self[c] if x is None else x
-
     def __eq__(self, other) -> bool:
         return tuple(self) == other
 

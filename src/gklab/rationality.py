@@ -44,27 +44,29 @@ The units mod n (``_units``) are plain arithmetic, memoised per n and shared
 by both oracles and the product predicate; they hold no group data.
 
 A direct product's report is built from its factors' reports
-(``memoised(product=_product_report)``): one verdict per pair of
-factor-class keys, a key being a class's order and iota image, each still
-read by ``_class_verdict`` from the product's own power map row.  Its
-``per_class``, one verdict per pair of factor classes, is composed per item
-on its first read (``groups._LazyTuple``), as the product's class data are,
-so the group's verdicts cost one verdict per pair of keys.  Each factor's
-key indices are computed once per report, and equal verdicts are one shared
-object, built once.
+(``memoised(product=_product_report)``).  A class's verdict is a function
+of its key, its order and iota image, and holds that key, so each report
+keeps ``firsts``, its distinct verdicts each mapped to the first class that
+has it.  The product computes one verdict per pair of its factors' distinct
+verdicts, by ``_class_verdict`` on its own power map row at the pair of
+first classes, and reads the group's verdicts and its own ``firsts`` off
+those alone, never off its factors' ``per_class``.  Its ``per_class`` is
+composed per item on its first read (``groups._LazyTuple``), as the
+product's class data are, each item from the factor verdicts of its class;
+equal verdicts are one shared object, built once.
 
-:func:`product_cut_predicate` decides whether G x H is cut from the factors'
-per-class iota images alone: (g, h) is inverse semi-rational iff every unit k
-mod lcm(|g|, |h|) lies in both images (each read mod its own order), or -k
-does.  It never reads the product's rows, so it stays a check on the report
-that is independent of the memo above.
+:func:`product_cut_predicate` decides whether G x H is cut from the iota
+images of the factors' distinct verdicts alone: (g, h) is inverse
+semi-rational iff every unit k mod lcm(|g|, |h|) lies in both images (each
+read mod its own order), or -k does.  It never reads the product's rows, so
+it stays a check on the report that is independent of the memo above.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, lcm
 
 from .elements import Element
@@ -100,20 +102,8 @@ class RationalityReport:
     is_rational: bool
     is_cut: bool
     non_rational_orders: frozenset[int]
-
-    @cached_property
-    def _key_indices(self) -> tuple[list[int], list[int]]:
-        """The key index of each class, a key being (|g|, iota image of g)
-        numbered by first appearance, and the first class with each key;
-        computed once per report."""
-        keys: dict = {}
-        index, firsts = [], []
-        for c, v in enumerate(self.per_class):
-            k = keys.setdefault((v.order, v.iota_exponents), len(keys))
-            if k == len(firsts):
-                firsts.append(c)
-            index.append(k)
-        return index, firsts
+    # each distinct verdict -> the first class that has it, in class order
+    firsts: dict[ElementVerdict, int] = field(compare=False, repr=False)
 
 
 @cache
@@ -159,16 +149,17 @@ def _class_verdict(cid: int, row: tuple[int, ...]) -> ElementVerdict:
 
 
 def _report(per_class: Sequence[ElementVerdict],
-            distinct) -> RationalityReport:
+            firsts: dict[ElementVerdict, int]) -> RationalityReport:
     """The report on the classes with these verdicts, in class order; the
-    group's verdicts are read off distinct, which holds each verdict of
-    per_class at least once."""
+    group's verdicts are read off the keys of firsts, each distinct verdict
+    of per_class mapped to the first class that has it."""
     return RationalityReport(
         per_class=per_class,
-        is_rational=all(v.verdict == RATIONAL for v in distinct),
-        is_cut=all(v.verdict != NEITHER for v in distinct),
-        non_rational_orders=frozenset(v.order for v in distinct
+        is_rational=all(v.verdict == RATIONAL for v in firsts),
+        is_cut=all(v.verdict != NEITHER for v in firsts),
+        non_rational_orders=frozenset(v.order for v in firsts
                                       if v.verdict != RATIONAL),
+        firsts=firsts,
     )
 
 
@@ -177,32 +168,39 @@ def _product_report(G: GroupHandle, ra: RationalityReport,
     """The report of G = A x B from its factors', class (a, b) numbered
     a*k(B) + b.
 
-    The key of a factor class is (|g|, iota image of g), read off the
-    factor's own report.  (g, h)^m lies in the class of (g, h) iff m mod |g|
-    and m mod |h| lie in the two images, and in the class of (g, h)^-1 iff
-    -m does, so the pair of keys fixes the product class's verdict: it is
-    computed by ``_class_verdict`` on G's row for the first class with that
-    pair, a*k(B) + b for the first classes a and b with the two keys, and
-    shared by the others.  Every pair of keys occurs, so these verdicts give
-    the group's.
+    A class's verdict is read off its key, (|g|, iota image of g), alone,
+    and holds it, so verdict and key fix each other.  (g, h)^m lies in the
+    class of (g, h) iff m mod |g| and m mod |h| lie in the two images, and
+    in the class of (g, h)^-1 iff -m does, so the pair of factor verdicts
+    fixes the product class's verdict: it is computed by ``_class_verdict``
+    on G's row for a*k(B) + b, a and b the first classes with the two
+    verdicts (``firsts``), and shared by the others.  Those classes come in
+    ascending order, and the first class with a product verdict is one of
+    them, so they give G's own ``firsts``.
     """
     powers = conjugacy_classes(G).powers
-    (ia, fa), (ib, fb) = ra._key_indices, rb._key_indices
-    kb, nb = len(rb.per_class), len(fb)
-    verdicts = [_class_verdict(c, powers[c])
-                for a in fa for c in (a * kb + b for b in fb)]
-    return _report(_LazyTuple(len(ia) * kb, lambda c: verdicts[
-        ia[c // kb] * nb + ib[c % kb]]), verdicts)
+    va, vb, kb = ra.per_class, rb.per_class, len(rb.per_class)
+    table, firsts = {}, {}
+    for x, a in ra.firsts.items():
+        for y, b in rb.firsts.items():
+            c = a * kb + b
+            v = table[x, y] = _class_verdict(c, powers[c])
+            firsts.setdefault(v, c)
+    return _report(_LazyTuple(len(va) * kb, lambda c: table[
+        va[c // kb], vb[c % kb]]), firsts)
 
 
 @memoised("rationality", product=_product_report)
 def rationality_report(G: GroupHandle) -> RationalityReport:
     """Every class's verdict, and the group's; memoised.  A direct product
-    computes one verdict per pair of factor-class keys
+    computes one verdict per pair of its factors' distinct verdicts
     (``_product_report``)."""
     powers = conjugacy_classes(G).powers
     verdicts = tuple(map(_class_verdict, range(len(powers)), powers))
-    return _report(verdicts, verdicts)
+    firsts: dict[ElementVerdict, int] = {}
+    for c, v in enumerate(verdicts):
+        firsts.setdefault(v, c)
+    return _report(verdicts, firsts)
 
 
 def is_rational_group(G: GroupHandle) -> bool:
@@ -324,16 +322,17 @@ def product_cut_predicate(G: GroupHandle, H: GroupHandle) -> bool:
     """Is G x H cut, predicted from the factors' rationality reports alone.
 
     A rational class of a cut factor pairs with any class of the other into
-    an inverse semi-rational element, so only pairs of non-rational classes
-    are checked, each by :func:`_pair_inverse_semirational`.
+    an inverse semi-rational element, so only pairs of the factors' distinct
+    non-rational verdicts (``firsts``) are checked, each by
+    :func:`_pair_inverse_semirational`.
     """
     rg, rh = rationality_report(G), rationality_report(H)
     if not (rg.is_cut and rh.is_cut):
         raise PreconditionNotCut("both factors must already be cut")
-    gs = {(v.order, v.iota_exponents) for v in rg.per_class
-          if v.verdict != RATIONAL}
-    hs = {(v.order, v.iota_exponents) for v in rh.per_class
-          if v.verdict != RATIONAL}
+    gs = [(v.order, v.iota_exponents) for v in rg.firsts
+          if v.verdict != RATIONAL]
+    hs = [(v.order, v.iota_exponents) for v in rh.firsts
+          if v.verdict != RATIONAL]
     return all(_pair_inverse_semirational(a, b) for a in gs for b in hs)
 
 

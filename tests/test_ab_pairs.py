@@ -64,3 +64,26 @@ def test_summary_line_says_whether_the_medians_differ_beyond_the_iqr():
     # peak_rss_mb: the parent's runs do not spread, so any move is beyond
     assert rss.endswith("24 [24, 24] -> 24.1 (1.0042), change lower in 1/5, "
                         "medians differ by more than the parent's IQR: yes")
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path,
+                                               capsys):
+    """The parent runs first in odd-numbered pairs, the change in
+    even-numbered ones; each pair is still summarised as (parent, change)."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {parent: [_run(1.0, 24.0), _run(3.0, 24.0)],
+            change: [_run(2.0, 24.0), _run(4.0, 24.0)]}
+    order = []
+
+    def run_once(directory, workload):
+        order.append(directory)
+        return runs[directory].pop(0)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 0
+    assert order == [parent, change, change, parent]
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[:4]] == [
+        "pair 1 parent", "pair 1 change", "pair 2 change", "pair 2 parent"]
+    assert "  wall_s       2 [1.5, 2.5] -> 3 (1.5000), change lower in 0/2" \
+        in out

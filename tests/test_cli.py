@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gklab
-from gklab import catalog, cli
+from gklab import catalog, cli, verify
 from gklab.cli import main
 from gklab.groups import DEFAULT_CAP
 from gklab.structure import InvariantFailed
@@ -503,6 +503,32 @@ class TestVerifyAndClassify:
     def test_verify_classifier(self, capsys):
         assert main(["verify", "classifier"]) == 0
         assert "39/39 pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["classifier", "figure3"])
+    @pytest.mark.parametrize("option", [["--seed", "9"], ["--count", "5"],
+                                        ["--max-order", "60"]])
+    def test_corpus_options_on_another_suite(self, capsys, suite, option):
+        """--seed, --count and --max-order drive the invariants suite alone;
+        any other suite refuses them rather than dropping them."""
+        assert main(["verify", suite, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --seed, --count and --max-order "
+                                "apply to the invariants suite only\n")
+
+    @pytest.mark.parametrize("argv, want", [
+        ([], (1, 200, 2000)),
+        (["--seed", "9", "--count", "5", "--max-order", "60"], (9, 5, 60))])
+    def test_invariants_corpus_options(self, monkeypatch, argv, want):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise LookupError("stop after the corpus call")
+        monkeypatch.setattr(verify.cat, "distinct_corpus", spy)
+        with pytest.raises(LookupError):
+            main(["verify", "invariants", *argv])
+        assert calls == [want]
 
     def test_invariants_max_order_below_corpus(self, capsys):
         argv = ["verify", "invariants", "--count", "3", "--max-order", "1"]

@@ -12,7 +12,8 @@ from gklab.groups import (_LazyTuple, closure_in, direct_factors,
                           direct_product, element_ids, element_order,
                           generator_ids, small_generating_set)
 from gklab.primegraph import gk_graph, product_graph
-from gklab.rationality import _class_verdict, is_cut_group, rationality_report
+from gklab.rationality import (_class_verdict, is_cut_group,
+                               product_cut_predicate, rationality_report)
 from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
                              centralizer, class_predicates,
                              conjugacy_classes, core_p, derived_subgroup,
@@ -612,3 +613,52 @@ class TestLazyProductData:
         assert [name for name, seq in lazy.items() if _composed(seq)] == []
         assert all(len(seq) == k for seq in lazy.values())
         assert not any(map(_composed, lazy.values()))  # len composes none
+
+    def test_product_verdicts_compose_no_factor_verdict(self):
+        """A product's report and the product-cut predicate read a factor
+        product's distinct verdicts (``firsts``), never its per_class."""
+        A = direct_product(catalog.cyclic(2), catalog.sym(3))
+        per_class = rationality_report(A).per_class
+        for B in (catalog.quaternion8(), catalog.alt(4)):
+            cut = is_cut_group(direct_product(A, B))
+            assert product_cut_predicate(A, B) == cut, B.label
+            assert _composed_items(per_class) == [], B.label
+
+    @pytest.mark.parametrize("source", ["corpus", "catalog", "quotient"])
+    def test_firsts_and_verdicts_match_the_generic_path(self, source):
+        """A product's firsts maps each distinct verdict of its per_class to
+        the first class that has it, in class order, and its verdicts are
+        the generic orbit path's."""
+        if source == "corpus":
+            products = [G for G in catalog.distinct_corpus(
+                1, 200, 2000).values() if direct_factors(G)]
+        elif source == "catalog":
+            products = [G for G in (entry.build()
+                                    for entry in catalog.catalog())
+                        if direct_factors(G)]
+        else:
+            products = [_product_quotient()]
+        assert products
+        for P in products:
+            got = rationality_report(P)
+            want = rationality_report(replace(P, listed=P.ordered,
+                                              origin=None))
+            assert type(want.per_class) is tuple, P.label
+            for r in (got, want):
+                assert list(r.firsts.items()) == _first_scan(r.per_class), \
+                    P.label
+            assert got.per_class == want.per_class, P.label
+            assert (got.is_cut, got.is_rational, got.non_rational_orders) \
+                == (want.is_cut, want.is_rational,
+                    want.non_rational_orders), P.label
+
+
+def _first_scan(per_class) -> list:
+    """[(verdict, first class with it)], each distinct verdict once, in
+    class order."""
+    seen, out = set(), []
+    for c, v in enumerate(per_class):
+        if v not in seen:
+            seen.add(v)
+            out.append((v, c))
+    return out

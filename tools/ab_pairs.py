@@ -3,13 +3,16 @@
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
 
 Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds 25
---trace 0`` in PARENT_DIR, then in CHANGE_DIR, one process at a time, with
-every ``__pycache__`` under both directories removed before each run.  Each
-run's end-to-end metrics are printed as it ends; then, for each metric, the
-parent's median and quartiles, the change's median, their ratio, the
-number of pairs in which the change read lower (ties count for neither), and
-whether the two medians differ by more than the parent's interquartile
-range, the spread a claimed gain must exceed.
+--trace 0`` once in PARENT_DIR and once in CHANGE_DIR, one process at a
+time, with every ``__pycache__`` under both directories removed before each
+run.  The side that runs first alternates: the parent in odd-numbered
+pairs, the change in even-numbered ones, so a drift of the machine over the
+runs weighs on both sides alike.  Each run's end-to-end metrics are printed
+as it ends; then, for each metric, the parent's median and quartiles, the
+change's median, their ratio, the number of pairs in which the change read
+lower (ties count for neither), and whether the two medians differ by more
+than the parent's interquartile range, the spread a claimed gain must
+exceed.
 Exits 1 if any run reads ``correct`` false or ``failed`` > 0, 2 if a run
 does not finish.  Uses only the standard library.
 """
@@ -95,18 +98,18 @@ def main(argv: list[str]) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     pairs = []
+    sides = [("parent", args.parent), ("change", args.change)]
     try:
         for k in range(1, args.pairs + 1):
-            pair = []
-            for side, d in (("parent", args.parent), ("change", args.change)):
+            pair = {}
+            for side, d in sides if k % 2 else sides[::-1]:
                 clear_pycache(args.parent, args.change)
-                run = run_once(d, args.workload)
-                pair.append(run)
+                run = pair[side] = run_once(d, args.workload)
                 values = " ".join(f"{n} {m['value']:.6g}"
                                   for n, m in run["metrics"].items())
                 print(f"pair {k} {side}: {values} correct {run['correct']} "
                       f"failed {run['failed']}", flush=True)
-            pairs.append(tuple(pair))
+            pairs.append((pair["parent"], pair["change"]))
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
