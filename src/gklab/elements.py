@@ -12,13 +12,15 @@ the left component), so it lives in :mod:`gklab.groups`; this module only
 handles the context-free kinds.
 
 ``mul`` composes permutations of two or more points by one ``itemgetter``
-and multiplies 2 x 2 matrices by the closed form; other matrices multiply by
-the per-entry sum.  ``tests/test_elements.py`` keeps the per-entry forms of
-both as the reference these are checked against.
+and multiplies 2 x 2 matrices by the closed form; other matrices multiply
+each row by each column, a slice of the right operand's entries.
+``tests/test_elements.py`` keeps the per-entry forms of both as the
+reference these are checked against.
 """
 
 from __future__ import annotations
 
+import operator
 from operator import itemgetter
 
 from .numtheory import isprime
@@ -126,11 +128,12 @@ def mul(a: Element, b: Element) -> Element:
             y0, y1, y2, y3 = ys
             return (MAT, p, 2, ((x0 * y0 + x1 * y2) % p, (x0 * y1 + x1 * y3) % p,
                                 (x2 * y0 + x3 * y2) % p, (x2 * y1 + x3 * y3) % p))
+        cols = [ys[j::d] for j in range(d)]
         out = []
         for i in range(0, d * d, d):
             row = xs[i:i + d]
-            for j in range(d):
-                out.append(sum(row[k] * ys[k * d + j] for k in range(d)) % p)
+            for col in cols:
+                out.append(sum(map(operator.mul, row, col)) % p)
         return (MAT, p, d, tuple(out))
     raise IncompatibleKinds("pair elements need their group's multiplication")
 

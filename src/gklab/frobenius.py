@@ -172,22 +172,22 @@ def frobenius_kind(G: GroupHandle) -> str:
     return NONE_KIND
 
 
+# the complement groups of the cut families, in matching order: the name of
+# each one's catalog function, then its arguments
+_REFERENCE_BUILDS = {
+    "C2": ("cyclic", 2), "C3": ("cyclic", 3), "C4": ("cyclic", 4),
+    "C6": ("cyclic", 6), "Q8": ("quaternion8",), "C3:C4": ("dicyclic12",),
+    "SL(2,3)": ("sl2_3",), "Q8xC3": ("quaternion8_times_c3",),
+}
+
+
 @cache
-def _reference_complements() -> tuple[tuple[str, GroupFingerprint], ...]:
-    """Fingerprints of the complement groups appearing in the cut families;
-    built once per process."""
+def _reference_fingerprint(name: str) -> GroupFingerprint:
+    """Fingerprint of one named complement group of the cut families; each
+    built once per process, and only when asked for."""
     from . import catalog
-    refs = {
-        "C2": catalog.cyclic(2),
-        "C3": catalog.cyclic(3),
-        "C4": catalog.cyclic(4),
-        "C6": catalog.cyclic(6),
-        "Q8": catalog.quaternion8(),
-        "C3:C4": catalog.dicyclic12(),
-        "SL(2,3)": catalog.sl2_3(),
-        "Q8xC3": catalog.quaternion8_times_c3(),
-    }
-    return tuple((name, fingerprint(g)) for name, g in refs.items())
+    make, *args = _REFERENCE_BUILDS[name]
+    return fingerprint(getattr(catalog, make)(*args))
 
 
 def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
@@ -210,7 +210,8 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     if not elementary:
         return None
     cf = fingerprint(comp)
-    name = next((nm for nm, fp in _reference_complements() if fp == cf), None)
+    name = next((nm for nm in _REFERENCE_BUILDS
+                 if _reference_fingerprint(nm) == cf), None)
     if name is None:
         return None
     table = {

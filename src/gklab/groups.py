@@ -51,7 +51,13 @@ group multiplies ids (``id_mul``) the way it was built:
   array of the action, ``Product.act``: its one copy, filled along a BFS
   tree of H's ``right_rows`` from its generators' automorphism rows, which
   its element products read too.  One id multiplication (``_pair_mul``)
-  serves both kinds of product;
+  serves both kinds of product.  Their element products (``mult``,
+  ``inv``) skip each component that is its factor's ``identity`` object,
+  compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the action fixes 1_N,
+  and 1_H acts trivially.  The product's generators carry each factor's
+  identity object, as an enumerated factor's listed elements do, so
+  conjugating by a generator multiplies only the component it moves; an
+  equal object that is not the identity is multiplied, as any other;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k.  The quotient of
@@ -663,15 +669,25 @@ def element_orders_multiset(G: GroupHandle) -> Mapping[int, int]:
 
 
 def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
-    """Cartesian product with componentwise multiplication."""
+    """Cartesian product with componentwise multiplication.
+
+    A component that is its factor's ``identity`` object (``is``, never
+    ``==``) is neither multiplied nor inverted: x 1 = 1 x = x and
+    1^-1 = 1, so the other operand's component is returned as it is.
+    """
     check_cap("product", G.order * H.order)
     gm, hm, gi, hi = G.mult, H.mult, G.inv, H.inv
+    ge, he = G.identity, H.identity
 
     def mult(a, b):
-        return (el.PAIR, gm(a[1], b[1]), hm(a[2], b[2]))
+        x1, y1, x2, y2 = a[1], a[2], b[1], b[2]
+        return (el.PAIR,
+                x2 if x1 is ge else x1 if x2 is ge else gm(x1, x2),
+                y2 if y1 is he else y1 if y2 is he else hm(y1, y2))
 
     def inv(a):
-        return (el.PAIR, gi(a[1]), hi(a[2]))
+        x, y = a[1], a[2]
+        return (el.PAIR, x if x is ge else gi(x), y if y is he else hi(y))
 
     return _product_handle(G, H, None, mult, inv, f"{G.label} x {H.label}")
 
@@ -733,6 +749,11 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     neither multiplies an element.  The action is held once, as
     ``Product.act``: one id row per element of H, in H's id order, with
     act[j][i] the id of h_j |> n_i in N.
+
+    As in ``direct_product``, a component that is its factor's ``identity``
+    object (``is``) is neither multiplied nor inverted, and the action is
+    looked up only for n2 != 1_N under h1 != 1_H: h |> 1_N = 1_N, and the
+    row of 1_H is the identity row.
     """
     check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
@@ -751,14 +772,24 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
             "generator automorphisms violate the acting group's relations")
     nid, ns, hid = element_ids(N), N.ordered, element_ids(H)
     nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
+    ne, he = N.identity, H.identity
 
     def mult(a, b):
-        return (el.PAIR, nm(a[1], ns[act[hid[a[2]]][nid[b[1]]]]),
-                hm(a[2], b[2]))
+        n1, h1, n2, h2 = a[1], a[2], b[1], b[2]
+        if n2 is not ne:  # else h1 |> n2 = 1 and n1 1 = n1
+            if h1 is not he:  # act's row of 1_H is the identity row
+                n2 = ns[act[hid[h1]][nid[n2]]]
+            n1 = n2 if n1 is ne else nm(n1, n2)
+        return (el.PAIR, n1,
+                h2 if h1 is he else h1 if h2 is he else hm(h1, h2))
 
     def inv(a):
-        h_inv = hi(a[2])
-        return (el.PAIR, ns[act[hid[h_inv]][nid[ni(a[1])]]], h_inv)
+        n, h = a[1], a[2]
+        if h is he:
+            return (el.PAIR, n if n is ne else ni(n), h)
+        h_inv = hi(h)
+        return (el.PAIR, n if n is ne else ns[act[hid[h_inv]][nid[ni(n)]]],
+                h_inv)
 
     if label is None:
         trivial = all(row == act[identity_id(H)] for row in rows)

@@ -13,7 +13,8 @@ verdict:
   Aut(<g>) = U(|g|), and inspects that exponent subgroup.  It reads the
   image by orbit-stabiliser (:func:`scanned_iota_exponents`): a BFS orbit of
   <g> under conjugation by the generators, the exponents of its Schreier
-  generators, and their closure under multiplication mod |g|.
+  generators, and their closure under multiplication mod |g|.  The BFS
+  stops once that closure is all of U(|g|), since the image is then known.
 
 Both must agree on every group; the test corpus enforces this.  The scan
 oracle takes the class representatives only as a list of elements that meets
@@ -32,9 +33,11 @@ accident.  Four lemmas let it scan less:
 * conjugate cyclic subgroups share the image: y^-1 h y = h^m exactly when
   (x y x^-1)^-1 g (x y x^-1) = g^m, for h = x^-1 g x.  With the lemma above,
   every x^-1 g^k x (k a unit) has g's exponent set.  The scan of <g> indexes
-  each of these elements, as the generators of the points of its orbit, so
-  the oracle skips a representative it finds there and scans each conjugacy
-  class of cyclic subgroups once;
+  these elements, as the generators of the points of its orbit it visits,
+  so the oracle skips a representative it finds there and scans each
+  conjugacy class of cyclic subgroups once.  A scan stopped at a full image
+  leaves some of them out, but then every g^k is conjugate to g, so each
+  one left out lies in g's own class, whose representative is g;
 * if g is inverse semi-rational, so is every g^j: a unit u mod |g^j| lifts
   to a unit k mod |g| with k = u mod |g^j|, and g^k is conjugate to g or
   g^-1, so (g^j)^u = (g^k)^j is conjugate to g^j or g^-j.  The oracle also
@@ -224,14 +227,17 @@ def scanned_iota_exponents(G: GroupHandle, g: Element) -> frozenset[int]:
     s^-1 h_P s is an indexed h_Q^k, the Schreier generator t_P s t_Q^-1
     conjugates g to g^k.  By Schreier's lemma these generate N_G(<g>), so
     the closure of their exponents under multiplication mod n, 1 included,
-    is the image.  h_P = h_P^1 is always indexed, so even g = 1 (a one-point
-    orbit) is found again and the BFS stops.
+    is the image.  The BFS stops as soon as that closure is all of U(n),
+    when the image is full whatever the rest of the orbit holds, so for
+    n <= 2 it does not start.
 
-    Cost: at most n + 2 |G : N_G(<g>)| (phi(n) + |gens|) element products.
-    Only ``G.mult``, ``G.identity`` and the generators' ``G.inv`` are
-    used, never the class partition, the power map, the id core or the
-    conjugation tables, so the result stays independent of the
-    class-partition oracle.
+    Cost: n element products for the walk of <g>, then at most
+    2 (phi(n) + |gens|) per point of the orbit visited: all
+    |G : N_G(<g>)| points when the image is not full, and when it is, only
+    those met before the exponent that completes it.  Only ``G.mult``,
+    ``G.identity`` and the generators' ``G.inv`` are used, never the class
+    partition, the power map, the id core or the conjugation tables, so the
+    result stays independent of the class-partition oracle.
     """
     return _scan_orbit(G, _powers(G, g),
                        [(s, G.inv(s)) for s in G.generators])[0]
@@ -252,15 +258,20 @@ def _scan_orbit(G: GroupHandle, first: list[Element],
     """(image of iota_g, index) for g = first[0], given first =
     ``_powers(G, g)`` and gens, the pairs (s, s^-1) of G's generators; the
     scan of :func:`scanned_iota_exponents`.  The index
-    maps each generator h_P^k of each point P of the orbit to k, so its keys
-    are the elements x^-1 g^k x, k a unit mod |g|."""
+    maps each generator h_P^k of each point P the scan reached to k, so its
+    keys are elements x^-1 g^k x, k a unit mod |g|.
+
+    The closure of the exponents found so far is kept, and the scan stops
+    once it is all of U(|g|): the image is then known, and every
+    x^-1 g^k x it leaves out of the index is conjugate to g."""
     mult = G.mult
     n = len(first)
     units = _units(n)
     exps = set()
+    image = {1}
     frontier = [[first[k - 1] for k in units]]  # each point's h_P^k, by k
     index = dict(zip(frontier[0], units))  # h_P^k -> k, over every point P
-    while frontier:
+    while frontier and len(image) < len(units):
         new = []
         for hs in frontier:
             for s, si in gens:
@@ -270,10 +281,13 @@ def _scan_orbit(G: GroupHandle, first: list[Element],
                     xs = [x, *(mult(si, mult(y, s)) for y in hs[1:])]
                     index.update(zip(xs, units))
                     new.append(xs)
-                elif k != 1:  # 1 starts the closure (and 1 * 1 % 1 is 0)
+                elif k not in image:  # so the image grows, at least twofold
                     exps.add(k)
+                    image = _closure_mod(exps, n)
+                    if len(image) == len(units):
+                        return frozenset(image), index
         frontier = new
-    return frozenset(_closure_mod(exps, n)), index
+    return frozenset(image), index
 
 
 def _closure_mod(gens: set[int], n: int) -> set[int]:

@@ -20,7 +20,7 @@ import random
 from . import catalog as cat
 from . import primegraph as pg
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS,
-                        _reference_complements, fingerprint,
+                        _reference_fingerprint, fingerprint,
                         frobenius_decomposition, frobenius_kind)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
@@ -172,7 +172,7 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
 
 def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
     bad = []
-    q8 = dict(_reference_complements())["Q8"]
+    q8 = _reference_fingerprint("Q8")
     orders = set(element_orders_multiset(G))
     primes = sorted(factorint(G.order))
     syl = {p: sylow(G, p) for p in primes}

@@ -12,7 +12,10 @@ scan less: generators of one cyclic subgroup, and conjugates, share the
 exponent set, so each conjugacy class of cyclic subgroups is scanned once,
 and the powers of a passing representative pass; ``_parent_oracle``, the
 oracle that scanned each cyclic subgroup once, gives the same verdicts on
-the corpus.
+the corpus.  ``TestEarlyStop`` checks that the scan, which stops once the
+exponents it found generate all of U(|g|), reads the image of the whole
+orbit's scan (``_whole_orbit_scan``), and indexes part of that scan's
+index only when the image is full.
 """
 
 import functools
@@ -24,7 +27,8 @@ from gklab import catalog
 from gklab import elements as el
 from gklab.groups import (direct_product, element_order, enumerate_group,
                           semidirect_product)
-from gklab.rationality import (NEITHER, cut_oracle_via_bg, element_verdict,
+from gklab.rationality import (NEITHER, _powers, _scan_orbit,
+                               cut_oracle_via_bg, element_verdict,
                                is_cut_group, scanned_iota_exponents)
 from gklab.structure import (conjugacy_classes, core_p, cyclic_subgroup_set,
                              minimal_normal_subgroups, quotient)
@@ -290,3 +294,79 @@ class TestOrbitStabiliser:
         A = direct_product(catalog.cyclic(6), catalog.quaternion8())
         G = direct_product(A, A)
         assert cut_oracle_via_bg(G) == is_cut_group(G)
+
+
+def _whole_orbit_scan(G, g):
+    """The orbit-stabiliser scan as it was before it stopped at a full
+    image: (image, index) over the whole orbit of <g>."""
+    first = [g]
+    while first[-1] != G.identity:
+        first.append(G.mult(first[-1], g))
+    n = len(first)
+    units = _units(n)
+    gens = [(s, G.inv(s)) for s in G.generators]
+    exps = set()
+    frontier = [[first[k - 1] for k in units]]
+    index = dict(zip(frontier[0], units))
+    while frontier:
+        new = []
+        for hs in frontier:
+            for s, si in gens:
+                x = G.mult(si, G.mult(hs[0], s))
+                k = index.get(x)
+                if k is None:
+                    xs = [x, *(G.mult(si, G.mult(y, s)) for y in hs[1:])]
+                    index.update(zip(xs, units))
+                    new.append(xs)
+                elif k != 1:
+                    exps.add(k)
+        frontier = new
+    closed, frontier = {1}, [1]
+    while frontier:
+        new = []
+        for m in frontier:
+            for k in exps:
+                mk = m * k % n
+                if mk not in closed:
+                    closed.add(mk)
+                    new.append(mk)
+        frontier = new
+    return frozenset(closed), index
+
+
+class TestEarlyStop:
+    def test_image_and_index_match_the_whole_orbit_scan(self):
+        """On every class representative of the distinct corpus and the
+        catalog: the same image; the index is the whole scan's, or, when
+        the image is full, part of it."""
+        groups = list(catalog.distinct_corpus(1, 200, 2000).values())
+        groups += [entry.build() for entry in catalog.catalog()]
+        stopped = 0
+        for G in groups:
+            gens = [(s, G.inv(s)) for s in G.generators]
+            for rep in conjugacy_classes(G).representatives:
+                image, index = _whole_orbit_scan(G, rep)
+                assert scanned_iota_exponents(G, rep) == image, (G.label, rep)
+                exps, part = _scan_orbit(G, _powers(G, rep), gens)
+                assert exps == image and part.items() <= index.items()
+                if part != index:
+                    assert len(image) == len(_units(element_order(G, rep)))
+                    stopped += 1
+        assert stopped > 50
+
+    def test_oracle_on_fig3k_multiplies_little(self, monkeypatch):
+        """fig3.k = (C5^2 x| Q8) x S3 is rational, so every scan stops at a
+        full image, and conjugating by a generator multiplies only the
+        component it moves: the oracle makes 379 element products.  Whole
+        orbits, scanned with every component multiplied, take 5,928."""
+        real, calls = el.mul, []
+
+        def counting(a, b):
+            calls.append(a[0])
+            return real(a, b)
+        monkeypatch.setattr(el, "mul", counting)
+        G = catalog.catalog_entry("fig3.k").build()  # built on the spy
+        conjugacy_classes(G).representatives
+        del calls[:]
+        assert cut_oracle_via_bg(G)
+        assert 0 < len(calls) <= 1000

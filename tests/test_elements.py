@@ -160,7 +160,7 @@ def shaped(draw):
     if draw(st.booleans()):
         return random_perm(draw(st.integers(1, 12)))
     return raw_matrix(draw(st.sampled_from([2, 3, 5, 7])),
-                      draw(st.sampled_from([1, 2, 3, 6])))
+                      draw(st.sampled_from([1, 2, 3, 4, 6])))
 
 
 @st.composite
