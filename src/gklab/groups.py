@@ -77,8 +77,8 @@ must absorb.  No |G|^2 structure exists above the bound, and no group holds
 an order or an inverse for every id: ``_power_walk`` walks <g> on ids only for the few g
 that need it (class representatives, generators, the candidates Sylow
 growth tests).  ``Span`` grows a subgroup on ids one generator at a time
-(Dimino's algorithm), which closures, generating sets, Sylow growth,
-Fitting and normal closures run on.
+(Dimino's algorithm), which closures, generating sets, Sylow growth and
+normal closures run on.
 """
 
 from __future__ import annotations

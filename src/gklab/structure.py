@@ -6,9 +6,10 @@ are returned as id sets (``SubgroupHandle.ids``); Sylow subgroups, normal
 closures and the derived subgroup are built with ``groups.Span`` (closures
 grown one generator at a time) and ``groups.id_mul``, and O_p(G) and F(G)
 are read off the classes.  A handle's element set is derived on first read.
-Classes, Sylow subgroups, O_p(G), F(G), the Fitting series, quotients, the
-derived subgroup and the abelian, metabelian and supersolvable tests are
-cached through ``groups.memoised``.  Deliberate choices:
+Classes, Sylow subgroups, F(G), the Fitting series, quotients and the
+abelian, metabelian and supersolvable tests are cached through
+``groups.memoised``; O_p(G) and G' are not, as nothing reads them twice.
+Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
   random search: each step adds the least p-element outside P that
@@ -72,19 +73,21 @@ cached through ``groups.memoised``.  Deliberate choices:
   composed from the factors' on its first read, by index, slice or
   iteration, and kept.  So the prime graph composes none of them, the
   rationality report composes one row per pair of factor-class keys, and
-  the class of each id too is composed only when it is read.  O_p, the Sylow
-  p-subgroup, the Fitting subgroup and the derived subgroup are the id
-  sets {i*|H| + j} of O_p(G) x O_p(H), P_G x P_H, F(G) x F(H) and G' x H',
-  normal iff both factors' are (``_product_subgroup``); it is abelian,
-  metabelian or supersolvable iff both factors are (``_both``).  Its
-  quotient by N_G x N_H is G/N_G x H/N_H, relabelled, with the same
-  elements in the same order (``_product_quotient``).  ``quotient`` is
-  memoised under N, so the Fitting chain of G x H is built from its
-  factors' own quotients, and a factor whose N_G is trivial is kept as it
-  is.  A diagonal N takes the generic coset walk.
-* Commutators run on ids: G' is the normal closure of a^-1 a^b, read from
-  the conjugation tables, and G is metabelian iff the generators of that
-  closure commute.
+  the class of each id too is composed only when it is read.  The Sylow
+  p-subgroup and the Fitting subgroup are the id sets {i*|H| + j} of
+  P_G x P_H and F(G) x F(H), normal iff both factors' are
+  (``_product_subgroup``); it is abelian, metabelian or supersolvable iff
+  both factors are (``_both``).  Its quotient by N_G x N_H is
+  G/N_G x H/N_H, relabelled, with the same elements in the same order
+  (``_product_quotient``).  ``quotient`` is memoised under N, so the
+  Fitting chain of G x H is built from its factors' own quotients, and a
+  factor whose N_G is trivial is kept as it is.  A diagonal N takes the
+  generic coset walk.
+* Commutators run on ids: G' is the normal closure of the generators'
+  commutators a^-1 a^b, read from the conjugation tables (``_commutators``).
+  The metabelian test builds no G': G' is generated by the union U of the
+  commutators' classes, and U commutes elementwise iff each of those
+  classes' representatives commutes with every member of U.
 * The predicates read the rows and the class sizes (Holt, Eick & O'Brien,
   *Handbook of Computational Group Theory*, CRC 2005).  A normal subgroup
   is a union of classes, so <g> is normal iff the classes its row meets
@@ -299,7 +302,8 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
 def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
                       b: SubgroupHandle) -> SubgroupHandle:
     """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
-    pairs, normal iff both are."""
+    pairs, normal iff both are.  The product rule of ``sylow`` and
+    ``fitting``."""
     m = direct_factors(G)[1].order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
     return SubgroupHandle(G, ids, a.normal and b.normal)
@@ -340,12 +344,11 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
 
 
-@memoised("core", product=_product_subgroup)
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     """O_p(G): the union of the classes inside a Sylow p-subgroup P, as x
     lies in every conjugate of P iff its class lies in P.  A class lies in P
-    iff P holds all its members, counted over P's ids.  O_p(A) x O_p(B) for
-    a direct product A x B."""
+    iff P holds all its members, counted over P's ids.  Not memoised: its one
+    library caller, ``fitting``, is."""
     data = conjugacy_classes(G)
     P, cids = sylow(G, p).ids, data.class_ids
     held = Counter(map(cids.__getitem__, P))
@@ -495,21 +498,20 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     return minimal
 
 
-@memoised("derived", product=_product_subgroup)
 def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
-    """G'; A' x B' for a direct product A x B; memoised."""
-    return SubgroupHandle(G, frozenset(_derived_span(G).elements), True)
+    """G', the normal closure of the generators' commutators.  Not
+    memoised: its one library caller, ``frobenius.fingerprint``, is."""
+    K = _normal_span(G, _commutators(G))
+    return SubgroupHandle(G, frozenset(K.elements), True)
 
 
-def _derived_span(G: GroupHandle) -> Span:
-    """G' as the normal closure of the generators' commutators
-    [a, b] = a^-1 a^b, read from the conjugation tables; a^-1 is the last
-    id of the walk of <a>."""
-    mul, e = id_mul(G), identity_id(G)
-    tables = conjugation_tables(G)
-    comms = {mul(_power_walk(mul, e, a)[-1], t[a])
-             for a in generator_ids(G) for t in tables}
-    return _normal_span(G, sorted(comms))
+def _commutators(G: GroupHandle) -> list[int]:
+    """The ids of the generators' commutators [a, b] = a^-1 a^b, read from
+    the conjugation tables, in order; a^-1 is the last id of the walk of
+    <a>, walked once per generator."""
+    mul, e, tables = id_mul(G), identity_id(G), conjugation_tables(G)
+    return sorted({mul(ai, t[a]) for a in generator_ids(G)
+                   for ai in [_power_walk(mul, e, a)[-1]] for t in tables})
 
 
 def is_solvable(G: GroupHandle) -> bool:
@@ -575,11 +577,16 @@ def is_metacyclic(G: GroupHandle) -> bool:
 
 @memoised("metabelian", product=_both)
 def is_metabelian(G: GroupHandle) -> bool:
-    """G' is abelian: its generators commute pairwise, on G's ids.  A direct
-    product is metabelian iff both factors are; memoised."""
-    mul = id_mul(G)
-    gens = _derived_span(G).gens
-    return all(mul(a, b) == mul(b, a) for a in gens for b in gens)
+    """G' is abelian, decided on the classes without building G'.  G' is
+    generated by U, the union of the commutators' classes, so it is abelian
+    iff U commutes elementwise.  Conjugation permutes U, so that holds iff
+    each of those classes' representatives commutes with every member of U.
+    A direct product is metabelian iff both factors are; memoised."""
+    data, mul = conjugacy_classes(G), id_mul(G)
+    cs = {data.class_ids[x] for x in _commutators(G)}
+    members = [x for x, c in enumerate(data.class_ids) if c in cs]
+    return all(mul(r, x) == mul(x, r)
+               for r in map(data.rep_ids.__getitem__, cs) for x in members)
 
 
 @memoised("supersolvable", product=_both)

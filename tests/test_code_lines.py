@@ -59,3 +59,18 @@ def test_prints_a_count_per_file_and_the_total(tmp_path):
     assert counts == [["11", str(tmp_path / "a.py")],
                       ["2", str(tmp_path / "sub" / "b.py")],
                       ["13", "total"]]
+
+
+def test_help_prints_usage_and_a_missing_path_exits_2(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, str(TOOL), *args],
+                              capture_output=True, text=True, timeout=60)
+    helped = run("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert helped.stdout.startswith("usage:") and "PATH" in helped.stdout
+    missing = run(str(tmp_path / "absent.py"))
+    assert missing.returncode == 2 and missing.stdout == ""
+    errors = [line for line in missing.stderr.splitlines() if "error:" in line]
+    assert errors == [f"code_lines.py: error: no such file or directory: "
+                      f"{tmp_path / 'absent.py'}"]
+    assert "Traceback" not in missing.stderr

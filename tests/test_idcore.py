@@ -747,15 +747,41 @@ def _reference_metabelian(G):
                for a in D.generators for b in D.generators)
 
 
-def test_commutators_on_ids_match_element_products():
-    """G' from the commutator ids and the metabelian test on G's ids agree
-    with the element-product versions on the corpus and the catalog."""
+def _commutator_inputs():
+    """The corpus, the catalog, the sweep's semidirect products, a quotient,
+    a quotient of a product, subgroup views, and S7 and GL(2,7) above the
+    bound, all built fresh."""
     gs = list(catalog.distinct_corpus(1, 200, 2000).values())
     gs += [entry.build() for entry in catalog.catalog()]
-    verdicts = set()
-    for G in gs:
-        assert derived_subgroup(G).ids == _reference_derived(G).ids, G.label
-        verdict = is_metabelian(G)
-        assert verdict == _reference_metabelian(G), G.label
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+    gs += [build() for _, _, build in catalog.frobenius_family_sweep()]
+    S4 = catalog.sym(4)
+    P = direct_product(catalog.sym(3), catalog.quaternion8())
+    gs += [quotient(S4, core_p(S4, 2)), quotient(P, core_p(P, 3)),
+           sylow(S4, 2).as_group(), derived_subgroup(S4).as_group(),
+           fitting_series(catalog.catalog_entry("twofrob.l").build())
+           .series[2].as_group()]
+    gs.append(enumerate_group([el.perm_from_cycles(7, [[1, 2]]),
+                               el.perm_from_cycles(7, [list(range(1, 8))])],
+                              "S7"))
+    # 3 is a primitive root mod 7, so diag(3, 1) adds every determinant
+    gs.append(enumerate_group([el.mat(7, [[1, 1], [0, 1]]),
+                               el.mat(7, [[0, 1], [1, 0]]),
+                               el.mat(7, [[3, 0], [0, 1]])], "GL(2,7)"))
+    return gs
+
+
+def test_commutators_on_ids_match_element_products():
+    """G' from the commutator ids and the metabelian test on G's classes
+    agree with the element-product versions, under both bounds."""
+    for bound in sorted(BOUNDS):
+        with _bound(bound):
+            gs = _commutator_inputs()
+            assert {G.order for G in gs} >= {5040, 2016}
+            verdicts = set()
+            for G in gs:
+                assert derived_subgroup(G).ids == _reference_derived(G).ids, \
+                    (G.label, bound)
+                verdict = is_metabelian(G)
+                assert verdict == _reference_metabelian(G), (G.label, bound)
+                verdicts.add(verdict)
+            assert verdicts == {True, False}

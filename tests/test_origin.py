@@ -17,9 +17,9 @@ from gklab.groups import (GroupHandle, Product, Quotient, View,
 from gklab.structure import conjugacy_classes, core_p, quotient
 
 DERIVED = {"ids", "identity", "right_rows", "id_mul", "conj_tables",
-           "conjugacy", "sylow", "core", "fitting", "fitting_series",
-           "quotient", "derived", "abelian", "metabelian", "supersolvable",
-           "fingerprint", "frobenius", "rationality", "element_orders"}
+           "conjugacy", "sylow", "fitting", "fitting_series", "quotient",
+           "abelian", "metabelian", "supersolvable", "fingerprint",
+           "frobenius", "rationality", "element_orders"}
 # construction data, which an origin holds instead, and deleted tables
 RETIRED = {"sorted", "factors", "tables_from", "id_mul_from", "id_base_from",
            "to_q", "action", "id_powers"}

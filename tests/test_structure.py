@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
-from gklab import catalog, cli, structure
+from gklab import catalog, cli, groups, structure
 from gklab import elements as el
 from gklab.groups import (_LazyTuple, closure_in, direct_factors,
                           direct_product, element_ids, element_order,
@@ -386,6 +386,22 @@ class TestPredicates:
     def test_derived_subgroup_s4(self, s4):
         assert derived_subgroup(s4).order == 12
 
+    def test_metabelian_builds_no_span(self, monkeypatch, tmp_path):
+        """The metabelian test reads the commutators' classes and grows no
+        subgroup: no ``groups.Span`` is built, G' included."""
+        built = []
+        init = groups.Span.__init__
+        monkeypatch.setattr(groups.Span, "__init__", lambda self, G:
+                            built.append(G.label) or init(self, G))
+        fresh = [catalog.sym(4), catalog.alt(4), catalog.c7_c6(),
+                 catalog.sl2_3(), catalog.catalog_entry("fig3.e").build(),
+                 _gl2_5(tmp_path)]
+        verdicts = {G.label: is_metabelian(G) for G in fresh}
+        assert built == []
+        assert verdicts == {"S4": False, "A4": True, "C7 x| C6": True,
+                            "SL(2,3)": False, "C5^2 x| Q8": False,
+                            "gl2_5": False}
+
 
 def _gl2_5(tmp_path):
     """GL(2,5), 480 elements, from a ``matgrp`` recipe."""
@@ -424,7 +440,7 @@ class TestSolvableGate:
         G = NON_SOLVABLE[name](tmp_path)
         assert not fitting_series(G).solvable  # builds quotients of its own
         calls = []
-        for fn in ("quotient", "_derived_span"):
+        for fn in ("quotient", "_commutators"):
             real = getattr(structure, fn)
             monkeypatch.setattr(structure, fn, lambda *a, real=real, fn=fn:
                                 calls.append(fn) or real(*a))

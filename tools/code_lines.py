@@ -8,11 +8,13 @@ docstring counts on every line it spans.  Uses only the standard library.
 
 Each PATH is a file or a directory searched for ``*.py`` files; the default
 is ``src/gklab`` next to this script.  Prints one count per file and the
-total.
+total.  A PATH that does not exist exits 2 with usage and one ``error:``
+line.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -46,8 +48,14 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv] or [Path(__file__).parent.parent
-                                        / "src" / "gklab"]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("paths", nargs="*", type=Path, metavar="PATH",
+                        help="a file, or a directory searched for *.py "
+                        "files (default: src/gklab next to this script)")
+    args = parser.parse_args(argv)
+    roots = args.paths or [Path(__file__).parent.parent / "src" / "gklab"]
+    if missing := [str(r) for r in roots if not r.exists()]:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
     files = [f for r in roots
              for f in (sorted(r.rglob("*.py")) if r.is_dir() else [r])]
     total = 0
