@@ -60,7 +60,7 @@ def load_spec(path: str) -> dict[str, GroupHandle]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"cannot read spec file: {exc}")
     if not isinstance(doc, dict):
         raise SpecError("spec file must hold a JSON object")

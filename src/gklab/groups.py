@@ -51,12 +51,13 @@ group multiplies ids (``id_mul``) the way it was built:
   array of the action, ``Product.act``: its one copy, filled along a BFS
   tree of H's ``right_rows`` from its generators' automorphism rows, which
   its element products read too.  One id multiplication (``_pair_mul``)
-  serves both kinds of product.  Their element products (``mult``,
-  ``inv``) skip each component that is its factor's ``identity`` object,
-  compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the action fixes 1_N,
-  and 1_H acts trivially.  The product's generators carry each factor's
-  identity object, as an enumerated factor's listed elements do, so
-  conjugating by a generator multiplies only the component it moves; an
+  serves both kinds of product, and one element multiplication and
+  inversion (``_product_handle``), a direct product being the case where
+  h |> n = n.  They skip each component that is its factor's ``identity``
+  object, compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the action fixes
+  1_N, and 1_H acts trivially.  The product's generators carry each
+  factor's identity object, as an enumerated factor's listed elements do,
+  so conjugating by a generator multiplies only the component it moves; an
   equal object that is not the identity is multiplied, as any other;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
@@ -669,38 +670,53 @@ def element_orders_multiset(G: GroupHandle) -> Mapping[int, int]:
 
 
 def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
-    """Cartesian product with componentwise multiplication.
-
-    A component that is its factor's ``identity`` object (``is``, never
-    ``==``) is neither multiplied nor inverted: x 1 = 1 x = x and
-    1^-1 = 1, so the other operand's component is returned as it is.
-    """
+    """Cartesian product with componentwise multiplication
+    (``_product_handle`` with no action)."""
     check_cap("product", G.order * H.order)
-    gm, hm, gi, hi = G.mult, H.mult, G.inv, H.inv
-    ge, he = G.identity, H.identity
+    return _product_handle(G, H, None, f"{G.label} x {H.label}")
+
+
+def _product_handle(N: GroupHandle, H: GroupHandle, act,
+                    label: str) -> GroupHandle:
+    """The handle of N x H (act None) or N x| H with act = ``Product.act``,
+    with N's then H's generators.  No pair is listed here: its origin lists
+    them on the first element-level read (``Product.ordered``).
+
+    Its elements multiply as (n1, h1)(n2, h2) = (n1 (h1 |> n2), h1 h2) and
+    invert as (n, h)^-1 = (h^-1 |> n^-1, h^-1), where h |> n = n when act
+    is None.  A component that is its factor's ``identity`` object (``is``,
+    never ``==``) is neither multiplied nor inverted: 1 x = x 1 = x and
+    1^-1 = 1, so the other operand's component is returned as it is.  The
+    action is looked up only for n2 != 1_N under h1 != 1_H: h |> 1_N = 1_N,
+    and the row of 1_H is the identity row.  The id dicts of N and H and
+    N's list, which that lookup reads, are built only when act is given.
+    """
+    nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
+    ne, he = N.identity, H.identity
+    if act is not None:
+        nid, ns, hid = element_ids(N), N.ordered, element_ids(H)
 
     def mult(a, b):
-        x1, y1, x2, y2 = a[1], a[2], b[1], b[2]
-        return (el.PAIR,
-                x2 if x1 is ge else x1 if x2 is ge else gm(x1, x2),
-                y2 if y1 is he else y1 if y2 is he else hm(y1, y2))
+        n1, h1, n2, h2 = a[1], a[2], b[1], b[2]
+        if n2 is not ne:  # else h1 |> n2 = 1 and n1 1 = n1
+            if h1 is not he and act is not None:
+                n2 = ns[act[hid[h1]][nid[n2]]]
+            n1 = n2 if n1 is ne else nm(n1, n2)
+        return (el.PAIR, n1,
+                h2 if h1 is he else h1 if h2 is he else hm(h1, h2))
 
     def inv(a):
-        x, y = a[1], a[2]
-        return (el.PAIR, x if x is ge else gi(x), y if y is he else hi(y))
+        n, h = a[1], a[2]
+        if h is not he:
+            h = hi(h)
+            if n is not ne and act is not None:
+                return (el.PAIR, ns[act[hid[h]][nid[ni(n)]]], h)
+        return (el.PAIR, n if n is ne else ni(n), h)
 
-    return _product_handle(G, H, None, mult, inv, f"{G.label} x {H.label}")
-
-
-def _product_handle(N: GroupHandle, H: GroupHandle, act, mult, inv,
-                    label: str) -> GroupHandle:
-    """The handle of N x H (act None) or N x| H, with N's then H's
-    generators.  No pair is listed here: its origin lists them on the first
-    element-level read (``Product.ordered``)."""
-    gens = tuple((el.PAIR, n, H.identity) for n in N.generators) + \
-        tuple((el.PAIR, N.identity, h) for h in H.generators)
-    return GroupHandle(label, gens, None, (el.PAIR, N.identity, H.identity),
-                       mult, inv, Product(N, H, act))
+    gens = tuple((el.PAIR, n, he) for n in N.generators) + \
+        tuple((el.PAIR, ne, h) for h in H.generators)
+    return GroupHandle(label, gens, None, (el.PAIR, ne, he), mult, inv,
+                       Product(N, H, act))
 
 
 def extend_to_automorphism(N: GroupHandle, images) -> dict[Element, Element]:
@@ -748,12 +764,8 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     induced action of all of H to be well defined, along H's ``right_rows``:
     neither multiplies an element.  The action is held once, as
     ``Product.act``: one id row per element of H, in H's id order, with
-    act[j][i] the id of h_j |> n_i in N.
-
-    As in ``direct_product``, a component that is its factor's ``identity``
-    object (``is``) is neither multiplied nor inverted, and the action is
-    looked up only for n2 != 1_N under h1 != 1_H: h |> 1_N = 1_N, and the
-    row of 1_H is the identity row.
+    act[j][i] the id of h_j |> n_i in N, which its element products
+    (``_product_handle``) read too.
     """
     check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
@@ -770,31 +782,10 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     if not well_defined:
         raise ActionNotWellDefined(
             "generator automorphisms violate the acting group's relations")
-    nid, ns, hid = element_ids(N), N.ordered, element_ids(H)
-    nm, hm, ni, hi = N.mult, H.mult, N.inv, H.inv
-    ne, he = N.identity, H.identity
-
-    def mult(a, b):
-        n1, h1, n2, h2 = a[1], a[2], b[1], b[2]
-        if n2 is not ne:  # else h1 |> n2 = 1 and n1 1 = n1
-            if h1 is not he:  # act's row of 1_H is the identity row
-                n2 = ns[act[hid[h1]][nid[n2]]]
-            n1 = n2 if n1 is ne else nm(n1, n2)
-        return (el.PAIR, n1,
-                h2 if h1 is he else h1 if h2 is he else hm(h1, h2))
-
-    def inv(a):
-        n, h = a[1], a[2]
-        if h is he:
-            return (el.PAIR, n if n is ne else ni(n), h)
-        h_inv = hi(h)
-        return (el.PAIR, n if n is ne else ns[act[hid[h_inv]][nid[ni(n)]]],
-                h_inv)
-
     if label is None:
         trivial = all(row == act[identity_id(H)] for row in rows)
         label = f"{N.label}{' x ' if trivial else ' x| '}{H.label}"
-    return _product_handle(N, H, act, mult, inv, label)
+    return _product_handle(N, H, act, label)
 
 
 def _pair_mul(N: GroupHandle, H: GroupHandle, a) -> Callable[[int, int], int]:

@@ -198,6 +198,16 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "graph"])
+    def test_deeply_nested_spec(self, tmp_path, capsys, command):
+        # json.load recurses once per nesting level
+        path = tmp_path / "deep.json"
+        path.write_text('{"groups": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read spec file: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["nosuch", "quaternion8_times_c3",
                                       "corpus"])
     def test_unknown_builtin(self, tmp_path, capsys, name):

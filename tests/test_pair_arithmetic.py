@@ -1,15 +1,16 @@
 """Product element arithmetic skips identity components, and changes no value.
 
-``direct_product`` and ``semidirect_product`` return a component as it is
-when the other operand's component is its factor's ``identity`` object,
-invert no identity component, and look a semidirect product's action up
-only for n2 != 1_N under h1 != 1_H.  The reference is a test-local copy of
-the closures as they were before: every component multiplied and inverted
-and the action looked up for every pair, in every factor that is itself a
-product too.  The operands include the identity, the generators and their
-inverses, and copies equal to an identity that are not its object, alone and
-inside pairs; with those, every pair of elements up to order 200, and 500
-sampled pairs above.
+Both kinds of product multiply elements with the one ``mult`` and ``inv``
+of ``_product_handle``, which return a component as it is when the other
+operand's component is its factor's ``identity`` object, invert no
+identity component, and look a semidirect product's action up only for
+n2 != 1_N under h1 != 1_H.  The reference is a test-local copy of the
+direct and the semidirect closures as they were before: every component
+multiplied and inverted and the action looked up for every pair, in every
+factor that is itself a product too.  The operands include the identity,
+the generators and their inverses, and copies equal to an identity that are
+not its object, alone and inside pairs; with those, every pair of elements
+up to order 200, and 500 sampled pairs above.
 """
 
 import random
@@ -97,6 +98,27 @@ def _matrix_semidirect_of_direct():
                               catalog.matrix_action(N, ms))
 
 
+def _c7_by_c3_x_c2():
+    """C7 x| (C3 x C2), x -> x^2 under the C3 generator and x -> x^6 under
+    the C2 generator: the action is read through the pair ids of a direct
+    product."""
+    N = catalog.cyclic(7)
+    (g,) = N.generators
+    return semidirect_product(
+        N, direct_product(catalog.cyclic(3), catalog.cyclic(2)),
+        [[N.mult(g, g)], [N.inv(g)]])  # g^6 = g^-1
+
+
+def _direct_by_direct():
+    """(C3 x C3) x| (C2 x C2), one C2 swapping the kernel's factors and the
+    other inverting both: kernel and acting group are direct products."""
+    N = direct_product(catalog.cyclic(3), catalog.cyclic(3))
+    a, b = N.generators
+    return semidirect_product(
+        N, direct_product(catalog.cyclic(2), catalog.cyclic(2)),
+        [[b, a], [N.inv(a), N.inv(b)]])
+
+
 PRODUCTS = {
     "S3 x C2": lambda: catalog.catalog_entry("fig3.d").build(),
     "(C2 x S3) x Q8": lambda: direct_product(
@@ -107,6 +129,8 @@ PRODUCTS = {
     "C7 x| C6 (sweep)": _c7_c6_sweep,
     "(C5 x C5) x| H": _matrix_semidirect_of_direct,
     "(S4/V4) x (S4/V4)": _product_quotient,
+    "C7 x| (C3 x C2)": _c7_by_c3_x_c2,
+    "(C3 x C3) x| (C2 x C2)": _direct_by_direct,
 }
 
 
