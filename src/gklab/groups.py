@@ -61,12 +61,16 @@ group multiplies ids (``id_mul``) the way it was built:
   equal object that is not the identity is multiplied, as any other;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
-  generator k is the coset of its parent's generator k.  The quotient of
-  A x B by N_A x N_B is instead built as the direct product A/N_A x B/N_B
-  (``structure.quotient``), and multiplies as one;
+  generator k is the coset of its parent's generator k, and its class power
+  map is read off its parent's (``structure.conjugacy_classes``).  The
+  quotient of A x B by N_A x N_B is instead built as the direct product
+  A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
 * a subgroup view multiplies in its parent's ids, as a quotient does, and
   is never tabulated: its ``right_rows`` are computed once on those
-  products, one per id and generator;
+  products, one per id and generator.  It is built on the generators its
+  subgroup was grown from when they are known, with no closure, and its
+  element orders are its members' orders in its parent
+  (``element_orders_multiset``), so it builds no class data to count them;
 * only an enumerated group is tabulated, at order TABLE_BOUND or less: a
   Cayley table of 2-byte ``array`` rows, filled from its ``right_rows``
   along a BFS tree.  A larger one multiplies elements.
@@ -660,11 +664,20 @@ def _product_orders(G: GroupHandle, ma: Mapping[int, int],
 def element_orders_multiset(G: GroupHandle) -> Mapping[int, int]:
     """order -> number of elements of that order, read-only; memoised.  Read
     off the class power map as row lengths; a direct product's counts are
-    composed from its factors' (``_product_orders``), reading no row."""
+    composed from its factors' (``_product_orders``), reading no row, and a
+    subgroup view's are its members' row lengths in its parent's map, so it
+    builds no class data of its own."""
     from .structure import conjugacy_classes  # cycle-free at call time
-    data = conjugacy_classes(G)
+    o = G.origin
+    if isinstance(o, View):  # each member, with the row of its parent class
+        data = conjugacy_classes(o.parent)
+        rows = ((data.powers[c], 1)
+                for c in map(data.class_ids.__getitem__, o.ids))
+    else:
+        data = conjugacy_classes(G)
+        rows = zip(data.powers, data.sizes)
     out: dict[int, int] = {}
-    for row, size in zip(data.powers, data.sizes):
+    for row, size in rows:
         out[len(row)] = out.get(len(row), 0) + size
     return MappingProxyType(out)
 
@@ -830,16 +843,22 @@ def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
     return subgroup_view(G, id_set(G, subset), label)
 
 
-def subgroup_view(G: GroupHandle, members, label: str = "") -> GroupHandle:
+def subgroup_view(G: GroupHandle, members, label: str = "",
+                  gens=None) -> GroupHandle:
     """View a subgroup, given by its ids in G, as a standalone GroupHandle.
 
-    The view's ids multiply in G's (``induced_mul``).
+    The view's ids multiply in G's (``induced_mul``).  Its generators are
+    gens, ids in G known to generate it, taken on trust; without them the
+    members are spanned greedily (``_span_of``), which also checks that they
+    form a subgroup.
     """
-    span = _span_of(G, members)
-    if span.elements != members:
-        raise ValueError(f"subset of {G.label} is not a subgroup")
+    if gens is None:
+        span = _span_of(G, members)
+        if span.elements != members:
+            raise ValueError(f"subset of {G.label} is not a subgroup")
+        gens = span.gens
     out = sorted(members)
-    gens = tuple(elements_at(G, span.gens)) or (G.identity,)
-    return GroupHandle(label or f"{G.label}-sub{len(out)}", gens,
+    return GroupHandle(label or f"{G.label}-sub{len(out)}",
+                       tuple(elements_at(G, gens)) or (G.identity,),
                        elements_at(G, out), G.identity, G.mult, G.inv,
                        View(G, out))

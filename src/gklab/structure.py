@@ -5,7 +5,9 @@ Everything here works on fully enumerated groups, and on element ids
 are returned as id sets (``SubgroupHandle.ids``); Sylow subgroups, normal
 closures and the derived subgroup are built with ``groups.Span`` (closures
 grown one generator at a time) and ``groups.id_mul``, and O_p(G) and F(G)
-are read off the classes.  A handle's element set is derived on first read.
+are read off the classes.  A handle's element set is derived on first read,
+and a Sylow subgroup's handle keeps the generators it was grown from
+(``SubgroupHandle.gens``), so its view runs no second closure.
 Classes, Sylow subgroups, F(G), the Fitting series, quotients and the
 abelian, metabelian and supersolvable tests are cached through
 ``groups.memoised``; O_p(G) and G' are not, as nothing reads them twice.
@@ -25,8 +27,11 @@ Deliberate choices:
   closed.
 * Coset representatives are the value-least element of each coset, so
   quotients are reproducible bit for bit.  The coset projection is built on
-  ids (the quotient's ``origin.to_q``): |G| id products, one per element
-  and element of N.  A quotient multiplies no element: its ids and
+  ids (the quotient's ``origin.to_q``).  A product's quotient by
+  N_A x N_B composes it from its factors' quotients with no product
+  (``_pair_projection``); for any other N, the cosets are walked: |G| id
+  products, one per element and element of N.  A quotient multiplies no
+  element: its ids and
   conjugation tables come from its parent's through the projection
   (``groups.Quotient``), and its generator k is the coset of its parent's
   generator k.  Only the representatives are read as elements
@@ -34,10 +39,10 @@ Deliberate choices:
   parent's ids back through ``groups.ids_of``, so the quotient of a product
   lists none of the product's pairs.
 * ``fitting_series`` runs one loop for every group and keeps the quotient
-  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  The elements
-  of G/F_(k-1) are elements of G, value-least in their cosets, so F_k is
-  the union of the cosets x F_(k-1) for x in F(G/F_(k-1)), their ids read
-  back in G (``groups.ids_of``), and all of G once |F_(k-1)| |F| = |G|.
+  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  It keeps the
+  projection of G's ids onto G/F_(k-1), composed one quotient at a time
+  (``_projection``), so F_k is the preimage of F(G/F_(k-1)): one read per
+  id of G and no product, and all of G once |F_(k-1)| |F| = |G|.
 * Conjugacy classes and the normality tests of ``quotient`` and ``sylow``
   run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``); ``quotient(G, N)`` may run before G's
@@ -59,6 +64,8 @@ Deliberate choices:
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``).
+  A quotient walks nothing: it reads its rows off its parent's, through the
+  coset projection, and stops each at the first return to N.
   Element orders are read from it as row lengths; no table of orders by id
   is kept.  Sylow growth and the rationality verdicts read the rows; code
   that needs only the orders reads their counts
@@ -79,7 +86,7 @@ Deliberate choices:
   (``_product_subgroup``); it is abelian, metabelian or supersolvable iff
   both factors are (``_both``).  Its quotient by N_G x N_H is
   G/N_G x H/N_H, relabelled, with the same elements in the same order
-  (``_product_quotient``).  ``quotient`` is memoised under N, so the
+  (``_factor_quotients``).  ``quotient`` is memoised under N, so the
   Fitting chain of G x H is built from its factors' own quotients, and a
   factor whose N_G is trivial is kept as it is.  A diagonal N takes the
   generic coset walk.
@@ -109,15 +116,17 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import compress
 from math import lcm
 from operator import add
 
 from .elements import Element
-from .groups import (GroupHandle, NotMember, Quotient, Span, _LazyTuple,
-                     _power_walk, conjugation_tables, direct_factors,
-                     direct_product, element_order, element_orders_multiset,
-                     elements_at, generator_ids, id_mul, id_set, identity_id,
-                     ids_of, memoised, small_generating_set, subgroup_view)
+from .groups import (GroupHandle, NotMember, Product, Quotient, Span,
+                     _LazyTuple, _power_walk, conjugation_tables,
+                     direct_factors, direct_product, element_order,
+                     element_orders_multiset, elements_at, generator_ids,
+                     id_mul, id_set, identity_id, ids_of, memoised,
+                     small_generating_set, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -166,9 +175,16 @@ class ConjugacyData:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
+    """A subgroup of parent, by its members' ids there.  ``gens``, when
+    known, are the ids in parent of the generators it was grown from
+    (``sylow``, ``_product_subgroup``), and ``as_group`` builds its view on
+    them with no closure.  They are not compared, hashed or printed, so a
+    memo keyed on the handle does not see them."""
     parent: GroupHandle
     ids: frozenset[int]  # the members' ids in parent
     normal: bool
+    gens: tuple[int, ...] | None = field(default=None, compare=False,
+                                         repr=False)
 
     @property
     def order(self) -> int:
@@ -179,7 +195,7 @@ class SubgroupHandle:
         return frozenset(elements_at(self.parent, self.ids))
 
     def as_group(self, label: str = "") -> GroupHandle:
-        return subgroup_view(self.parent, self.ids, label)
+        return subgroup_view(self.parent, self.ids, label, self.gens)
 
 
 @dataclass(frozen=True)
@@ -248,10 +264,20 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                     orbit.append(j)
         reps.append(start)
         sizes.append(len(orbit))
-    mul = id_mul(G)
-    e = identity_id(G)
-    powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
-              for g in reps]
+    e, o = identity_id(G), G.origin
+    if isinstance(o, Quotient):
+        # row c off the parent's row for g = o.rep_ids[rep_c]: (gN)^k is the
+        # coset of any member of g^k's class, and |gN| is the least k >= 1
+        # with g^k in N, a union of classes, so the first return to 1's class
+        pd, ce = conjugacy_classes(o.parent), cids[e]
+        rows = ([cids[o.to_q[pd.rep_ids[c]]]
+                 for c in pd.powers[pd.class_ids[o.rep_ids[g]]]] + [ce]
+                for g in reps)
+        powers = [tuple(row[:row.index(ce, 1)]) for row in rows]
+    else:
+        mul = id_mul(G)
+        powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
+                  for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
                          lambda: cids, partial(elements_at, G))
 
@@ -302,11 +328,16 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
 def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
                       b: SubgroupHandle) -> SubgroupHandle:
     """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
-    pairs, normal iff both are.  The product rule of ``sylow`` and
-    ``fitting``."""
-    m = direct_factors(G)[1].order
+    pairs, normal iff both are, generated by (x, 1) and (1, y) for the
+    generators x of a and y of b when both have them.  The product rule of
+    ``sylow`` and ``fitting``."""
+    A, B = direct_factors(G)
+    m = B.order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
-    return SubgroupHandle(G, ids, a.normal and b.normal)
+    gens = None if a.gens is None or b.gens is None else tuple(
+        [i * m + identity_id(B) for i in a.gens]
+        + [identity_id(A) * m + j for j in b.gens])
+    return SubgroupHandle(G, ids, a.normal and b.normal, gens)
 
 
 @memoised("sylow", product=_product_subgroup)
@@ -341,7 +372,8 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
                 f"no p-element of {G.label} normalizes a p-subgroup of order "
                 f"{len(members)} < {p_part}")
         P.add(x)
-    return SubgroupHandle(G, frozenset(members), _is_normal(G, members))
+    return SubgroupHandle(G, frozenset(members), _is_normal(G, members),
+                          tuple(gens))
 
 
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -375,26 +407,27 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
 @memoised("fitting_series")
 def fitting_series(G: GroupHandle) -> FittingData:
     """F_0 = 1 < F_1 < ..., F_k/F_(k-1) = F(G/F_(k-1)), and the quotients
-    G/F_k; memoised.  F_k is the union of the cosets x F_(k-1) for the
-    representatives x in F(G/F_(k-1)), which are elements of G."""
+    G/F_k; memoised.  F_k is the preimage of F(G/F_(k-1)) under the
+    projection of G's ids onto G/F_(k-1), composed one quotient at a time
+    (``_projection``): a read per id of G, and no product."""
     series = [SubgroupHandle(G, frozenset({identity_id(G)}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
-    current = G
-    mul = id_mul(G)
+    above = current = G  # G/F_(k-2) and G/F_(k-1)
+    proj = range(G.order)  # G's ids -> above's
     while G.order > 1:
         F = fitting(current)
         if F.order == 1:
             break  # stalled below G: not solvable
-        below = series[-1].ids
-        if len(below) * F.order == G.order:
+        if len(series[-1].ids) * F.order == G.order:
             series.append(SubgroupHandle(G, frozenset(range(G.order)), True))
             length = len(series) - 1
             break
-        reps = ids_of(G, elements_at(current, F.ids))
-        series.append(SubgroupHandle(
-            G, frozenset([mul(x, n) for x in reps for n in below]), True))
-        current = quotient(current, F)
+        if current is not above:
+            proj = list(map(_projection(above, current).__getitem__, proj))
+        series.append(SubgroupHandle(G, frozenset(
+            compress(range(G.order), map(F.ids.__contains__, proj))), True))
+        above, current = current, quotient(current, F)
         quotients.append(current)
     return FittingData(tuple(series), length, tuple(quotients))
 
@@ -403,29 +436,38 @@ def fitting_series(G: GroupHandle) -> FittingData:
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N on value-least coset representatives with induced multiplication;
     generator k is the coset of G's generator k; memoised under N, so G
-    keeps it alive.  A direct product's quotient by N_A x N_B is
-    A/N_A x B/N_B (``_product_quotient``), from the factors' memoised
-    quotients."""
+    keeps it alive.  A product's quotient by N = N_A x N_B comes from its
+    factors' memoised quotients (``_factor_quotients``): a direct product's
+    is A/N_A x B/N_B, and a semidirect product's coset projection is
+    composed from theirs (``_pair_projection``).  Any other N is walked:
+    one id product per element of G."""
     # a shared origin (a relabelled twin) or equal element lists give equal
     # ids, so N's ids are G's; the origin test lists no product's pairs
     if not (N.parent is G or G.origin and N.parent.origin is G.origin
             or N.parent.ordered == G.ordered):
         raise NotNormal("subgroup does not live in this group")
-    if (factors := direct_factors(G)) and (
-            Q := _product_quotient(G, N, *factors)):
-        return Q
+    qs = _factor_quotients(G, N)
+    if qs and G.origin.act is None:
+        return direct_product(*qs).relabel(f"{G.label}/N{N.order}")
     if not _is_normal(G, N.ids):
         raise NotNormal("subgroup is not normal")
-    mul = id_mul(G)
-    to_q = [-1] * G.order  # G id -> coset number
-    rep_ids = []
-    for g in range(G.order):
-        if to_q[g] >= 0:
-            continue
-        # every smaller id lies in an earlier coset, so g is gN's least
-        for x in N.ids:
-            to_q[mul(g, x)] = len(rep_ids)
-        rep_ids.append(g)
+    if qs:  # (n, h)N = n N_A x h N_B, as N_A = N meet A is H-invariant
+        to_q = _pair_projection(G.origin, *qs)
+        rep_ids = []
+        for g, c in enumerate(to_q):  # cosets are numbered by least id
+            if c == len(rep_ids):
+                rep_ids.append(g)
+    else:
+        mul = id_mul(G)
+        to_q = [-1] * G.order  # G id -> coset number
+        rep_ids = []
+        for g in range(G.order):
+            if to_q[g] >= 0:
+                continue
+            # every smaller id lies in an earlier coset, so g is gN's least
+            for x in N.ids:
+                to_q[mul(g, x)] = len(rep_ids)
+            rep_ids.append(g)
     reps = elements_at(G, rep_ids)
     gm, gi = G.mult, G.inv
 
@@ -441,24 +483,45 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
                        Quotient(G, to_q, rep_ids))
 
 
-def _product_quotient(G: GroupHandle, N: SubgroupHandle, A: GroupHandle,
-                      B: GroupHandle) -> GroupHandle | None:
-    """G/N as A/N_A x B/N_B for G = A x B, when N = N_A x N_B; None for a
-    diagonal N.  N is such a product iff the sizes of its projections, the
-    id sets {i // |B|} and {i % |B|}, multiply to |N|.  The value-least
-    representative of the coset (a, b)N is the pair of the factors' least
-    representatives, in the same order, so the elements, generators and
-    identity are the generic quotient's.  Each factor's ``quotient`` tests
-    its projection's normality; a factor whose projection is trivial is
-    used as it is, with its memos."""
-    m = B.order
+def _factor_quotients(G: GroupHandle, N: SubgroupHandle):
+    """(A/N_A, B/N_B) for G = A x B or A x| B when N = N_A x N_B, else None
+    (a diagonal N, or G no product).  N is such a product iff the sizes of
+    its projections, the id sets {i // |B|} and {i % |B|}, multiply to |N|.
+    The value-least representative of the coset (a, b)N is the pair of the
+    factors' least representatives, in the same order, so the elements,
+    generators and identity are the generic quotient's.  Each factor's
+    ``quotient`` tests its projection's normality; a factor whose
+    projection is trivial is used as it is, with its memos."""
+    if not isinstance(o := G.origin, Product):
+        return None
+    m = o.right.order
     parts = ({i // m for i in N.ids}, {i % m for i in N.ids})
     if len(parts[0]) * len(parts[1]) != N.order:
         return None
-    qa, qb = (F if len(ids) == 1 else
-              quotient(F, SubgroupHandle(F, frozenset(ids), N.normal))
-              for F, ids in zip((A, B), parts))
-    return direct_product(qa, qb).relabel(f"{G.label}/N{N.order}")
+    return tuple(F if len(ids) == 1 else
+                 quotient(F, SubgroupHandle(F, frozenset(ids), N.normal))
+                 for F, ids in zip((o.left, o.right), parts))
+
+
+def _projection(G: GroupHandle, Q: GroupHandle) -> Sequence[int]:
+    """G's ids -> Q's, for Q = quotient(G, N), or Q = G itself (a factor
+    ``_factor_quotients`` keeps): the origin's ``to_q``, or a product
+    quotient's composed from its factors' (``_pair_projection``)."""
+    if Q is G:
+        return range(G.order)
+    if isinstance(Q.origin, Quotient):
+        return Q.origin.to_q
+    return _pair_projection(G.origin, *direct_factors(Q))
+
+
+def _pair_projection(o: Product, qa: GroupHandle,
+                     qb: GroupHandle) -> list[int]:
+    """The projection of A x B or A x| B (origin o) onto its quotient by
+    N_A x N_B, for qa = A/N_A and qb = B/N_B: the id i*|B| + j goes to
+    pa[i]*|qb| + pb[j], pa and pb the factors' projections."""
+    m = qb.order
+    pb = _projection(o.right, qb)
+    return [x * m + y for x in _projection(o.left, qa) for y in pb]
 
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:

@@ -172,6 +172,8 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
 
 def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
     bad = []
+    # a fingerprint holds the order, so only a Sylow subgroup of order 8 is
+    # fingerprinted to be compared with Q8's
     q8 = _reference_fingerprint("Q8")
     orders = set(element_orders_multiset(G))
     primes = sorted(factorint(G.order))
@@ -188,7 +190,7 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
                 continue
             Sq = groups[q]
             small_cyclic = is_cyclic(Sq) and (4 % Sq.order == 0 or Sq.order == q)
-            if not (fingerprint(Sq) == q8 or small_cyclic):
+            if not (Sq.order == 8 and fingerprint(Sq) == q8 or small_cyclic):
                 bad.append(f"Sylow {q} not Q8 or small cyclic (p={p})")
     if 2 in primes:
         S2 = groups[2]
@@ -196,7 +198,7 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if any(n % 4 == 0 and (n // 4) in primes and (n // 4) % 2 == 1
                    for n in orders):
                 bad.append("cyclic Sylow 2 with an element of order 4p")
-        elif fingerprint(S2) == q8:
+        elif S2.order == 8 and fingerprint(S2) == q8:
             for n in orders:
                 if n % 2 == 0 and (n // 2) in primes and (n // 2) % 4 == 1:
                     bad.append(f"Q8 Sylow 2 with element of order {n}")

@@ -119,9 +119,9 @@ class TestTwoFrobenius:
         views = []
         view = structure.subgroup_view
 
-        def counting_view(parent, members, label=""):
+        def counting_view(parent, members, label="", *args, **kwargs):
             views.append(label)
-            return view(parent, members, label)
+            return view(parent, members, label, *args, **kwargs)
 
         monkeypatch.setattr(structure, "subgroup_view", counting_view)
         assert is_two_frobenius(G)

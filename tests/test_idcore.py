@@ -16,7 +16,8 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 from sympy import factorint
 
 from gklab import catalog, groups
@@ -37,10 +38,16 @@ from gklab.structure import (ConjugacyData, conjugacy_classes, core_p,
 BOUNDS = {"table": groups.TABLE_BOUND, "no-table": 0}
 
 
-def _reference_closure(G, gens):
-    """Breadth-first closure on G.mult, as closure_in was."""
-    elems = {G.identity}
-    frontier = [G.identity]
+def _reference_closure(G, gens, elems=None):
+    """Breadth-first closure on G.mult, as closure_in was.  Given elems, the
+    closure of all of gens but the last, t, it is grown in place: an element
+    outside it is first reached as x t for some x in it, so the search
+    starts from those."""
+    if elems is None:
+        elems, frontier = {G.identity}, [G.identity]
+    else:
+        frontier = list({G.mult(x, gens[-1]) for x in elems} - elems)
+        elems.update(frontier)
     while frontier:
         new = []
         for g in frontier:
@@ -69,15 +76,17 @@ def _reference_generating_set(G, subset):
 
 
 def _reference_normal_closure(G, seeds):
-    """Re-close from scratch until the generators' conjugates stay inside."""
-    elems = _reference_closure(G, list(seeds))
-    while True:
-        gens = _reference_generating_set(G, elems)
-        extra = [G.conjugate(s, g) for s in gens for g in G.generators]
-        extra = [x for x in extra if x not in elems]
-        if not extra:
-            return frozenset(elems)
-        elems = _reference_closure(G, gens + extra)
+    """Grow the closure by each seed, then by each conjugate of an added
+    generator by a generator of G, that lies outside it; each step closes
+    only by the element added (``_reference_closure`` given elems)."""
+    gens, elems = [], {G.identity}
+    todo = list(seeds)
+    for s in todo:  # grows while it is read
+        if s not in elems:
+            gens.append(s)
+            _reference_closure(G, gens, elems)
+            todo += [G.conjugate(s, g) for g in G.generators]
+    return frozenset(elems)
 
 
 def _reference_projection(G, nset):
@@ -635,6 +644,11 @@ class TestClosures:
     @by_bound
     @settings(max_examples=30, deadline=None)
     @given(recipe=_recipes())
+    # A4 = <(2 3 4), (1 2)(3 4)>: the generators' commutators lie in one
+    # <d> of order 2, and only the first generator's table moves d, so
+    # G' = V4 is reached only through that table
+    @example(recipe=("perm", lambda: enumerate_group(
+        [el.perm([0, 2, 3, 1]), el.perm([1, 0, 3, 2])])))
     def test_commutators(self, bound, recipe):
         with _bound(bound):
             G = recipe[1]()
