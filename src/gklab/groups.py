@@ -61,8 +61,8 @@ group multiplies ids (``id_mul``) the way it was built:
   equal object that is not the identity is multiplied, as any other;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
-  generator k is the coset of its parent's generator k, and its class power
-  map is read off its parent's (``structure.conjugacy_classes``).  The
+  generator k is the coset of its parent's generator k, and it walks its
+  class power map on those products, as an enumerated group does.  The
   quotient of A x B by N_A x N_B is instead built as the direct product
   A/N_A x B/N_B (``structure.quotient``), and multiplies as one;
 * a subgroup view multiplies in its parent's ids, as a quotient does, and

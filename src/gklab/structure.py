@@ -29,10 +29,11 @@ Deliberate choices:
   quotients are reproducible bit for bit.  The coset projection is built on
   ids (the quotient's ``origin.to_q``).  A product's quotient by
   N_A x N_B composes it from its factors' quotients with no product
-  (``_pair_projection``); for any other N, the cosets are walked: |G| id
-  products, one per element and element of N.  A quotient multiplies no
-  element: its ids and
-  conjugation tables come from its parent's through the projection
+  (``_pair_projection``); G/G is one coset, with no product; for any other
+  N, the cosets are walked: |G| id products, one per element and element
+  of N.  Either way a coset's representative is the first id mapped to its
+  number.  A quotient multiplies no element: its ids and conjugation
+  tables come from its parent's through the projection
   (``groups.Quotient``), and its generator k is the coset of its parent's
   generator k.  Only the representatives are read as elements
   (``groups.elements_at``), and its element ``mult`` and ``inv`` read the
@@ -56,16 +57,16 @@ Deliberate choices:
   for rep_c of order n and p^a || n, the class row[n // p^a] of its
   power-map row holds a generator of the p-part's cyclic group.
 * Class data lives on ids (``ConjugacyData``): the least id and the size of
-  each class, the power map, and the class of each id.  The one element
-  view, the representatives, is derived on first read through
-  ``groups.elements_at``, which lists no product's pairs; only the
-  normalizer-scan cut oracle reads it.  A subgroup's element set is read
-  the same way.
+  each class, the power map, and the class of each id, all stored fields.
+  A direct product composes each item from its factors' when it is read;
+  any other group, a quotient included, lists them all from its own orbits
+  and power walks.  The one element view, the representatives,
+  is derived on first read through ``groups.elements_at``, which lists no
+  product's pairs; only the normalizer-scan cut oracle reads it.  A
+  subgroup's element set is read the same way.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``).
-  A quotient walks nothing: it reads its rows off its parent's, through the
-  coset projection, and stops each at the first return to N.
   Element orders are read from it as row lengths; no table of orders by id
   is kept.  Sylow growth and the rationality verdicts read the rows; code
   that needs only the orders reads their counts
@@ -146,27 +147,22 @@ class InvariantFailed(RuntimeError):
 class ConjugacyData:
     """Class data on element ids; class c is numbered by its least id.
 
-    ``class_ids`` and the element view ``representatives`` are derived
-    from the stored fields on first read.  Equality compares the id fields.
+    The element view ``representatives`` is derived on first read.
+    Equality compares the classes' least ids, sizes and power map.
     """
     # rep_ids[c] is the least id in class c, and sizes[c] is |class c|;
-    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|.  A tuple
-    # each, or for a direct product a ``groups._LazyTuple`` that composes
-    # each item from the factors' on its first read
+    # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|; class_ids[i]
+    # is the class of id i.  A tuple each (class_ids a list), or for a
+    # direct product a ``groups._LazyTuple`` that composes each item from
+    # the factors' on its first read
     rep_ids: Sequence[int]
     sizes: Sequence[int]
     powers: Sequence[tuple[int, ...]]
-    # () -> class id of each element id; read once, by ``class_ids``
-    class_ids_from: Callable[[], Sequence[int]] = field(compare=False,
-                                                        repr=False)
+    class_ids: Sequence[int] = field(compare=False, repr=False)
     # ids -> the elements with those ids (``groups.elements_at``); called
     # once, by ``representatives``, and lists no product's pairs
     elements: Callable[[Sequence[int]], list[Element]] = field(
         compare=False, repr=False)
-
-    @cached_property
-    def class_ids(self) -> Sequence[int]:
-        return self.class_ids_from()
 
     @cached_property
     def representatives(self) -> tuple[Element, ...]:
@@ -229,13 +225,13 @@ def _product_classes(P: GroupHandle, dg: ConjugacyData,
         scaled = tuple(map(kh.__mul__, ra)) * (k // na)
         return tuple(map(add, scaled, rb * (k // nb)))
 
-    def class_ids() -> list[int]:
-        ch = dh.class_ids
-        return [a * kh + b for a in dg.class_ids for b in ch]
     return ConjugacyData(
         _LazyTuple(n, lambda c: dg.rep_ids[c // kh] * m + dh.rep_ids[c % kh]),
         _LazyTuple(n, lambda c: dg.sizes[c // kh] * dh.sizes[c % kh]),
-        _LazyTuple(n, row), class_ids, partial(elements_at, P))
+        _LazyTuple(n, row),
+        _LazyTuple(P.order,
+                   lambda i: dg.class_ids[i // m] * kh + dh.class_ids[i % m]),
+        partial(elements_at, P))
 
 
 @memoised("conjugacy", product=_product_classes)
@@ -264,22 +260,11 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                     orbit.append(j)
         reps.append(start)
         sizes.append(len(orbit))
-    e, o = identity_id(G), G.origin
-    if isinstance(o, Quotient):
-        # row c off the parent's row for g = o.rep_ids[rep_c]: (gN)^k is the
-        # coset of any member of g^k's class, and |gN| is the least k >= 1
-        # with g^k in N, a union of classes, so the first return to 1's class
-        pd, ce = conjugacy_classes(o.parent), cids[e]
-        rows = ([cids[o.to_q[pd.rep_ids[c]]]
-                 for c in pd.powers[pd.class_ids[o.rep_ids[g]]]] + [ce]
-                for g in reps)
-        powers = [tuple(row[:row.index(ce, 1)]) for row in rows]
-    else:
-        mul = id_mul(G)
-        powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
-                  for g in reps]
-    return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers),
-                         lambda: cids, partial(elements_at, G))
+    mul, e = id_mul(G), identity_id(G)
+    powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
+              for g in reps]
+    return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers), cids,
+                         partial(elements_at, G))
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -439,8 +424,8 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     keeps it alive.  A product's quotient by N = N_A x N_B comes from its
     factors' memoised quotients (``_factor_quotients``): a direct product's
     is A/N_A x B/N_B, and a semidirect product's coset projection is
-    composed from theirs (``_pair_projection``).  Any other N is walked:
-    one id product per element of G."""
+    composed from theirs (``_pair_projection``).  N = G is one coset, with
+    no product; any other N is walked: one id product per element of G."""
     # a shared origin (a relabelled twin) or equal element lists give equal
     # ids, so N's ids are G's; the origin test lists no product's pairs
     if not (N.parent is G or G.origin and N.parent.origin is G.origin
@@ -449,24 +434,22 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     qs = _factor_quotients(G, N)
     if qs and G.origin.act is None:
         return direct_product(*qs).relabel(f"{G.label}/N{N.order}")
-    if not _is_normal(G, N.ids):
+    if N.order == G.order:  # one coset, and G is normal in itself
+        to_q = [0] * G.order
+    elif not _is_normal(G, N.ids):
         raise NotNormal("subgroup is not normal")
-    if qs:  # (n, h)N = n N_A x h N_B, as N_A = N meet A is H-invariant
+    elif qs:  # (n, h)N = n N_A x h N_B, as N_A = N meet A is H-invariant
         to_q = _pair_projection(G.origin, *qs)
-        rep_ids = []
-        for g, c in enumerate(to_q):  # cosets are numbered by least id
-            if c == len(rep_ids):
-                rep_ids.append(g)
     else:
-        mul = id_mul(G)
-        to_q = [-1] * G.order  # G id -> coset number
-        rep_ids = []
+        mul, to_q, n = id_mul(G), [-1] * G.order, 0  # G id -> coset number
         for g in range(G.order):
-            if to_q[g] >= 0:
-                continue
-            # every smaller id lies in an earlier coset, so g is gN's least
-            for x in N.ids:
-                to_q[mul(g, x)] = len(rep_ids)
+            if to_q[g] < 0:  # g is gN's least id: smaller ones are placed
+                for x in N.ids:
+                    to_q[mul(g, x)] = n
+                n += 1
+    rep_ids = []
+    for g, c in enumerate(to_q):  # cosets are numbered by least id
+        if c == len(rep_ids):
             rep_ids.append(g)
     reps = elements_at(G, rep_ids)
     gm, gi = G.mult, G.inv

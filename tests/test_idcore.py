@@ -736,9 +736,8 @@ def test_oracle_reads_no_id_core(build):
     G = build()
     # the representatives, read here beforehand, are the oracle's one input
     data = ConjugacyData(rep_ids=_Poison(), sizes=_Poison(), powers=_Poison(),
-                         class_ids_from=_Poison(), elements=_Poison())
-    vars(data).update(representatives=conjugacy_classes(G).representatives,
-                      class_ids=_Poison())
+                         class_ids=_Poison(), elements=_Poison())
+    vars(data).update(representatives=conjugacy_classes(G).representatives)
     G._memo["conjugacy"] = data
     for key in ID_CORE_KEYS:
         G._memo[key] = _Poison()

@@ -2,12 +2,13 @@
 
 A view grown from known generators (``SubgroupHandle.gens``) runs no
 closure; a view's element orders are its members' orders in its parent; a
-quotient's class power map is read off its parent's; a product's quotient
-by a product N_A x N_B composes its coset projection from its factors';
-and the Fitting series lifts each term through the composed projection.
-Each is checked, under both TABLE_BOUND values, against a local copy of
-the loop it replaced or against element products, and a spy checks that
-the replaced work is not done.
+product's quotient by a product N_A x N_B composes its coset projection
+from its factors'; a quotient by the whole group walks no coset; and the
+Fitting series lifts each term through the composed projection.  Each is
+checked, under both TABLE_BOUND values, against a local copy of the loop
+it replaced or against element products, and a spy checks that the
+replaced work is not done.  A quotient walks its own class power map, and
+is checked against a local copy of the read off its parent's map.
 """
 
 from collections import Counter
@@ -20,13 +21,14 @@ from gklab import catalog, groups, verify
 from gklab import elements as el
 from gklab.frobenius import (_reference_fingerprint, frobenius_decomposition,
                              is_frobenius)
-from gklab.groups import (Product, Quotient, View, _power_walk,
-                          direct_product, element_orders_multiset,
-                          elements_at, generator_ids, id_mul, identity_id,
+from gklab.groups import (Product, Quotient, View, conjugation_tables,
+                          direct_factors, direct_product,
+                          element_orders_multiset, elements_at,
+                          generator_ids, id_mul, identity_id,
                           semidirect_product, subgroup_view)
 from gklab.primegraph import gk_graph
 from gklab.structure import (SubgroupHandle, conjugacy_classes,
-                             derived_subgroup, fitting_series,
+                             derived_subgroup, fitting, fitting_series,
                              minimal_normal_subgroups, normal_closure,
                              quotient, sylow)
 from test_idcore import BOUNDS, _bound, _Poison, _reference_closure
@@ -75,12 +77,19 @@ def _coset_walk(G, ids):
     return to_q, rep_ids
 
 
-def _walked_rows(G):
-    """The class power map as ``conjugacy_classes`` walked it for every
-    group: the classes of rep^k along the walk of <rep> on G's id_mul."""
-    data, mul, e = conjugacy_classes(G), id_mul(G), identity_id(G)
-    return [tuple(data.class_ids[x] for x in _power_walk(mul, e, rep))
-            for rep in data.rep_ids]
+def _rows_off_parent(Q):
+    """Q's class power map read off its parent's, with no power walk: row c
+    is the parent's row for g, the least id of rep_c's coset, through the
+    projection, as (gN)^k is the coset of any member of g^k's class; it is
+    cut at the first return to the identity's class, as |gN| is the least
+    k >= 1 with g^k in N, a union of classes."""
+    o, data = Q.origin, conjugacy_classes(Q)
+    pd, cids = conjugacy_classes(o.parent), data.class_ids
+    ce = cids[identity_id(Q)]
+    rows = ([cids[o.to_q[pd.rep_ids[c]]]
+             for c in pd.powers[pd.class_ids[o.rep_ids[g]]]] + [ce]
+            for g in data.rep_ids)
+    return [tuple(row[:row.index(ce, 1)]) for row in rows]
 
 
 def _element_orders(V):
@@ -197,33 +206,19 @@ def _quotients():
 class TestQuotientRows:
     @by_bound
     def test_rows_match_power_walks(self, bound):
-        """Each row, read off the parent's, is the walk of its
-        representative on the quotient's id_mul; the parents are enumerated
-        groups, quotients, and direct and semidirect products."""
+        """Each row, the walk of its representative on the quotient's
+        id_mul, is the one read off the parent's row; the parents are
+        enumerated groups, quotients, and direct and semidirect products."""
         with _bound(bound):
             parents = Counter()
             for Q in _quotients():
-                assert list(conjugacy_classes(Q).powers) == _walked_rows(Q), \
-                    Q.label
+                assert list(conjugacy_classes(Q).powers) == \
+                    _rows_off_parent(Q), Q.label
                 o = Q.origin.parent.origin
                 parents[type(o).__name__ if not isinstance(o, Product) else
                         "direct" if o.act is None else "semidirect"] += 1
             assert set(parents) == {"NoneType", "Quotient", "direct",
                                     "semidirect"}
-
-    @by_bound
-    def test_rows_make_no_id_product(self, bound):
-        """With the parent's classes built, the quotient's classes make no
-        id product, of the quotient or of the parent."""
-        with _bound(bound):
-            qs = _quotients()
-            want = [_walked_rows(Q) for Q in qs]
-            for Q in qs:
-                conjugacy_classes(Q.origin.parent)
-                del Q._memo["conjugacy"]
-                Q._memo["id_mul"] = Q.origin.parent._memo["id_mul"] = \
-                    _Poison()
-            assert [list(conjugacy_classes(Q).powers) for Q in qs] == want
 
 
 def _semidirect_cases():
@@ -285,6 +280,38 @@ class TestSemidirectQuotients:
                 G._memo["id_mul"] = _Poison()
                 Q = quotient(G, SubgroupHandle(G, ids, True))
                 assert (Q.origin.to_q, Q.origin.rep_ids) == want, kind
+
+
+def _whole_factor_cases():
+    """(G, N ids, F) where quotient(G, N) takes F/F: G/G for the corpus and
+    catalog groups that are not direct products, and G/M for a semidirect
+    product A x| B and M >= A x 1, which takes A/A, twofrob.g's G/F_1
+    (A = C3^6) among them."""
+    out = [(G, range(G.order), G) for G in _corpus() + _catalog()
+           if not direct_factors(G)]
+    out += [(G, ids, G.origin.left) for build, ids, kind
+            in _semidirect_cases() if kind == "contains" for G in [build()]]
+    G = catalog.catalog_entry("twofrob.g").build()
+    return out + [(G, fitting(G).ids, G.origin.left)]
+
+
+@by_bound
+def test_quotient_by_the_whole_factor_walks_no_coset(bound):
+    """With F's id products and conjugation tables poisoned (G's own tables
+    built first), the projection, representatives, elements, identity and
+    generators of G/N are the coset walk's."""
+    with _bound(bound):
+        for G, ids, F in _whole_factor_cases():
+            to_q, rep_ids = _coset_walk(G, ids)
+            conjugation_tables(G)
+            F._memo["id_mul"] = F._memo["conj_tables"] = _Poison()
+            Q = quotient(G, SubgroupHandle(G, frozenset(ids), True))
+            reps = elements_at(G, rep_ids)
+            assert (Q.origin.to_q, Q.origin.rep_ids) == (to_q, rep_ids)
+            assert Q.ordered == reps, G.label
+            assert Q.identity == reps[to_q[identity_id(G)]]
+            assert Q.generators == tuple(reps[to_q[i]]
+                                         for i in generator_ids(G))
 
 
 def _series_groups():

@@ -246,6 +246,38 @@ def test_nested_and_mixed_factors(build):
             _check_against_reference(F)
 
 
+@pytest.mark.parametrize("build", NESTED.values(), ids=NESTED)
+def test_class_ids_match_the_generic_path(build):
+    """The class of each id, composed per item at every level of nesting, is
+    the one the orbit path finds on a copy with no origin: read by index and
+    by negative index before anything else, then by slices, which return
+    tuples as the other composed fields do, then whole."""
+    P = build()
+    R = replace(P, listed=P.ordered, origin=None)
+    got, want = conjugacy_classes(P).class_ids, conjugacy_classes(R).class_ids
+    n = len(want)
+    assert len(got) == n == P.order
+    for i in sorted({0, n // 2, n - 1}):
+        assert got[i] == want[i] and got[-1 - i] == want[-1 - i], i
+    for cut in (slice(None), slice(1, None, 2), slice(-3, None), slice(n, 0)):
+        assert got[cut] == tuple(want[cut]), cut
+    assert list(got) == list(want)
+
+
+def test_view_element_orders_compose_few_class_ids():
+    """Reading the element orders of fig3.r's Sylow 2-subgroup view
+    composes the class ids of its 16 members, not of all 25,200 ids."""
+    G = catalog.catalog_entry("fig3.r").build()
+    V = sylow(G, 2).as_group()
+    assert (G.order, V.order) == (25200, 16)
+    composed = []
+    item = conjugacy_classes(G).class_ids._item
+    conjugacy_classes(G).class_ids._item = lambda i: composed.append(i) \
+        or item(i)
+    assert dict(element_orders_multiset(V)) == {1: 1, 2: 3, 4: 12}
+    assert 0 < len(composed) <= 16
+
+
 @functools.cache
 def _pool():
     return [build() for build in catalog._corpus_pool()]
