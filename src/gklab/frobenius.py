@@ -14,12 +14,19 @@ enumerated.  Kernel and complement are read off the class data
   h != 1 in H.  Every element outside K lies in a complement, so a class
   outside K has exactly |K| elements iff its members are central in their
   complement, and the centralizer of its representative, one pass over the
-  ids, is a complement.
+  ids, is a complement.  The decomposition checks that such a class exists;
+  the pass runs only when ``complement`` is first read.
 
 Kernels and complements are id sets (``SubgroupHandle.ids``).  The
 2-Frobenius test reads F_1, F_2 and G/F_1 from ``fitting_series``: G is
-2-Frobenius when G/F_1 and F_2 are Frobenius groups, and F_2 is the one
-subgroup view it builds.  Each test returns its
+2-Frobenius when G/F_1 and F_2 are Frobenius groups.  F_2 is tested on G's
+own class data, with no subgroup view: F(F_2) = F_1, as F(F_2) is
+characteristic in F_2, so normal and nilpotent in G, and F_1 is nilpotent
+and normal in F_2.  With |F_1| prime to |F_2 : F_1|, F_1 is the normal Hall
+subgroup of F_2, and F_2 is Frobenius iff no element of F_2 has an order
+divisible both by a prime of |F_1| and by a prime of |F_2 : F_1|.  F_2 is a
+union of G's classes, and an element's order is its class's row length.
+Each test returns its
 decomposition or the reason it fails; only the public ``*_decomposition``
 functions raise ``NotFrobenius``.  ``match_frobenius_cut_family`` names the
 Frobenius cut family a group belongs to.
@@ -28,7 +35,7 @@ Frobenius cut family a group belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from typing import Optional
 
@@ -50,8 +57,14 @@ class NotFrobenius(ValueError):
 
 @dataclass(frozen=True)
 class FrobeniusDecomposition:
+    """A Frobenius kernel; a complement is found on its first read."""
     kernel: SubgroupHandle
-    complement: SubgroupHandle
+
+    @cached_property
+    def complement(self) -> SubgroupHandle:
+        G, ks = self.kernel.parent, self.kernel.ids
+        return SubgroupHandle(G, _find_complement(G, ks, G.order // len(ks)),
+                              normal=False)
 
 
 @dataclass(frozen=True)
@@ -95,16 +108,21 @@ def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
                if rep != e and rep in ks)
 
 
-def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
-    """Ids of a complement of order m: C_G(t) for the first class
-    representative t outside the kernel K (ids ks) whose class has |K|
-    elements.  InvariantFailed when there is none."""
-    mul = id_mul(G)
+def _complement_rep(G: GroupHandle, ks: frozenset[int]) -> int:
+    """The first class representative outside the kernel K (ids ks) whose
+    class has |K| elements.  InvariantFailed when there is none."""
     data = conjugacy_classes(G)
     t = next((rep for rep, size in zip(data.rep_ids, data.sizes)
               if size == len(ks) and rep not in ks), None)
     if t is None:
         raise InvariantFailed(f"no class of size {len(ks)} in {G.label}")
+    return t
+
+
+def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
+    """Ids of a complement of order m: C_G(t) for t = ``_complement_rep``.
+    InvariantFailed when there is no such t, or C_G(t) is no complement."""
+    mul, t = id_mul(G), _complement_rep(G, ks)
     cent = frozenset(x for x in range(G.order) if mul(x, t) == mul(t, x))
     if len(cent) != m or len(cent & ks) != 1:
         raise InvariantFailed(f"no complement of order {m} in {G.label}")
@@ -130,8 +148,8 @@ def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
         return f"{G.label}: kernel order not coprime to index"
     if not _kernel_condition(G, F.ids):
         return f"{G.label}: centralizer condition fails"
-    comp = _find_complement(G, F.ids, G.order // F.order)
-    return FrobeniusDecomposition(F, SubgroupHandle(G, comp, normal=False))
+    _complement_rep(G, F.ids)
+    return FrobeniusDecomposition(F)
 
 
 def is_frobenius(G: GroupHandle) -> bool:
@@ -148,15 +166,22 @@ def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
 
 def _two_frobenius(G: GroupHandle) -> TwoFrobeniusDecomposition | str:
     """The decomposition, or the reason G is not 2-Frobenius: G is
-    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups."""
+    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups.  F_2, of
+    Fitting subgroup F_1, is tested on G's classes inside it: no element's
+    order may meet the primes of |F_1| and of |F_2 : F_1| both."""
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
         return f"{G.label}: Fitting length is not 3"
     _, F1, F2, _ = fs.series
     if isinstance(reason := _decompose(fs.quotients[0]), str):
         return reason
-    if isinstance(reason := _decompose(F2.as_group(f"{G.label}-F2")), str):
-        return reason
+    k, m = F1.order, F2.order // F1.order
+    if gcd(k, m) != 1:
+        return f"{G.label}-F2: kernel order not coprime to index"
+    data = conjugacy_classes(G)
+    if any(gcd(len(row), k) > 1 and gcd(len(row), m) > 1
+           for rep, row in zip(data.rep_ids, data.powers) if rep in F2.ids):
+        return f"{G.label}-F2: centralizer condition fails"
     return TwoFrobeniusDecomposition(F1, F2)
 
 

@@ -491,25 +491,29 @@ def _power_walk(mul, e: int, g: int) -> list[int]:
 
 class _LazyTuple(Sequence):
     """A read-only sequence of n items: item(c) composes item c on its first
-    read, and it is kept in one of n slots (no item is None).  A read by
-    index or by slice (a tuple) composes only the items it touches; len
-    reads only n.  Equal to, and hashed and printed as, the tuple of its
-    items.  A direct product's least ids, class sizes, power-map rows and
-    verdicts are held in one each, so each level of a nested product
-    composes only the items read of it."""
+    read, and it is kept in one of n slots (no item is None), allocated on
+    the first read of any item.  A read by index or by slice (a tuple)
+    composes only the items it touches; len reads only n.  Equal to, and
+    hashed and printed as, the tuple of its items.  A direct product's least
+    ids, class sizes, power-map rows, class ids and verdicts are held in one
+    each, so each level of a nested product composes only the items read of
+    it."""
 
     def __init__(self, n: int, item: Callable[[int], object]):
-        self._item, self._items = item, [None] * n
+        self._n, self._item, self._items = n, item, None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._n
 
     def __getitem__(self, c: int | slice):
         if isinstance(c, slice):
-            return tuple(map(self.__getitem__, range(len(self._items))[c]))
-        x = self._items[c]
+            return tuple(map(self.__getitem__, range(self._n)[c]))
+        items = self._items
+        if items is None:
+            items = self._items = [None] * self._n
+        x = items[c]
         if x is None:
-            x = self._items[c] = self._item(c % len(self._items))
+            x = items[c] = self._item(c % self._n)
         return x
 
     def __eq__(self, other) -> bool:

@@ -4,9 +4,10 @@ Everything here works on fully enumerated groups, and on element ids
 (``groups.element_ids``) wherever elements would be multiplied.  Subgroups
 are returned as id sets (``SubgroupHandle.ids``); Sylow subgroups, normal
 closures and the derived subgroup are built with ``groups.Span`` (closures
-grown one generator at a time) and ``groups.id_mul``, and O_p(G) and F(G)
-are read off the classes.  A handle's element set is derived on first read,
-and a Sylow subgroup's handle keeps the generators it was grown from
+grown one generator at a time) and ``groups.id_mul``, unless a product's
+construction gives them, and O_p(G) and F(G) are read off the classes.  A
+handle's element set is derived on first read, and a Sylow subgroup's
+handle keeps the generators it was grown or composed from
 (``SubgroupHandle.gens``), so its view runs no second closure.
 Classes, Sylow subgroups, F(G), the Fitting series, quotients and the
 abelian, metabelian and supersolvable tests are cached through
@@ -18,7 +19,11 @@ Deliberate choices:
   normalizes P.  The candidates are the members of the classes whose
   power-map row length is a power of p > 1, and an inverse is walked
   (``groups._power_walk``) only for a candidate that is tested, once per
-  call.
+  call.  A semidirect product N x| H whose kernel is a p-group or a
+  p'-group grows none: its Sylow p-subgroup is N x| P_H or 1 x| P_H, for
+  H's Sylow subgroup P_H (``_product_subgroup``), and its normality is read
+  off the conjugation tables.  Any other kernel grows.  A Sylow subgroup is
+  not canonical, so the two ways may give conjugate subgroups.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -101,7 +106,9 @@ Deliberate choices:
   is a union of classes, so <g> is normal iff the classes its row meets
   hold |g| elements in all; the set of those classes then names <g>.  For
   a cyclic normal N, the order of gN in G/N is the least k >= 1 with g^k
-  in N, a class function, so whether G/N is cyclic is read from the rows.
+  in N, a class function, so whether G/N is cyclic is read from the rows:
+  gN has order |G : N| iff g^(|G : N|/r) lies outside N for each prime r
+  dividing |G : N|.
   Supersolvability passes to quotients and to extensions by a normal
   subgroup of prime order, so any normal subgroup of prime order decides
   it: the test descends through the first one, never backtracking.
@@ -312,25 +319,39 @@ def is_p_element(G: GroupHandle, g: Element, p_part: int) -> bool:
 
 def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
                       b: SubgroupHandle) -> SubgroupHandle:
-    """a x b in G = A x B, for subgroups a of A and b of B: the ids of the
-    pairs, normal iff both are, generated by (x, 1) and (1, y) for the
-    generators x of a and y of b when both have them.  The product rule of
+    """a x b in G = A x B, or in G = A x| B when b carries a into itself,
+    for subgroups a of A and b of B: the ids of the pairs, generated by
+    (x, 1) and (1, y) for the generators x of a and y of b when both have
+    them.  In a direct product it is normal iff a and b are; in a
+    semidirect one the tables decide (``_is_normal``).  The product rule of
     ``sylow`` and ``fitting``."""
-    A, B = direct_factors(G)
-    m = B.order
+    o = G.origin
+    m = o.right.order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
     gens = None if a.gens is None or b.gens is None else tuple(
-        [i * m + identity_id(B) for i in a.gens]
-        + [identity_id(A) * m + j for j in b.gens])
-    return SubgroupHandle(G, ids, a.normal and b.normal, gens)
+        [i * m + identity_id(o.right) for i in a.gens]
+        + [identity_id(o.left) * m + j for j in b.gens])
+    normal = a.normal and b.normal if o.act is None else _is_normal(G, ids)
+    return SubgroupHandle(G, ids, normal, gens)
 
 
 @memoised("sylow", product=_product_subgroup)
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     """Sylow p-subgroup by deterministic normalizer growth; P_A x P_B for a
-    direct product A x B, normal iff both are."""
+    direct product A x B, normal iff both are.  For N x| H it is N x| P_H
+    when N is a p-group, and 1 x| P_H when p is prime to |N|, for
+    P_H = sylow(H, p): N is normal, so N P_H is a subgroup, of order |G|_p.
+    Any other kernel grows."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
+    if isinstance(o := G.origin, Product):  # N x| H; memoised takes N x H
+        N = o.left
+        whole = N.order == p ** factorint(N.order).get(p, 0)
+        if whole or N.order % p:
+            a = SubgroupHandle(N, frozenset(range(N.order) if whole
+                                            else [identity_id(N)]), True,
+                               tuple(generator_ids(N) if whole else []))
+            return _product_subgroup(G, a, sylow(o.right, p))
     p_part = p ** factorint(G.order).get(p, 0)
     data = conjugacy_classes(G)
     # orders are row lengths and divide |G|: a class of order > 1 holds
@@ -607,16 +628,20 @@ def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
 
 def is_metacyclic(G: GroupHandle) -> bool:
     """Some cyclic normal N, the union of the classes in cs, has an element
-    gN of order |G : N| in G/N; no quotient is built."""
+    gN of order index = |G : N| in G/N; no quotient is built.  The order of
+    gN is index iff g^index lies in N and g^(index/r) does not, for each
+    prime r dividing index: one row entry each."""
     if is_cyclic(G):
         return True
     rows = tuple(conjugacy_classes(G).powers)  # iterated once per N below
     for _, nrow in _normal_cyclic_rows(G):
         cs = set(nrow)
         index = G.order // len(nrow)
+        steps = [index // r for r in factorint(index)]
         for row in rows:
             n = len(row)
-            if next(k for k in range(1, n + 1) if row[k % n] in cs) == index:
+            if row[index % n] in cs and all(row[k % n] not in cs
+                                            for k in steps):
                 return True
     return False
 

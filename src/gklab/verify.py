@@ -208,10 +208,15 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
 
 
 def _quotient_closure(G: GroupHandle, cut: bool, rational: bool) -> list[str]:
+    """Cut and rational pass to the quotients by minimal normal subgroups.
+    A rational group is cut, so a group that is not cut has nothing to
+    check and builds no quotient."""
+    if not cut:
+        return []
     bad = []
     for N in minimal_normal_subgroups(G):
         Q = quotient(G, N)
-        if cut and not is_cut_group(Q):
+        if not is_cut_group(Q):
             bad.append(f"cut not inherited by quotient of order {Q.order}")
         if rational and not is_rational_group(Q):
             bad.append(f"rationality not inherited by quotient of order {Q.order}")

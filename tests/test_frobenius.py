@@ -111,10 +111,10 @@ class TestTwoFrobenius:
         assert frobenius_kind(s4) == TWO_FROBENIUS
         assert not is_frobenius(s4)
 
-    def test_detection_builds_one_subgroup_view(self, monkeypatch):
-        # F_2 is the one subgroup the test views as a group; F_1, the
-        # kernel of G/F_1 and the classes of G/F_2 belong to the catalog
-        # check of the consequences, not to the verdict
+    def test_detection_builds_no_subgroup_view(self, monkeypatch):
+        # F_2 is tested on G's own classes; F_1, the kernel of G/F_1 and the
+        # classes of G/F_2 belong to the catalog check of the consequences,
+        # not to the verdict
         G = catalog.catalog_entry("twofrob.c").build()
         views = []
         view = structure.subgroup_view
@@ -125,7 +125,7 @@ class TestTwoFrobenius:
 
         monkeypatch.setattr(structure, "subgroup_view", counting_view)
         assert is_two_frobenius(G)
-        assert views == [f"{G.label}-F2"]
+        assert views == []
 
 
 class TestFamilyMatch:

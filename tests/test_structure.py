@@ -532,8 +532,10 @@ def _lazy_fields(P) -> dict:
 
 
 def _composed_items(seq) -> list[int]:
-    """The indices of the items seq has composed."""
-    return [c for c, x in enumerate(vars(seq)["_items"]) if x is not None]
+    """The indices of the items seq has composed; its slots are None until
+    its first read."""
+    return [c for c, x in enumerate(vars(seq)["_items"] or ())
+            if x is not None]
 
 
 def _composed(seq) -> bool:
