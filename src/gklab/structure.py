@@ -335,24 +335,33 @@ def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
     return SubgroupHandle(G, ids, normal, gens)
 
 
+def _whole_or_trivial(G: GroupHandle, whole: bool) -> SubgroupHandle:
+    """G itself, generated by its generators, or its trivial subgroup: the
+    Sylow p-subgroup of a p-group or of a p'-group."""
+    if whole:
+        return SubgroupHandle(G, frozenset(range(G.order)), True,
+                              tuple(generator_ids(G)))
+    return SubgroupHandle(G, frozenset({identity_id(G)}), True, ())
+
+
 @memoised("sylow", product=_product_subgroup)
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     """Sylow p-subgroup by deterministic normalizer growth; P_A x P_B for a
-    direct product A x B, normal iff both are.  For N x| H it is N x| P_H
-    when N is a p-group, and 1 x| P_H when p is prime to |N|, for
-    P_H = sylow(H, p): N is normal, so N P_H is a subgroup, of order |G|_p.
-    Any other kernel grows."""
+    direct product A x B, normal iff both are; G or 1 when G is a p-group
+    or a p'-group.  For N x| H it is N x| P_H when N is a p-group, and
+    1 x| P_H when p is prime to |N|, for P_H = sylow(H, p): N is normal, so
+    N P_H is a subgroup, of order |G|_p.  Any other kernel grows."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
+    p_part = p ** factorint(G.order).get(p, 0)
+    if p_part in (1, G.order):
+        return _whole_or_trivial(G, p_part > 1)
     if isinstance(o := G.origin, Product):  # N x| H; memoised takes N x H
         N = o.left
-        whole = N.order == p ** factorint(N.order).get(p, 0)
-        if whole or N.order % p:
-            a = SubgroupHandle(N, frozenset(range(N.order) if whole
-                                            else [identity_id(N)]), True,
-                               tuple(generator_ids(N) if whole else []))
-            return _product_subgroup(G, a, sylow(o.right, p))
-    p_part = p ** factorint(G.order).get(p, 0)
+        n_part = p ** factorint(N.order).get(p, 0)
+        if n_part in (1, N.order):
+            return _product_subgroup(G, _whole_or_trivial(N, n_part > 1),
+                                     sylow(o.right, p))
     data = conjugacy_classes(G)
     # orders are row lengths and divide |G|: a class of order > 1 holds
     # p-elements iff its order divides p_part

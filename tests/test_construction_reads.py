@@ -247,6 +247,22 @@ def test_semidirect_sylow_composes_from_the_acting_group(monkeypatch,
         assert S.order == p ** factorint(G.order).get(p, 0), p
 
 
+def test_p_group_and_p_prime_group_grow_nothing(monkeypatch):
+    """The Sylow p-subgroup of a p-group is G, on G's generators, and that
+    of a p'-group is 1: no ``Span`` grows and no class is built."""
+    built = _span_groups(monkeypatch)
+    cases = [(catalog.quaternion8(), 2, 8), (catalog.elem_abelian(3, 2), 3, 9),
+             (catalog.sym(3), 7, 1), (catalog.cyclic(1), 2, 1)]
+    for G, p, order in cases:
+        S = sylow(G, p)
+        assert (S.order, S.normal) == (order, True), G.label
+        assert "conjugacy" not in G._memo, G.label
+    assert built == []
+    monkeypatch.undo()
+    for G, p, _ in cases:
+        assert _closure(G, sylow(G, p).gens) == sylow(G, p).ids, G.label
+
+
 def test_q8_kernel_gives_a_conjugate_of_growth(tmp_path):
     """Q8 over F_3 has its identity at id 2, so the composed Sylow
     3-subgroup {1} x| C3 is a conjugate of the one growth finds."""
