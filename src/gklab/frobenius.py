@@ -26,10 +26,10 @@ and normal in F_2.  With |F_1| prime to |F_2 : F_1|, F_1 is the normal Hall
 subgroup of F_2, and F_2 is Frobenius iff no element of F_2 has an order
 divisible both by a prime of |F_1| and by a prime of |F_2 : F_1|.  F_2 is a
 union of G's classes, and an element's order is its class's row length.
-Each test returns its
-decomposition or the reason it fails; only the public ``*_decomposition``
-functions raise ``NotFrobenius``.  ``match_frobenius_cut_family`` names the
-Frobenius cut family a group belongs to.
+Each test returns its decomposition or the reason it fails; only the public
+``*_decomposition`` functions raise ``NotFrobenius``.
+``match_frobenius_cut_family`` names the Frobenius cut family a group
+belongs to, and reads the complement.
 """
 
 from __future__ import annotations
