@@ -1,8 +1,8 @@
 """Enumerated finite groups: closure from generators, products, element orders.
 
 A :class:`GroupHandle` owns its fully enumerated elements, listed once in
-ascending value order (``ordered``; a product's origin lists them on first
-read), together with multiplication and inversion callables, and a frozen
+id order (``ordered``; a product's origin lists them on first read),
+together with multiplication and inversion callables, and a frozen
 ``origin`` recording how it was built: ``None`` for an enumerated group,
 else a :class:`Product`, :class:`Quotient` or :class:`View`.  ``relabel``
 keeps the origin and shares the list.  ``elements_at`` is the one way from
@@ -32,11 +32,14 @@ that read.  Enumeration and both
 products stop at ``default_cap()`` elements, which only ``GKLAB_MAX_ORDER``
 sets: no public function takes a cap argument.
 
-Element ids: an element's id is its position in ``G.ordered``, so ids
-follow the value order; the one hash structure of a group is the memoised
-id dict (``element_ids``), which ``G.elements`` reads.  Membership reads
-``ids_of``, so a product's reads its factors' dicts and lists no pair.  Every
-group multiplies ids (``id_mul``) the way it was built:
+Element ids: an element's id is its position in ``G.ordered``.  An
+enumerated group numbers its elements in the order its search finds them,
+from the identity (id 0), and every other handle numbers its own from the
+ids it is built on, as stated below.  Nothing gklab prints depends on the
+numbering.  The one hash structure of a group is the memoised id dict
+(``element_ids``), which ``G.elements`` reads.  Membership reads ``ids_of``,
+so a product's reads its factors' dicts and lists no pair.  Every group
+multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   ``ordered`` list is the nested loop over the factors' lists) and
@@ -94,7 +97,6 @@ from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import lcm
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, KeysView, Mapping, Optional, Sequence
 
@@ -172,12 +174,13 @@ def memoised(key, product=None):
 class GroupHandle:
     """A fully enumerated group.
 
-    ``ordered`` lists every element once, in strictly ascending value order,
-    so ``ordered[i]`` is the element with id i; every constructor must pass
-    a list that keeps this invariant, as ``listed``, except a product, which
-    passes None: its origin lists its pairs on the first read of
-    ``ordered`` (``Product.ordered``), and its order is its factors'.  The
-    handle holds no other copy of its elements: ``elements`` reads the
+    ``ordered`` lists every element once, so ``ordered[i]`` is the element
+    with id i: enumeration lists them in the order its search finds them, a
+    quotient its cosets by least id and a view its parent's ids in ascending
+    order.  Every constructor passes that list as ``listed``, except a
+    product, which passes None: its origin lists its pairs on the first read
+    of ``ordered`` (``Product.ordered``), and its order is its factors'.
+    The handle holds no other copy of its elements: ``elements`` reads the
     memoised id dict, and membership ``ids_of``.
     """
     label: str
@@ -228,7 +231,7 @@ class Product:
 
     The pairs are listed on first read, once for every handle sharing this
     origin: the pair (x_i, y_j) is at i*|right| + j, the nested loop over
-    both factors' lists, which is value order."""
+    both factors' lists."""
     left: GroupHandle
     right: GroupHandle
     act: Optional[list[array]]
@@ -307,13 +310,11 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     """Subgroup generated by compatible permutation or matrix elements.
 
     The BFS from the identity multiplies each element found by each
-    generator once (``elements.mul``) and keeps the position of each product
-    in one id row per generator; once the elements are sorted, those rows
-    become the group's ``right_rows``, and the element -> id dict that
-    relabels them its ``element_ids``.  ``same_kind`` gives every element
-    found one kind, degree, p and dimension, so the last field (the image
-    tuple or the entries) alone decides the value order, and the sort reads
-    only that field.
+    generator once, in the order given (``elements.mul``), and an element's
+    id is the position at which the search finds it: the identity is id 0.
+    The search's list is ``ordered``, its element -> position dict is
+    ``element_ids``, and its one id row per generator is ``right_rows``.
+    ``same_kind`` rejects generators of mixed kind, degree, p or dimension.
     """
     generators = tuple(generators)
     if not generators:
@@ -327,30 +328,21 @@ def enumerate_group(generators, label: str = "G") -> GroupHandle:
     identity = (el.perm_identity(len(first[1])) if first[0] == el.PERM
                 else el.mat_identity(first[1], first[2]))
     cap = default_cap()
-    found = [identity]
-    index = {identity: 0}  # element -> its position in found
-    edges = [array("I") for _ in generators]
-    for x in found:  # grows while it is read
-        for g, edge in zip(generators, edges):
+    listed = [identity]
+    ids = {identity: 0}  # element -> its position in listed, its id
+    rows = [array("I") for _ in generators]
+    for x in listed:  # grows while it is read
+        for g, row in zip(generators, rows):
             y = el.mul(x, g)
-            j = index.get(y)
+            j = ids.get(y)
             if j is None:
-                j = index[y] = len(found)
+                j = ids[y] = len(listed)
                 if j == cap:
                     raise CapExceeded(f"closure exceeded cap of {cap} elements")
-                found.append(y)
-            edge.append(j)
-    del index  # freed before the id dict is built, which lowers the peak
-    listed = sorted(found, key=itemgetter(-1))
-    ids = dict(zip(listed, range(len(listed))))
-    to_id = array("I", map(ids.__getitem__, found))  # position -> id
-    position = array("I", [0]) * len(found)  # id -> position
-    for pos, i in enumerate(to_id):
-        position[i] = pos
+                listed.append(y)
+            row.append(j)
     G = GroupHandle(label, generators, listed, identity, el.mul, el.inv)
-    G._memo.update(ids=ids, right_rows=[
-        array("I", map(to_id.__getitem__, map(edge.__getitem__, position)))
-        for edge in edges])
+    G._memo.update(ids=ids, right_rows=rows)
     return G
 
 

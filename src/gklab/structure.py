@@ -30,10 +30,10 @@ Deliberate choices:
   tables.  The minimal normal subgroups of a solvable group are p-groups,
   so they lie in F(G): only the classes of prime order inside F(G) are
   closed.
-* Coset representatives are the value-least element of each coset, so
-  quotients are reproducible bit for bit.  The coset projection is built on
-  ids (the quotient's ``origin.to_q``).  A product's quotient by
-  N_A x N_B composes it from its factors' quotients with no product
+* A coset's representative is its least id, so quotients are
+  reproducible bit for bit.  The coset projection is built on ids (the
+  quotient's ``origin.to_q``).  A product's quotient by N_A x N_B
+  composes it from its factors' quotients with no product
   (``_pair_projection``); G/G is one coset, with no product; for any other
   N, the cosets are walked: |G| id products, one per element and element
   of N.  Either way a coset's representative is the first id mapped to its
@@ -53,7 +53,7 @@ Deliberate choices:
   run on integer ids and per-generator conjugation tables
   (``groups.conjugation_tables``); ``quotient(G, N)`` may run before G's
   classes exist, so its test stays on the tables.  Each class is the orbit
-  of its smallest id, so its representative is its value-least element.
+  of its smallest id, which is its representative.
 * O_p(G) and F(G) are read off the class partition, as a normal subgroup is
   a union of classes.  O_p(G) is the union of the classes that lie inside a
   Sylow p-subgroup P, since x lies in every conjugate of P exactly when its
@@ -91,7 +91,7 @@ Deliberate choices:
   P_G x P_H and F(G) x F(H), normal iff both factors' are
   (``_product_subgroup``); it is abelian, metabelian or supersolvable iff
   both factors are (``_both``).  Its quotient by N_G x N_H is
-  G/N_G x H/N_H, relabelled, with the same elements in the same order
+  G/N_G x H/N_H, with the same elements in the same order
   (``_factor_quotients``).  ``quotient`` is memoised under N, so the
   Fitting chain of G x H is built from its factors' own quotients, and a
   factor whose N_G is trivial is kept as it is.  A diagonal N takes the
@@ -130,8 +130,8 @@ from operator import add
 
 from .elements import Element
 from .groups import (GroupHandle, NotMember, Product, Quotient, Span,
-                     _LazyTuple, _power_walk, conjugation_tables,
-                     direct_factors, direct_product, element_order,
+                     _LazyTuple, _power_walk, _product_handle,
+                     conjugation_tables, direct_factors, element_order,
                      element_orders_multiset, elements_at, generator_ids,
                      id_mul, id_set, identity_id, ids_of, memoised,
                      small_generating_set, subgroup_view)
@@ -449,7 +449,7 @@ def fitting_series(G: GroupHandle) -> FittingData:
 
 @memoised("quotient")
 def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
-    """G/N on value-least coset representatives with induced multiplication;
+    """G/N on least-id coset representatives with induced multiplication;
     generator k is the coset of G's generator k; memoised under N, so G
     keeps it alive.  A product's quotient by N = N_A x N_B comes from its
     factors' memoised quotients (``_factor_quotients``): a direct product's
@@ -463,7 +463,7 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         raise NotNormal("subgroup does not live in this group")
     qs = _factor_quotients(G, N)
     if qs and G.origin.act is None:
-        return direct_product(*qs).relabel(f"{G.label}/N{N.order}")
+        return _product_handle(*qs, None, f"{G.label}/N{N.order}")
     if N.order == G.order:  # one coset, and G is normal in itself
         to_q = [0] * G.order
     elif not _is_normal(G, N.ids):
@@ -500,7 +500,7 @@ def _factor_quotients(G: GroupHandle, N: SubgroupHandle):
     """(A/N_A, B/N_B) for G = A x B or A x| B when N = N_A x N_B, else None
     (a diagonal N, or G no product).  N is such a product iff the sizes of
     its projections, the id sets {i // |B|} and {i % |B|}, multiply to |N|.
-    The value-least representative of the coset (a, b)N is the pair of the
+    The least-id representative of the coset (a, b)N is the pair of the
     factors' least representatives, in the same order, so the elements,
     generators and identity are the generic quotient's.  Each factor's
     ``quotient`` tests its projection's normality; a factor whose

@@ -174,8 +174,8 @@ def test_missing_complement_class_still_fails_at_decomposition(monkeypatch):
 
 
 def _q8_by_c3(tmp_path):
-    """Q8 as 2x2 matrices over F_3, whose identity is not id 0, acted on by
-    C3 cycling i -> j -> ij, from a spec."""
+    """Q8 as 2x2 matrices over F_3, acted on by C3 cycling i -> j -> ij,
+    from a spec."""
     spec = tmp_path / "q8c3.json"
     spec.write_text(json.dumps({"groups": {
         "q8": {"type": "matgrp", "p": 3,
@@ -264,14 +264,27 @@ def test_p_group_and_p_prime_group_grow_nothing(monkeypatch):
 
 
 def test_q8_kernel_gives_a_conjugate_of_growth(tmp_path):
-    """Q8 over F_3 has its identity at id 2, so the composed Sylow
-    3-subgroup {1} x| C3 is a conjugate of the one growth finds."""
+    """Enumerated, Q8 over F_3 has its identity at id 0, and the composed
+    Sylow 3-subgroup {1} x| C3 is the one growth finds.  Listed by hand in
+    value order, Q8 has its identity at id 2, and the composed subgroup is
+    a conjugate of growth's.  Either way it is a Sylow 3-subgroup, and the
+    analysis gives the same bytes as on the generic path."""
     G = _q8_by_c3(tmp_path)
-    R = replace(G, listed=G.ordered, origin=None)
-    assert identity_id(G.origin.left) == 2
-    assert sorted(sylow(G, 3).ids) == [6, 7, 8]
-    assert sorted(sylow(R, 3).ids) == [1, 6, 20]
-    assert sylow(G, 2).ids == sylow(R, 2).ids
+    Q8, C3 = G.origin.left, G.origin.right
+    i, j = Q8.generators
+    by_hand = semidirect_product(
+        replace(Q8, listed=sorted(Q8.ordered), origin=None), C3,
+        [[j, Q8.mult(i, j)]], G.label)
+    for S, e, composed, grown in ((G, 0, [0, 1, 2], [0, 1, 2]),
+                                  (by_hand, 2, [6, 7, 8], [1, 6, 20])):
+        R = replace(S, listed=S.ordered, origin=None)
+        assert identity_id(S.origin.left) == e
+        assert sorted(sylow(S, 3).ids) == composed
+        assert sorted(sylow(R, 3).ids) == grown
+        assert sylow(S, 2).ids == sylow(R, 2).ids
+        _check_sylow(S, R)
+        assert json.dumps(cli.analysis_report({"sd": S}, {})) == \
+            json.dumps(cli.analysis_report({"sd": R}, {}))
 
 
 def test_mixed_kernel_keeps_growth(monkeypatch):

@@ -218,20 +218,26 @@ class TestMulMatchesReference:
                 assert el.mul(f, m) == _reference_mul(f, m)
 
 
-def _reference_closure(gens):
-    """Every product of gens, by a breadth-first search on the reference."""
-    seen = set(gens)
-    frontier = list(gens)
+def _reference_closure(gens, mul=_reference_mul):
+    """Every product of gens, by a breadth-first search on mul (the
+    reference unless given) from the identity, in the order the search
+    finds them: one level at a time, each element times each generator in
+    the order given."""
+    e = g = gens[0]
+    while mul(e, g) != g:  # the powers of g end at the identity
+        e = mul(e, g)
+    out, frontier, seen = [e], [e], {e}
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = _reference_mul(x, g)
+                y = mul(x, g)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
+        out += new
         frontier = new
-    return sorted(seen)
+    return out
 
 
 def _enumerated_parts(G, out):
@@ -249,7 +255,8 @@ def _enumerated_parts(G, out):
 
 def test_enumeration_matches_reference_closure():
     """Every enumerated group of the catalog and the corpus pool lists the
-    same elements as a search on the reference multiplication."""
+    same elements, in the same order, as a search on the reference
+    multiplication."""
     builders = [e.build for e in catalog.catalog()] + catalog._corpus_pool()
     parts = {}
     for build in builders:

@@ -20,7 +20,7 @@ def _reference_two_frobenius(G):
     F1 = fitting(G)
     Q1 = quotient(G, F1)
     kernel = frobenius_decomposition(Q1).kernel
-    project = {}  # G -> value-least element of its coset of F_1
+    project = {}  # G -> least-id element of its coset of F_1
     for g in G.ordered:
         if g not in project:
             for x in F1.elements:

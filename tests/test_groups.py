@@ -1,7 +1,7 @@
 import itertools
-import random
+import json
+import math
 from dataclasses import replace
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +9,87 @@ from sympy import factorint
 
 from gklab import catalog
 from gklab import elements as el
+from gklab.cli import load_spec
 from gklab.frobenius import fingerprint
 from gklab.groups import (DEFAULT_CAP, ActionNotWellDefined, CapExceeded,
                           NotAnAutomorphism, NotMember, closure_in,
                           default_cap, direct_product, element_order,
                           element_orders_multiset, enumerate_group,
-                          extend_to_automorphism, semidirect_product,
-                          subgroup_as_group)
+                          extend_to_automorphism, right_rows,
+                          semidirect_product, subgroup_as_group)
 from gklab.structure import core_p, derived_subgroup, quotient
+from test_elements import _enumerated_parts, _reference_closure
+
+
+def _check_search_order(G):
+    """G's ids are the positions at which a test-local breadth-first search
+    on ``elements.mul`` finds its elements, with the identity at id 0, and
+    R_k[i] of its right rows is the id of x_i g_k."""
+    listed = _reference_closure(G.generators, el.mul)
+    assert G.ordered == listed, G.label
+    assert G.ordered[0] is G.identity, G.label
+    ids = {x: i for i, x in enumerate(listed)}
+    assert [list(row) for row in right_rows(G)] == [
+        [ids[el.mul(x, g)] for x in listed] for g in G.generators], G.label
+
+
+# one perm spec of S5 and of W(B_4), and matgrp specs of dimension 2, 3, 4
+SEARCH_SPEC = {"groups": {
+    "S5": {"type": "perm", "degree": 5, "gens": [[[1, 2]], [[1, 2, 3, 4, 5]]]},
+    "W(B_4)": {"type": "perm", "degree": 8,
+               "gens": [[[1, 5]], [[1, 2, 3, 4], [5, 6, 7, 8]],
+                        [[1, 2], [5, 6]]]},
+    "GL(2,5)": {"type": "matgrp", "p": 5,
+                "gens": [[[2, 0], [0, 1]], [[4, 1], [4, 0]]]},
+    "SL(3,3)": {"type": "matgrp", "p": 3,
+                "gens": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                         [[0, 0, 1], [1, 0, 0], [0, 1, 2]]]},
+    "W(B_4) on F_3^4": {"type": "matgrp", "p": 3, "gens": [
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]},
+}}
+
+# the arguments each builtin is called with
+BUILTIN_ARGS = {
+    "cyclic": [(1,), (2,), (12,)], "elem_abelian": [(2, 3), (5, 2)],
+    "dihedral": [(6,), (10,)], "quaternion8": [()], "sl2_3": [()],
+    "dicyclic12": [()], "sym": [(n,) for n in range(1, 7)],
+    "alt": [(n,) for n in range(3, 7)], "c7_c3": [()], "c7_c6": [()]}
+
+
+@pytest.fixture(scope="module")
+def search_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "search.json"
+    path.write_text(json.dumps(SEARCH_SPEC))
+    return load_spec(str(path))
+
+
+def _det(rows, p):
+    """Determinant mod p, by the Leibniz formula."""
+    n, out = len(rows), 0
+    for sigma in itertools.permutations(range(n)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+        out += sign * math.prod(rows[i][sigma[i]] for i in range(n))
+    return out % p
+
+
+@st.composite
+def _drawn_perms(draw):
+    n = draw(st.integers(1, 7))
+    return [el.perm(images) for images in draw(st.lists(
+        st.permutations(range(n)), min_size=1, max_size=3))]
+
+
+@st.composite
+def _drawn_matrices(draw):
+    """Invertible d x d matrices over F_p: GL(2, p) for p <= 7, or GL(3, 2)."""
+    p, d = draw(st.sampled_from([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)]))
+    entries = st.lists(st.lists(st.integers(0, p - 1), min_size=d,
+                                max_size=d), min_size=d, max_size=d)
+    invertible = entries.filter(lambda rows: _det(rows, p))
+    return [el.mat(p, rows) for rows in draw(st.lists(
+        invertible, min_size=1, max_size=3))]
 
 
 class TestEnumerate:
@@ -64,21 +137,29 @@ class TestEnumerate:
         again = enumerate_group(sorted(s3.elements), "S3-again")
         assert again.elements == s3.elements
 
-    @pytest.mark.parametrize("build", [
-        lambda: catalog.sym(5),
-        lambda: enumerate_group([el.mat(5, [[2, 0], [0, 1]]),
-                                 el.mat(5, [[4, 1], [4, 0]])]),
-        lambda: enumerate_group([el.mat(3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-                                 el.mat(3, [[0, 0, 1], [1, 0, 0], [0, 1, 2]])]),
-    ], ids=["S5", "GL(2,5)", "SL(3,3)"])
-    def test_value_order_is_decided_by_the_last_field(self, build):
-        """Elements of one enumeration share kind, degree, p and dimension,
-        so sorting them by their last field alone gives the value order."""
-        G = build()
-        shuffled = list(G.ordered)
-        random.Random(G.order).shuffle(shuffled)
-        assert sorted(shuffled, key=itemgetter(-1)) == sorted(shuffled)
-        assert sorted(shuffled) == G.ordered and G.order > 100
+    @pytest.mark.parametrize("name", SEARCH_SPEC["groups"])
+    def test_ids_follow_the_search_order(self, search_spec, name):
+        _check_search_order(search_spec[name])
+
+    def test_builtins_follow_the_search_order(self):
+        assert set(BUILTIN_ARGS) == set(catalog.BUILTINS)
+        for name, calls in BUILTIN_ARGS.items():
+            for args in calls:
+                _check_search_order(catalog.BUILTINS[name](*args))
+
+    def test_catalog_and_corpus_groups_follow_the_search_order(self):
+        builders = [e.build for e in catalog.catalog()] + catalog._corpus_pool()
+        parts = {}
+        for build in builders:
+            _enumerated_parts(build(), parts)
+        assert len(parts) > 40, len(parts)
+        for G in parts.values():
+            _check_search_order(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gens=st.one_of(_drawn_perms(), _drawn_matrices()))
+    def test_drawn_generators_follow_the_search_order(self, gens):
+        _check_search_order(enumerate_group(gens))
 
 
 class TestElementOrder:

@@ -65,7 +65,7 @@ def _reference_generating_set(G, subset):
     subset = set(subset)
     gens = []
     have = {G.identity}
-    for g in sorted(subset):
+    for g in [x for x in G.ordered if x in subset]:  # in id order
         if g in have:
             continue
         gens.append(g)

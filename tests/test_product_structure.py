@@ -226,7 +226,7 @@ def test_non_solvable_factor(build):
 
 
 def _generic_quotient(G, N) -> GroupHandle:
-    """G/N for any G, direct products included, on the value-least coset
+    """G/N for any G, direct products included, on the least-id coset
     representatives and the coset projection ``origin.to_q``; generator k
     is the coset of G's generator k.  The loop below multiplies no element
     of it, so it is given no element multiplication."""

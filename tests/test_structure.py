@@ -102,15 +102,15 @@ def _p_part(n: int, p: int) -> int:
 
 def _reference_sylow(G, p):
     """Sylow growth as it was before the order map: scan all of G for the
-    normalizer of P, then take the value-least p-element of it outside P."""
+    normalizer of P, then take the least-id p-element of it outside P."""
     p_part = _p_part(G.order, p)
     P = {G.identity}
     gens = []
     while len(P) < p_part:
-        N = [x for x in G.elements
+        N = [x for x in G.ordered
              if all(G.conjugate(s, x) in P for s in gens)]
-        x = min(y for y in N if y not in P and y != G.identity and
-                is_p_element(G, y, p_part))
+        x = next(y for y in N if y not in P and y != G.identity and
+                 is_p_element(G, y, p_part))
         gens.append(x)
         P = closure_in(G, gens)
     P_gens = small_generating_set(G, P) or [G.identity]
