@@ -39,8 +39,7 @@ from functools import cache, cached_property
 from math import gcd
 from typing import Optional
 
-from .groups import (GroupHandle, element_orders_multiset, id_mul,
-                     identity_id, memoised)
+from .groups import GroupHandle, element_orders_multiset, id_mul, memoised
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
@@ -100,12 +99,12 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
 
 def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
     """C_G(k) <= K for every k != 1 in the kernel K (ids ks): the index of K
-    divides every nontrivial class size inside K.  The trivial class is the
-    one whose least id is the identity's."""
+    divides every nontrivial class size inside K.  The trivial class is
+    class 0, whose least id is the identity's, 0."""
     data = conjugacy_classes(G)
-    m, e = G.order // len(ks), identity_id(G)
+    m = G.order // len(ks)
     return all(size % m == 0 for rep, size in zip(data.rep_ids, data.sizes)
-               if rep != e and rep in ks)
+               if rep != 0 and rep in ks)
 
 
 def _complement_rep(G: GroupHandle, ks: frozenset[int]) -> int:

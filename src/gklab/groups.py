@@ -10,8 +10,8 @@ ids to elements: a product composes its factors' elements there, so
 subgroup views, quotient representatives, generating sets and class
 representatives list no pair.  ``ids_of`` is the read back from elements
 to ids, composed from a product's factors' ids the same way: the ids of
-the identity and the generators, ``id_set`` and the element products of a
-quotient go through it, so they list no pair either.
+the generators and of subsets, and the element products of a quotient go
+through it, so they list no pair either.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
@@ -32,14 +32,19 @@ that read.  Enumeration and both
 products stop at ``default_cap()`` elements, which only ``GKLAB_MAX_ORDER``
 sets: no public function takes a cap argument.
 
-Element ids: an element's id is its position in ``G.ordered``.  An
-enumerated group numbers its elements in the order its search finds them,
-from the identity (id 0), and every other handle numbers its own from the
-ids it is built on, as stated below.  Nothing gklab prints depends on the
-numbering.  The one hash structure of a group is the memoised id dict
-(``element_ids``), which ``G.elements`` reads.  Membership reads ``ids_of``,
-so a product's reads its factors' dicts and lists no pair.  Every group
-multiplies ids (``id_mul``) the way it was built:
+Element ids: an element's id is its position in ``G.ordered``, and the
+identity is id 0 in every group.  An enumerated group numbers its elements
+in the order its search finds them, from the identity, and every other
+handle numbers its own from the ids it is built on, as stated below, which
+keeps the identity first: a product's (1, 1) is 0*|H| + 0, a quotient's
+cosets go by least id and a view lists its parent's ids in ascending
+order.  ``GroupHandle`` refuses a listed handle whose first element is not
+its identity, so every walk, tree and span on ids starts at 0 and no group
+looks its identity up.  Nothing gklab prints depends on the numbering.
+The one hash structure of a group is the memoised id dict
+(``element_ids``), which ``G.elements`` reads.  Membership reads
+``ids_of``, so a product's reads its factors' dicts and lists no pair.
+Every group multiplies ids (``id_mul``) the way it was built:
 
 * a direct product G x H gives the pair (x_i, y_j) the id i*|H| + j (its
   ``ordered`` list is the nested loop over the factors' lists) and
@@ -182,6 +187,11 @@ class GroupHandle:
     of ``ordered`` (``Product.ordered``), and its order is its factors'.
     The handle holds no other copy of its elements: ``elements`` reads the
     memoised id dict, and membership ``ids_of``.
+
+    The identity is id 0: a ``listed`` whose first element is not
+    ``identity`` is refused here, with a ValueError naming the label.  A
+    product lists nothing, and its identity (1, 1) has id 0 because its
+    factors' identities do.
     """
     label: str
     generators: tuple[Element, ...]
@@ -191,6 +201,10 @@ class GroupHandle:
     inv: Callable[[Element], Element]
     origin: Product | Quotient | View | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.listed is not None and self.listed[0] != self.identity:
+            raise ValueError(f"{self.label} does not list its identity first")
 
     @property
     def ordered(self) -> list[Element]:
@@ -267,14 +281,15 @@ def direct_factors(G: GroupHandle) -> Optional[tuple[GroupHandle, GroupHandle]]:
     return (o.left, o.right) if isinstance(o, Product) and o.act is None else None
 
 
-def _bfs_tree(rows, root: int) -> tuple[array, array, array]:
+def _bfs_tree(rows) -> tuple[array, array, array]:
     """A BFS tree of the Cayley graph on id rows (rows[k][i] the id of
-    x_i g_k) from root, as three arrays: the vertices in the order the search
-    reaches them, then, for each vertex past the root, in the same order, the
-    vertex it is reached from and the index of the generator on that edge."""
+    x_i g_k) from the identity, id 0, as three arrays: the vertices in the
+    order the search reaches them, then, for each vertex past the root, in
+    the same order, the vertex it is reached from and the index of the
+    generator on that edge."""
     seen = bytearray(len(rows[0]))
-    seen[root] = 1
-    order, parent, gen = array("I", [root]), array("I"), array("I")
+    seen[0] = 1
+    order, parent, gen = array("I", [0]), array("I"), array("I")
     for x in order:  # grows while it is read
         for i, row in enumerate(rows):
             y = row[x]
@@ -286,18 +301,18 @@ def _bfs_tree(rows, root: int) -> tuple[array, array, array]:
     return order, parent, gen
 
 
-def _along_bfs_tree(rows, root: int, start, step, agrees=None):
+def _along_bfs_tree(rows, start, step, agrees=None):
     """Map on ids, built along a BFS tree of the Cayley graph on id rows.
 
-    The root gets ``start`` and each tree edge x -> rows[i][x] gets
-    ``step(value at x, i)``.  Every edge x -> y = rows[i][x] is then tested
-    with ``agrees(value at y, value at x, i)`` while the earlier tests have
-    held.  Returns (map, ok), the map as a list indexed by id and ok saying
-    whether every test held.
+    The root, the identity's id 0, gets ``start`` and each tree edge
+    x -> rows[i][x] gets ``step(value at x, i)``.  Every edge
+    x -> y = rows[i][x] is then tested with ``agrees(value at y, value at
+    x, i)`` while the earlier tests have held.  Returns (map, ok), the map
+    as a list indexed by id and ok saying whether every test held.
     """
-    order, parent, gen = _bfs_tree(rows, root)
+    order, parent, gen = _bfs_tree(rows)
     out = [None] * len(order)
-    out[root] = start
+    out[0] = start
     for y, x, i in zip(islice(order, 1, None), parent, gen):
         out[y] = step(out[x], i)
     ok = agrees is None or all(agrees(out[y], out[x], i)
@@ -362,12 +377,6 @@ def element_order(G: GroupHandle, g: Element) -> int:
 def element_ids(G: GroupHandle) -> dict[Element, int]:
     """Element -> id, its position in ``G.ordered``; memoised."""
     return {x: i for i, x in enumerate(G.ordered)}
-
-
-@memoised("identity")
-def identity_id(G: GroupHandle) -> int:
-    """Id of the identity (``ids_of``); memoised."""
-    return ids_of(G, [G.identity])[0]
 
 
 def elements_at(G: GroupHandle, ids) -> list[Element]:
@@ -460,7 +469,7 @@ def _cayley_mul(G: GroupHandle) -> Callable[[int, int], int]:
     """
     gen_rows = right_rows(G)
     rows, _ = _along_bfs_tree(
-        gen_rows, identity_id(G), array("H", range(G.order)),
+        gen_rows, array("H", range(G.order)),
         lambda prev, i: array("H", map(gen_rows[i].__getitem__, prev)))
     return lambda a, b: rows[b][a]
 
@@ -471,11 +480,12 @@ def induced_mul(mul, out, into) -> Callable[[int, int], int]:
     return lambda a, b: into[mul(out[a], out[b])]
 
 
-def _power_walk(mul, e: int, g: int) -> list[int]:
-    """Ids of g^0, g^1, ..., g^(n-1), where n is the order of g."""
-    out = [e]
+def _power_walk(mul, g: int) -> list[int]:
+    """Ids of g^0, g^1, ..., g^(n-1), where n is the order of g: the walk
+    from the identity, id 0, back to it."""
+    out = [0]
     h = g
-    while h != e:
+    while h:
         out.append(h)
         h = mul(h, g)
     return out
@@ -519,7 +529,8 @@ class _LazyTuple(Sequence):
 
 
 class Span:
-    """A subgroup of G on ids, grown one generator at a time.
+    """A subgroup of G on ids, grown one generator at a time from the
+    trivial subgroup {0}, the identity's id.
 
     ``add`` runs one step of Dimino's algorithm (Handbook ch. 4): the old
     subgroup H is kept, and the new one is listed as right cosets H y, each
@@ -528,7 +539,7 @@ class Span:
 
     def __init__(self, G: GroupHandle):
         self.mul = id_mul(G)
-        self.elements = {identity_id(G)}
+        self.elements = {0}
         self.gens: list[int] = []
 
     def add(self, s: int) -> None:
@@ -546,12 +557,6 @@ class Span:
                 if y not in members:
                     members.update([mul(h, y) for h in old])
                     reps.append(y)
-
-
-def id_set(G: GroupHandle, elems) -> set[int]:
-    """Ids of the given elements of G (``ids_of``); NotMember for any other
-    element."""
-    return set(ids_of(G, elems))
 
 
 @memoised("conj_tables")
@@ -577,19 +582,20 @@ def _row_tables(G: GroupHandle) -> list[array]:
     tree.
 
     Left multiplication by a fixed h commutes with right multiplication, so
-    its row L (L[i] = id of h x_i) follows the tree: L[e] = h, and
-    L[c] = R_g[L[p]] on each tree edge c = p g.  With h = k^-1, the last id
-    of k's cycle in R_k, the table of k is t[i] = R_k[L[i]].
+    its row L (L[i] = id of h x_i) follows the tree from the identity, id 0:
+    L[0] = h, and L[c] = R_g[L[p]] on each tree edge c = p g.  With
+    h = k^-1, the id before 0 on k's cycle in R_k, the table of k is
+    t[i] = R_k[L[i]].
     """
-    rows, e = right_rows(G), identity_id(G)
-    order, parent, gen = _bfs_tree(rows, e)
+    rows = right_rows(G)
+    order, parent, gen = _bfs_tree(rows)
     tables = []
     for k, rk in zip(generator_ids(G), rows):
         ki = k
-        while rk[ki] != e:
+        while rk[ki]:
             ki = rk[ki]
         left = array("I", [0]) * len(order)
-        left[e] = ki
+        left[0] = ki
         for c, p, g in zip(islice(order, 1, None), parent, gen):
             left[c] = rows[g][left[p]]
         tables.append(array("I", map(rk.__getitem__, left)))
@@ -616,10 +622,10 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
                   for t in conjugation_tables(N)]
         rows = [range(0, n * m, m)] * len(H.generators)
     else:
-        nm, e = id_mul(N), identity_id(N)
+        nm = id_mul(N)
         tables = []
         for k in generator_ids(N):
-            ki = _power_walk(nm, e, k)[-1]
+            ki = _power_walk(nm, k)[-1]
             left = [nm(ki, i) for i in range(n)]
             cols = {}  # image c of k -> the ids of k^-1 n_i c, times m
             t = array("I", [0]) * (n * m)
@@ -629,8 +635,8 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
                     cols[c] = [nm(x, c) * m for x in left]
                 t[j::m] = array("I", [x + j for x in cols[c]])
             tables.append(t)
-        hm, e = id_mul(H), identity_id(H)
-        rows = [[x * m for x in a[_power_walk(hm, e, l)[-1]]]
+        hm = id_mul(H)
+        rows = [[x * m for x in a[_power_walk(hm, l)[-1]]]
                 for l in generator_ids(H)]
     for row, th in zip(rows, conjugation_tables(H)):
         tables.append(array("I", [x + y for x in row for y in th]))
@@ -752,9 +758,9 @@ def _automorphism_row(N: GroupHandle, images) -> array:
         imgs = ids_of(N, images)
     except NotMember:
         raise NotAnAutomorphism("image lies outside the kernel group") from None
-    mul, e = id_mul(N), identity_id(N)
+    mul = id_mul(N)
     row, multiplicative = _along_bfs_tree(
-        right_rows(N), e, e, lambda fx, i: mul(fx, imgs[i]),
+        right_rows(N), 0, lambda fx, i: mul(fx, imgs[i]),
         lambda fy, fx, i: fy == mul(fx, imgs[i]))
     if len(set(row)) != len(row):
         raise NotAnAutomorphism("generator images do not induce a bijection")
@@ -785,14 +791,14 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     # Compose along a BFS tree of H, (x g_i) |> n = x |> (g_i |> n); every
     # Cayley edge x -> y = x g_i must then agree on N's generators.
     act, well_defined = _along_bfs_tree(
-        right_rows(H), identity_id(H), array("I", range(N.order)),
+        right_rows(H), array("I", range(N.order)),
         lambda prev, i: array("I", map(prev.__getitem__, rows[i])),
         lambda ay, ax, i: all(ay[k] == ax[rows[i][k]] for k in kgens))
     if not well_defined:
         raise ActionNotWellDefined(
             "generator automorphisms violate the acting group's relations")
     if label is None:
-        trivial = all(row == act[identity_id(H)] for row in rows)
+        trivial = all(row == act[0] for row in rows)
         label = f"{N.label}{' x ' if trivial else ' x| '}{H.label}"
     return _product_handle(N, H, act, label)
 
@@ -823,20 +829,20 @@ def _span_of(G: GroupHandle, members: set[int]) -> Span:
 
 def small_generating_set(G: GroupHandle, subset) -> list[Element]:
     """Greedy generating set for a subgroup given as an element set."""
-    return elements_at(G, _span_of(G, id_set(G, subset)).gens)
+    return elements_at(G, _span_of(G, set(ids_of(G, subset))).gens)
 
 
 def closure_in(G: GroupHandle, gens) -> set[Element]:
     """Closure of gens under G's multiplication (subset of G)."""
     span = Span(G)
-    for x in id_set(G, gens):
+    for x in set(ids_of(G, gens)):
         span.add(x)
     return set(elements_at(G, span.elements))
 
 
 def subgroup_as_group(G: GroupHandle, subset, label: str = "") -> GroupHandle:
     """View a subgroup element set as a standalone GroupHandle."""
-    return subgroup_view(G, id_set(G, subset), label)
+    return subgroup_view(G, set(ids_of(G, subset)), label)
 
 
 def subgroup_view(G: GroupHandle, members, label: str = "",

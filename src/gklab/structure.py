@@ -133,8 +133,8 @@ from .groups import (GroupHandle, NotMember, Product, Quotient, Span,
                      _LazyTuple, _power_walk, _product_handle,
                      conjugation_tables, direct_factors, element_order,
                      element_orders_multiset, elements_at, generator_ids,
-                     id_mul, id_set, identity_id, ids_of, memoised,
-                     small_generating_set, subgroup_view)
+                     id_mul, ids_of, memoised, small_generating_set,
+                     subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -267,8 +267,8 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                     orbit.append(j)
         reps.append(start)
         sizes.append(len(orbit))
-    mul, e = id_mul(G), identity_id(G)
-    powers = [tuple(map(cids.__getitem__, _power_walk(mul, e, g)))
+    mul = id_mul(G)
+    powers = [tuple(map(cids.__getitem__, _power_walk(mul, g)))
               for g in reps]
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers), cids,
                          partial(elements_at, G))
@@ -303,7 +303,7 @@ def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
     """Subgroup handle whose normality is tested by element products."""
     gens = small_generating_set(G, elems) or [G.identity]
     normal = all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
-    return SubgroupHandle(G, frozenset(id_set(G, elems)), normal)
+    return SubgroupHandle(G, frozenset(ids_of(G, elems)), normal)
 
 
 def _is_normal(G: GroupHandle, members) -> bool:
@@ -321,16 +321,15 @@ def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
                       b: SubgroupHandle) -> SubgroupHandle:
     """a x b in G = A x B, or in G = A x| B when b carries a into itself,
     for subgroups a of A and b of B: the ids of the pairs, generated by
-    (x, 1) and (1, y) for the generators x of a and y of b when both have
-    them.  In a direct product it is normal iff a and b are; in a
-    semidirect one the tables decide (``_is_normal``).  The product rule of
-    ``sylow`` and ``fitting``."""
+    (x_i, 1) and (1, y_j), ids i*|B| and j, for the generators x_i of a and
+    y_j of b when both have them.  In a direct product it is normal iff a
+    and b are; in a semidirect one the tables decide (``_is_normal``).  The
+    product rule of ``sylow`` and ``fitting``."""
     o = G.origin
     m = o.right.order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
     gens = None if a.gens is None or b.gens is None else tuple(
-        [i * m + identity_id(o.right) for i in a.gens]
-        + [identity_id(o.left) * m + j for j in b.gens])
+        i * m for i in a.gens) + b.gens
     normal = a.normal and b.normal if o.act is None else _is_normal(G, ids)
     return SubgroupHandle(G, ids, normal, gens)
 
@@ -341,7 +340,7 @@ def _whole_or_trivial(G: GroupHandle, whole: bool) -> SubgroupHandle:
     if whole:
         return SubgroupHandle(G, frozenset(range(G.order)), True,
                               tuple(generator_ids(G)))
-    return SubgroupHandle(G, frozenset({identity_id(G)}), True, ())
+    return SubgroupHandle(G, frozenset({0}), True, ())
 
 
 @memoised("sylow", product=_product_subgroup)
@@ -368,7 +367,6 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     p_class = [1 < len(row) and p_part % len(row) == 0 for row in data.powers]
     candidates = [x for x, c in enumerate(data.class_ids) if p_class[c]]
     mul = id_mul(G)
-    e = identity_id(G)
     inverses = {}  # of the candidates tested, walked once each
     P = Span(G)
     members, gens = P.elements, P.gens
@@ -379,7 +377,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
                 continue
             xi = inverses.get(x)
             if xi is None:
-                xi = inverses[x] = _power_walk(mul, e, x)[-1]
+                xi = inverses[x] = _power_walk(mul, x)[-1]
             if all(mul(xi, mul(s, x)) in members for s in gens):
                 break
         else:
@@ -425,7 +423,7 @@ def fitting_series(G: GroupHandle) -> FittingData:
     G/F_k; memoised.  F_k is the preimage of F(G/F_(k-1)) under the
     projection of G's ids onto G/F_(k-1), composed one quotient at a time
     (``_projection``): a read per id of G, and no product."""
-    series = [SubgroupHandle(G, frozenset({identity_id(G)}), True)]
+    series = [SubgroupHandle(G, frozenset({0}), True)]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
     above = current = G  # G/F_(k-2) and G/F_(k-1)
@@ -491,8 +489,7 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         return reps[to_q[ids_of(G, [gi(a)])[0]]]
 
     gens = tuple(reps[to_q[i]] for i in generator_ids(G))
-    return GroupHandle(f"{G.label}/N{N.order}", gens, reps,
-                       reps[to_q[identity_id(G)]], mult, inv,
+    return GroupHandle(f"{G.label}/N{N.order}", gens, reps, reps[0], mult, inv,
                        Quotient(G, to_q, rep_ids))
 
 
@@ -539,7 +536,7 @@ def _pair_projection(o: Product, qa: GroupHandle,
 
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:
     """Smallest normal subgroup containing the seed elements."""
-    K = _normal_span(G, id_set(G, seed_elems))
+    K = _normal_span(G, set(ids_of(G, seed_elems)))
     return SubgroupHandle(G, frozenset(K.elements), True)
 
 
@@ -585,9 +582,9 @@ def _commutators(G: GroupHandle) -> list[int]:
     """The ids of the generators' commutators [a, b] = a^-1 a^b, read from
     the conjugation tables, in order; a^-1 is the last id of the walk of
     <a>, walked once per generator."""
-    mul, e, tables = id_mul(G), identity_id(G), conjugation_tables(G)
+    mul, tables = id_mul(G), conjugation_tables(G)
     return sorted({mul(ai, t[a]) for a in generator_ids(G)
-                   for ai in [_power_walk(mul, e, a)[-1]] for t in tables})
+                   for ai in [_power_walk(mul, a)[-1]] for t in tables})
 
 
 def is_solvable(G: GroupHandle) -> bool:
@@ -679,7 +676,7 @@ def is_supersolvable(G: GroupHandle) -> bool:
     first = next(_normal_cyclic_rows(G, prime_order_only=True), None)
     if first is None:
         return False
-    walk = _power_walk(id_mul(G), identity_id(G), first[0])
+    walk = _power_walk(id_mul(G), first[0])
     N = SubgroupHandle(G, frozenset(walk), True)
     return N.order == G.order or is_supersolvable(quotient(G, N))
 

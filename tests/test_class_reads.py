@@ -20,8 +20,7 @@ from sympy import factorint, isprime
 
 from gklab import catalog
 from gklab.frobenius import _find_complement, _kernel_condition, fingerprint
-from gklab.groups import (Span, conjugation_tables, element_ids, id_mul,
-                          identity_id)
+from gklab.groups import Span, conjugation_tables, element_ids, id_mul
 from gklab.structure import (InvariantFailed, SubgroupHandle, _is_normal,
                              _normal_cyclic_rows, _normal_span, _power_walk,
                              conjugacy_classes, core_p, derived_subgroup,
@@ -46,8 +45,8 @@ def _reference_complement(G, ks, m):
     """Even m: C_G(t) for the first involution t outside the kernel whose
     centralizer is a complement.  Odd m: bounded search over at most 3
     generators of order dividing m.  None when nothing is found."""
-    mul, e = id_mul(G), identity_id(G)
-    orders = [len(_power_walk(mul, e, i)) for i in range(G.order)]
+    mul = id_mul(G)
+    orders = [len(_power_walk(mul, i)) for i in range(G.order)]
     if m % 2 == 0:
         for t in range(G.order):
             if t in ks or orders[t] != 2:
@@ -86,13 +85,12 @@ def _reference_cyclic_normal_subgroups(G, prime_order_only=False):
     subgroups that the conjugation tables carry into themselves."""
     data = conjugacy_classes(G)
     ids, mul = element_ids(G), id_mul(G)
-    e = ids[G.identity]
     seen = set()
     for rep, row in zip(data.representatives, data.powers):
         n = len(row)
         if n == 1 or prime_order_only and not isprime(n):
             continue
-        cyc = frozenset(_power_walk(mul, e, ids[rep]))
+        cyc = frozenset(_power_walk(mul, ids[rep]))
         if cyc in seen:
             continue
         seen.add(cyc)
@@ -180,8 +178,8 @@ def test_cyclic_normal_subgroups_match_walk(groups, prime_order_only):
     """The walk of <rep> for each row read off the class data, as
     ``is_supersolvable`` takes it for the prime orders."""
     for G in groups:
-        mul, e = id_mul(G), element_ids(G)[G.identity]
-        got = [frozenset(_power_walk(mul, e, rep))
+        mul = id_mul(G)
+        got = [frozenset(_power_walk(mul, rep))
                for rep, _ in _normal_cyclic_rows(G, prime_order_only)]
         want = [N.ids for N in
                 _reference_cyclic_normal_subgroups(G, prime_order_only)]

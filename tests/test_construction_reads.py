@@ -11,6 +11,7 @@ checks that the replaced work is not done.
 """
 
 import json
+import re
 from dataclasses import replace
 from math import gcd
 
@@ -20,8 +21,7 @@ from sympy import factorint
 from gklab import catalog, cli, frobenius, groups
 from gklab.frobenius import (_decompose, _two_frobenius, frobenius_kind,
                              is_frobenius, match_frobenius_cut_family)
-from gklab.groups import (_LazyTuple, direct_product, id_mul, identity_id,
-                          semidirect_product)
+from gklab.groups import _LazyTuple, direct_product, id_mul, semidirect_product
 from gklab.structure import (InvariantFailed, conjugacy_classes, fitting,
                              fitting_series, is_cyclic, is_metacyclic,
                              minimal_normal_subgroups, quotient, sylow)
@@ -59,9 +59,9 @@ def _reference_view_decompose(H):
     m = H.order // F.order
     if gcd(F.order, m) != 1:
         return f"{H.label}: kernel order not coprime to index"
-    data, e = conjugacy_classes(H), identity_id(H)
+    data = conjugacy_classes(H)
     if not all(size % m == 0 for rep, size in zip(data.rep_ids, data.sizes)
-               if rep != e and rep in F.ids):
+               if rep != 0 and rep in F.ids):
         return f"{H.label}: centralizer condition fails"
     _reference_complement(H, F.ids, m)
     return None
@@ -215,7 +215,7 @@ def _span_groups(monkeypatch):
 
 def _closure(G, gens):
     """The closure of ids gens under G's id products, breadth first."""
-    mul, out = id_mul(G), {identity_id(G)}
+    mul, out = id_mul(G), {0}
     frontier = list(out)
     for x in frontier:  # grows while it is read
         for s in gens:
@@ -264,27 +264,28 @@ def test_p_group_and_p_prime_group_grow_nothing(monkeypatch):
 
 
 def test_q8_kernel_gives_a_conjugate_of_growth(tmp_path):
-    """Enumerated, Q8 over F_3 has its identity at id 0, and the composed
-    Sylow 3-subgroup {1} x| C3 is the one growth finds.  Listed by hand in
-    value order, Q8 has its identity at id 2, and the composed subgroup is
-    a conjugate of growth's.  Either way it is a Sylow 3-subgroup, and the
-    analysis gives the same bytes as on the generic path."""
+    """Q8 over F_3 has its identity at id 0, and the composed Sylow
+    3-subgroup {1} x| C3 is the one growth finds on the generic path.  It
+    is a Sylow 3-subgroup, and the analysis gives the same bytes on both
+    paths."""
     G = _q8_by_c3(tmp_path)
-    Q8, C3 = G.origin.left, G.origin.right
-    i, j = Q8.generators
-    by_hand = semidirect_product(
-        replace(Q8, listed=sorted(Q8.ordered), origin=None), C3,
-        [[j, Q8.mult(i, j)]], G.label)
-    for S, e, composed, grown in ((G, 0, [0, 1, 2], [0, 1, 2]),
-                                  (by_hand, 2, [6, 7, 8], [1, 6, 20])):
-        R = replace(S, listed=S.ordered, origin=None)
-        assert identity_id(S.origin.left) == e
-        assert sorted(sylow(S, 3).ids) == composed
-        assert sorted(sylow(R, 3).ids) == grown
-        assert sylow(S, 2).ids == sylow(R, 2).ids
-        _check_sylow(S, R)
-        assert json.dumps(cli.analysis_report({"sd": S}, {})) == \
-            json.dumps(cli.analysis_report({"sd": R}, {}))
+    R = replace(G, listed=G.ordered, origin=None)
+    assert sorted(sylow(G, 3).ids) == sorted(sylow(R, 3).ids) == [0, 1, 2]
+    assert sylow(G, 2).ids == sylow(R, 2).ids
+    _check_sylow(G, R)
+    assert json.dumps(cli.analysis_report({"sd": G}, {})) == \
+        json.dumps(cli.analysis_report({"sd": R}, {}))
+
+
+def test_a_listing_with_the_identity_elsewhere_is_refused(tmp_path):
+    """Listed in value order, Q8 over F_3 has its identity at id 2: the
+    handle refuses that listing, naming its label, since every id walk
+    starts at 0."""
+    Q8 = _q8_by_c3(tmp_path).origin.left
+    listed = sorted(Q8.ordered)
+    assert listed.index(Q8.identity) == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(Q8.label)} "):
+        replace(Q8, listed=listed, origin=None)
 
 
 def test_mixed_kernel_keeps_growth(monkeypatch):

@@ -25,7 +25,7 @@ from gklab import elements as el
 from gklab.groups import (GroupHandle, Product, _power_walk, closure_in,
                           conjugation_tables, direct_product, element_ids,
                           element_order, enumerate_group, generator_ids,
-                          id_mul, identity_id, right_rows, semidirect_product,
+                          id_mul, right_rows, semidirect_product,
                           small_generating_set, subgroup_as_group,
                           subgroup_view)
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
@@ -263,7 +263,7 @@ class TestIdMultiplication:
         with _bound(bound):
             G = recipe[1]()
             srt, ids = G.ordered, element_ids(G)
-            mul, e = id_mul(G), identity_id(G)
+            mul = id_mul(G)
             data = conjugacy_classes(G)
             rng = random.Random(seed)
             context_free = G.mult is el.mul  # an enumerated group
@@ -273,7 +273,7 @@ class TestIdMultiplication:
                     assert mul(i, j) == ids[el.mul(srt[i], srt[j])]
             # the inverse Sylow growth takes: the last power on the walk
             for i in range(G.order):
-                inverse = _power_walk(mul, e, i)[-1]
+                inverse = _power_walk(mul, i)[-1]
                 assert inverse == ids[G.inv(srt[i])]
                 if context_free:
                     assert inverse == ids[el.inv(srt[i])]
@@ -503,7 +503,7 @@ def _quotient_views():
 
 
 def _trivial_views():
-    return [subgroup_view(G, {identity_id(G)})
+    return [subgroup_view(G, {0})
             for G in (catalog.sym(4), catalog.c7_c6())]
 
 
@@ -523,10 +523,10 @@ VIEWS = {
 def _reference_view_tables(V):
     """The tables as views once built them: each generator's inverse read
     off the walk of its powers, then two id products per id."""
-    mul, e = id_mul(V), identity_id(V)
+    mul = id_mul(V)
     tables = []
     for k in generator_ids(V):
-        ki = _power_walk(mul, e, k)[-1]
+        ki = _power_walk(mul, k)[-1]
         tables.append([mul(ki, mul(i, k)) for i in range(V.order)])
     return tables
 

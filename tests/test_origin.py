@@ -5,7 +5,7 @@ Every handle records its construction in the frozen ``origin`` field (None,
 ``ordered``, and the ``memoised`` helper fills ``_memo`` with data derived
 from them.  The tests record every handle built while the whole catalog and
 one group of each construction are analysed, and check their element lists
-and caches.
+and caches, and that each lists its identity first, at id 0.
 """
 
 import pytest
@@ -13,17 +13,18 @@ import pytest
 from gklab import catalog
 from gklab.cli import analysis_report
 from gklab.groups import (GroupHandle, Product, Quotient, View,
-                          direct_factors, direct_product, element_ids,
+                          direct_factors, direct_product, element_ids, ids_of,
                           subgroup_as_group)
 from gklab.structure import conjugacy_classes, core_p, quotient
 
-DERIVED = {"ids", "identity", "right_rows", "id_mul", "conj_tables",
+DERIVED = {"ids", "right_rows", "id_mul", "conj_tables",
            "conjugacy", "sylow", "fitting", "fitting_series", "quotient",
            "abelian", "metabelian", "supersolvable", "fingerprint",
            "frobenius", "rationality", "element_orders"}
 # construction data, which an origin holds instead, and deleted tables
+# and lookups
 RETIRED = {"sorted", "factors", "tables_from", "id_mul_from", "id_base_from",
-           "to_q", "action", "id_powers"}
+           "to_q", "action", "id_powers", "identity"}
 
 
 @pytest.fixture
@@ -39,7 +40,8 @@ def built(monkeypatch) -> list[GroupHandle]:
     return handles
 
 
-def test_memo_holds_only_derived_caches(built):
+def _analyse_every_origin() -> dict[str, GroupHandle]:
+    """The catalog and one group of each construction, analysed."""
     S4 = catalog.sym(4)
     groups = {entry.name: entry.build() for entry in catalog.catalog()}
     groups.update({
@@ -51,6 +53,11 @@ def test_memo_holds_only_derived_caches(built):
     })
     groups["relabel"] = groups["product"].relabel("renamed")
     analysis_report(groups, {})
+    return groups
+
+
+def test_memo_holds_only_derived_caches(built):
+    _analyse_every_origin()
     assert {type(G.origin) for G in built} == {
         type(None), Product, Quotient, View}
     assert any(G.origin.act is not None for G in built
@@ -65,6 +72,21 @@ def test_memo_holds_only_derived_caches(built):
             assert (key[0] if isinstance(key, tuple) else key) in DERIVED
             if G.origin is not None:
                 assert key not in RETIRED, (G.label, key)
+
+
+def test_every_handle_has_its_identity_at_id_0(built):
+    """Enumerated groups, both kinds of product, both quotient paths, views
+    and relabels: the identity is id 0, listed first when the handle lists
+    its elements, and the least id of the first class, of size 1."""
+    groups = _analyse_every_origin()
+    assert {type(G.origin) for G in built} == {
+        type(None), Product, Quotient, View}
+    for G in built:
+        assert ids_of(G, [G.identity]) == [0], G.label
+        assert G.listed is None or G.listed[0] == G.identity, G.label
+    for name, G in groups.items():
+        data = conjugacy_classes(G)
+        assert (data.rep_ids[0], data.sizes[0]) == (0, 1), name
 
 
 def test_relabel_shares_origin_and_no_cache():

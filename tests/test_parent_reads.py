@@ -24,7 +24,7 @@ from gklab.frobenius import (_reference_fingerprint, frobenius_decomposition,
 from gklab.groups import (Product, Quotient, View, conjugation_tables,
                           direct_factors, direct_product,
                           element_orders_multiset, elements_at,
-                          generator_ids, id_mul, identity_id,
+                          generator_ids, id_mul,
                           semidirect_product, subgroup_view)
 from gklab.primegraph import gk_graph
 from gklab.structure import (SubgroupHandle, conjugacy_classes,
@@ -85,7 +85,7 @@ def _rows_off_parent(Q):
     k >= 1 with g^k in N, a union of classes."""
     o, data = Q.origin, conjugacy_classes(Q)
     pd, cids = conjugacy_classes(o.parent), data.class_ids
-    ce = cids[identity_id(Q)]
+    ce = cids[0]
     rows = ([cids[o.to_q[pd.rep_ids[c]]]
              for c in pd.powers[pd.class_ids[o.rep_ids[g]]]] + [ce]
             for g in data.rep_ids)
@@ -309,7 +309,7 @@ def test_quotient_by_the_whole_factor_walks_no_coset(bound):
             reps = elements_at(G, rep_ids)
             assert (Q.origin.to_q, Q.origin.rep_ids) == (to_q, rep_ids)
             assert Q.ordered == reps, G.label
-            assert Q.identity == reps[to_q[identity_id(G)]]
+            assert Q.identity == reps[to_q[0]]
             assert Q.generators == tuple(reps[to_q[i]]
                                          for i in generator_ids(G))
 

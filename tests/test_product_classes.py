@@ -33,8 +33,7 @@ from gklab.cli import analysis_report
 from gklab.frobenius import fingerprint
 from gklab.groups import (GroupHandle, Product, Quotient, _power_walk,
                           conjugation_tables, direct_factors, direct_product,
-                          element_orders_multiset, id_mul, identity_id,
-                          subgroup_as_group)
+                          element_orders_multiset, id_mul, subgroup_as_group)
 from gklab.primegraph import gk_graph
 from gklab.rationality import (_class_verdict, is_cut_group,
                                rationality_report)
@@ -65,8 +64,8 @@ def _check_verdicts(P: GroupHandle) -> None:
 def _walks(G: GroupHandle) -> list[list[int]]:
     """The walk 1, g, g^2, ... of every id g on ``id_mul``, local to these
     tests: the library keeps no order or inverse for every id."""
-    mul, e = id_mul(G), identity_id(G)
-    return [_power_walk(mul, e, g) for g in range(G.order)]
+    mul = id_mul(G)
+    return [_power_walk(mul, g) for g in range(G.order)]
 
 
 def _check_against_reference(P: GroupHandle) -> None:

@@ -53,8 +53,8 @@ from gklab import catalog, cli
 from gklab import elements as el
 from gklab.groups import (GroupHandle, NotMember, Product, Quotient,
                           conjugation_tables, direct_factors, direct_product,
-                          elements_at, generator_ids, id_mul, identity_id,
-                          ids_of, semidirect_product)
+                          elements_at, generator_ids, id_mul, ids_of,
+                          semidirect_product)
 from gklab.rationality import rationality_report
 from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
                              conjugacy_classes, core_p, derived_subgroup,
@@ -241,7 +241,7 @@ def _generic_quotient(G, N) -> GroupHandle:
     reps = elements_at(G, rep_ids)
     gens = tuple(reps[to_q[i]] for i in generator_ids(G))
     return GroupHandle(f"{G.label}/N{N.order}", gens, reps,
-                       reps[to_q[identity_id(G)]], None, None,
+                       reps[to_q[0]], None, None,
                        Quotient(G, to_q, rep_ids))
 
 
@@ -250,7 +250,7 @@ def _projection_series(G):
     coset projections and takes F_k as the preimage of F(G/F_(k-1)) by a
     scan of G's ids.  Returns the terms' ids, the length and the
     quotients."""
-    series = [frozenset({identity_id(G)})]
+    series = [frozenset({0})]
     quotients = []
     length = 0 if G.order == 1 else None
     current = G
@@ -368,7 +368,7 @@ def test_diagonal_minimal_normal_subgroup():
 
 def _normals(F) -> list:
     """Normal subgroups of F, distinct by ids: 1, each O_p, F(F), F' and F."""
-    subs = [SubgroupHandle(F, frozenset({identity_id(F)}), True),
+    subs = [SubgroupHandle(F, frozenset({0}), True),
             *(core_p(F, p) for p in sorted(factorint(F.order))),
             fitting(F), derived_subgroup(F),
             SubgroupHandle(F, frozenset(range(F.order)), True)]
@@ -472,10 +472,9 @@ def test_product_quotient_checks_normality():
     S3's own quotient, and a subgroup of a factor by the membership check."""
     S3, C2 = catalog.sym(3), catalog.cyclic(2)
     P = direct_product(S3, C2)
-    e = identity_id(S3)
     t = next(i for i, x in enumerate(S3.ordered)
-             if i != e and S3.mult(x, x) == S3.identity)
-    N = SubgroupHandle(P, frozenset({e * 2, t * 2}), False)
+             if i != 0 and S3.mult(x, x) == S3.identity)
+    N = SubgroupHandle(P, frozenset({0, t * 2}), False)
     with pytest.raises(NotNormal, match="not normal"):
         quotient(P, N)
     with pytest.raises(NotNormal, match="does not live in this group"):

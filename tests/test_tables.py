@@ -15,7 +15,7 @@ from sympy import factorint
 
 from gklab import catalog, cli
 from gklab.groups import (GroupHandle, conjugation_tables, direct_product,
-                          element_ids, element_order, id_set,
+                          element_ids, element_order, ids_of,
                           semidirect_product, small_generating_set,
                           subgroup_as_group)
 from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
@@ -159,7 +159,8 @@ def test_core_and_normality_match_reference(name):
     subgroups += [cyclic_subgroup_set(G, rep)
                   for rep in conjugacy_classes(G).representatives[:6]]
     for elems in subgroups:
-        assert _is_normal(G, id_set(G, elems)) == _reference_is_normal(G, elems)
+        assert _is_normal(G, set(ids_of(G, elems))) == \
+            _reference_is_normal(G, elems)
 
 
 @settings(max_examples=80, deadline=None)
