@@ -147,9 +147,9 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
                 raise RecipeError(name, f"builtin {builtin!r} takes {n} "
                                   f"argument{'s' * (n != 1)}{names}, "
                                   f"got {len(args)}")
-            return fn(*args).relabel(name)
+            return fn(*args)
         if kind == "catalog":
-            return cat.catalog_entry(recipe["name"]).build().relabel(name)
+            return cat.catalog_entry(recipe["name"]).build()
         if kind == "direct":
             names = recipe["factors"]
             if not (isinstance(names, list)
@@ -159,7 +159,7 @@ def _build_recipe(name, recipe, resolve) -> GroupHandle:
             if len(names) < 2:
                 raise RecipeError(name, "needs 2 factors or more")
             factors = resolve(names, len(names) - 1)
-            return reduce(direct_product, factors).relabel(name)
+            return reduce(direct_product, factors)
         # the one type left: semidirect, with exactly one form of action
         form = recipe.keys() & OPTIONAL_KEYS["semidirect"]
         if form not in ({"action_matrices", "p"}, {"action_images"}):
@@ -278,7 +278,9 @@ def cmd_analyze(args) -> int:
     return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
-def _resolve_group(name_or_path: str, member) -> GroupHandle:
+def _resolve_group(name_or_path: str, member) -> tuple[str, GroupHandle]:
+    """The group a catalog name or spec file names, with its title: a
+    catalog group's own label, or a spec group's recipe name."""
     try:
         entry = cat.catalog_entry(name_or_path)
     except KeyError:
@@ -286,19 +288,20 @@ def _resolve_group(name_or_path: str, member) -> GroupHandle:
     else:
         if member:
             raise SpecError("--name applies to a spec file only")
-        return entry.build()
+        G = entry.build()
+        return G.label, G
     if member:
         if member not in groups:
             raise SpecError(f"no group named {member!r} in spec")
-        return groups[member]
+        return member, groups[member]
     if len(groups) == 1:
-        return next(iter(groups.values()))
+        return next(iter(groups.items()))
     raise SpecError("spec defines several groups; pick one with --name")
 
 
 def cmd_graph(args) -> int:
-    G = _resolve_group(args.group, args.name)
-    return _emit(to_dot(gk_graph(G), G.label), args.dot)
+    title, G = _resolve_group(args.group, args.name)
+    return _emit(to_dot(gk_graph(G), title), args.dot)
 
 
 def cmd_verify(args) -> int:

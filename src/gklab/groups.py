@@ -4,14 +4,13 @@ A :class:`GroupHandle` owns its fully enumerated elements, listed once in
 id order (``ordered``; a product's origin lists them on first read),
 together with multiplication and inversion callables, and a frozen
 ``origin`` recording how it was built: ``None`` for an enumerated group,
-else a :class:`Product`, :class:`Quotient` or :class:`View`.  ``relabel``
-keeps the origin and shares the list.  ``elements_at`` is the one way from
-ids to elements: a product composes its factors' elements there, so
-subgroup views, quotient representatives, generating sets and class
-representatives list no pair.  ``ids_of`` is the read back from elements
-to ids, composed from a product's factors' ids the same way: the ids of
-the generators and of subsets, and the element products of a quotient go
-through it, so they list no pair either.
+else a :class:`Product`, :class:`Quotient` or :class:`View`.
+``elements_at`` is the one way from ids to elements: a product composes
+its factors' elements there, so subgroup views, quotient representatives,
+generating sets and class representatives list no pair.  ``ids_of`` is the
+read back from elements to ids, composed from a product's factors' ids the
+same way: the ids of the generators and of subsets, and the element
+products of a quotient go through it, so they list no pair either.
 Derived data (ids, tables, conjugacy classes, ...) is cached by
 :func:`memoised`.
 
@@ -99,7 +98,7 @@ from __future__ import annotations
 import functools
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from math import lcm
 from types import MappingProxyType
@@ -192,6 +191,10 @@ class GroupHandle:
     ``identity`` is refused here, with a ValueError naming the label.  A
     product lists nothing, and its identity (1, 1) has id 0 because its
     factors' identities do.
+
+    ``label`` names the group in messages and in derived labels, as its
+    builder gave it.  ``dataclasses.replace(G, label=...)`` makes a renamed
+    copy, which shares G's list and origin and starts with an empty cache.
     """
     label: str
     generators: tuple[Element, ...]
@@ -231,11 +234,6 @@ class GroupHandle:
     def conjugate(self, g: Element, x: Element) -> Element:
         """g^x = x^-1 g x."""
         return self.mult(self.inv(x), self.mult(g, x))
-
-    def relabel(self, label: str) -> GroupHandle:
-        """The same group under a new label: its elements and origin, and
-        no cache."""
-        return replace(self, label=label)
 
 
 @dataclass(frozen=True, eq=False)

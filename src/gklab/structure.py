@@ -454,10 +454,9 @@ def quotient(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     is A/N_A x B/N_B, and a semidirect product's coset projection is
     composed from theirs (``_pair_projection``).  N = G is one coset, with
     no product; any other N is walked: one id product per element of G."""
-    # a shared origin (a relabelled twin) or equal element lists give equal
-    # ids, so N's ids are G's; the origin test lists no product's pairs
-    if not (N.parent is G or G.origin and N.parent.origin is G.origin
-            or N.parent.ordered == G.ordered):
+    # equal element lists give equal ids, so N's ids are G's (a copy made
+    # with dataclasses.replace passes here, listing a product's pairs)
+    if not (N.parent is G or N.parent.ordered == G.ordered):
         raise NotNormal("subgroup does not live in this group")
     qs = _factor_quotients(G, N)
     if qs and G.origin.act is None:

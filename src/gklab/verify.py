@@ -21,7 +21,8 @@ from . import catalog as cat
 from . import primegraph as pg
 from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS,
                         _reference_fingerprint, fingerprint,
-                        frobenius_decomposition, frobenius_kind)
+                        frobenius_decomposition, frobenius_kind,
+                        is_frobenius, match_frobenius_cut_family)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
 from .primegraph import (CLASSES, FIGURE_GRAPHS, FIGURE_VERDICTS, FORBIDDEN,
@@ -104,7 +105,6 @@ def _two_frobenius_consequences(G: GroupHandle) -> dict[str, bool]:
 
 
 def suite_frobenius_families() -> list[Row]:
-    from .frobenius import is_frobenius, match_frobenius_cut_family
     rows = []
     for name, tag, build in cat.frobenius_family_sweep():
         G = build()

@@ -8,6 +8,7 @@ import pytest
 
 import gklab
 from gklab import catalog, cli, verify
+from gklab import elements as el
 from gklab.cli import main
 from gklab.groups import DEFAULT_CAP
 from gklab.structure import InvariantFailed
@@ -479,11 +480,40 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("recipe, same", [
+    ({"type": "builtin", "name": "sym", "args": [5]},
+     {"type": "perm", "degree": 5, "gens": [[[1, 2]], [[1, 2, 3, 4, 5]]]}),
+    ({"type": "catalog", "name": "fig3.c"},
+     {"type": "perm", "degree": 3, "gens": [[[1, 2]], [[1, 2, 3]]]}),
+], ids=["builtin-S5", "catalog-S3"])
+def test_a_named_recipe_multiplies_as_its_perm_recipe(tmp_path, monkeypatch,
+                                                      capsys, recipe, same):
+    """A builtin or catalog recipe's group is analysed as built, with the
+    rows and ids its enumeration made, so it makes as many element products
+    as the permutation recipe of the same group (S5: 244, S3: 16)."""
+    real, calls = el.mul, []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(el, "mul", counting)  # before any group is built
+    counts = []
+    for r in (recipe, same):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"groups": {"g": r}}))
+        del calls[:]
+        assert main(["analyze", str(path)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+
+
 class TestGraph:
     def test_catalog_name(self, capsys):
         assert main(["graph", "fig3.l"]) == 0
         out = capsys.readouterr().out
         assert '"2" -- "3"' in out and '"7"' in out
+        assert out.startswith('graph "C7 x| C6" {\n')  # the group's label
 
     def test_figure_p_edges(self, capsys):
         assert main(["graph", "fig3.p"]) == 0
@@ -492,7 +522,14 @@ class TestGraph:
 
     def test_spec_member(self, spec_path, capsys):
         assert main(["graph", spec_path, "--name", "s3"]) == 0
-        assert "graph" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith('graph "s3" {\n')
+
+    # a builtin, a direct product, a catalog entry and a semidirect product
+    @pytest.mark.parametrize("name", ["c2", "d", "e", "sd"])
+    def test_spec_member_titles_the_graph_with_its_recipe_name(
+            self, spec_path, capsys, name):
+        assert main(["graph", spec_path, "--name", name]) == 0
+        assert capsys.readouterr().out.startswith(f'graph "{name}" {{\n')
 
     def test_unknown(self, capsys):
         assert main(["graph", "fig3.zz"]) == 2

@@ -388,10 +388,11 @@ class TestSemidirectAction:
 
 def _rebuilt(G):
     """Handles of G's group that did not come from enumeration, so compute
-    their rows on first read: relabelled, with the origin dropped, and built
-    by hand.  A product's pairs become the listed elements of the last two."""
+    their rows on first read: a renamed copy, a copy with the origin dropped,
+    and one built by hand.  A product's pairs become the listed elements of
+    the last two."""
     listed = list(G.ordered)
-    return [G.relabel("relabelled"),
+    return [replace(G, label="renamed"),
             replace(G, label="no origin", listed=listed, origin=None),
             GroupHandle("by hand", G.generators, listed, G.identity, G.mult,
                         G.inv)]

@@ -8,6 +8,8 @@ one group of each construction are analysed, and check their element lists
 and caches, and that each lists its identity first, at id 0.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from gklab import catalog
@@ -51,7 +53,7 @@ def _analyse_every_origin() -> dict[str, GroupHandle]:
         "view": subgroup_as_group(
             S4, [x for x in S4.elements if x[1][3] == 3], "S3"),
     })
-    groups["relabel"] = groups["product"].relabel("renamed")
+    groups["renamed"] = replace(groups["product"], label="renamed")
     analysis_report(groups, {})
     return groups
 
@@ -62,7 +64,7 @@ def test_memo_holds_only_derived_caches(built):
         type(None), Product, Quotient, View}
     assert any(G.origin.act is not None for G in built
                if isinstance(G.origin, Product))
-    assert any(G.label == "renamed" for G in built)  # a relabel
+    assert any(G.label == "renamed" for G in built)  # a renamed copy
     for G in built:
         srt = G.ordered
         assert all(element_ids(G)[x] == i for i, x in enumerate(srt)), G.label
@@ -76,8 +78,8 @@ def test_memo_holds_only_derived_caches(built):
 
 def test_every_handle_has_its_identity_at_id_0(built):
     """Enumerated groups, both kinds of product, both quotient paths, views
-    and relabels: the identity is id 0, listed first when the handle lists
-    its elements, and the least id of the first class, of size 1."""
+    and renamed copies: the identity is id 0, listed first when the handle
+    lists its elements, and the least id of the first class, of size 1."""
     groups = _analyse_every_origin()
     assert {type(G.origin) for G in built} == {
         type(None), Product, Quotient, View}
@@ -89,20 +91,20 @@ def test_every_handle_has_its_identity_at_id_0(built):
         assert (data.rep_ids[0], data.sizes[0]) == (0, 1), name
 
 
-def test_relabel_shares_origin_and_no_cache():
+def test_a_renamed_copy_shares_origin_and_no_cache():
     S3, C2, S4 = catalog.sym(3), catalog.cyclic(2), catalog.sym(4)
     P = direct_product(S3, C2)
     Q = quotient(P, core_p(P, 3))  # (S3 / A3) x C2, a product
     Q4 = quotient(S4, core_p(S4, 2))
     for G in (P, Q, Q4, catalog.sym(3)):
         conjugacy_classes(G)
-        R = G.relabel("renamed")
+        R = replace(G, label="renamed")
         assert R.label == "renamed"
         assert R.origin is G.origin
         assert R._memo == {}
         assert R.ordered is G.ordered
         assert conjugacy_classes(R) == conjugacy_classes(G)
-    assert direct_factors(P.relabel("renamed")) == direct_factors(P)
+    assert direct_factors(replace(P, label="renamed")) == direct_factors(P)
     A, B = direct_factors(Q)
     assert A.ordered == quotient(S3, core_p(S3, 3)).ordered and A.order == 2
     assert B is C2  # its projection is trivial, so the factor is kept

@@ -362,7 +362,8 @@ def _c6q8():
 
 
 def _quotient_of_product():
-    """(S4/V4) x (S4/V4), built by ``structure._product_quotient``."""
+    """(S4/V4) x (S4/V4), the direct product of the factors' quotients
+    that ``structure._factor_quotients`` gives."""
     P = direct_product(catalog.sym(4), catalog.sym(4))
     Q = quotient(P, core_p(P, 2))
     assert all(isinstance(F.origin, Quotient) for F in direct_factors(Q))

@@ -481,18 +481,17 @@ def test_product_quotient_checks_normality():
         quotient(P, core_p(S3, 3))
 
 
-def test_quotient_by_a_subgroup_of_a_relabelled_twin_lists_no_pair():
-    """A relabelled twin shares the product's origin, so N's ids are its
-    ids and the membership check lists none of the product's pairs; a
-    subgroup of another product is still refused."""
+def test_quotient_by_a_subgroup_of_a_renamed_copy():
+    """A renamed copy lists the product's elements in the same order, so N's
+    ids are its ids and the quotient has the same cosets; a subgroup of
+    another product is still refused."""
     P = direct_product(catalog.sym(4), catalog.cyclic(6))
     F = fitting(P)
-    Q = quotient(P.relabel("R"), F)
-    assert "ordered" not in vars(P.origin)
+    Q = quotient(replace(P, label="R"), F)
     assert Q.ordered == quotient(P, F).ordered
     other = fitting(direct_product(catalog.sym(3), catalog.cyclic(6)))
     with pytest.raises(NotNormal, match="does not live in this group"):
-        quotient(P.relabel("R"), other)
+        quotient(replace(P, label="R"), other)
 
 
 def _s3_chain() -> dict:

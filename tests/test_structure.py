@@ -544,8 +544,8 @@ def _composed(seq) -> bool:
 
 
 def _product_quotient():
-    """(S4/V4) x (S4/V4), a relabelled product built by
-    ``structure._product_quotient``."""
+    """(S4/V4) x (S4/V4), the direct product of the factors' quotients
+    that ``structure._factor_quotients`` gives."""
     P = direct_product(catalog.sym(4), catalog.sym(4))
     return quotient(P, core_p(P, 2))
 

@@ -76,7 +76,8 @@ def _fitting_quotients(G):
 
 
 def _spec_product():
-    """A product built from a spec, so relabelled after it is built."""
+    """A product built from a spec: S3 x Q8 x S3, under its construction
+    label."""
     spec = {"groups": {
         "s3": {"type": "perm", "degree": 3, "gens": [[[1, 2]], [[1, 2, 3]]]},
         "q8": {"type": "builtin", "name": "quaternion8"},
@@ -202,7 +203,7 @@ def test_products_and_quotients_multiply_no_element():
     conjugation_tables(A)
     conjugation_tables(B)
     conjugation_tables(C)
-    P = direct_product(A, B).relabel("P")
+    P = replace(direct_product(A, B), label="P")
     Q = quotient(P, core_p(P, 5))
     # S3 x| C2, C2 acting by conjugation with a transposition
     x = next(g for g in B.ordered if element_order(B, g) == 2)
@@ -222,7 +223,7 @@ def test_products_and_quotients_multiply_no_element():
 def test_relabel_keeps_the_structure_not_the_label():
     G = direct_product(catalog.sym(3), catalog.cyclic(2))
     conjugacy_classes(G)
-    R = G.relabel("renamed")
+    R = replace(G, label="renamed")
     assert R.origin is G.origin
     assert "conjugacy" not in R._memo
     assert conjugation_tables(R) == conjugation_tables(G)
