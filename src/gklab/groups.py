@@ -21,13 +21,13 @@ generators (a kernel automorphism, a group action, the rows of a Cayley
 table) is extended along a BFS tree of those rows and checked on every edge
 (``_along_bfs_tree``; Holt, Eick & O'Brien, *Handbook of Computational
 Group Theory*, ch. 4), which multiplies no element.  Conjugation tables
-have one rule per construction, stated in ``conjugation_tables``.  A
-product runs no closure and lists no element when built
-(``_product_handle``): its order, the ids of its elements (``ids_of``) and
-everything on ids come from its factors, and its pairs are listed only
-when an element-level read needs them all (``Product.ordered``, or the id
-dict ``element_ids``); nothing in the analysis or the verify suites makes
-that read.  Enumeration and both
+have one rule per construction, stated in ``conjugation_tables``, and both
+kinds of product share one (``_pair_tables``).  A product runs no closure
+and lists no element when built (``_product_handle``): its order, the ids
+of its elements (``ids_of``) and everything on ids come from its factors,
+and its pairs are listed only when an element-level read needs them all
+(``Product.ordered``, or the id dict ``element_ids``); nothing in the
+analysis or the verify suites makes that read.  Enumeration and both
 products stop at ``default_cap()`` elements, which only ``GKLAB_MAX_ORDER``
 sets: no public function takes a cap argument.
 
@@ -59,13 +59,15 @@ Every group multiplies ids (``id_mul``) the way it was built:
   tree of H's ``right_rows`` from its generators' automorphism rows, which
   its element products read too.  One id multiplication (``_pair_mul``)
   serves both kinds of product, and one element multiplication and
-  inversion (``_product_handle``), a direct product being the case where
-  h |> n = n.  They skip each component that is its factor's ``identity``
-  object, compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the action fixes
-  1_N, and 1_H acts trivially.  The product's generators carry each
-  factor's identity object, as an enumerated factor's listed elements do,
-  so conjugating by a generator multiplies only the component it moves; an
-  equal object that is not the identity is multiplied, as any other;
+  inversion (``_product_handle``) and one rule for the conjugation tables
+  (``_pair_tables``), a direct product being the case where h |> n = n.
+  The element operations skip each component that is its factor's
+  ``identity`` object, compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the
+  action fixes 1_N, and 1_H acts trivially.  The product's generators
+  carry each factor's identity object, as an enumerated factor's listed
+  elements do, so conjugating by a generator multiplies only the component
+  it moves; an equal object that is not the identity is multiplied, as any
+  other;
 * a quotient multiplies its representatives' ids in the parent and maps the
   product back through the id-level coset projection ``to_q``.  Its
   generator k is the coset of its parent's generator k, and it walks its
@@ -86,11 +88,12 @@ TABLE_BOUND (1024) is set by memory: a table at the bound takes 2 MB
 (1024 rows of 1024 2-byte ids), and a corpus pass keeps the tables of all
 its groups alive at once, which the benchmark's bound on ``peak_rss_mb``
 must absorb.  No |G|^2 structure exists above the bound, and no group holds
-an order or an inverse for every id: ``_power_walk`` walks <g> on ids only for the few g
-that need it (class representatives, generators, the candidates Sylow
-growth tests).  ``Span`` grows a subgroup on ids one generator at a time
-(Dimino's algorithm), which closures, generating sets, Sylow growth and
-normal closures run on.
+an order or an inverse for every id: ``_power_walk`` walks <g> on ids only
+for the few g that need it (one class representative per cyclic subgroup
+the class walks reach, generators, the candidates Sylow growth tests).
+``Span`` grows a subgroup on ids one generator at a time (Dimino's
+algorithm), which closures, generating sets, Sylow growth and normal
+closures run on.
 """
 
 from __future__ import annotations
@@ -561,11 +564,11 @@ class Span:
 def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """One table per generator g, t[i] = id of g^-1 x_i g; memoised.
 
-    Each construction has one rule.  A product composes its tables from its
-    factors' (``_pair_tables``), and a quotient projects its parent's
-    (``_quotient_tables``); every other handle, enumerated, a subgroup view
-    or built by hand, reads its tables off its ``right_rows`` with no
-    multiplication (``_row_tables``).
+    Each construction has one rule.  A product, direct or semidirect,
+    composes its tables from its factors' by one rule (``_pair_tables``),
+    and a quotient projects its parent's (``_quotient_tables``); every
+    other handle, enumerated, a subgroup view or built by hand, reads its
+    tables off its ``right_rows`` with no multiplication (``_row_tables``).
     """
     o = G.origin
     if isinstance(o, Product):
@@ -604,39 +607,36 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
                  a: Optional[list[array]]) -> list[array]:
     """Tables of N x H, or of N x| H with a = ``Product.act``, its action
     rows, whose id i*|H| + j is the pair (n_i, h_j), composed from the
-    factors'.
+    factors'.  N x H is the case where h_j |> k = k.
 
-    An N generator k sends (i, j) to (k^-1 n_i k, j) in N x H, read off N's
-    table, and to (k^-1 n_i a[j][k], j) in N x| H: one list of the k^-1 n_i,
-    right-multiplied by each image of k.  An H generator l sends (i, j) to
+    An N generator k sends (n_i, h_j) to (k^-1 n_i (h_j |> k), h_j) =
+    (k^-1 n_i k c_j, h_j), with c_j = k^-1 (h_j |> k).  k^-1 n_i k is read
+    off N's table for k, and is multiplied only for each distinct image
+    h_j |> k other than k, one column per c_j != 1; in N x H every c_j is 1
+    and nothing is multiplied.  An H generator l sends (i, j) to
     (a[l^-1][i], l^-1 h_j l), i itself in N x H, read off H's table for l
-    with no multiplication at all.  Each generator's inverse is read off the
-    walk of its powers (``_power_walk``).
+    with no multiplication at all.  The inverses k^-1 and l^-1 are read off
+    the walk of their powers (``_power_walk``).
     """
     n, m = N.order, H.order
-    hs = range(m)
-    if a is None:
-        tables = [array("I", [x * m + j for x in t for j in hs])
-                  for t in conjugation_tables(N)]
-        rows = [range(0, n * m, m)] * len(H.generators)
-    else:
-        nm = id_mul(N)
-        tables = []
-        for k in generator_ids(N):
+    tables = []
+    for k, tk in zip(generator_ids(N), conjugation_tables(N)):
+        images = [k] * m if a is None else [row[k] for row in a]  # h_j |> k
+        # h_j |> k -> the ids of k^-1 n_i k c_j, times m
+        cols = {k: [x * m for x in tk]}
+        if moved := set(images) - {k}:
+            nm = id_mul(N)
             ki = _power_walk(nm, k)[-1]
-            left = [nm(ki, i) for i in range(n)]
-            cols = {}  # image c of k -> the ids of k^-1 n_i c, times m
-            t = array("I", [0]) * (n * m)
-            for j in hs:
-                c = a[j][k]
-                if c not in cols:
-                    cols[c] = [nm(x, c) * m for x in left]
-                t[j::m] = array("I", [x + j for x in cols[c]])
-            tables.append(t)
-        hm = id_mul(H)
-        rows = [[x * m for x in a[_power_walk(hm, l)[-1]]]
-                for l in generator_ids(H)]
-    for row, th in zip(rows, conjugation_tables(H)):
+            for img in moved:
+                c = nm(ki, img)
+                cols[img] = [nm(x, c) * m for x in tk]
+        t = array("I", [0]) * (n * m)
+        for j, img in enumerate(images):
+            t[j::m] = array("I", [x + j for x in cols[img]])
+        tables.append(t)
+    for l, th in zip(generator_ids(H), conjugation_tables(H)):
+        row = (range(0, n * m, m) if a is None else
+               [x * m for x in a[_power_walk(id_mul(H), l)[-1]]])
         tables.append(array("I", [x + y for x in row for y in th]))
     return tables
 

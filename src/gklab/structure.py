@@ -19,11 +19,13 @@ Deliberate choices:
   normalizes P.  The candidates are the members of the classes whose
   power-map row length is a power of p > 1, and an inverse is walked
   (``groups._power_walk``) only for a candidate that is tested, once per
-  call.  A semidirect product N x| H whose kernel is a p-group or a
-  p'-group grows none: its Sylow p-subgroup is N x| P_H or 1 x| P_H, for
-  H's Sylow subgroup P_H (``_product_subgroup``), and its normality is read
-  off the conjugation tables.  Any other kernel grows.  A Sylow subgroup is
-  not canonical, so the two ways may give conjugate subgroups.
+  call.  A product N x H, or N x| H whose kernel is a p-group or a
+  p'-group, grows none: its Sylow p-subgroup is P_N x P_H, composed from
+  its factors' by one call for both kinds of product
+  (``_product_subgroup``).  P_N is N or 1 in N x| H, which H carries into
+  itself, and there the normality is read off the conjugation tables.  Any
+  other kernel grows.  A Sylow subgroup is not canonical, so the two ways
+  may give conjugate subgroups.
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -71,17 +73,21 @@ Deliberate choices:
   subgroup's element set is read the same way.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
-  0 <= k < |rep_c|, from one walk of <rep_c> on ids (``groups._power_walk``).
+  0 <= k < |rep_c|.  The classes are taken in order, and <rep_c> is walked
+  on ids (``groups._power_walk``) only when no earlier walk gave row c: the
+  class of g^j, for g of order n with row r, has the row r[j*i mod n] for
+  i < n/gcd(j, n), so one walk serves every class the cyclic group meets.
   Element orders are read from it as row lengths; no table of orders by id
   is kept.  Sylow growth and the rationality verdicts read the rows; code
   that needs only the orders reads their counts
   (``groups.element_orders_multiset``), which a direct product composes
   from its factors' without reading a row: ``is_cyclic`` and ``exponent``.
 * A direct product G x H visits no element: each rule here is stated once,
-  as the ``product`` argument of ``groups.memoised``, and reads the
-  factors' memoised results.  Its classes are the products C x D of the
-  factors' classes, and the class of (g, h)^k is the pair of the classes
-  of g^k and h^k (``_product_classes``).  Each composed field is composed
+  as the ``product`` argument of ``groups.memoised`` or, for Sylow
+  subgroups, in ``sylow``'s body, and reads the factors' memoised results.
+  Its classes are the products C x D of the factors' classes, and the
+  class of (g, h)^k is the pair of the classes of g^k and h^k
+  (``_product_classes``).  Each composed field is composed
   per item (``groups._LazyTuple``): a least id, a size or a power-map row is
   composed from the factors' on its first read, by index, slice or
   iteration, and kept.  So the prime graph composes none of them, the
@@ -89,8 +95,9 @@ Deliberate choices:
   the class of each id too is composed only when it is read.  The Sylow
   p-subgroup and the Fitting subgroup are the id sets {i*|H| + j} of
   P_G x P_H and F(G) x F(H), normal iff both factors' are
-  (``_product_subgroup``); it is abelian, metabelian or supersolvable iff
-  both factors are (``_both``).  Its quotient by N_G x N_H is
+  (``_product_subgroup``, which ``sylow`` calls for a semidirect product
+  too); it is abelian, metabelian or supersolvable iff both factors are
+  (``_both``).  Its quotient by N_G x N_H is
   G/N_G x H/N_H, with the same elements in the same order
   (``_factor_quotients``).  ``quotient`` is memoised under N, so the
   Fitting chain of G x H is built from its factors' own quotients, and a
@@ -125,7 +132,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .elements import Element
@@ -246,8 +253,11 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
     """Class partition and class power map on ids; memoised.
 
     A direct product reads them off its factors' (``_product_classes``);
-    any other group closes orbits on its conjugation tables and walks each
-    representative's powers on ids.
+    any other group closes orbits on its conjugation tables, then takes the
+    classes in order and walks a representative's powers on ids only for a
+    class whose row no earlier walk gave: if class d holds g^j, for a
+    walked g of order n with row r, d's row is r[j*i mod n] for
+    i < n/gcd(j, n).
     """
     tables = conjugation_tables(G)
     cids = [-1] * G.order
@@ -267,9 +277,15 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                     orbit.append(j)
         reps.append(start)
         sizes.append(len(orbit))
-    mul = id_mul(G)
-    powers = [tuple(map(cids.__getitem__, _power_walk(mul, g)))
-              for g in reps]
+    mul, powers = id_mul(G), [None] * len(reps)
+    for c, g in enumerate(reps):  # one walk per cyclic subgroup reached
+        if powers[c] is None:
+            r = powers[c] = tuple(map(cids.__getitem__, _power_walk(mul, g)))
+            n = len(r)
+            for j, d in enumerate(r):  # class d holds g^j, of order n/(j, n)
+                if powers[d] is None:
+                    powers[d] = tuple(r[j * i % n]
+                                      for i in range(n // gcd(j, n)))
     return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers), cids,
                          partial(elements_at, G))
 
@@ -323,8 +339,9 @@ def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
     for subgroups a of A and b of B: the ids of the pairs, generated by
     (x_i, 1) and (1, y_j), ids i*|B| and j, for the generators x_i of a and
     y_j of b when both have them.  In a direct product it is normal iff a
-    and b are; in a semidirect one the tables decide (``_is_normal``).  The
-    product rule of ``sylow`` and ``fitting``."""
+    and b are; in a semidirect one the tables decide (``_is_normal``).
+    ``sylow`` composes both kinds of product with it, and it is the product
+    rule of ``fitting``."""
     o = G.origin
     m = o.right.order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
@@ -343,24 +360,24 @@ def _whole_or_trivial(G: GroupHandle, whole: bool) -> SubgroupHandle:
     return SubgroupHandle(G, frozenset({0}), True, ())
 
 
-@memoised("sylow", product=_product_subgroup)
+@memoised("sylow")
 def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
-    """Sylow p-subgroup by deterministic normalizer growth; P_A x P_B for a
-    direct product A x B, normal iff both are; G or 1 when G is a p-group
-    or a p'-group.  For N x| H it is N x| P_H when N is a p-group, and
-    1 x| P_H when p is prime to |N|, for P_H = sylow(H, p): N is normal, so
-    N P_H is a subgroup, of order |G|_p.  Any other kernel grows."""
+    """Sylow p-subgroup by deterministic normalizer growth; G or 1 when G is
+    a p-group or a p'-group; memoised.  A product N x H or N x| H is
+    P_N x P_H, for its factors' P_N = sylow(N, p) and P_H = sylow(H, p)
+    (``_product_subgroup``), when H carries P_N into itself: always in
+    N x H, and in N x| H when N is a p-group or a p'-group, so that P_N is
+    N or 1.  P_N P_H is then a subgroup of order |G|_p; in N x H it is
+    normal iff both factors' are.  Any other kernel grows."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     p_part = p ** factorint(G.order).get(p, 0)
     if p_part in (1, G.order):
         return _whole_or_trivial(G, p_part > 1)
-    if isinstance(o := G.origin, Product):  # N x| H; memoised takes N x H
-        N = o.left
-        n_part = p ** factorint(N.order).get(p, 0)
-        if n_part in (1, N.order):
-            return _product_subgroup(G, _whole_or_trivial(N, n_part > 1),
-                                     sylow(o.right, p))
+    if isinstance(o := G.origin, Product):
+        n_part = p ** factorint(o.left.order).get(p, 0)
+        if o.act is None or n_part in (1, o.left.order):
+            return _product_subgroup(G, sylow(o.left, p), sylow(o.right, p))
     data = conjugacy_classes(G)
     # orders are row lengths and divide |G|: a class of order > 1 holds
     # p-elements iff its order divides p_part

@@ -30,8 +30,8 @@ factor.
 Each rule for a direct product is stated once, in ``groups.memoised``, and
 ``quotient`` is memoised, so the Fitting chain of A x B is built from its
 factors' own quotients: each factor of its k-th quotient is the k-th
-quotient of that factor's chain, the same handle.  ``sylow`` reaches its
-prime check on a product through the factors.
+quotient of that factor's chain, the same handle.  ``sylow`` checks its
+prime on a product before composing the factors' subgroups.
 
 The products are every direct and semidirect product of the distinct corpus,
 the catalog entries, the nested products of ``test_product_classes.py`` and
@@ -342,8 +342,7 @@ def _memo_keys(G) -> set:
 @pytest.mark.parametrize("n", [0, 1, 4, 6])
 def test_sylow_refuses_a_non_prime(n):
     """An enumerated group, a direct product and a nested product refuse a
-    non-prime n (the products through their factors), and no group keeps
-    anything under ("sylow", n)."""
+    non-prime n, and no group keeps anything under ("sylow", n)."""
     for G in (catalog.sym(4), direct_product(catalog.sym(3), catalog.cyclic(2)),
               NESTED["(S3xC2)x(C3xA4)"]()):
         with pytest.raises(ValueError, match="is not prime"):
