@@ -2,48 +2,49 @@
 
 A Frobenius group here is detected through its Fitting subgroup: the kernel
 of a Frobenius group is nilpotent and equals F(G), so no point stabilizer is
-enumerated.  Kernel and complement are read off the class data
-(``conjugacy_classes``) by two textbook facts (Holt, Eick & O'Brien,
-*Handbook of Computational Group Theory*, CRC 2005):
+enumerated.  The kernel is decided on the class data
+(``conjugacy_classes``), and the complement is read as a quotient, by two
+textbook facts (Holt, Eick & O'Brien, *Handbook of Computational Group
+Theory*, CRC 2005; Huppert, *Endliche Gruppen I*, Springer 1967, V.8):
 
-* K = F(G) of index m prime to |K| is a normal Hall subgroup, so a subgroup
-  lies in K iff its order is prime to m.  K is a Frobenius kernel iff
-  C_G(k) <= K for every k != 1 in K, that is iff m divides the size of
-  every nontrivial class inside K.  No element is multiplied.
-* A Frobenius complement H has a nontrivial centre, and C_G(h) <= H for
-  h != 1 in H.  Every element outside K lies in a complement, so a class
-  outside K has exactly |K| elements iff its members are central in their
-  complement, and the centralizer of its representative, one pass over the
-  ids, is a complement.  The decomposition checks that such a class exists;
-  the pass runs only when ``complement`` is first read.
+* Let X and K be normal in G, with K <= X and |K| prime to |X : K|.  K is
+  then a normal Hall subgroup of X, so it has a complement H in X
+  (Schur-Zassenhaus), and X is Frobenius with kernel K iff no h != 1 in H
+  centralizes some k != 1 in K.  Such a pair exists iff X holds an element
+  of order pq, p a prime of |K| and q one of |X : K|.  X is a union of G's
+  classes, and an element's order is its class's row length, so one pass
+  over G's class rows decides it (``_kernel_reason``).  No element is
+  multiplied.
+* A Frobenius complement is isomorphic to G/K, so it is read as
+  ``quotient(G, K)``.  It has a nontrivial centre, and C_G(h) <= H for
+  h != 1 in H, so some class outside K has exactly |K| elements; the
+  decomposition checks that such a class exists.
 
-Kernels and complements are id sets (``SubgroupHandle.ids``).  The
-2-Frobenius test reads F_1, F_2 and G/F_1 from ``fitting_series``: G is
-2-Frobenius when G/F_1 and F_2 are Frobenius groups.  F_2 is tested on G's
-own class data, with no subgroup view: F(F_2) = F_1, as F(F_2) is
-characteristic in F_2, so normal and nilpotent in G, and F_1 is nilpotent
-and normal in F_2.  With |F_1| prime to |F_2 : F_1|, F_1 is the normal Hall
-subgroup of F_2, and F_2 is Frobenius iff no element of F_2 has an order
-divisible both by a prime of |F_1| and by a prime of |F_2 : F_1|.  F_2 is a
-union of G's classes, and an element's order is its class's row length.
-Each test returns its decomposition or the reason it fails; only the public
-``*_decomposition`` functions raise ``NotFrobenius``.
-``match_frobenius_cut_family`` names the Frobenius cut family a group
-belongs to, and reads the complement.
+Kernels are id sets (``SubgroupHandle.ids``).  The 2-Frobenius test reads
+F_1, F_2 and G/F_1 from ``fitting_series``: G is 2-Frobenius when G/F_1 and
+F_2 are Frobenius groups.  F_2 is tested by the same kernel test on G's own
+class data, with X = F_2 and K = F_1, and no subgroup view: F(F_2) = F_1,
+as F(F_2) is characteristic in F_2, so normal and nilpotent in G, and F_1
+is nilpotent and normal in F_2.  Each test returns its decomposition or the
+reason it fails; only the public ``*_decomposition`` functions raise
+``NotFrobenius``.  ``match_frobenius_cut_family`` names the Frobenius cut
+family a group belongs to, from G's classes inside the kernel and the
+fingerprint of G/K.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import gcd
 from typing import Optional
 
-from .groups import GroupHandle, element_orders_multiset, id_mul, memoised
+from .groups import GroupHandle, element_orders_multiset, memoised
 from .numtheory import factorint
 from .structure import (InvariantFailed, SubgroupHandle, conjugacy_classes,
                         derived_subgroup, exponent, fitting, fitting_series,
-                        is_abelian)
+                        is_abelian, quotient)
 
 FROBENIUS = "frobenius"
 TWO_FROBENIUS = "2-frobenius"
@@ -56,14 +57,8 @@ class NotFrobenius(ValueError):
 
 @dataclass(frozen=True)
 class FrobeniusDecomposition:
-    """A Frobenius kernel; a complement is found on its first read."""
+    """A Frobenius kernel K of G; every complement is isomorphic to G/K."""
     kernel: SubgroupHandle
-
-    @cached_property
-    def complement(self) -> SubgroupHandle:
-        G, ks = self.kernel.parent, self.kernel.ids
-        return SubgroupHandle(G, _find_complement(G, ks, G.order // len(ks)),
-                              normal=False)
 
 
 @dataclass(frozen=True)
@@ -97,39 +92,25 @@ def fingerprint(G: GroupHandle) -> GroupFingerprint:
     )
 
 
-def _kernel_condition(G: GroupHandle, ks: frozenset[int]) -> bool:
-    """C_G(k) <= K for every k != 1 in the kernel K (ids ks): the index of K
-    divides every nontrivial class size inside K.  The trivial class is
-    class 0, whose least id is the identity's, 0."""
+def _kernel_reason(G: GroupHandle, K: SubgroupHandle, xs: Collection[int],
+                   label: str) -> Optional[str]:
+    """Why X (ids xs) is not Frobenius with kernel K, or None when it is.
+    X and K are normal in G, and K <= X: the orders |K| and |X : K| must be
+    coprime, and no class of G inside X may have a row length divisible
+    both by a prime of |K| and by a prime of |X : K|."""
+    k, m = K.order, len(xs) // K.order
+    if gcd(k, m) != 1:
+        return f"{label}: kernel order not coprime to index"
     data = conjugacy_classes(G)
-    m = G.order // len(ks)
-    return all(size % m == 0 for rep, size in zip(data.rep_ids, data.sizes)
-               if rep != 0 and rep in ks)
-
-
-def _complement_rep(G: GroupHandle, ks: frozenset[int]) -> int:
-    """The first class representative outside the kernel K (ids ks) whose
-    class has |K| elements.  InvariantFailed when there is none."""
-    data = conjugacy_classes(G)
-    t = next((rep for rep, size in zip(data.rep_ids, data.sizes)
-              if size == len(ks) and rep not in ks), None)
-    if t is None:
-        raise InvariantFailed(f"no class of size {len(ks)} in {G.label}")
-    return t
-
-
-def _find_complement(G: GroupHandle, ks: frozenset[int], m: int) -> frozenset[int]:
-    """Ids of a complement of order m: C_G(t) for t = ``_complement_rep``.
-    InvariantFailed when there is no such t, or C_G(t) is no complement."""
-    mul, t = id_mul(G), _complement_rep(G, ks)
-    cent = frozenset(x for x in range(G.order) if mul(x, t) == mul(t, x))
-    if len(cent) != m or len(cent & ks) != 1:
-        raise InvariantFailed(f"no complement of order {m} in {G.label}")
-    return cent
+    if any(gcd(len(row), k) > 1 and gcd(len(row), m) > 1
+           for rep, row in zip(data.rep_ids, data.powers) if rep in xs):
+        return f"{label}: centralizer condition fails"
+    return None
 
 
 def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
-    """Decompose G as Frobenius kernel x| complement, or raise NotFrobenius."""
+    """The Frobenius kernel K of G, or raise NotFrobenius.  A complement is
+    read as ``quotient(G, K)``."""
     dec = _decompose(G)
     if isinstance(dec, str):
         # a fresh instance per call, so no traceback piles up on one object
@@ -139,15 +120,17 @@ def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
 
 @memoised("frobenius")
 def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
-    """The decomposition, or the reason G is not Frobenius."""
+    """The decomposition, or the reason G is not Frobenius.  InvariantFailed
+    when G passes the kernel test but no class outside K has |K| elements."""
     F = fitting(G)
     if F.order in (1, G.order):
         return f"{G.label}: Fitting subgroup is trivial or all of G"
-    if gcd(F.order, G.order // F.order) != 1:
-        return f"{G.label}: kernel order not coprime to index"
-    if not _kernel_condition(G, F.ids):
-        return f"{G.label}: centralizer condition fails"
-    _complement_rep(G, F.ids)
+    if reason := _kernel_reason(G, F, range(G.order), G.label):
+        return reason
+    data = conjugacy_classes(G)
+    if not any(size == F.order and rep not in F.ids
+               for rep, size in zip(data.rep_ids, data.sizes)):
+        raise InvariantFailed(f"no class of size {F.order} in {G.label}")
     return FrobeniusDecomposition(F)
 
 
@@ -165,23 +148,16 @@ def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
 
 def _two_frobenius(G: GroupHandle) -> TwoFrobeniusDecomposition | str:
     """The decomposition, or the reason G is not 2-Frobenius: G is
-    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups.  F_2, of
-    Fitting subgroup F_1, is tested on G's classes inside it: no element's
-    order may meet the primes of |F_1| and of |F_2 : F_1| both."""
+    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups, F_2 with
+    kernel F_1, as ``_kernel_reason`` tests it on G's classes."""
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
         return f"{G.label}: Fitting length is not 3"
     _, F1, F2, _ = fs.series
     if isinstance(reason := _decompose(fs.quotients[0]), str):
         return reason
-    k, m = F1.order, F2.order // F1.order
-    if gcd(k, m) != 1:
-        return f"{G.label}-F2: kernel order not coprime to index"
-    data = conjugacy_classes(G)
-    if any(gcd(len(row), k) > 1 and gcd(len(row), m) > 1
-           for rep, row in zip(data.rep_ids, data.powers) if rep in F2.ids):
-        return f"{G.label}-F2: centralizer condition fails"
-    return TwoFrobeniusDecomposition(F1, F2)
+    return (_kernel_reason(G, F1, F2.ids, f"{G.label}-F2")
+            or TwoFrobeniusDecomposition(F1, F2))
 
 
 def is_two_frobenius(G: GroupHandle) -> bool:
@@ -224,16 +200,20 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     dec = _decompose(G)
     if isinstance(dec, str):
         return None
-    kernel = dec.kernel.as_group(f"{G.label}-kernel")
-    comp = dec.complement.as_group(f"{G.label}-comp")
-    kfact = factorint(kernel.order)
+    K = dec.kernel
+    kfact = factorint(K.order)
     if len(kfact) != 1:
         return None
     [(p, n)] = kfact.items()
-    elementary = is_abelian(kernel) and exponent(kernel) == p
-    if not elementary:
+    # C_G(k) <= K for k != 1 in K, so k's class has |G : K| elements iff k
+    # is central in K: K is elementary abelian iff each such class has
+    # row length p and |G : K| elements
+    data, m = conjugacy_classes(G), G.order // K.order
+    if any(len(row) != p or size != m for rep, size, row
+           in zip(data.rep_ids, data.sizes, data.powers)
+           if rep != 0 and rep in K.ids):
         return None
-    cf = fingerprint(comp)
+    cf = fingerprint(quotient(G, K))
     name = next((nm for nm in _REFERENCE_BUILDS
                  if _reference_fingerprint(nm) == cf), None)
     if name is None:

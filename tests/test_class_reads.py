@@ -2,12 +2,13 @@
 searches they replaced.
 
 Each reference below is the code that ran before the read: a commutator scan
-for the Frobenius kernel condition, an involution centralizer or a bounded
-generator search for the complement, a walk of <g> and a table test for each
-cyclic normal subgroup, a backtracking supersolvable search and a quotient
-per candidate for metacyclicity, a fixpoint of the conjugation tables on a
-Sylow subgroup for O_p(G), a span of the O_p(G) for F(G), and the normal
-closure of every class of prime order for the minimal normal subgroups.
+for the Frobenius kernel test, an involution centralizer or a bounded
+generator search for the complement, whose fingerprint G/K must share, a
+walk of <g> and a table test for each cyclic normal subgroup, a backtracking
+supersolvable search and a quotient per candidate for metacyclicity, a
+fixpoint of the conjugation tables on a Sylow subgroup for O_p(G), a span of
+the O_p(G) for F(G), and the normal closure of every class of prime order
+for the minimal normal subgroups.
 They are compared on the distinct corpus, the Frobenius family sweep and the
 catalog entries; the Fitting reads also on quotients and subgroup views,
 with and without Cayley tables.
@@ -19,14 +20,14 @@ import pytest
 from sympy import factorint, isprime
 
 from gklab import catalog
-from gklab.frobenius import _find_complement, _kernel_condition, fingerprint
+from gklab.frobenius import _kernel_reason, fingerprint
 from gklab.groups import Span, conjugation_tables, element_ids, id_mul
-from gklab.structure import (InvariantFailed, SubgroupHandle, _is_normal,
-                             _normal_cyclic_rows, _normal_span, _power_walk,
-                             conjugacy_classes, core_p, derived_subgroup,
-                             fitting, fitting_series, is_cyclic, is_metacyclic,
-                             is_solvable, is_supersolvable,
-                             minimal_normal_subgroups, quotient, sylow)
+from gklab.structure import (SubgroupHandle, _is_normal, _normal_cyclic_rows,
+                             _normal_span, _power_walk, conjugacy_classes,
+                             core_p, derived_subgroup, fitting, fitting_series,
+                             is_cyclic, is_metacyclic, is_solvable,
+                             is_supersolvable, minimal_normal_subgroups,
+                             quotient, sylow)
 from test_idcore import BOUNDS, _bound, _Poison
 
 
@@ -128,9 +129,9 @@ def groups():
 
 @pytest.fixture(scope="module")
 def frobenius_candidates(groups):
-    """(G, F(G)) where F(G) is a proper nontrivial normal Hall subgroup; the
-    first quotient of each Fitting series joins, as the 2-Frobenius test
-    decomposes it."""
+    """(G, F(G), |G : F(G)|) where F(G) is a proper nontrivial normal Hall
+    subgroup; the first quotient of each Fitting series joins, as the
+    2-Frobenius test decomposes it."""
     out = []
     for G in groups:
         quotients = fitting_series(G).quotients
@@ -138,39 +139,33 @@ def frobenius_candidates(groups):
             F = fitting(H)
             m = H.order // F.order
             if F.order > 1 and m > 1 and gcd(F.order, m) == 1:
-                out.append((H, F.ids, m))
+                out.append((H, F, m))
     return out
 
 
 def test_kernel_condition_matches_commutator_scan(frobenius_candidates):
     kinds = set()
-    for G, ks, _ in frobenius_candidates:
-        got = _kernel_condition(G, ks)
-        assert got == _reference_kernel_condition(G, ks), G.label
+    for G, F, _ in frobenius_candidates:
+        got = _kernel_reason(G, F, range(G.order), G.label) is None
+        assert got == _reference_kernel_condition(G, F.ids), G.label
         kinds.add(got)
     assert kinds == {True, False}
 
 
 def test_complement_matches_search(frobenius_candidates):
+    """G/K, which the family match fingerprints, against the complement
+    the search finds."""
     parities = set()
-    for G, ks, m in frobenius_candidates:
-        if not _reference_kernel_condition(G, ks):
+    for G, F, m in frobenius_candidates:
+        if not _reference_kernel_condition(G, F.ids):
             continue
-        want = _reference_complement(G, ks, m)
-        got = _find_complement(G, ks, m)
+        want = _reference_complement(G, F.ids, m)
         assert want is not None, G.label
-        assert len(got) == len(want) == m, G.label
-        assert len(got & ks) == 1, G.label
-        assert (fingerprint(SubgroupHandle(G, got, False).as_group())
+        assert len(want) == m and len(want & F.ids) == 1, G.label
+        assert (fingerprint(quotient(G, F))
                 == fingerprint(SubgroupHandle(G, want, False).as_group()))
         parities.add(m % 2)
     assert parities == {0, 1}
-
-
-def test_no_complement_is_an_invariant_failure(s3):
-    e = element_ids(s3)[s3.identity]
-    with pytest.raises(InvariantFailed):
-        _find_complement(s3, frozenset({e}), 6)
 
 
 @pytest.mark.parametrize("prime_order_only", [False, True])

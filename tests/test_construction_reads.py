@@ -1,8 +1,9 @@
 """Frobenius, Sylow and metacyclic structure read off what G already holds.
 
 The 2-Frobenius test decides whether F_2 is Frobenius on G's own classes,
-with no subgroup view; a Frobenius decomposition scans for its complement
-only when ``complement`` is read; a semidirect product N x| H whose kernel
+with no subgroup view, by the kernel test that decides G itself; the
+Frobenius family match reads the kernel off G's classes and the complement
+as G/K, with no subgroup view; a semidirect product N x| H whose kernel
 is a p-group or a p'-group composes its Sylow p-subgroup from H's; and the
 metacyclic test reads one power-map entry per prime of the index.  Each is
 checked against a local copy of the code it replaced, or against the
@@ -18,13 +19,19 @@ from math import gcd
 import pytest
 from sympy import factorint
 
-from gklab import catalog, cli, frobenius, groups
-from gklab.frobenius import (_decompose, _two_frobenius, frobenius_kind,
-                             is_frobenius, match_frobenius_cut_family)
-from gklab.groups import _LazyTuple, direct_product, id_mul, semidirect_product
-from gklab.structure import (InvariantFailed, conjugacy_classes, fitting,
-                             fitting_series, is_cyclic, is_metacyclic,
-                             minimal_normal_subgroups, quotient, sylow)
+from gklab import catalog, cli, frobenius, groups, structure
+from gklab import elements as el
+from gklab.frobenius import (_REFERENCE_BUILDS, _decompose,
+                             _reference_fingerprint, _two_frobenius,
+                             fingerprint, frobenius_kind, is_frobenius,
+                             match_frobenius_cut_family)
+from gklab.groups import (_LazyTuple, direct_product, enumerate_group, id_mul,
+                          semidirect_product)
+from gklab.structure import (InvariantFailed, SubgroupHandle,
+                             conjugacy_classes, exponent, fitting,
+                             fitting_series, is_abelian, is_cyclic,
+                             is_metacyclic, minimal_normal_subgroups, quotient,
+                             sylow)
 from gklab.verify import _check_group_invariants
 from test_idcore import BOUNDS, _bound
 from test_pair_arithmetic import (_c7_by_c3_x_c2, _direct_by_direct,
@@ -76,6 +83,26 @@ def _reference_two_frobenius(G):
     return _reference_view_decompose(fs.series[2].as_group(f"{G.label}-F2"))
 
 
+def _reference_inline_two_frobenius(G):
+    """The 2-Frobenius verdict with F_2's kernel test inline, as it ran
+    before ``_kernel_reason``, and G/F_1 decided as ``_decompose`` did by
+    class sizes: the reason G is not 2-Frobenius, or None."""
+    fs = fitting_series(G)
+    if not fs.solvable or fs.length != 3:
+        return f"{G.label}: Fitting length is not 3"
+    _, F1, F2, _ = fs.series
+    if (reason := _reference_view_decompose(fs.quotients[0])) is not None:
+        return reason
+    k, m = F1.order, F2.order // F1.order
+    if gcd(k, m) != 1:
+        return f"{G.label}-F2: kernel order not coprime to index"
+    data = conjugacy_classes(G)
+    if any(gcd(len(row), k) > 1 and gcd(len(row), m) > 1
+           for rep, row in zip(data.rep_ids, data.powers) if rep in F2.ids):
+        return f"{G.label}-F2: centralizer condition fails"
+    return None
+
+
 def _fitting_length_three():
     """Every group of Fitting length 3 in two corpora, the catalog and the
     family sweep, and S4, each built fresh."""
@@ -89,14 +116,16 @@ def _fitting_length_three():
 
 @by_bound
 def test_two_frobenius_reads_match_the_view(bound):
-    """The class read of F_2 against ``_decompose`` of F_2's view: the same
-    verdict and the same reason, and F_1, F_2 as the series holds them."""
+    """The class read of F_2 against ``_decompose`` of F_2's view and
+    against the inline test it replaced: the same verdict and the same
+    reason, and F_1, F_2 as the series holds them."""
     with _bound(bound):
         reasons = set()
         inputs = _fitting_length_three()
         for G in inputs:
             got = _two_frobenius(G)
             want = _reference_two_frobenius(G)
+            assert _reference_inline_two_frobenius(G) == want, G.label
             if want is None:
                 _, F1, F2, _ = fitting_series(G).series
                 assert (got.f1, got.f2) == (F1, F2), G.label
@@ -123,54 +152,148 @@ def _frobenius_groups():
     return [G for G in pool if is_frobenius(G)]
 
 
+def _spy_views(monkeypatch):
+    """The labels of the subgroup views built from now on."""
+    views = []
+    for module in (groups, structure):
+        view = module.subgroup_view
+
+        def counting(parent, members, label="", *args, view=view, **kwargs):
+            views.append(label)
+            return view(parent, members, label, *args, **kwargs)
+        monkeypatch.setattr(module, "subgroup_view", counting)
+    return views
+
+
 def test_verdicts_and_reports_scan_no_complement(monkeypatch):
     """``frobenius_kind``, the analysis report and the invariant check
-    decompose each Frobenius group but never look for its complement; the
-    family match still does, as it reads the complement."""
-    calls = []
-    find = frobenius._find_complement
-
-    def spy(G, *args):
-        calls.append(G.label)
-        return find(G, *args)
-
-    monkeypatch.setattr(frobenius, "_find_complement", spy)
+    decompose each Frobenius group, and the family match then builds no
+    subgroup view: it reads the kernel off G's classes and fingerprints
+    G/K."""
+    for name in _REFERENCE_BUILDS:  # built once per process, before
+        _reference_fingerprint(name)
     fresh = _frobenius_groups()
     assert len(fresh) > 20, len(fresh)
     for G in fresh:
         assert frobenius_kind(G) == frobenius.FROBENIUS
         cli.analysis_report({G.label: G}, {})
         _check_group_invariants(G)
-    assert calls == []
-    for G in fresh:
-        match_frobenius_cut_family(G)
-    assert sorted(calls) == sorted(G.label for G in fresh)
+    views = _spy_views(monkeypatch)
+    assert [match_frobenius_cut_family(G) for G in fresh]
+    assert views == []
 
 
-def test_complement_on_first_read_matches_the_eager_scan():
-    """``complement`` is read once per decomposition, and equals the scan
-    each decomposition used to run when it was built."""
-    for G in _frobenius_groups():
-        dec = _decompose(G)
-        assert "complement" not in vars(dec), G.label
-        K = dec.kernel
-        want = _reference_complement(G, K.ids, G.order // K.order)
-        assert dec.complement.ids == want and not dec.complement.normal
-        assert dec.complement.parent is G
-        assert dec.complement is dec.complement
-
-
-def test_missing_complement_class_still_fails_at_decomposition(monkeypatch):
+def test_missing_complement_class_still_fails_at_decomposition():
     """The decomposition keeps its eager check that some class outside K
-    has |K| elements: with every class size doubled, it raises."""
+    has |K| elements: with every class size doubled, and the class rows
+    that the kernel test reads left as they are, it raises."""
     G = catalog.c7_c6()
     fitting(G)  # read on the true classes
     data = conjugacy_classes(G)
     G._memo["conjugacy"] = replace(data,
                                    sizes=tuple(2 * s for s in data.sizes))
-    monkeypatch.setattr(frobenius, "_kernel_condition", lambda G, ks: True)
     with pytest.raises(InvariantFailed, match="no class of size 7"):
         _decompose(G)
+
+
+def _reference_family(G):
+    """The family match as it ran on subgroup views: the decomposition by
+    class sizes and the centralizer scan, the kernel view tested elementary
+    abelian, the complement view fingerprinted."""
+    if _reference_view_decompose(G) is not None:
+        return None
+    F = fitting(G)
+    kernel = F.as_group(f"{G.label}-kernel")
+    cs = _reference_complement(G, F.ids, G.order // F.order)
+    comp = SubgroupHandle(G, cs, False).as_group(f"{G.label}-comp")
+    kfact = factorint(kernel.order)
+    if len(kfact) != 1:
+        return None
+    [(p, n)] = kfact.items()
+    if not (is_abelian(kernel) and exponent(kernel) == p):
+        return None
+    cf = fingerprint(comp)
+    name = next((nm for nm in _REFERENCE_BUILDS
+                 if _reference_fingerprint(nm) == cf), None)
+    if name is None:
+        return None
+    table = {
+        (3, "C2"): "C3^n x| C2",
+        (3, "C4"): "C3^2n x| C4" if n % 2 == 0 else None,
+        (3, "Q8"): "C3^2n x| Q8" if n % 2 == 0 else None,
+        (5, "C4"): "C5^n x| C4",
+        (5, "Q8"): "C5^2 x| Q8" if n == 2 else None,
+        (5, "C3:C4"): "C5^2 x| (C3 x| C4)" if n == 2 else None,
+        (5, "SL(2,3)"): "C5^2 x| SL(2,3)" if n == 2 else None,
+        (7, "C6"): "C7^n x| C6",
+        (7, "Q8xC3"): "C7^2n x| (Q8 x C3)" if n % 2 == 0 else None,
+        (7, "SL(2,3)"): "C7^2 x| SL(2,3)" if n == 2 else None,
+    }
+    family = table.get((p, name))
+    if family is not None:
+        return family
+    return "unmatched-but-consistent" if name == "C3" else None
+
+
+def _more_kernels():
+    """(expected family, group) for Frobenius groups the family sweep does
+    not reach: kernels of rank 3 and 4, and two that belong to no family,
+    as their kernels are not elementary abelian: C9 x| C2, abelian of
+    exponent 9, and U(3,7) x| C3, of exponent 7 but not abelian."""
+    i3, j3 = [[0, 2], [1, 0]], [[1, 1], [1, 2]]
+
+    def scalar(rank, a):
+        return [[a if r == c else 0 for c in range(rank)] for r in range(rank)]
+
+    def blocks(m):  # diag(m, m)
+        return [row + [0, 0] for row in m] + [[0, 0] + row for row in m]
+    unitriangular = [el.mat(7, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                     el.mat(7, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+    # x -> x^2, y -> y^2, [x, y] -> [x, y]^4: no fixed point but 1
+    c3 = el.mat(7, [[4, 0, 0], [0, 2, 0], [0, 0, 1]])
+    c9 = catalog.cyclic(9)
+    (g,) = c9.generators
+    return [
+        ("C3^n x| C2", catalog.vector_semidirect(3, 3, [scalar(3, 2)],
+                                                 "C3^3 x| C2")),
+        ("C5^n x| C4", catalog.vector_semidirect(5, 3, [scalar(3, 2)],
+                                                 "C5^3 x| C4")),
+        ("C7^n x| C6", catalog.vector_semidirect(7, 3, [scalar(3, 3)],
+                                                 "C7^3 x| C6")),
+        ("C3^2n x| C4", catalog.vector_semidirect(3, 4, [blocks(i3)],
+                                                  "C3^4 x| C4")),
+        ("C3^2n x| Q8", catalog.vector_semidirect(
+            3, 4, [blocks(i3), blocks(j3)], "C3^4 x| Q8")),
+        (None, semidirect_product(c9, catalog.cyclic(2), [[c9.inv(g)]])),
+        (None, enumerate_group([*unitriangular, c3], "U(3,7) x| C3")),
+    ]
+
+
+def test_more_kernels_match_their_families():
+    orders = []
+    for tag, G in _more_kernels():
+        assert is_frobenius(G), G.label
+        assert match_frobenius_cut_family(G) == tag, G.label
+        orders.append(G.order)
+    assert orders == [54, 500, 2058, 324, 648, 18, 1029]
+
+
+@by_bound
+def test_family_match_matches_the_view_match(bound):
+    """The family match against its copy on subgroup views, on the
+    distinct corpus, the catalog, the family sweep and ``_more_kernels``,
+    each built fresh: the same answer for every group."""
+    def pool():
+        return [*catalog.distinct_corpus(1, 200, 2000).values(),
+                *(entry.build() for entry in catalog.catalog()),
+                *(build() for _, _, build in catalog.frobenius_family_sweep()),
+                *(G for _, G in _more_kernels())]
+    with _bound(bound):
+        got = [match_frobenius_cut_family(G) for G in pool()]
+        assert got == [_reference_family(G) for G in pool()]
+    matched = [tag for tag in got if tag is not None]
+    assert len(matched) >= 35 and None in got
+    assert "unmatched-but-consistent" in matched
 
 
 def _q8_by_c3(tmp_path):

@@ -32,7 +32,7 @@ def _reference_two_frobenius(G):
 class TestFrobenius:
     def test_s3(self, s3):
         dec = frobenius_decomposition(s3)
-        assert dec.kernel.order == 3 and dec.complement.order == 2
+        assert dec.kernel.order == 3 and quotient(s3, dec.kernel).order == 2
 
     def test_q8_is_not(self, q8):
         with pytest.raises(NotFrobenius):
@@ -52,22 +52,24 @@ class TestFrobenius:
         G = catalog.catalog_entry("fig3.e").build()
         dec = frobenius_decomposition(G)
         assert dec.kernel.order == 25
-        comp = dec.complement.as_group()
+        comp = quotient(G, dec.kernel)
         assert fingerprint(comp) == fingerprint(catalog.quaternion8())
 
     def test_decomposition_invariants(self, c7c6):
-        dec = frobenius_decomposition(c7c6)
-        assert dec.kernel.normal
-        assert len(dec.kernel.elements & dec.complement.elements) == 1
-        assert dec.kernel.order * dec.complement.order == c7c6.order
-        assert gcd(dec.kernel.order, dec.complement.order) == 1
+        K = frobenius_decomposition(c7c6).kernel
+        comp = quotient(c7c6, K)
+        assert K.normal
+        assert K.order * comp.order == c7c6.order
+        assert gcd(K.order, comp.order) == 1
         for g in c7c6.elements:
             n = element_order(c7c6, g)
-            assert dec.kernel.order % n == 0 or dec.complement.order % n == 0
+            assert K.order % n == 0 or comp.order % n == 0
 
     def test_odd_order_complement_search(self, c7c3):
         dec = frobenius_decomposition(c7c3)
-        assert dec.kernel.order == 7 and dec.complement.order == 3
+        comp = quotient(c7c3, dec.kernel)
+        assert dec.kernel.order == 7
+        assert fingerprint(comp) == fingerprint(catalog.cyclic(3))
 
 
 class TestTwoFrobenius:

@@ -21,9 +21,22 @@ They run on the distinct corpus, the catalog, the W(B_6) and GL(3,3)
 frames, and as a Hypothesis property over the recipes of
 ``test_report_laws.py``.  The corpus, the catalog and the recipes run under
 both TABLE_BOUND values; the frames lie above it.
+
+Frobenius and 2-Frobenius groups obey laws of their own, read off the
+Fitting series and the GK graph, not off the kernel test:
+
+* a Frobenius group with kernel K = F_1: |G : K| divides |K| - 1, and the
+  GK components are pi(K) and pi(G/K);
+* a 2-Frobenius group: |G : F_2| divides |F_2 : F_1| - 1, |F_2 : F_1|
+  divides |F_1| - 1, and the GK components are pi(F_2/F_1) and
+  pi(F_1) u pi(G/F_2).
+
+They run on the distinct corpus, the catalog, the Frobenius family sweep and
+the Fitting quotients of each.
 """
 
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -33,7 +46,8 @@ from sympy import divisors, factorint, totient
 from gklab import catalog
 from gklab.cli import load_spec
 from gklab.groups import element_orders_multiset
-from gklab.primegraph import gk_graph
+from gklab.frobenius import FROBENIUS, TWO_FROBENIUS, frobenius_kind
+from gklab.primegraph import components, gk_graph
 from gklab.structure import (conjugacy_classes, fitting_series,
                              minimal_normal_subgroups, sylow)
 from test_frames import FRAMES
@@ -92,3 +106,33 @@ def test_recipes_obey_the_laws(bound, tmp_path, spec):
     with _bound(bound):
         for G in load_spec(str(path)).values():
             _check_group_laws(G)
+
+
+def _primes(n):
+    return frozenset(factorint(n))
+
+
+def _check_frobenius_laws(G) -> str:
+    """The Frobenius or 2-Frobenius laws G's kind calls for; its kind."""
+    kind = frobenius_kind(G)
+    n, comps = G.order, set(components(gk_graph(G)))
+    if kind == FROBENIUS:  # the complement G/K need not be nilpotent
+        k = fitting_series(G).series[1].order
+        assert (k - 1) % (n // k) == 0, G.label
+        assert comps == {_primes(k), _primes(n // k)}, G.label
+    elif kind == TWO_FROBENIUS:
+        _, f1, f2, _ = (F.order for F in fitting_series(G).series)
+        assert (f2 // f1 - 1) % (n // f2) == 0, G.label
+        assert (f1 - 1) % (f2 // f1) == 0, G.label
+        assert comps == {_primes(f2 // f1),
+                         _primes(f1) | _primes(n // f2)}, G.label
+    return kind
+
+
+def test_frobenius_groups_obey_their_laws():
+    pool = [*catalog.distinct_corpus(1, 200, 2000).values(),
+            *(entry.build() for entry in catalog.catalog()),
+            *(build() for _, _, build in catalog.frobenius_family_sweep())]
+    pool += [Q for G in pool for Q in fitting_series(G).quotients]
+    kinds = Counter(_check_frobenius_laws(G) for G in pool)
+    assert (kinds[FROBENIUS], kinds[TWO_FROBENIUS]) == (41, 5), kinds
