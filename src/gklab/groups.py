@@ -57,10 +57,16 @@ Every group multiplies ids (``id_mul``) the way it was built:
   (i1, j1)(i2, j2) = (i1 * a[j1][i2], j1 j2), where a is the |H| x |N| id
   array of the action, ``Product.act``: its one copy, filled along a BFS
   tree of H's ``right_rows`` from its generators' automorphism rows, which
-  its element products read too.  One id multiplication (``_pair_mul``)
-  serves both kinds of product, and one element multiplication and
-  inversion (``_product_handle``) and one rule for the conjugation tables
-  (``_pair_tables``), a direct product being the case where h |> n = n.
+  its element products read too.  It carries (k, 1) only for the
+  generators k of N, in order, that lie outside the H-invariant subgroup
+  spanned by the ones kept before (``_kernel_generators``), then (1, h)
+  for H's generators: one kernel generator on an irreducible H-module, so
+  the 2-Frobenius witnesses carry 3 generators, and every table, class
+  orbit and generator scan runs on those.  One id multiplication
+  (``_pair_mul``) serves both kinds of product, and one element
+  multiplication and inversion (``_product_handle``) and one rule for the
+  conjugation tables (``_pair_tables``), a direct product being the case
+  where h |> n = n.
   The element operations skip each component that is its factor's
   ``identity`` object, compared with ``is``: 1 x = x 1 = x, 1^-1 = 1, the
   action fixes 1_N, and 1_H acts trivially.  The product's generators
@@ -421,7 +427,8 @@ def ids_of(G: GroupHandle, elems) -> list[int]:
 
 def generator_ids(G: GroupHandle) -> list[int]:
     """Ids of G's generators (``ids_of``): a product's are (n, 1) for N's
-    generators n, then (1, h) for H's."""
+    generators n, then (1, h) for H's; a semidirect product carries only
+    the kernel generators ``_kernel_generators`` keeps."""
     return ids_of(G, G.generators)
 
 
@@ -572,7 +579,7 @@ def conjugation_tables(G: GroupHandle) -> list[Sequence[int]]:
     """
     o = G.origin
     if isinstance(o, Product):
-        return _pair_tables(o.left, o.right, o.act)
+        return _pair_tables(G)
     if isinstance(o, Quotient):
         return _quotient_tables(o)
     return _row_tables(G)
@@ -603,13 +610,14 @@ def _row_tables(G: GroupHandle) -> list[array]:
     return tables
 
 
-def _pair_tables(N: GroupHandle, H: GroupHandle,
-                 a: Optional[list[array]]) -> list[array]:
-    """Tables of N x H, or of N x| H with a = ``Product.act``, its action
+def _pair_tables(G: GroupHandle) -> list[array]:
+    """Tables of G = N x H, or N x| H with a = ``Product.act``, its action
     rows, whose id i*|H| + j is the pair (n_i, h_j), composed from the
-    factors'.  N x H is the case where h_j |> k = k.
+    factors'.  One table per generator G carries, read off G's generators:
+    (k, 1) for each kernel generator k it keeps, then (1, l) for each of
+    H's generators l.  N x H is the case where h_j |> k = k.
 
-    An N generator k sends (n_i, h_j) to (k^-1 n_i (h_j |> k), h_j) =
+    A kernel generator k sends (n_i, h_j) to (k^-1 n_i (h_j |> k), h_j) =
     (k^-1 n_i k c_j, h_j), with c_j = k^-1 (h_j |> k).  k^-1 n_i k is read
     off N's table for k, and is multiplied only for each distinct image
     h_j |> k other than k, one column per c_j != 1; in N x H every c_j is 1
@@ -618,9 +626,15 @@ def _pair_tables(N: GroupHandle, H: GroupHandle,
     with no multiplication at all.  The inverses k^-1 and l^-1 are read off
     the walk of their powers (``_power_walk``).
     """
+    o = G.origin
+    N, H, a = o.left, o.right, o.act
     n, m = N.order, H.order
+    gids = generator_ids(G)
+    kernel_tables = dict(zip(generator_ids(N), conjugation_tables(N)))
     tables = []
-    for k, tk in zip(generator_ids(N), conjugation_tables(N)):
+    for g in gids[:len(gids) - len(H.generators)]:
+        k = g // m
+        tk = kernel_tables[k]
         images = [k] * m if a is None else [row[k] for row in a]  # h_j |> k
         # h_j |> k -> the ids of k^-1 n_i k c_j, times m
         cols = {k: [x * m for x in tk]}
@@ -689,11 +703,14 @@ def direct_product(G: GroupHandle, H: GroupHandle) -> GroupHandle:
     return _product_handle(G, H, None, f"{G.label} x {H.label}")
 
 
-def _product_handle(N: GroupHandle, H: GroupHandle, act,
-                    label: str) -> GroupHandle:
+def _product_handle(N: GroupHandle, H: GroupHandle, act, label: str,
+                    kernel_gens=None) -> GroupHandle:
     """The handle of N x H (act None) or N x| H with act = ``Product.act``,
-    with N's then H's generators.  No pair is listed here: its origin lists
-    them on the first element-level read (``Product.ordered``).
+    generated by (k, 1) for each k in kernel_gens, then (1, h) for each of
+    H's generators h.  kernel_gens is all of N's generators when None, as
+    in a direct product, and those ``_kernel_generators`` keeps in a
+    semidirect product.  No pair is listed here: its origin lists them on
+    the first element-level read (``Product.ordered``).
 
     Its elements multiply as (n1, h1)(n2, h2) = (n1 (h1 |> n2), h1 h2) and
     invert as (n, h)^-1 = (h^-1 |> n^-1, h^-1), where h |> n = n when act
@@ -726,7 +743,9 @@ def _product_handle(N: GroupHandle, H: GroupHandle, act,
                 return (el.PAIR, ns[act[hid[h]][nid[ni(n)]]], h)
         return (el.PAIR, n if n is ne else ni(n), h)
 
-    gens = tuple((el.PAIR, n, he) for n in N.generators) + \
+    if kernel_gens is None:
+        kernel_gens = N.generators
+    gens = tuple((el.PAIR, n, he) for n in kernel_gens) + \
         tuple((el.PAIR, ne, h) for h in H.generators)
     return GroupHandle(label, gens, None, (el.PAIR, ne, he), mult, inv,
                        Product(N, H, act))
@@ -779,6 +798,12 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     ``Product.act``: one id row per element of H, in H's id order, with
     act[j][i] the id of h_j |> n_i in N, which its element products
     (``_product_handle``) read too.
+
+    The product is generated by (k, 1) for the kernel generators k that
+    ``_kernel_generators`` keeps, then (1, h) for each of H's generators h:
+    N's generators, in order, that H's conjugates of the ones before do not
+    reach.  On an irreducible H-module N that is one, so C_3^6 x| (C7 x| C3)
+    carries 3 generators, not 8.
     """
     check_cap("product", N.order * H.order)
     if len(action) != len(H.generators):
@@ -798,7 +823,33 @@ def semidirect_product(N: GroupHandle, H: GroupHandle, action,
     if label is None:
         trivial = all(row == act[0] for row in rows)
         label = f"{N.label}{' x ' if trivial else ' x| '}{H.label}"
-    return _product_handle(N, H, act, label)
+    return _product_handle(N, H, act, label,
+                           _kernel_generators(N, kgens, rows))
+
+
+def _kernel_generators(N: GroupHandle, kgens: list[int],
+                       rows: list[array]) -> list[Element]:
+    """N's generators, in order, that lie outside the H-invariant subgroup
+    spanned by those kept before them; kgens are their ids and rows the
+    automorphism rows of H's generators on N's ids.
+
+    The kept ids grow one ``Span`` on N, closed under rows after each keep:
+    h(<S>) = <h(S)>, so <S> is H-invariant once it holds h(s) for each s
+    in S and each row h.  N x| H is then generated by the kept generators
+    and H, as every generator of N left out is reached.  The last
+    generator is only tested, never spanned.
+    """
+    span, kept, last = Span(N), [], len(kgens) - 1
+    for i, (g, k) in enumerate(zip(N.generators, kgens)):
+        if k in span.elements:
+            continue
+        kept.append(g)
+        if i < last:
+            span.add(k)
+            for s in span.gens:  # grows while it is read
+                for row in rows:
+                    span.add(row[s])
+    return kept
 
 
 def _pair_mul(N: GroupHandle, H: GroupHandle, a) -> Callable[[int, int], int]:

@@ -1,8 +1,9 @@
 """The large-group frames in ``tools/frames``: one-group ``perm`` and
-``matgrp`` specs for W(B_6), GL(3,3), A9, S9 and GL(2,31), and one spec
-holding S9, A9 and GL(2,31) together.  The two smallest are built here;
-the others are only parsed, as building them takes seconds and hundreds
-of MB."""
+``matgrp`` specs for W(B_6), GL(3,3), A9, S9 and GL(2,31), one spec
+holding S9, A9 and GL(2,31) together, and a ``catalog`` recipe for the
+2-Frobenius witness twofrob.g.  The two smallest and twofrob.g are built
+here; the others are only parsed, as building them takes seconds and
+hundreds of MB."""
 
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from gklab.cli import load_spec
 
 FRAMES = Path(__file__).resolve().parent.parent / "tools" / "frames"
-BUILT = {"wb6": 46_080, "gl3_3": 11_232}
+BUILT = {"wb6": 46_080, "gl3_3": 11_232, "twofrob_g": 15_309}
 PARSED = ("a9", "s9", "gl2_31")
 COMBINED = "s9_a9_gl2_31"
 

@@ -46,7 +46,9 @@ SPEC = {"groups": {
 
 def _reference_tables(G):
     """G's tables as they were built: a product's by the two-branch rule
-    from its factors' reference tables, any other group's by the library."""
+    from its factors' reference tables, any other group's by the library.
+    A semidirect product's kernel tables are those of the kernel
+    generators G carries."""
     o = G.origin
     if not isinstance(o, Product):
         return conjugation_tables(G)
@@ -60,7 +62,8 @@ def _reference_tables(G):
     else:
         nm = id_mul(N)
         tables = []
-        for k in generator_ids(N):
+        gids = generator_ids(G)
+        for k in (g // m for g in gids[:len(gids) - len(H.generators)]):
             ki = _power_walk(nm, k)[-1]
             left = [nm(ki, i) for i in range(n)]
             cols = {}  # image c of k -> the ids of k^-1 n_i c, times m

@@ -388,14 +388,16 @@ class TestPredicates:
 
     def test_metabelian_builds_no_span(self, monkeypatch, tmp_path):
         """The metabelian test reads the commutators' classes and grows no
-        subgroup: no ``groups.Span`` is built, G' included."""
+        subgroup: no ``groups.Span`` is built, G' included.  The groups are
+        built before the spy is installed, as a semidirect product spans its
+        kernel generators when it is built."""
+        fresh = [catalog.sym(4), catalog.alt(4), catalog.c7_c6(),
+                 catalog.sl2_3(), catalog.catalog_entry("fig3.e").build(),
+                 _gl2_5(tmp_path)]
         built = []
         init = groups.Span.__init__
         monkeypatch.setattr(groups.Span, "__init__", lambda self, G:
                             built.append(G.label) or init(self, G))
-        fresh = [catalog.sym(4), catalog.alt(4), catalog.c7_c6(),
-                 catalog.sl2_3(), catalog.catalog_entry("fig3.e").build(),
-                 _gl2_5(tmp_path)]
         verdicts = {G.label: is_metabelian(G) for G in fresh}
         assert built == []
         assert verdicts == {"S4": False, "A4": True, "C7 x| C6": True,
