@@ -4,7 +4,11 @@ The builders named in ``BUILTINS`` back the spec file's ``builtin`` recipe.
 The catalog holds the Figure 3 examples (``fig3.*``) and the 2-Frobenius
 witnesses (``twofrob.*``); each entry is a solvable cut group, names the
 letter of the figure entry it realizes (``CatalogEntry.figure``) and records
-no graph, since ``primegraph`` holds the figure.  The fuzz corpus
+no graph, since ``primegraph`` holds the figure.  The Frobenius family
+sweep (``frobenius_family_sweep``) builds one group per Frobenius cut
+family from one table of rows (instance name, family tag, p, action
+matrices); the name is also the group's label, and the kernel rank is the
+matrices' dimension, so a new family is one more row.  The fuzz corpus
 (``corpus``) is a deterministic stream of pool groups and their direct
 products, drawn by seed; ``distinct_corpus`` keeps the first group of each
 label.
@@ -80,23 +84,25 @@ def dihedral(order: int) -> GroupHandle:
     return enumerate_group([rot, flip], f"D{n}")
 
 
+# the quaternion pair i, j over F3, and a fixed-point-free C3 x| C4 in
+# GL(2,5) found by search
+_Q8_F3 = ([[0, 2], [1, 0]], [[1, 1], [1, 2]])
+_DIC3_F5 = ([[0, 1], [4, 1]], [[0, 2], [2, 0]])
+
+
 def quaternion8() -> GroupHandle:
-    i = el.mat(3, [[0, 2], [1, 0]])
-    j = el.mat(3, [[1, 1], [1, 2]])
-    return enumerate_group([i, j], "Q8")
+    return enumerate_group([el.mat(3, m) for m in _Q8_F3], "Q8")
 
 
 def sl2_3() -> GroupHandle:
-    a = el.mat(3, [[0, 2], [1, 0]])
-    b = el.mat(3, [[1, 1], [0, 1]])
-    return enumerate_group([a, b], "SL(2,3)")
+    i, _ = _Q8_F3
+    return enumerate_group([el.mat(3, i), el.mat(3, [[1, 1], [0, 1]])],
+                           "SL(2,3)")
 
 
 def dicyclic12() -> GroupHandle:
     """C3 x| C4 of order 12, as a fixed-point-free subgroup of GL(2,5)."""
-    a = el.mat(5, [[0, 1], [4, 1]])
-    b = el.mat(5, [[0, 2], [2, 0]])
-    return enumerate_group([a, b], "C3 x| C4")
+    return enumerate_group([el.mat(5, m) for m in _DIC3_F5], "C3 x| C4")
 
 
 def quaternion8_times_c3() -> GroupHandle:
@@ -212,46 +218,45 @@ BUILTINS: dict[str, Callable[..., GroupHandle]] = {
         alt, c7_c3, c7_c6)}
 
 
-def _q8_action_f5() -> GroupHandle:
+# the quaternion pair i, j over F7
+_Q8_F7 = ([[0, 6], [1, 0]], [[2, 3], [3, 5]])
+
+# instance name -> (family tag, p, action matrices): one Frobenius group
+# C_p^d x| <matrices> per cut family at kernel rank d <= 2, labelled by its
+# name.  SL(2,3) is a quaternion pair plus an order-3 element permuting
+# i -> j -> ij, found by search in GL(2,p).
+_FAMILY_SWEEP = {
+    "C3 x| C2": ("C3^n x| C2", 3, [[[2]]]),
+    "C3^2 x| C2": ("C3^n x| C2", 3, [[[2, 0], [0, 2]]]),
+    "C3^2 x| C4": ("C3^2n x| C4", 3, _Q8_F3[:1]),
+    "C3^2 x| Q8": ("C3^2n x| Q8", 3, _Q8_F3),
+    "C5 x| C4": ("C5^n x| C4", 5, [[[2]]]),
+    "C5^2 x| C4": ("C5^n x| C4", 5, [[[2, 0], [0, 2]]]),
+    "C7 x| C6": ("C7^n x| C6", 7, [[[3]]]),
+    "C7^2 x| C6": ("C7^n x| C6", 7, [[[3, 0], [0, 3]]]),
+    "C7^2 x| (Q8 x C3)": ("C7^2n x| (Q8 x C3)", 7,
+                          _Q8_F7 + ([[2, 0], [0, 2]],)),
     # printed action: i -> diag(2, -2), j -> [[0, 1], [-1, 0]] over F5
-    return vector_semidirect(5, 2, [[[2, 0], [0, 3]], [[0, 1], [4, 0]]],
-                             "C5^2 x| Q8")
+    "C5^2 x| Q8": ("C5^2 x| Q8", 5, ([[2, 0], [0, 3]], [[0, 1], [4, 0]])),
+    "C5^2 x| (C3 x| C4)": ("C5^2 x| (C3 x| C4)", 5, _DIC3_F5),
+    "C5^2 x| SL(2,3)": ("C5^2 x| SL(2,3)", 5, (
+        [[0, 4], [1, 0]], [[0, 2], [2, 0]], [[1, 3], [4, 3]])),
+    "C7^2 x| SL(2,3)": ("C7^2 x| SL(2,3)", 7, _Q8_F7 + ([[6, 2], [3, 0]],)),
+}
+
+
+def _sweep_group(name: str) -> GroupHandle:
+    """The sweep's group of that name, of rank the matrices' dimension."""
+    _, p, mats = _FAMILY_SWEEP[name]
+    return vector_semidirect(p, len(mats[0]), mats, name)
+
+
+def _q8_action_f5() -> GroupHandle:
+    return _sweep_group("C5^2 x| Q8")
 
 
 def _dic3_action_f5() -> GroupHandle:
-    # fixed-point-free C3 x| C4 found by search in GL(2,5)
-    return vector_semidirect(5, 2, [[[0, 1], [4, 1]], [[0, 2], [2, 0]]],
-                             "C5^2 x| (C3 x| C4)")
-
-
-# SL(2,3) as a fixed-point-free linear group: quaternion pair plus an order-3
-# element permuting i -> j -> ij, found by search in GL(2,p).
-SL23_F5 = ([[0, 4], [1, 0]], [[0, 2], [2, 0]], [[1, 3], [4, 3]])
-SL23_F7 = ([[0, 6], [1, 0]], [[2, 3], [3, 5]], [[6, 2], [3, 0]])
-Q8XC3_F7 = ([[0, 6], [1, 0]], [[2, 3], [3, 5]], [[2, 0], [0, 2]])
-
-
-def _twofrob_builders() -> dict[str, Callable[[], GroupHandle]]:
-    mats = companion_matrices()
-
-    def tf_c():
-        return vector_semidirect(2, 2, [mats["C"], mats["D"]], "C2^2 x| S3")
-
-    def tf_e():
-        return vector_semidirect(2, 4, [mats["E"], mats["F"]],
-                                 "C2^4 x| (C5 x| C4)")
-
-    def tf_g():
-        A3 = el.mat(3, mats["A"])
-        B3 = el.mat(3, mats["B"])
-        return vector_semidirect(3, 6, [A3, el.mul(B3, B3)],
-                                 "C3^6 x| (C7 x| C3)")
-
-    def tf_l():
-        return vector_semidirect(2, 6, [mats["A"], mats["B"]],
-                                 "C2^6 x| (C7 x| C6)")
-
-    return {"c": tf_c, "e": tf_e, "g": tf_g, "l": tf_l}
+    return _sweep_group("C5^2 x| (C3 x| C4)")
 
 
 def catalog() -> list[CatalogEntry]:
@@ -262,41 +267,54 @@ def catalog() -> list[CatalogEntry]:
     in ``primegraph``.  A figure group is rational iff its letter is in
     ``RATIONAL_REALIZED``; a 2-Frobenius witness records its own flag.
     """
-    e = _q8_action_f5
-    g = c7_c3
-    l = c7_c6
-
     def figure(letter, build, order, kind):
         return CatalogEntry(f"fig3.{letter}", build, order, letter,
                             letter in RATIONAL_REALIZED, kind)
 
-    tf = _twofrob_builders()
+    def twofrob(letter, build, order, rational):
+        return CatalogEntry(f"twofrob.{letter}", build, order, letter,
+                            rational, TWO_FROBENIUS)
+
+    m = companion_matrices()
     return [
         figure("a", lambda: cyclic(2), 2, NONE_KIND),
         figure("b", lambda: cyclic(3), 3, NONE_KIND),
         figure("c", lambda: sym(3), 6, FROBENIUS),
         figure("d", lambda: direct_product(sym(3), cyclic(2)), 12, NONE_KIND),
-        figure("e", e, 200, FROBENIUS),
-        figure("f", lambda: direct_product(e(), cyclic(2)), 400, NONE_KIND),
-        figure("g", g, 21, FROBENIUS),
+        figure("e", _q8_action_f5, 200, FROBENIUS),
+        figure("f", lambda: direct_product(_q8_action_f5(), cyclic(2)), 400,
+               NONE_KIND),
+        figure("g", c7_c3, 21, FROBENIUS),
         figure("h", _dic3_action_f5, 300, FROBENIUS),
         figure("i", lambda: direct_product(_dic3_action_f5(), cyclic(2)),
                600, NONE_KIND),
-        figure("j", lambda: direct_product(e(), cyclic(3)), 600, NONE_KIND),
-        figure("k", lambda: direct_product(e(), sym(3)), 1200, NONE_KIND),
-        figure("l", l, 42, FROBENIUS),
-        figure("m", lambda: direct_product(l(), cyclic(2)), 84, NONE_KIND),
-        figure("n", lambda: direct_product(l(), cyclic(3)), 126, NONE_KIND),
-        figure("o", lambda: direct_product(g(), sym(3)), 126, NONE_KIND),
-        figure("p", lambda: direct_product(e(), g()), 4200, NONE_KIND),
-        figure("q", lambda: direct_product(direct_product(e(), g()), cyclic(2)),
-               8400, NONE_KIND),
-        figure("r", lambda: direct_product(direct_product(e(), l()), cyclic(3)),
-               25200, NONE_KIND),
-        CatalogEntry("twofrob.c", tf["c"], 24, "c", True, TWO_FROBENIUS),
-        CatalogEntry("twofrob.e", tf["e"], 320, "e", False, TWO_FROBENIUS),
-        CatalogEntry("twofrob.g", tf["g"], 15309, "g", False, TWO_FROBENIUS),
-        CatalogEntry("twofrob.l", tf["l"], 2688, "l", False, TWO_FROBENIUS),
+        figure("j", lambda: direct_product(_q8_action_f5(), cyclic(3)), 600,
+               NONE_KIND),
+        figure("k", lambda: direct_product(_q8_action_f5(), sym(3)), 1200,
+               NONE_KIND),
+        figure("l", c7_c6, 42, FROBENIUS),
+        figure("m", lambda: direct_product(c7_c6(), cyclic(2)), 84, NONE_KIND),
+        figure("n", lambda: direct_product(c7_c6(), cyclic(3)), 126,
+               NONE_KIND),
+        figure("o", lambda: direct_product(c7_c3(), sym(3)), 126, NONE_KIND),
+        figure("p", lambda: direct_product(_q8_action_f5(), c7_c3()), 4200,
+               NONE_KIND),
+        figure("q", lambda: direct_product(
+            direct_product(_q8_action_f5(), c7_c3()), cyclic(2)), 8400,
+            NONE_KIND),
+        figure("r", lambda: direct_product(
+            direct_product(_q8_action_f5(), c7_c6()), cyclic(3)), 25200,
+            NONE_KIND),
+        twofrob("c", lambda: vector_semidirect(
+            2, 2, [m["C"], m["D"]], "C2^2 x| S3"), 24, True),
+        twofrob("e", lambda: vector_semidirect(
+            2, 4, [m["E"], m["F"]], "C2^4 x| (C5 x| C4)"), 320, False),
+        twofrob("g", lambda: vector_semidirect(
+            3, 6, [el.mat(3, m["A"]), el.mul(el.mat(3, m["B"]),
+                                             el.mat(3, m["B"]))],
+            "C3^6 x| (C7 x| C3)"), 15309, False),
+        twofrob("l", lambda: vector_semidirect(
+            2, 6, [m["A"], m["B"]], "C2^6 x| (C7 x| C6)"), 2688, False),
     ]
 
 
@@ -309,37 +327,8 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 def frobenius_family_sweep() -> list[tuple[str, str, Callable[[], GroupHandle]]]:
     """(instance name, expected family tag, builder) at kernel rank <= 2."""
-    neg_i3 = [[2, 0], [0, 2]]
-    i3, j3 = [[0, 2], [1, 0]], [[1, 1], [1, 2]]
-    i5, j5, w5 = SL23_F5
-    i7, j7, w7 = SL23_F7
-    _, _, s7 = Q8XC3_F7
-    return [
-        ("C3 x| C2", "C3^n x| C2",
-         lambda: vector_semidirect(3, 1, [[[2]]], "C3 x| C2")),
-        ("C3^2 x| C2", "C3^n x| C2",
-         lambda: vector_semidirect(3, 2, [neg_i3], "C3^2 x| C2")),
-        ("C3^2 x| C4", "C3^2n x| C4",
-         lambda: vector_semidirect(3, 2, [i3], "C3^2 x| C4")),
-        ("C3^2 x| Q8", "C3^2n x| Q8",
-         lambda: vector_semidirect(3, 2, [i3, j3], "C3^2 x| Q8")),
-        ("C5 x| C4", "C5^n x| C4",
-         lambda: vector_semidirect(5, 1, [[[2]]], "C5 x| C4")),
-        ("C5^2 x| C4", "C5^n x| C4",
-         lambda: vector_semidirect(5, 2, [[[2, 0], [0, 2]]], "C5^2 x| C4")),
-        ("C7 x| C6", "C7^n x| C6",
-         lambda: vector_semidirect(7, 1, [[[3]]], "C7 x| C6")),
-        ("C7^2 x| C6", "C7^n x| C6",
-         lambda: vector_semidirect(7, 2, [[[3, 0], [0, 3]]], "C7^2 x| C6")),
-        ("C7^2 x| (Q8 x C3)", "C7^2n x| (Q8 x C3)",
-         lambda: vector_semidirect(7, 2, [i7, j7, s7], "C7^2 x| (Q8 x C3)")),
-        ("C5^2 x| Q8", "C5^2 x| Q8", _q8_action_f5),
-        ("C5^2 x| (C3 x| C4)", "C5^2 x| (C3 x| C4)", _dic3_action_f5),
-        ("C5^2 x| SL(2,3)", "C5^2 x| SL(2,3)",
-         lambda: vector_semidirect(5, 2, [i5, j5, w5], "C5^2 x| SL(2,3)")),
-        ("C7^2 x| SL(2,3)", "C7^2 x| SL(2,3)",
-         lambda: vector_semidirect(7, 2, [i7, j7, w7], "C7^2 x| SL(2,3)")),
-    ]
+    return [(name, tag, functools.partial(_sweep_group, name))
+            for name, (tag, _, _) in _FAMILY_SWEEP.items()]
 
 
 # order of the smallest group in _corpus_pool (cyclic(2))
@@ -379,10 +368,9 @@ def corpus(seed: int, count: int, max_order: int) -> list[GroupHandle]:
 
     out: list[GroupHandle] = []
     while len(out) < count:
-        if rng.random() < 0.45:
-            G = base(rng.randrange(len(builders)))
-        else:
-            G = base(rng.randrange(len(builders)))
+        pair = rng.random() >= 0.45
+        G = base(rng.randrange(len(builders)))
+        if pair:
             H = base(rng.randrange(len(builders)))
             if G.order * H.order > max_order:
                 continue

@@ -632,7 +632,7 @@ def exponent(G: GroupHandle) -> int:
     return lcm(*element_orders_multiset(G))
 
 
-def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
+def _normal_cyclic_rows(G: GroupHandle):
     """(rep id, power-map row) for one generator of each nontrivial normal
     cyclic subgroup <rep>, named by the set of classes its row meets."""
     data = conjugacy_classes(G)
@@ -641,7 +641,7 @@ def _normal_cyclic_rows(G: GroupHandle, prime_order_only=False):
     for rep, row in zip(data.rep_ids, data.powers):
         n = len(row)
         cs = frozenset(row)
-        if n == 1 or prime_order_only and not isprime(n) or cs in seen:
+        if n == 1 or cs in seen:
             continue
         seen.add(cs)
         if sum(map(sizes.__getitem__, cs)) == n:
@@ -689,12 +689,12 @@ def is_supersolvable(G: GroupHandle) -> bool:
     memoised."""
     if G.order == 1:
         return True
-    first = next(_normal_cyclic_rows(G, prime_order_only=True), None)
-    if first is None:
-        return False
-    walk = _power_walk(id_mul(G), first[0])
-    N = SubgroupHandle(G, frozenset(walk), True)
-    return N.order == G.order or is_supersolvable(quotient(G, N))
+    for rep, row in _normal_cyclic_rows(G):
+        if isprime(len(row)):
+            walk = _power_walk(id_mul(G), rep)
+            N = SubgroupHandle(G, frozenset(walk), True)
+            return N.order == G.order or is_supersolvable(quotient(G, N))
+    return False
 
 
 def class_predicates(G: GroupHandle) -> dict[str, bool]:

@@ -1,11 +1,13 @@
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
 
 from gklab import catalog
 from gklab import elements as el
-from gklab.groups import enumerate_group
-from gklab.primegraph import FIGURE_GRAPHS
+from gklab.groups import (direct_factors, element_orders_multiset,
+                          enumerate_group)
+from gklab.primegraph import FIGURE_GRAPHS, gk_graph, product_graph
 from gklab.rationality import is_cut_group
 from gklab.structure import is_solvable
 
@@ -124,6 +126,18 @@ class TestCatalog:
         assert "kind" in failed["fig3.c"]
         assert "rational" in failed["twofrob.c"]
 
+    def test_product_entries_obey_the_product_graph_law(self):
+        """A figure entry built as A x B has the graph of A joined to B's."""
+        products = set()
+        for e in catalog.catalog():
+            factors = direct_factors(e.build())
+            if factors is not None:
+                products.add(e.figure)
+                A, B = factors
+                assert FIGURE_GRAPHS[e.figure] == product_graph(
+                    gk_graph(A), gk_graph(B)), e.name
+        assert products == set("dfijkmnopqr")
+
     def test_figure_rows_check_the_classifier_table(self, monkeypatch):
         from gklab import verify
         monkeypatch.setitem(FIGURE_GRAPHS, "q", FIGURE_GRAPHS["r"])
@@ -158,3 +172,23 @@ class TestCorpus:
         count = sum(1 for g in groups if per_label[g.label])
         assert count == 124
         assert count >= 50
+
+
+# sha256 of one line per group that catalog builds: every catalog entry,
+# every corpus pool builder and every sweep builder, by label, order,
+# generators and sorted element order counts.
+CONSTRUCTIONS_SHA256 = (
+    "77bdbbe4001d408b9e9bf8c82f188701ca92252f8011cdb5c6fa29af766e1473")
+
+
+def test_every_construction_is_pinned():
+    builders = ([e.build for e in catalog.catalog()] + catalog._corpus_pool()
+                + [build for _, _, build in catalog.frobenius_family_sweep()])
+    lines = []
+    for build in builders:
+        G = build()
+        lines.append(repr((G.label, G.order, tuple(G.generators),
+                           sorted(element_orders_multiset(G).items()))) + "\n")
+    assert len(lines) == 82
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == CONSTRUCTIONS_SHA256
