@@ -336,6 +336,9 @@ _CORPUS_MIN_ORDER = 2
 
 
 def _corpus_pool() -> list[Callable[[], GroupHandle]]:
+    # c7_c6 and the sweep row "C7 x| C6" build two different groups under
+    # one label, and both stay: ``corpus`` draws by index into this list, so
+    # dropping either would change every corpus drawn from it.
     pool: list[Callable[[], GroupHandle]] = []
     pool += [lambda n=n: cyclic(n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
     pool += [lambda p=p, r=r: elem_abelian(p, r)

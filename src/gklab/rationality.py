@@ -50,19 +50,27 @@ A direct product's report is built from its factors' reports
 (``memoised(product=_product_report)``).  A class's verdict is a function
 of its key, its order and iota image, and holds that key, so each report
 keeps ``firsts``, its distinct verdicts each mapped to the first class that
-has it.  The product computes one verdict per pair of its factors' distinct
-verdicts, by ``_class_verdict`` on its own power map row at the pair of
-first classes, and reads the group's verdicts and its own ``firsts`` off
-those alone, never off its factors' ``per_class``.  Its ``per_class`` is
-composed per item on its first read (``groups._LazyTuple``), as the
-product's class data are, each item from the factor verdicts of its class;
-equal verdicts are one shared object, built once.
+has it.  In any A x B, (g, h)^m is conjugate to (g, h) iff g^m ~ g and
+h^m ~ h, so the key, and with it the verdict, of (g, h) is a function of
+the verdicts of g and h.  One table per process, ``_product_verdicts``,
+maps each such pair of factor verdicts to the product class's verdict, for
+every product alike.  A product looks each pair of its factors' distinct
+verdicts up in it; only on a miss does it run ``_class_verdict`` on its own
+power map row at the pair of first classes, and store the result.  It reads
+the group's verdicts and its own ``firsts`` off those alone, never off its
+factors' ``per_class``.  Its ``per_class`` is composed per item on its
+first read (``groups._LazyTuple``), as the product's class data are, each
+item looked up in the table by the factor verdicts of its class; equal
+verdicts are one shared object, built once.  Like ``_units`` and
+``_shared_verdict``, the table holds verdicts only and no group, so it
+keeps no handle alive.
 
 :func:`product_cut_predicate` decides whether G x H is cut from the iota
 images of the factors' distinct verdicts alone: (g, h) is inverse
 semi-rational iff every unit k mod lcm(|g|, |h|) lies in both images (each
-read mod its own order), or -k does.  It never reads the product's rows, so
-it stays a check on the report that is independent of the memo above.
+read mod its own order), or -k does.  It never reads the product's rows or
+the verdict table, so it stays a check on the report that is independent of
+the memo and the table above.
 """
 
 from __future__ import annotations
@@ -95,6 +103,12 @@ class ElementVerdict:
 
 # equal verdicts are one object, so a verdict is built once per key
 _shared_verdict = cache(ElementVerdict)
+
+# (verdict of g, verdict of h) -> verdict of (g, h) in any A x B, g in A and
+# h in B: shared by every direct product in the process (``_product_report``);
+# two threads that miss on one pair store equal verdicts
+_product_verdicts: dict[tuple[ElementVerdict, ElementVerdict],
+                        ElementVerdict] = {}
 
 
 @dataclass(frozen=True)
@@ -175,19 +189,22 @@ def _product_report(G: GroupHandle, ra: RationalityReport,
     and holds it, so verdict and key fix each other.  (g, h)^m lies in the
     class of (g, h) iff m mod |g| and m mod |h| lie in the two images, and
     in the class of (g, h)^-1 iff -m does, so the pair of factor verdicts
-    fixes the product class's verdict: it is computed by ``_class_verdict``
-    on G's row for a*k(B) + b, a and b the first classes with the two
-    verdicts (``firsts``), and shared by the others.  Those classes come in
-    ascending order, and the first class with a product verdict is one of
-    them, so they give G's own ``firsts``.
+    fixes the product class's verdict, in G and in every other direct
+    product.  It is read from ``_product_verdicts``, the table all products
+    of the process share; only a pair no product has met yet is computed,
+    by ``_class_verdict`` on G's row for a*k(B) + b, a and b the first
+    classes with the two verdicts (``firsts``), and stored there.  Those
+    classes come in ascending order, and the first class with a product
+    verdict is one of them, so they give G's own ``firsts``.
     """
     powers = conjugacy_classes(G).powers
     va, vb, kb = ra.per_class, rb.per_class, len(rb.per_class)
-    table, firsts = {}, {}
+    table, firsts = _product_verdicts, {}
     for x, a in ra.firsts.items():
         for y, b in rb.firsts.items():
             c = a * kb + b
-            v = table[x, y] = _class_verdict(c, powers[c])
+            if (v := table.get((x, y))) is None:
+                v = table[x, y] = _class_verdict(c, powers[c])
             firsts.setdefault(v, c)
     return _report(_LazyTuple(len(va) * kb, lambda c: table[
         va[c // kb], vb[c % kb]]), firsts)

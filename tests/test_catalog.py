@@ -173,6 +173,17 @@ class TestCorpus:
         assert count == 124
         assert count >= 50
 
+    def test_c7_c6_label_is_the_permutation_group(self):
+        """Two pool builders label their group C7 x| C6; the standard
+        corpus keeps the 7-point permutation group ``c7_c6`` builds, not the
+        sweep row's semidirect product, so a dedupe that swaps them fails
+        here."""
+        G = catalog.distinct_corpus(1, 200, 2000)["C7 x| C6"]
+        perm = catalog.c7_c6()
+        assert G.generators == perm.generators
+        assert all(x[0] == "P" and len(x[1]) == 7 for x in G.generators)
+        assert G.ordered == perm.ordered
+
 
 # sha256 of one line per group that catalog builds: every catalog entry,
 # every corpus pool builder and every sweep builder, by label, order,

@@ -5,8 +5,12 @@ map from its factors' memoised data, with no multiplication.  The reference
 is the orbit and walk path every other group runs, taken on a copy of the
 product recorded as a semidirect product under the trivial action.
 ``rationality_report`` shares one verdict among the classes with the same
-pair of factor-class keys; its reference is ``_class_verdict`` on every row
-of the product.  The pairs are the ones the `verify invariants` product pair
+pair of factor-class keys, and shares it across products too: the verdict of
+a pair of factor verdicts is computed once per process, by the first product
+that has it (``rationality._product_verdicts``).  Its reference is
+``_class_verdict`` on every row of the product, checked from an empty table
+and from one other products have filled; ``product_cut_predicate`` reads no
+such table.  The pairs are the ones the `verify invariants` product pair
 row samples, so that row's cut verdicts and prime graphs, now read off the
 factors, stay checked against an independent computation of each product.
 Classes, verdicts, prime graphs, fingerprints, the analysis report of every
@@ -20,7 +24,9 @@ order counts are composed from its factors' and read no row.
 
 import functools
 import random
+import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
 from math import gcd, lcm
 from operator import add
@@ -28,7 +34,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gklab import catalog, structure
+from gklab import catalog, rationality, structure, verify
 from gklab.cli import analysis_report
 from gklab.frobenius import fingerprint
 from gklab.groups import (GroupHandle, Product, Quotient, _power_walk,
@@ -36,7 +42,7 @@ from gklab.groups import (GroupHandle, Product, Quotient, _power_walk,
                           element_orders_multiset, id_mul, subgroup_as_group)
 from gklab.primegraph import gk_graph
 from gklab.rationality import (_class_verdict, is_cut_group,
-                               rationality_report)
+                               product_cut_predicate, rationality_report)
 from gklab.numtheory import factorint
 from gklab.structure import (conjugacy_classes, core_p, exponent,
                              is_cyclic, is_nilpotent, quotient, sylow)
@@ -55,10 +61,13 @@ def _without_factors(P: GroupHandle) -> GroupHandle:
 
 def _check_verdicts(P: GroupHandle) -> None:
     """The verdicts shared by factor-class keys are the ones read off every
-    row of P."""
+    row of P, and each distinct one's first class is the first row's with
+    it."""
     data = conjugacy_classes(P)
-    assert rationality_report(P).per_class == tuple(
-        map(_class_verdict, range(len(data.powers)), data.powers))
+    rows = tuple(map(_class_verdict, range(len(data.powers)), data.powers))
+    report = rationality_report(P)
+    assert report.per_class == rows
+    assert report.firsts == {v: rows.index(v) for v in dict.fromkeys(rows)}
 
 
 def _walks(G: GroupHandle) -> list[list[int]]:
@@ -394,9 +403,12 @@ def _compositions(monkeypatch) -> list:
 @pytest.mark.parametrize("k", [k for k in range(50) if not any(
     map(direct_factors, _sampled()[k]))][:8])
 def test_reads_compose_one_row_per_key_pair(monkeypatch, k):
-    """The cut verdict and the prime graph of a fresh product compose one
-    row per pair of factor-class keys, and its order counts none; reading
-    every row composes the rest, once each."""
+    """From an empty verdict table, the cut verdict and the prime graph of a
+    fresh product compose one row per pair of factor-class keys, and its
+    order counts none; reading every row composes the rest, once each.  A
+    second product of factors with the same keys finds every verdict in the
+    table, so its cut verdict composes no row."""
+    monkeypatch.setattr(rationality, "_product_verdicts", {})
     a, b = _sampled()[k]
     for F in (a, b):
         is_cut_group(F)
@@ -412,6 +424,76 @@ def test_reads_compose_one_row_per_key_pair(monkeypatch, k):
     assert 0 < len(composed) <= keys[0] * keys[1]
     list(conjugacy_classes(P).powers)
     assert len(composed) == len(conjugacy_classes(P).rep_ids)
+    composed.clear()
+    is_cut_group(direct_product(a, b))
+    assert composed == []
+
+
+def _verdict_products() -> list:
+    """Builders of fresh products: the 50 sampled pairs, the nested ones and
+    the product of quotients."""
+    return [*(functools.partial(direct_product, a, b) for a, b in _sampled()),
+            *NESTED.values(), _quotient_of_product]
+
+
+def test_shared_verdicts_from_an_empty_table(monkeypatch):
+    for build in _verdict_products():
+        monkeypatch.setattr(rationality, "_product_verdicts", {})
+        _check_verdicts(build())
+
+
+def test_shared_verdicts_from_a_filled_table(monkeypatch):
+    """Every product, checked in reverse order after all of them have
+    filled the table, takes each verdict from it."""
+    table = {}
+    monkeypatch.setattr(rationality, "_product_verdicts", table)
+    builds = _verdict_products()
+    for build in builds:
+        is_cut_group(build())
+    filled = len(table)
+    for build in reversed(builds):
+        _check_verdicts(build())
+    assert len(table) == filled
+
+
+def test_one_verdict_per_distinct_verdict_pair(monkeypatch):
+    """From an empty table, `verify invariants` computes each product class
+    verdict once per distinct pair of factor verdicts: 957 verdicts in all,
+    where every product computing its own took 3,756."""
+    table = {}
+    monkeypatch.setattr(rationality, "_product_verdicts", table)
+    callers = Counter()
+
+    def counting(cid, row):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return _class_verdict(cid, row)
+    monkeypatch.setattr(rationality, "_class_verdict", counting)
+    assert all(ok for _, ok, _ in verify.suite_invariants(1, 200, 2000))
+    assert sum(callers.values()) == 957
+    assert callers["_product_report"] == len(table) == 252
+
+
+class _Unreadable(Mapping):
+    """A verdict table whose every read fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"verdict table read at {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("verdict table iterated")
+
+    def __len__(self):
+        raise AssertionError("verdict table sized")
+
+
+def test_product_predicate_reads_no_verdict_table(monkeypatch):
+    """``product_cut_predicate`` gives the same answers on the sampled pairs
+    with the verdict table unreadable, so it stays a check on the product
+    reports, not a reader of what they computed."""
+    pairs = _sampled()
+    want = [product_cut_predicate(a, b) for a, b in pairs]
+    monkeypatch.setattr(rationality, "_product_verdicts", _Unreadable())
+    assert [product_cut_predicate(a, b) for a, b in pairs] == want
 
 
 @settings(max_examples=60, deadline=None)
