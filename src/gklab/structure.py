@@ -652,9 +652,14 @@ def is_metacyclic(G: GroupHandle) -> bool:
     """Some cyclic normal N, the union of the classes in cs, has an element
     gN of order index = |G : N| in G/N; no quotient is built.  The order of
     gN is index iff g^index lies in N and g^(index/r) does not, for each
-    prime r dividing index: one row entry each."""
+    prime r dividing index: one row entry each.  A metacyclic group is
+    supersolvable (Huppert, *Endliche Gruppen I*), so a G that is not
+    supersolvable is refused without the search; ``class_predicates``
+    computes that memo anyway."""
     if is_cyclic(G):
         return True
+    if not is_supersolvable(G):
+        return False
     rows = tuple(conjugacy_classes(G).powers)  # iterated once per N below
     for _, nrow in _normal_cyclic_rows(G):
         cs = set(nrow)

@@ -6,6 +6,7 @@ property-based criteria 4-6 below.
 """
 
 import hashlib
+import os
 import time
 
 import pytest
@@ -110,6 +111,19 @@ def test_criterion_5_lemma_invariants(corpus_groups):
 def test_verify_invariants_pinned():
     assert _verify_sha256(suite_invariants(1, 60, 2000)) == \
         VERIFY_SHA256["invariants"]
+
+
+# ``gklab verify invariants --count 20000 --max-order 20000``, the deep tier:
+# 1,529 distinct groups, a few seconds, so it runs only when asked for
+DEEP_INVARIANTS_SHA256 = \
+    "cf8c37c5073c7c14302af192d7adc404e6fbbf5f5f86bbf03f486152f01aa765"
+
+
+@pytest.mark.skipif(os.environ.get("GKLAB_DEEP") != "1",
+                    reason="the deep invariants tier runs with GKLAB_DEEP=1")
+def test_deep_invariants_pinned():
+    assert _verify_sha256(suite_invariants(1, 20000, 20000)) == \
+        DEEP_INVARIANTS_SHA256
 
 
 def test_criterion_6_classifier_table():

@@ -15,7 +15,13 @@ oracle that scanned each cyclic subgroup once, gives the same verdicts on
 the corpus.  ``TestEarlyStop`` checks that the scan, which stops once the
 exponents it found generate all of U(|g|), reads the image of the whole
 orbit's scan (``_whole_orbit_scan``), and indexes part of that scan's
-index only when the image is full.
+index only when the image is full.  The oracle seeds its scan with |g| - 1
+and stops once the exponents and -1 generate U(|g|), which is all it asks:
+g is inverse semi-rational iff they do.  Seeded so, the scan's closure is
+the whole scan's image and its negatives, its verdict is the whole scan's,
+and it indexes part of that scan's index only when g passes.  Counting
+spies on ``elements.mul`` pin how few element products the oracle makes
+on fig3.k and on the sweep's C7^2 x| (Q8 x C3).
 """
 
 import functools
@@ -338,35 +344,71 @@ class TestEarlyStop:
     def test_image_and_index_match_the_whole_orbit_scan(self):
         """On every class representative of the distinct corpus and the
         catalog: the same image; the index is the whole scan's, or, when
-        the image is full, part of it."""
+        the image is full, part of it.  On each one the oracle scans
+        (phi(|g|) > 2), the scan seeded with |g| - 1 closes to the image
+        and its negatives and gives the whole scan's verdict; its index is
+        part of the whole scan's, and less only when g passes."""
         groups = list(catalog.distinct_corpus(1, 200, 2000).values())
         groups += [entry.build() for entry in catalog.catalog()]
-        stopped = 0
+        stopped = seeded_stops = 0
         for G in groups:
             gens = [(s, G.inv(s)) for s in G.generators]
             for rep in conjugacy_classes(G).representatives:
                 image, index = _whole_orbit_scan(G, rep)
                 assert scanned_iota_exponents(G, rep) == image, (G.label, rep)
-                exps, part = _scan_orbit(G, _powers(G, rep), gens)
+                first = _powers(G, rep)
+                n = len(first)
+                units = _units(n)
+                exps, part = _scan_orbit(G, first, gens)
                 assert exps == image and part.items() <= index.items()
                 if part != index:
-                    assert len(image) == len(_units(element_order(G, rep)))
+                    assert len(image) == len(units)
                     stopped += 1
-        assert stopped > 50
+                if n in (1, 2, 3, 4, 6):
+                    continue
+                closure, part = _scan_orbit(G, first, gens, (n - 1,))
+                assert closure == image | {n - k for k in image}
+                passes = len(closure) == len(units)
+                assert passes == _scan_passes(n, image), (G.label, rep)
+                assert part.items() <= index.items()
+                if part != index:
+                    assert passes, (G.label, rep)
+                    seeded_stops += 1
+        assert stopped > 50 and seeded_stops > 50, (stopped, seeded_stops)
 
     def test_oracle_on_fig3k_multiplies_little(self, monkeypatch):
-        """fig3.k = (C5^2 x| Q8) x S3 is rational, so every scan stops at a
-        full image, and conjugating by a generator multiplies only the
-        component it moves: the oracle makes 379 element products.  Whole
-        orbits, scanned with every component multiplied, take 5,928."""
-        real, calls = el.mul, []
+        """fig3.k = (C5^2 x| Q8) x S3 is rational, so every scan stops
+        early, and conjugating by a generator multiplies only the component
+        it moves: the oracle makes 327 element products.  Whole orbits,
+        scanned with every component multiplied, take 5,928."""
+        calls = _oracle_products(monkeypatch,
+                                 catalog.catalog_entry("fig3.k").build)
+        assert 0 < calls <= 1000
 
-        def counting(a, b):
-            calls.append(a[0])
-            return real(a, b)
-        monkeypatch.setattr(el, "mul", counting)
-        G = catalog.catalog_entry("fig3.k").build()  # built on the spy
-        conjugacy_classes(G).representatives
-        del calls[:]
-        assert cut_oracle_via_bg(G)
-        assert 0 < len(calls) <= 1000
+    def test_oracle_on_the_sweeps_c7_square_group_multiplies_little(
+            self, monkeypatch):
+        """C7^2 x| (Q8 x C3) is cut and not rational: an element of order
+        12 has the image {1, 7} in U(12), which generates U(12) only
+        together with -1.  The oracle's scan stops there: 107 element
+        products in all.  A scan that stops only at a full image walks
+        those orbits whole and takes 2,123."""
+        sweep = {name: build for name, _, build
+                 in catalog.frobenius_family_sweep()}
+        build = sweep["C7^2 x| (Q8 x C3)"]
+        assert 0 < _oracle_products(monkeypatch, build) <= 150
+
+
+def _oracle_products(monkeypatch, build) -> int:
+    """``elements.mul`` calls of ``cut_oracle_via_bg`` on build(), a cut
+    group built on the counting spy, its classes listed beforehand."""
+    real, calls = el.mul, []
+
+    def counting(a, b):
+        calls.append(a[0])
+        return real(a, b)
+    monkeypatch.setattr(el, "mul", counting)
+    G = build()
+    conjugacy_classes(G).representatives
+    del calls[:]
+    assert cut_oracle_via_bg(G)
+    return len(calls)

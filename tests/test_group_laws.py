@@ -33,6 +33,12 @@ Fitting series and the GK graph, not off the kernel test:
 
 They run on the distinct corpus, the catalog, the Frobenius family sweep and
 the Fitting quotients of each.
+
+A metacyclic group is supersolvable and metabelian (Huppert, *Endliche
+Gruppen I*).  Metacyclic is read from ``_ungated_metacyclic``, a copy of
+``is_metacyclic``'s search without its supersolvable gate, which the gated
+predicate must match.  That runs on the distinct corpus, the catalog and the
+sweep, and on the recipes.
 """
 
 import json
@@ -48,7 +54,9 @@ from gklab.cli import load_spec
 from gklab.groups import element_orders_multiset
 from gklab.frobenius import FROBENIUS, TWO_FROBENIUS, frobenius_kind
 from gklab.primegraph import components, gk_graph
-from gklab.structure import (conjugacy_classes, fitting_series,
+from gklab.structure import (_normal_cyclic_rows, conjugacy_classes,
+                             fitting_series, is_cyclic, is_metabelian,
+                             is_metacyclic, is_supersolvable,
                              minimal_normal_subgroups, sylow)
 from test_frames import FRAMES
 from test_idcore import BOUNDS, _bound
@@ -106,6 +114,7 @@ def test_recipes_obey_the_laws(bound, tmp_path, spec):
     with _bound(bound):
         for G in load_spec(str(path)).values():
             _check_group_laws(G)
+            _check_metacyclic_laws(G)
 
 
 def _primes(n):
@@ -136,3 +145,39 @@ def test_frobenius_groups_obey_their_laws():
     pool += [Q for G in pool for Q in fitting_series(G).quotients]
     kinds = Counter(_check_frobenius_laws(G) for G in pool)
     assert (kinds[FROBENIUS], kinds[TWO_FROBENIUS]) == (41, 5), kinds
+
+
+def _ungated_metacyclic(G) -> bool:
+    """``is_metacyclic`` without its supersolvable gate: some cyclic normal
+    N has an element gN of order |G : N| in G/N."""
+    if is_cyclic(G):
+        return True
+    rows = tuple(conjugacy_classes(G).powers)
+    for _, nrow in _normal_cyclic_rows(G):
+        cs = set(nrow)
+        index = G.order // len(nrow)
+        steps = [index // r for r in factorint(index)]
+        for row in rows:
+            n = len(row)
+            if row[index % n] in cs and all(row[k % n] not in cs
+                                            for k in steps):
+                return True
+    return False
+
+
+def _check_metacyclic_laws(G) -> bool:
+    """Metacyclic, read ungated, implies supersolvable and metabelian, and
+    the gated ``is_metacyclic`` agrees; returns metacyclic."""
+    metacyclic = _ungated_metacyclic(G)
+    assert is_metacyclic(G) == metacyclic, G.label
+    if metacyclic:
+        assert is_supersolvable(G) and is_metabelian(G), G.label
+    return metacyclic
+
+
+def test_metacyclic_groups_are_supersolvable_and_metabelian():
+    pool = [*catalog.distinct_corpus(1, 200, 2000).values(),
+            *(entry.build() for entry in catalog.catalog()),
+            *(build() for _, _, build in catalog.frobenius_family_sweep())]
+    verdicts = Counter(_check_metacyclic_laws(G) for G in pool)
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
