@@ -19,12 +19,13 @@ verdict:
   all of U(|g|).
 
 Both must agree on every group; the test corpus enforces this.  The scan
-oracle takes the class representatives only as a list of elements that meets
-every conjugacy class.  It never reads class membership, the power map, the
-id core or the conjugation tables; it conjugates with element products
-(``G.mult``, ``G.identity`` and ``G.inv`` of each generator), so a fault in
-the class partition or the tables cannot make the two oracles agree by
-accident.  Four lemmas let it scan less:
+oracle's one input is ``class_representatives(G)``, its own memo: a list
+of elements that meets every conjugacy class.  It never reads the class
+data (``conjugacy_classes``), so neither class membership nor the power
+map, nor the id core or the conjugation tables; it conjugates with element
+products (``G.mult``, ``G.identity`` and ``G.inv`` of each generator), so
+a fault in the class partition or the tables cannot make the two oracles
+agree by accident.  Four lemmas let it scan less:
 
 * if phi(|g|) <= 2, i.e. |g| in {1, 2, 3, 4, 6}, U(|g|) is {1, |g| - 1},
   which -1 alone generates, so g always passes and is not scanned;
@@ -86,7 +87,7 @@ from math import gcd, lcm
 
 from .elements import Element
 from .groups import GroupHandle, _LazyTuple, ids_of, memoised
-from .structure import conjugacy_classes
+from .structure import class_representatives, conjugacy_classes
 
 RATIONAL = "rational"
 INVERSE_SEMIRATIONAL = "inverse-semi-rational-only"
@@ -343,11 +344,12 @@ def cut_oracle_via_bg(G: GroupHandle) -> bool:
     why g^-1's class may be scanned once more): a representative among the
     generators of a passed orbit's points, or among the powers of a passed
     representative, is skipped, and each other one's powers are walked
-    once, for its order and its scan.
+    once, for its order and its scan.  The representatives are its one
+    input from the class data (``class_representatives``).
     """
     scanned: set[Element] = set()  # x^-1 g^k x and g^j for every passed g
     gens = [(s, G.inv(s)) for s in G.generators]
-    for rep in conjugacy_classes(G).representatives:
+    for rep in class_representatives(G):
         if rep in scanned:
             continue
         first = _powers(G, rep)

@@ -9,9 +9,10 @@ construction gives them, and O_p(G) and F(G) are read off the classes.  A
 handle's element set is derived on first read, and a Sylow subgroup's
 handle keeps the generators it was grown or composed from
 (``SubgroupHandle.gens``), so its view runs no second closure.
-Classes, Sylow subgroups, F(G), the Fitting series, quotients and the
-abelian, metabelian and supersolvable tests are cached through
-``groups.memoised``; O_p(G) and G' are not, as nothing reads them twice.
+Classes, their representatives, Sylow subgroups, F(G), the Fitting series,
+quotients and the abelian, metabelian and supersolvable tests are cached
+through ``groups.memoised``; O_p(G) and G' are not, as nothing reads them
+twice.
 Deliberate choices:
 
 * Sylow subgroups grow deterministically inside their normalizer, never by
@@ -23,9 +24,11 @@ Deliberate choices:
   p'-group, grows none: its Sylow p-subgroup is P_N x P_H, composed from
   its factors' by one call for both kinds of product
   (``_product_subgroup``).  P_N is N or 1 in N x| H, which H carries into
-  itself, and there the normality is read off the conjugation tables.  Any
-  other kernel grows.  A Sylow subgroup is not canonical, so the two ways
-  may give conjugate subgroups.
+  itself.  Any other kernel grows.  A Sylow subgroup is not canonical, so
+  the two ways may give conjugate subgroups.  No handle stores whether it
+  is normal: P is normal iff P = O_p(G), and |F(G)|_p = |O_p(G)| (Huppert,
+  *Endliche Gruppen I*, III.4), so ``is_nilpotent`` and the verify checks
+  read it off F(G).
 * Normal subgroup discovery goes through normal closures of single elements;
   the full subgroup lattice is never enumerated.  A normal closure grows a
   span by the conjugates of its generators, read from the conjugation
@@ -51,11 +54,11 @@ Deliberate choices:
   projection of G's ids onto G/F_(k-1), composed one quotient at a time
   (``_projection``), so F_k is the preimage of F(G/F_(k-1)): one read per
   id of G and no product, and all of G once |F_(k-1)| |F| = |G|.
-* Conjugacy classes and the normality tests of ``quotient`` and ``sylow``
-  run on integer ids and per-generator conjugation tables
-  (``groups.conjugation_tables``); ``quotient(G, N)`` may run before G's
-  classes exist, so its test stays on the tables.  Each class is the orbit
-  of its smallest id, which is its representative.
+* Conjugacy classes and the normality test of ``quotient`` run on integer
+  ids and per-generator conjugation tables (``groups.conjugation_tables``);
+  ``quotient(G, N)`` may run before G's classes exist, so its test stays on
+  the tables.  Each class is the orbit of its smallest id, which is its
+  representative.
 * O_p(G) and F(G) are read off the class partition, as a normal subgroup is
   a union of classes.  O_p(G) is the union of the classes that lie inside a
   Sylow p-subgroup P, since x lies in every conjugate of P exactly when its
@@ -67,10 +70,11 @@ Deliberate choices:
   each class, the power map, and the class of each id, all stored fields.
   A direct product composes each item from its factors' when it is read;
   any other group, a quotient included, lists them all from its own orbits
-  and power walks.  The one element view, the representatives,
-  is derived on first read through ``groups.elements_at``, which lists no
-  product's pairs; only the normalizer-scan cut oracle reads it.  A
-  subgroup's element set is read the same way.
+  and power walks.  The record holds ids only.  The representatives as
+  elements have their own memo (``class_representatives``), read through
+  ``groups.elements_at``, which lists no product's pairs; only the
+  normalizer-scan cut oracle reads it.  A subgroup's element set is read
+  the same way.
 * The class power map (``ConjugacyData.powers``, GAP's ``PowerMap``) is the
   one class-level primitive: row c lists the classes of rep_c^k for
   0 <= k < |rep_c|.  The classes are taken in order, and <rep_c> is walked
@@ -94,11 +98,10 @@ Deliberate choices:
   rationality report composes one row per pair of factor-class keys, and
   the class of each id too is composed only when it is read.  The Sylow
   p-subgroup and the Fitting subgroup are the id sets {i*|H| + j} of
-  P_G x P_H and F(G) x F(H), normal iff both factors' are
-  (``_product_subgroup``, which ``sylow`` calls for a semidirect product
-  too); it is abelian, metabelian or supersolvable iff both factors are
-  (``_both``).  Its quotient by N_G x N_H is
-  G/N_G x H/N_H, with the same elements in the same order
+  P_G x P_H and F(G) x F(H) (``_product_subgroup``, which ``sylow`` calls
+  for a semidirect product too); it is abelian, metabelian or
+  supersolvable iff both factors are (``_both``).  Its quotient by
+  N_G x N_H is G/N_G x H/N_H, with the same elements in the same order
   (``_factor_quotients``).  ``quotient`` is memoised under N, so the
   Fitting chain of G x H is built from its factors' own quotients, and a
   factor whose N_G is trivial is kept as it is.  A diagonal N takes the
@@ -119,18 +122,17 @@ Deliberate choices:
   Supersolvability passes to quotients and to extensions by a normal
   subgroup of prime order, so any normal subgroup of prime order decides
   it: the test descends through the first one, never backtracking.
-* ``centralizer`` and ``normalizer_of_cyclic`` scan elements and test
-  normality by element products.  Nothing in the library calls them; they
-  are kept as references for the tests, and because the benchmark's tracer
-  wraps them by name.
+* ``centralizer`` and ``normalizer_of_cyclic`` scan elements with element
+  products.  Nothing in the library calls them; they are kept as references
+  for the tests, and because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import add
@@ -140,8 +142,7 @@ from .groups import (GroupHandle, NotMember, Product, Quotient, Span,
                      _LazyTuple, _power_walk, _product_handle,
                      conjugation_tables, direct_factors, element_order,
                      element_orders_multiset, elements_at, generator_ids,
-                     id_mul, ids_of, memoised, small_generating_set,
-                     subgroup_view)
+                     id_mul, ids_of, memoised, subgroup_view)
 from .numtheory import factorint, isprime
 
 
@@ -161,8 +162,9 @@ class InvariantFailed(RuntimeError):
 class ConjugacyData:
     """Class data on element ids; class c is numbered by its least id.
 
-    The element view ``representatives`` is derived on first read.
-    Equality compares the classes' least ids, sizes and power map.
+    It holds ids only: the representatives as elements are read through
+    ``class_representatives``.  Equality compares the classes' least ids,
+    sizes and power map.
     """
     # rep_ids[c] is the least id in class c, and sizes[c] is |class c|;
     # powers[c][k] is the class id of rep_c^k, 0 <= k < |rep_c|; class_ids[i]
@@ -173,14 +175,6 @@ class ConjugacyData:
     sizes: Sequence[int]
     powers: Sequence[tuple[int, ...]]
     class_ids: Sequence[int] = field(compare=False, repr=False)
-    # ids -> the elements with those ids (``groups.elements_at``); called
-    # once, by ``representatives``, and lists no product's pairs
-    elements: Callable[[Sequence[int]], list[Element]] = field(
-        compare=False, repr=False)
-
-    @cached_property
-    def representatives(self) -> tuple[Element, ...]:
-        return tuple(self.elements(self.rep_ids))
 
 
 @dataclass(frozen=True)
@@ -189,12 +183,13 @@ class SubgroupHandle:
     known, are the ids in parent of the generators it was grown from
     (``sylow``, ``_product_subgroup``), and ``as_group`` builds its view on
     them with no closure.  They are not compared, hashed or printed, so a
-    memo keyed on the handle does not see them."""
+    memo keyed on the handle does not see them.  Normality is not stored:
+    ``_is_normal`` tests an id set, and a Sylow p-subgroup is normal iff
+    its order divides |F(G)| (``fitting``)."""
     parent: GroupHandle
     ids: frozenset[int]  # the members' ids in parent
-    normal: bool
     gens: tuple[int, ...] | None = field(default=None, compare=False,
-                                         repr=False)
+                                         repr=False, kw_only=True)
 
     @property
     def order(self) -> int:
@@ -244,8 +239,7 @@ def _product_classes(P: GroupHandle, dg: ConjugacyData,
         _LazyTuple(n, lambda c: dg.sizes[c // kh] * dh.sizes[c % kh]),
         _LazyTuple(n, row),
         _LazyTuple(P.order,
-                   lambda i: dg.class_ids[i // m] * kh + dh.class_ids[i % m]),
-        partial(elements_at, P))
+                   lambda i: dg.class_ids[i // m] * kh + dh.class_ids[i % m]))
 
 
 @memoised("conjugacy", product=_product_classes)
@@ -286,15 +280,22 @@ def conjugacy_classes(G: GroupHandle) -> ConjugacyData:
                 if powers[d] is None:
                     powers[d] = tuple(r[j * i % n]
                                       for i in range(n // gcd(j, n)))
-    return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers), cids,
-                         partial(elements_at, G))
+    return ConjugacyData(tuple(reps), tuple(sizes), tuple(powers), cids)
+
+
+@memoised("representatives")
+def class_representatives(G: GroupHandle) -> tuple[Element, ...]:
+    """The class representatives as elements, in class order, read through
+    ``groups.elements_at``, which lists no product's pairs; memoised.  Only
+    the normalizer-scan cut oracle reads them."""
+    return tuple(elements_at(G, conjugacy_classes(G).rep_ids))
 
 
 def centralizer(G: GroupHandle, g: Element) -> SubgroupHandle:
     if g not in G:
         raise NotMember(f"element not in {G.label}")
-    elems = frozenset(x for x in G.ordered if G.mult(x, g) == G.mult(g, x))
-    return _subgroup(G, elems)
+    elems = (x for x in G.ordered if G.mult(x, g) == G.mult(g, x))
+    return SubgroupHandle(G, frozenset(ids_of(G, elems)))
 
 
 def normalizer_of_cyclic(G: GroupHandle, g: Element) -> SubgroupHandle:
@@ -302,8 +303,8 @@ def normalizer_of_cyclic(G: GroupHandle, g: Element) -> SubgroupHandle:
     if g not in G:
         raise NotMember(f"element not in {G.label}")
     cyc = cyclic_subgroup_set(G, g)
-    elems = frozenset(x for x in G.ordered if G.conjugate(g, x) in cyc)
-    return _subgroup(G, elems)
+    elems = (x for x in G.ordered if G.conjugate(g, x) in cyc)
+    return SubgroupHandle(G, frozenset(ids_of(G, elems)))
 
 
 def cyclic_subgroup_set(G: GroupHandle, g: Element) -> frozenset:
@@ -313,13 +314,6 @@ def cyclic_subgroup_set(G: GroupHandle, g: Element) -> frozenset:
         out.add(h)
         h = G.mult(h, g)
     return frozenset(out)
-
-
-def _subgroup(G: GroupHandle, elems: frozenset) -> SubgroupHandle:
-    """Subgroup handle whose normality is tested by element products."""
-    gens = small_generating_set(G, elems) or [G.identity]
-    normal = all(G.conjugate(s, g) in elems for g in G.generators for s in gens)
-    return SubgroupHandle(G, frozenset(ids_of(G, elems)), normal)
 
 
 def _is_normal(G: GroupHandle, members) -> bool:
@@ -338,26 +332,23 @@ def _product_subgroup(G: GroupHandle, a: SubgroupHandle,
     """a x b in G = A x B, or in G = A x| B when b carries a into itself,
     for subgroups a of A and b of B: the ids of the pairs, generated by
     (x_i, 1) and (1, y_j), ids i*|B| and j, for the generators x_i of a and
-    y_j of b when both have them.  In a direct product it is normal iff a
-    and b are; in a semidirect one the tables decide (``_is_normal``).
-    ``sylow`` composes both kinds of product with it, and it is the product
-    rule of ``fitting``."""
+    y_j of b when both have them.  ``sylow`` composes both kinds of product
+    with it, and it is the product rule of ``fitting``."""
     o = G.origin
     m = o.right.order
     ids = frozenset([i * m + j for i in a.ids for j in b.ids])
     gens = None if a.gens is None or b.gens is None else tuple(
         i * m for i in a.gens) + b.gens
-    normal = a.normal and b.normal if o.act is None else _is_normal(G, ids)
-    return SubgroupHandle(G, ids, normal, gens)
+    return SubgroupHandle(G, ids, gens=gens)
 
 
 def _whole_or_trivial(G: GroupHandle, whole: bool) -> SubgroupHandle:
     """G itself, generated by its generators, or its trivial subgroup: the
     Sylow p-subgroup of a p-group or of a p'-group."""
     if whole:
-        return SubgroupHandle(G, frozenset(range(G.order)), True,
-                              tuple(generator_ids(G)))
-    return SubgroupHandle(G, frozenset({0}), True, ())
+        return SubgroupHandle(G, frozenset(range(G.order)),
+                              gens=tuple(generator_ids(G)))
+    return SubgroupHandle(G, frozenset({0}), gens=())
 
 
 @memoised("sylow")
@@ -367,8 +358,9 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
     P_N x P_H, for its factors' P_N = sylow(N, p) and P_H = sylow(H, p)
     (``_product_subgroup``), when H carries P_N into itself: always in
     N x H, and in N x| H when N is a p-group or a p'-group, so that P_N is
-    N or 1.  P_N P_H is then a subgroup of order |G|_p; in N x H it is
-    normal iff both factors' are.  Any other kernel grows."""
+    N or 1.  P_N P_H is then a subgroup of order |G|_p.  Any other kernel
+    grows.  No normality is tested: P is normal iff |P| divides |F(G)|, as
+    |F(G)|_p = |O_p(G)|."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     p_part = p ** factorint(G.order).get(p, 0)
@@ -402,8 +394,7 @@ def sylow(G: GroupHandle, p: int) -> SubgroupHandle:
                 f"no p-element of {G.label} normalizes a p-subgroup of order "
                 f"{len(members)} < {p_part}")
         P.add(x)
-    return SubgroupHandle(G, frozenset(members), _is_normal(G, members),
-                          tuple(gens))
+    return SubgroupHandle(G, frozenset(members), gens=tuple(gens))
 
 
 def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -415,7 +406,7 @@ def core_p(G: GroupHandle, p: int) -> SubgroupHandle:
     P, cids = sylow(G, p).ids, data.class_ids
     held = Counter(map(cids.__getitem__, P))
     return SubgroupHandle(G, frozenset(
-        [x for x in P if held[cids[x]] == data.sizes[cids[x]]]), True)
+        [x for x in P if held[cids[x]] == data.sizes[cids[x]]]))
 
 
 @memoised("fitting", product=_product_subgroup)
@@ -431,7 +422,7 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
                   for p, a in factorint(len(row)).items())
               for row in data.powers]
     return SubgroupHandle(G, frozenset(
-        [x for x, c in enumerate(data.class_ids) if inside[c]]), True)
+        [x for x, c in enumerate(data.class_ids) if inside[c]]))
 
 
 @memoised("fitting_series")
@@ -440,7 +431,7 @@ def fitting_series(G: GroupHandle) -> FittingData:
     G/F_k; memoised.  F_k is the preimage of F(G/F_(k-1)) under the
     projection of G's ids onto G/F_(k-1), composed one quotient at a time
     (``_projection``): a read per id of G, and no product."""
-    series = [SubgroupHandle(G, frozenset({0}), True)]
+    series = [SubgroupHandle(G, frozenset({0}))]
     quotients = []
     length: int | None = 0 if G.order == 1 else None
     above = current = G  # G/F_(k-2) and G/F_(k-1)
@@ -450,13 +441,13 @@ def fitting_series(G: GroupHandle) -> FittingData:
         if F.order == 1:
             break  # stalled below G: not solvable
         if len(series[-1].ids) * F.order == G.order:
-            series.append(SubgroupHandle(G, frozenset(range(G.order)), True))
+            series.append(SubgroupHandle(G, frozenset(range(G.order))))
             length = len(series) - 1
             break
         if current is not above:
             proj = list(map(_projection(above, current).__getitem__, proj))
         series.append(SubgroupHandle(G, frozenset(
-            compress(range(G.order), map(F.ids.__contains__, proj))), True))
+            compress(range(G.order), map(F.ids.__contains__, proj)))))
         above, current = current, quotient(current, F)
         quotients.append(current)
     return FittingData(tuple(series), length, tuple(quotients))
@@ -525,7 +516,7 @@ def _factor_quotients(G: GroupHandle, N: SubgroupHandle):
     if len(parts[0]) * len(parts[1]) != N.order:
         return None
     return tuple(F if len(ids) == 1 else
-                 quotient(F, SubgroupHandle(F, frozenset(ids), N.normal))
+                 quotient(F, SubgroupHandle(F, frozenset(ids)))
                  for F, ids in zip((o.left, o.right), parts))
 
 
@@ -553,7 +544,7 @@ def _pair_projection(o: Product, qa: GroupHandle,
 def normal_closure(G: GroupHandle, seed_elems) -> SubgroupHandle:
     """Smallest normal subgroup containing the seed elements."""
     K = _normal_span(G, set(ids_of(G, seed_elems)))
-    return SubgroupHandle(G, frozenset(K.elements), True)
+    return SubgroupHandle(G, frozenset(K.elements))
 
 
 def _normal_span(G: GroupHandle, seeds) -> Span:
@@ -572,8 +563,6 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     """All minimal normal subgroups of a solvable group."""
     if not is_solvable(G):
         raise NotSolvable("minimal normal subgroup search requires solvability")
-    if G.order == 1:
-        return []
     data = conjugacy_classes(G)
     F = fitting(G).ids  # a minimal normal subgroup is a p-group: inside F
     # the distinct normal closures of the classes of prime order inside F
@@ -583,7 +572,7 @@ def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
     minimal: list[SubgroupHandle] = []
     for ids in sorted(closures, key=len):
         if not any(m.ids <= ids for m in minimal):
-            minimal.append(SubgroupHandle(G, ids, True))
+            minimal.append(SubgroupHandle(G, ids))
     return minimal
 
 
@@ -591,7 +580,7 @@ def derived_subgroup(G: GroupHandle) -> SubgroupHandle:
     """G', the normal closure of the generators' commutators.  Not
     memoised: its one library caller, ``frobenius.fingerprint``, is."""
     K = _normal_span(G, _commutators(G))
-    return SubgroupHandle(G, frozenset(K.elements), True)
+    return SubgroupHandle(G, frozenset(K.elements))
 
 
 def _commutators(G: GroupHandle) -> list[int]:
@@ -608,7 +597,9 @@ def is_solvable(G: GroupHandle) -> bool:
 
 
 def is_nilpotent(G: GroupHandle) -> bool:
-    return all(sylow(G, p).normal for p in factorint(G.order))
+    """F(G) = G: G is then the product of its O_p(G), so every Sylow
+    subgroup is normal."""
+    return fitting(G).order == G.order
 
 
 def _both(G: GroupHandle, a: bool, b: bool) -> bool:
@@ -697,7 +688,7 @@ def is_supersolvable(G: GroupHandle) -> bool:
     for rep, row in _normal_cyclic_rows(G):
         if isprime(len(row)):
             walk = _power_walk(id_mul(G), rep)
-            N = SubgroupHandle(G, frozenset(walk), True)
+            N = SubgroupHandle(G, frozenset(walk))
             return N.order == G.order or is_supersolvable(quotient(G, N))
     return False
 

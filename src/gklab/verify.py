@@ -32,8 +32,8 @@ from .primegraph import (CLASSES, FIGURE_GRAPHS, FIGURE_VERDICTS, FORBIDDEN,
                          parse_graph_literal, product_graph)
 from .rationality import (cut_oracle_via_bg, is_cut_group, is_rational_group,
                           product_cut_predicate)
-from .structure import (class_predicates, exponent, fitting_series,
-                        is_abelian, is_cyclic, is_solvable,
+from .structure import (class_predicates, exponent, fitting,
+                        fitting_series, is_abelian, is_cyclic, is_solvable,
                         minimal_normal_subgroups, quotient, sylow)
 
 Row = tuple[str, bool, str]
@@ -163,14 +163,16 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
         if classify(graph, SOLVABLE_RATIONAL).status == FORBIDDEN:
             bad.append("realized graph classified forbidden (rational)")
     if cut:
-        bad += _cut_sylow_invariants(G, graph)
+        bad += _cut_sylow_invariants(G)
     if solvable:
         bad += _quotient_closure(G, cut, rational)
     bad += _predicate_chain(G)
     return bad
 
 
-def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
+def _cut_sylow_invariants(G: GroupHandle) -> list[str]:
+    """The Sylow subgroup facts a cut group satisfies.  Sylow p is normal
+    iff its order divides |F(G)|, since |F(G)|_p = |O_p(G)|."""
     bad = []
     # a fingerprint holds the order, so only a Sylow subgroup of order 8 is
     # fingerprinted to be compared with Q8's
@@ -178,6 +180,7 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
     orders = set(element_orders_multiset(G))
     primes = sorted(factorint(G.order))
     syl = {p: sylow(G, p) for p in primes}
+    fit = fitting(G).order
     groups = {p: syl[p].as_group() for p in primes}
     for p in primes:
         Sp = groups[p]
@@ -186,7 +189,7 @@ def _cut_sylow_invariants(G: GroupHandle, graph) -> list[str]:
             if e != 1 and e != p and 4 % e:
                 bad.append(f"abelian Sylow {p} exponent {e}")
         for q in primes:
-            if q == p or not syl[p].normal or p * q in orders:
+            if q == p or fit % syl[p].order or p * q in orders:
                 continue
             Sq = groups[q]
             small_cyclic = is_cyclic(Sq) and (4 % Sq.order == 0 or Sq.order == q)

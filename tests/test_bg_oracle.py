@@ -36,8 +36,9 @@ from gklab.groups import (direct_product, element_order, enumerate_group,
 from gklab.rationality import (NEITHER, _powers, _scan_orbit,
                                cut_oracle_via_bg, element_verdict,
                                is_cut_group, scanned_iota_exponents)
-from gklab.structure import (conjugacy_classes, core_p, cyclic_subgroup_set,
-                             minimal_normal_subgroups, quotient)
+from gklab.structure import (class_representatives, conjugacy_classes, core_p,
+                             cyclic_subgroup_set, minimal_normal_subgroups,
+                             quotient)
 
 
 def _units(n):
@@ -70,7 +71,7 @@ def _reference_passes(G, g):
 
 
 def _reference_oracle(G):
-    for rep in conjugacy_classes(G).representatives:
+    for rep in class_representatives(G):
         n = element_order(G, rep)
         if n > 2 and not _scan_passes(n, _reference_scan(G, rep)):
             return False
@@ -81,7 +82,7 @@ def _parent_oracle(G):
     """The oracle as it was before it skipped conjugates: one scan per
     cyclic subgroup <rep> with phi(|rep|) > 2."""
     seen = set()
-    for rep in conjugacy_classes(G).representatives:
+    for rep in class_representatives(G):
         cyc = cyclic_subgroup_set(G, rep)
         n = len(cyc)
         if n in (1, 2, 3, 4, 6) or cyc in seen:
@@ -203,7 +204,7 @@ class TestAgainstFullScan:
     def test_scanned_exponents_match(self):
         for G in (catalog.c7_c6(), catalog.sl2_3(), _c5_c4(),
                   NON_CUT_BUILDERS["C5^2 x| C4 (2, 3)"]()):
-            for rep in conjugacy_classes(G).representatives:
+            for rep in class_representatives(G):
                 assert scanned_iota_exponents(G, rep) == _reference_scan(G, rep)
 
 
@@ -212,7 +213,7 @@ class TestPruningLemmas:
                                       "C5^2 x| C4 (2, 3)"])
     def test_generators_of_one_cyclic_subgroup_share_exponents(self, name):
         G = {**SMALL_BUILDERS, **NON_CUT_BUILDERS}[name]()
-        for rep in conjugacy_classes(G).representatives:
+        for rep in class_representatives(G):
             n = element_order(G, rep)
             exps = scanned_iota_exponents(G, rep)
             for k in _units(n):
@@ -224,7 +225,7 @@ class TestPruningLemmas:
             [b() for b in NON_CUT_BUILDERS.values()]
         seen = 0
         for G in groups:
-            for rep in conjugacy_classes(G).representatives:
+            for rep in class_representatives(G):
                 n = element_order(G, rep)
                 if n in (3, 4, 6):
                     seen += 1
@@ -240,7 +241,7 @@ class TestPruningLemmas:
         G = {**ORBIT_BUILDERS, **NON_CUT_BUILDERS}[name]()
         xs = list(G.generators) + [G.inv(s) for s in G.generators] + \
             G.ordered[::max(1, G.order // 4)]
-        for rep in conjugacy_classes(G).representatives:
+        for rep in class_representatives(G):
             n = element_order(G, rep)
             exps = scanned_iota_exponents(G, rep)
             units = _units(n)
@@ -258,7 +259,7 @@ class TestPruningLemmas:
         seen = 0
         for G in corpus_groups:
             passes = functools.cache(functools.partial(_reference_passes, G))
-            for rep in conjugacy_classes(G).representatives:
+            for rep in class_representatives(G):
                 n = element_order(G, rep)
                 ds = [d for d in range(2, n // 2) if n % d == 0]  # |g^d| > 2
                 if not ds or not passes(rep):
@@ -286,7 +287,7 @@ class TestOrbitStabiliser:
     @pytest.mark.parametrize("name", sorted(ORBIT_BUILDERS))
     def test_every_representative_matches_reference(self, name):
         G = ORBIT_BUILDERS[name]()
-        reps = conjugacy_classes(G).representatives
+        reps = class_representatives(G)
         assert G.identity in reps
         for rep in reps:
             assert scanned_iota_exponents(G, rep) == _reference_scan(G, rep)
@@ -353,7 +354,7 @@ class TestEarlyStop:
         stopped = seeded_stops = 0
         for G in groups:
             gens = [(s, G.inv(s)) for s in G.generators]
-            for rep in conjugacy_classes(G).representatives:
+            for rep in class_representatives(G):
                 image, index = _whole_orbit_scan(G, rep)
                 assert scanned_iota_exponents(G, rep) == image, (G.label, rep)
                 first = _powers(G, rep)
@@ -408,7 +409,7 @@ def _oracle_products(monkeypatch, build) -> int:
         return real(a, b)
     monkeypatch.setattr(el, "mul", counting)
     G = build()
-    conjugacy_classes(G).representatives
+    class_representatives(G)
     del calls[:]
     assert cut_oracle_via_bg(G)
     return len(calls)

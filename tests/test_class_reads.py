@@ -23,11 +23,11 @@ from gklab import catalog
 from gklab.frobenius import _kernel_reason, fingerprint
 from gklab.groups import Span, conjugation_tables, element_ids, id_mul
 from gklab.structure import (SubgroupHandle, _is_normal, _normal_cyclic_rows,
-                             _normal_span, _power_walk, conjugacy_classes,
-                             core_p, derived_subgroup, fitting, fitting_series,
-                             is_cyclic, is_metacyclic, is_solvable,
-                             is_supersolvable, minimal_normal_subgroups,
-                             quotient, sylow)
+                             _normal_span, _power_walk, class_representatives,
+                             conjugacy_classes, core_p, derived_subgroup,
+                             fitting, fitting_series, is_cyclic, is_metacyclic,
+                             is_solvable, is_supersolvable,
+                             minimal_normal_subgroups, quotient, sylow)
 from test_idcore import BOUNDS, _bound, _Poison
 
 
@@ -37,7 +37,7 @@ def _reference_kernel_condition(G, ks):
     ids, mul = element_ids(G), id_mul(G)
     nontrivial = ks - {ids[G.identity]}
     outside = [r for r in map(ids.__getitem__,
-                              conjugacy_classes(G).representatives)
+                              class_representatives(G))
                if r not in ks]
     return all(mul(r, n) != mul(n, r) for r in outside for n in nontrivial)
 
@@ -87,7 +87,7 @@ def _reference_cyclic_normal_subgroups(G, prime_order_only=False):
     data = conjugacy_classes(G)
     ids, mul = element_ids(G), id_mul(G)
     seen = set()
-    for rep, row in zip(data.representatives, data.powers):
+    for rep, row in zip(class_representatives(G), data.powers):
         n = len(row)
         if n == 1 or prime_order_only and not isprime(n):
             continue
@@ -96,7 +96,7 @@ def _reference_cyclic_normal_subgroups(G, prime_order_only=False):
             continue
         seen.add(cyc)
         if _is_normal(G, cyc):
-            yield SubgroupHandle(G, cyc, True)
+            yield SubgroupHandle(G, cyc)
 
 
 def _reference_supersolvable(G):
@@ -163,7 +163,7 @@ def test_complement_matches_search(frobenius_candidates):
         assert want is not None, G.label
         assert len(want) == m and len(want & F.ids) == 1, G.label
         assert (fingerprint(quotient(G, F))
-                == fingerprint(SubgroupHandle(G, want, False).as_group()))
+                == fingerprint(SubgroupHandle(G, want).as_group()))
         parities.add(m % 2)
     assert parities == {0, 1}
 
@@ -206,7 +206,7 @@ def _reference_core(G, p):
             if Kg != K:
                 K &= Kg
                 changed = True
-    return SubgroupHandle(G, frozenset(K), True)
+    return SubgroupHandle(G, frozenset(K))
 
 
 def _reference_fitting(G):
@@ -215,7 +215,7 @@ def _reference_fitting(G):
     for p in sorted(factorint(G.order)):
         for x in _reference_core(G, p).ids:
             F.add(x)
-    return SubgroupHandle(G, frozenset(F.elements), True)
+    return SubgroupHandle(G, frozenset(F.elements))
 
 
 def _reference_minimal_normal_subgroups(G):
@@ -227,7 +227,7 @@ def _reference_minimal_normal_subgroups(G):
         if not isprime(len(row)):
             continue
         ids = frozenset(_normal_span(G, [rep]).elements)
-        closures.setdefault(ids, SubgroupHandle(G, ids, True))
+        closures.setdefault(ids, SubgroupHandle(G, ids))
     minimal = []
     for cl in sorted(closures.values(), key=lambda N: N.order):
         if not any(m.ids <= cl.ids for m in minimal):

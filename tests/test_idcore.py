@@ -31,9 +31,10 @@ from gklab.groups import (GroupHandle, Product, _power_walk, closure_in,
 from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                ElementVerdict, cut_oracle_via_bg,
                                element_verdict, is_cut_group)
-from gklab.structure import (ConjugacyData, conjugacy_classes, core_p,
-                             derived_subgroup, fitting, fitting_series,
-                             is_metabelian, normal_closure, quotient, sylow)
+from gklab.structure import (class_representatives, conjugacy_classes,
+                             core_p, derived_subgroup, fitting,
+                             fitting_series, is_metabelian, normal_closure,
+                             quotient, sylow)
 
 BOUNDS = {"table": groups.TABLE_BOUND, "no-table": 0}
 
@@ -669,8 +670,8 @@ class TestClassPowerMap:
             G = recipe[1]()
             data = conjugacy_classes(G)
             index = dict(zip(G.ordered, data.class_ids))  # element -> class
-            assert len(data.powers) == len(data.representatives)
-            for rep, row in zip(data.representatives, data.powers):
+            assert len(data.powers) == len(class_representatives(G))
+            for rep, row in zip(class_representatives(G), data.powers):
                 walked = [index[G.identity]]
                 h = rep
                 while h != G.identity:
@@ -726,9 +727,9 @@ def _c5sq_c4():
       for label in sorted(catalog.distinct_corpus(1, 20, 300))[:6]],
 ], ids=lambda b: getattr(b, "__name__", "group"))
 def test_oracle_reads_no_id_core(build):
-    """With every id memo and the construction record poisoned, and every
-    field and view of the class data but the representatives, the oracle
-    still gives its verdict.
+    """With the whole class data memo, every id memo and the construction
+    record poisoned, the oracle still gives its verdict from the class
+    representatives alone.
 
     Each call of build makes fresh groups, factors included, so no poison
     reaches another case.
@@ -736,11 +737,10 @@ def test_oracle_reads_no_id_core(build):
     expected = is_cut_group(build())
     G = build()
     # the representatives, read here beforehand, are the oracle's one input
-    data = ConjugacyData(rep_ids=_Poison(), sizes=_Poison(), powers=_Poison(),
-                         class_ids=_Poison(), elements=_Poison())
-    vars(data).update(representatives=conjugacy_classes(G).representatives)
-    G._memo["conjugacy"] = data
-    for key in ID_CORE_KEYS:
+    reps = class_representatives(G)
+    G._memo.clear()
+    G._memo["representatives"] = reps
+    for key in ("conjugacy", *ID_CORE_KEYS):
         G._memo[key] = _Poison()
     object.__setattr__(G, "origin", _Poison())
     assert cut_oracle_via_bg(G) == expected

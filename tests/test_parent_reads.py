@@ -26,11 +26,10 @@ from gklab.groups import (Product, Quotient, View, conjugation_tables,
                           element_orders_multiset, elements_at,
                           generator_ids, id_mul,
                           semidirect_product, subgroup_view)
-from gklab.primegraph import gk_graph
-from gklab.structure import (SubgroupHandle, conjugacy_classes,
-                             derived_subgroup, fitting, fitting_series,
-                             minimal_normal_subgroups, normal_closure,
-                             quotient, sylow)
+from gklab.structure import (SubgroupHandle, class_representatives,
+                             conjugacy_classes, derived_subgroup, fitting,
+                             fitting_series, minimal_normal_subgroups,
+                             normal_closure, quotient, sylow)
 from test_idcore import BOUNDS, _bound, _Poison, _reference_closure
 from test_pair_arithmetic import (_c7_by_c3_x_c2, _direct_by_direct,
                                   _matrix_semidirect_of_direct)
@@ -111,7 +110,7 @@ def _complement(G):
              if size == len(ks) and rep not in ks)
     mul = id_mul(G)
     ids = frozenset(x for x in range(G.order) if mul(x, t) == mul(t, x))
-    return SubgroupHandle(G, ids, False)
+    return SubgroupHandle(G, ids)
 
 
 class TestViews:
@@ -190,7 +189,7 @@ class TestViews:
         monkeypatch.setattr(groups, "_span_of", counting)
         monkeypatch.setattr(groups.GroupHandle, "__init__", recording)
         for G in catalog.distinct_corpus(1, 40, 2000).values():
-            verify._cut_sylow_invariants(G, gk_graph(G))
+            verify._cut_sylow_invariants(G)
         views = [V for V in built if isinstance(V.origin, View)]
         assert views and spans == []
         assert {V.order for V in views if "conjugacy" in V._memo} == {8}
@@ -247,7 +246,7 @@ def _semidirect_cases():
         G = build()
         n, m = G.origin.left.order, G.origin.right.order
         closures = {normal_closure(G, [x]).ids
-                    for x in conjugacy_classes(G).representatives}
+                    for x in class_representatives(G)}
         for ids in sorted(closures, key=sorted):
             a, b = {i // m for i in ids}, {i % m for i in ids}
             kind = ("diagonal" if len(a) * len(b) != len(ids) else
@@ -268,7 +267,7 @@ class TestSemidirectQuotients:
             for build, ids, kind in _semidirect_cases():
                 G = build()
                 to_q, rep_ids = _coset_walk(G, ids)
-                Q = quotient(G, SubgroupHandle(G, ids, True))
+                Q = quotient(G, SubgroupHandle(G, ids))
                 assert Q.origin.to_q == to_q and Q.origin.rep_ids == rep_ids
                 reps = elements_at(G, rep_ids)
                 assert Q.ordered == reps
@@ -289,7 +288,7 @@ class TestSemidirectQuotients:
                 want = _coset_walk(build(), ids)
                 G = build()
                 G._memo["id_mul"] = _Poison()
-                Q = quotient(G, SubgroupHandle(G, ids, True))
+                Q = quotient(G, SubgroupHandle(G, ids))
                 assert (Q.origin.to_q, Q.origin.rep_ids) == want, kind
 
 
@@ -316,7 +315,7 @@ def test_quotient_by_the_whole_factor_walks_no_coset(bound):
             to_q, rep_ids = _coset_walk(G, ids)
             conjugation_tables(G)
             F._memo["id_mul"] = F._memo["conj_tables"] = _Poison()
-            Q = quotient(G, SubgroupHandle(G, frozenset(ids), True))
+            Q = quotient(G, SubgroupHandle(G, frozenset(ids)))
             reps = elements_at(G, rep_ids)
             assert (Q.origin.to_q, Q.origin.rep_ids) == (to_q, rep_ids)
             assert Q.ordered == reps, G.label

@@ -44,8 +44,9 @@ from gklab.primegraph import gk_graph
 from gklab.rationality import (_class_verdict, is_cut_group,
                                product_cut_predicate, rationality_report)
 from gklab.numtheory import factorint
-from gklab.structure import (conjugacy_classes, core_p, exponent,
-                             is_cyclic, is_nilpotent, quotient, sylow)
+from gklab.structure import (class_representatives, conjugacy_classes, core_p,
+                             exponent, is_cyclic, is_nilpotent, quotient,
+                             sylow)
 from gklab.verify import _check_group_invariants, _sampled_pairs
 
 
@@ -87,7 +88,7 @@ def _check_against_reference(P: GroupHandle) -> None:
     assert data.powers == ref.powers
     assert list(data.class_ids) == list(ref.class_ids)
     # the element view, derived from the id fields
-    assert data.representatives == ref.representatives
+    assert class_representatives(P) == class_representatives(R)
     assert _walks(P) == _walks(R)
 
 
@@ -157,7 +158,7 @@ def _built_views(P: GroupHandle) -> list[str]:
     for F in direct_factors(P) or ():
         if direct_factors(F):
             out += _built_views(F)
-    if "representatives" in vars(P._memo["conjugacy"]):
+    if "representatives" in P._memo:
         out.append(f"{P.label}.representatives")
     return out
 
@@ -210,9 +211,8 @@ def test_reads_build_no_element_view(build):
     assert _listed_products(P) == []
     assert _built_views(P) == []
     # the view is still there for a reader that asks
-    data = conjugacy_classes(P)
-    assert data.representatives == tuple(map(P.ordered.__getitem__,
-                                             data.rep_ids))
+    assert class_representatives(P) == tuple(map(
+        P.ordered.__getitem__, conjugacy_classes(P).rep_ids))
 
 
 @functools.cache

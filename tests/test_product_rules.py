@@ -152,5 +152,5 @@ def test_sylow_matches_the_memoised_rule(bound, tmp_path):
         for G in _products(tmp_path):
             for p in sorted(factorint(G.order)):
                 got, want = sylow(G, p), _reference_sylow(G, p)
-                assert (got.ids, got.normal, got.gens) == \
-                    (want.ids, want.normal, want.gens), (G.label, p, bound)
+                assert (got.ids, got.gens) == (want.ids, want.gens), \
+                    (G.label, p, bound)

@@ -57,11 +57,11 @@ from gklab.groups import (GroupHandle, NotMember, Product, Quotient,
                           semidirect_product)
 from gklab.rationality import rationality_report
 from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
-                             conjugacy_classes, core_p, derived_subgroup,
-                             fitting, fitting_series, is_abelian,
-                             is_metabelian, is_nilpotent, is_solvable,
-                             is_supersolvable, minimal_normal_subgroups,
-                             quotient, sylow)
+                             class_representatives, conjugacy_classes, core_p,
+                             derived_subgroup, fitting, fitting_series,
+                             is_abelian, is_metabelian, is_nilpotent,
+                             is_solvable, is_supersolvable,
+                             minimal_normal_subgroups, quotient, sylow)
 from test_cli import chain_spec, wide_spec
 from test_product_classes import CATALOG_PRODUCTS, NESTED
 
@@ -90,12 +90,14 @@ def _check_sylow(G, R) -> None:
     """G's Sylow subgroups against the reference R's multiplication and
     tables; their ids are not compared, as a Sylow subgroup is not
     canonical."""
-    mul = id_mul(R)
+    mul, fg, fr = id_mul(R), fitting(G).order, fitting(R).order
     for p in sorted(factorint(G.order)):
         got, want = sylow(G, p), sylow(R, p)
-        assert (got.order, got.normal) == (want.order, want.normal), p
+        # a Sylow subgroup is normal iff its order divides |F|
+        normal = fg % got.order == 0
+        assert (got.order, normal) == (want.order, fr % want.order == 0), p
         assert all(mul(a, b) in got.ids for a in got.ids for b in got.ids), p
-        assert got.normal == _is_normal(R, got.ids), p
+        assert normal == _is_normal(R, got.ids), p
     assert is_nilpotent(G) == is_nilpotent(R)
 
 
@@ -137,13 +139,13 @@ def _check_quotients(G, R) -> None:
 def _check_quotient(got, R, N) -> None:
     """got = G/N against R/N on the reference R: the same elements,
     generator cosets, identity, class data and multiplication."""
-    want = quotient(R, SubgroupHandle(R, N.ids, True))
+    want = quotient(R, SubgroupHandle(R, N.ids))
     assert got.ordered == want.ordered, N.order
     assert got.generators == want.generators, N.order
     assert got.identity == want.identity, N.order
     dg, dw = conjugacy_classes(got), conjugacy_classes(want)
     assert dg == dw and list(dg.class_ids) == list(dw.class_ids)
-    assert dg.representatives == dw.representatives
+    assert class_representatives(got) == class_representatives(want)
     assert all(got.mult(x, g) == want.mult(x, g)
                and got.inv(x) == want.inv(x)
                for g in got.generators for x in got.ordered), N.order
@@ -367,10 +369,10 @@ def test_diagonal_minimal_normal_subgroup():
 
 def _normals(F) -> list:
     """Normal subgroups of F, distinct by ids: 1, each O_p, F(F), F' and F."""
-    subs = [SubgroupHandle(F, frozenset({0}), True),
+    subs = [SubgroupHandle(F, frozenset({0})),
             *(core_p(F, p) for p in sorted(factorint(F.order))),
             fitting(F), derived_subgroup(F),
-            SubgroupHandle(F, frozenset(range(F.order)), True)]
+            SubgroupHandle(F, frozenset(range(F.order)))]
     return list({N.ids: N for N in subs}.values())
 
 
@@ -392,7 +394,7 @@ def test_quotient_by_product_of_normal_subgroups(build):
     for a in _normals(A):
         for b in _normals(B):
             N = SubgroupHandle(
-                G, frozenset(i * m + j for i in a.ids for j in b.ids), True)
+                G, frozenset(i * m + j for i in a.ids for j in b.ids))
             Q = quotient(G, N)
             assert direct_factors(Q) is not None, (a.order, b.order)
             assert Q.label == f"{G.label}/N{N.order}"
@@ -424,7 +426,7 @@ def test_product_quotient_lists_no_pair(monkeypatch):
             Q.inv(x)
             for g in Q.generators:
                 Q.mult(x, g)
-        conjugacy_classes(Q).representatives
+        class_representatives(Q)
         rationality_report(Q)
         is_abelian(Q)
     assert listed == []
@@ -473,7 +475,7 @@ def test_product_quotient_checks_normality():
     P = direct_product(S3, C2)
     t = next(i for i, x in enumerate(S3.ordered)
              if i != 0 and S3.mult(x, x) == S3.identity)
-    N = SubgroupHandle(P, frozenset({0, t * 2}), False)
+    N = SubgroupHandle(P, frozenset({0, t * 2}))
     with pytest.raises(NotNormal, match="not normal"):
         quotient(P, N)
     with pytest.raises(NotNormal, match="does not live in this group"):

@@ -10,12 +10,12 @@ from gklab.rationality import (INVERSE_SEMIRATIONAL, NEITHER, RATIONAL,
                                is_cut_group, is_rational_group,
                                product_cut_predicate, rationality_report,
                                scanned_iota_exponents)
-from gklab.structure import (centralizer, conjugacy_classes,
-                             normalizer_of_cyclic)
+from gklab.structure import (centralizer, class_representatives,
+                             conjugacy_classes, normalizer_of_cyclic)
 
 
 def order_rep(G, n):
-    for rep in conjugacy_classes(G).representatives:
+    for rep in class_representatives(G):
         if element_order(G, rep) == n:
             return rep
     raise AssertionError(f"no element of order {n}")
@@ -61,10 +61,10 @@ class TestElementVerdicts:
         assert element_verdict(c5, g).verdict == NEITHER
 
     def test_verdict_constant_on_class(self, s4):
-        data = conjugacy_classes(s4)
+        data, reps = conjugacy_classes(s4), class_representatives(s4)
         for x, c in zip(s4.ordered, data.class_ids):
             assert (element_verdict(s4, x).verdict
-                    == element_verdict(s4, data.representatives[c]).verdict)
+                    == element_verdict(s4, reps[c]).verdict)
 
     def test_bg_divides_phi(self, c7c6):
         from sympy import totient
@@ -227,7 +227,7 @@ class TestPrimePowerCriterion:
                                       and e.order <= 1200])
     def test_every_class_of_figure_3(self, name):
         G = catalog.catalog_entry(name).build()
-        reps = [rep for rep in conjugacy_classes(G).representatives
+        reps = [rep for rep in class_representatives(G)
                 if _odd_prime_shape(element_order(G, rep))]
         for rep in reps:
             assert prime_power_criterion_check(G, rep)

@@ -15,13 +15,14 @@ from gklab.primegraph import gk_graph, product_graph
 from gklab.rationality import (_class_verdict, is_cut_group,
                                product_cut_predicate, rationality_report)
 from gklab.structure import (NotNormal, NotSolvable, SubgroupHandle,
-                             centralizer, class_predicates,
-                             conjugacy_classes, core_p, derived_subgroup,
-                             exponent, fitting, fitting_series, is_abelian,
-                             is_cyclic, is_metabelian, is_metacyclic,
-                             is_nilpotent, is_p_element, is_solvable,
-                             is_supersolvable, minimal_normal_subgroups,
-                             normalizer_of_cyclic, quotient, sylow)
+                             _is_normal, centralizer, class_predicates,
+                             class_representatives, conjugacy_classes, core_p,
+                             derived_subgroup, exponent, fitting,
+                             fitting_series, is_abelian, is_cyclic,
+                             is_metabelian, is_metacyclic, is_nilpotent,
+                             is_p_element, is_solvable, is_supersolvable,
+                             minimal_normal_subgroups, normalizer_of_cyclic,
+                             quotient, sylow)
 from test_idcore import BOUNDS, _bound
 from test_product_classes import _eager_powers
 
@@ -39,11 +40,10 @@ class TestConjugacy:
         assert list(conjugacy_classes(G).class_ids) == [0]
 
     def test_classes_partition_and_share_orders(self, s4):
-        data = conjugacy_classes(s4)
+        data, reps = conjugacy_classes(s4), class_representatives(s4)
         assert len(data.class_ids) == 24
         for x, c in zip(s4.ordered, data.class_ids):
-            assert element_order(s4, x) == \
-                element_order(s4, data.representatives[c])
+            assert element_order(s4, x) == element_order(s4, reps[c])
         sizes = Counter(data.class_ids)
         assert list(sizes.values()) == list(data.sizes)
         assert all(24 % n == 0 for n in sizes.values())
@@ -79,7 +79,7 @@ class TestSylowAndCores:
     def test_core2_s4_is_klein(self, s4):
         K = core_p(s4, 2)
         assert K.order == 4
-        assert K.normal
+        assert _is_normal(s4, K.ids)
 
     def test_core3_s3(self, s3):
         assert core_p(s3, 3).order == 3
@@ -164,9 +164,34 @@ class TestSylowDifferential:
                         elems, normal = _reference_sylow(G, p)
                         got = sylow(G, p)
                         assert got.elements == elems, (bound, label, p)
-                        assert got.normal == normal, (bound, label, p)
+                        # normal iff |P| divides |F(G)|
+                        assert (fitting(G).order % got.order == 0) == normal, \
+                            (bound, label, p)
                         checked += 1
                 assert checked > 120, checked
+
+
+def _reference_nilpotent(G):
+    """``is_nilpotent`` as it was: every Sylow subgroup carried into itself
+    by the conjugation tables."""
+    return all(_is_normal(G, sylow(G, p).ids) for p in factorint(G.order))
+
+
+def test_nilpotent_matches_sylow_normality():
+    """F(G) = G against every Sylow subgroup normal, on the corpus, the
+    small catalog groups, quotients, subgroup views, the catalog entries up
+    to order 1200 and the whole Frobenius family sweep, all built fresh."""
+    inputs = _sylow_inputs()
+    inputs += [(e.name, e.build()) for e in catalog.catalog()
+               if e.order <= 1200]
+    inputs += [(name, build()) for name, _, build
+               in catalog.frobenius_family_sweep()]
+    verdicts = set()
+    for label, G in inputs:
+        want = _reference_nilpotent(G)
+        assert is_nilpotent(G) == want, label
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +300,7 @@ class TestFitting:
 
     def test_fitting_is_nilpotent_normal(self, s4):
         F = fitting(s4)
-        assert F.normal
+        assert _is_normal(s4, F.ids)
         assert is_nilpotent(F.as_group())
 
     @pytest.mark.parametrize("build", [
@@ -300,10 +325,9 @@ class TestQuotient:
         assert not is_abelian(Q)
 
     def test_trivial_quotients(self, s3):
-        whole = SubgroupHandle(s3, frozenset(range(s3.order)), True)
+        whole = SubgroupHandle(s3, frozenset(range(s3.order)))
         assert quotient(s3, whole).order == 1
-        triv = SubgroupHandle(s3, frozenset({element_ids(s3)[s3.identity]}),
-                              True)
+        triv = SubgroupHandle(s3, frozenset({element_ids(s3)[s3.identity]}))
         assert quotient(s3, triv).order == 6
 
     def test_c7c6_mod_c7(self, c7c6):
@@ -343,7 +367,7 @@ class TestQuotient:
     @pytest.mark.parametrize("p", [2, 3])
     def test_non_normal_subgroup(self, s4, p):
         N = sylow(s4, p)
-        assert not N.normal
+        assert not _is_normal(s4, N.ids) and fitting(s4).order % N.order
         with pytest.raises(NotNormal, match="not normal"):
             quotient(s4, N)
 
@@ -364,6 +388,16 @@ class TestMinimalNormal:
     def test_nonsolvable_unsupported(self, a5):
         with pytest.raises(NotSolvable):
             minimal_normal_subgroups(a5)
+
+    def test_trivial_groups_have_none(self):
+        """A trivial group's F is {1}, which holds no class of prime order,
+        so the search finds nothing: built, as a quotient and as a
+        product."""
+        S3, S1 = catalog.sym(3), catalog.sym(1)
+        for G in [S1, quotient(S3, SubgroupHandle(S3, frozenset(range(6)))),
+                  direct_product(S1, catalog.sym(1))]:
+            assert G.order == 1
+            assert minimal_normal_subgroups(G) == [], G.label
 
 
 class TestPredicates:

@@ -18,9 +18,9 @@ from gklab.groups import (GroupHandle, conjugation_tables, direct_product,
                           element_ids, element_order, ids_of,
                           semidirect_product, small_generating_set,
                           subgroup_as_group)
-from gklab.structure import (SubgroupHandle, _is_normal, conjugacy_classes,
-                             core_p, cyclic_subgroup_set, derived_subgroup,
-                             fitting_series, quotient, sylow)
+from gklab.structure import (SubgroupHandle, _is_normal, class_representatives,
+                             conjugacy_classes, core_p, cyclic_subgroup_set,
+                             derived_subgroup, fitting_series, quotient, sylow)
 
 
 def _reference_classes(G):
@@ -106,7 +106,7 @@ def _s4_c7c3():
 
 def _s3_mod_s3():
     s3 = catalog.sym(3)
-    return quotient(s3, SubgroupHandle(s3, frozenset(range(s3.order)), True))
+    return quotient(s3, SubgroupHandle(s3, frozenset(range(s3.order))))
 
 
 def _a4_in_s4():
@@ -147,7 +147,7 @@ def test_classes_match_reference(name):
     assert list(data.class_ids) == [index[x] for x in G.ordered]
     assert data.rep_ids == tuple(ids[x] for x in reps)
     assert data.sizes == tuple(map(len, classes))
-    assert data.representatives == reps
+    assert class_representatives(G) == reps
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -158,7 +158,7 @@ def test_core_and_normality_match_reference(name):
         assert core_p(G, p).elements == _reference_core(G, p)
         subgroups += [sylow(G, p).elements, core_p(G, p).elements]
     subgroups += [cyclic_subgroup_set(G, rep)
-                  for rep in conjugacy_classes(G).representatives[:6]]
+                  for rep in class_representatives(G)[:6]]
     for elems in subgroups:
         assert _is_normal(G, set(ids_of(G, elems))) == \
             _reference_is_normal(G, elems)
