@@ -87,19 +87,3 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path,
         "pair 1 parent", "pair 1 change", "pair 2 change", "pair 2 parent"]
     assert "  wall_s       2 [1.5, 2.5] -> 3 (1.5000), change lower in 0/2" \
         in out
-
-
-def test_paths_of_different_length_are_refused(monkeypatch, tmp_path,
-                                               capsys):
-    """The path's length moves the benchmark by itself, so two directories
-    whose absolute paths differ in length exit 2 before any run starts."""
-    runs = []
-    monkeypatch.setattr(ab_pairs, "run_once",
-                        lambda directory, workload: runs.append(directory))
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change-2"),
-            "--workload", "w", "--pairs", "1"]
-    with pytest.raises(SystemExit) as exc:
-        ab_pairs.main(argv)
-    assert exc.value.code == 2
-    assert runs == []
-    assert "absolute paths differ in length" in capsys.readouterr().err

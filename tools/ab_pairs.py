@@ -15,14 +15,6 @@ than the parent's interquartile range, the spread a claimed gain must
 exceed.
 Exits 1 if any run reads ``correct`` false or ``failed`` > 0, 2 if a run
 does not finish.  Uses only the standard library.
-
-The two directories' absolute paths must be of the same length, or the
-tool exits 2 before any run starts.  The length of a checkout's path moves
-the benchmark by itself: in an A/A run of two copies of one tree, whose
-paths differed by two characters, the copy at the longer path read
-product-pairs ``cpu_s`` x1.088 over 10 pairs, lower in only 3 of them and
-beyond the first copy's IQR (2-CPU x86-64 box, Python 3.11).
-``peak_rss_mb`` has been seen to move with the path's length too.
 """
 
 from __future__ import annotations
@@ -105,10 +97,6 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if len(str(args.parent.resolve())) != len(str(args.change.resolve())):
-        parser.error("the two directories' absolute paths differ in length, "
-                     "which moves the benchmark by itself; copy them to "
-                     "paths of one length")
     pairs = []
     sides = [("parent", args.parent), ("change", args.change)]
     try:
