@@ -1,11 +1,12 @@
 """Command line surface: analyze, graph, verify, classify.
 
-Exit codes: 0 success / all pass, 1 suite failure, 2 input error or an
-output file that cannot be written, 3 enumeration cap exceeded, 5 internal
-invariant failed (``structure.InvariantFailed``: a computation reached a
-state the theory rules out, such as a Sylow growth that stalls or a
-Frobenius kernel without a complement).  Code 4 (Frobenius complement search
-exhausted) is retired with that search and is not reused.
+Exit codes: 0 success / all pass, 1 suite failure, 2 input error, an
+output file that cannot be written or standard output closed, 3
+enumeration cap exceeded, 5 internal invariant failed
+(``structure.InvariantFailed``: a computation reached a state the theory
+rules out, such as a Sylow growth that stalls or a Frobenius kernel without
+a complement).  Code 4 (Frobenius complement search exhausted) is retired
+with that search and is not reused.
 Diagnostics go to stderr; machine output (JSON, DOT) goes to stdout or the
 requested file.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import reduce
 from inspect import signature
@@ -364,7 +366,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the interpreter's last flush
+        # of what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -49,11 +49,13 @@ Deliberate choices:
   (``groups.elements_at``), and its element ``mult`` and ``inv`` read the
   parent's ids back through ``groups.ids_of``, so the quotient of a product
   lists none of the product's pairs.
-* ``fitting_series`` runs one loop for every group and keeps the quotient
-  chain G/F_1, G/F_2, ..., which the 2-Frobenius test reads.  It keeps the
-  projection of G's ids onto G/F_(k-1), composed one quotient at a time
-  (``_projection``), so F_k is the preimage of F(G/F_(k-1)): one read per
-  id of G and no product, and all of G once |F_(k-1)| |F| = |G|.
+* ``fitting_series`` is one recursion: F_1 = F(G), and F_(k+1)/F_1 =
+  F_k(G/F_1), so the terms above F_1 and the quotients G/F_2, G/F_3, ...,
+  which the 2-Frobenius test reads, are those of Q = G/F_1's own memoised
+  series.  Q itself lifts to all of G, and a term strictly between 1 and Q
+  to the preimage of its ids under G's projection onto Q (``_projection``):
+  one read per id of G and no product, built only when such a term
+  exists.
 * Conjugacy classes and the normality test of ``quotient`` run on integer
   ids and per-generator conjugation tables (``groups.conjugation_tables``);
   ``quotient(G, N)`` may run before G's classes exist, so its test stays on
@@ -102,10 +104,10 @@ Deliberate choices:
   for a semidirect product too); it is abelian, metabelian or
   supersolvable iff both factors are (``_both``).  Its quotient by
   N_G x N_H is G/N_G x H/N_H, with the same elements in the same order
-  (``_factor_quotients``).  ``quotient`` is memoised under N, so the
-  Fitting chain of G x H is built from its factors' own quotients, and a
-  factor whose N_G is trivial is kept as it is.  A diagonal N takes the
-  generic coset walk.
+  (``_factor_quotients``).  ``quotient`` is memoised under N, so G/F_1,
+  and with it each quotient of G/F_1's own series, is built from the
+  factors' own quotients, and a factor whose N_G is trivial is kept as it
+  is.  A diagonal N takes the generic coset walk.
 * Commutators run on ids: G' is the normal closure of the generators'
   commutators a^-1 a^b, read from the conjugation tables (``_commutators``).
   The metabelian test builds no G': G' is generated by the union U of the
@@ -427,30 +429,28 @@ def fitting(G: GroupHandle) -> SubgroupHandle:
 
 @memoised("fitting_series")
 def fitting_series(G: GroupHandle) -> FittingData:
-    """F_0 = 1 < F_1 < ..., F_k/F_(k-1) = F(G/F_(k-1)), and the quotients
-    G/F_k; memoised.  F_k is the preimage of F(G/F_(k-1)) under the
-    projection of G's ids onto G/F_(k-1), composed one quotient at a time
-    (``_projection``): a read per id of G, and no product."""
-    series = [SubgroupHandle(G, frozenset({0}))]
-    quotients = []
-    length: int | None = 0 if G.order == 1 else None
-    above = current = G  # G/F_(k-2) and G/F_(k-1)
-    proj = range(G.order)  # G's ids -> above's
-    while G.order > 1:
-        F = fitting(current)
-        if F.order == 1:
-            break  # stalled below G: not solvable
-        if len(series[-1].ids) * F.order == G.order:
-            series.append(SubgroupHandle(G, frozenset(range(G.order))))
-            length = len(series) - 1
-            break
-        if current is not above:
-            proj = list(map(_projection(above, current).__getitem__, proj))
-        series.append(SubgroupHandle(G, frozenset(
-            compress(range(G.order), map(F.ids.__contains__, proj)))))
-        above, current = current, quotient(current, F)
-        quotients.append(current)
-    return FittingData(tuple(series), length, tuple(quotients))
+    """F_0 = 1 < F_1 = F(G) < F_2 < ..., and the quotients G/F_1, G/F_2,
+    ...; memoised.  F_(k+1)/F_1 = F_k(G/F_1) (Huppert, *Endliche Gruppen
+    I*, III.4), so above F_1 the series is Q = G/F_1's own, each term the
+    preimage of its ids under G's projection onto Q (``_projection``),
+    which is read only when a term lies strictly between 1 and Q.  The
+    quotients are Q and then Q's own."""
+    one, F = SubgroupHandle(G, frozenset({0})), fitting(G)
+    if F.order == G.order:  # nilpotent: F_1 = G, or F_0 = G if G = 1
+        series = (one,) if G.order == 1 else (one, F)
+        return FittingData(series, len(series) - 1, ())
+    if F.order == 1:  # stalled below G: not solvable
+        return FittingData((one,), None, ())
+    Q = quotient(G, F)
+    rest = fitting_series(Q)
+    # G's ids -> Q's, read only for a term strictly between 1 and Q
+    proj = _projection(G, Q) if len(rest.series) > 1 + rest.solvable else ()
+    lifted = (range(G.order) if S.order == Q.order else
+              compress(range(G.order), map(S.ids.__contains__, proj))
+              for S in rest.series[1:])
+    return FittingData(
+        (one, F, *(SubgroupHandle(G, frozenset(ids)) for ids in lifted)),
+        rest.length and rest.length + 1, (Q, *rest.quotients))
 
 
 @memoised("quotient")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -617,12 +618,13 @@ class TestVerifyAndClassify:
 BLOCK_SYMPY = 'raise ImportError("sympy is blocked for this test")\n'
 
 
-def _gklab(argv, pythonpath, cwd):
+def _gklab(argv, pythonpath, cwd, stdout=subprocess.PIPE):
     code = "import sys; from gklab.cli import main; sys.exit(main())"
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
                           env={"PYTHONPATH": pythonpath,
                                "PYTHONHASHSEED": "0"},
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
 
 
 class TestNoSympyAtRunTime:
@@ -676,3 +678,28 @@ class TestNoSympyAtRunTime:
             env={"PYTHONPATH": src}, capture_output=True, text=True,
             timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "True []\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "classifier"],
+                                  ["analyze", "catalog.json"]],
+                         ids=["verify", "analyze"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, argv):
+    """A reader that has gone, as with ``| head -1``: one error line and
+    code 2, as for any output that cannot be written, and neither a
+    traceback nor an "Exception ignored" line from the interpreter's last
+    flush.  The pipe's read end is closed before the child starts, so its
+    first write fails every time: the suite's first row, or the report's
+    one write of a catalog group's JSON."""
+    (tmp_path / "catalog.json").write_text(json.dumps(
+        {"groups": {"e": {"type": "catalog", "name": "fig3.e"}}}))
+    src = str(Path(gklab.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _gklab(argv, src, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: standard output closed\n")

@@ -6,10 +6,13 @@ must reject, and its message is asserted, beside a boundary input it must
 accept.  A real group that broke a lemma's conclusion would not be cut or
 not be solvable, so the inputs are real groups with one of ``verify``'s
 imported readers replaced (``gk_graph``, ``frobenius_kind``,
-``is_cut_group``, ``is_rational_group``, ``class_predicates``), or a real
-group whose structure breaks the check outright (C_8 for the abelian Sylow
-exponent, and the groups below for the other Sylow checks).
+``is_cut_group``, ``is_rational_group``, ``cut_oracle_via_bg``, ``sylow``,
+``class_predicates``), or a real group whose structure breaks the check
+outright (C_8 for the abelian Sylow exponent, and the groups below for the
+other Sylow checks).
 """
+
+from functools import reduce
 
 import pytest
 
@@ -17,9 +20,90 @@ from gklab import catalog, verify
 from gklab.frobenius import FROBENIUS
 from gklab.groups import direct_product
 from gklab.primegraph import parse_graph_literal
+from gklab.structure import SubgroupHandle
 
 DIAMETER = "component diameter > 3"
 PI_BOUND = "Frobenius/2-Frobenius cut group with |pi| > 3"
+DUAL = "dual cut oracles disagree"
+FORBIDDEN_CUT = "realized graph classified forbidden (cut)"
+FORBIDDEN_RATIONAL = "realized graph classified forbidden (rational)"
+
+
+def _always(value):
+    return lambda *args: value
+
+
+def _graph(literal):
+    return _always(parse_graph_literal(literal))
+
+
+def _cyclics(*orders):
+    return lambda: reduce(direct_product, map(catalog.cyclic, orders))
+
+
+def _entry(name):
+    return lambda: catalog.catalog_entry(name).build()
+
+
+CUT, RATIONAL = {"is_cut_group": _always(True)}, {
+    "is_cut_group": _always(True), "is_rational_group": _always(True)}
+# (group, verify's readers replaced, the violations): each check of
+# _check_group_invariants against an input that breaks it and one at its
+# boundary.  A cyclic group read as cut keeps its real graph, one vertex,
+# which the cut classifier forbids unless it is 2 or 3; the normalizer-scan
+# oracle still reads it as not cut.
+GROUP_CASES = {
+    "C11 cut": (lambda: catalog.cyclic(11), CUT, [
+        DUAL, "cut spectrum outside {2,3,5,7}",
+        "spectrum [11] not in the allowed list", FORBIDDEN_CUT]),
+    "C7 cut": (lambda: catalog.cyclic(7), CUT, [
+        DUAL, "spectrum [7] not in the allowed list", FORBIDDEN_CUT]),
+    "C7 cut rational": (lambda: catalog.cyclic(7), RATIONAL, [
+        DUAL, "spectrum [7] not in the allowed list", FORBIDDEN_CUT,
+        "rational spectrum outside {2,3,5}", FORBIDDEN_RATIONAL]),
+    "C5 cut rational": (lambda: catalog.cyclic(5), RATIONAL, [
+        DUAL, "spectrum [5] not in the allowed list", FORBIDDEN_CUT,
+        FORBIDDEN_RATIONAL]),
+    "C6xC5xC7xC11 cut": (_cyclics(6, 5, 7, 11), CUT, [
+        DUAL, "cut spectrum outside {2,3,5,7}",
+        "spectrum [2, 3, 5, 7, 11] not in the allowed list",
+        "more than 4 graph vertices", FORBIDDEN_CUT,
+        "cyclic Sylow 3 with an element of order 21"]),
+    # four vertices, an allowed spectrum and a complete graph pass
+    "C6xC5xC7 cut": (_cyclics(6, 5, 7), CUT, [
+        DUAL, "cyclic Sylow 3 with an element of order 21"]),
+    # fig3.h is cut and Frobenius, with the graph 2-3,5
+    "fig3.h": (_entry("fig3.h"), {}, []),
+    "fig3.h as 2,3-5": (_entry("fig3.h"), {"gk_graph": _graph("2,3-5")}, [
+        "edge implications violated", FORBIDDEN_CUT]),
+    "fig3.h as 2,3,5": (_entry("fig3.h"), {"gk_graph": _graph("2,3,5")}, [
+        "more than 2 graph components",
+        "2 components <-> frobenius mismatch (kind frobenius)",
+        "three mutually non-adjacent vertices", FORBIDDEN_CUT]),
+    # fig3.d, S3 x C2, is of kind none: two components are a mismatch
+    "fig3.d as 2,3": (_entry("fig3.d"), {"gk_graph": _graph("2,3")}, [
+        "2 components <-> frobenius mismatch (kind none)"]),
+    "fig3.d as 2-3": (_entry("fig3.d"), {"gk_graph": _graph("2-3")}, []),
+    "S4": (lambda: catalog.sym(4), {}, []),
+    "S4, scan oracle not cut": (lambda: catalog.sym(4), {
+        "cut_oracle_via_bg": _always(False)}, [DUAL]),
+    "S4, trivial Sylow subgroups": (lambda: catalog.sym(4), {
+        "sylow": lambda G, p: SubgroupHandle(G, frozenset({0}))}, [
+        "sylow 2 order wrong", "sylow 3 order wrong"]),
+}
+
+
+@pytest.mark.parametrize("build, readers, want", GROUP_CASES.values(),
+                         ids=GROUP_CASES)
+def test_group_checks_reject_and_pass(monkeypatch, build, readers, want):
+    """The spectra, the vertex count, Higman's bound, the edge
+    implications, the forbidden graphs, the component count and its link
+    to the Frobenius kind, the dual oracles and the Sylow orders, each
+    named in the violations exactly when its input breaks it."""
+    G = build()
+    for name, reader in readers.items():
+        monkeypatch.setattr(verify, name, reader)
+    assert verify._check_group_invariants(G) == want
 
 
 def test_abelian_sylow_exponent_above_4_is_rejected():

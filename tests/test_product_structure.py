@@ -18,14 +18,17 @@ reference also checks ``groups.elements_at`` and its inverse
 factors', and ``structure.quotient`` by F(G), G' and every minimal normal
 subgroup, diagonal ones included.
 
-``fitting_series`` runs one loop for every group, the product and its
-reference alike, so ``_summary``'s series keys compare the product's
-quotients with the generic ones the same loop reaches on the reference.
-The loop is checked on its own against one that composes its
-generic quotients' coset projections and scans G for each preimage
-(``_projection_series``), on every group of the distinct corpus, every
-catalog entry, the nested products and the products with a non-solvable
-factor.
+``fitting_series`` is one recursion for every group, the product and its
+reference alike: F_1 = F(G), and each term above it is read off the
+memoised series of G/F_1.  So ``_summary``'s series keys compare the
+product's quotients with the generic ones the same recursion reaches on
+the reference.  The recursion is checked on its own against a loop that
+composes its generic quotients' coset projections and scans G for each
+preimage (``_projection_series``), under both TABLE_BOUND values, on every
+group of the distinct corpus, every catalog entry, the nested products, the
+products with a non-solvable factor, the Frobenius sweep, and the catalog's
+Fitting quotients, quotients by minimal normal subgroups and Sylow
+subgroup views.
 
 Each rule for a direct product is stated once, in ``groups.memoised``, and
 ``quotient`` is memoised, so the Fitting chain of A x B is built from its
@@ -49,7 +52,7 @@ from dataclasses import replace
 import pytest
 from sympy import factorint
 
-from gklab import catalog, cli
+from gklab import catalog, cli, groups, structure
 from gklab import elements as el
 from gklab.groups import (GroupHandle, NotMember, Product, Quotient,
                           conjugation_tables, direct_factors, direct_product,
@@ -63,6 +66,7 @@ from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
                              is_solvable, is_supersolvable,
                              minimal_normal_subgroups, quotient, sylow)
 from test_cli import chain_spec, wide_spec
+from test_idcore import BOUNDS, _bound
 from test_product_classes import CATALOG_PRODUCTS, NESTED
 
 
@@ -164,8 +168,14 @@ def _check_against_reference(G) -> None:
 
 
 @functools.cache
-def _corpus() -> dict:
+def _corpus_at(table_bound) -> dict:
+    """The distinct corpus, built once for each TABLE_BOUND value while that
+    value is set, so that its memos are filled at that bound."""
     return catalog.distinct_corpus(1, 200, 2000)
+
+
+def _corpus() -> dict:
+    return _corpus_at(groups.TABLE_BOUND)
 
 
 @functools.cache
@@ -272,33 +282,104 @@ def _projection_series(G):
     return series, length, quotients
 
 
-def _catalog_builder(name):
-    return lambda: catalog.catalog_entry(name).build()
+def _fitting_quotients(G) -> list:
+    return list(fitting_series(G).quotients)
+
+
+def _minimal_normal_quotients(G) -> list:
+    if not is_solvable(G):
+        return []
+    return [quotient(G, N) for N in minimal_normal_subgroups(G)]
+
+
+def _sylow_views(G) -> list:
+    return [sylow(G, p).as_group() for p in sorted(factorint(G.order))]
+
+
+def _catalog_groups(name, derive=lambda G: [G]):
+    """The groups derive reads off catalog entry name, built fresh."""
+    return lambda: derive(catalog.catalog_entry(name).build())
+
+
+def _one(build):
+    return lambda: [build()]
 
 
 SERIES_CASES = {
-    **{f"corpus:{label}": functools.partial(_corpus().get, label)
+    **{f"corpus:{label}": lambda label=label: [_corpus()[label]]
        for label in sorted(_corpus())},
-    **{f"catalog:{e.name}": _catalog_builder(e.name)
+    **{f"catalog:{e.name}": _catalog_groups(e.name)
        for e in catalog.catalog()},
-    **{f"nested:{k}": build for k, build in NESTED.items()},
-    **{f"non-solvable:{k}": build for k, build in NON_SOLVABLE.items()},
+    **{f"nested:{k}": _one(build) for k, build in NESTED.items()},
+    **{f"non-solvable:{k}": _one(build) for k, build in NON_SOLVABLE.items()},
+    **{f"sweep:{name}": _one(build)
+       for name, _, build in catalog.frobenius_family_sweep()},
+    **{f"{kind}:{e.name}": _catalog_groups(e.name, derive)
+       for kind, derive in [("fitting-quotients", _fitting_quotients),
+                            ("minimal-normal-quotients",
+                             _minimal_normal_quotients),
+                            ("sylow-views", _sylow_views)]
+       for e in catalog.catalog()},
 }
 
 
 @pytest.mark.parametrize("build", SERIES_CASES.values(), ids=SERIES_CASES)
 def test_fitting_series_matches_projection_loop(build):
-    """fitting_series, which lifts each F(G/F_(k-1)) to G's ids through its
-    coset representatives and quotients a direct product factor by factor,
+    """fitting_series, which reads each term above F_1 off the memoised
+    series of G/F_1 and quotients a direct product factor by factor,
     against the reference loop: the terms, the length, and each quotient's
-    label, elements and generators."""
-    G = build()
-    got = fitting_series(G)
-    series, length, quotients = _projection_series(G)
-    assert [F.ids for F in got.series] == series
-    assert got.length == length
-    assert [(Q.label, Q.ordered, Q.generators) for Q in got.quotients] == \
-        [(Q.label, Q.ordered, Q.generators) for Q in quotients]
+    label, elements and generators.  Each case's groups are built afresh
+    under each TABLE_BOUND value; the corpus once per value."""
+    for bound in sorted(BOUNDS):
+        with _bound(bound):
+            for G in build():
+                got = fitting_series(G)
+                series, length, quotients = _projection_series(G)
+                assert [F.ids for F in got.series] == series, (G.label, bound)
+                assert got.length == length, (G.label, bound)
+                assert [(Q.label, Q.ordered, Q.generators)
+                        for Q in got.quotients] == \
+                    [(Q.label, Q.ordered, Q.generators)
+                     for Q in quotients], (G.label, bound)
+
+
+def test_series_quotients_are_the_memoised_chain():
+    """G/F_1 is the memoised quotient(G, F(G)), and the rest of G's chain is
+    G/F_1's own chain, handle for handle: on every catalog entry and on
+    A5 x S4, whose series stalls."""
+    lengths = set()
+    for G in [*(e.build() for e in catalog.catalog()),
+              NON_SOLVABLE["A5xS4"]()]:
+        fs = fitting_series(G)
+        lengths.add(len(fs.quotients))
+        if fs.quotients:
+            assert fs.quotients[0] is quotient(G, fitting(G)), G.label
+            assert fitting_series(fs.quotients[0]).quotients == \
+                fs.quotients[1:], G.label
+    assert {0, 1, 2, 3} <= lengths
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("fig3.p", [200]), ("fig3.q", [200]), ("twofrob.l", [2688])])
+def test_series_projects_only_where_a_term_needs_it(monkeypatch, name,
+                                                    sizes):
+    """The series of a fresh catalog group composes the projections below
+    and no other.  fig3.p and fig3.q have length 2, so no term lies
+    strictly between F_1 and G, and G/F_1 composes one projection, that of
+    their semidirect factor C5^2 x| Q8 (200 entries).  twofrob.l has length
+    3, and F_2 is the preimage of a term of G/F_1 under G's projection onto
+    it (2,688 entries)."""
+    made = []
+    pair_projection = structure._pair_projection
+
+    def spy(*args):
+        out = pair_projection(*args)
+        made.append(len(out))
+        return out
+    G = catalog.catalog_entry(name).build()
+    monkeypatch.setattr(structure, "_pair_projection", spy)
+    fitting_series(G)
+    assert made == sizes
 
 
 def test_stalled_series_keeps_its_quotients():
