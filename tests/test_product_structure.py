@@ -66,7 +66,7 @@ from gklab.structure import (NotNormal, SubgroupHandle, _is_normal,
                              is_solvable, is_supersolvable,
                              minimal_normal_subgroups, quotient, sylow)
 from test_cli import chain_spec, wide_spec
-from test_idcore import BOUNDS, _bound
+from test_idcore import BOUNDS, _bound, _sylow_views
 from test_product_classes import CATALOG_PRODUCTS, NESTED
 
 
@@ -290,10 +290,6 @@ def _minimal_normal_quotients(G) -> list:
     if not is_solvable(G):
         return []
     return [quotient(G, N) for N in minimal_normal_subgroups(G)]
-
-
-def _sylow_views(G) -> list:
-    return [sylow(G, p).as_group() for p in sorted(factorint(G.order))]
 
 
 def _catalog_groups(name, derive=lambda G: [G]):

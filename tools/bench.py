@@ -1,7 +1,6 @@
 """Time gklab's end-to-end frames in fresh processes, and print a BENCH file.
 
-    python3 tools/bench.py CHECKOUT [CHECKOUT ...] [--frame NAME ...]
-                           [--runs N] [--large-runs M] [-o OUT]
+    python3 tools/bench.py CHECKOUT [CHECKOUT ...] [-o OUT]
 
 A frame is one ``gklab`` command: each ``gklab verify`` suite, ``verify
 invariants --count 1000``, and ``gklab analyze`` of each spec in the first
@@ -13,19 +12,20 @@ same way as the change.  A run records its wall time, its own peak RSS
 its exit status and the sha256 of its stdout.  Linux carries a process's
 peak RSS into the program it execs, so each run is forked by a small
 spawner (``SPAWN``, an interpreter without ``site``) that times it and
-reads its peak, and the peak holds none of this launcher's.
+reads its peak, and the peak holds none of this launcher's.  A run still
+going after ``RUN_TIMEOUT_S`` is ended by ``SIGALRM`` and reads exit -14.
 
 The runs go in rounds, each round running every frame once in turn on
 every CHECKOUT, the order of the checkouts reversed in every other round,
 so a drift of the machine weighs on every frame and checkout alike.  A
-frame whose first run takes ``LARGE_S`` or more gets ``--large-runs`` runs
-(default 3), any other ``--runs`` (default 5).  For each CHECKOUT, in the
-order given, each frame reports the median and quartiles of its wall times
-and peaks, its exit statuses and its stdout hashes; the file also records
-the machine: Python version, CPU count and model, and the load average.
-The JSON goes to stdout, or to OUT.  Exits 1 if a frame exits nonzero or
-prints different bytes on different runs, 2 on a usage error.  Uses only
-the standard library.
+frame whose first run takes ``LARGE_S`` or more gets ``LARGE_RUNS`` runs,
+any other ``RUNS``.  For each CHECKOUT, in the order given, each frame
+reports the median and quartiles of its wall times and peaks, its exit
+statuses and its stdout hashes; the file also records the machine: Python
+version, CPU count and model, and the load average.  The JSON goes to
+stdout, or to OUT.  Exits 1 if a frame exits nonzero or prints different
+bytes on different runs, 2 on a usage error.  Uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -35,23 +35,28 @@ import hashlib
 import json
 import os
 import platform
-import shutil
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+from ab_pairs import RUN_TIMEOUT_S, clear_pycache, quartiles
+
 LARGE_S = 2.0
+RUNS = 5
+LARGE_RUNS = 3
 MAIN = "import sys; from gklab.cli import main; sys.exit(main())"
-# argv: the command to run; prints its wall time, peak RSS in KiB and exit
-# code to stderr, and gives it stdout and a null stderr
+# argv: a time limit in seconds, then the command to run; prints its wall
+# time, peak RSS in KiB and exit code to stderr, and gives it stdout and a
+# null stderr.  The alarm outlives the exec, and ends the command unless
+# it handles SIGALRM, which gklab does not.
 SPAWN = """\
-import os, sys, time
+import os, signal, sys, time
 start = time.perf_counter()
 pid = os.fork()
 if pid == 0:
     os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
-    os.execv(sys.argv[1], sys.argv[1:])
+    signal.alarm(int(sys.argv[1]))
+    os.execv(sys.argv[2], sys.argv[2:])
 _, status, usage = os.wait4(pid, 0)
 print(time.perf_counter() - start, usage.ru_maxrss,
       os.waitstatus_to_exitcode(status), file=sys.stderr)
@@ -84,12 +89,12 @@ def machine() -> dict:
 
 def run_once(checkout: Path, args: list[str]) -> dict:
     """One fresh process of ``gklab args`` in checkout."""
-    for cache in list(checkout.rglob("__pycache__")):
-        shutil.rmtree(cache, ignore_errors=True)
+    clear_pycache(checkout)
     env = {**os.environ, "PYTHONHASHSEED": "0",
            "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", SPAWN, sys.executable, "-c", MAIN, *args],
+        [sys.executable, "-S", "-c", SPAWN, str(RUN_TIMEOUT_S),
+         sys.executable, "-c", MAIN, *args],
         cwd=checkout, env=env, capture_output=True, check=True)
     wall, kib, code = proc.stderr.split()
     return {"wall_s": round(float(wall), 4),
@@ -97,68 +102,65 @@ def run_once(checkout: Path, args: list[str]) -> dict:
             "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
-def quartiles(values: list[float]) -> dict:
-    qs = (statistics.quantiles(values, n=4, method="inclusive")
-          if len(values) > 1 else values * 3)
-    return dict(zip(("q1", "median", "q3"), (round(q, 4) for q in qs)))
+def spread(values: list[float]) -> dict:
+    return dict(zip(("q1", "median", "q3"),
+                    (round(q, 4) for q in quartiles(values))))
 
 
 def summary(args: list[str], runs: list[dict]) -> dict:
     return {"command": ["gklab", *args], "runs": len(runs),
-            "wall_s": quartiles([r["wall_s"] for r in runs]),
-            "peak_rss_mb": quartiles([r["peak_rss_mb"] for r in runs]),
+            "wall_s": spread([r["wall_s"] for r in runs]),
+            "peak_rss_mb": spread([r["peak_rss_mb"] for r in runs]),
             "exit": sorted({r["exit"] for r in runs}),
             "stdout_sha256": sorted({r["stdout_sha256"] for r in runs}),
             "samples": runs}
 
 
+def bench(checkouts: list[Path], todo: dict[str, list[str]],
+          runs: int = RUNS) -> dict:
+    """The report of timing the frames todo on each of checkouts."""
+    samples = [{name: [] for name in todo} for _ in checkouts]
+    wanted = dict.fromkeys(todo, runs)
+    order = list(enumerate(checkouts))
+    for k in range(max(runs, LARGE_RUNS)):
+        for name, cmd in todo.items():
+            for i, checkout in order if k % 2 == 0 else order[::-1]:
+                if len(samples[i][name]) == wanted[name]:
+                    continue
+                run = run_once(checkout, cmd)
+                samples[i][name].append(run)
+                print(f"{checkout} {name}: {run['wall_s']:.3f} s, "
+                      f"{run['peak_rss_mb']} MB, exit {run['exit']}",
+                      file=sys.stderr, flush=True)
+                if k == i == 0 and run["wall_s"] >= LARGE_S:
+                    wanted[name] = LARGE_RUNS
+    return {"machine": machine(),
+            "settings": {"PYTHONHASHSEED": "0", "large_s": LARGE_S},
+            "checkouts": [{n: summary(todo[n], s[n]) for n in todo}
+                          for s in samples]}
+
+
+def failed(report: dict) -> bool:
+    """Whether a frame exited nonzero or printed different bytes."""
+    return any(f["exit"] != [0] or len(f["stdout_sha256"]) > 1
+               for checkout in report["checkouts"] for f in checkout.values())
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", type=Path, nargs="+", metavar="checkout")
-    parser.add_argument("--frame", action="append", metavar="NAME",
-                        help="time only this frame (repeatable)")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--large-runs", type=int, default=3)
     parser.add_argument("-o", "--out", type=Path)
     args = parser.parse_args(argv)
     for checkout in args.checkouts:
         if not (checkout / "src" / "gklab").is_dir():
             parser.error(f"no src/gklab in {checkout}")
-    todo = frames(args.checkouts[0])
-    if unknown := set(args.frame or ()) - set(todo):
-        parser.error(f"unknown frame {sorted(unknown)[0]!r}")
-    if min(args.runs, args.large_runs) < 1:
-        parser.error("--runs and --large-runs must be at least 1")
-    if args.frame:
-        todo = {name: todo[name] for name in args.frame}
-    runs = [{name: [] for name in todo} for _ in args.checkouts]
-    wanted = dict.fromkeys(todo, args.runs)
-    order = list(enumerate(args.checkouts))
-    for k in range(max(args.runs, args.large_runs)):
-        for name, cmd in todo.items():
-            for i, checkout in order if k % 2 == 0 else order[::-1]:
-                if len(runs[i][name]) == wanted[name]:
-                    continue
-                run = run_once(checkout, cmd)
-                runs[i][name].append(run)
-                print(f"{checkout} {name}: {run['wall_s']:.3f} s, "
-                      f"{run['peak_rss_mb']} MB, exit {run['exit']}",
-                      file=sys.stderr, flush=True)
-                if k == i == 0 and run["wall_s"] >= LARGE_S:
-                    wanted[name] = args.large_runs
-    report = {"machine": machine(),
-              "settings": {"PYTHONHASHSEED": "0", "runs": args.runs,
-                           "large_runs": args.large_runs, "large_s": LARGE_S},
-              "checkouts": [{n: summary(todo[n], r[n]) for n in todo}
-                            for r in runs]}
+    report = bench(args.checkouts, frames(args.checkouts[0]))
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 1 if any(f["exit"] != [0] or len(f["stdout_sha256"]) > 1
-                    for checkout in report["checkouts"]
-                    for f in checkout.values()) else 0
+    return 1 if failed(report) else 0
 
 
 if __name__ == "__main__":
