@@ -18,18 +18,19 @@ Theory*, CRC 2005; Huppert, *Endliche Gruppen I*, Springer 1967, V.8):
 * A Frobenius complement is isomorphic to G/K, so it is read as
   ``quotient(G, K)``.  It has a nontrivial centre, and C_G(h) <= H for
   h != 1 in H, so some class outside K has exactly |K| elements; the
-  decomposition checks that such a class exists.
+  Frobenius test checks that such a class exists.
 
 Kernels are id sets (``SubgroupHandle.ids``).  The 2-Frobenius test reads
 F_1, F_2 and G/F_1 from ``fitting_series``: G is 2-Frobenius when G/F_1 and
 F_2 are Frobenius groups.  F_2 is tested by the same kernel test on G's own
 class data, with X = F_2 and K = F_1, and no subgroup view: F(F_2) = F_1,
 as F(F_2) is characteristic in F_2, so normal and nilpotent in G, and F_1
-is nilpotent and normal in F_2.  Each test returns its decomposition or the
-reason it fails; only the public ``*_decomposition`` functions raise
-``NotFrobenius``.  ``match_frobenius_cut_family`` names the Frobenius cut
-family a group belongs to, from G's classes inside the kernel and the
-fingerprint of G/K.
+is nilpotent and normal in F_2.  So a Frobenius kernel is F(G), and a
+2-Frobenius decomposition is (F_1, F_2): each test returns only the reason
+G fails it, or None, and the public ``*_decomposition`` functions return
+those Fitting terms or raise ``NotFrobenius``.
+``match_frobenius_cut_family`` names the Frobenius cut family a group
+belongs to, from G's classes inside the kernel and the fingerprint of G/K.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ NONE_KIND = "none"
 
 class NotFrobenius(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FrobeniusDecomposition:
-    """A Frobenius kernel K of G; every complement is isomorphic to G/K."""
-    kernel: SubgroupHandle
-
-
-@dataclass(frozen=True)
-class TwoFrobeniusDecomposition:
-    f1: SubgroupHandle
-    f2: SubgroupHandle
 
 
 @dataclass(frozen=True, order=True)
@@ -108,20 +97,20 @@ def _kernel_reason(G: GroupHandle, K: SubgroupHandle, xs: Collection[int],
     return None
 
 
-def frobenius_decomposition(G: GroupHandle) -> FrobeniusDecomposition:
-    """The Frobenius kernel K of G, or raise NotFrobenius.  A complement is
-    read as ``quotient(G, K)``."""
-    dec = _decompose(G)
-    if isinstance(dec, str):
+def frobenius_decomposition(G: GroupHandle) -> SubgroupHandle:
+    """The Frobenius kernel F(G) of G, or raise NotFrobenius.  A complement
+    is read as ``quotient(G, F(G))``."""
+    if reason := _not_frobenius(G):
         # a fresh instance per call, so no traceback piles up on one object
-        raise NotFrobenius(dec)
-    return dec
+        raise NotFrobenius(reason)
+    return fitting(G)
 
 
 @memoised("frobenius")
-def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
-    """The decomposition, or the reason G is not Frobenius.  InvariantFailed
-    when G passes the kernel test but no class outside K has |K| elements."""
+def _not_frobenius(G: GroupHandle) -> Optional[str]:
+    """The reason G is not Frobenius, or None when it is, with kernel F(G).
+    InvariantFailed when G passes the kernel test but no class outside F(G)
+    has |F(G)| elements."""
     F = fitting(G)
     if F.order in (1, G.order):
         return f"{G.label}: Fitting subgroup is trivial or all of G"
@@ -131,37 +120,35 @@ def _decompose(G: GroupHandle) -> FrobeniusDecomposition | str:
     if not any(size == F.order and rep not in F.ids
                for rep, size in zip(data.rep_ids, data.sizes)):
         raise InvariantFailed(f"no class of size {F.order} in {G.label}")
-    return FrobeniusDecomposition(F)
+    return None
 
 
 def is_frobenius(G: GroupHandle) -> bool:
-    return not isinstance(_decompose(G), str)
+    return _not_frobenius(G) is None
 
 
-def two_frobenius_decomposition(G: GroupHandle) -> TwoFrobeniusDecomposition:
-    """F_1 and F_2 of a 2-Frobenius G, or raise NotFrobenius."""
-    dec = _two_frobenius(G)
-    if isinstance(dec, str):
-        raise NotFrobenius(dec)
-    return dec
+def two_frobenius_decomposition(
+        G: GroupHandle) -> tuple[SubgroupHandle, SubgroupHandle]:
+    """(F_1, F_2) of a 2-Frobenius G, or raise NotFrobenius."""
+    if reason := _not_two_frobenius(G):
+        raise NotFrobenius(reason)
+    return fitting_series(G).series[1:3]
 
 
-def _two_frobenius(G: GroupHandle) -> TwoFrobeniusDecomposition | str:
-    """The decomposition, or the reason G is not 2-Frobenius: G is
-    2-Frobenius when G/F(G) and F_2(G) are both Frobenius groups, F_2 with
-    kernel F_1, as ``_kernel_reason`` tests it on G's classes."""
+def _not_two_frobenius(G: GroupHandle) -> Optional[str]:
+    """The reason G is not 2-Frobenius, or None when it is: G is 2-Frobenius
+    when G/F(G) and F_2(G) are both Frobenius groups, F_2 with kernel F_1,
+    as ``_kernel_reason`` tests it on G's classes."""
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
         return f"{G.label}: Fitting length is not 3"
     _, F1, F2, _ = fs.series
-    if isinstance(reason := _decompose(fs.quotients[0]), str):
-        return reason
-    return (_kernel_reason(G, F1, F2.ids, f"{G.label}-F2")
-            or TwoFrobeniusDecomposition(F1, F2))
+    return (_not_frobenius(fs.quotients[0])
+            or _kernel_reason(G, F1, F2.ids, f"{G.label}-F2"))
 
 
 def is_two_frobenius(G: GroupHandle) -> bool:
-    return not isinstance(_two_frobenius(G), str)
+    return _not_two_frobenius(G) is None
 
 
 def frobenius_kind(G: GroupHandle) -> str:
@@ -197,10 +184,9 @@ def match_frobenius_cut_family(G: GroupHandle) -> Optional[str]:
     Frobenius cut group with complement C3 (allowed but not pinned to a listed
     family), or None when G matches nothing.
     """
-    dec = _decompose(G)
-    if isinstance(dec, str):
+    if _not_frobenius(G):
         return None
-    K = dec.kernel
+    K = fitting(G)
     kfact = factorint(K.order)
     if len(kfact) != 1:
         return None

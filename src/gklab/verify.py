@@ -19,10 +19,9 @@ import random
 
 from . import catalog as cat
 from . import primegraph as pg
-from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS,
-                        _reference_fingerprint, fingerprint,
-                        frobenius_decomposition, frobenius_kind,
-                        is_frobenius, match_frobenius_cut_family)
+from .frobenius import (FROBENIUS, NONE_KIND, TWO_FROBENIUS, fingerprint,
+                        frobenius_kind, is_frobenius,
+                        match_frobenius_cut_family)
 from .groups import GroupHandle, direct_product, element_orders_multiset
 from .numtheory import factorint
 from .primegraph import (CLASSES, FIGURE_GRAPHS, FIGURE_VERDICTS, FORBIDDEN,
@@ -98,7 +97,7 @@ def _two_frobenius_consequences(G: GroupHandle) -> dict[str, bool]:
     order, and F_1 is not cyclic."""
     fs = fitting_series(G)
     Q1, top = fs.quotients
-    middle = frobenius_decomposition(Q1).kernel.as_group()
+    middle = fitting(Q1).as_group()
     return {"G/F2 cyclic": is_cyclic(top),
             "F2/F1 cyclic of odd order": is_cyclic(middle) and middle.order % 2 == 1,
             "F1 non-cyclic": not is_cyclic(fs.series[1].as_group())}
@@ -162,6 +161,16 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
             bad.append("rational spectrum outside {2,3,5}")
         if classify(graph, SOLVABLE_RATIONAL).status == FORBIDDEN:
             bad.append("realized graph classified forbidden (rational)")
+        # Hegedűs, "Structure of solvable rational groups", Proc. London
+        # Math. Soc. 90 (2005): the Sylow 5-subgroup is normal, read as in
+        # _cut_sylow_invariants, and elementary abelian
+        if G.order % 5 == 0:
+            P5 = sylow(G, 5)
+            if fitting(G).order % P5.order:
+                bad.append("rational Sylow 5 not normal")
+            V = P5.as_group()
+            if not (is_abelian(V) and exponent(V) == 5):
+                bad.append("rational Sylow 5 not elementary abelian")
     if cut:
         bad += _cut_sylow_invariants(G)
     if solvable:
@@ -170,13 +179,14 @@ def _check_group_invariants(G: GroupHandle) -> list[str]:
     return bad
 
 
+# order -> count: Q8 is the one group of order 8 with these element orders
+_Q8_ORDERS = {1: 1, 2: 1, 4: 6}
+
+
 def _cut_sylow_invariants(G: GroupHandle) -> list[str]:
     """The Sylow subgroup facts a cut group satisfies.  Sylow p is normal
     iff its order divides |F(G)|, since |F(G)|_p = |O_p(G)|."""
     bad = []
-    # a fingerprint holds the order, so only a Sylow subgroup of order 8 is
-    # fingerprinted to be compared with Q8's
-    q8 = _reference_fingerprint("Q8")
     orders = set(element_orders_multiset(G))
     primes = sorted(factorint(G.order))
     syl = {p: sylow(G, p) for p in primes}
@@ -193,7 +203,7 @@ def _cut_sylow_invariants(G: GroupHandle) -> list[str]:
                 continue
             Sq = groups[q]
             small_cyclic = is_cyclic(Sq) and (4 % Sq.order == 0 or Sq.order == q)
-            if not (Sq.order == 8 and fingerprint(Sq) == q8 or small_cyclic):
+            if not (element_orders_multiset(Sq) == _Q8_ORDERS or small_cyclic):
                 bad.append(f"Sylow {q} not Q8 or small cyclic (p={p})")
     if 2 in primes:
         S2 = groups[2]
@@ -201,7 +211,7 @@ def _cut_sylow_invariants(G: GroupHandle) -> list[str]:
             if any(n % 4 == 0 and (n // 4) in primes and (n // 4) % 2 == 1
                    for n in orders):
                 bad.append("cyclic Sylow 2 with an element of order 4p")
-        elif S2.order == 8 and fingerprint(S2) == q8:
+        elif element_orders_multiset(S2) == _Q8_ORDERS:
             for n in orders:
                 if n % 2 == 0 and (n // 2) in primes and (n // 2) % 4 == 1:
                     bad.append(f"Q8 Sylow 2 with element of order {n}")

@@ -21,10 +21,11 @@ from sympy import factorint
 
 from gklab import catalog, cli, frobenius, groups, structure
 from gklab import elements as el
-from gklab.frobenius import (_REFERENCE_BUILDS, _decompose,
-                             _reference_fingerprint, _two_frobenius,
+from gklab.frobenius import (_REFERENCE_BUILDS, _not_frobenius,
+                             _not_two_frobenius, _reference_fingerprint,
                              fingerprint, frobenius_kind, is_frobenius,
-                             match_frobenius_cut_family)
+                             match_frobenius_cut_family,
+                             two_frobenius_decomposition)
 from gklab.groups import (_LazyTuple, direct_product, enumerate_group, id_mul,
                           semidirect_product)
 from gklab.structure import (InvariantFailed, SubgroupHandle,
@@ -42,7 +43,7 @@ by_bound = pytest.mark.parametrize("bound", sorted(BOUNDS))
 
 
 def _reference_complement(G, ks, m):
-    """The complement scan as ``_decompose`` ran it on every decomposition:
+    """The complement scan as the Frobenius test ran it on every group:
     C_G(t) for the first class representative t outside the kernel whose
     class has |K| elements."""
     mul, data = id_mul(G), conjugacy_classes(G)
@@ -57,7 +58,7 @@ def _reference_complement(G, ks, m):
 
 
 def _reference_view_decompose(H):
-    """``_decompose`` of the F_2 view as it ran before the class read: the
+    """The Frobenius test of the F_2 view as it ran before the class read: the
     view's own Fitting subgroup, the coprimality test, the kernel condition
     on the view's classes and the complement scan.  The reason, or None."""
     F = fitting(H)
@@ -78,15 +79,15 @@ def _reference_two_frobenius(G):
     """The 2-Frobenius verdict with F_2 tested on its subgroup view: the
     reason G is not 2-Frobenius, or None."""
     fs = fitting_series(G)
-    if isinstance(reason := _decompose(fs.quotients[0]), str):
+    if reason := _not_frobenius(fs.quotients[0]):
         return reason
     return _reference_view_decompose(fs.series[2].as_group(f"{G.label}-F2"))
 
 
 def _reference_inline_two_frobenius(G):
     """The 2-Frobenius verdict with F_2's kernel test inline, as it ran
-    before ``_kernel_reason``, and G/F_1 decided as ``_decompose`` did by
-    class sizes: the reason G is not 2-Frobenius, or None."""
+    before ``_kernel_reason``, and G/F_1 decided by class sizes, as the
+    Frobenius test did then: the reason G is not 2-Frobenius, or None."""
     fs = fitting_series(G)
     if not fs.solvable or fs.length != 3:
         return f"{G.label}: Fitting length is not 3"
@@ -116,22 +117,22 @@ def _fitting_length_three():
 
 @by_bound
 def test_two_frobenius_reads_match_the_view(bound):
-    """The class read of F_2 against ``_decompose`` of F_2's view and
+    """The class read of F_2 against the Frobenius test of F_2's view and
     against the inline test it replaced: the same verdict and the same
     reason, and F_1, F_2 as the series holds them."""
     with _bound(bound):
         reasons = set()
         inputs = _fitting_length_three()
         for G in inputs:
-            got = _two_frobenius(G)
+            got = _not_two_frobenius(G)
             want = _reference_two_frobenius(G)
             assert _reference_inline_two_frobenius(G) == want, G.label
+            assert got == want, G.label
             if want is None:
                 _, F1, F2, _ = fitting_series(G).series
-                assert (got.f1, got.f2) == (F1, F2), G.label
+                assert two_frobenius_decomposition(G) == (F1, F2), G.label
                 reasons.add(None)
             else:
-                assert got == want, G.label
                 reasons.add(want.split(": ")[-1] if "-F2: " in want
                             else "G/F_1")
     assert len(inputs) >= 48, len(inputs)
@@ -193,7 +194,7 @@ def test_missing_complement_class_still_fails_at_decomposition():
     G._memo["conjugacy"] = replace(data,
                                    sizes=tuple(2 * s for s in data.sizes))
     with pytest.raises(InvariantFailed, match="no class of size 7"):
-        _decompose(G)
+        _not_frobenius(G)
 
 
 def _reference_family(G):

@@ -17,8 +17,10 @@ from functools import reduce
 import pytest
 
 from gklab import catalog, verify
-from gklab.frobenius import FROBENIUS
-from gklab.groups import direct_product
+from gklab import elements as el
+from gklab.frobenius import FROBENIUS, fingerprint
+from gklab.groups import (direct_product, element_orders_multiset,
+                          enumerate_group)
 from gklab.primegraph import parse_graph_literal
 from gklab.structure import SubgroupHandle
 
@@ -45,8 +47,17 @@ def _entry(name):
     return lambda: catalog.catalog_entry(name).build()
 
 
+def _unitriangular_f5():
+    """The 3x3 upper unitriangular matrices over F_5: order 125, exponent 5,
+    not abelian."""
+    return enumerate_group([el.mat(5, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                            el.mat(5, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])],
+                           "U(3,5)")
+
+
 CUT, RATIONAL = {"is_cut_group": _always(True)}, {
     "is_cut_group": _always(True), "is_rational_group": _always(True)}
+READ_RATIONAL = {"is_rational_group": _always(True)}
 # (group, verify's readers replaced, the violations): each check of
 # _check_group_invariants against an input that breaks it and one at its
 # boundary.  A cyclic group read as cut keeps its real graph, one vertex,
@@ -90,6 +101,17 @@ GROUP_CASES = {
     "S4, trivial Sylow subgroups": (lambda: catalog.sym(4), {
         "sylow": lambda G, p: SubgroupHandle(G, frozenset({0}))}, [
         "sylow 2 order wrong", "sylow 3 order wrong"]),
+    # Hegedus: the Sylow 5-subgroup of a solvable rational group is normal
+    # and elementary abelian.  twofrob.e's Sylow 5 is C5, outside F = C2^4;
+    # C25's is cyclic of exponent 25; U(3,5) has exponent 5 but is not
+    # abelian.  fig3.e, C5^2 x| Q8, is the boundary
+    "twofrob.e rational": (_entry("twofrob.e"), READ_RATIONAL, [
+        "rational Sylow 5 not normal"]),
+    "C25 rational": (lambda: catalog.cyclic(25), READ_RATIONAL, [
+        FORBIDDEN_RATIONAL, "rational Sylow 5 not elementary abelian"]),
+    "U(3,5) rational": (_unitriangular_f5, READ_RATIONAL, [
+        FORBIDDEN_RATIONAL, "rational Sylow 5 not elementary abelian"]),
+    "fig3.e rational": (_entry("fig3.e"), READ_RATIONAL, []),
 }
 
 
@@ -98,8 +120,9 @@ GROUP_CASES = {
 def test_group_checks_reject_and_pass(monkeypatch, build, readers, want):
     """The spectra, the vertex count, Higman's bound, the edge
     implications, the forbidden graphs, the component count and its link
-    to the Frobenius kind, the dual oracles and the Sylow orders, each
-    named in the violations exactly when its input breaks it."""
+    to the Frobenius kind, the dual oracles, the Sylow orders and a
+    rational group's Sylow 5-subgroup, each named in the violations
+    exactly when its input breaks it."""
     G = build()
     for name, reader in readers.items():
         monkeypatch.setattr(verify, name, reader)
@@ -136,6 +159,22 @@ def test_cut_sylow_checks_reject_and_pass(build, want):
     one at its boundary.  The normality of Sylow p, which gates the Q8 or
     small cyclic check, is read off F(G)."""
     assert verify._cut_sylow_invariants(build()) == want
+
+
+def test_q8_counts_agree_with_the_fingerprint():
+    """The cut Sylow checks tell Q8 by its element-order counts; on the
+    five groups of order 8 that agrees with comparing fingerprints."""
+    q8 = fingerprint(catalog.quaternion8())
+    groups = [catalog.cyclic(8),
+              direct_product(catalog.cyclic(4), catalog.cyclic(2)),
+              catalog.elem_abelian(2, 3), catalog.dihedral(8),
+              catalog.quaternion8()]
+    by_counts = [element_orders_multiset(G) == verify._Q8_ORDERS
+                 for G in groups]
+    assert by_counts == [fingerprint(G) == q8 for G in groups]
+    assert by_counts == [False, False, False, False, True]
+    assert verify._Q8_ORDERS == {1: 1, 2: 1, 4: 6}
+    assert len({fingerprint(G) for G in groups}) == 5
 
 
 def test_quotient_closure_rejects_a_quotient_that_loses_a_class(monkeypatch):

@@ -11,8 +11,13 @@ runs weighs on both sides alike.  Each run's end-to-end metrics are printed
 as it ends; then, for each metric, the parent's median and quartiles, the
 change's median, their ratio, the number of pairs in which the change read
 lower (ties count for neither), and whether the two medians differ by more
-than the parent's interquartile range, the spread a claimed gain must
-exceed.
+than the parent's interquartile range.  Two verdicts follow.  "Claim rule
+met" holds when there are at least 10 pairs, the change read lower in at
+least 9 of every 10, and its median is lower than the parent's by more than
+that range: the rule a claimed gain is judged by.  "Worse than the bound"
+holds when the change's median exceeds the parent's by more than the
+metric's ``end_to_end`` bound in ``BENCHMARK.json``, a fraction of the
+parent's median.  Every metric is one where lower is better.
 Exits 1 if any run reads ``correct`` false or ``failed`` > 0, 2 if a run
 does not finish.  Uses only the standard library.
 """
@@ -28,6 +33,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 300
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -41,31 +47,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summary(pairs: list[tuple[dict, dict]]) -> list[dict]:
     """One row per metric of the runs' JSON objects, from (parent, change)
     pairs: the parent's median and quartiles, the change's median, the
-    ratio change/parent, the number of pairs with the change lower, and
-    whether the medians differ by more than the parent's quartiles do."""
-    rows = []
+    ratio change/parent, the number of pairs with the change lower,
+    whether the medians differ by more than the parent's quartiles do, and
+    the claim and bound verdicts."""
+    rows, bound = [], {m["name"]: m["bound"] for m in
+                       json.loads(BENCHMARK.read_text())["end_to_end"]}
     for name in pairs[0][0]["metrics"]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         q1, med, q3 = quartiles(parent)
         cmed = statistics.median(change)
+        lower = sum(c < p for p, c in zip(parent, change))
+        beyond = abs(cmed - med) > q3 - q1
         rows.append({"metric": name, "parent_median": med,
                      "parent_q1": q1, "parent_q3": q3,
                      "change_median": cmed,
                      "ratio": cmed / med if med else float("nan"),
-                     "lower": sum(c < p for p, c in zip(parent, change)),
-                     "pairs": len(pairs),
-                     "beyond_iqr": abs(cmed - med) > q3 - q1})
+                     "lower": lower, "pairs": len(pairs),
+                     "beyond_iqr": beyond,
+                     "claim_met": (len(pairs) >= 10
+                                   and 10 * lower >= 9 * len(pairs)
+                                   and beyond and cmed < med),
+                     "bound": bound[name],
+                     "worse_than_bound": cmed > med * (1 + bound[name])})
     return rows
 
 
 def summary_line(r: dict) -> str:
     """One metric's row of the summary, as printed."""
+    def yes(flag):
+        return "yes" if flag else "no"
     return (f"  {r['metric']:12s} {r['parent_median']:.6g} "
             f"[{r['parent_q1']:.6g}, {r['parent_q3']:.6g}] -> "
             f"{r['change_median']:.6g} ({r['ratio']:.4f}), change lower "
             f"in {r['lower']}/{r['pairs']}, medians differ by more than "
-            f"the parent's IQR: {'yes' if r['beyond_iqr'] else 'no'}")
+            f"the parent's IQR: {yes(r['beyond_iqr'])}, claim rule met: "
+            f"{yes(r['claim_met'])}, worse than the bound "
+            f"({r['bound']:g}): {yes(r['worse_than_bound'])}")
 
 
 def failed(run: dict) -> bool:
